@@ -70,7 +70,8 @@ class ReferenceState:
 
     is_global = False
 
-    def bloch_at(self, k: float) -> np.ndarray:
+    def bloch_at(self, k) -> np.ndarray:
+        """Reference Bloch vector at k: shape (3,) + shape(k), or (3,) if global."""
         raise NotImplementedError
 
     def breakpoints(self) -> Tuple[float, ...]:
@@ -122,7 +123,7 @@ class GlobalReference(ReferenceState):
         value = 0.5 * math.sin(self.theta) * math.cos(self.phi)
         return 0.0 if abs(value) < 1e-15 else value
 
-    def bloch_at(self, k: float) -> np.ndarray:
+    def bloch_at(self, k) -> np.ndarray:
         return self._bloch_array
 
 
@@ -148,12 +149,12 @@ class PiecewiseBlochReference(ReferenceState):
         if pieces[-1][1] <= pieces[-1][0]:
             raise PartitionError("piecewise intervals must have positive length")
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_vectors",
+                           np.array([vec.as_array() for _, _, vec in pieces]).T)
 
-    def bloch_at(self, k: float) -> np.ndarray:
-        for lo, hi, vec in self.pieces:
-            if k <= hi:
-                return vec.as_array()
-        return self.pieces[-1][2].as_array()
+    def bloch_at(self, k) -> np.ndarray:
+        # each piece includes its upper end: k <= hi
+        return self._vectors[:, np.searchsorted(self.breakpoints(), k, side="left")]
 
     def breakpoints(self) -> Tuple[float, ...]:
         return tuple(hi for _, hi, _ in self.pieces[:-1])

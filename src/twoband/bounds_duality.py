@@ -17,11 +17,10 @@ import numpy as np
 
 from .bloch import GlobalReference
 from .complexity import ground_complexity
-from .errors import DomainError, GapClosedError, UndefinedRatioError
+from .errors import DomainError, UndefinedRatioError
 from .fidelity import chi_F, dhat_derivative
 from .models import DualSSHParams, TwoBandModel, dual_pair
-from .quadrature import (BZQuadratureConfig, FDConfig, bz_average_vec,
-                         param_derivative, with_offset_on)
+from .quadrature import BZQuadratureConfig, FDConfig, bz_average_vec, param_derivative
 from .special_functions import complete_E, complete_K, dE_dm, dK_dm
 
 PI = math.pi
@@ -53,12 +52,20 @@ def dhat_derivative_integrals(model: TwoBandModel, lam: float,
                               cfg: BZQuadratureConfig | None = None) -> np.ndarray:
     """integral over the BZ of d(d_hat_i)/d(lambda), one value per axis."""
     m = model.at(lam)
-
-    def integrand(k):
-        return dhat_derivative(m.d(k), m.d_deriv(k))
-
-    return 2.0 * PI * bz_average_vec(with_offset_on(integrand, GapClosedError), cfg,
+    return 2.0 * PI * bz_average_vec(lambda k: dhat_derivative(m.d(k), m.d_deriv(k)), cfg,
                                      extra_points=m.singular_points)
+
+
+def _ratio(integrals: np.ndarray, components, q: np.ndarray) -> float:
+    """Saturation ratio of the axis with the largest |integral of d(d_hat_i)/d(lambda)|."""
+    axis = int(np.argmax(np.abs(integrals)))
+    if abs(q[axis]) < 1e-15:
+        raise UndefinedRatioError(
+            f"reference coefficient Q[{axis}] vanishes for the dominant component")
+    comp = components[axis]
+    if not comp > 0.0:
+        raise UndefinedRatioError("dominant susceptibility component vanishes")
+    return abs(integrals[axis]) / (4.0 * PI * math.sqrt(comp))
 
 
 def bound_check(model: TwoBandModel, ref: GlobalReference, lam: float,
@@ -68,20 +75,21 @@ def bound_check(model: TwoBandModel, ref: GlobalReference, lam: float,
 
     The left side is a central finite difference of the quadrature
     complexity; the right side combines the susceptibility components.  A
-    divergent susceptibility makes the bound trivially satisfied.
+    divergent susceptibility makes the bound trivially satisfied and the
+    ratio NaN.
     """
     fd = fd or FDConfig(step=1e-5, scheme="central4")
     q = reference_coefficients(ref)
     lhs = abs(param_derivative(lambda x: ground_complexity(model.at(x), ref, cfg), lam, fd))
     breakdown = chi_F(model, lam, cfg)
     if breakdown.diverged:
-        rhs = math.inf
+        rhs, ratio = math.inf, math.nan
     else:
         rhs = 4.0 * PI * float(np.sum(np.abs(q) * np.sqrt(np.maximum(breakdown.components, 0.0))))
-    try:
-        ratio = ratio_R(model, ref, lam, cfg)
-    except UndefinedRatioError:
-        ratio = math.nan
+        try:
+            ratio = _ratio(dhat_derivative_integrals(model, lam, cfg), breakdown.components, q)
+        except UndefinedRatioError:
+            ratio = math.nan
     satisfied = lhs <= rhs * (1.0 + _BOUND_RTOL)
     return BoundReport(lam=float(lam), lhs=lhs, rhs=rhs, q=tuple(q),
                        satisfied=bool(satisfied), ratio=ratio)
@@ -94,19 +102,14 @@ def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
     R = |dC^(i)/d(lambda)| / (4*pi |Q_i| sqrt(chi_F^i)) with the dominant
     axis i chosen as the largest |integral of d(d_hat_i)/d(lambda)|; the
     reference coefficients cancel, so R <= 1 is pure Cauchy-Schwarz and
-    tends to sqrt(2/3) deep in either phase.
+    tends to sqrt(2/3) deep in either phase.  NaN where the susceptibility
+    diverges.
     """
-    integrals = dhat_derivative_integrals(model, lam, cfg)
-    axis = int(np.argmax(np.abs(integrals)))
-    q = reference_coefficients(ref)
-    if abs(q[axis]) < 1e-15:
-        raise UndefinedRatioError(
-            f"reference coefficient Q[{axis}] vanishes for the dominant component")
     breakdown = chi_F(model, lam, cfg)
-    comp = breakdown.components[axis]
-    if not comp > 0.0:
-        raise UndefinedRatioError("dominant susceptibility component vanishes")
-    return abs(integrals[axis]) / (4.0 * PI * math.sqrt(comp))
+    if breakdown.diverged:
+        return math.nan
+    return _ratio(dhat_derivative_integrals(model, lam, cfg), breakdown.components,
+                  reference_coefficients(ref))
 
 
 def fs_duality_check(params: DualSSHParams,

@@ -116,7 +116,8 @@ def _add_reference_options(p):
                    help="interpret --theta/--phi in degrees")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``config`` entries become defaults of the sweep command."""
     parser = argparse.ArgumentParser(
         prog="twoband",
         description="Spread complexity, fidelity susceptibility, winding numbers "
@@ -137,16 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flat key = value config file; flags override it")
     p.add_argument("--out", metavar="PATH",
                    help="output file (.csv or .json); default prints CSV")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     _add_reference_options(p)
     _add_tolerance_options(p)
+    if config:
+        p.set_defaults(**_config_defaults(config))
 
     p = sub.add_parser("nh-sweep", help="sweep the lossy chain (complexity + derivative)")
     p.add_argument("--set", action="append", metavar="KEY=VAL")
     p.add_argument("--sweep", metavar="NAME:START:STOP:POINTS", required=True)
     p.add_argument("--quantities", default="complexity,dcomplexity")
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--jobs", type=int, default=1)
     _add_reference_options(p)
     _add_tolerance_options(p)
 
@@ -180,44 +181,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    conf = _read_config(args.config)
-    defaults = build_parser().parse_args(["sweep"])
-    sets = _parse_set(getattr(args, "set", None))
+# sweep options a config file may supply (keys may spell "_" as "-")
+_CONFIG_OPTIONS = ("model", "sweep", "quantities", "theta", "phi", "out",
+                   "abs_tol", "rel_tol")
+
+
+def _config_defaults(conf: Dict[str, str]) -> Dict[str, object]:
+    """Parser defaults from a config file, so any explicit flag overrides them.
+
+    String values go through each option's type like a flag value; ``set.X``
+    entries come before the --set flags, whose later values win.
+    """
+    defaults: Dict[str, object] = {}
+    sets = []
     for key, val in conf.items():
         if key.startswith("set."):
-            sets.setdefault(key[4:], float(val))
-        elif key == "model" and args.model is None:
-            args.model = val
-        elif key == "sweep" and args.sweep is None:
-            args.sweep = val
-        elif key == "quantities" and args.quantities == defaults.quantities:
-            args.quantities = val
-        elif key == "theta" and args.theta == defaults.theta:
-            args.theta = float(val)
-        elif key == "phi" and args.phi == defaults.phi:
-            args.phi = float(val)
-        elif key == "degrees" and not args.degrees:
-            args.degrees = val.lower() in ("1", "true", "yes")
-        elif key == "out" and args.out is None:
-            args.out = val
-        elif key in ("abs-tol", "abs_tol") and args.abs_tol == defaults.abs_tol:
-            args.abs_tol = float(val)
-        elif key in ("rel-tol", "rel_tol") and args.rel_tol == defaults.rel_tol:
-            args.rel_tol = float(val)
-        elif key == "jobs" and args.jobs == defaults.jobs:
-            args.jobs = int(val)
-    args.set = [f"{k}={v}" for k, v in sets.items()]
+            sets.append(f"{key[4:]}={val}")
+        elif key == "degrees":
+            defaults["degrees"] = val.lower() in ("1", "true", "yes")
+        elif key.replace("-", "_") in _CONFIG_OPTIONS:
+            defaults[key.replace("-", "_")] = val
+    if sets:
+        defaults["set"] = sets
+    return defaults
 
 
 def _cmd_sweep(args, model_override: Optional[str] = None) -> int:
-    if model_override is None:
-        _apply_config(args)
-        model = args.model
-    else:
-        model = model_override
+    model = args.model if model_override is None else model_override
     if model is None:
         raise SpecError("a sweep needs --model (or a config file providing it)")
     if args.sweep is None:
@@ -229,7 +219,7 @@ def _cmd_sweep(args, model_override: Optional[str] = None) -> int:
         reference=_reference(args),
         quantities=tuple(q.strip() for q in args.quantities.split(",") if q.strip()),
     )
-    records = run_sweep(spec, _quad_config(args), jobs=args.jobs)
+    records = run_sweep(spec, _quad_config(args))
     if args.out:
         write_records(spec, records, args.out)
     else:
@@ -317,9 +307,10 @@ def _cmd_ratio(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "sweep" and args.config:
+            args = build_parser(_read_config(args.config)).parse_args(argv)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "nh-sweep":

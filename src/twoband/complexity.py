@@ -20,7 +20,7 @@ from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
 from .errors import DomainError, GapClosedError, PartitionError
 from .models import (GAP_EPS, DVector, MassiveDiracParams, SSHParams,
                      TwoBandModel, ssh_model)
-from .quadrature import BZQuadratureConfig, bz_average, with_offset_on
+from .quadrature import BZQuadratureConfig, bz_average_vec
 from .special_functions import complete_E, complete_K
 
 PI = math.pi
@@ -46,25 +46,10 @@ def ground_state_bloch(d) -> BlochVector:
     return BlochVector(-v[0] / n, -v[1] / n, -v[2] / n)
 
 
-def _ground_integrand(model: TwoBandModel, ref: ReferenceState):
-    fixed = ref.bloch_at(0.0) if ref.is_global else None
-
-    def ck(k):
-        d = model.d(k)
-        n = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if n < GAP_EPS:
-            raise GapClosedError(f"gap closed at k={k}")
-        nref = fixed if fixed is not None else ref.bloch_at(k)
-        return 0.5 * (1.0 + (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n)
-
-    return with_offset_on(ck, GapClosedError)
-
-
 def ground_complexity(model: TwoBandModel, ref: ReferenceState,
                       cfg: BZQuadratureConfig | None = None) -> float:
     """BZ-averaged ground-state spread complexity for an arbitrary reference."""
-    extra = tuple(model.singular_points) + tuple(ref.breakpoints())
-    return bz_average(_ground_integrand(model, ref), cfg, extra_points=extra)
+    return _band_complexity(model, ref, _GROUND, cfg)
 
 
 # Below this value of 1 - m the elliptic terms of the closed form are replaced
@@ -179,11 +164,9 @@ class BandAssignment:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "signs", signs)
 
-    def sign_at(self, k: float) -> int:
-        for hi, s in zip(self.breakpoints[1:], self.signs):
-            if k <= hi:
-                return s
-        return self.signs[-1]
+    def sign_at(self, k):
+        """Band sign at k (scalar or array); each interval includes its upper end."""
+        return np.asarray(self.signs)[np.searchsorted(self.breakpoints[1:-1], k, side="left")]
 
     @classmethod
     def two_interval(cls, k0: float, sign_left: int, sign_right: int) -> "BandAssignment":
@@ -194,29 +177,40 @@ class BandAssignment:
         return cls((-PI, PI), (-1,))
 
 
+_GROUND = BandAssignment.ground()
+
+
+def _band_complexity(model: TwoBandModel, ref: ReferenceState, bands: BandAssignment,
+                     cfg: BZQuadratureConfig | None) -> float:
+    """BZ average of C_k = 1/2 - (s(k)/2) n_ref(k) . d_hat(k) for band signs s(k).
+
+    The kernel takes an array of k and is NaN where the gap closes, so the
+    quadrature engine evaluates those modes one-sidedly.
+    """
+
+    def ck(k):
+        d = model.d(k)
+        n = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        nref = ref.bloch_at(k)
+        gap = n < GAP_EPS
+        dot = nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]
+        c = 0.5 * (1.0 - bands.sign_at(k) * dot / np.where(gap, 1.0, n))
+        return np.where(gap, np.nan, c)
+
+    extra = (*model.singular_points, *ref.breakpoints(), *bands.breakpoints[1:-1])
+    return float(bz_average_vec(ck, cfg, extra_points=extra))
+
+
 def excited_piecewise_complexity(params: SSHParams, bands: BandAssignment,
                                  ref: GlobalReference,
                                  cfg: BZQuadratureConfig | None = None) -> float:
     """Complexity of a piecewise band assignment of the SSH chain.
 
     The target Bloch vector is sign(k) * d_hat(k), so per mode
-    C_k = 1/2 - (sign(k)/2) * n_ref . d_hat(k); the average is taken by
-    quadrature interval by interval.
+    C_k = 1/2 - (sign(k)/2) * n_ref . d_hat(k); the band breakpoints split
+    the quadrature panels.
     """
-    ref = _require_global(ref)
-    model = ssh_model(params)
-    nref = ref.bloch.as_array()
-
-    def ck(k):
-        d = model.d(k)
-        n = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if n < GAP_EPS:
-            raise GapClosedError(f"gap closed at k={k}")
-        s = bands.sign_at(k)
-        return 0.5 * (1.0 - s * (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n)
-
-    extra = tuple(model.singular_points) + tuple(bands.breakpoints[1:-1])
-    return bz_average(with_offset_on(ck, GapClosedError), cfg, extra_points=extra)
+    return _band_complexity(ssh_model(params), _require_global(ref), bands, cfg)
 
 
 def excited_split_closed(params: SSHParams, theta: float) -> float:

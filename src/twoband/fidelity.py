@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, GapClosedError
 from .models import GAP_EPS, DVector, MassiveDiracParams, SSHParams, TwoBandModel
-from .quadrature import BZQuadratureConfig, bz_average_vec, with_offset_on
+from .quadrature import BZQuadratureConfig, bz_average_vec
 from .errors import ConvergenceError
 
 PI = math.pi
@@ -27,14 +27,21 @@ DIVERGENCE_THRESHOLD = 1e8
 
 
 def dhat_derivative(d, d_deriv) -> np.ndarray:
-    """Derivative of the unit vector: (d_deriv - d_hat (d_hat . d_deriv)) / |d|."""
+    """Derivative of the unit vector: (d_deriv - d_hat (d_hat . d_deriv)) / |d|.
+
+    Takes one vector of shape (3,), or shape (3, n) with a trailing k axis.
+    A single vector at a gap closing raises GapClosedError; along a k axis
+    the gap columns come back NaN.
+    """
     d = d.as_array() if isinstance(d, DVector) else np.asarray(d, dtype=float)
     dd = d_deriv.as_array() if isinstance(d_deriv, DVector) else np.asarray(d_deriv, dtype=float)
-    n = float(np.linalg.norm(d))
-    if n < GAP_EPS:
+    n = np.sqrt(np.sum(d * d, axis=0))
+    gap = n < GAP_EPS
+    if d.ndim == 1 and gap:
         raise GapClosedError("unit-vector derivative undefined at a gap closing")
+    n = np.where(gap, np.nan, n)
     dhat = d / n
-    return (dd - dhat * float(dhat @ dd)) / n
+    return (dd - dhat * np.sum(dhat * dd, axis=0)) / n
 
 
 def chi_F_per_mode(d, d_deriv) -> float:
@@ -96,8 +103,7 @@ def chi_F(model: TwoBandModel, lam: float,
         return 0.25 * v * v
 
     try:
-        comps = bz_average_vec(with_offset_on(integrand, GapClosedError), cfg,
-                               extra_points=m.singular_points)
+        comps = bz_average_vec(integrand, cfg, extra_points=m.singular_points)
     except ConvergenceError as exc:
         est = np.asarray(exc.estimate, dtype=float)
         if np.any(np.abs(est) > DIVERGENCE_THRESHOLD) or not np.all(np.isfinite(est)):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ExceptionalPointError, InsufficientDataError,
                      NormalizationError)
 from .models import NonHermitianSSHParams, nh_ssh_bloch_hamiltonian
-from .quadrature import BZQuadratureConfig, bz_average, with_offset_on
+from .quadrature import BZQuadratureConfig, bz_average_vec
 
 PI = math.pi
 
@@ -103,27 +103,42 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     return alpha / n, beta / n
 
 
+def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: complex):
+    """Array kernel k -> C_k = |w_1| / (|w_0| + |w_1|) for normalized amplitudes.
+
+    Uses the explicit weight formulas in terms of R1, R3 and R; modes at an
+    exceptional point or with a self-orthogonal ground state come back NaN.
+    """
+    ca, cb = alpha.conjugate(), beta.conjugate()
+
+    def ck(k):
+        r1 = params.t1 - params.t2 * np.cos(k)
+        r3 = params.t2 * np.sin(k) + 0.5j * params.gamma
+        rsq = r1 * r1 + r3 * r3
+        # principal root, as in _branch_R: the ground branch is -R
+        u = np.sqrt(rsq) + r3
+        denom = r1 * r1 + u * u
+        bad = (np.abs(rsq) < _EP_EPS) | (np.abs(denom) < _EP_EPS)
+        denom = np.where(bad, 1.0, denom)
+        w0 = np.abs((alpha * r1 - beta * u) * (ca * r1 - cb * u) / denom)
+        w1 = np.abs((alpha * u + beta * r1) * (ca * u + cb * r1) / denom)
+        return np.where(bad, np.nan, w1 / (w0 + w1))
+
+    return ck
+
+
 def nh_complexity_per_mode(params: NonHermitianSSHParams, k: float,
                            alpha: complex, beta: complex) -> float:
     """Per-mode biorthogonal complexity C_k = |w_1| / (|w_0| + |w_1|).
 
-    Uses the explicit weight formulas in terms of R1, R3 and R; the overall
-    amplitude scale of (alpha, beta) cancels and is normalized away.
+    The overall amplitude scale of (alpha, beta) cancels and is normalized
+    away; raises ExceptionalPointError where the weights are undefined.
     """
     alpha, beta = _normalized_pair(alpha, beta)
-    r1 = params.t1 - params.t2 * math.cos(k)
-    r3 = complex(params.t2 * math.sin(k), 0.5 * params.gamma)
-    rsq = r1 * r1 + r3 * r3
-    if abs(rsq) < _EP_EPS:
+    c = float(_nh_weight_kernel(params, alpha, beta)(float(k)))
+    if math.isnan(c):
         raise ExceptionalPointError(f"exceptional point at k={k}")
-    R = _branch_R(r1, r3)
-    u = R + r3
-    denom = r1 * r1 + u * u
-    if abs(denom) < _EP_EPS:
-        raise ExceptionalPointError(f"self-orthogonal ground state at k={k}")
-    w0 = (alpha * r1 - beta * u) * (alpha.conjugate() * r1 - beta.conjugate() * u) / denom
-    w1 = (alpha * u + beta * r1) * (alpha.conjugate() * u + beta.conjugate() * r1) / denom
-    return abs(w1) / (abs(w0) + abs(w1))
+    return c
 
 
 def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
@@ -149,12 +164,8 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
     one-sided offset, mirroring the Hermitian gap-closing treatment.
     """
     alpha, beta = _normalized_pair(alpha, beta)
-
-    def ck(k):
-        return nh_complexity_per_mode(params, k, alpha, beta)
-
-    return bz_average(with_offset_on(ck, ExceptionalPointError), cfg,
-                      extra_points=(0.0,))
+    return float(bz_average_vec(_nh_weight_kernel(params, alpha, beta), cfg,
+                                extra_points=(0.0,), undefined=ExceptionalPointError))
 
 
 def _sweep_arrays(sweep) -> Tuple[np.ndarray, np.ndarray]:

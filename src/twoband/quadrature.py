@@ -2,7 +2,10 @@
 
 The integrands met here are smooth except for integrable features at gap
 closings (all located at k in {0, +-pi} for the stock models), so the
-integrator pre-splits at known singular points and subdivides adaptively.
+integrators pre-split at known singular points and subdivide adaptively.
+Library averages go through ``bz_average_vec``, which evaluates an array
+kernel on whole refinement levels at once; ``bz_average`` wraps QUADPACK for
+scalar callables and serves as its independent oracle.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, GapClosedError
 
 PI = math.pi
 
@@ -56,26 +59,13 @@ def _interior_points(cfg: BZQuadratureConfig, extra: Iterable[float] = ()) -> li
     return pts
 
 
-def with_offset_on(f: Callable[[float], float], exceptions,
-                   offset: float = SINGULAR_OFFSET) -> Callable[[float], float]:
-    """Wrap an integrand so isolated undefined points are evaluated one-sidedly.
-
-    The offset limit is legitimate only for bounded integrands with
-    measure-zero discontinuities (per-mode complexity is such a case).
-    """
-
-    def safe(k):
-        try:
-            return f(k)
-        except exceptions:
-            return f(k + offset if k < 0.5 * (PI - offset) else k - offset)
-
-    return safe
-
-
 def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = None,
                extra_points: Iterable[float] = ()) -> float:
-    """(1/2*pi) * integral of f over [-pi, pi] by adaptive subdivision."""
+    """(1/2*pi) * integral of a scalar f over [-pi, pi] by QUADPACK.
+
+    This is the path for user callables of one k and the independent oracle
+    of the array engine ``bz_average_vec``.
+    """
     cfg = cfg or BZQuadratureConfig()
     pts = _interior_points(cfg, extra_points)
     val, err, *rest = quad(f, -PI, PI, points=pts or None,
@@ -91,22 +81,110 @@ def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = Non
     return val / (2.0 * PI)
 
 
-def bz_average_vec(f: Callable[[float], np.ndarray], cfg: BZQuadratureConfig | None = None,
-                   extra_points: Iterable[float] = ()) -> np.ndarray:
-    """Vector-valued BZ average; all components share one subdivision tree."""
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21).  The Gauss weights
+# are zero at the ten Kronrod-only nodes, so one evaluation serves both rules.
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077600525718460, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+       0.0, 0.295524224714752870173892994651338, 0.0)
+_GK_NODES = np.array([-x for x in _XK] + list(_XK[-2::-1]))
+# Columns: Kronrod weights, Gauss weights.
+_GK_WEIGHTS = np.array([_WK + _WK[-2::-1], _WG + _WG[-2::-1]]).T
+
+# Each level bisects the worst panels until the rest hold at most
+# tolerance / _REFINE_MARGIN of error.  The K21 value of a barely resolved
+# panel can be off by a fifth of its |K21 - G10|; leaving such panels at the
+# full tolerance lets an average jump by ~1e-11 between nearby parameters,
+# which the finite differences of sweeps amplify a hundred-thousandfold.
+_REFINE_MARGIN = 16.0
+
+# At most this many panels are bisected per refinement level, which bounds
+# the size of one kernel call.  Only averages near a non-integrable point,
+# where the error spreads over many panels, reach it.
+_MAX_SPLIT = 64
+
+
+def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+          undefined: type) -> Tuple[np.ndarray, np.ndarray]:
+    """Kronrod integrals (..., p) and error estimates (p,) of p panels, one call of f.
+
+    Nodes where f is NaN are re-evaluated one-sidedly at SINGULAR_OFFSET;
+    nodes still undefined there raise ``undefined``.
+    """
+    half = 0.5 * (hi - lo)
+    k = ((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
+    y = np.asarray(f(k), dtype=float)
+    bad = np.isnan(y).reshape(-1, k.size).any(axis=0)
+    if bad.any():
+        kb = k[bad]
+        yb = np.asarray(f(np.where(kb < 0.5 * (PI - SINGULAR_OFFSET),
+                                   kb + SINGULAR_OFFSET, kb - SINGULAR_OFFSET)), dtype=float)
+        if np.isnan(yb).any():
+            raise undefined(f"integrand undefined at k={kb[0]!r} and beside it")
+        y = y.copy()
+        y[..., bad] = yb
+    rules = (y.reshape(y.shape[:-1] + (lo.size, _GK_NODES.size)) @ _GK_WEIGHTS) * half[:, None]
+    kronrod = rules[..., 0]
+    err = np.abs(kronrod - rules[..., 1]).reshape(-1, lo.size).sum(axis=0)
+    return kronrod, err
+
+
+def bz_average_vec(f: Callable[[np.ndarray], np.ndarray], cfg: BZQuadratureConfig | None = None,
+                   extra_points: Iterable[float] = (),
+                   undefined: type = GapClosedError) -> np.ndarray:
+    """(1/2*pi) * integral over [-pi, pi] of an array kernel, by adaptive GK21.
+
+    ``f`` maps k of shape (n,) to values of shape (..., n); all components
+    share one set of panels.  Panels start from [-pi, pi] split at the
+    singular and extra points.  Each refinement level calls ``f`` once, on
+    the 21 nodes of every panel it bisects.  The error estimate is
+    |K21 - G10| per panel, summed over components; refinement stops once
+    its total is at most max(abs_tol * 2 pi, rel_tol * |I|).  Each level
+    bisects the worst panels, at most _MAX_SPLIT of them, until the rest
+    would meet that tolerance divided by _REFINE_MARGIN.
+    ``max_subdivisions`` caps the number of panels: when it binds, the worst
+    panels are bisected first, and a full budget raises ConvergenceError
+    carrying the current estimate and error.  A node where ``f`` is NaN is
+    evaluated one-sidedly at SINGULAR_OFFSET; if it is still NaN there,
+    ``undefined`` is raised.
+    """
     cfg = cfg or BZQuadratureConfig()
-    pts = _interior_points(cfg, extra_points)
-    val, err = quad_vec(f, -PI, PI, points=pts or None,
-                        limit=cfg.max_subdivisions,
-                        epsabs=cfg.abs_tol * 2.0 * PI,
-                        epsrel=cfg.rel_tol)
-    val = np.asarray(val, dtype=float) / (2.0 * PI)
-    err = err / (2.0 * PI)
-    budget = max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(val)))) * 10.0
-    if not np.all(np.isfinite(val)) or err > budget:
-        raise ConvergenceError("vector BZ average did not converge",
-                               estimate=val, error=err)
-    return val
+    edges = np.array([-PI, *_interior_points(cfg, extra_points), PI])
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _gk21(f, lo, hi, undefined)
+    while True:
+        total = val.sum(axis=-1)
+        err_total = float(err.sum())
+        tol = max(cfg.abs_tol * 2.0 * PI, cfg.rel_tol * float(np.abs(total).sum()))
+        if err_total <= tol:
+            return total / (2.0 * PI)
+        room = cfg.max_subdivisions - lo.size
+        if room <= 0 or not math.isfinite(err_total):
+            raise ConvergenceError("BZ average did not converge within the subdivision budget",
+                                   estimate=total / (2.0 * PI), error=err_total / (2.0 * PI))
+        order = np.argsort(-err)
+        n_split = int(np.searchsorted(np.cumsum(err[order]),
+                                      err_total - tol / _REFINE_MARGIN)) + 1
+        n_split = min(n_split, room, _MAX_SPLIT)
+        split, keep = order[:n_split], order[n_split:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_val, new_err = _gk21(f, new_lo, new_hi, undefined)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[..., keep], new_val), axis=-1)
+        err = np.concatenate((err[keep], new_err))
 
 
 def param_derivative(g: Callable[[float], float], at: float,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -213,17 +212,18 @@ def _evaluate_hermitian(spec: SweepSpec, model: TwoBandModel, lam: float,
                 flags.add("diverged")
         elif quantity == "ratio":
             values["ratio"] = ratio_R(model, spec.reference, lam, cfg)
+            if math.isnan(values["ratio"]):
+                flags.add("diverged")
         elif quantity == "winding":
             values["winding"] = _winding_value(spec, model, lam)
     return SweepRecord(lam=float(lam), values=values, flags=frozenset(flags))
 
 
 def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None,
-              fd: FDConfig | None = None, jobs: int = 1) -> List[SweepRecord]:
+              fd: FDConfig | None = None) -> List[SweepRecord]:
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
-    Results are deterministic for a fixed spec and tolerances; rows are
-    ordered by the swept parameter regardless of worker completion order.
+    Results are deterministic for a fixed spec and tolerances.
     """
     cfg = cfg or BZQuadratureConfig()
     fd = fd or FDConfig(step=1e-5, scheme="central4")
@@ -233,9 +233,6 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None,
     else:
         model = _hermitian_model(spec)
         evaluate = lambda lam: _evaluate_hermitian(spec, model, lam, cfg, fd)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(evaluate, grid))
     return [evaluate(lam) for lam in grid]
 
 

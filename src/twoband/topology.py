@@ -18,9 +18,13 @@ _QUANTIZATION_SLACK = 0.1
 
 def winding_phase_accumulation(f: Callable[[np.ndarray], np.ndarray],
                                grid_size: int = 1024) -> float:
-    """Raw accumulated phase of f around the zone, in units of 2*pi."""
+    """Raw accumulated phase of f around the zone, in units of 2*pi.
+
+    ``f`` is called once, on the whole array of grid momenta; a constant
+    result stands for every momentum.
+    """
     ks = np.linspace(-PI, PI, grid_size + 1)
-    vals = np.asarray([complex(f(k)) for k in ks])
+    vals = np.broadcast_to(np.asarray(f(ks), dtype=complex), ks.shape)
     if np.min(np.abs(vals)) < 1e-12:
         raise GapClosedError("map vanishes on the grid; winding undefined")
     steps = np.angle(vals[1:] / vals[:-1])

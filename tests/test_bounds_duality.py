@@ -81,6 +81,22 @@ class TestBoundCheck:
         assert math.isinf(report.rhs)
         assert report.satisfied
 
+    def test_divergent_point_has_nan_ratio_without_integrating(self, monkeypatch):
+        import twoband.bounds_duality as bd
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the d(d_hat)/d(lambda) integrals were computed")
+
+        monkeypatch.setattr(bd, "dhat_derivative_integrals", fail)
+        model, ref = ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.5 * PI, PI)
+        report = bound_check(model, ref, 1.0)
+        assert math.isinf(report.rhs) and math.isnan(report.ratio)
+        assert math.isnan(ratio_R(model, ref, 1.0))
+
+    def test_report_ratio_equals_ratio_R(self):
+        model, ref = ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4)
+        assert bound_check(model, ref, 2.0).ratio == ratio_R(model, ref, 2.0)
+
 
 class TestRatio:
     def test_saturates_for_ssh(self):

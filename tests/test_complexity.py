@@ -15,7 +15,7 @@ from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
                      md_complexity_closed, md_dC_dmu_analytic,
                      plateau_complexity, ssh_complexity_closed,
                      ssh_dC_dt2_asymptotic, ssh_model)
-from twoband.bloch import canonical_angles
+from twoband.bloch import canonical_angles, plateau_reference
 from twoband.quadrature import param_derivative, FDConfig
 
 PI = math.pi
@@ -188,6 +188,15 @@ class TestPlateau:
         for t2 in (0.2, 0.4, 0.9):
             assert plateau_complexity(SSHParams(1.0, t2)) == pytest.approx(
                 0.5 - t2 / PI, abs=1e-8)
+
+    def test_array_lookups_keep_the_upper_end_convention(self):
+        ks = np.array([-PI, -1.0, 0.0, 1e-300, 2.0, PI])
+        ref = plateau_reference()
+        assert ref.bloch_at(ks)[2] == pytest.approx([1, 1, 1, -1, -1, -1])
+        assert ref.bloch_at(0.0) == pytest.approx([0.0, 0.0, 1.0])
+        bands = BandAssignment.two_interval(0.0, -1, +1)
+        assert list(bands.sign_at(ks)) == [-1, -1, -1, 1, 1, 1]
+        assert bands.sign_at(0.0) == -1
 
     def test_vanishing_intercell_coupling(self):
         assert plateau_complexity(SSHParams(1.0, 1e-12)) == pytest.approx(0.5, abs=1e-10)

@@ -59,6 +59,15 @@ class TestPerMode:
             assert abs(transverse - projector) <= 1e-7 * scale
             assert abs(transverse - direct_value) <= 1e-7 * scale
 
+    def test_k_axis_broadcasts_and_marks_gaps_nan(self):
+        model = ssh_model(SSHParams(1.0, 1.0))
+        ks = np.array([-2.0, 0.0, 0.3, 1.7])
+        v = dhat_derivative(model.d(ks), model.d_deriv(ks))
+        assert v.shape == (3, 4) and np.all(np.isnan(v[:, 1]))
+        for i in (0, 2, 3):
+            single = dhat_derivative(model.d(ks[i]), model.d_deriv(ks[i]))
+            assert v[:, i] == pytest.approx(single, abs=1e-15)
+
     def test_gap_closed(self):
         with pytest.raises(GapClosedError):
             chi_F_per_mode(np.zeros(3), np.ones(3))

@@ -5,11 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from twoband import (BZQuadratureConfig, ConvergenceError, DomainError,
-                     FDConfig, GlobalReference, MassiveDiracParams, SSHParams,
-                     bz_average, ground_complexity, massive_dirac_model,
-                     md_complexity_closed, md_dC_dmu_analytic, param_derivative,
+from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
+                     ConvergenceError, DomainError, ExceptionalPointError,
+                     FDConfig, GapClosedError, GlobalReference,
+                     MassiveDiracParams, NonHermitianSSHParams, SSHParams,
+                     TwoBandModel, bz_average, bz_average_vec, chi_F,
+                     complexity_per_mode, excited_piecewise_complexity,
+                     ground_complexity, ground_state_bloch, massive_dirac_model,
+                     md_complexity_closed, md_dC_dmu_analytic,
+                     nh_complexity_per_mode_overlap, nh_ground_complexity,
+                     param_derivative, plateau_reference,
                      ssh_complexity_closed, ssh_model)
+from twoband.fidelity import dhat_derivative
+from twoband.quadrature import SINGULAR_OFFSET, _GK_NODES, _GK_WEIGHTS
 
 PI = math.pi
 
@@ -93,3 +101,163 @@ class TestParamDerivative:
             FDConfig(step=0.0)
         with pytest.raises(DomainError):
             FDConfig(scheme="forward")
+
+
+# The array engine against the scalar QUADPACK oracle.  The oracle integrands
+# are scalar per-mode formulas evaluated one k at a time.
+ORACLE = BZQuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+ENGINE_TOL = 1e-10
+
+
+def _three_axis_model():
+    """A gapped family whose d(d_hat)/d(lambda) has all three components."""
+
+    def family(k, lam):
+        k = np.asarray(k, dtype=float)
+        return np.stack([1.0 + lam * np.cos(k), 0.4 * np.sin(k) + 0.2,
+                         lam * np.sin(2.0 * k) + 0.3])
+
+    def deriv(k, lam):
+        k = np.asarray(k, dtype=float)
+        return np.stack([np.cos(k), np.zeros_like(k), np.sin(2.0 * k)])
+
+    return TwoBandModel(family, 0.5, deriv, label="three-axis")
+
+
+def _scalar_ground(model, ref_at):
+    """Oracle integrand; ref_at maps one k to the reference BlochVector."""
+
+    def ck(k):
+        return complexity_per_mode(ref_at(k), ground_state_bloch(model.dvector(k)))
+
+    return ck
+
+
+class TestArrayEngineAgainstOracle:
+    @pytest.mark.parametrize("t1,t2", [(1.0, 2.0), (1.0, 0.4),
+                                       (1.0, (1 + 1e-3) / (1 - 1e-3))])
+    def test_ground_complexity_global_reference(self, t1, t2):
+        model = ssh_model(SSHParams(t1, t2))
+        ref = GlobalReference(0.9, 0.4)
+        oracle = bz_average(_scalar_ground(model, lambda k: ref.bloch), ORACLE,
+                            extra_points=(0.0,))
+        assert ground_complexity(model, ref) == pytest.approx(oracle, abs=ENGINE_TOL)
+
+    @pytest.mark.parametrize("mu", [1e-2, -1e-2, 0.7])
+    def test_ground_complexity_massive_dirac(self, mu):
+        model = massive_dirac_model(MassiveDiracParams(mu=mu))
+        ref = GlobalReference(0.3, 1.1)
+        oracle = bz_average(_scalar_ground(model, lambda k: ref.bloch), ORACLE)
+        assert ground_complexity(model, ref) == pytest.approx(oracle, abs=ENGINE_TOL)
+
+    @pytest.mark.parametrize("t2", [0.6, 1.7])
+    def test_ground_complexity_plateau_reference(self, t2):
+        model = ssh_model(SSHParams(1.0, t2))
+        up_then_down = lambda k: BlochVector(0.0, 0.0, 1.0 if k <= 0.0 else -1.0)
+        oracle = bz_average(_scalar_ground(model, up_then_down), ORACLE, extra_points=(0.0,))
+        got = ground_complexity(model, plateau_reference())
+        assert got == pytest.approx(oracle, abs=ENGINE_TOL)
+
+    def test_excited_piecewise_split(self):
+        params = SSHParams(1.0, 1.3)
+        bands = BandAssignment.two_interval(0.25 * PI, -1, +1)
+        ref = GlobalReference(PI / 12.0, PI / 3.0)
+        model = ssh_model(params)
+
+        def ck(k):
+            target = model.dvector(k).normalized()  # upper band
+            return complexity_per_mode(ref.bloch, -target if k <= 0.25 * PI else target)
+
+        oracle = bz_average(ck, ORACLE, extra_points=(0.0, 0.25 * PI))
+        got = excited_piecewise_complexity(params, bands, ref)
+        assert got == pytest.approx(oracle, abs=ENGINE_TOL)
+
+    @pytest.mark.parametrize("model", [
+        _three_axis_model(),
+        ssh_model(SSHParams(1.0, (1 + 1e-3) / (1 - 1e-3))),
+        massive_dirac_model(MassiveDiracParams(mu=1e-2)),
+    ], ids=["three-axis", "ssh-1e-3", "md-1e-2"])
+    def test_chi_F_components(self, model):
+        got = chi_F(model, model.lam)
+        for axis in range(3):
+            def comp(k):
+                return 0.25 * dhat_derivative(model.d(k), model.d_deriv(k))[axis] ** 2
+
+            oracle = bz_average(comp, ORACLE, extra_points=model.singular_points)
+            assert got.components[axis] == pytest.approx(oracle, abs=ENGINE_TOL,
+                                                          rel=ENGINE_TOL)
+        if model.label == "three-axis":
+            assert min(got.components) > 0.0
+
+    @pytest.mark.parametrize("t2", [1.45, 1.55, 2.45, 2.55])
+    def test_lossy_chain_on_both_sides_of_the_closings(self, t2):
+        params = NonHermitianSSHParams(2.0, t2, 1.0)
+        ref = GlobalReference(0.9, 0.4)
+        alpha, beta = ref.alpha, ref.beta
+        oracle = bz_average(
+            lambda k: nh_complexity_per_mode_overlap(params, k, alpha, beta),
+            ORACLE, extra_points=(0.0,))
+        got = nh_ground_complexity(params, alpha, beta)
+        assert got == pytest.approx(oracle, abs=ENGINE_TOL)
+
+
+class TestArrayEngine:
+    def test_rule_is_exact_for_polynomials(self):
+        for j in range(32):
+            exact = 0.0 if j % 2 else 2.0 / (j + 1)
+            kronrod, gauss = (_GK_NODES ** j) @ _GK_WEIGHTS
+            assert kronrod == pytest.approx(exact, abs=1e-15)
+            if j < 20:
+                assert gauss == pytest.approx(exact, abs=1e-15)
+
+    def test_components_share_panels(self):
+        got = bz_average_vec(lambda k: np.stack([np.ones_like(k), np.cos(k) ** 2, np.sin(k)]))
+        assert got == pytest.approx([1.0, 0.5, 0.0], abs=1e-13)
+
+    def test_nan_node_is_rescued_by_the_offset(self):
+        # a node of the first level, computed as the engine places it
+        half = 0.5 * PI
+        k0 = (-PI + half) + half * _GK_NODES[4]
+        seen = []
+
+        def f(k):
+            seen.append(np.asarray(k).copy())
+            return np.where(k == k0, np.nan, np.cos(k) ** 2)
+
+        # no bisection allowed: the first level must converge with the
+        # one-sided value, which moves one node by about 1e-10
+        got = bz_average_vec(f, BZQuadratureConfig(max_subdivisions=2))
+        assert got == pytest.approx(0.5, abs=1e-10)
+        assert any(np.any(batch == k0 + SINGULAR_OFFSET) for batch in seen[1:])
+
+    def test_undefined_beside_the_node_raises_the_given_error(self):
+        half = 0.5 * PI
+        k0 = (-PI + half) + half * _GK_NODES[4]
+
+        def f(k):
+            return np.where(np.abs(k - k0) < 1e-6, np.nan, 1.0)
+
+        with pytest.raises(GapClosedError):
+            bz_average_vec(f)
+        with pytest.raises(ExceptionalPointError):
+            bz_average_vec(f, undefined=ExceptionalPointError)
+
+    def test_budget_exhaustion_raises_with_an_estimate(self):
+        cfg = BZQuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)
+        with pytest.raises(ConvergenceError) as info:
+            bz_average_vec(lambda k: np.sin(1000.0 * k * k), cfg)
+        assert np.isfinite(info.value.estimate)
+        assert info.value.error > 0.0
+
+    def test_budget_caps_the_number_of_panels(self):
+        cfg = BZQuadratureConfig(max_subdivisions=50)
+        points = []
+
+        def f(k):
+            points.append(k.size)
+            return 1.0 / np.abs(k)
+
+        with pytest.raises(ConvergenceError):
+            bz_average_vec(f, cfg)
+        # two starting panels, then two new panels per bisection
+        assert sum(points) <= 21 * (2 + 2 * (50 - 2))

@@ -54,13 +54,6 @@ class TestRunSweep:
         b = records_to_csv(spec, run_sweep(spec))
         assert a == b
 
-    def test_jobs_do_not_change_results(self):
-        spec = SweepSpec(model="massive-dirac", sweep=("mu", 0.2, 1.4, 9),
-                         reference=GlobalReference(0.0, 0.0))
-        serial = records_to_csv(spec, run_sweep(spec, jobs=1))
-        parallel = records_to_csv(spec, run_sweep(spec, jobs=4))
-        assert serial == parallel
-
     def test_resolution_consistency_at_shared_points(self):
         coarse = SweepSpec(model="ssh", sweep=("t2", 0.2, 1.8, 5), fixed={"t1": 1.0})
         fine = SweepSpec(model="ssh", sweep=("t2", 0.2, 1.8, 9), fixed={"t1": 1.0})
@@ -85,6 +78,13 @@ class TestRunSweep:
         cusps = detect_cusps([(r.lam, r.values["complexity"]) for r in recs])
         spacing = recs[1].lam - recs[0].lam
         assert len(cusps) == 1 and abs(cusps[0] - 1.0) <= spacing
+
+    def test_ratio_at_divergence_is_flagged_nan(self):
+        spec = SweepSpec(model="massive-dirac", sweep=("mu", -0.5, 0.5, 3),
+                         reference=GlobalReference(0.3, 0.2), quantities=("ratio",))
+        recs = run_sweep(spec, BZQuadratureConfig(max_subdivisions=300))
+        assert math.isnan(recs[1].values["ratio"]) and recs[1].flags == {"diverged"}
+        assert 0.0 < recs[0].values["ratio"] <= 1.0 and recs[0].flags == frozenset()
 
     def test_divergence_flag_at_criticality(self):
         spec = SweepSpec(model="ssh", sweep=("t2", 0.9, 1.1, 3), fixed={"t1": 1.0},
@@ -208,6 +208,27 @@ class TestCLI:
         code = main(["sweep", "--config", str(conf), "--theta", str(0.5 * PI)])
         assert code == 0
         assert capsys.readouterr().out.startswith("lambda,complexity,flags")
+
+    def test_explicit_flag_equal_to_its_default_beats_the_config(self, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text("model = ssh\nsweep = t2:0.5:1.5:3\nset.t1 = 1.0\ntheta = 0.3\n")
+        code = main(["sweep", "--config", str(conf), "--theta", "1.5707963267948966",
+                     "--set", "t1=2.0"])
+        assert code == 0
+        lam, comp, _ = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        from twoband import SSHParams, ssh_complexity_closed
+        expected = ssh_complexity_closed(SSHParams(2.0, 0.5), GlobalReference(0.5 * PI, PI))
+        assert float(comp) == pytest.approx(expected, abs=1e-8)
+
+    def test_config_supplies_unset_flags(self, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text("model = ssh\nsweep = t2:0.5:1.5:3\nset.t1 = 1.0\ntheta = 0.3\n"
+                        "phi = 0.0\nabs-tol = 1e-11\n")
+        assert main(["sweep", "--config", str(conf)]) == 0
+        lam, comp, _ = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        from twoband import SSHParams, ssh_complexity_closed
+        expected = ssh_complexity_closed(SSHParams(1.0, 0.5), GlobalReference(0.3, 0.0))
+        assert float(comp) == pytest.approx(expected, abs=1e-8)
 
     def test_verify_suite_passes(self, capsys):
         assert main(["verify", "winding"]) == 0
