@@ -16,7 +16,8 @@ from typing import Tuple
 import numpy as np
 
 from .bloch import GlobalReference
-from .complexity import ground_complexity
+from .complexity import (_M_COMPLEMENT_FLOOR, _K_with_log_asymptote,
+                         _ssh_elliptic_terms, ground_complexity)
 from .errors import DomainError, UndefinedRatioError
 from .fidelity import chi_F, dhat_derivative
 from .models import DualSSHParams, TwoBandModel, dual_pair
@@ -27,8 +28,6 @@ PI = math.pi
 
 # Bound slack: lhs <= rhs * (1 + _BOUND_RTOL) counts as satisfied.
 _BOUND_RTOL = 1e-9
-
-_MC_FLOOR = 1e-15
 
 
 def reference_coefficients(ref: GlobalReference) -> np.ndarray:
@@ -130,26 +129,17 @@ def fs_duality_check(params: DualSSHParams,
     return lhs, rhs, residual
 
 
-def _mc_of_ratio(r: float) -> float:
-    return ((1.0 - r) / (1.0 + r)) ** 2
-
-
-def _K_of_ratio(r: float) -> float:
-    """K(4r/(1+r)^2) with the near-self-dual logarithmic asymptote."""
-    mc = _mc_of_ratio(r)
-    if mc < _MC_FLOOR:
-        return math.log(4.0 * (1.0 + r) / abs(1.0 - r))
-    return complete_K(1.0 - mc)
-
-
 def ratio_integral_I1(r: float) -> float:
-    """I1(r) = [(1-r) K(m) + (1+r) E(m)] / pi, m = 4r/(1+r)^2."""
-    mc = _mc_of_ratio(r)
-    if mc < _MC_FLOOR:
-        k_term = 0.0 if r == 1.0 else (1.0 - r) * _K_of_ratio(r)
-        return (k_term + (1.0 + r)) / PI
-    m = 1.0 - mc
-    return ((1.0 - r) * complete_K(m) + (1.0 + r) * complete_E(m)) / PI
+    """I1(r) = [(1-r) K(m) + (1+r) E(m)] / pi, m = 4r/(1+r)^2: the SSH term at (1, r)."""
+    return _ssh_elliptic_terms(1.0, r)
+
+
+def _ratio_parameter(r: float) -> Tuple[float, float]:
+    """m = 4r/(1+r)^2 and dm/dr for the derivatives, which diverge at r = 1."""
+    mc = ((1.0 - r) / (1.0 + r)) ** 2
+    if mc < _M_COMPLEMENT_FLOOR:
+        raise DomainError("derivative diverges logarithmically at the self-dual point")
+    return 1.0 - mc, 4.0 * (1.0 - r) / (1.0 + r) ** 3
 
 
 def ratio_complexity(r: float, ref: GlobalReference) -> float:
@@ -162,11 +152,7 @@ def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:
     a = ref.re_alpha_beta
     if a == 0.0:
         return 0.0
-    mc = _mc_of_ratio(r)
-    if mc < _MC_FLOOR:
-        raise DomainError("complexity derivative diverges at the self-dual point")
-    m = 1.0 - mc
-    m_prime = 4.0 * (1.0 - r) / (1.0 + r) ** 3
+    m, m_prime = _ratio_parameter(r)
     i1_prime = (-complete_K(m) + complete_E(m)
                 + ((1.0 - r) * dK_dm(m) + (1.0 + r) * dE_dm(m)) * m_prime) / PI
     return a * i1_prime
@@ -176,7 +162,8 @@ def complexity_duality_offset(r: float, ref: GlobalReference) -> float:
     """H(r) = (1-r)/2 + 2 Re(alpha* beta) (1-r) K(m) / pi; H(1) = 0."""
     if r == 1.0:
         return 0.0
-    return (1.0 - r) / 2.0 + 2.0 * ref.re_alpha_beta * (1.0 - r) * _K_of_ratio(r) / PI
+    k_val = _K_with_log_asymptote(abs(1.0 - r) / (1.0 + r))
+    return (1.0 - r) / 2.0 + 2.0 * ref.re_alpha_beta * (1.0 - r) * k_val / PI
 
 
 def complexity_duality_offset_prime(r: float, ref: GlobalReference) -> float:
@@ -184,11 +171,7 @@ def complexity_duality_offset_prime(r: float, ref: GlobalReference) -> float:
     a = ref.re_alpha_beta
     if a == 0.0:
         return -0.5
-    mc = _mc_of_ratio(r)
-    if mc < _MC_FLOOR:
-        raise DomainError("offset derivative diverges at the self-dual point")
-    m = 1.0 - mc
-    m_prime = 4.0 * (1.0 - r) / (1.0 + r) ** 3
+    m, m_prime = _ratio_parameter(r)
     return -0.5 + (2.0 * a / PI) * (-complete_K(m) + (1.0 - r) * dK_dm(m) * m_prime)
 
 

@@ -16,17 +16,16 @@ from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
 from .bounds_duality import (bound_check, complexity_duality_check,
                              fs_duality_check, ratio_R, self_dual_constraint)
 from .errors import SpecError, TwoBandError
-from .models import (DualSSHParams, MassiveDiracParams, SSHParams,
-                     massive_dirac_model, ssh_model)
+from .models import MODELS, QUANTITIES
 from .quadrature import BZQuadratureConfig
-from .sweeps import (MODEL_NAMES, QUANTITIES, SweepSpec, records_to_csv,
-                     records_to_json, run_sweep, write_records)
+from .sweeps import SweepSpec, records_to_csv, run_sweep, write_records
 from .topology import dual_windings, winding_cross_product, winding_log_derivative
 from .verification import SUITES, run_suite
 
-import numpy as np
-
 PI = math.pi
+
+# models with a Hermitian d(k): the choices of the point commands
+_HERMITIAN = tuple(name for name, entry in MODELS.items() if entry.hermitian)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -56,6 +55,14 @@ def _parse_sweep(text: str):
         return name, float(start), float(stop), int(points)
     except ValueError as exc:
         raise SpecError(f"bad --sweep specification {text!r}") from exc
+
+
+def _grid_size(text: str) -> int:
+    """A winding grid needs at least three steps to carry a full turn in steps below pi."""
+    size = int(text)
+    if size < 3:
+        raise argparse.ArgumentTypeError(f"grid size must be at least 3, got {size}")
+    return size
 
 
 def _read_config(path: str) -> Dict[str, str]:
@@ -125,7 +132,7 @@ def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentPa
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="run a parameter sweep and emit CSV/JSON")
-    p.add_argument("--model", choices=MODEL_NAMES, help="model family")
+    p.add_argument("--model", choices=tuple(MODELS), help="model family")
     p.add_argument("--set", action="append", metavar="KEY=VAL",
                    help="fix a model parameter (repeatable)")
     p.add_argument("--sweep", metavar="NAME:START:STOP:POINTS",
@@ -155,28 +162,23 @@ def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentPa
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
 
     p = sub.add_parser("winding", help="winding numbers of a model")
-    p.add_argument("--model", choices=("ssh", "massive-dirac", "dual-ssh"), required=True)
+    p.add_argument("--model", choices=_HERMITIAN, required=True)
     p.add_argument("--set", action="append", metavar="KEY=VAL")
-    p.add_argument("--grid-size", type=int, default=1024)
+    p.add_argument("--grid-size", type=_grid_size, default=1024)
 
     p = sub.add_parser("duality", help="susceptibility/complexity duality residuals")
     p.add_argument("--set", action="append", metavar="KEY=VAL")
     _add_reference_options(p)
     _add_tolerance_options(p)
 
-    p = sub.add_parser("bound", help="check the derivative-susceptibility bound at one point")
-    p.add_argument("--model", choices=("ssh", "massive-dirac"), required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VAL")
-    p.add_argument("--lam", type=float, required=True, help="parameter value")
-    _add_reference_options(p)
-    _add_tolerance_options(p)
-
-    p = sub.add_parser("ratio", help="saturation ratio R at one parameter value")
-    p.add_argument("--model", choices=("ssh", "massive-dirac"), required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VAL")
-    p.add_argument("--lam", type=float, required=True)
-    _add_reference_options(p)
-    _add_tolerance_options(p)
+    for name, text in (("bound", "check the derivative-susceptibility bound at one point"),
+                       ("ratio", "saturation ratio R at one parameter value")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--model", choices=_HERMITIAN, required=True)
+        p.add_argument("--set", action="append", metavar="KEY=VAL")
+        p.add_argument("--lam", type=float, required=True, help="parameter value")
+        _add_reference_options(p)
+        _add_tolerance_options(p)
 
     return parser
 
@@ -239,30 +241,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_winding(args) -> int:
+    entry = MODELS[args.model]
     sets = _parse_set(args.set)
-    if args.model == "ssh":
-        t1 = sets.get("t1", 1.0)
-        t2 = sets.get("t2", 1.0)
-        nu = winding_log_derivative(lambda k: t1 - t2 * np.exp(1j * k), args.grid_size)
-        planar = winding_cross_product(ssh_model(SSHParams(t1, t2)), max(args.grid_size, 4096))
-        print(f"winding(contour) = {nu}")
-        print(f"winding(planar)  = {planar:.12f}")
-    elif args.model == "massive-dirac":
-        mu = sets.get("mu", 1.0)
-        planar = winding_cross_product(massive_dirac_model(MassiveDiracParams(mu=mu)),
-                                       max(args.grid_size, 1024))
-        print(f"winding(planar) = {planar:.12e}")
-    else:
-        nu_i, nu_ii = dual_windings(DualSSHParams(sets.get("t", 1.0), sets.get("r", 2.0)),
-                                    args.grid_size)
+    if args.model == "dual-ssh":
+        nu_i, nu_ii = dual_windings(entry.params(sets), args.grid_size)
         print(f"winding(I)  = {nu_i}")
         print(f"winding(II) = {nu_ii}")
+    elif entry.contour is not None:
+        nu = winding_log_derivative(entry.contour(entry.values(sets)), args.grid_size)
+        planar = winding_cross_product(entry.model(sets), max(args.grid_size, 4096))
+        print(f"winding(contour) = {nu}")
+        print(f"winding(planar)  = {planar:.12f}")
+    else:
+        planar = winding_cross_product(entry.model(sets), max(args.grid_size, 1024))
+        print(f"winding(planar) = {planar:.12e}")
     return EXIT_OK
 
 
 def _cmd_duality(args) -> int:
-    sets = _parse_set(args.set)
-    params = DualSSHParams(t=sets.get("t", 1.0), r=sets.get("r", 2.0))
+    params = MODELS["dual-ssh"].params(_parse_set(args.set))
     ref = _reference(args)
     if not isinstance(ref, GlobalReference):
         raise SpecError("duality checks need a global reference state")
@@ -277,19 +274,12 @@ def _cmd_duality(args) -> int:
     return EXIT_OK
 
 
-def _point_model(args):
-    sets = _parse_set(args.set)
-    if args.model == "ssh":
-        return ssh_model(SSHParams(sets.get("t1", 1.0), sets.get("t2", 1.0)))
-    return massive_dirac_model(MassiveDiracParams(t=sets.get("t", 1.0),
-                                                  mu=sets.get("mu", 1.0)))
-
-
 def _cmd_bound(args) -> int:
     ref = _reference(args)
     if not isinstance(ref, GlobalReference):
         raise SpecError("the bound is defined for momentum-independent references only")
-    report = bound_check(_point_model(args), ref, args.lam, _quad_config(args))
+    model = MODELS[args.model].model(_parse_set(args.set))
+    report = bound_check(model, ref, args.lam, _quad_config(args))
     print(f"lambda={report.lam:.12g}")
     print(f"lhs=|dC/dlambda|={report.lhs:.12e}")
     print(f"rhs=4*pi*sum|Q_i|sqrt(chiF_i)={report.rhs:.12e}")
@@ -301,7 +291,8 @@ def _cmd_ratio(args) -> int:
     ref = _reference(args)
     if not isinstance(ref, GlobalReference):
         raise SpecError("the ratio is defined for momentum-independent references only")
-    value = ratio_R(_point_model(args), ref, args.lam, _quad_config(args))
+    model = MODELS[args.model].model(_parse_set(args.set))
+    value = ratio_R(model, ref, args.lam, _quad_config(args))
     print(f"R({args.lam:g}) = {value:.12f}")
     return EXIT_OK
 

@@ -52,21 +52,25 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
     return _band_complexity(model, ref, _GROUND, cfg)
 
 
-# Below this value of 1 - m the elliptic terms of the closed form are replaced
-# by their m -> 1 asymptotics (the K term carries a vanishing prefactor).
+# Below this value of 1 - m, K(m) is replaced by its m -> 1 asymptote
+# ln(4/sqrt(1 - m)), whose relative error there is below 1e-15.
 _M_COMPLEMENT_FLOOR = 1e-15
+
+
+def _K_with_log_asymptote(kc: float) -> float:
+    """K(m) for the complementary modulus kc = sqrt(1 - m) > 0, asymptotic near m = 1."""
+    mc = kc * kc
+    if mc < _M_COMPLEMENT_FLOOR:
+        return math.log(4.0 / kc)
+    return complete_K(1.0 - mc)
 
 
 def _ssh_elliptic_terms(t1: float, t2: float) -> float:
     """(delta*K(m) + s*E(m)) / (pi*t1) with the t1 = t2 limit handled."""
     s = t1 + t2
     delta = t1 - t2
-    mc = (delta / s) ** 2
-    if mc < _M_COMPLEMENT_FLOOR:
-        k_term = 0.0 if delta == 0.0 else delta * math.log(4.0 * s / abs(delta))
-        return (k_term + s) / (PI * t1)
-    m = 1.0 - mc
-    return (delta * complete_K(m) + s * complete_E(m)) / (PI * t1)
+    k_term = 0.0 if delta == 0.0 else delta * _K_with_log_asymptote(abs(delta) / s)
+    return (k_term + s * complete_E(1.0 - (delta / s) ** 2)) / (PI * t1)
 
 
 def _require_global(ref: ReferenceState) -> GlobalReference:
@@ -108,12 +112,8 @@ def md_complexity_closed(params: MassiveDiracParams, theta: float) -> float:
     mu = params.mu
     if mu == 0.0:
         return 0.5
-    lam = 1.0 / (1.0 + mu * mu)
-    if 1.0 - lam < _M_COMPLEMENT_FLOOR:
-        k_val = math.log(4.0 / abs(mu))
-    else:
-        k_val = complete_K(lam)
-    return 0.5 + mu * math.cos(theta) / (PI * math.sqrt(1.0 + mu * mu)) * k_val
+    root = math.sqrt(1.0 + mu * mu)
+    return 0.5 + mu * math.cos(theta) / (PI * root) * _K_with_log_asymptote(abs(mu) / root)
 
 
 def md_dC_dmu_analytic(params: MassiveDiracParams, theta: float) -> float:

@@ -10,13 +10,13 @@ rotation tag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .bloch import BlochVector
-from .errors import DomainError, GapClosedError
+from .errors import DomainError, GapClosedError, SpecError
 
 PI = math.pi
 
@@ -90,9 +90,7 @@ class TwoBandModel:
         if np.max(np.abs(self.d(ks) - self.d(ks + 2.0 * PI))) > 1e-12:
             raise DomainError(f"model {self.label!r} is not 2*pi-periodic in k")
         if self.family_deriv is not None:
-            h = 1e-6
-            fd = (np.asarray(self.family(ks, self.lam + h), dtype=float)
-                  - np.asarray(self.family(ks, self.lam - h), dtype=float)) / (2.0 * h)
+            fd = replace(self, family_deriv=None, fd_step=1e-6).d_deriv(ks)
             if np.max(np.abs(fd - self.d_deriv(ks))) > 1e-7:
                 raise DomainError(f"analytic derivative of {self.label!r} disagrees with FD")
 
@@ -162,20 +160,43 @@ class NonHermitianSSHParams:
         return (self.t1 - 0.5 * abs(self.gamma), self.t1 + 0.5 * abs(self.gamma))
 
 
+def _ssh_d(k, t1, t2):
+    k = np.asarray(k, dtype=float)
+    return np.stack([t1 - t2 * np.cos(k), np.zeros_like(k), t2 * np.sin(k)])
+
+
 def ssh_model(params: SSHParams) -> TwoBandModel:
     """d(k) = (t1 - t2 cos k, 0, t2 sin k), swept in t2."""
     t1 = params.t1
-
-    def family(k, t2):
-        k = np.asarray(k, dtype=float)
-        return np.stack([t1 - t2 * np.cos(k), np.zeros_like(k), t2 * np.sin(k)])
 
     def deriv(k, t2):
         k = np.asarray(k, dtype=float)
         return np.stack([-np.cos(k), np.zeros_like(k), np.sin(k)])
 
-    return TwoBandModel(family, params.t2, deriv, sweep_parameter="t2",
-                        rotated=True, singular_points=(0.0,), label="ssh")
+    return TwoBandModel(lambda k, t2: _ssh_d(k, t1, t2), params.t2, deriv,
+                        sweep_parameter="t2", rotated=True, singular_points=(0.0,),
+                        label="ssh")
+
+
+def _ssh_t1_model(params: SSHParams) -> TwoBandModel:
+    """The same chain swept in t1 at fixed t2."""
+    t2 = params.t2
+
+    def deriv(k, t1):
+        k = np.asarray(k, dtype=float)
+        return np.stack([np.ones_like(k), np.zeros_like(k), np.zeros_like(k)])
+
+    return TwoBandModel(lambda k, t1: _ssh_d(k, t1, t2), params.t1, deriv,
+                        sweep_parameter="t1", rotated=True, singular_points=(0.0,),
+                        label="ssh")
+
+
+def ssh_contour(t1: float, t2: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Off-diagonal Bloch element t1 - t2 e^{ik} of a dimerized chain.
+
+    Its phase winds once around the zone in the topological phase t2 > t1.
+    """
+    return lambda k: t1 - t2 * np.exp(1j * k)
 
 
 def massive_dirac_model(params: MassiveDiracParams) -> TwoBandModel:
@@ -263,3 +284,71 @@ def nh_ssh_bloch_hamiltonian(params: NonHermitianSSHParams, k: float) -> np.ndar
     r1 = params.t1 - params.t2 * math.cos(k)
     r3 = params.t2 * math.sin(k) + 0.5j * params.gamma
     return np.array([[r3, r1], [r1, -r3]], dtype=complex)
+
+
+# Every quantity a Hermitian sweep can evaluate.
+QUANTITIES = ("complexity", "dcomplexity", "chi_f", "chi_f_components",
+              "bound", "ratio", "winding")
+
+
+@dataclass(frozen=True)
+class ModelEntry:
+    """Everything sweeps and the command line know about one model family.
+
+    ``builders`` maps each sweepable parameter, the family's own one first,
+    to the function that builds the model swept in it from the params
+    dataclass; it maps to None where the family has no Hermitian model.
+    ``extra_keys`` are fixed keys accepted beyond the parameters.
+    ``contour`` maps parameter values to the off-diagonal Bloch element whose
+    phase winding is the family's invariant; it takes plain values, not the
+    params dataclass, so a sweep can evaluate it at any grid value.
+    """
+
+    name: str
+    params_type: type
+    defaults: Mapping[str, float]
+    builders: Mapping[str, Optional[Callable[[Any], TwoBandModel]]]
+    quantities: Tuple[str, ...] = QUANTITIES
+    extra_keys: FrozenSet[str] = frozenset()
+    contour: Optional[Callable[[Mapping[str, float]], Callable]] = None
+
+    @property
+    def hermitian(self) -> bool:
+        """Whether every sweepable parameter has a TwoBandModel builder."""
+        return None not in self.builders.values()
+
+    def values(self, fixed: Mapping[str, float]) -> Dict[str, float]:
+        """The defaults overridden by ``fixed``; an unknown key is a SpecError."""
+        unknown = set(fixed) - set(self.defaults) - self.extra_keys
+        if unknown:
+            raise SpecError(f"unknown fixed parameters {sorted(unknown)} for {self.name!r}")
+        return {**self.defaults, **{k: float(v) for k, v in fixed.items()}}
+
+    def params(self, fixed: Mapping[str, float]):
+        """The params dataclass at the defaults overridden by ``fixed``."""
+        values = self.values(fixed)
+        return self.params_type(**{k: values[k] for k in self.defaults})
+
+    def model(self, fixed: Mapping[str, float], parameter: Optional[str] = None) -> TwoBandModel:
+        """The family swept in ``parameter``, by default the first sweepable one."""
+        build = self.builders[parameter or next(iter(self.builders))]
+        return build(self.params(fixed))
+
+
+# The model families by name.  A default that is only ever swept sits at a
+# gapped value, so point commands without --set are well defined.
+MODELS: Dict[str, ModelEntry] = {entry.name: entry for entry in (
+    ModelEntry("ssh", SSHParams, {"t1": 1.0, "t2": 1.0},
+               {"t2": ssh_model, "t1": _ssh_t1_model},
+               contour=lambda p: ssh_contour(p["t1"], p["t2"])),
+    ModelEntry("massive-dirac", MassiveDiracParams, {"t": 1.0, "mu": 1.0},
+               {"mu": massive_dirac_model}),
+    ModelEntry("dual-ssh", DualSSHParams, {"t": 1.0, "r": 2.0},
+               {"r": lambda params: dual_pair(params)[0]},
+               contour=lambda p: ssh_contour(p["t"], p["r"] * p["t"])),
+    ModelEntry("cooper-pair-box", CooperPairBoxParams, {"Ej": 1.0, "Ecc": 1.0, "ng": 0.0},
+               {"ng": cooper_pair_box_model}),
+    ModelEntry("nh-ssh", NonHermitianSSHParams, {"t1": 1.0, "t2": 1.0, "gamma": 0.0},
+               {"t2": None, "gamma": None}, quantities=("complexity", "dcomplexity"),
+               extra_keys=frozenset({"alpha", "beta"})),
+)}

@@ -1,9 +1,9 @@
 """Complete and incomplete elliptic integrals.
 
 Conventions follow the parameter form: the integrand carries ``1 - m sin^2(u)``
-with ``m`` in ``[0, 1]``.  The complete integrals are evaluated by
-arithmetic-geometric-mean iteration; the defining quadratures are kept as slow
-oracle paths so the fast implementations can always be cross-checked.
+with ``m`` in ``[0, 1]``.  The integrals are evaluated by scipy's Cephes
+routines; the defining quadratures are kept as slow oracle paths so the fast
+implementations can always be cross-checked.
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
+from scipy.special import ellipe, ellipeinc, ellipk
 
 from .errors import DomainError
 
 # Boundary values within this distance of {0, 1} are clamped instead of
 # rejected; they arise from floating-point noise in m = 4*t1*t2/(t1+t2)^2.
 _BOUNDARY_CLAMP = 1e-14
-
-# AGM stops when successive arithmetic means agree to this relative level.
-_AGM_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -45,19 +43,6 @@ def _param(m) -> float:
     return EllipticModulus(float(m)).m
 
 
-def _agm(m: float):
-    """Return the AGM limit a and the weighted sum over c_n^2 used by E."""
-    a, b = 1.0, math.sqrt(1.0 - m)
-    csq_sum = 0.5 * m  # 2^{n-1} c_n^2 at n = 0, c_0 = sqrt(m)
-    weight = 0.5
-    while abs(a - b) > _AGM_RTOL * a:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        weight *= 2.0
-        csq_sum += weight * c * c
-    return a, csq_sum
-
-
 def complete_K(m) -> float:
     """Complete elliptic integral of the first kind, K(m).
 
@@ -66,17 +51,12 @@ def complete_K(m) -> float:
     m = _param(m)
     if m >= 1.0:
         raise DomainError("K(m) diverges at m = 1")
-    a, _ = _agm(m)
-    return math.pi / (2.0 * a)
+    return float(ellipk(m))
 
 
 def complete_E(m) -> float:
     """Complete elliptic integral of the second kind, E(m), on 0 <= m <= 1."""
-    m = _param(m)
-    if m == 1.0:
-        return 1.0
-    a, csq_sum = _agm(m)
-    return math.pi / (2.0 * a) * (1.0 - csq_sum)
+    return float(ellipe(_param(m)))
 
 
 def dK_dm(m) -> float:
@@ -99,19 +79,14 @@ def incomplete_E(phi: float, m) -> float:
     """Incomplete elliptic integral of the second kind.
 
     Computes ``int_0^phi sqrt(1 - m sin^2 u) du`` for amplitude
-    ``phi in [0, pi/2]`` by adaptive quadrature (absolute tolerance 1e-12).
-    ``incomplete_E(pi/2, m)`` reduces to ``complete_E(m)``.
+    ``phi in [0, pi/2]``.  ``incomplete_E(pi/2, m)`` reduces to
+    ``complete_E(m)``.
     """
     m = _param(m)
     phi = float(phi)
     if phi < -_BOUNDARY_CLAMP or phi > 0.5 * math.pi + _BOUNDARY_CLAMP:
         raise DomainError(f"amplitude phi={phi!r} outside [0, pi/2]")
-    phi = min(max(phi, 0.0), 0.5 * math.pi)
-    if phi == 0.0:
-        return 0.0
-    val, _ = quad(lambda u: math.sqrt(1.0 - m * math.sin(u) ** 2), 0.0, phi,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    return float(ellipeinc(min(max(phi, 0.0), 0.5 * math.pi), m))
 
 
 def complete_K_quadrature(m) -> float:

@@ -4,29 +4,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
 from .bounds_duality import bound_check, ratio_R
 from .complexity import ground_complexity
-from .errors import ExceptionalPointError, SpecError, TwoBandError
+from .errors import ExceptionalPointError, SpecError
 from .fidelity import chi_F
-from .models import (CooperPairBoxParams, DualSSHParams, MassiveDiracParams,
-                     NonHermitianSSHParams, SSHParams, TwoBandModel,
-                     cooper_pair_box_model, dual_pair, massive_dirac_model,
-                     ssh_model)
+from .models import MODELS, TwoBandModel
 from .nonhermitian import nh_ground_complexity
 from .quadrature import BZQuadratureConfig, FDConfig, param_derivative
 from .topology import winding_cross_product, winding_log_derivative
 
 PI = math.pi
-
-MODEL_NAMES = ("ssh", "massive-dirac", "dual-ssh", "cooper-pair-box", "nh-ssh")
-QUANTITIES = ("complexity", "dcomplexity", "chi_f", "chi_f_components",
-              "bound", "ratio", "winding")
 
 # quantity -> CSV column names, in emission order
 _COLUMNS = {
@@ -37,22 +30,6 @@ _COLUMNS = {
     "bound": ("bound_lhs", "bound_rhs", "bound_satisfied"),
     "ratio": ("ratio",),
     "winding": ("winding",),
-}
-
-_SWEEPABLE = {
-    "ssh": ("t2", "t1"),
-    "massive-dirac": ("mu",),
-    "dual-ssh": ("r",),
-    "cooper-pair-box": ("ng",),
-    "nh-ssh": ("t2", "gamma"),
-}
-
-_DEFAULTS = {
-    "ssh": {"t1": 1.0, "t2": 1.0},
-    "massive-dirac": {"t": 1.0, "mu": 0.0},
-    "dual-ssh": {"t": 1.0, "r": 1.0},
-    "cooper-pair-box": {"Ej": 1.0, "Ecc": 1.0, "ng": 0.0},
-    "nh-ssh": {"t1": 1.0, "t2": 1.0, "gamma": 0.0},
 }
 
 
@@ -67,10 +44,11 @@ class SweepSpec:
     quantities: Tuple[str, ...] = ("complexity",)
 
     def __post_init__(self):
-        if self.model not in MODEL_NAMES:
-            raise SpecError(f"unknown model {self.model!r}; choose from {MODEL_NAMES}")
+        entry = MODELS.get(self.model)
+        if entry is None:
+            raise SpecError(f"unknown model {self.model!r}; choose from {tuple(MODELS)}")
         name, start, stop, points = self.sweep
-        if name not in _SWEEPABLE[self.model]:
+        if name not in entry.builders:
             raise SpecError(f"model {self.model!r} cannot sweep {name!r}")
         if name in self.fixed:
             raise SpecError(f"sweep parameter {name!r} must not also be fixed")
@@ -78,16 +56,10 @@ class SweepSpec:
             raise SpecError("a sweep needs at least 2 points")
         if not (float(start) < float(stop)):
             raise SpecError("sweep start must be below stop")
-        unknown = set(self.fixed) - set(_DEFAULTS[self.model]) - {"alpha", "beta"}
-        if unknown:
-            raise SpecError(f"unknown fixed parameters {sorted(unknown)} for {self.model!r}")
-        bad = [q for q in self.quantities if q not in QUANTITIES]
+        entry.values(self.fixed)  # rejects unknown fixed keys
+        bad = [q for q in self.quantities if q not in entry.quantities]
         if bad:
-            raise SpecError(f"unknown quantities {bad}; choose from {QUANTITIES}")
-        if self.model == "nh-ssh":
-            extra = set(self.quantities) - {"complexity", "dcomplexity"}
-            if extra:
-                raise SpecError(f"nh-ssh sweeps support only complexity/dcomplexity, not {sorted(extra)}")
+            raise SpecError(f"{self.model!r} sweeps support only {entry.quantities}, not {bad}")
         if not self.reference.is_global and set(self.quantities) & {"bound", "ratio"}:
             raise SpecError("bound and ratio require a momentum-independent reference state")
         object.__setattr__(self, "sweep", (name, float(start), float(stop), int(points)))
@@ -97,9 +69,7 @@ class SweepSpec:
         return np.linspace(start, stop, points)
 
     def params(self) -> Dict[str, float]:
-        merged = dict(_DEFAULTS[self.model])
-        merged.update({k: float(v) for k, v in self.fixed.items()})
-        return merged
+        return MODELS[self.model].values(self.fixed)
 
 
 @dataclass(frozen=True)
@@ -111,44 +81,6 @@ class SweepRecord:
     flags: frozenset = frozenset()
 
 
-def _hermitian_model(spec: SweepSpec) -> TwoBandModel:
-    p = spec.params()
-    name = spec.sweep[0]
-    if spec.model == "ssh":
-        base = ssh_model(SSHParams(t1=p["t1"], t2=p["t2"]))
-        if name == "t2":
-            return base
-        t2 = p["t2"]
-
-        def family(k, t1):
-            k = np.asarray(k, dtype=float)
-            return np.stack([t1 - t2 * np.cos(k), np.zeros_like(k), t2 * np.sin(k)])
-
-        def deriv(k, t1):
-            k = np.asarray(k, dtype=float)
-            return np.stack([np.ones_like(k), np.zeros_like(k), np.zeros_like(k)])
-
-        return TwoBandModel(family, p["t1"], deriv, sweep_parameter="t1",
-                            rotated=True, singular_points=(0.0,), label="ssh")
-    if spec.model == "massive-dirac":
-        return massive_dirac_model(MassiveDiracParams(t=p["t"], mu=p["mu"]))
-    if spec.model == "dual-ssh":
-        return dual_pair(DualSSHParams(t=p["t"], r=p["r"]))[0]
-    if spec.model == "cooper-pair-box":
-        return cooper_pair_box_model(CooperPairBoxParams(Ej=p["Ej"], Ecc=p["Ecc"], ng=p["ng"]))
-    raise SpecError(f"no Hermitian family for {spec.model!r}")
-
-
-def _winding_value(spec: SweepSpec, model: TwoBandModel, lam: float) -> float:
-    p = spec.params()
-    if spec.model == "ssh":
-        t1, t2 = (lam, p["t2"]) if spec.sweep[0] == "t1" else (p["t1"], lam)
-        return float(winding_log_derivative(lambda k: t1 - t2 * np.exp(1j * k)))
-    if spec.model == "dual-ssh":
-        return float(winding_log_derivative(lambda k: p["t"] - lam * p["t"] * np.exp(1j * k)))
-    return winding_cross_product(model.at(lam))
-
-
 def _nh_reference_amplitudes(spec: SweepSpec) -> Tuple[complex, complex]:
     if "alpha" in spec.fixed or "beta" in spec.fixed:
         return complex(spec.fixed.get("alpha", 0.0)), complex(spec.fixed.get("beta", 0.0))
@@ -158,64 +90,47 @@ def _nh_reference_amplitudes(spec: SweepSpec) -> Tuple[complex, complex]:
     return ref.alpha, ref.beta
 
 
-def _evaluate_nh(spec: SweepSpec, lam: float, cfg: BZQuadratureConfig,
-                 fd: FDConfig) -> SweepRecord:
-    p = spec.params()
-    name = spec.sweep[0]
-    alpha, beta = _nh_reference_amplitudes(spec)
-
-    def params_at(x):
-        q = dict(p)
-        q[name] = x
-        return NonHermitianSSHParams(t1=q["t1"], t2=q["t2"], gamma=q["gamma"])
-
+def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
+              complexity: Callable[[float], float], lam: float,
+              cfg: BZQuadratureConfig, fd: FDConfig) -> SweepRecord:
     values: Dict[str, float] = {}
     flags = set()
     for quantity in spec.quantities:
         try:
             if quantity == "complexity":
-                values["complexity"] = nh_ground_complexity(params_at(lam), alpha, beta, cfg)
+                values["complexity"] = complexity(lam)
             elif quantity == "dcomplexity":
-                values["dcomplexity"] = param_derivative(
-                    lambda x: nh_ground_complexity(params_at(x), alpha, beta, cfg), lam, fd)
+                values["dcomplexity"] = param_derivative(complexity, lam, fd)
+            elif quantity in ("chi_f", "chi_f_components"):
+                breakdown = chi_F(model, lam, cfg)
+                if breakdown.diverged:
+                    flags.add("diverged")
+                if quantity == "chi_f":
+                    values["chi_f"] = breakdown.total
+                else:
+                    values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = breakdown.components
+            elif quantity == "bound":
+                report = bound_check(model, spec.reference, lam, cfg, fd)
+                values["bound_lhs"] = report.lhs
+                values["bound_rhs"] = report.rhs
+                values["bound_satisfied"] = 1.0 if report.satisfied else 0.0
+                if math.isinf(report.rhs):
+                    flags.add("diverged")
+            elif quantity == "ratio":
+                values["ratio"] = ratio_R(model, spec.reference, lam, cfg)
+                if math.isnan(values["ratio"]):
+                    flags.add("diverged")
+            elif quantity == "winding":
+                contour = MODELS[spec.model].contour
+                if contour is None:
+                    values["winding"] = winding_cross_product(model.at(lam))
+                else:
+                    point = {**spec.params(), spec.sweep[0]: lam}
+                    values["winding"] = float(winding_log_derivative(contour(point)))
         except ExceptionalPointError:
             flags.add("skipped_exceptional")
             for col in _COLUMNS[quantity]:
                 values[col] = math.nan
-    return SweepRecord(lam=float(lam), values=values, flags=frozenset(flags))
-
-
-def _evaluate_hermitian(spec: SweepSpec, model: TwoBandModel, lam: float,
-                        cfg: BZQuadratureConfig, fd: FDConfig) -> SweepRecord:
-    values: Dict[str, float] = {}
-    flags = set()
-    for quantity in spec.quantities:
-        if quantity == "complexity":
-            values["complexity"] = ground_complexity(model.at(lam), spec.reference, cfg)
-        elif quantity == "dcomplexity":
-            values["dcomplexity"] = param_derivative(
-                lambda x: ground_complexity(model.at(x), spec.reference, cfg), lam, fd)
-        elif quantity in ("chi_f", "chi_f_components"):
-            breakdown = chi_F(model, lam, cfg)
-            if breakdown.diverged:
-                flags.add("diverged")
-            if quantity == "chi_f":
-                values["chi_f"] = breakdown.total
-            else:
-                values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = breakdown.components
-        elif quantity == "bound":
-            report = bound_check(model, spec.reference, lam, cfg, fd)
-            values["bound_lhs"] = report.lhs
-            values["bound_rhs"] = report.rhs
-            values["bound_satisfied"] = 1.0 if report.satisfied else 0.0
-            if math.isinf(report.rhs):
-                flags.add("diverged")
-        elif quantity == "ratio":
-            values["ratio"] = ratio_R(model, spec.reference, lam, cfg)
-            if math.isnan(values["ratio"]):
-                flags.add("diverged")
-        elif quantity == "winding":
-            values["winding"] = _winding_value(spec, model, lam)
     return SweepRecord(lam=float(lam), values=values, flags=frozenset(flags))
 
 
@@ -227,13 +142,17 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None,
     """
     cfg = cfg or BZQuadratureConfig()
     fd = fd or FDConfig(step=1e-5, scheme="central4")
-    grid = spec.grid()
-    if spec.model == "nh-ssh":
-        evaluate = lambda lam: _evaluate_nh(spec, lam, cfg, fd)
+    entry = MODELS[spec.model]
+    name = spec.sweep[0]
+    model = None
+    if entry.hermitian:
+        model = entry.model(spec.fixed, name)
+        complexity = lambda x: ground_complexity(model.at(x), spec.reference, cfg)
     else:
-        model = _hermitian_model(spec)
-        evaluate = lambda lam: _evaluate_hermitian(spec, model, lam, cfg, fd)
-    return [evaluate(lam) for lam in grid]
+        base = entry.params(spec.fixed)
+        alpha, beta = _nh_reference_amplitudes(spec)
+        complexity = lambda x: nh_ground_complexity(replace(base, **{name: x}), alpha, beta, cfg)
+    return [_evaluate(spec, model, complexity, lam, cfg, fd) for lam in spec.grid()]
 
 
 def columns_for(quantities: Sequence[str]) -> List[str]:

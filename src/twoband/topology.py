@@ -7,8 +7,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import GapClosedError, NonQuantizedError
-from .models import DualSSHParams, TwoBandModel
+from .errors import DomainError, GapClosedError, NonQuantizedError
+from .models import DualSSHParams, TwoBandModel, ssh_contour
 
 PI = math.pi
 
@@ -21,8 +21,11 @@ def winding_phase_accumulation(f: Callable[[np.ndarray], np.ndarray],
     """Raw accumulated phase of f around the zone, in units of 2*pi.
 
     ``f`` is called once, on the whole array of grid momenta; a constant
-    result stands for every momentum.
+    result stands for every momentum.  A full turn needs phase steps below
+    pi, so the grid must have at least three steps.
     """
+    if grid_size < 3:
+        raise DomainError(f"winding needs a grid of at least 3 steps, got {grid_size}")
     ks = np.linspace(-PI, PI, grid_size + 1)
     vals = np.broadcast_to(np.asarray(f(ks), dtype=complex), ks.shape)
     if np.min(np.abs(vals)) < 1e-12:
@@ -77,6 +80,6 @@ def dual_windings(params: DualSSHParams, grid_size: int = 1024) -> Tuple[int, in
     t, r = params.t, params.r
     if abs(r - 1.0) < 1e-12:
         raise GapClosedError("dual pair is gapless at the self-dual point r = 1")
-    nu_i = winding_log_derivative(lambda k: t - r * t * np.exp(1j * k), grid_size)
-    nu_ii = winding_log_derivative(lambda k: t - (t / r) * np.exp(1j * k), grid_size)
+    nu_i = winding_log_derivative(ssh_contour(t, r * t), grid_size)
+    nu_ii = winding_log_derivative(ssh_contour(t, t / r), grid_size)
     return nu_i, nu_ii

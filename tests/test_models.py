@@ -9,7 +9,9 @@ from twoband import (CooperPairBoxParams, DomainError, DualSSHParams,
                      MassiveDiracParams, NonHermitianSSHParams, SSHParams,
                      cooper_pair_box_model, dual_pair, massive_dirac_model,
                      nh_ssh_bloch_hamiltonian, ssh_model)
-from twoband.models import flux_angle
+from twoband.models import MODELS, flux_angle
+from twoband.sweeps import SweepSpec
+from twoband.topology import winding_cross_product, winding_log_derivative
 
 PI = math.pi
 KGRID = np.linspace(-PI, PI, 128, endpoint=False)
@@ -171,3 +173,43 @@ class TestModelContract:
         degenerate = ssh_model(SSHParams(1.0, 1.0)).dvector(0.0)
         with pytest.raises(GapClosedError):
             degenerate.normalized()
+
+
+# fixed values that move a registry default off a gap closing
+_GAPPED = {"ssh": {"t2": 2.0}}
+
+_ENTRY_PARAMETERS = [(name, parameter) for name, entry in MODELS.items()
+                     for parameter in entry.builders]
+
+
+class TestRegistry:
+    def test_names(self):
+        assert tuple(MODELS) == ("ssh", "massive-dirac", "dual-ssh", "cooper-pair-box", "nh-ssh")
+        assert [n for n, e in MODELS.items() if not e.hermitian] == ["nh-ssh"]
+
+    @pytest.mark.parametrize("name,parameter", _ENTRY_PARAMETERS)
+    def test_every_builder_validates_at_the_defaults(self, name, parameter):
+        entry = MODELS[name]
+        fixed = _GAPPED.get(name, {})
+        values = entry.values(fixed)
+        SweepSpec(model=name, sweep=(parameter, 0.5, 1.5, 3),
+                  fixed={k: v for k, v in fixed.items() if k != parameter})
+        assert isinstance(entry.params(fixed), entry.params_type)
+        if not entry.hermitian:
+            assert entry.builders[parameter] is None
+            return
+        model = entry.model(fixed, parameter)
+        assert model.sweep_parameter == parameter and model.lam == values[parameter]
+        assert np.min(np.linalg.norm(model.d(KGRID), axis=0)) > 1e-3
+        model.validate(grid_points=128)
+
+    @pytest.mark.parametrize("name,fixed,expected", [
+        ("ssh", {"t1": 1.0, "t2": 2.0}, 1),
+        ("ssh", {"t1": 2.0, "t2": 1.0}, 0),
+        ("dual-ssh", {"t": 1.5, "r": 2.0}, 1),
+        ("dual-ssh", {"t": 1.5, "r": 0.5}, 0),
+    ])
+    def test_contour_is_the_winding_of_the_model(self, name, fixed, expected):
+        entry = MODELS[name]
+        assert winding_log_derivative(entry.contour(entry.values(fixed))) == expected
+        assert winding_cross_product(entry.model(fixed)) == pytest.approx(expected, abs=1e-6)

@@ -1,5 +1,6 @@
 """Sweep engine and CLI tests: determinism, schemas, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -9,7 +10,8 @@ import pytest
 from twoband import (GlobalReference, SpecError, SweepSpec, detect_cusps,
                      plateau_reference, records_to_csv, records_to_json,
                      run_sweep, write_records)
-from twoband.cli import main
+from twoband.cli import build_parser, main
+from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
 
 PI = math.pi
@@ -39,6 +41,14 @@ class TestSweepSpecValidation:
     def test_nh_model_rejects_hermitian_quantities(self):
         with pytest.raises(SpecError):
             SweepSpec(model="nh-ssh", sweep=("t2", 0.1, 1.0, 5), quantities=("chi_f",))
+
+    @pytest.mark.parametrize("model,sweep", [("ssh", "t2"), ("massive-dirac", "mu"),
+                                             ("dual-ssh", "r"), ("cooper-pair-box", "ng")])
+    def test_hermitian_models_reject_nh_reference_amplitudes(self, model, sweep):
+        for key in ("alpha", "beta"):
+            with pytest.raises(SpecError):
+                SweepSpec(model=model, sweep=(sweep, 0.1, 1.0, 5), fixed={key: 3.0})
+        SweepSpec(model="nh-ssh", sweep=("t2", 0.1, 1.0, 5), fixed={"alpha": 0.6, "beta": 0.8})
 
     def test_piecewise_reference_rejects_bound_and_ratio(self):
         with pytest.raises(SpecError):
@@ -281,3 +291,42 @@ class TestCLI:
 
     def test_missing_model_is_spec_error(self):
         assert main(["sweep", "--sweep", "t2:0.5:1.5:3"]) == 2
+
+
+def _model_choices(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a for a in sub.choices[command]._actions if a.dest == "model").choices)
+
+
+class TestRegistryCLI:
+    def test_model_choices_are_the_registry(self):
+        hermitian = ("ssh", "massive-dirac", "dual-ssh", "cooper-pair-box")
+        assert _model_choices("sweep") == tuple(MODELS)
+        for command in ("winding", "bound", "ratio"):
+            assert _model_choices(command) == hermitian
+
+    def test_stray_reference_amplitude_on_hermitian_sweep_is_spec_error(self, capsys):
+        assert main(["sweep", "--model", "ssh", "--set", "alpha=3",
+                     "--sweep", "t2:1.5:2:2"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0", "-3", "2"])
+    def test_winding_grid_below_three_steps_exits_2(self, size, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["winding", "--model", "ssh", "--set", "t2=2", "--grid-size", size])
+        assert exc.value.code == 2
+        assert "grid size must be at least 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--model", "dual-ssh", "--lam", "2.5", "--theta", "0.9", "--phi", "0.4"],
+        ["bound", "--model", "cooper-pair-box", "--lam", "0.2", "--theta", "0.9", "--phi", "0.4"],
+        ["ratio", "--model", "dual-ssh", "--set", "t=1.3", "--lam", "0.4"],
+        ["ratio", "--model", "cooper-pair-box", "--lam", "0.2", "--theta", "0.9", "--phi", "0.4"],
+        ["winding", "--model", "cooper-pair-box", "--set", "ng=0.2"],
+    ])
+    def test_point_commands_accept_every_hermitian_model(self, argv):
+        assert main(argv) == 0
+
+    def test_point_command_rejects_unknown_parameter(self, capsys):
+        assert main(["bound", "--model", "ssh", "--set", "mu=1", "--lam", "2"]) == 2

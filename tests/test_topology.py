@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twoband import (DualSSHParams, GapClosedError, MassiveDiracParams,
+from twoband import (DomainError, DualSSHParams, GapClosedError, MassiveDiracParams,
                      NonQuantizedError, SSHParams, dual_windings,
                      massive_dirac_model, ssh_model, winding_cross_product,
                      winding_log_derivative)
@@ -41,6 +41,14 @@ class TestLogDerivative:
         for t1, t2 in ((2.0, 1.0), (1.0, 2.0), (1.0, 1.1)):
             raw = winding_phase_accumulation(ssh_offdiagonal(t1, t2), 512)
             assert abs(raw - round(raw)) < 1e-6
+
+    @pytest.mark.parametrize("grid_size", [-3, 0, 1, 2])
+    def test_grid_below_three_steps_rejected(self, grid_size):
+        with pytest.raises(DomainError):
+            winding_phase_accumulation(ssh_offdiagonal(1.0, 2.0), grid_size)
+
+    def test_three_steps_carry_a_full_turn(self):
+        assert winding_log_derivative(lambda k: np.exp(1j * k), 3) == 1
 
     def test_grid_stability(self):
         for t1, t2 in ((2.0, 1.0), (1.0, 2.0), (0.9, 1.0)):
