@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,9 +19,9 @@ from .bloch import GlobalReference
 from .complexity import (_M_COMPLEMENT_FLOOR, _K_with_log_asymptote,
                          _ssh_elliptic_terms, ground_complexity)
 from .errors import DomainError, UndefinedRatioError
-from .fidelity import chi_F, dhat_derivative
+from .fidelity import SusceptibilityBreakdown, chi_F, dhat_derivative
 from .models import DualSSHParams, TwoBandModel, dual_pair
-from .quadrature import BZQuadratureConfig, FDConfig, bz_average_vec, param_derivative
+from .quadrature import BZQuadratureConfig, bz_average_vec
 from .special_functions import complete_E, complete_K, dE_dm, dK_dm
 
 PI = math.pi
@@ -47,16 +47,24 @@ class BoundReport:
     ratio: float
 
 
-def dhat_derivative_integrals(model: TwoBandModel, lam: float,
-                              cfg: BZQuadratureConfig | None = None) -> np.ndarray:
-    """integral over the BZ of d(d_hat_i)/d(lambda), one value per axis."""
+def _susceptibility_terms(model: TwoBandModel, lam: float, cfg: BZQuadratureConfig | None
+                          ) -> Tuple[SusceptibilityBreakdown, Optional[np.ndarray]]:
+    """chi_F at lam and, unless it diverged, the BZ integrals of d(d_hat_i)/d(lambda).
+
+    These two averages are all the bound and the ratio need at one point.
+    """
+    breakdown = chi_F(model, lam, cfg)
+    if breakdown.diverged:
+        return breakdown, None
     m = model.at(lam)
-    return 2.0 * PI * bz_average_vec(lambda k: dhat_derivative(m.d(k), m.d_deriv(k)), cfg,
-                                     extra_points=m.singular_points)
+    return breakdown, 2.0 * PI * bz_average_vec(
+        lambda k: dhat_derivative(m.d(k), m.d_deriv(k)), cfg, extra_points=m.singular_points)
 
 
-def _ratio(integrals: np.ndarray, components, q: np.ndarray) -> float:
-    """Saturation ratio of the axis with the largest |integral of d(d_hat_i)/d(lambda)|."""
+def _ratio(integrals: Optional[np.ndarray], components, q: np.ndarray) -> float:
+    """Saturation ratio of the axis with the largest |integral|; NaN without integrals."""
+    if integrals is None:
+        return math.nan
     axis = int(np.argmax(np.abs(integrals)))
     if abs(q[axis]) < 1e-15:
         raise UndefinedRatioError(
@@ -67,31 +75,34 @@ def _ratio(integrals: np.ndarray, components, q: np.ndarray) -> float:
     return abs(integrals[axis]) / (4.0 * PI * math.sqrt(comp))
 
 
+def _bound_report(lam: float, ref: GlobalReference, breakdown: SusceptibilityBreakdown,
+                  integrals: Optional[np.ndarray]) -> BoundReport:
+    """Both sides of the bound from the terms of ``_susceptibility_terms``."""
+    q = reference_coefficients(ref)
+    if integrals is None:
+        return BoundReport(lam=float(lam), lhs=math.nan, rhs=math.inf, q=tuple(q),
+                           satisfied=True, ratio=math.nan)
+    lhs = abs(float(q @ integrals))
+    rhs = 4.0 * PI * float(np.sum(np.abs(q) * np.sqrt(np.maximum(breakdown.components, 0.0))))
+    try:
+        ratio = _ratio(integrals, breakdown.components, q)
+    except UndefinedRatioError:
+        ratio = math.nan
+    return BoundReport(lam=float(lam), lhs=lhs, rhs=rhs, q=tuple(q),
+                       satisfied=bool(lhs <= rhs * (1.0 + _BOUND_RTOL)), ratio=ratio)
+
+
 def bound_check(model: TwoBandModel, ref: GlobalReference, lam: float,
-                cfg: BZQuadratureConfig | None = None,
-                fd: FDConfig | None = None) -> BoundReport:
+                cfg: BZQuadratureConfig | None = None) -> BoundReport:
     """Evaluate both sides of the bound at one parameter value.
 
-    The left side is a central finite difference of the quadrature
-    complexity; the right side combines the susceptibility components.  A
-    divergent susceptibility makes the bound trivially satisfied and the
-    ratio NaN.
+    The left side is the geometric derivative |dC/d(lambda)| =
+    |sum_i Q_i integral of d(d_hat_i)/d(lambda) dk|; the right side combines
+    the susceptibility components.  Where the susceptibility diverges no
+    d_hat integral runs: lhs and the ratio are NaN, rhs is inf, and the
+    bound counts as satisfied.
     """
-    fd = fd or FDConfig(step=1e-5, scheme="central4")
-    q = reference_coefficients(ref)
-    lhs = abs(param_derivative(lambda x: ground_complexity(model.at(x), ref, cfg), lam, fd))
-    breakdown = chi_F(model, lam, cfg)
-    if breakdown.diverged:
-        rhs, ratio = math.inf, math.nan
-    else:
-        rhs = 4.0 * PI * float(np.sum(np.abs(q) * np.sqrt(np.maximum(breakdown.components, 0.0))))
-        try:
-            ratio = _ratio(dhat_derivative_integrals(model, lam, cfg), breakdown.components, q)
-        except UndefinedRatioError:
-            ratio = math.nan
-    satisfied = lhs <= rhs * (1.0 + _BOUND_RTOL)
-    return BoundReport(lam=float(lam), lhs=lhs, rhs=rhs, q=tuple(q),
-                       satisfied=bool(satisfied), ratio=ratio)
+    return _bound_report(lam, ref, *_susceptibility_terms(model, lam, cfg))
 
 
 def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
@@ -104,11 +115,8 @@ def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
     tends to sqrt(2/3) deep in either phase.  NaN where the susceptibility
     diverges.
     """
-    breakdown = chi_F(model, lam, cfg)
-    if breakdown.diverged:
-        return math.nan
-    return _ratio(dhat_derivative_integrals(model, lam, cfg), breakdown.components,
-                  reference_coefficients(ref))
+    breakdown, integrals = _susceptibility_terms(model, lam, cfg)
+    return _ratio(integrals, breakdown.components, reference_coefficients(ref))
 
 
 def fs_duality_check(params: DualSSHParams,
@@ -129,11 +137,6 @@ def fs_duality_check(params: DualSSHParams,
     return lhs, rhs, residual
 
 
-def ratio_integral_I1(r: float) -> float:
-    """I1(r) = [(1-r) K(m) + (1+r) E(m)] / pi, m = 4r/(1+r)^2: the SSH term at (1, r)."""
-    return _ssh_elliptic_terms(1.0, r)
-
-
 def _ratio_parameter(r: float) -> Tuple[float, float]:
     """m = 4r/(1+r)^2 and dm/dr for the derivatives, which diverge at r = 1."""
     mc = ((1.0 - r) / (1.0 + r)) ** 2
@@ -144,7 +147,7 @@ def _ratio_parameter(r: float) -> Tuple[float, float]:
 
 def ratio_complexity(r: float, ref: GlobalReference) -> float:
     """Closed-form complexity of the chain with coupling ratio r (t-independent)."""
-    return 0.5 + ref.re_alpha_beta * ratio_integral_I1(r)
+    return 0.5 + ref.re_alpha_beta * _ssh_elliptic_terms(1.0, r)
 
 
 def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:

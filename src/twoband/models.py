@@ -335,10 +335,10 @@ class ModelEntry:
         return build(self.params(fixed))
 
 
-# The model families by name.  A default that is only ever swept sits at a
-# gapped value, so point commands without --set are well defined.
+# The model families by name.  The Hermitian defaults sit at gapped values,
+# so point commands without --set are well defined.
 MODELS: Dict[str, ModelEntry] = {entry.name: entry for entry in (
-    ModelEntry("ssh", SSHParams, {"t1": 1.0, "t2": 1.0},
+    ModelEntry("ssh", SSHParams, {"t1": 1.0, "t2": 2.0},
                {"t2": ssh_model, "t1": _ssh_t1_model},
                contour=lambda p: ssh_contour(p["t1"], p["t2"])),
     ModelEntry("massive-dirac", MassiveDiracParams, {"t": 1.0, "mu": 1.0},

@@ -202,15 +202,5 @@ def detect_cusps(sweep: Sequence) -> List[float]:
     hits = np.flatnonzero(d2 > threshold) + 1  # +1: d2[i] sits at lams[i+1]
     # A grid point landing exactly on a cusp has a cancelling second
     # difference, leaving two flanking hits; merge hits within two steps.
-    cusps: List[float] = []
-    group: List[int] = []
-    for idx in hits:
-        if group and idx > group[-1] + 2:
-            best = max(group, key=lambda i: d2[i - 1])
-            cusps.append(float(lams[best]))
-            group = []
-        group.append(int(idx))
-    if group:
-        best = max(group, key=lambda i: d2[i - 1])
-        cusps.append(float(lams[best]))
-    return cusps
+    groups = np.split(hits, np.flatnonzero(np.diff(hits) > 2) + 1)
+    return [float(lams[group[np.argmax(d2[group - 1])]]) for group in groups if group.size]

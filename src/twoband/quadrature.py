@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -201,9 +201,3 @@ def param_derivative(g: Callable[[float], float], at: float,
     inner = g(at + h) - g(at - h)
     outer = g(at + 2.0 * h) - g(at - 2.0 * h)
     return (8.0 * inner - outer) / (12.0 * h)
-
-
-def second_differences(values: Sequence[float]) -> np.ndarray:
-    """Discrete second differences v[i-1] - 2 v[i] + v[i+1] of a sweep."""
-    v = np.asarray(values, dtype=float)
-    return v[:-2] - 2.0 * v[1:-1] + v[2:]

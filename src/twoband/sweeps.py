@@ -10,13 +10,13 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
-from .bounds_duality import bound_check, ratio_R
+from .bounds_duality import _bound_report, _ratio, _susceptibility_terms, reference_coefficients
 from .complexity import ground_complexity
-from .errors import ExceptionalPointError, SpecError
+from .errors import ExceptionalPointError, GapClosedError, SpecError
 from .fidelity import chi_F
 from .models import MODELS, TwoBandModel
 from .nonhermitian import nh_ground_complexity
-from .quadrature import BZQuadratureConfig, FDConfig, param_derivative
+from .quadrature import BZQuadratureConfig, param_derivative
 from .topology import winding_cross_product, winding_log_derivative
 
 PI = math.pi
@@ -92,41 +92,46 @@ def _nh_reference_amplitudes(spec: SweepSpec) -> Tuple[complex, complex]:
 
 def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
               complexity: Callable[[float], float], lam: float,
-              cfg: BZQuadratureConfig, fd: FDConfig) -> SweepRecord:
+              cfg: BZQuadratureConfig) -> SweepRecord:
     values: Dict[str, float] = {}
     flags = set()
+    wanted = set(spec.quantities)
+    breakdown = None
+    if wanted & {"bound", "ratio"}:
+        breakdown, integrals = _susceptibility_terms(model, lam, cfg)
+    elif wanted & {"chi_f", "chi_f_components"}:
+        breakdown = chi_F(model, lam, cfg)
+    if breakdown is not None and breakdown.diverged:
+        flags.add("diverged")
     for quantity in spec.quantities:
         try:
             if quantity == "complexity":
                 values["complexity"] = complexity(lam)
             elif quantity == "dcomplexity":
-                values["dcomplexity"] = param_derivative(complexity, lam, fd)
-            elif quantity in ("chi_f", "chi_f_components"):
-                breakdown = chi_F(model, lam, cfg)
-                if breakdown.diverged:
-                    flags.add("diverged")
-                if quantity == "chi_f":
-                    values["chi_f"] = breakdown.total
-                else:
-                    values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = breakdown.components
+                values["dcomplexity"] = param_derivative(complexity, lam)
+            elif quantity == "chi_f":
+                values["chi_f"] = breakdown.total
+            elif quantity == "chi_f_components":
+                values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = breakdown.components
             elif quantity == "bound":
-                report = bound_check(model, spec.reference, lam, cfg, fd)
+                report = _bound_report(lam, spec.reference, breakdown, integrals)
                 values["bound_lhs"] = report.lhs
                 values["bound_rhs"] = report.rhs
                 values["bound_satisfied"] = 1.0 if report.satisfied else 0.0
-                if math.isinf(report.rhs):
-                    flags.add("diverged")
             elif quantity == "ratio":
-                values["ratio"] = ratio_R(model, spec.reference, lam, cfg)
-                if math.isnan(values["ratio"]):
-                    flags.add("diverged")
+                values["ratio"] = _ratio(integrals, breakdown.components,
+                                         reference_coefficients(spec.reference))
             elif quantity == "winding":
-                contour = MODELS[spec.model].contour
-                if contour is None:
-                    values["winding"] = winding_cross_product(model.at(lam))
-                else:
-                    point = {**spec.params(), spec.sweep[0]: lam}
-                    values["winding"] = float(winding_log_derivative(contour(point)))
+                try:
+                    contour = MODELS[spec.model].contour
+                    if contour is None:
+                        values["winding"] = winding_cross_product(model.at(lam))
+                    else:
+                        point = {**spec.params(), spec.sweep[0]: lam}
+                        values["winding"] = float(winding_log_derivative(contour(point)))
+                except GapClosedError:
+                    flags.add("diverged")
+                    values["winding"] = math.nan
         except ExceptionalPointError:
             flags.add("skipped_exceptional")
             for col in _COLUMNS[quantity]:
@@ -134,14 +139,14 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
     return SweepRecord(lam=float(lam), values=values, flags=frozenset(flags))
 
 
-def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None,
-              fd: FDConfig | None = None) -> List[SweepRecord]:
+def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
-    Results are deterministic for a fixed spec and tolerances.
+    Results are deterministic for a fixed spec and tolerances.  A parameter
+    point runs at most one susceptibility average and one d_hat-derivative
+    average, shared by every quantity built from them.
     """
     cfg = cfg or BZQuadratureConfig()
-    fd = fd or FDConfig(step=1e-5, scheme="central4")
     entry = MODELS[spec.model]
     name = spec.sweep[0]
     model = None
@@ -152,7 +157,7 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None,
         base = entry.params(spec.fixed)
         alpha, beta = _nh_reference_amplitudes(spec)
         complexity = lambda x: nh_ground_complexity(replace(base, **{name: x}), alpha, beta, cfg)
-    return [_evaluate(spec, model, complexity, lam, cfg, fd) for lam in spec.grid()]
+    return [_evaluate(spec, model, complexity, lam, cfg) for lam in spec.grid()]
 
 
 def columns_for(quantities: Sequence[str]) -> List[str]:

@@ -56,8 +56,11 @@ def winding_cross_product(model: TwoBandModel, grid_size: int = 4096) -> float:
     vector tracks the off-diagonal Bloch element d_x - i d_y).  Models stored
     in the rotated (x, z) basis are un-rotated first, so the winding plane is
     always the physical x-y plane.  Derivatives are central differences and
-    the integral is a periodic trapezoid sum.
+    the integral is a periodic trapezoid sum, so the grid needs at least
+    three points.
     """
+    if grid_size < 3:
+        raise DomainError(f"planar winding needs a grid of at least 3 points, got {grid_size}")
     ks = np.linspace(-PI, PI, grid_size, endpoint=False)
     d = model.d(ks)
     if model.rotated:

@@ -30,7 +30,7 @@ from .nonhermitian import (bikrylov_basis, biorthogonal_ground, detect_cusps,
                            nh_complexity_per_mode,
                            nh_complexity_per_mode_overlap,
                            nh_ground_complexity)
-from .quadrature import BZQuadratureConfig
+from .quadrature import BZQuadratureConfig, param_derivative
 from .topology import dual_windings, winding_cross_product, winding_log_derivative
 
 PI = math.pi
@@ -181,6 +181,11 @@ def bound_suite() -> List[CheckResult]:
         if not bound_check(md, ref_z, float(lam), cfg).satisfied:
             violations += 1
     checks.append(_check("bound holds across the massive-Dirac sweep", violations, 0.5))
+    worst = 0.0
+    for model, point_ref, lam in ((ssh, ref, 0.5), (ssh, ref, 2.0), (md, ref_z, 0.7)):
+        fd = param_derivative(lambda x: ground_complexity(model.at(x), point_ref, cfg), lam)
+        worst = max(worst, abs(bound_check(model, point_ref, lam, cfg).lhs - abs(fd)))
+    checks.append(_check("bound lhs vs finite difference of the complexity", worst, 1e-9))
     target = math.sqrt(2.0 / 3.0)
     checks.append(_check("ratio saturation, SSH at t2=50",
                          ratio_R(ssh, ref, 50.0, cfg) - target, 1e-3))

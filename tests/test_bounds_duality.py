@@ -1,21 +1,46 @@
 """Bound, saturation ratio, and duality-identity tests."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from twoband import (BZQuadratureConfig, DualSSHParams, GlobalReference,
-                     MassiveDiracParams, SSHParams, UndefinedRatioError,
+                     MassiveDiracParams, SSHParams, SweepSpec, UndefinedRatioError,
                      bound_check, complexity_duality_check,
                      complexity_duality_offset, fs_duality_check,
-                     massive_dirac_model, ratio_R, reference_coefficients,
-                     self_dual_constraint, ssh_model)
+                     ground_complexity, massive_dirac_model, ratio_R,
+                     reference_coefficients, run_sweep, self_dual_constraint,
+                     ssh_model)
+from twoband import quadrature
 from twoband.bounds_duality import ratio_complexity, ratio_complexity_prime
-from twoband.models import TwoBandModel
+from twoband.models import MODELS, TwoBandModel
+from twoband.quadrature import param_derivative
 
 PI = math.pi
 TIGHT = BZQuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+
+_HERMITIAN_PARAMETERS = [(name, parameter) for name, entry in MODELS.items()
+                         if entry.hermitian for parameter in entry.builders]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of BZ averages and finite-difference derivatives, by function name."""
+    counts = Counter()
+    for name in ("bz_average_vec", "param_derivative"):
+        original = getattr(quadrature, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("twoband") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 class TestReferenceCoefficients:
@@ -78,8 +103,43 @@ class TestBoundCheck:
         cfg = BZQuadratureConfig(max_subdivisions=200)
         report = bound_check(ssh_model(SSHParams(1.0, 1.0)),
                              GlobalReference(0.5 * PI, PI), 1.0, cfg)
-        assert math.isinf(report.rhs)
+        assert math.isinf(report.rhs) and math.isnan(report.lhs)
         assert report.satisfied
+
+    @pytest.mark.parametrize("name,parameter", _HERMITIAN_PARAMETERS)
+    def test_lhs_is_the_finite_difference_of_the_complexity(self, name, parameter):
+        model = MODELS[name].model({}, parameter)
+        ref = GlobalReference(0.9, 0.4)
+        for lam in (model.lam, 1.3 * model.lam + 0.1):
+            fd = param_derivative(lambda x: ground_complexity(model.at(x), ref), lam)
+            assert bound_check(model, ref, lam).lhs == pytest.approx(abs(fd), abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-5, 1e-6, -1e-4, -1e-5, -1e-6])
+    def test_lhs_near_the_transition_matches_the_closed_form(self, delta):
+        ref = GlobalReference(0.5 * PI, PI)
+        report = bound_check(ssh_model(SSHParams(1.0, 1.0)), ref, 1.0 + delta)
+        assert report.lhs == pytest.approx(abs(ratio_complexity_prime(1.0 + delta, ref)),
+                                           rel=1e-5)
+        assert report.satisfied
+
+    def test_gapped_point_runs_two_averages_and_no_finite_difference(self, calls):
+        bound_check(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
+        assert calls == {"bz_average_vec": 2}
+
+    def test_divergent_point_runs_one_average(self, calls):
+        bound_check(ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.9, 0.4), 1.0,
+                    BZQuadratureConfig(max_subdivisions=200))
+        assert calls == {"bz_average_vec": 1}
+
+    @pytest.mark.parametrize("quantities,averages", [
+        (("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"), 7),
+        (("chi_f",), 1),
+    ])
+    def test_sweep_point_shares_its_averages(self, calls, quantities, averages):
+        spec = SweepSpec(model="ssh", sweep=("t2", 1.5, 2.0, 2), fixed={"t1": 1.0},
+                         reference=GlobalReference(0.9, 0.4), quantities=quantities)
+        run_sweep(spec)
+        assert calls["bz_average_vec"] == 2 * averages
 
     def test_divergent_point_has_nan_ratio_without_integrating(self, monkeypatch):
         import twoband.bounds_duality as bd
@@ -87,7 +147,9 @@ class TestBoundCheck:
         def fail(*args, **kwargs):
             raise AssertionError("the d(d_hat)/d(lambda) integrals were computed")
 
-        monkeypatch.setattr(bd, "dhat_derivative_integrals", fail)
+        # chi_F averages through its own module's binding, so this catches
+        # only the d(d_hat)/d(lambda) average
+        monkeypatch.setattr(bd, "bz_average_vec", fail)
         model, ref = ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.5 * PI, PI)
         report = bound_check(model, ref, 1.0)
         assert math.isinf(report.rhs) and math.isnan(report.ratio)

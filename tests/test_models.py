@@ -175,9 +175,6 @@ class TestModelContract:
             degenerate.normalized()
 
 
-# fixed values that move a registry default off a gap closing
-_GAPPED = {"ssh": {"t2": 2.0}}
-
 _ENTRY_PARAMETERS = [(name, parameter) for name, entry in MODELS.items()
                      for parameter in entry.builders]
 
@@ -190,16 +187,13 @@ class TestRegistry:
     @pytest.mark.parametrize("name,parameter", _ENTRY_PARAMETERS)
     def test_every_builder_validates_at_the_defaults(self, name, parameter):
         entry = MODELS[name]
-        fixed = _GAPPED.get(name, {})
-        values = entry.values(fixed)
-        SweepSpec(model=name, sweep=(parameter, 0.5, 1.5, 3),
-                  fixed={k: v for k, v in fixed.items() if k != parameter})
-        assert isinstance(entry.params(fixed), entry.params_type)
+        SweepSpec(model=name, sweep=(parameter, 0.5, 1.5, 3))
+        assert isinstance(entry.params({}), entry.params_type)
         if not entry.hermitian:
             assert entry.builders[parameter] is None
             return
-        model = entry.model(fixed, parameter)
-        assert model.sweep_parameter == parameter and model.lam == values[parameter]
+        model = entry.model({}, parameter)
+        assert model.sweep_parameter == parameter and model.lam == entry.defaults[parameter]
         assert np.min(np.linalg.norm(model.d(KGRID), axis=0)) > 1e-3
         model.validate(grid_points=128)
 

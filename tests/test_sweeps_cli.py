@@ -90,11 +90,22 @@ class TestRunSweep:
         assert len(cusps) == 1 and abs(cusps[0] - 1.0) <= spacing
 
     def test_ratio_at_divergence_is_flagged_nan(self):
-        spec = SweepSpec(model="massive-dirac", sweep=("mu", -0.5, 0.5, 3),
-                         reference=GlobalReference(0.3, 0.2), quantities=("ratio",))
-        recs = run_sweep(spec, BZQuadratureConfig(max_subdivisions=300))
-        assert math.isnan(recs[1].values["ratio"]) and recs[1].flags == {"diverged"}
-        assert 0.0 < recs[0].values["ratio"] <= 1.0 and recs[0].flags == frozenset()
+        # a gap point in the middle of each sweep; the winding rows at the gap
+        # are NaN like the ratio, and the sweep goes on
+        for spec, column, beside in (
+            (SweepSpec(model="massive-dirac", sweep=("mu", -0.5, 0.5, 3),
+                       reference=GlobalReference(0.3, 0.2), quantities=("ratio",)),
+             "ratio", lambda v: 0.0 < v <= 1.0),
+            (SweepSpec(model="massive-dirac", sweep=("mu", -0.5, 0.5, 3),
+                       quantities=("winding",)),
+             "winding", lambda v: abs(v) < 1e-10),
+            (SweepSpec(model="ssh", sweep=("t2", 0.9375, 1.0625, 3), fixed={"t1": 1.0},
+                       quantities=("winding",)),
+             "winding", lambda v: v == 0.0),
+        ):
+            recs = run_sweep(spec, BZQuadratureConfig(max_subdivisions=300))
+            assert math.isnan(recs[1].values[column]) and recs[1].flags == {"diverged"}
+            assert beside(recs[0].values[column]) and recs[0].flags == frozenset()
 
     def test_divergence_flag_at_criticality(self):
         spec = SweepSpec(model="ssh", sweep=("t2", 0.9, 1.1, 3), fixed={"t1": 1.0},
@@ -288,6 +299,8 @@ class TestCLI:
         code = main(["ratio", "--model", "massive-dirac", "--set", "mu=1",
                      "--lam", "1.0", "--theta", str(0.5 * PI), "--phi", "0"])
         assert code == 3
+        # the point command refuses a gap point that a sweep row flags
+        assert main(["winding", "--model", "ssh", "--set", "t2=1"]) == 3
 
     def test_missing_model_is_spec_error(self):
         assert main(["sweep", "--sweep", "t2:0.5:1.5:3"]) == 2

@@ -46,6 +46,8 @@ class TestLogDerivative:
     def test_grid_below_three_steps_rejected(self, grid_size):
         with pytest.raises(DomainError):
             winding_phase_accumulation(ssh_offdiagonal(1.0, 2.0), grid_size)
+        with pytest.raises(DomainError):
+            winding_cross_product(ssh_model(SSHParams(1.0, 2.0)), grid_size)
 
     def test_three_steps_carry_a_full_turn(self):
         assert winding_log_derivative(lambda k: np.exp(1j * k), 3) == 1
