@@ -1,8 +1,7 @@
 """Spread complexity, fidelity susceptibility and topology of two-band Bloch Hamiltonians."""
 
 from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
-                    ReferenceState, canonical_angles, piecewise_reference,
-                    plateau_reference)
+                    ReferenceState, canonical_angles, plateau_reference)
 from .bounds_duality import (BoundReport, bound_check, complexity_duality_check,
                              complexity_duality_offset, fs_duality_check,
                              ratio_R, reference_coefficients,
@@ -20,17 +19,17 @@ from .errors import (ConvergenceError, DomainError, ExceptionalPointError,
 from .fidelity import (SusceptibilityBreakdown, chi_F, chi_F_md_closed,
                        chi_F_md_z_closed, chi_F_per_mode,
                        chi_F_per_mode_projector, chi_F_ssh_closed)
-from .models import (CooperPairBoxParams, DualSSHParams, DVector,
-                     MassiveDiracParams, NonHermitianSSHParams, SSHParams,
-                     TwoBandModel, cooper_pair_box_model, dual_pair,
-                     massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
+from .models import (CooperPairBoxParams, DualSSHParams, MassiveDiracParams,
+                     NonHermitianSSHParams, SSHParams, TwoBandModel,
+                     cooper_pair_box_model, dual_pair, massive_dirac_model,
+                     nh_ssh_bloch_hamiltonian, ssh_model)
 from .nonhermitian import (BiKrylovBasis, BiorthogonalPair, bikrylov_basis,
                            biorthogonal_ground, detect_cusps,
                            nh_complexity_per_mode,
                            nh_complexity_per_mode_overlap,
                            nh_ground_complexity)
-from .quadrature import (BZQuadratureConfig, FDConfig, bz_average,
-                         bz_average_vec, param_derivative)
+from .quadrature import (BZQuadratureConfig, bz_average, bz_average_vec,
+                         param_derivative)
 from .special_functions import (EllipticModulus, complete_E,
                                 complete_E_quadrature, complete_K,
                                 complete_K_quadrature, dE_dm, dK_dm,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -58,17 +58,12 @@ class BlochVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.nx, self.ny, self.nz])
 
-    def dot(self, other: "BlochVector") -> float:
-        return self.nx * other.nx + self.ny * other.ny + self.nz * other.nz
-
     def __neg__(self) -> "BlochVector":
         return BlochVector(-self.nx, -self.ny, -self.nz)
 
 
 class ReferenceState:
     """Common interface of the global and the piecewise-in-k reference states."""
-
-    is_global = False
 
     def bloch_at(self, k) -> np.ndarray:
         """Reference Bloch vector at k: shape (3,) + shape(k), or (3,) if global."""
@@ -90,8 +85,6 @@ class GlobalReference(ReferenceState):
 
     theta: float
     phi: float
-
-    is_global = True
 
     def __post_init__(self):
         th, ph = canonical_angles(float(self.theta), float(self.phi))
@@ -158,10 +151,6 @@ class PiecewiseBlochReference(ReferenceState):
 
     def breakpoints(self) -> Tuple[float, ...]:
         return tuple(hi for _, hi, _ in self.pieces[:-1])
-
-
-def piecewise_reference(pieces: Sequence[Tuple[float, float, BlochVector]]) -> PiecewiseBlochReference:
-    return PiecewiseBlochReference(tuple(pieces))
 
 
 def plateau_reference() -> PiecewiseBlochReference:

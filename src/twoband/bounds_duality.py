@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bloch import GlobalReference
-from .complexity import (_M_COMPLEMENT_FLOOR, _K_with_log_asymptote,
+from .complexity import (_M_COMPLEMENT_FLOOR, _K_with_log_asymptote, _require_global,
                          _ssh_elliptic_terms, ground_complexity)
 from .errors import DomainError, UndefinedRatioError
 from .fidelity import SusceptibilityBreakdown, chi_F, dhat_derivative
@@ -100,9 +100,9 @@ def bound_check(model: TwoBandModel, ref: GlobalReference, lam: float,
     |sum_i Q_i integral of d(d_hat_i)/d(lambda) dk|; the right side combines
     the susceptibility components.  Where the susceptibility diverges no
     d_hat integral runs: lhs and the ratio are NaN, rhs is inf, and the
-    bound counts as satisfied.
+    bound counts as satisfied.  A piecewise reference raises DomainError.
     """
-    return _bound_report(lam, ref, *_susceptibility_terms(model, lam, cfg))
+    return _bound_report(lam, _require_global(ref), *_susceptibility_terms(model, lam, cfg))
 
 
 def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
@@ -113,10 +113,11 @@ def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
     axis i chosen as the largest |integral of d(d_hat_i)/d(lambda)|; the
     reference coefficients cancel, so R <= 1 is pure Cauchy-Schwarz and
     tends to sqrt(2/3) deep in either phase.  NaN where the susceptibility
-    diverges.
+    diverges.  A piecewise reference raises DomainError.
     """
+    q = reference_coefficients(_require_global(ref))
     breakdown, integrals = _susceptibility_terms(model, lam, cfg)
-    return _ratio(integrals, breakdown.components, reference_coefficients(ref))
+    return _ratio(integrals, breakdown.components, q)
 
 
 def fs_duality_check(params: DualSSHParams,
@@ -200,8 +201,5 @@ def self_dual_constraint(params: DualSSHParams, ref: GlobalReference) -> Tuple[f
     diverge logarithmically: the divergent parts cancel at matching rate.
     """
     r = params.r
-    a = ref.re_alpha_beta
-    if a == 0.0:
-        return 2.0 * 0.0 - (-0.5), ratio_complexity(r, ref)
     constraint = 2.0 * ratio_complexity_prime(r, ref) - complexity_duality_offset_prime(r, ref)
     return constraint, ratio_complexity(r, ref)

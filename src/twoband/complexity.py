@@ -15,11 +15,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
-                    ReferenceState, plateau_reference)
+from .bloch import BlochVector, GlobalReference, ReferenceState, plateau_reference
 from .errors import DomainError, GapClosedError, PartitionError
-from .models import (GAP_EPS, DVector, MassiveDiracParams, SSHParams,
-                     TwoBandModel, ssh_model)
+from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, ssh_model
 from .quadrature import BZQuadratureConfig, bz_average_vec
 from .special_functions import complete_E, complete_K
 
@@ -39,7 +37,7 @@ def complexity_per_mode(n_ref, n_target) -> float:
 
 def ground_state_bloch(d) -> BlochVector:
     """Bloch vector of the lower band, -d/|d|; undefined at a gap closing."""
-    v = d.as_array() if isinstance(d, DVector) else np.asarray(d, dtype=float)
+    v = np.asarray(d, dtype=float)
     n = float(np.linalg.norm(v))
     if n < GAP_EPS:
         raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")

@@ -14,10 +14,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, GapClosedError
-from .models import GAP_EPS, DVector, MassiveDiracParams, SSHParams, TwoBandModel
+from .errors import ConvergenceError, DomainError, GapClosedError
+from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel
 from .quadrature import BZQuadratureConfig, bz_average_vec
-from .errors import ConvergenceError
 
 PI = math.pi
 
@@ -33,8 +32,8 @@ def dhat_derivative(d, d_deriv) -> np.ndarray:
     A single vector at a gap closing raises GapClosedError; along a k axis
     the gap columns come back NaN.
     """
-    d = d.as_array() if isinstance(d, DVector) else np.asarray(d, dtype=float)
-    dd = d_deriv.as_array() if isinstance(d_deriv, DVector) else np.asarray(d_deriv, dtype=float)
+    d = np.asarray(d, dtype=float)
+    dd = np.asarray(d_deriv, dtype=float)
     n = np.sqrt(np.sum(d * d, axis=0))
     gap = n < GAP_EPS
     if d.ndim == 1 and gap:
@@ -57,8 +56,8 @@ def chi_F_per_mode_projector(d, d_deriv, step: float = 1e-6) -> float:
     rebuilt at d +- step * d_deriv and differenced.  Slower and less accurate
     than the transverse projection, kept for cross-checks.
     """
-    d = d.as_array() if isinstance(d, DVector) else np.asarray(d, dtype=float)
-    dd = d_deriv.as_array() if isinstance(d_deriv, DVector) else np.asarray(d_deriv, dtype=float)
+    d = np.asarray(d, dtype=float)
+    dd = np.asarray(d_deriv, dtype=float)
 
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -82,9 +81,6 @@ class SusceptibilityBreakdown:
     total: float
     components: Tuple[float, float, float]
     diverged: bool = False
-
-    def component(self, axis: int) -> float:
-        return self.components[axis]
 
 
 def chi_F(model: TwoBandModel, lam: float,

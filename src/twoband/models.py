@@ -15,8 +15,8 @@ from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .bloch import BlochVector
-from .errors import DomainError, GapClosedError, SpecError
+from .errors import DomainError, SpecError
+from .quadrature import param_derivative
 
 PI = math.pi
 
@@ -25,33 +25,12 @@ GAP_EPS = 1e-13
 
 
 @dataclass(frozen=True)
-class DVector:
-    """A d-vector sample, optionally remembering the momentum it came from."""
-
-    dx: float
-    dy: float
-    dz: float
-    k: Optional[float] = None
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dz])
-
-    def magnitude(self) -> float:
-        return math.sqrt(self.dx ** 2 + self.dy ** 2 + self.dz ** 2)
-
-    def normalized(self) -> BlochVector:
-        if self.magnitude() < GAP_EPS:
-            raise GapClosedError(f"|d| vanishes at k={self.k!r}")
-        return BlochVector(self.dx, self.dy, self.dz)
-
-
-@dataclass(frozen=True)
 class TwoBandModel:
     """A one-parameter family k -> d(k, lambda) of two-band Bloch Hamiltonians.
 
     ``family`` maps (k, lam) to the three d components and broadcasts over
     numpy arrays of k.  ``family_deriv`` is the analytic d(d)/d(lambda) when
-    available; otherwise derivatives fall back to central finite differences.
+    available; otherwise derivatives fall back to ``param_derivative``.
     Models are immutable; ``at`` rebinds the swept parameter.
     """
 
@@ -62,24 +41,16 @@ class TwoBandModel:
     rotated: bool = False
     singular_points: Tuple[float, ...] = (0.0,)
     label: str = ""
-    fd_step: float = 1e-6
 
     def d(self, k):
         """d(k) at the bound parameter value; shape (3,) + shape(k)."""
         return np.asarray(self.family(k, self.lam), dtype=float)
 
     def d_deriv(self, k):
-        """Parameter derivative of d at the bound value (analytic or central FD)."""
+        """Parameter derivative of d at the bound value (analytic or finite difference)."""
         if self.family_deriv is not None:
             return np.asarray(self.family_deriv(k, self.lam), dtype=float)
-        h = self.fd_step
-        hi = np.asarray(self.family(k, self.lam + h), dtype=float)
-        lo = np.asarray(self.family(k, self.lam - h), dtype=float)
-        return (hi - lo) / (2.0 * h)
-
-    def dvector(self, k: float) -> DVector:
-        dx, dy, dz = self.d(float(k))
-        return DVector(float(dx), float(dy), float(dz), k=float(k))
+        return param_derivative(lambda lam: np.asarray(self.family(k, lam), dtype=float), self.lam)
 
     def at(self, lam: float) -> "TwoBandModel":
         return replace(self, lam=float(lam))
@@ -90,7 +61,7 @@ class TwoBandModel:
         if np.max(np.abs(self.d(ks) - self.d(ks + 2.0 * PI))) > 1e-12:
             raise DomainError(f"model {self.label!r} is not 2*pi-periodic in k")
         if self.family_deriv is not None:
-            fd = replace(self, family_deriv=None, fd_step=1e-6).d_deriv(ks)
+            fd = replace(self, family_deriv=None).d_deriv(ks)
             if np.max(np.abs(fd - self.d_deriv(ks))) > 1e-7:
                 raise DomainError(f"analytic derivative of {self.label!r} disagrees with FD")
 
@@ -165,17 +136,17 @@ def _ssh_d(k, t1, t2):
     return np.stack([t1 - t2 * np.cos(k), np.zeros_like(k), t2 * np.sin(k)])
 
 
+def _ssh_d_dt2(k):
+    k = np.asarray(k, dtype=float)
+    return np.stack([-np.cos(k), np.zeros_like(k), np.sin(k)])
+
+
 def ssh_model(params: SSHParams) -> TwoBandModel:
     """d(k) = (t1 - t2 cos k, 0, t2 sin k), swept in t2."""
     t1 = params.t1
-
-    def deriv(k, t2):
-        k = np.asarray(k, dtype=float)
-        return np.stack([-np.cos(k), np.zeros_like(k), np.sin(k)])
-
-    return TwoBandModel(lambda k, t2: _ssh_d(k, t1, t2), params.t2, deriv,
-                        sweep_parameter="t2", rotated=True, singular_points=(0.0,),
-                        label="ssh")
+    return TwoBandModel(lambda k, t2: _ssh_d(k, t1, t2), params.t2,
+                        lambda k, t2: _ssh_d_dt2(k), sweep_parameter="t2", rotated=True,
+                        singular_points=(0.0,), label="ssh")
 
 
 def _ssh_t1_model(params: SSHParams) -> TwoBandModel:
@@ -223,26 +194,11 @@ def dual_pair(params: DualSSHParams) -> Tuple[TwoBandModel, TwoBandModel]:
     r, so the two coincide componentwise at the self-dual point r = 1.
     """
     t = params.t
-
-    def family_i(k, r):
-        k = np.asarray(k, dtype=float)
-        return np.stack([t * (1.0 - r * np.cos(k)), np.zeros_like(k), t * r * np.sin(k)])
-
-    def deriv_i(k, r):
-        k = np.asarray(k, dtype=float)
-        return np.stack([-t * np.cos(k), np.zeros_like(k), t * np.sin(k)])
-
-    def family_ii(k, r):
-        k = np.asarray(k, dtype=float)
-        return np.stack([t * (1.0 - np.cos(k) / r), np.zeros_like(k), t * np.sin(k) / r])
-
-    def deriv_ii(k, r):
-        k = np.asarray(k, dtype=float)
-        return np.stack([t * np.cos(k) / r ** 2, np.zeros_like(k), -t * np.sin(k) / r ** 2])
-
-    model_i = TwoBandModel(family_i, params.r, deriv_i, sweep_parameter="r",
+    model_i = TwoBandModel(lambda k, r: _ssh_d(k, t, r * t), params.r,
+                           lambda k, r: t * _ssh_d_dt2(k), sweep_parameter="r",
                            rotated=True, singular_points=(0.0,), label="dual-ssh-I")
-    model_ii = TwoBandModel(family_ii, params.r, deriv_ii, sweep_parameter="r",
+    model_ii = TwoBandModel(lambda k, r: _ssh_d(k, t, t / r), params.r,
+                            lambda k, r: (-t / r ** 2) * _ssh_d_dt2(k), sweep_parameter="r",
                             rotated=True, singular_points=(0.0,), label="dual-ssh-II")
     return model_i, model_ii
 

@@ -41,18 +41,6 @@ class BZQuadratureConfig:
                 raise DomainError(f"singular point {p} outside [-pi, pi]")
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    step: float = 1e-5
-    scheme: str = "central4"
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise DomainError("finite-difference step must be positive")
-        if self.scheme not in ("central2", "central4"):
-            raise DomainError(f"unknown finite-difference scheme {self.scheme!r}")
-
-
 def _interior_points(cfg: BZQuadratureConfig, extra: Iterable[float] = ()) -> list:
     pts = sorted({float(p) for p in (*cfg.singular_points, *extra)
                   if -PI < p < PI})
@@ -187,17 +175,16 @@ def bz_average_vec(f: Callable[[np.ndarray], np.ndarray], cfg: BZQuadratureConfi
         err = np.concatenate((err[keep], new_err))
 
 
-def param_derivative(g: Callable[[float], float], at: float,
-                     cfg: FDConfig | None = None) -> float:
-    """Central finite-difference derivative of g at the given point.
+def param_derivative(g: Callable[[float], float], at: float, step: float = 1e-5):
+    """Fourth-order central finite-difference derivative of g at the given point.
 
-    Differences are grouped before weighting so a constant g yields exactly
-    zero rather than stencil roundoff.
+    ``g`` may return a float or an array.  Differences are grouped before
+    weighting so a constant g yields exactly zero rather than stencil
+    roundoff.  A step that is not positive raises DomainError.
     """
-    cfg = cfg or FDConfig()
-    h = cfg.step
-    if cfg.scheme == "central2":
-        return (g(at + h) - g(at - h)) / (2.0 * h)
+    if not step > 0:
+        raise DomainError("finite-difference step must be positive")
+    h = step
     inner = g(at + h) - g(at - h)
     outer = g(at + 2.0 * h) - g(at - 2.0 * h)
     return (8.0 * inner - outer) / (12.0 * h)

@@ -60,7 +60,8 @@ class SweepSpec:
         bad = [q for q in self.quantities if q not in entry.quantities]
         if bad:
             raise SpecError(f"{self.model!r} sweeps support only {entry.quantities}, not {bad}")
-        if not self.reference.is_global and set(self.quantities) & {"bound", "ratio"}:
+        if (set(self.quantities) & {"bound", "ratio"}
+                and not isinstance(self.reference, GlobalReference)):
             raise SpecError("bound and ratio require a momentum-independent reference state")
         object.__setattr__(self, "sweep", (name, float(start), float(stop), int(points)))
 

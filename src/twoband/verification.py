@@ -13,7 +13,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from . import special_functions as sf
-from .bloch import GlobalReference, plateau_reference
+from .bloch import GlobalReference
 from .bounds_duality import (bound_check, complexity_duality_check,
                              complexity_duality_offset, fs_duality_check,
                              ratio_R, self_dual_constraint)
@@ -24,7 +24,7 @@ from .complexity import (BandAssignment, excited_piecewise_complexity,
 from .fidelity import (chi_F, chi_F_md_closed, chi_F_md_z_closed,
                        chi_F_ssh_closed)
 from .models import (DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
-                     SSHParams, dual_pair, massive_dirac_model,
+                     SSHParams, massive_dirac_model,
                      nh_ssh_bloch_hamiltonian, ssh_contour, ssh_model)
 from .nonhermitian import (bikrylov_basis, biorthogonal_ground, detect_cusps,
                            nh_complexity_per_mode,
@@ -279,6 +279,4 @@ def run_suite(name: str) -> List[CheckResult]:
         for suite in SUITES.values():
             results.extend(suite())
         return results
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name]()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
-                     DualSSHParams, FDConfig, GlobalReference,
+                     DualSSHParams, GlobalReference,
                      MassiveDiracParams, NonHermitianSSHParams, SSHParams,
                      bikrylov_basis, biorthogonal_ground, bound_check, chi_F,
                      chi_F_md_closed, chi_F_md_z_closed, chi_F_ssh_closed,
@@ -113,12 +113,11 @@ def test_criterion_04_logarithmic_cusp_rate():
     # (the criterion's stated constant carries a spurious factor 2 relative
     # to the asymptotic expansion it cites; the expansion value is used).
     ref = GlobalReference(0.5 * PI, PI)
-    fd = FDConfig(step=1e-7, scheme="central4")
     t1 = 1.0
 
     def deriv(delta):
         return param_derivative(
-            lambda t2: ssh_complexity_closed(SSHParams(t1, t2), ref), t1 - delta, fd)
+            lambda t2: ssh_complexity_closed(SSHParams(t1, t2), ref), t1 - delta, 1e-7)
 
     rate = abs(ref.re_alpha_beta) / (PI * t1)
     deltas = (1e-2, 1e-3, 1e-4, 1e-5)

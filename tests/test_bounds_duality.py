@@ -7,13 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twoband import (BZQuadratureConfig, DualSSHParams, GlobalReference,
+from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GlobalReference,
                      MassiveDiracParams, SSHParams, SweepSpec, UndefinedRatioError,
                      bound_check, complexity_duality_check,
                      complexity_duality_offset, fs_duality_check,
                      ground_complexity, massive_dirac_model, ratio_R,
-                     reference_coefficients, run_sweep, self_dual_constraint,
-                     ssh_model)
+                     plateau_reference, reference_coefficients, run_sweep,
+                     self_dual_constraint, ssh_model)
 from twoband import quadrature
 from twoband.bounds_duality import ratio_complexity, ratio_complexity_prime
 from twoband.models import MODELS, TwoBandModel
@@ -154,6 +154,13 @@ class TestBoundCheck:
         report = bound_check(model, ref, 1.0)
         assert math.isinf(report.rhs) and math.isnan(report.ratio)
         assert math.isnan(ratio_R(model, ref, 1.0))
+
+    def test_piecewise_reference_is_rejected_before_any_average(self, calls):
+        model = ssh_model(SSHParams(1.0, 2.0))
+        for check in (bound_check, ratio_R):
+            with pytest.raises(DomainError):
+                check(model, plateau_reference(), 2.0)
+        assert calls["bz_average_vec"] == 0
 
     def test_report_ratio_equals_ratio_R(self):
         model, ref = ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4)

@@ -16,7 +16,7 @@ from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
                      plateau_complexity, ssh_complexity_closed,
                      ssh_dC_dt2_asymptotic, ssh_model)
 from twoband.bloch import canonical_angles, plateau_reference
-from twoband.quadrature import param_derivative, FDConfig
+from twoband.quadrature import param_derivative
 
 PI = math.pi
 
@@ -125,13 +125,12 @@ class TestSSHClosedForm:
 class TestAsymptoticDerivative:
     def test_fd_converges_to_estimate(self):
         ref = GlobalReference(0.5 * PI, PI)
-        fd = FDConfig(step=1e-7, scheme="central4")
         errors = []
         for delta in (1e-3, 1e-4, 1e-5):
             params = SSHParams(1.0, 1.0 - delta)
             est = ssh_dC_dt2_asymptotic(params, ref)
             got = param_derivative(
-                lambda t2: ssh_complexity_closed(SSHParams(1.0, t2), ref), 1.0 - delta, fd)
+                lambda t2: ssh_complexity_closed(SSHParams(1.0, t2), ref), 1.0 - delta, 1e-7)
             errors.append(abs(got - est) / abs(got))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-3
@@ -140,11 +139,10 @@ class TestAsymptoticDerivative:
         # The derivative grows like ln(1/|delta|) with rate Re(alpha* beta)/(pi t1)
         # per e-fold; measured per decade of delta and divided by ln 10.
         ref = GlobalReference(0.5 * PI, PI)
-        fd = FDConfig(step=1e-7, scheme="central4")
 
         def deriv(delta):
             return param_derivative(
-                lambda t2: ssh_complexity_closed(SSHParams(1.0, t2), ref), 1.0 - delta, fd)
+                lambda t2: ssh_complexity_closed(SSHParams(1.0, t2), ref), 1.0 - delta, 1e-7)
 
         slope = (deriv(1e-5) - deriv(1e-4)) / math.log(10.0)
         assert slope == pytest.approx(abs(ref.re_alpha_beta) / PI, rel=0.05)
@@ -166,11 +164,10 @@ class TestAsymptoticDerivative:
         # approaching from the trivial (t2 < t1) and topological (t2 > t1)
         # sides, the derivative magnitude grows at the same log rate
         ref = GlobalReference(0.5 * PI, PI)
-        fd = FDConfig(step=1e-7, scheme="central4")
 
         def deriv(t2):
             return param_derivative(
-                lambda x: ssh_complexity_closed(SSHParams(1.0, x), ref), t2, fd)
+                lambda x: ssh_complexity_closed(SSHParams(1.0, x), ref), t2, 1e-7)
 
         rate = abs(ref.re_alpha_beta) * math.log(10.0) / PI
         for side in (+1.0, -1.0):
@@ -304,11 +301,10 @@ class TestMassiveDiracDerivative:
         assert md_dC_dmu_analytic(MassiveDiracParams(mu=1.0), 0.0) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_finite_difference(self):
-        fd = FDConfig(step=1e-6, scheme="central4")
         for mu in (0.05, 0.5, 2.0, 10.0):
             got = md_dC_dmu_analytic(MassiveDiracParams(mu=mu), 0.7)
             ref_fd = param_derivative(
-                lambda m: md_complexity_closed(MassiveDiracParams(mu=m), 0.7), mu, fd)
+                lambda m: md_complexity_closed(MassiveDiracParams(mu=m), 0.7), mu, 1e-6)
             assert got == pytest.approx(ref_fd, abs=1e-7)
 
     def test_rejects_zero_mass(self):

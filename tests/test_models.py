@@ -165,15 +165,6 @@ class TestModelContract:
         model = ssh_model(SSHParams(1.0, 1.0))
         assert np.allclose(model.at(2.0).d(KGRID), ssh_model(SSHParams(1.0, 2.0)).d(KGRID))
 
-    def test_dvector_normalizes_to_unit_bloch_vector(self):
-        from twoband import GapClosedError
-        vec = ssh_model(SSHParams(1.0, 2.0)).dvector(0.7)
-        unit = vec.normalized()
-        assert unit.as_array() == pytest.approx(vec.as_array() / vec.magnitude())
-        degenerate = ssh_model(SSHParams(1.0, 1.0)).dvector(0.0)
-        with pytest.raises(GapClosedError):
-            degenerate.normalized()
-
 
 _ENTRY_PARAMETERS = [(name, parameter) for name, entry in MODELS.items()
                      for parameter in entry.builders]

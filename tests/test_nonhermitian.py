@@ -29,7 +29,7 @@ class TestBiorthogonalGround:
         bloch = np.array([2.0 * (psi[0].conjugate() * psi[1]).real,
                           2.0 * (psi[0].conjugate() * psi[1]).imag,
                           abs(psi[0]) ** 2 - abs(psi[1]) ** 2])
-        expected = ground_state_bloch(ssh_model(SSHParams(2.0, 1.0)).dvector(k)).as_array()
+        expected = ground_state_bloch(ssh_model(SSHParams(2.0, 1.0)).d(k)).as_array()
         assert np.allclose(bloch, expected, atol=1e-12)
 
     def test_eigenpair_residuals(self):
@@ -86,7 +86,7 @@ class TestPerMode:
         theta, phi = 0.9, 0.4
         ref = GlobalReference(theta, phi)
         for k in (-2.2, 0.1, 1.9):
-            target = ground_state_bloch(ssh_model(SSHParams(1.3, 0.8)).dvector(k))
+            target = ground_state_bloch(ssh_model(SSHParams(1.3, 0.8)).d(k))
             expected = complexity_per_mode(ref.bloch, target)
             got = nh_complexity_per_mode(params, k, ref.alpha, ref.beta)
             assert got == pytest.approx(expected, abs=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
                      ConvergenceError, DomainError, ExceptionalPointError,
-                     FDConfig, GapClosedError, GlobalReference,
+                     GapClosedError, GlobalReference,
                      MassiveDiracParams, NonHermitianSSHParams, SSHParams,
                      TwoBandModel, bz_average, bz_average_vec, chi_F,
                      complexity_per_mode, excited_piecewise_complexity,
@@ -85,22 +85,18 @@ class TestParamDerivative:
         expected = md_dC_dmu_analytic(MassiveDiracParams(mu=0.5), 0.4)
         assert got == pytest.approx(expected, abs=1e-6)
 
-    def test_central2_scheme(self):
-        got = param_derivative(math.sin, 0.7, FDConfig(step=1e-6, scheme="central2"))
-        assert got == pytest.approx(math.cos(0.7), abs=1e-9)
-
     def test_central4_is_higher_order(self):
+        # halving the step divides a fourth-order error by 16
         f = lambda x: math.exp(math.sin(2.0 * x))
         exact = 2.0 * math.cos(1.4) * math.exp(math.sin(1.4))
-        err2 = abs(param_derivative(f, 0.7, FDConfig(step=1e-3, scheme="central2")) - exact)
-        err4 = abs(param_derivative(f, 0.7, FDConfig(step=1e-3, scheme="central4")) - exact)
-        assert err4 < err2 * 1e-2
+        err_h = abs(param_derivative(f, 0.7, 1e-2) - exact)
+        err_half = abs(param_derivative(f, 0.7, 5e-3) - exact)
+        assert 12.0 < err_h / err_half < 20.0
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            FDConfig(step=0.0)
-        with pytest.raises(DomainError):
-            FDConfig(scheme="forward")
+        for step in (0.0, -1e-5):
+            with pytest.raises(DomainError):
+                param_derivative(math.sin, 0.7, step)
 
 
 # The array engine against the scalar QUADPACK oracle.  The oracle integrands
@@ -128,7 +124,7 @@ def _scalar_ground(model, ref_at):
     """Oracle integrand; ref_at maps one k to the reference BlochVector."""
 
     def ck(k):
-        return complexity_per_mode(ref_at(k), ground_state_bloch(model.dvector(k)))
+        return complexity_per_mode(ref_at(k), ground_state_bloch(model.d(k)))
 
     return ck
 
@@ -165,7 +161,7 @@ class TestArrayEngineAgainstOracle:
         model = ssh_model(params)
 
         def ck(k):
-            target = model.dvector(k).normalized()  # upper band
+            target = BlochVector.from_array(model.d(k))  # upper band
             return complexity_per_mode(ref.bloch, -target if k <= 0.25 * PI else target)
 
         oracle = bz_average(ck, ORACLE, extra_points=(0.0, 0.25 * PI))

@@ -256,6 +256,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    def test_verify_all_passes(self, capsys):
+        assert main(["verify", "all"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "52/52 checks passed"
+
     def test_winding_subcommand(self, capsys):
         assert main(["winding", "--model", "ssh", "--set", "t1=1", "--set", "t2=2"]) == 0
         assert "winding(contour) = 1" in capsys.readouterr().out
