@@ -4,8 +4,8 @@ The integrands met here are smooth except for integrable features at gap
 closings (all located at k in {0, +-pi} for the stock models), so the
 integrators pre-split at known singular points and subdivide adaptively.
 Library averages go through ``bz_average_vec``, which evaluates an array
-kernel on whole refinement levels at once; ``bz_average`` wraps QUADPACK for
-scalar callables and serves as its independent oracle.
+kernel on whole refinement levels at once; ``bz_average`` wraps QUADPACK
+(``scipy.integrate``, loaded on first call) as its independent oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
-from scipy.integrate import quad
+import scipy
 
 from .errors import ConvergenceError, DomainError, GapClosedError
 
@@ -56,10 +56,10 @@ def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = Non
     """
     cfg = cfg or BZQuadratureConfig()
     pts = _interior_points(cfg, extra_points)
-    val, err, *rest = quad(f, -PI, PI, points=pts or None,
-                           limit=cfg.max_subdivisions,
-                           epsabs=cfg.abs_tol * 2.0 * PI,
-                           epsrel=cfg.rel_tol, full_output=1)
+    val, err, *rest = scipy.integrate.quad(f, -PI, PI, points=pts or None,
+                                           limit=cfg.max_subdivisions,
+                                           epsabs=cfg.abs_tol * 2.0 * PI,
+                                           epsrel=cfg.rel_tol, full_output=1)
     if len(rest) > 1:  # quad appends a message when ier != 0
         budget = max(cfg.abs_tol * 2.0 * PI, cfg.rel_tol * abs(val)) * 10.0
         if err > budget or not math.isfinite(val):

@@ -2,8 +2,8 @@
 
 Conventions follow the parameter form: the integrand carries ``1 - m sin^2(u)``
 with ``m`` in ``[0, 1]``.  The integrals are evaluated by scipy's Cephes
-routines; the defining quadratures are kept as slow oracle paths so the fast
-implementations can always be cross-checked.
+routines, which load ``scipy.special`` on their first call, not on import;
+the defining quadratures are kept as slow oracles to cross-check them.
 """
 
 from __future__ import annotations
@@ -11,10 +11,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.special import ellipe, ellipeinc, ellipk
+import scipy
 
 from .errors import DomainError
+
+
+def _cephes(name):
+    """Stand-in for ``scipy.special.<name>``: the first call imports the submodule
+    and rebinds the global ``_<name>`` to the ufunc, so later calls pay no lookup
+    (a qualified lookup per call slowed closed-form curves by ~3% on CPython 3.11)."""
+    def first_call(*args):
+        fn = globals()["_" + name] = getattr(scipy.special, name)
+        return fn(*args)
+    return first_call
+
+
+_ellipk, _ellipe, _ellipeinc = _cephes("ellipk"), _cephes("ellipe"), _cephes("ellipeinc")
 
 # Boundary values within this distance of {0, 1} are clamped instead of
 # rejected; they arise from floating-point noise in m = 4*t1*t2/(t1+t2)^2.
@@ -51,12 +63,12 @@ def complete_K(m) -> float:
     m = _param(m)
     if m >= 1.0:
         raise DomainError("K(m) diverges at m = 1")
-    return float(ellipk(m))
+    return float(_ellipk(m))
 
 
 def complete_E(m) -> float:
     """Complete elliptic integral of the second kind, E(m), on 0 <= m <= 1."""
-    return float(ellipe(_param(m)))
+    return float(_ellipe(_param(m)))
 
 
 def dK_dm(m) -> float:
@@ -86,7 +98,7 @@ def incomplete_E(phi: float, m) -> float:
     phi = float(phi)
     if phi < -_BOUNDARY_CLAMP or phi > 0.5 * math.pi + _BOUNDARY_CLAMP:
         raise DomainError(f"amplitude phi={phi!r} outside [0, pi/2]")
-    return float(ellipeinc(min(max(phi, 0.0), 0.5 * math.pi), m))
+    return float(_ellipeinc(min(max(phi, 0.0), 0.5 * math.pi), m))
 
 
 def complete_K_quadrature(m) -> float:
@@ -94,14 +106,14 @@ def complete_K_quadrature(m) -> float:
     m = _param(m)
     if m >= 1.0:
         raise DomainError("K(m) diverges at m = 1")
-    val, _ = quad(lambda u: 1.0 / math.sqrt(1.0 - m * math.sin(u) ** 2),
-                  0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=500)
+    val, _ = scipy.integrate.quad(lambda u: 1.0 / math.sqrt(1.0 - m * math.sin(u) ** 2),
+                                  0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=500)
     return val
 
 
 def complete_E_quadrature(m) -> float:
     """Slow oracle: E(m) by adaptive quadrature of the defining integral."""
     m = _param(m)
-    val, _ = quad(lambda u: math.sqrt(1.0 - m * math.sin(u) ** 2),
-                  0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=500)
+    val, _ = scipy.integrate.quad(lambda u: math.sqrt(1.0 - m * math.sin(u) ** 2),
+                                  0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=500)
     return val

@@ -12,7 +12,7 @@ import numpy as np
 from .bloch import GlobalReference, ReferenceState
 from .bounds_duality import _bound_report, _ratio, _susceptibility_terms, reference_coefficients
 from .complexity import ground_complexity
-from .errors import ExceptionalPointError, GapClosedError, SpecError
+from .errors import ExceptionalPointError, GapClosedError, SpecError, UndefinedRatioError
 from .fidelity import chi_F
 from .models import MODELS, TwoBandModel
 from .nonhermitian import nh_ground_complexity
@@ -137,6 +137,9 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
             flags.add("skipped_exceptional")
             for col in _COLUMNS[quantity]:
                 values[col] = math.nan
+        except UndefinedRatioError:
+            flags.add("undefined_ratio")
+            values["ratio"] = math.nan
     return SweepRecord(lam=float(lam), values=values, flags=frozenset(flags))
 
 
@@ -184,21 +187,26 @@ def records_to_csv(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_real(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def records_to_json(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
+    """Render a sweep as strict JSON: a NaN or infinite value is written as null."""
     payload = {
         "model": spec.model,
-        "sweep": {"parameter": spec.sweep[0], "start": spec.sweep[1],
-                  "stop": spec.sweep[2], "points": spec.sweep[3]},
-        "fixed": {k: float(v) for k, v in sorted(spec.fixed.items())},
+        "sweep": {"parameter": spec.sweep[0], "start": _json_real(spec.sweep[1]),
+                  "stop": _json_real(spec.sweep[2]), "points": spec.sweep[3]},
+        "fixed": {k: _json_real(float(v)) for k, v in sorted(spec.fixed.items())},
         "quantities": list(spec.quantities),
         "records": [
-            {"lambda": rec.lam,
-             "values": {k: rec.values[k] for k in sorted(rec.values)},
+            {"lambda": _json_real(rec.lam),
+             "values": {k: _json_real(rec.values[k]) for k in sorted(rec.values)},
              "flags": sorted(rec.flags)}
             for rec in records
         ],
     }
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_records(spec: SweepSpec, records: Sequence[SweepRecord], path: str) -> None:

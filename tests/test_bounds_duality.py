@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GlobalReference,
                      MassiveDiracParams, SSHParams, SweepSpec, UndefinedRatioError,
@@ -21,6 +22,12 @@ from twoband.quadrature import param_derivative
 
 PI = math.pi
 TIGHT = BZQuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+
+# off the self-dual point r = 1, where both identities degenerate
+couplings = st.floats(min_value=0.5, max_value=2.0)
+ratios = st.one_of(st.floats(min_value=0.2, max_value=0.9), st.floats(min_value=1.1, max_value=5.0))
+references = st.builds(GlobalReference, st.floats(min_value=0.0, max_value=PI),
+                       st.floats(min_value=0.0, max_value=2.0 * PI))
 
 _HERMITIAN_PARAMETERS = [(name, parameter) for name, entry in MODELS.items()
                          if entry.hermitian for parameter in entry.builders]
@@ -214,6 +221,11 @@ class TestSusceptibilityDuality:
         assert resid <= 1e-6
         assert lhs > 0 and rhs > 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(couplings, ratios)
+    def test_residual_within_tolerance_for_random_pairs(self, t, r):
+        assert fs_duality_check(DualSSHParams(t, r))[2] <= 1e-6
+
     @pytest.mark.parametrize("r", [1.0 + 1e-3, 1.0 - 1e-3])
     def test_near_self_dual_point(self, r):
         lhs, rhs, resid = fs_duality_check(DualSSHParams(1.0, r))
@@ -227,6 +239,11 @@ class TestComplexityDuality:
         ref = GlobalReference(0.5 * PI, PI)
         lhs, rhs, resid = complexity_duality_check(DualSSHParams(1.0, r), ref)
         assert resid <= 1e-7
+
+    @settings(max_examples=40, deadline=None)
+    @given(couplings, ratios, references)
+    def test_residual_within_tolerance_for_random_pairs(self, t, r, ref):
+        assert complexity_duality_check(DualSSHParams(t, r), ref)[2] <= 1e-7
 
     def test_offset_vanishes_at_self_dual_point(self):
         assert complexity_duality_offset(1.0, GlobalReference(0.5 * PI, PI)) == 0.0

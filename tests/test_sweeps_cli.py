@@ -174,6 +174,22 @@ class TestEmission:
         assert len(payload["records"]) == 2
         assert set(payload["records"][0]["values"]) == {"complexity", "dcomplexity"}
 
+    def test_json_is_strict_with_null_for_non_finite_values(self, tmp_path):
+        # the middle row sits on the massive-Dirac gap: lhs NaN, rhs inf
+        spec = SweepSpec(model="massive-dirac", sweep=("mu", -0.5, 0.5, 3),
+                         reference=GlobalReference(0.3, 0.2), quantities=("chi_f", "bound"))
+        path = tmp_path / "out.json"
+        write_records(spec, run_sweep(spec), str(path))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        gap = payload["records"][1]
+        assert gap["flags"] == ["diverged"]
+        assert gap["values"]["bound_lhs"] is None and gap["values"]["bound_rhs"] is None
+        assert all(v is not None for v in payload["records"][0]["values"].values())
+
     def test_write_csv_file(self, tmp_path):
         spec = SweepSpec(model="ssh", sweep=("t2", 0.4, 1.6, 3), fixed={"t1": 1.0})
         path = tmp_path / "out.csv"
@@ -305,6 +321,18 @@ class TestCLI:
         assert code == 3
         # the point command refuses a gap point that a sweep row flags
         assert main(["winding", "--model", "ssh", "--set", "t2=1"]) == 3
+
+    def test_undefined_ratio_is_flagged_and_the_sweep_goes_on(self, capsys):
+        # the equatorial reference has no coefficient on the dominant axis
+        assert main(["sweep", "--model", "massive-dirac", "--sweep", "mu:0.5:1.5:3",
+                     "--quantities", "bound,ratio"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "lambda,bound_lhs,bound_rhs,bound_satisfied,ratio,flags"
+        assert len(lines) == 4
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells[-2] == "nan" and cells[-1] == "undefined_ratio"
+            assert cells[3] == "1"
 
     def test_missing_model_is_spec_error(self):
         assert main(["sweep", "--sweep", "t2:0.5:1.5:3"]) == 2
