@@ -10,8 +10,7 @@ from .complexity import (BandAssignment, complexity_per_mode,
                          excited_piecewise_complexity, excited_split_closed,
                          ground_complexity, ground_state_bloch,
                          md_complexity_closed, md_dC_dmu_analytic,
-                         plateau_complexity, ssh_complexity_closed,
-                         ssh_dC_dt2_asymptotic)
+                         plateau_complexity, ssh_complexity_closed)
 from .errors import (ConvergenceError, DomainError, ExceptionalPointError,
                      GapClosedError, InsufficientDataError, NonQuantizedError,
                      NormalizationError, PartitionError, SpecError,

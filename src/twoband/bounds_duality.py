@@ -16,13 +16,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bloch import GlobalReference
-from .complexity import (_M_COMPLEMENT_FLOOR, _K_with_log_asymptote, _require_global,
-                         _ssh_elliptic_terms, ground_complexity)
+from .complexity import _require_global, _ssh_elliptic_terms, ground_complexity
 from .errors import DomainError, UndefinedRatioError
 from .fidelity import SusceptibilityBreakdown, chi_F, dhat_derivative
 from .models import DualSSHParams, TwoBandModel, dual_pair
 from .quadrature import BZQuadratureConfig, bz_average_vec
-from .special_functions import complete_E, complete_K, dE_dm, dK_dm
+from .special_functions import complementary_K, elliptic_derivatives
 
 PI = math.pi
 
@@ -138,12 +137,12 @@ def fs_duality_check(params: DualSSHParams,
     return lhs, rhs, residual
 
 
-def _ratio_parameter(r: float) -> Tuple[float, float]:
-    """m = 4r/(1+r)^2 and dm/dr for the derivatives, which diverge at r = 1."""
-    mc = ((1.0 - r) / (1.0 + r)) ** 2
-    if mc < _M_COMPLEMENT_FLOOR:
+def _ratio_derivative_terms(r: float) -> Tuple[float, float, float, float, float]:
+    """K, E, dK/dm, dE/dm at m = 4r/(1+r)^2 and dm/dr; the derivatives diverge at r = 1."""
+    mc = ((1.0 - r) / (1.0 + r)) ** 2  # exact complement 1 - m
+    if mc == 0.0:
         raise DomainError("derivative diverges logarithmically at the self-dual point")
-    return 1.0 - mc, 4.0 * (1.0 - r) / (1.0 + r) ** 3
+    return (*elliptic_derivatives(1.0 - mc, mc), 4.0 * (1.0 - r) / (1.0 + r) ** 3)
 
 
 def ratio_complexity(r: float, ref: GlobalReference) -> float:
@@ -156,18 +155,17 @@ def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:
     a = ref.re_alpha_beta
     if a == 0.0:
         return 0.0
-    m, m_prime = _ratio_parameter(r)
-    i1_prime = (-complete_K(m) + complete_E(m)
-                + ((1.0 - r) * dK_dm(m) + (1.0 + r) * dE_dm(m)) * m_prime) / PI
+    k, e, dk, de, m_prime = _ratio_derivative_terms(r)
+    i1_prime = (-k + e + ((1.0 - r) * dk + (1.0 + r) * de) * m_prime) / PI
     return a * i1_prime
 
 
 def complexity_duality_offset(r: float, ref: GlobalReference) -> float:
     """H(r) = (1-r)/2 + 2 Re(alpha* beta) (1-r) K(m) / pi; H(1) = 0."""
-    if r == 1.0:
+    mc = ((1.0 - r) / (1.0 + r)) ** 2
+    if mc == 0.0:
         return 0.0
-    k_val = _K_with_log_asymptote(abs(1.0 - r) / (1.0 + r))
-    return (1.0 - r) / 2.0 + 2.0 * ref.re_alpha_beta * (1.0 - r) * k_val / PI
+    return (1.0 - r) / 2.0 + 2.0 * ref.re_alpha_beta * (1.0 - r) * complementary_K(mc) / PI
 
 
 def complexity_duality_offset_prime(r: float, ref: GlobalReference) -> float:
@@ -175,8 +173,8 @@ def complexity_duality_offset_prime(r: float, ref: GlobalReference) -> float:
     a = ref.re_alpha_beta
     if a == 0.0:
         return -0.5
-    m, m_prime = _ratio_parameter(r)
-    return -0.5 + (2.0 * a / PI) * (-complete_K(m) + (1.0 - r) * dK_dm(m) * m_prime)
+    k, _, dk, _, m_prime = _ratio_derivative_terms(r)
+    return -0.5 + (2.0 * a / PI) * (-k + (1.0 - r) * dk * m_prime)
 
 
 def complexity_duality_check(params: DualSSHParams, ref: GlobalReference,

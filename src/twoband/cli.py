@@ -40,9 +40,12 @@ def _parse_set(items: Optional[List[str]]) -> Dict[str, float]:
             raise SpecError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         try:
-            out[key.strip()] = float(val)
-        except ValueError as exc:
-            raise SpecError(f"--set value for {key!r} is not a number: {val!r}") from exc
+            value = float(val)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise SpecError(f"--set value for {key!r} is not a finite number: {val!r}")
+        out[key.strip()] = value
     return out
 
 

@@ -19,7 +19,7 @@ from .bloch import BlochVector, GlobalReference, ReferenceState, plateau_referen
 from .errors import DomainError, GapClosedError, PartitionError
 from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, ssh_model
 from .quadrature import BZQuadratureConfig, bz_average_vec
-from .special_functions import complete_E, complete_K
+from .special_functions import complementary_K, complete_E
 
 PI = math.pi
 
@@ -50,25 +50,13 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
     return _band_complexity(model, ref, _GROUND, cfg)
 
 
-# Below this value of 1 - m, K(m) is replaced by its m -> 1 asymptote
-# ln(4/sqrt(1 - m)), whose relative error there is below 1e-15.
-_M_COMPLEMENT_FLOOR = 1e-15
-
-
-def _K_with_log_asymptote(kc: float) -> float:
-    """K(m) for the complementary modulus kc = sqrt(1 - m) > 0, asymptotic near m = 1."""
-    mc = kc * kc
-    if mc < _M_COMPLEMENT_FLOOR:
-        return math.log(4.0 / kc)
-    return complete_K(1.0 - mc)
-
-
 def _ssh_elliptic_terms(t1: float, t2: float) -> float:
-    """(delta*K(m) + s*E(m)) / (pi*t1) with the t1 = t2 limit handled."""
+    """(delta*K(m) + s*E(m)) / (pi*t1) from the exact complement 1 - m = (delta/s)^2."""
     s = t1 + t2
     delta = t1 - t2
-    k_term = 0.0 if delta == 0.0 else delta * _K_with_log_asymptote(abs(delta) / s)
-    return (k_term + s * complete_E(1.0 - (delta / s) ** 2)) / (PI * t1)
+    mc = (delta / s) ** 2
+    k_term = 0.0 if mc == 0.0 else delta * complementary_K(mc)
+    return (k_term + s * complete_E(1.0 - mc)) / (PI * t1)
 
 
 def _require_global(ref: ReferenceState) -> GlobalReference:
@@ -88,42 +76,27 @@ def ssh_complexity_closed(params: SSHParams, ref: GlobalReference) -> float:
     return 0.5 + ref.re_alpha_beta * _ssh_elliptic_terms(params.t1, params.t2)
 
 
-def ssh_dC_dt2_asymptotic(params: SSHParams, ref: GlobalReference) -> float:
-    """Leading-log estimate of dC/dt2 near the gap closing.
-
-    Differentiates the small-delta expansion
-    I1 ~ s/(pi t1) + (delta/(pi t1)) ln(4 s / |delta|), valid for
-    |delta|/s < 0.1; the derivative magnitude grows like ln(1/|delta|).
-    """
-    ref = _require_global(ref)
-    s = params.t1 + params.t2
-    delta = params.t1 - params.t2
-    if delta == 0.0:
-        raise DomainError("asymptotic derivative undefined at t1 = t2")
-    if abs(delta) / s >= 0.1:
-        raise DomainError("outside the asymptotic window |t1 - t2|/(t1 + t2) < 0.1")
-    return ref.re_alpha_beta * (2.0 + delta / s - math.log(4.0 * s / abs(delta))) / (PI * params.t1)
-
-
 def md_complexity_closed(params: MassiveDiracParams, theta: float) -> float:
     """Closed-form massive-Dirac complexity 1/2 + mu cos(theta) K(1/(1+mu^2)) / (pi sqrt(1+mu^2))."""
     mu = params.mu
-    if mu == 0.0:
+    root = math.hypot(1.0, mu)
+    mc = (mu / root) ** 2  # exact complement mu^2/(1+mu^2) of the parameter
+    if mc == 0.0:  # mu = 0, or mu^2 underflows: mu*K -> 0
         return 0.5
-    root = math.sqrt(1.0 + mu * mu)
-    return 0.5 + mu * math.cos(theta) / (PI * root) * _K_with_log_asymptote(abs(mu) / root)
+    return 0.5 + mu * math.cos(theta) / (PI * root) * complementary_K(mc)
 
 
 def md_dC_dmu_analytic(params: MassiveDiracParams, theta: float) -> float:
     """Analytic derivative (cos(theta)/(pi sqrt(1+mu^2))) [K(lam) - E(lam)], lam = 1/(1+mu^2).
 
-    Diverges like (cos(theta)/pi) ln(4/|mu|) as mu -> 0; mu = 0 is rejected.
+    Diverges like (cos(theta)/pi) ln(4/|mu|) as mu -> 0; raises DomainError
+    only where the complement mu^2/(1+mu^2) is 0.
     """
-    mu = params.mu
-    if mu == 0.0:
+    root = math.hypot(1.0, params.mu)
+    mc = (params.mu / root) ** 2
+    if mc == 0.0:
         raise DomainError("derivative diverges at mu = 0")
-    lam = 1.0 / (1.0 + mu * mu)
-    return math.cos(theta) / (PI * math.sqrt(1.0 + mu * mu)) * (complete_K(lam) - complete_E(lam))
+    return math.cos(theta) / (PI * root) * (complementary_K(mc) - complete_E(1.0 - mc))
 
 
 def plateau_complexity(params: SSHParams, cfg: BZQuadratureConfig | None = None) -> float:

@@ -98,6 +98,8 @@ def bikrylov_basis(alpha: complex, beta: complex) -> BiKrylovBasis:
 
 def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    if not math.isfinite(n):
+        raise NormalizationError("reference amplitudes must be finite")
     if n < 1e-12:
         raise NormalizationError("reference amplitudes cannot both vanish")
     return alpha / n, beta / n

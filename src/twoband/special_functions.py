@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import scipy
 
@@ -26,7 +27,7 @@ def _cephes(name):
     return first_call
 
 
-_ellipk, _ellipe, _ellipeinc = _cephes("ellipk"), _cephes("ellipe"), _cephes("ellipeinc")
+_ellipkm1, _ellipe, _ellipeinc = _cephes("ellipkm1"), _cephes("ellipe"), _cephes("ellipeinc")
 
 # Boundary values within this distance of {0, 1} are clamped instead of
 # rejected; they arise from floating-point noise in m = 4*t1*t2/(t1+t2)^2.
@@ -63,7 +64,15 @@ def complete_K(m) -> float:
     m = _param(m)
     if m >= 1.0:
         raise DomainError("K(m) diverges at m = 1")
-    return float(_ellipk(m))
+    return complementary_K(1.0 - m)
+
+
+def complementary_K(mc: float) -> float:
+    """K(m) from the complement mc = 1 - m in (0, 1], accurate as m -> 1.
+
+    Forming m first would round away the digits of mc that K depends on.
+    """
+    return float(_ellipkm1(mc))
 
 
 def complete_E(m) -> float:
@@ -71,12 +80,21 @@ def complete_E(m) -> float:
     return float(_ellipe(_param(m)))
 
 
+def elliptic_derivatives(m: float, mc: float) -> Tuple[float, float, float, float]:
+    """K(m), E(m), dK/dm and dE/dm on 0 < m < 1, with mc = 1 - m passed exactly.
+
+    dK/dm = [E - mc K] / (2 m mc) and dE/dm = [E - K] / (2 m).
+    """
+    k, e = complementary_K(mc), float(_ellipe(m))
+    return k, e, (e - mc * k) / (2.0 * m * mc), (e - k) / (2.0 * m)
+
+
 def dK_dm(m) -> float:
     """Derivative dK/dm = [E(m) - (1-m) K(m)] / [2 m (1-m)] for 0 < m < 1."""
     m = _param(m)
     if m == 0.0 or m == 1.0:
         raise DomainError("dK/dm is evaluated on the open interval (0, 1)")
-    return (complete_E(m) - (1.0 - m) * complete_K(m)) / (2.0 * m * (1.0 - m))
+    return elliptic_derivatives(m, 1.0 - m)[2]
 
 
 def dE_dm(m) -> float:
@@ -84,7 +102,7 @@ def dE_dm(m) -> float:
     m = _param(m)
     if m == 0.0 or m == 1.0:
         raise DomainError("dE/dm is evaluated on the open interval (0, 1)")
-    return (complete_E(m) - complete_K(m)) / (2.0 * m)
+    return elliptic_derivatives(m, 1.0 - m)[3]
 
 
 def incomplete_E(phi: float, m) -> float:

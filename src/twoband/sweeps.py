@@ -54,6 +54,8 @@ class SweepSpec:
             raise SpecError(f"sweep parameter {name!r} must not also be fixed")
         if int(points) < 2:
             raise SpecError("a sweep needs at least 2 points")
+        if not (math.isfinite(float(start)) and math.isfinite(float(stop))):
+            raise SpecError("sweep start and stop must be finite")
         if not (float(start) < float(stop)):
             raise SpecError("sweep start must be below stop")
         entry.values(self.fixed)  # rejects unknown fixed keys

@@ -46,7 +46,7 @@ out["E_inc"] = incomplete_E(0.7, 0.4)
 out["after_closed_forms"] = loaded()
 import scipy, twoband.special_functions as sf
 out["rebound"] = [getattr(sf, "_" + name, None) is getattr(scipy.special, name)
-                  for name in ("ellipk", "ellipeinc")]
+                  for name in ("ellipkm1", "ellipeinc")]
 out["K_quad"] = complete_K_quadrature(0.5)
 out["bz"] = bz_average(lambda k: 1.0 / (2.0 - math.cos(k)))
 out["after_oracles"] = loaded()

@@ -13,8 +13,7 @@ from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
                      excited_piecewise_complexity, excited_split_closed,
                      ground_complexity, ground_state_bloch, incomplete_E,
                      md_complexity_closed, md_dC_dmu_analytic,
-                     plateau_complexity, ssh_complexity_closed,
-                     ssh_dC_dt2_asymptotic, ssh_model)
+                     plateau_complexity, ssh_complexity_closed, ssh_model)
 from twoband.bloch import canonical_angles, plateau_reference
 from twoband.quadrature import param_derivative
 
@@ -123,18 +122,6 @@ class TestSSHClosedForm:
 
 
 class TestAsymptoticDerivative:
-    def test_fd_converges_to_estimate(self):
-        ref = GlobalReference(0.5 * PI, PI)
-        errors = []
-        for delta in (1e-3, 1e-4, 1e-5):
-            params = SSHParams(1.0, 1.0 - delta)
-            est = ssh_dC_dt2_asymptotic(params, ref)
-            got = param_derivative(
-                lambda t2: ssh_complexity_closed(SSHParams(1.0, t2), ref), 1.0 - delta, 1e-7)
-            errors.append(abs(got - est) / abs(got))
-        assert errors[0] > errors[1] > errors[2]
-        assert errors[2] < 1e-3
-
     def test_log_growth_per_decade(self):
         # The derivative grows like ln(1/|delta|) with rate Re(alpha* beta)/(pi t1)
         # per e-fold; measured per decade of delta and divided by ln 10.
@@ -146,19 +133,6 @@ class TestAsymptoticDerivative:
 
         slope = (deriv(1e-5) - deriv(1e-4)) / math.log(10.0)
         assert slope == pytest.approx(abs(ref.re_alpha_beta) / PI, rel=0.05)
-
-    def test_rejects_degenerate_and_far_couplings(self):
-        ref = GlobalReference(0.5 * PI, PI)
-        with pytest.raises(DomainError):
-            ssh_dC_dt2_asymptotic(SSHParams(1.0, 1.0), ref)
-        with pytest.raises(DomainError):
-            ssh_dC_dt2_asymptotic(SSHParams(1.0, 2.0), ref)
-
-    def test_sign_and_magnitude_growth(self):
-        ref = GlobalReference(0.5 * PI, PI)
-        vals = [abs(ssh_dC_dt2_asymptotic(SSHParams(1.0, 1.0 - d), ref))
-                for d in (1e-2, 1e-3, 1e-4)]
-        assert vals[0] < vals[1] < vals[2]
 
     def test_log_growth_on_both_sides_of_the_transition(self):
         # approaching from the trivial (t2 < t1) and topological (t2 > t1)

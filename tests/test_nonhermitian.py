@@ -79,6 +79,14 @@ class TestBiKrylovBasis:
         with pytest.raises(NormalizationError):
             bikrylov_basis(0.5, 0.5)
 
+    def test_rejects_non_finite_amplitudes(self):
+        params = NonHermitianSSHParams(2.0, 1.0, 1.0)
+        for alpha, beta in ((math.nan, 1.0), (1.0, complex(math.inf, 0.0))):
+            with pytest.raises(NormalizationError):
+                nh_ground_complexity(params, alpha, beta)
+            with pytest.raises(NormalizationError):
+                nh_complexity_per_mode(params, 0.3, alpha, beta)
+
 
 class TestPerMode:
     def test_hermitian_reduction_matches_bloch_overlap(self):

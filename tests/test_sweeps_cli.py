@@ -30,6 +30,11 @@ class TestSweepSpecValidation:
         with pytest.raises(SpecError):
             SweepSpec(model="ssh", sweep=("t2", 2.0, 1.0, 5))
 
+    def test_non_finite_bounds(self):
+        for start, stop in ((-math.inf, 1.0), (0.5, math.inf)):
+            with pytest.raises(SpecError):
+                SweepSpec(model="ssh", sweep=("t2", start, stop, 3))
+
     def test_sweep_parameter_cannot_be_fixed(self):
         with pytest.raises(SpecError):
             SweepSpec(model="ssh", sweep=("t2", 0.1, 1.0, 5), fixed={"t2": 1.0})
@@ -312,6 +317,12 @@ class TestCLI:
     def test_spec_error_exit_code(self, capsys):
         assert main(["sweep", "--model", "ssh", "--sweep", "bogus"]) == 2
         assert main(["sweep", "--model", "ssh", "--sweep", "t2:2:1:5"]) == 2
+        # non-finite numbers are configuration errors, not numerical failures
+        assert main(["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:-inf:1:3"]) == 2
+        assert main(["sweep", "--model", "ssh", "--set", "t1=inf", "--sweep", "t2:0.5:1:2"]) == 2
+        assert main(["bound", "--model", "ssh", "--set", "t1=nan", "--lam", "1"]) == 2
+        assert main(["nh-sweep", "--set", "t1=2", "--set", "gamma=1", "--set", "alpha=nan",
+                     "--set", "beta=1", "--sweep", "t2:0.5:1:2"]) == 2
 
     def test_numerical_error_exit_code(self, capsys):
         # equatorial reference leaves the dominant massive-Dirac component
