@@ -29,10 +29,8 @@ from .nonhermitian import (BiKrylovBasis, BiorthogonalPair, bikrylov_basis,
                            nh_ground_complexity)
 from .quadrature import (BZQuadratureConfig, bz_average, bz_average_vec,
                          param_derivative)
-from .special_functions import (EllipticModulus, complete_E,
-                                complete_E_quadrature, complete_K,
-                                complete_K_quadrature, dE_dm, dK_dm,
-                                incomplete_E)
+from .special_functions import (complete_E, complete_E_quadrature, complete_K,
+                                complete_K_quadrature, dE_dm, dK_dm, incomplete_E)
 from .sweeps import (SweepRecord, SweepSpec, records_to_csv, records_to_json,
                      run_sweep, write_records)
 from .topology import dual_windings, winding_cross_product, winding_log_derivative

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
                     ReferenceState)
@@ -60,6 +60,21 @@ def _parse_sweep(text: str):
         raise SpecError(f"bad --sweep specification {text!r}") from exc
 
 
+def _finite(text: str) -> float:
+    """A float option's value; NaN and infinities are configuration errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    return value
+
+
 def _grid_size(text: str) -> int:
     """A winding grid needs at least three steps to carry a full turn in steps below pi."""
     size = int(text)
@@ -68,32 +83,31 @@ def _grid_size(text: str) -> int:
     return size
 
 
+def _lines(path: str) -> List[Tuple[str, str]]:
+    """(raw line, content) for each line of a text file that is not blank or a # comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(raw.rstrip(), line) for raw in fh if (line := raw.split("#", 1)[0].strip())]
+
+
 def _read_config(path: str) -> Dict[str, str]:
     values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SpecError(f"config line must be key = value: {raw.rstrip()!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for raw, line in _lines(path):
+        if "=" not in line:
+            raise SpecError(f"config line must be key = value: {raw!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
 
 
 def _read_piecewise(path: str) -> PiecewiseBlochReference:
     pieces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise SpecError("piecewise reference lines are: k_lo k_hi nx ny nz")
-            lo, hi, nx, ny, nz = map(float, fields)
-            pieces.append((lo, hi, BlochVector(nx, ny, nz)))
+    for raw, line in _lines(path):
+        try:
+            lo, hi, nx, ny, nz = map(_finite, line.split())
+        except (ValueError, argparse.ArgumentTypeError):
+            raise SpecError("piecewise reference lines are five finite numbers "
+                            f"k_lo k_hi nx ny nz, got {raw!r}") from None
+        pieces.append((lo, hi, BlochVector(nx, ny, nz)))
     return PiecewiseBlochReference(tuple(pieces))
 
 
@@ -111,16 +125,16 @@ def _quad_config(args) -> BZQuadratureConfig:
 
 
 def _add_tolerance_options(p):
-    p.add_argument("--abs-tol", type=float, default=1e-10,
+    p.add_argument("--abs-tol", type=_tolerance, default=1e-10,
                    help="absolute quadrature tolerance")
-    p.add_argument("--rel-tol", type=float, default=1e-10,
+    p.add_argument("--rel-tol", type=_tolerance, default=1e-10,
                    help="relative quadrature tolerance")
 
 
 def _add_reference_options(p):
-    p.add_argument("--theta", type=float, default=0.5 * PI,
+    p.add_argument("--theta", type=_finite, default=0.5 * PI,
                    help="reference polar angle (radians unless --degrees)")
-    p.add_argument("--phi", type=float, default=PI,
+    p.add_argument("--phi", type=_finite, default=PI,
                    help="reference azimuthal angle (radians unless --degrees)")
     p.add_argument("--degrees", action="store_true",
                    help="interpret --theta/--phi in degrees")
@@ -179,7 +193,7 @@ def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentPa
         p = sub.add_parser(name, help=text)
         p.add_argument("--model", choices=_HERMITIAN, required=True)
         p.add_argument("--set", action="append", metavar="KEY=VAL")
-        p.add_argument("--lam", type=float, required=True, help="parameter value")
+        p.add_argument("--lam", type=_finite, required=True, help="parameter value")
         _add_reference_options(p)
         _add_tolerance_options(p)
 
@@ -211,19 +225,24 @@ def _config_defaults(conf: Dict[str, str]) -> Dict[str, object]:
     return defaults
 
 
-def _cmd_sweep(args, model_override: Optional[str] = None) -> int:
+def _sweep_spec(args, model_override: Optional[str] = None) -> SweepSpec:
+    """The sweep that parsed ``sweep`` or ``nh-sweep`` arguments describe."""
     model = args.model if model_override is None else model_override
     if model is None:
         raise SpecError("a sweep needs --model (or a config file providing it)")
     if args.sweep is None:
         raise SpecError("a sweep needs --sweep name:start:stop:points")
-    spec = SweepSpec(
+    return SweepSpec(
         model=model,
         sweep=_parse_sweep(args.sweep),
         fixed=_parse_set(args.set),
         reference=_reference(args),
         quantities=tuple(q.strip() for q in args.quantities.split(",") if q.strip()),
     )
+
+
+def _cmd_sweep(args, model_override: Optional[str] = None) -> int:
+    spec = _sweep_spec(args, model_override)
     records = run_sweep(spec, _quad_config(args))
     if args.out:
         write_records(spec, records, args.out)

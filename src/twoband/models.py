@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class TwoBandModel:
     family: Callable[[np.ndarray, float], np.ndarray]
     lam: float
     family_deriv: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    sweep_parameter: str = "lambda"
     rotated: bool = False
     singular_points: Tuple[float, ...] = (0.0,)
     label: str = ""
@@ -104,12 +103,11 @@ class MassiveDiracParams:
 
 @dataclass(frozen=True)
 class CooperPairBoxParams:
-    """Josephson energy, charging energy 2e^2/C, gate charge and flux ratio."""
+    """Josephson energy, charging energy 2e^2/C and gate charge."""
 
     Ej: float
     Ecc: float
     ng: float = 0.0
-    Phi_over_Phi0: float = 0.0
 
     def __post_init__(self):
         if not (self.Ej > 0 and self.Ecc > 0):
@@ -145,7 +143,7 @@ def ssh_model(params: SSHParams) -> TwoBandModel:
     """d(k) = (t1 - t2 cos k, 0, t2 sin k), swept in t2."""
     t1 = params.t1
     return TwoBandModel(lambda k, t2: _ssh_d(k, t1, t2), params.t2,
-                        lambda k, t2: _ssh_d_dt2(k), sweep_parameter="t2", rotated=True,
+                        lambda k, t2: _ssh_d_dt2(k), rotated=True,
                         singular_points=(0.0,), label="ssh")
 
 
@@ -158,8 +156,7 @@ def _ssh_t1_model(params: SSHParams) -> TwoBandModel:
         return np.stack([np.ones_like(k), np.zeros_like(k), np.zeros_like(k)])
 
     return TwoBandModel(lambda k, t1: _ssh_d(k, t1, t2), params.t1, deriv,
-                        sweep_parameter="t1", rotated=True, singular_points=(0.0,),
-                        label="ssh")
+                        rotated=True, singular_points=(0.0,), label="ssh")
 
 
 def ssh_contour(t1: float, t2: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -183,8 +180,8 @@ def massive_dirac_model(params: MassiveDiracParams) -> TwoBandModel:
         z = np.zeros_like(k)
         return np.stack([z, z, np.ones_like(k)])
 
-    return TwoBandModel(family, params.mu, deriv, sweep_parameter="mu",
-                        rotated=False, singular_points=(0.0, -PI, PI), label="massive-dirac")
+    return TwoBandModel(family, params.mu, deriv, rotated=False,
+                        singular_points=(0.0, -PI, PI), label="massive-dirac")
 
 
 def dual_pair(params: DualSSHParams) -> Tuple[TwoBandModel, TwoBandModel]:
@@ -195,10 +192,10 @@ def dual_pair(params: DualSSHParams) -> Tuple[TwoBandModel, TwoBandModel]:
     """
     t = params.t
     model_i = TwoBandModel(lambda k, r: _ssh_d(k, t, r * t), params.r,
-                           lambda k, r: t * _ssh_d_dt2(k), sweep_parameter="r",
+                           lambda k, r: t * _ssh_d_dt2(k),
                            rotated=True, singular_points=(0.0,), label="dual-ssh-I")
     model_ii = TwoBandModel(lambda k, r: _ssh_d(k, t, t / r), params.r,
-                            lambda k, r: (-t / r ** 2) * _ssh_d_dt2(k), sweep_parameter="r",
+                            lambda k, r: (-t / r ** 2) * _ssh_d_dt2(k),
                             rotated=True, singular_points=(0.0,), label="dual-ssh-II")
     return model_i, model_ii
 
@@ -221,14 +218,8 @@ def cooper_pair_box_model(params: CooperPairBoxParams) -> TwoBandModel:
         z = np.zeros_like(k)
         return np.stack([z, z, np.full_like(k, -Ecc)])
 
-    return TwoBandModel(family, params.ng, deriv, sweep_parameter="ng",
-                        rotated=False, singular_points=(-0.5 * PI, 0.5 * PI),
-                        label="cooper-pair-box")
-
-
-def flux_angle(params: CooperPairBoxParams) -> float:
-    """Momentum-like angle corresponding to the stored flux ratio."""
-    return PI * params.Phi_over_Phi0
+    return TwoBandModel(family, params.ng, deriv, rotated=False,
+                        singular_points=(-0.5 * PI, 0.5 * PI), label="cooper-pair-box")
 
 
 def nh_ssh_bloch_hamiltonian(params: NonHermitianSSHParams, k: float) -> np.ndarray:
@@ -242,9 +233,17 @@ def nh_ssh_bloch_hamiltonian(params: NonHermitianSSHParams, k: float) -> np.ndar
     return np.array([[r3, r1], [r1, -r3]], dtype=complex)
 
 
-# Every quantity a Hermitian sweep can evaluate.
-QUANTITIES = ("complexity", "dcomplexity", "chi_f", "chi_f_components",
-              "bound", "ratio", "winding")
+# Every quantity a Hermitian sweep can evaluate -> its CSV columns, in emission order.
+COLUMNS = {
+    "complexity": ("complexity",),
+    "dcomplexity": ("dcomplexity",),
+    "chi_f": ("chi_f",),
+    "chi_f_components": ("chi_f_x", "chi_f_y", "chi_f_z"),
+    "bound": ("bound_lhs", "bound_rhs", "bound_satisfied"),
+    "ratio": ("ratio",),
+    "winding": ("winding",),
+}
+QUANTITIES = tuple(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,6 @@ class ModelEntry:
     ``builders`` maps each sweepable parameter, the family's own one first,
     to the function that builds the model swept in it from the params
     dataclass; it maps to None where the family has no Hermitian model.
-    ``extra_keys`` are fixed keys accepted beyond the parameters.
     ``contour`` maps parameter values to the off-diagonal Bloch element whose
     phase winding is the family's invariant; it takes plain values, not the
     params dataclass, so a sweep can evaluate it at any grid value.
@@ -265,7 +263,6 @@ class ModelEntry:
     defaults: Mapping[str, float]
     builders: Mapping[str, Optional[Callable[[Any], TwoBandModel]]]
     quantities: Tuple[str, ...] = QUANTITIES
-    extra_keys: FrozenSet[str] = frozenset()
     contour: Optional[Callable[[Mapping[str, float]], Callable]] = None
 
     @property
@@ -275,15 +272,14 @@ class ModelEntry:
 
     def values(self, fixed: Mapping[str, float]) -> Dict[str, float]:
         """The defaults overridden by ``fixed``; an unknown key is a SpecError."""
-        unknown = set(fixed) - set(self.defaults) - self.extra_keys
+        unknown = set(fixed) - set(self.defaults)
         if unknown:
             raise SpecError(f"unknown fixed parameters {sorted(unknown)} for {self.name!r}")
         return {**self.defaults, **{k: float(v) for k, v in fixed.items()}}
 
     def params(self, fixed: Mapping[str, float]):
         """The params dataclass at the defaults overridden by ``fixed``."""
-        values = self.values(fixed)
-        return self.params_type(**{k: values[k] for k in self.defaults})
+        return self.params_type(**self.values(fixed))
 
     def model(self, fixed: Mapping[str, float], parameter: Optional[str] = None) -> TwoBandModel:
         """The family swept in ``parameter``, by default the first sweepable one."""
@@ -305,6 +301,5 @@ MODELS: Dict[str, ModelEntry] = {entry.name: entry for entry in (
     ModelEntry("cooper-pair-box", CooperPairBoxParams, {"Ej": 1.0, "Ecc": 1.0, "ng": 0.0},
                {"ng": cooper_pair_box_model}),
     ModelEntry("nh-ssh", NonHermitianSSHParams, {"t1": 1.0, "t2": 1.0, "gamma": 0.0},
-               {"t2": None, "gamma": None}, quantities=("complexity", "dcomplexity"),
-               extra_keys=frozenset({"alpha", "beta"})),
+               {"t2": None, "gamma": None}, quantities=("complexity", "dcomplexity")),
 )}

@@ -170,32 +170,19 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
                                 extra_points=(0.0,), undefined=ExceptionalPointError))
 
 
-def _sweep_arrays(sweep) -> Tuple[np.ndarray, np.ndarray]:
-    lams: List[float] = []
-    values: List[float] = []
-    for row in sweep:
-        if hasattr(row, "lam"):
-            lams.append(float(row.lam))
-            values.append(float(row.values.get("complexity")))
-        else:
-            lam, val = row
-            lams.append(float(lam))
-            values.append(float(val))
-    return np.asarray(lams), np.asarray(values)
-
-
 def detect_cusps(sweep: Sequence) -> List[float]:
     """Locate curvature spikes of a swept scalar, e.g. dC/d(lambda) cusps.
 
-    Accepts (lambda, value) pairs or sweep records carrying a complexity
-    column, sorted by lambda with at least 20 points.  A point is a cusp
-    candidate when its second difference exceeds five times the sweep's
-    median absolute second difference (plus a small absolute floor so exact
-    lines stay empty); adjacent candidates collapse to the strongest one.
+    Takes (lambda, value) pairs sorted by lambda, at least 20 of them.  A
+    point is a cusp candidate when its second difference exceeds five times
+    the sweep's median absolute second difference (plus a small absolute
+    floor so exact lines stay empty); adjacent candidates collapse to the
+    strongest one.
     """
-    lams, values = _sweep_arrays(sweep)
-    if lams.size < 20:
+    pairs = np.asarray(sweep, dtype=float)
+    if len(pairs) < 20:
         raise InsufficientDataError("cusp detection needs at least 20 sweep points")
+    lams, values = pairs.T
     if np.any(np.diff(lams) <= 0):
         raise InsufficientDataError("sweep must be sorted by the swept parameter")
     d2 = np.abs(values[:-2] - 2.0 * values[1:-1] + values[2:])

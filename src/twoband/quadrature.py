@@ -2,7 +2,7 @@
 
 The integrands met here are smooth except for integrable features at gap
 closings (all located at k in {0, +-pi} for the stock models), so the
-integrators pre-split at known singular points and subdivide adaptively.
+integrators pre-split at the points each caller names and subdivide adaptively.
 Library averages go through ``bz_average_vec``, which evaluates an array
 kernel on whole refinement levels at once; ``bz_average`` wraps QUADPACK
 (``scipy.integrate``, loaded on first call) as its independent oracle.
@@ -31,20 +31,15 @@ class BZQuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    singular_points: Tuple[float, ...] = (0.0, -PI, PI)
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("quadrature tolerances must be positive")
-        for p in self.singular_points:
-            if not -PI <= p <= PI:
-                raise DomainError(f"singular point {p} outside [-pi, pi]")
 
 
-def _interior_points(cfg: BZQuadratureConfig, extra: Iterable[float] = ()) -> list:
-    pts = sorted({float(p) for p in (*cfg.singular_points, *extra)
-                  if -PI < p < PI})
-    return pts
+def _interior_points(points: Iterable[float]) -> list:
+    """The caller's panel edges strictly inside (-pi, pi), sorted and distinct."""
+    return sorted({float(p) for p in points if -PI < p < PI})
 
 
 def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = None,
@@ -55,7 +50,7 @@ def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = Non
     of the array engine ``bz_average_vec``.
     """
     cfg = cfg or BZQuadratureConfig()
-    pts = _interior_points(cfg, extra_points)
+    pts = _interior_points(extra_points)
     val, err, *rest = scipy.integrate.quad(f, -PI, PI, points=pts or None,
                                            limit=cfg.max_subdivisions,
                                            epsabs=cfg.abs_tol * 2.0 * PI,
@@ -134,8 +129,8 @@ def bz_average_vec(f: Callable[[np.ndarray], np.ndarray], cfg: BZQuadratureConfi
 
     ``f`` maps k of shape (n,) to values of shape (..., n); all components
     share one set of panels.  Panels start from [-pi, pi] split at the
-    singular and extra points.  Each refinement level calls ``f`` once, on
-    the 21 nodes of every panel it bisects.  The error estimate is
+    caller's ``extra_points`` and nowhere else.  Each refinement level calls
+    ``f`` once, on the 21 nodes of every panel it bisects.  The error estimate is
     |K21 - G10| per panel, summed over components; refinement stops once
     its total is at most max(abs_tol * 2 pi, rel_tol * |I|).  Each level
     bisects the worst panels, at most _MAX_SPLIT of them, until the rest
@@ -147,7 +142,7 @@ def bz_average_vec(f: Callable[[np.ndarray], np.ndarray], cfg: BZQuadratureConfi
     ``undefined`` is raised.
     """
     cfg = cfg or BZQuadratureConfig()
-    edges = np.array([-PI, *_interior_points(cfg, extra_points), PI])
+    edges = np.array([-PI, *_interior_points(extra_points), PI])
     lo, hi = edges[:-1], edges[1:]
     val, err = _gk21(f, lo, hi, undefined)
     while True:

@@ -9,7 +9,6 @@ the defining quadratures are kept as slow oracles to cross-check them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import scipy
@@ -34,26 +33,12 @@ _ellipkm1, _ellipe, _ellipeinc = _cephes("ellipkm1"), _cephes("ellipe"), _cephes
 _BOUNDARY_CLAMP = 1e-14
 
 
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Parameter m of an elliptic integral, validated and clamped to [0, 1]."""
-
-    m: float
-
-    def __post_init__(self):
-        m = float(self.m)
-        if math.isnan(m) or m < -_BOUNDARY_CLAMP or m > 1.0 + _BOUNDARY_CLAMP:
-            raise DomainError(f"elliptic parameter m={m!r} outside [0, 1]")
-        object.__setattr__(self, "m", min(max(m, 0.0), 1.0))
-
-    def __float__(self):
-        return self.m
-
-
 def _param(m) -> float:
-    if isinstance(m, EllipticModulus):
-        return m.m
-    return EllipticModulus(float(m)).m
+    """m clamped to [0, 1]; NaN or m beyond the clamp raises DomainError."""
+    m = float(m)
+    if not -_BOUNDARY_CLAMP <= m <= 1.0 + _BOUNDARY_CLAMP:
+        raise DomainError(f"elliptic parameter m={m!r} outside [0, 1]")
+    return min(max(m, 0.0), 1.0)
 
 
 def complete_K(m) -> float:

@@ -14,23 +14,12 @@ from .bounds_duality import _bound_report, _ratio, _susceptibility_terms, refere
 from .complexity import ground_complexity
 from .errors import ExceptionalPointError, GapClosedError, SpecError, UndefinedRatioError
 from .fidelity import chi_F
-from .models import MODELS, TwoBandModel
+from .models import COLUMNS, MODELS, TwoBandModel
 from .nonhermitian import nh_ground_complexity
 from .quadrature import BZQuadratureConfig, param_derivative
 from .topology import winding_cross_product, winding_log_derivative
 
 PI = math.pi
-
-# quantity -> CSV column names, in emission order
-_COLUMNS = {
-    "complexity": ("complexity",),
-    "dcomplexity": ("dcomplexity",),
-    "chi_f": ("chi_f",),
-    "chi_f_components": ("chi_f_x", "chi_f_y", "chi_f_z"),
-    "bound": ("bound_lhs", "bound_rhs", "bound_satisfied"),
-    "ratio": ("ratio",),
-    "winding": ("winding",),
-}
 
 
 @dataclass(frozen=True)
@@ -65,6 +54,8 @@ class SweepSpec:
         if (set(self.quantities) & {"bound", "ratio"}
                 and not isinstance(self.reference, GlobalReference)):
             raise SpecError("bound and ratio require a momentum-independent reference state")
+        if not entry.hermitian and not isinstance(self.reference, GlobalReference):
+            raise SpecError("nh-ssh sweeps need a global reference state")
         object.__setattr__(self, "sweep", (name, float(start), float(stop), int(points)))
 
     def grid(self) -> np.ndarray:
@@ -82,15 +73,6 @@ class SweepRecord:
     lam: float
     values: Dict[str, float]
     flags: frozenset = frozenset()
-
-
-def _nh_reference_amplitudes(spec: SweepSpec) -> Tuple[complex, complex]:
-    if "alpha" in spec.fixed or "beta" in spec.fixed:
-        return complex(spec.fixed.get("alpha", 0.0)), complex(spec.fixed.get("beta", 0.0))
-    ref = spec.reference
-    if not isinstance(ref, GlobalReference):
-        raise SpecError("nh-ssh sweeps need a global reference state")
-    return ref.alpha, ref.beta
 
 
 def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
@@ -137,7 +119,7 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
                     values["winding"] = math.nan
         except ExceptionalPointError:
             flags.add("skipped_exceptional")
-            for col in _COLUMNS[quantity]:
+            for col in COLUMNS[quantity]:
                 values[col] = math.nan
         except UndefinedRatioError:
             flags.add("undefined_ratio")
@@ -160,17 +142,9 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
         model = entry.model(spec.fixed, name)
         complexity = lambda x: ground_complexity(model.at(x), spec.reference, cfg)
     else:
-        base = entry.params(spec.fixed)
-        alpha, beta = _nh_reference_amplitudes(spec)
+        base, alpha, beta = entry.params(spec.fixed), spec.reference.alpha, spec.reference.beta
         complexity = lambda x: nh_ground_complexity(replace(base, **{name: x}), alpha, beta, cfg)
     return [_evaluate(spec, model, complexity, lam, cfg) for lam in spec.grid()]
-
-
-def columns_for(quantities: Sequence[str]) -> List[str]:
-    cols: List[str] = []
-    for q in quantities:
-        cols.extend(_COLUMNS[q])
-    return cols
 
 
 def _format_value(x: float) -> str:
@@ -179,7 +153,7 @@ def _format_value(x: float) -> str:
 
 def records_to_csv(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
     """Render a sweep as CSV with 17-significant-digit reals and a flags column."""
-    cols = columns_for(spec.quantities)
+    cols = [c for q in spec.quantities for c in COLUMNS[q]]
     lines = ["lambda," + ",".join(cols) + ",flags"]
     for rec in records:
         cells = [_format_value(rec.lam)]

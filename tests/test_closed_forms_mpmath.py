@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from twoband import (DomainError, DualSSHParams, GlobalReference, MassiveDiracParams,
-                     SSHParams, complexity_duality_offset, md_complexity_closed,
+                     SSHParams, complexity_duality_offset, dE_dm, md_complexity_closed,
                      md_dC_dmu_analytic, self_dual_constraint, ssh_complexity_closed)
 from twoband.bounds_duality import (complexity_duality_offset_prime, ratio_complexity,
                                     ratio_complexity_prime)
@@ -96,3 +96,16 @@ def test_underflowing_mass_takes_the_transition_limit():
     assert md_complexity_closed(MassiveDiracParams(mu=1e-200), THETA) == 0.5
     with pytest.raises(DomainError):
         md_dC_dmu_analytic(MassiveDiracParams(mu=1e-200), THETA)
+
+
+@pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 1.0 - 1e-6])
+def test_dE_dm_matches_the_mpmath_derivative(m):
+    with mp.workdps(40):
+        want = mp.diff(mp.ellipe, mp.mpf(m))
+    assert _rel(dE_dm(m), want) < 1e-12
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_dE_dm_rejects_the_interval_ends(m):
+    with pytest.raises(DomainError):
+        dE_dm(m)

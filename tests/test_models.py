@@ -9,7 +9,7 @@ from twoband import (CooperPairBoxParams, DomainError, DualSSHParams,
                      MassiveDiracParams, NonHermitianSSHParams, SSHParams,
                      cooper_pair_box_model, dual_pair, massive_dirac_model,
                      nh_ssh_bloch_hamiltonian, ssh_model)
-from twoband.models import MODELS, flux_angle
+from twoband.models import MODELS
 from twoband.sweeps import SweepSpec
 from twoband.topology import winding_cross_product, winding_log_derivative
 
@@ -89,18 +89,17 @@ class TestDualPair:
 
 class TestCooperPairBox:
     def test_gap_closes_at_half_gate_charge_and_half_flux(self):
-        params = CooperPairBoxParams(Ej=1.0, Ecc=2.0, ng=0.5, Phi_over_Phi0=0.5)
-        model = cooper_pair_box_model(params)
-        assert np.allclose(model.d(flux_angle(params)), 0.0, atol=1e-15)
+        # k is the flux angle pi * Phi/Phi0: half a flux quantum sits at k = pi/2
+        model = cooper_pair_box_model(CooperPairBoxParams(Ej=1.0, Ecc=2.0, ng=0.5))
+        assert np.allclose(model.d(0.5 * PI), 0.0, atol=1e-15)
 
     def test_zero_gate_charge(self):
         model = cooper_pair_box_model(CooperPairBoxParams(Ej=1.0, Ecc=3.0, ng=0.0))
         assert model.d(0.3)[2] == pytest.approx(1.5)
 
     def test_zero_flux_x_component(self):
-        params = CooperPairBoxParams(Ej=1.0, Ecc=1.0, Phi_over_Phi0=0.0)
-        model = cooper_pair_box_model(params)
-        assert model.d(flux_angle(params))[0] == pytest.approx(-1.0)
+        model = cooper_pair_box_model(CooperPairBoxParams(Ej=1.0, Ecc=1.0))
+        assert model.d(0.0)[0] == pytest.approx(-1.0)
 
     def test_rejects_nonpositive_energies(self):
         with pytest.raises(DomainError):
@@ -184,7 +183,7 @@ class TestRegistry:
             assert entry.builders[parameter] is None
             return
         model = entry.model({}, parameter)
-        assert model.sweep_parameter == parameter and model.lam == entry.defaults[parameter]
+        assert model.lam == entry.defaults[parameter]
         assert np.min(np.linalg.norm(model.d(KGRID), axis=0)) > 1e-3
         model.validate(grid_points=128)
 

@@ -182,10 +182,3 @@ class TestDetectCusps:
         spacing = float(grid[1] - grid[0])
         assert len(cusps) == 1
         assert abs(cusps[0] - 1.0) <= spacing
-
-    def test_accepts_sweep_records(self):
-        from twoband import SweepRecord
-        xs = np.linspace(0.0, 1.0, 30)
-        records = [SweepRecord(lam=float(x), values={"complexity": float(x) ** 2})
-                   for x in xs]
-        assert detect_cusps(records) == []

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from twoband import (DomainError, EllipticModulus, complete_E,
-                     complete_E_quadrature, complete_K, complete_K_quadrature,
-                     dK_dm, incomplete_E)
+from twoband import (DomainError, complete_E, complete_E_quadrature, complete_K,
+                     complete_K_quadrature, dK_dm, incomplete_E)
 
 PI = math.pi
 
@@ -115,16 +114,17 @@ class TestIncompleteE:
 
 class TestModulusType:
     def test_clamps_within_tolerance(self):
-        assert EllipticModulus(-5e-15).m == 0.0
-        assert EllipticModulus(1.0 + 5e-15).m == 1.0
+        assert complete_K(-5e-15) == complete_K(0.0) == 0.5 * PI
+        assert complete_E(-5e-15) == complete_E(0.0) == 0.5 * PI
+        assert complete_E(1.0 + 5e-15) == complete_E(1.0) == 1.0
+        with pytest.raises(DomainError, match="diverges"):
+            complete_K(1.0 + 5e-15)
 
     def test_rejects_outside_tolerance(self):
-        with pytest.raises(DomainError):
-            EllipticModulus(-1e-12)
-        with pytest.raises(DomainError):
-            EllipticModulus(1.001)
-        with pytest.raises(DomainError):
-            EllipticModulus(float("nan"))
+        for fn in (complete_K, complete_E):
+            for m in (-1e-12, 1.001, float("nan")):
+                with pytest.raises(DomainError, match="outside"):
+                    fn(m)
 
 
 class TestInvariants:

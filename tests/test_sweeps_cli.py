@@ -53,12 +53,13 @@ class TestSweepSpecValidation:
         for key in ("alpha", "beta"):
             with pytest.raises(SpecError):
                 SweepSpec(model=model, sweep=(sweep, 0.1, 1.0, 5), fixed={key: 3.0})
-        SweepSpec(model="nh-ssh", sweep=("t2", 0.1, 1.0, 5), fixed={"alpha": 0.6, "beta": 0.8})
 
     def test_piecewise_reference_rejects_bound_and_ratio(self):
         with pytest.raises(SpecError):
             SweepSpec(model="ssh", sweep=("t2", 0.1, 1.0, 5),
                       reference=plateau_reference(), quantities=("bound",))
+        with pytest.raises(SpecError, match="global reference"):
+            SweepSpec(model="nh-ssh", sweep=("t2", 0.1, 1.0, 5), reference=plateau_reference())
 
 
 class TestRunSweep:
@@ -239,6 +240,14 @@ class TestCLI:
         for row in rows:
             assert float(row.split(",")[1]) == pytest.approx(0.5 - 1.0 / PI, abs=1e-8)
 
+    @pytest.mark.parametrize("line", ["a b c d e", "nan 0 0 0 1", f"{-PI} 0 inf 0 1", "0 1 2 3"])
+    def test_bad_piecewise_line_is_spec_error(self, line, tmp_path, capsys):
+        ref_file = tmp_path / "ref.txt"
+        ref_file.write_text(f"# comment\n\n{line}\n0 {PI} 0 0 -1\n")
+        assert main(["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3",
+                     "--ref-piecewise", str(ref_file)]) == 2
+        assert repr(line) in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         conf = tmp_path / "sweep.conf"
         conf.write_text(
@@ -373,6 +382,31 @@ class TestRegistryCLI:
             main(["winding", "--model", "ssh", "--set", "t2=2", "--grid-size", size])
         assert exc.value.code == 2
         assert "grid size must be at least 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--model", "ssh", "--set", "t1=1", "--lam", "nan"],
+        ["ratio", "--model", "ssh", "--lam", "inf"],
+        ["bound", "--model", "ssh", "--lam", "2", "--theta", "nan"],
+        ["ratio", "--model", "ssh", "--lam", "2", "--phi", "-inf"],
+        ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3", "--theta", "inf"],
+        ["nh-sweep", "--set", "t1=2", "--sweep", "t2:0.5:1:2", "--phi", "nan"],
+        ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3", "--abs-tol", "0"],
+        ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3", "--rel-tol", "-1"],
+        ["bound", "--model", "ssh", "--lam", "2", "--abs-tol", "nan"],
+        ["duality", "--rel-tol", "inf"],
+    ])
+    def test_bad_float_option_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("line", ["theta = nan", "phi = inf", "abs_tol = 0", "rel-tol = -1"])
+    def test_bad_float_from_config_exits_2(self, line, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(f"model = ssh\nsweep = t2:0.5:1.5:3\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(conf)])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--model", "dual-ssh", "--lam", "2.5", "--theta", "0.9", "--phi", "0.4"],
