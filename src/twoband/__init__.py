@@ -2,7 +2,8 @@
 
 from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
                     ReferenceState, canonical_angles, plateau_reference)
-from .bounds_duality import (BoundReport, bound_check, complexity_duality_check,
+from .bounds_duality import (BoundReport, bound_check, complexity_derivative,
+                             complexity_duality_check,
                              complexity_duality_offset, fs_duality_check,
                              ratio_R, reference_coefficients,
                              self_dual_constraint)

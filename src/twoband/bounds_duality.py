@@ -15,9 +15,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bloch import GlobalReference
+from .bloch import GlobalReference, ReferenceState
 from .complexity import _require_global, _ssh_elliptic_terms, ground_complexity
-from .errors import DomainError, UndefinedRatioError
+from .errors import DomainError, GapClosedError, UndefinedRatioError
 from .fidelity import SusceptibilityBreakdown, chi_F, dhat_derivative
 from .models import DualSSHParams, TwoBandModel, dual_pair
 from .quadrature import BZQuadratureConfig, bz_average_vec
@@ -46,18 +46,48 @@ class BoundReport:
     ratio: float
 
 
+def _dhat_integrals(m: TwoBandModel, cfg: BZQuadratureConfig | None) -> np.ndarray:
+    """The BZ integrals of d(d_hat_i)/d(lambda) at the model's bound parameter."""
+    return 2.0 * PI * bz_average_vec(
+        lambda k: dhat_derivative(m.d(k), m.d_deriv(k)), cfg, extra_points=m.singular_points)
+
+
 def _susceptibility_terms(model: TwoBandModel, lam: float, cfg: BZQuadratureConfig | None
                           ) -> Tuple[SusceptibilityBreakdown, Optional[np.ndarray]]:
     """chi_F at lam and, unless it diverged, the BZ integrals of d(d_hat_i)/d(lambda).
 
-    These two averages are all the bound and the ratio need at one point.
+    These two averages are all the bound, the ratio and the complexity
+    derivative need at one point.
     """
     breakdown = chi_F(model, lam, cfg)
     if breakdown.diverged:
         return breakdown, None
+    return breakdown, _dhat_integrals(model.at(lam), cfg)
+
+
+def complexity_derivative(model: TwoBandModel, ref: ReferenceState, lam: float,
+                          cfg: BZQuadratureConfig | None = None) -> float:
+    """dC/d(lambda) of the ground complexity from Bloch-sphere data.
+
+    Per mode dC_k/d(lambda) = n_ref(k) . d(d_hat)/d(lambda) / 2.  A global
+    reference contracts Q with the d_hat integrals that the bound and the
+    ratio share; a piecewise one is contracted inside the kernel, with its
+    breakpoints as panel edges.  Where the gap is closed at lam the
+    derivative diverges and GapClosedError is raised before any average.
+    """
     m = model.at(lam)
-    return breakdown, 2.0 * PI * bz_average_vec(
-        lambda k: dhat_derivative(m.d(k), m.d_deriv(k)), cfg, extra_points=m.singular_points)
+    if m.gap_closed():
+        raise GapClosedError("complexity derivative diverges where the gap is closed")
+    if isinstance(ref, GlobalReference):
+        return float(reference_coefficients(ref) @ _dhat_integrals(m, cfg))
+
+    def kernel(k):
+        v = dhat_derivative(m.d(k), m.d_deriv(k))
+        n = ref.bloch_at(k)
+        return 0.5 * (n[0] * v[0] + n[1] * v[1] + n[2] * v[2])
+
+    return float(bz_average_vec(kernel, cfg,
+                                extra_points=(*m.singular_points, *ref.breakpoints())))
 
 
 def _ratio(integrals: Optional[np.ndarray], components, q: np.ndarray) -> float:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -15,7 +16,7 @@ from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
                     ReferenceState)
 from .bounds_duality import (bound_check, complexity_duality_check,
                              fs_duality_check, ratio_R, self_dual_constraint)
-from .errors import SpecError, TwoBandError
+from .errors import DomainError, SpecError, TwoBandError
 from .models import MODELS, QUANTITIES
 from .quadrature import BZQuadratureConfig
 from .sweeps import SweepSpec, records_to_csv, run_sweep, write_records
@@ -107,7 +108,10 @@ def _read_piecewise(path: str) -> PiecewiseBlochReference:
         except (ValueError, argparse.ArgumentTypeError):
             raise SpecError("piecewise reference lines are five finite numbers "
                             f"k_lo k_hi nx ny nz, got {raw!r}") from None
-        pieces.append((lo, hi, BlochVector(nx, ny, nz)))
+        try:
+            pieces.append((lo, hi, BlochVector(nx, ny, nz)))
+        except DomainError as exc:
+            raise SpecError(f"{exc} in piecewise reference line {raw!r}") from None
     return PiecewiseBlochReference(tuple(pieces))
 
 
@@ -313,8 +317,14 @@ def _cmd_ratio(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """The parser without config defaults, built on the first call and then reused."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _default_parser().parse_args(argv)
     try:
         if args.command == "sweep" and args.config:
             args = build_parser(_read_config(args.config)).parse_args(argv)
@@ -333,10 +343,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "ratio":
             return _cmd_ratio(args)
         raise SpecError(f"unknown command {args.command!r}")
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:  # OSError: a named file cannot be read or written
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    except (TwoBandError, FileNotFoundError) as exc:
+    except TwoBandError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

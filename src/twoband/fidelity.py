@@ -90,9 +90,12 @@ def chi_F(model: TwoBandModel, lam: float,
     Components chi_F^i = (1/8*pi) * integral |d(d_hat_i)/d(lambda)|^2 dk are
     integrated together so their sum equals the total identically.  Near a
     gap closing the integral genuinely diverges; estimates beyond 1e8 come
-    back flagged instead of raising.
+    back flagged instead of raising.  Where the model's gap is closed at lam
+    no average runs: every component is inf, flagged diverged.
     """
     m = model.at(lam)
+    if m.gap_closed():
+        return SusceptibilityBreakdown(math.inf, (math.inf,) * 3, diverged=True)
 
     def integrand(k):
         v = dhat_derivative(m.d(k), m.d_deriv(k))

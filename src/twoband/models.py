@@ -54,6 +54,11 @@ class TwoBandModel:
     def at(self, lam: float) -> "TwoBandModel":
         return replace(self, lam=float(lam))
 
+    def gap_closed(self) -> bool:
+        """Whether |d| < GAP_EPS at one of the singular points, where the stock gaps close."""
+        d = self.d(np.asarray(self.singular_points, dtype=float))
+        return bool(np.any(np.sqrt(np.sum(d * d, axis=0)) < GAP_EPS))
+
     def validate(self, grid_points: int = 64) -> None:
         """Check 2*pi periodicity and (when analytic) the parameter derivative."""
         ks = np.linspace(-PI, PI, grid_points, endpoint=False)

@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
-from .bounds_duality import _bound_report, _ratio, _susceptibility_terms, reference_coefficients
+from .bounds_duality import (_bound_report, _ratio, _susceptibility_terms, complexity_derivative,
+                             reference_coefficients)
 from .complexity import ground_complexity
 from .errors import ExceptionalPointError, GapClosedError, SpecError, UndefinedRatioError
 from .fidelity import chi_F
@@ -75,13 +76,31 @@ class SweepRecord:
     flags: frozenset = frozenset()
 
 
+def _dcomplexity(spec: SweepSpec, model: TwoBandModel | None,
+                 complexity: Callable[[float], float], lam: float,
+                 cfg: BZQuadratureConfig, integrals: Optional[np.ndarray]) -> float:
+    """dC/d(lambda) from Bloch-sphere data, sharing the point's d_hat integrals.
+
+    The lossy chain has no geometric form, and on a closed gap the geometric
+    derivative diverges; both take the finite difference of the complexity.
+    """
+    if integrals is not None:
+        return float(reference_coefficients(spec.reference) @ integrals)
+    if model is not None:
+        try:
+            return complexity_derivative(model, spec.reference, lam, cfg)
+        except GapClosedError:
+            pass
+    return param_derivative(complexity, lam)
+
+
 def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
               complexity: Callable[[float], float], lam: float,
               cfg: BZQuadratureConfig) -> SweepRecord:
     values: Dict[str, float] = {}
     flags = set()
     wanted = set(spec.quantities)
-    breakdown = None
+    breakdown = integrals = None
     if wanted & {"bound", "ratio"}:
         breakdown, integrals = _susceptibility_terms(model, lam, cfg)
     elif wanted & {"chi_f", "chi_f_components"}:
@@ -93,7 +112,7 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
             if quantity == "complexity":
                 values["complexity"] = complexity(lam)
             elif quantity == "dcomplexity":
-                values["dcomplexity"] = param_derivative(complexity, lam)
+                values["dcomplexity"] = _dcomplexity(spec, model, complexity, lam, cfg, integrals)
             elif quantity == "chi_f":
                 values["chi_f"] = breakdown.total
             elif quantity == "chi_f_components":
@@ -132,7 +151,8 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
 
     Results are deterministic for a fixed spec and tolerances.  A parameter
     point runs at most one susceptibility average and one d_hat-derivative
-    average, shared by every quantity built from them.
+    average, shared by every quantity built from them; where the model's gap
+    is closed neither runs.
     """
     cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GlobalReference,
-                     MassiveDiracParams, SSHParams, SweepSpec, UndefinedRatioError,
-                     bound_check, complexity_duality_check,
+from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GapClosedError,
+                     GlobalReference, MassiveDiracParams, SSHParams, SweepSpec,
+                     UndefinedRatioError, bound_check, complexity_derivative,
+                     complexity_duality_check,
                      complexity_duality_offset, fs_duality_check,
-                     ground_complexity, massive_dirac_model, ratio_R,
+                     ground_complexity, massive_dirac_model, md_dC_dmu_analytic, ratio_R,
                      plateau_reference, reference_coefficients, run_sweep,
                      self_dual_constraint, ssh_model)
 from twoband import quadrature
@@ -62,6 +63,13 @@ class TestReferenceCoefficients:
     def test_y_axis(self):
         q = reference_coefficients(GlobalReference(0.5 * PI, 0.5 * PI))
         assert q == pytest.approx([0.0, 1.0 / (4.0 * PI), 0.0], abs=1e-16)
+
+
+def _dcomplexity_row(model, parameter, lam, ref, fixed=None):
+    """The sweep's dcomplexity at lam, from a two-point sweep starting there."""
+    spec = SweepSpec(model=model, sweep=(parameter, lam, lam + 0.25, 2), fixed=fixed or {},
+                     reference=ref, quantities=("dcomplexity",))
+    return run_sweep(spec)[0].values["dcomplexity"]
 
 
 class TestBoundCheck:
@@ -114,12 +122,15 @@ class TestBoundCheck:
         assert report.satisfied
 
     @pytest.mark.parametrize("name,parameter", _HERMITIAN_PARAMETERS)
-    def test_lhs_is_the_finite_difference_of_the_complexity(self, name, parameter):
+    def test_lhs_is_the_finite_difference_of_the_complexity(self, name, parameter, calls):
         model = MODELS[name].model({}, parameter)
         ref = GlobalReference(0.9, 0.4)
         for lam in (model.lam, 1.3 * model.lam + 0.1):
             fd = param_derivative(lambda x: ground_complexity(model.at(x), ref), lam)
             assert bound_check(model, ref, lam).lhs == pytest.approx(abs(fd), abs=1e-9)
+            # the sweep column is the same geometric derivative, with its sign
+            assert _dcomplexity_row(name, parameter, lam, ref) == pytest.approx(fd, abs=1e-9)
+        assert calls["param_derivative"] == 0
 
     @pytest.mark.parametrize("delta", [1e-4, 1e-5, 1e-6, -1e-4, -1e-5, -1e-6])
     def test_lhs_near_the_transition_matches_the_closed_form(self, delta):
@@ -133,13 +144,13 @@ class TestBoundCheck:
         bound_check(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
         assert calls == {"bz_average_vec": 2}
 
-    def test_divergent_point_runs_one_average(self, calls):
+    def test_divergent_point_runs_no_average(self, calls):
         bound_check(ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.9, 0.4), 1.0,
                     BZQuadratureConfig(max_subdivisions=200))
-        assert calls == {"bz_average_vec": 1}
+        assert calls == {}
 
     @pytest.mark.parametrize("quantities,averages", [
-        (("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"), 7),
+        (("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"), 3),
         (("chi_f",), 1),
     ])
     def test_sweep_point_shares_its_averages(self, calls, quantities, averages):
@@ -147,6 +158,7 @@ class TestBoundCheck:
                          reference=GlobalReference(0.9, 0.4), quantities=quantities)
         run_sweep(spec)
         assert calls["bz_average_vec"] == 2 * averages
+        assert calls["param_derivative"] == 0
 
     def test_divergent_point_has_nan_ratio_without_integrating(self, monkeypatch):
         import twoband.bounds_duality as bd
@@ -172,6 +184,42 @@ class TestBoundCheck:
     def test_report_ratio_equals_ratio_R(self):
         model, ref = ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4)
         assert bound_check(model, ref, 2.0).ratio == ratio_R(model, ref, 2.0)
+
+
+class TestGeometricDcomplexity:
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, -1e-2, -1e-4, -1e-6])
+    def test_sweep_matches_the_closed_forms_near_each_transition(self, delta):
+        ref = GlobalReference(0.9, 0.4)
+        for model, parameter, lam, fixed, want in (
+            ("ssh", "t2", 1.0 + delta, {"t1": 1.0}, ratio_complexity_prime(1.0 + delta, ref)),
+            ("dual-ssh", "r", 1.0 + delta, {}, ratio_complexity_prime(1.0 + delta, ref)),
+            ("massive-dirac", "mu", delta, {},
+             md_dC_dmu_analytic(MassiveDiracParams(mu=delta), ref.theta)),
+        ):
+            got = _dcomplexity_row(model, parameter, lam, ref, fixed)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("t2,want", [(0.5, -1.0 / PI), (0.8, -1.0 / PI),
+                                         (1.2, 0.0), (2.0, 0.0)])
+    def test_plateau_reference(self, t2, want):
+        got = _dcomplexity_row("ssh", "t2", t2, plateau_reference(), {"t1": 1.0})
+        assert got == pytest.approx(want, abs=1e-14)
+
+    def test_exact_transition_row_keeps_a_finite_difference(self, calls):
+        ref = GlobalReference(0.9, 0.4)
+        spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
+                         reference=ref, quantities=("dcomplexity", "chi_f"))
+        gap = run_sweep(spec)[1]
+        assert calls["param_derivative"] == 1
+        model = ssh_model(SSHParams(1.0, 1.0))
+        fd = param_derivative(lambda x: ground_complexity(model.at(x), ref), 1.0)
+        assert gap.values["dcomplexity"] == fd and math.isfinite(fd)
+        assert gap.values["chi_f"] == math.inf and gap.flags == {"diverged"}
+
+    def test_closed_gap_raises_before_any_average(self, calls):
+        with pytest.raises(GapClosedError):
+            complexity_derivative(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 1.0)
+        assert calls["bz_average_vec"] == 0
 
 
 class TestRatio:

@@ -121,6 +121,17 @@ class TestBZAveraged:
         assert got.diverged
         assert got.total > 1e8
 
+    def test_closed_gap_is_inf_without_averaging(self, monkeypatch):
+        import twoband.fidelity as fidelity
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an average ran on a closed gap")
+
+        monkeypatch.setattr(fidelity, "bz_average_vec", fail)
+        got = chi_F(ssh_model(SSHParams(1.0, 2.0)), 1.0)
+        assert got.diverged
+        assert got.total == math.inf and got.components == (math.inf,) * 3
+
     def test_fd_derivative_fallback_path(self):
         analytic = ssh_model(SSHParams(1.0, 1.6))
         fallback = replace(analytic, family_deriv=None)

@@ -160,6 +160,16 @@ class TestModelContract:
         analytic = ssh_model(SSHParams(1.0, 1.4)).d_deriv(KGRID)
         assert np.max(np.abs(model.d_deriv(KGRID) - analytic)) < 1e-9
 
+    @pytest.mark.parametrize("name,parameter,transition", [
+        ("ssh", "t2", 1.0), ("ssh", "t1", 2.0), ("massive-dirac", "mu", 0.0),
+        ("dual-ssh", "r", 1.0), ("cooper-pair-box", "ng", 0.5),
+    ])
+    def test_gap_closed_at_the_transition_only(self, name, parameter, transition):
+        model = MODELS[name].model({}, parameter)
+        assert model.at(transition).gap_closed()
+        for lam in (transition - 1e-6, transition + 1e-6, model.lam):
+            assert not model.at(lam).gap_closed()
+
     def test_at_rebinds_parameter(self):
         model = ssh_model(SSHParams(1.0, 1.0))
         assert np.allclose(model.at(2.0).d(KGRID), ssh_model(SSHParams(1.0, 2.0)).d(KGRID))

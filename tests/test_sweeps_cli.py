@@ -323,7 +323,7 @@ class TestCLI:
         payload = json.loads(out.read_text())
         assert payload["model"] == "nh-ssh"
 
-    def test_spec_error_exit_code(self, capsys):
+    def test_spec_error_exit_code(self, tmp_path, capsys):
         assert main(["sweep", "--model", "ssh", "--sweep", "bogus"]) == 2
         assert main(["sweep", "--model", "ssh", "--sweep", "t2:2:1:5"]) == 2
         # non-finite numbers are configuration errors, not numerical failures
@@ -332,6 +332,19 @@ class TestCLI:
         assert main(["bound", "--model", "ssh", "--set", "t1=nan", "--lam", "1"]) == 2
         assert main(["nh-sweep", "--set", "t1=2", "--set", "gamma=1", "--set", "alpha=nan",
                      "--set", "beta=1", "--sweep", "t2:0.5:1:2"]) == 2
+        # a missing input file and a zero reference vector are the user's input, too
+        missing = str(tmp_path / "missing.txt")
+        capsys.readouterr()
+        for argv in (["sweep", "--config", missing],
+                     ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3",
+                      "--ref-piecewise", missing]):
+            assert main(argv) == 2
+            assert missing in capsys.readouterr().err
+        zero = tmp_path / "zero.txt"
+        zero.write_text(f"{-PI} 0.0 0 0 0\n0 {PI} 0 0 -1\n")
+        assert main(["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3",
+                     "--ref-piecewise", str(zero)]) == 2
+        assert repr(f"{-PI} 0.0 0 0 0") in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, capsys):
         # equatorial reference leaves the dominant massive-Dirac component
@@ -353,6 +366,13 @@ class TestCLI:
             cells = line.split(",")
             assert cells[-2] == "nan" and cells[-1] == "undefined_ratio"
             assert cells[3] == "1"
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        import twoband.cli as cli
+
+        assert main(["winding", "--model", "ssh"]) == 0  # builds the parser if not yet built
+        monkeypatch.setattr(cli, "build_parser", None)  # any further build would raise
+        assert main(["winding", "--model", "ssh"]) == 0
 
     def test_missing_model_is_spec_error(self):
         assert main(["sweep", "--sweep", "t2:0.5:1.5:3"]) == 2
