@@ -16,7 +16,7 @@ from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
                     ReferenceState)
 from .bounds_duality import (bound_check, complexity_duality_check,
                              fs_duality_check, ratio_R, self_dual_constraint)
-from .errors import DomainError, SpecError, TwoBandError
+from .errors import DomainError, PartitionError, SpecError, TwoBandError
 from .models import MODELS, QUANTITIES
 from .quadrature import BZQuadratureConfig
 from .sweeps import SweepSpec, records_to_csv, run_sweep, write_records
@@ -112,7 +112,10 @@ def _read_piecewise(path: str) -> PiecewiseBlochReference:
             pieces.append((lo, hi, BlochVector(nx, ny, nz)))
         except DomainError as exc:
             raise SpecError(f"{exc} in piecewise reference line {raw!r}") from None
-    return PiecewiseBlochReference(tuple(pieces))
+    try:
+        return PiecewiseBlochReference(tuple(pieces))
+    except PartitionError as exc:
+        raise SpecError(f"{exc} in piecewise reference file {path!r}") from None
 
 
 def _reference(args) -> ReferenceState:

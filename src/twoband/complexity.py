@@ -155,18 +155,19 @@ def _band_complexity(model: TwoBandModel, ref: ReferenceState, bands: BandAssign
                      cfg: BZQuadratureConfig | None) -> float:
     """BZ average of C_k = 1/2 - (s(k)/2) n_ref(k) . d_hat(k) for band signs s(k).
 
-    The kernel takes an array of k and is NaN where the gap closes, so the
-    quadrature engine evaluates those modes one-sidedly.
+    The kernel takes an array of k and raises GapClosedError at a mode where
+    |d| < GAP_EPS.  The model's singular points are panel edges, where no
+    quadrature node lies, so a gap closing there costs nothing.
     """
 
     def ck(k):
         d = model.d(k)
         n = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        if np.any(n < GAP_EPS):
+            raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
         nref = ref.bloch_at(k)
-        gap = n < GAP_EPS
         dot = nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]
-        c = 0.5 * (1.0 - bands.sign_at(k) * dot / np.where(gap, 1.0, n))
-        return np.where(gap, np.nan, c)
+        return 0.5 * (1.0 - bands.sign_at(k) * dot / n)
 
     extra = (*model.singular_points, *ref.breakpoints(), *bands.breakpoints[1:-1])
     return float(bz_average_vec(ck, cfg, extra_points=extra))

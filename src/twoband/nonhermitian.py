@@ -4,7 +4,8 @@ Left and right eigenvectors of the complex-symmetric Bloch matrix are paired
 by biorthogonal normalization; the two-vector Krylov chains built from a
 reference amplitude pair give per-mode weights w_0, w_1 and the prescription
 C_k = |w_1| / (|w_0| + |w_1|).  Cusp detection locates the non-analyticities
-of the swept average at the PBC gap-closing couplings.
+of the swept average at the PBC gap-closing couplings, whose exceptional
+points lie at k = 0 and k = +-pi: quadrature panel edges, which no node meets.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
 def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: complex):
     """Array kernel k -> C_k = |w_1| / (|w_0| + |w_1|) for normalized amplitudes.
 
-    Uses the explicit weight formulas in terms of R1, R3 and R; modes at an
-    exceptional point or with a self-orthogonal ground state come back NaN.
+    Uses the explicit weight formulas in terms of R1, R3 and R; raises
+    ExceptionalPointError at a mode at an exceptional point or with a
+    self-orthogonal ground state.
     """
     ca, cb = alpha.conjugate(), beta.conjugate()
 
@@ -121,10 +123,11 @@ def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: compl
         u = np.sqrt(rsq) + r3
         denom = r1 * r1 + u * u
         bad = (np.abs(rsq) < _EP_EPS) | (np.abs(denom) < _EP_EPS)
-        denom = np.where(bad, 1.0, denom)
+        if np.any(bad):
+            raise ExceptionalPointError(f"exceptional point at k={float(np.extract(bad, k)[0])}")
         w0 = np.abs((alpha * r1 - beta * u) * (ca * r1 - cb * u) / denom)
         w1 = np.abs((alpha * u + beta * r1) * (ca * u + cb * r1) / denom)
-        return np.where(bad, np.nan, w1 / (w0 + w1))
+        return w1 / (w0 + w1)
 
     return ck
 
@@ -137,10 +140,7 @@ def nh_complexity_per_mode(params: NonHermitianSSHParams, k: float,
     away; raises ExceptionalPointError where the weights are undefined.
     """
     alpha, beta = _normalized_pair(alpha, beta)
-    c = float(_nh_weight_kernel(params, alpha, beta)(float(k)))
-    if math.isnan(c):
-        raise ExceptionalPointError(f"exceptional point at k={k}")
-    return c
+    return float(_nh_weight_kernel(params, alpha, beta)(float(k)))
 
 
 def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
@@ -162,12 +162,13 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
                          cfg: BZQuadratureConfig | None = None) -> float:
     """BZ average of the biorthogonal per-mode complexity.
 
-    Exceptional points met mid-quadrature are integrated around by a
-    one-sided offset, mirroring the Hermitian gap-closing treatment.
+    k = 0 is a panel edge, so the exceptional points of the PBC gap closings
+    are never evaluated; a node that meets one elsewhere raises
+    ExceptionalPointError.
     """
     alpha, beta = _normalized_pair(alpha, beta)
     return float(bz_average_vec(_nh_weight_kernel(params, alpha, beta), cfg,
-                                extra_points=(0.0,), undefined=ExceptionalPointError))
+                                extra_points=(0.0,)))
 
 
 def detect_cusps(sweep: Sequence) -> List[float]:

@@ -17,13 +17,9 @@ from typing import Callable, Iterable, Tuple
 import numpy as np
 import scipy
 
-from .errors import ConvergenceError, DomainError, GapClosedError
+from .errors import ConvergenceError, DomainError
 
 PI = math.pi
-
-# Offset used to evaluate an integrand one-sidedly when it is undefined at an
-# isolated point (exact gap closing / exceptional point on the grid).
-SINGULAR_OFFSET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -97,25 +93,12 @@ _REFINE_MARGIN = 16.0
 _MAX_SPLIT = 64
 
 
-def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
-          undefined: type) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod integrals (..., p) and error estimates (p,) of p panels, one call of f.
-
-    Nodes where f is NaN are re-evaluated one-sidedly at SINGULAR_OFFSET;
-    nodes still undefined there raise ``undefined``.
-    """
+def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+          hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Kronrod integrals (..., p) and error estimates (p,) of p panels, one call of f."""
     half = 0.5 * (hi - lo)
     k = ((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
     y = np.asarray(f(k), dtype=float)
-    bad = np.isnan(y).reshape(-1, k.size).any(axis=0)
-    if bad.any():
-        kb = k[bad]
-        yb = np.asarray(f(np.where(kb < 0.5 * (PI - SINGULAR_OFFSET),
-                                   kb + SINGULAR_OFFSET, kb - SINGULAR_OFFSET)), dtype=float)
-        if np.isnan(yb).any():
-            raise undefined(f"integrand undefined at k={kb[0]!r} and beside it")
-        y = y.copy()
-        y[..., bad] = yb
     rules = (y.reshape(y.shape[:-1] + (lo.size, _GK_NODES.size)) @ _GK_WEIGHTS) * half[:, None]
     kronrod = rules[..., 0]
     err = np.abs(kronrod - rules[..., 1]).reshape(-1, lo.size).sum(axis=0)
@@ -123,8 +106,7 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
 
 
 def bz_average_vec(f: Callable[[np.ndarray], np.ndarray], cfg: BZQuadratureConfig | None = None,
-                   extra_points: Iterable[float] = (),
-                   undefined: type = GapClosedError) -> np.ndarray:
+                   extra_points: Iterable[float] = ()) -> np.ndarray:
     """(1/2*pi) * integral over [-pi, pi] of an array kernel, by adaptive GK21.
 
     ``f`` maps k of shape (n,) to values of shape (..., n); all components
@@ -137,14 +119,14 @@ def bz_average_vec(f: Callable[[np.ndarray], np.ndarray], cfg: BZQuadratureConfi
     would meet that tolerance divided by _REFINE_MARGIN.
     ``max_subdivisions`` caps the number of panels: when it binds, the worst
     panels are bisected first, and a full budget raises ConvergenceError
-    carrying the current estimate and error.  A node where ``f`` is NaN is
-    evaluated one-sidedly at SINGULAR_OFFSET; if it is still NaN there,
-    ``undefined`` is raised.
+    carrying the current estimate and error, as does a non-finite error.
+    No node lies on a panel edge, so a kernel undefined only at the caller's
+    points is never evaluated there; elsewhere it raises its own error.
     """
     cfg = cfg or BZQuadratureConfig()
     edges = np.array([-PI, *_interior_points(extra_points), PI])
     lo, hi = edges[:-1], edges[1:]
-    val, err = _gk21(f, lo, hi, undefined)
+    val, err = _gk21(f, lo, hi)
     while True:
         total = val.sum(axis=-1)
         err_total = float(err.sum())
@@ -163,7 +145,7 @@ def bz_average_vec(f: Callable[[np.ndarray], np.ndarray], cfg: BZQuadratureConfi
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
-        new_val, new_err = _gk21(f, new_lo, new_hi, undefined)
+        new_val, new_err = _gk21(f, new_lo, new_hi)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
         val = np.concatenate((val[..., keep], new_val), axis=-1)

@@ -140,6 +140,14 @@ class TestBoundCheck:
                                            rel=1e-5)
         assert report.satisfied
 
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12])
+    def test_holds_beside_the_transition_where_chi_is_huge(self, delta):
+        ref = GlobalReference(0.9, 0.4)
+        t2 = 1.0 + delta
+        report = bound_check(ssh_model(SSHParams(1.0, t2)), ref, t2)
+        assert report.satisfied and math.isfinite(report.rhs)
+        assert report.lhs == pytest.approx(abs(ratio_complexity_prime(t2, ref)), rel=1e-8)
+
     def test_gapped_point_runs_two_averages_and_no_finite_difference(self, calls):
         bound_check(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
         assert calls == {"bz_average_vec": 2}

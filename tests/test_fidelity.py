@@ -59,14 +59,17 @@ class TestPerMode:
             assert abs(transverse - projector) <= 1e-7 * scale
             assert abs(transverse - direct_value) <= 1e-7 * scale
 
-    def test_k_axis_broadcasts_and_marks_gaps_nan(self):
+    def test_k_axis_broadcasts_and_raises_on_a_gap(self):
         model = ssh_model(SSHParams(1.0, 1.0))
-        ks = np.array([-2.0, 0.0, 0.3, 1.7])
+        ks = np.array([-2.0, 0.3, 1.7])
         v = dhat_derivative(model.d(ks), model.d_deriv(ks))
-        assert v.shape == (3, 4) and np.all(np.isnan(v[:, 1]))
-        for i in (0, 2, 3):
-            single = dhat_derivative(model.d(ks[i]), model.d_deriv(ks[i]))
+        assert v.shape == (3, 3)
+        for i, k in enumerate(ks):
+            single = dhat_derivative(model.d(k), model.d_deriv(k))
             assert v[:, i] == pytest.approx(single, abs=1e-15)
+        with_gap = np.array([-2.0, 0.0, 0.3])
+        with pytest.raises(GapClosedError):
+            dhat_derivative(model.d(with_gap), model.d_deriv(with_gap))
 
     def test_gap_closed(self):
         with pytest.raises(GapClosedError):
@@ -120,6 +123,25 @@ class TestBZAveraged:
         got = chi_F(ssh_model(SSHParams(1.0, 1.0)), 1.0, cfg)
         assert got.diverged
         assert got.total > 1e8
+
+    def test_exhausted_budget_is_flagged_with_a_finite_estimate(self):
+        got = chi_F(ssh_model(SSHParams(1.0, 1.5)), 1.5, BZQuadratureConfig(max_subdivisions=2))
+        assert got.diverged
+        assert math.isfinite(got.total) and all(math.isfinite(c) for c in got.components)
+        assert got.total == pytest.approx(sum(got.components), rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12])
+    def test_finite_beside_the_transition_however_large(self, delta):
+        # c^2 (a - |D|) / (4 b^2 |D|) for |d|^2 = a - b cos k and the
+        # numerator c sin k of d(phase)/d(t2); |D| = |t2^2 - t1^2| is formed
+        # from the exact difference t2 - t1
+        t1, t2 = 1.0, 1.0 + delta
+        a, b, c = t1 * t1 + t2 * t2, 2.0 * t1 * t2, t1
+        gap = abs(t2 - t1) * (t1 + t2)
+        want = c * c * (a - gap) / (4.0 * b * b * gap)
+        got = chi_F(ssh_model(SSHParams(t1, t2)), t2)
+        assert not got.diverged
+        assert got.total == pytest.approx(want, rel=1e-6)
 
     def test_closed_gap_is_inf_without_averaging(self, monkeypatch):
         import twoband.fidelity as fidelity

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from twoband import (CooperPairBoxParams, DomainError, DualSSHParams,
+from twoband import (CooperPairBoxParams, DomainError, DualSSHParams, GlobalReference,
                      MassiveDiracParams, NonHermitianSSHParams, SSHParams,
-                     cooper_pair_box_model, dual_pair, massive_dirac_model,
-                     nh_ssh_bloch_hamiltonian, ssh_model)
+                     cooper_pair_box_model, dual_pair, ground_complexity,
+                     massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
 from twoband.models import MODELS
 from twoband.sweeps import SweepSpec
 from twoband.topology import winding_cross_product, winding_log_derivative
@@ -137,6 +137,11 @@ class TestNonHermitianHamiltonian:
         assert NonHermitianSSHParams(2.0, 1.0, 1.0).gap_closing_couplings() == (1.5, 2.5)
 
 
+# Each Hermitian registry family and swept parameter at its gap closing.
+_TRANSITIONS = [("ssh", "t2", 1.0), ("ssh", "t1", 2.0), ("massive-dirac", "mu", 0.0),
+                ("dual-ssh", "r", 1.0), ("cooper-pair-box", "ng", 0.5)]
+
+
 class TestModelContract:
     @pytest.mark.parametrize("factory,lams", [
         (lambda lam: ssh_model(SSHParams(1.0, lam)), (0.3, 0.8, 1.0, 1.5, 2.5)),
@@ -160,15 +165,26 @@ class TestModelContract:
         analytic = ssh_model(SSHParams(1.0, 1.4)).d_deriv(KGRID)
         assert np.max(np.abs(model.d_deriv(KGRID) - analytic)) < 1e-9
 
-    @pytest.mark.parametrize("name,parameter,transition", [
-        ("ssh", "t2", 1.0), ("ssh", "t1", 2.0), ("massive-dirac", "mu", 0.0),
-        ("dual-ssh", "r", 1.0), ("cooper-pair-box", "ng", 0.5),
-    ])
+    @pytest.mark.parametrize("name,parameter,transition", _TRANSITIONS)
     def test_gap_closed_at_the_transition_only(self, name, parameter, transition):
         model = MODELS[name].model({}, parameter)
         assert model.at(transition).gap_closed()
         for lam in (transition - 1e-6, transition + 1e-6, model.lam):
             assert not model.at(lam).gap_closed()
+
+    @pytest.mark.parametrize("name,parameter,transition", _TRANSITIONS)
+    def test_gap_closes_only_at_the_singular_points(self, name, parameter, transition):
+        # the singular points are panel edges, where no quadrature node lies:
+        # |d| grows at least linearly away from them, and an average through
+        # the transition meets no mode with |d| < GAP_EPS
+        model = MODELS[name].model({}, parameter).at(transition)
+        ks = np.linspace(-PI, PI, 4097)
+        edges = np.asarray(model.singular_points)
+        distance = np.min(np.abs(ks[:, None] - edges[None, :]), axis=1)
+        norm = np.sqrt(np.sum(model.d(ks) ** 2, axis=0))
+        assert np.all(norm >= 0.5 * distance)
+        value = ground_complexity(model, GlobalReference(0.9, 0.4))
+        assert 0.0 <= value <= 1.0
 
     def test_at_rebinds_parameter(self):
         model = ssh_model(SSHParams(1.0, 1.0))

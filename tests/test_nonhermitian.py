@@ -7,11 +7,11 @@ import pytest
 
 from twoband import (BlochVector, ExceptionalPointError, GlobalReference,
                      InsufficientDataError, NonHermitianSSHParams,
-                     NormalizationError, SSHParams, bikrylov_basis,
+                     NormalizationError, SSHParams, SweepSpec, bikrylov_basis,
                      biorthogonal_ground, complexity_per_mode, detect_cusps,
                      ground_complexity, ground_state_bloch,
                      nh_complexity_per_mode, nh_complexity_per_mode_overlap,
-                     nh_ground_complexity, nh_ssh_bloch_hamiltonian,
+                     nh_ground_complexity, nh_ssh_bloch_hamiltonian, run_sweep,
                      ssh_complexity_closed, ssh_model)
 
 PI = math.pi
@@ -142,6 +142,46 @@ class TestGroundComplexity:
         expected = ground_complexity(ssh_model(SSHParams(2.0, 1.0)),
                                      GlobalReference(0.5 * PI, 0.0))
         assert got == pytest.approx(expected, abs=1e-5)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_gap_closing_meets_no_node(self, which, monkeypatch):
+        # R^2 vanishes only at k = 0, a panel edge, and at the interval ends
+        # k = +-pi: no GK21 node falls on either, so the average is finite
+        import twoband.nonhermitian as nonhermitian
+
+        t2 = NonHermitianSSHParams(1.0, 1.0, 1.0).gap_closing_couplings()[which]
+        params = NonHermitianSSHParams(1.0, t2, 1.0)
+        ks = np.linspace(-PI, PI, 4097)
+        rsq = np.array([np.linalg.det(nh_ssh_bloch_hamiltonian(params, float(k))) for k in ks])
+        distance = np.minimum(np.abs(ks), PI - np.abs(ks))
+        assert np.all(np.abs(rsq) >= 0.25 * distance)
+        assert abs(np.linalg.det(nh_ssh_bloch_hamiltonian(params, 0.0))) < 1e-15
+
+        nodes = []
+        engine = nonhermitian.bz_average_vec
+
+        def recording(f, *args, **kwargs):
+            def kernel(k):
+                nodes.append(np.array(k))
+                return f(k)
+            return engine(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(nonhermitian, "bz_average_vec", recording)
+        value = nh_ground_complexity(params, AMP, AMP)
+        assert 0.0 <= value <= 1.0
+        nodes = np.concatenate(nodes)
+        assert not np.any(np.isin(nodes, (0.0, -PI, PI)))
+
+    def test_gap_closing_sweep_rows_are_unflagged(self):
+        lo, hi = NonHermitianSSHParams(1.0, 1.0, 1.0).gap_closing_couplings()
+        spec = SweepSpec(model="nh-ssh", sweep=("t2", lo, hi, 2),
+                         fixed={"t1": 1.0, "gamma": 1.0},
+                         quantities=("complexity", "dcomplexity"))
+        rows = run_sweep(spec)
+        assert [row.lam for row in rows] == [lo, hi]
+        for row in rows:
+            assert row.flags == frozenset()
+            assert all(math.isfinite(v) for v in row.values.values())
 
     def test_sweep_stays_in_unit_interval_and_shows_cusps(self):
         # flat wings on both sides keep the median curvature low enough for

@@ -18,7 +18,7 @@ from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
                      param_derivative, plateau_reference,
                      ssh_complexity_closed, ssh_model)
 from twoband.fidelity import dhat_derivative
-from twoband.quadrature import SINGULAR_OFFSET, _GK_NODES, _GK_WEIGHTS
+from twoband.quadrature import _GK_NODES, _GK_WEIGHTS
 
 PI = math.pi
 
@@ -209,33 +209,24 @@ class TestArrayEngine:
         got = bz_average_vec(lambda k: np.stack([np.ones_like(k), np.cos(k) ** 2, np.sin(k)]))
         assert got == pytest.approx([1.0, 0.5, 0.0], abs=1e-13)
 
-    def test_nan_node_is_rescued_by_the_offset(self):
+    def test_undefined_kernel_raises_convergence_or_its_own_error(self):
         # a node of the first level, computed as the engine places it
         half = 0.5 * PI
         k0 = (-PI + half) + half * _GK_NODES[4]
-        seen = []
 
-        def f(k):
-            seen.append(np.asarray(k).copy())
-            return np.where(k == k0, np.nan, np.cos(k) ** 2)
+        def nan_at_k0(k):
+            return np.where(k == k0, np.nan, 1.0)
 
-        # no bisection allowed: the first level must converge with the
-        # one-sided value, which moves one node by about 1e-10
-        got = bz_average_vec(f, BZQuadratureConfig(max_subdivisions=2), extra_points=(0.0,))
-        assert got == pytest.approx(0.5, abs=1e-10)
-        assert any(np.any(batch == k0 + SINGULAR_OFFSET) for batch in seen[1:])
+        with pytest.raises(ConvergenceError):
+            bz_average_vec(nan_at_k0, extra_points=(0.0,))
+        for error in (GapClosedError, ExceptionalPointError):
+            def raising(k, error=error):
+                if np.any(k == k0):
+                    raise error(f"undefined at k={k0!r}")
+                return np.ones_like(k)
 
-    def test_undefined_beside_the_node_raises_the_given_error(self):
-        half = 0.5 * PI
-        k0 = (-PI + half) + half * _GK_NODES[4]
-
-        def f(k):
-            return np.where(np.abs(k - k0) < 1e-6, np.nan, 1.0)
-
-        with pytest.raises(GapClosedError):
-            bz_average_vec(f, extra_points=(0.0,))
-        with pytest.raises(ExceptionalPointError):
-            bz_average_vec(f, extra_points=(0.0,), undefined=ExceptionalPointError)
+            with pytest.raises(error):
+                bz_average_vec(raising, extra_points=(0.0,))
 
     def test_budget_exhaustion_raises_with_an_estimate(self):
         cfg = BZQuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)

@@ -95,6 +95,14 @@ class TestRunSweep:
         spacing = recs[1].lam - recs[0].lam
         assert len(cusps) == 1 and abs(cusps[0] - 1.0) <= spacing
 
+    def test_exhausted_budget_row_is_flagged_with_an_infinite_bound(self):
+        spec = SweepSpec(model="ssh", sweep=("t2", 1.5, 1.6, 2), fixed={"t1": 1.0},
+                         reference=GlobalReference(0.9, 0.4), quantities=("chi_f", "bound"))
+        for rec in run_sweep(spec, BZQuadratureConfig(max_subdivisions=2)):
+            assert rec.flags == {"diverged"}
+            assert math.isfinite(rec.values["chi_f"])
+            assert math.isnan(rec.values["bound_lhs"]) and math.isinf(rec.values["bound_rhs"])
+
     def test_ratio_at_divergence_is_flagged_nan(self):
         # a gap point in the middle of each sweep; the winding rows at the gap
         # are NaN like the ratio, and the sweep goes on
@@ -345,6 +353,25 @@ class TestCLI:
         assert main(["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3",
                      "--ref-piecewise", str(zero)]) == 2
         assert repr(f"{-PI} 0.0 0 0 0") in capsys.readouterr().err
+        untiled = tmp_path / "untiled.txt"
+        untiled.write_text(f"{-PI} 0.5 0 0 1\n0 {PI} 0 0 -1\n")
+        assert main(["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3",
+                     "--ref-piecewise", str(untiled)]) == 2
+        assert str(untiled) in capsys.readouterr().err
+
+    def test_rows_beside_the_transition_are_unflagged(self, capsys):
+        # chi_f there is 6.2e8 and 6.2e10: large, correct and not divergent
+        assert main(["sweep", "--model", "ssh", "--set", "t1=1",
+                     "--sweep", f"t2:{1 + 1e-12!r}:{1 + 1e-10!r}:2",
+                     "--theta", "0.9", "--phi", "0.4", "--quantities", "chi_f,bound"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "lambda,chi_f,bound_lhs,bound_rhs,bound_satisfied,flags"
+        assert len(lines) == 3
+        for line in lines[1:]:
+            lam, chi, lhs, rhs, satisfied, flags = line.split(",")
+            assert flags == "" and satisfied == "1"
+            assert float(chi) > 1e8
+            assert all(math.isfinite(float(x)) for x in (chi, lhs, rhs))
 
     def test_numerical_error_exit_code(self, capsys):
         # equatorial reference leaves the dominant massive-Dirac component
