@@ -1,5 +1,11 @@
 """Command-line front end: sweeps, verification suites, and point diagnostics.
 
+One parser decides every flag.  Each subcommand carries its handler as the
+``run`` default; ``nh-sweep`` is ``sweep`` with its own defaults.  A sweep's
+``--config`` file is expanded into the flags it stands for, placed before
+the command line's own, and the same parser parses the result, so the last
+value given wins.
+
 Exit codes: 0 success, 1 verification failure, 2 bad configuration,
 3 numerical failure.
 """
@@ -90,14 +96,28 @@ def _lines(path: str) -> List[Tuple[str, str]]:
         return [(raw.rstrip(), line) for raw in fh if (line := raw.split("#", 1)[0].strip())]
 
 
-def _read_config(path: str) -> Dict[str, str]:
-    values: Dict[str, str] = {}
+def _config_flags(path: str) -> List[str]:
+    """The sweep flags a flat ``key = value`` config file stands for.
+
+    ``key = value`` becomes ``--key=value`` (``_`` may stand for ``-``),
+    ``set.X = v`` becomes ``--set=X=v`` and a true ``degrees`` becomes
+    ``--degrees``; the sweep parser then judges every one like a flag.
+    """
+    flags = []
     for raw, line in _lines(path):
-        if "=" not in line:
+        key, sep, val = (part.strip() for part in line.partition("="))
+        if not sep:
             raise SpecError(f"config line must be key = value: {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    return values
+        if key == "config":
+            raise SpecError(f"a config file cannot name another one: {raw!r}")
+        if key.startswith("set."):
+            flags.append(f"--set={key[4:]}={val}")
+        elif key == "degrees":
+            if val.lower() in ("1", "true", "yes"):
+                flags.append("--degrees")
+        else:
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
 def _read_piecewise(path: str) -> PiecewiseBlochReference:
@@ -147,15 +167,13 @@ def _add_reference_options(p):
                    help="interpret --theta/--phi in degrees")
 
 
-def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``config`` entries become defaults of the sweep command."""
-    parser = argparse.ArgumentParser(
-        prog="twoband",
-        description="Spread complexity, fidelity susceptibility, winding numbers "
-                    "and duality maps for two-band Bloch Hamiltonians.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_sweep_command(sub, name: str, text: str, **defaults) -> None:
+    """A sweep subcommand; ``defaults`` are its own defaults of the shared flags.
 
-    p = sub.add_parser("sweep", help="run a parameter sweep and emit CSV/JSON")
+    Flags are matched by their full names only, so a config key is either a
+    flag's long name or an error.
+    """
+    p = sub.add_parser(name, help=text, allow_abbrev=False)
     p.add_argument("--model", choices=tuple(MODELS), help="model family")
     p.add_argument("--set", action="append", metavar="KEY=VAL",
                    help="fix a model parameter (repeatable)")
@@ -166,81 +184,64 @@ def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentPa
     p.add_argument("--ref-piecewise", metavar="FILE",
                    help="piecewise reference file (k_lo k_hi nx ny nz per line)")
     p.add_argument("--config", metavar="FILE",
-                   help="flat key = value config file; flags override it")
+                   help="flat key = value config file of sweep flags; flags override it")
     p.add_argument("--out", metavar="PATH",
                    help="output file (.csv or .json); default prints CSV")
     _add_reference_options(p)
     _add_tolerance_options(p)
-    if config:
-        p.set_defaults(**_config_defaults(config))
+    p.set_defaults(run=_cmd_sweep, **defaults)
 
-    p = sub.add_parser("nh-sweep", help="sweep the lossy chain (complexity + derivative)")
-    p.add_argument("--set", action="append", metavar="KEY=VAL")
-    p.add_argument("--sweep", metavar="NAME:START:STOP:POINTS", required=True)
-    p.add_argument("--quantities", default="complexity,dcomplexity")
-    p.add_argument("--out", metavar="PATH")
-    _add_reference_options(p)
-    _add_tolerance_options(p)
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; each subcommand's ``run`` default is its handler."""
+    parser = argparse.ArgumentParser(
+        prog="twoband",
+        description="Spread complexity, fidelity susceptibility, winding numbers "
+                    "and duality maps for two-band Bloch Hamiltonians.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    _add_sweep_command(sub, "sweep", "run a parameter sweep and emit CSV/JSON")
+    _add_sweep_command(sub, "nh-sweep", "sweep --model nh-ssh (complexity + derivative)",
+                       model="nh-ssh", quantities="complexity,dcomplexity")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("winding", help="winding numbers of a model")
     p.add_argument("--model", choices=_HERMITIAN, required=True)
     p.add_argument("--set", action="append", metavar="KEY=VAL")
     p.add_argument("--grid-size", type=_grid_size, default=1024)
+    p.set_defaults(run=_cmd_winding)
 
     p = sub.add_parser("duality", help="susceptibility/complexity duality residuals")
     p.add_argument("--set", action="append", metavar="KEY=VAL")
     _add_reference_options(p)
     _add_tolerance_options(p)
+    p.set_defaults(run=_cmd_duality)
 
-    for name, text in (("bound", "check the derivative-susceptibility bound at one point"),
-                       ("ratio", "saturation ratio R at one parameter value")):
+    for name, text, run in (
+            ("bound", "check the derivative-susceptibility bound at one point", _cmd_bound),
+            ("ratio", "saturation ratio R at one parameter value", _cmd_ratio)):
         p = sub.add_parser(name, help=text)
         p.add_argument("--model", choices=_HERMITIAN, required=True)
         p.add_argument("--set", action="append", metavar="KEY=VAL")
         p.add_argument("--lam", type=_finite, required=True, help="parameter value")
         _add_reference_options(p)
         _add_tolerance_options(p)
+        p.set_defaults(run=run)
 
     return parser
 
 
-# sweep options a config file may supply (keys may spell "_" as "-")
-_CONFIG_OPTIONS = ("model", "sweep", "quantities", "theta", "phi", "out",
-                   "abs_tol", "rel_tol")
-
-
-def _config_defaults(conf: Dict[str, str]) -> Dict[str, object]:
-    """Parser defaults from a config file, so any explicit flag overrides them.
-
-    String values go through each option's type like a flag value; ``set.X``
-    entries come before the --set flags, whose later values win.
-    """
-    defaults: Dict[str, object] = {}
-    sets = []
-    for key, val in conf.items():
-        if key.startswith("set."):
-            sets.append(f"{key[4:]}={val}")
-        elif key == "degrees":
-            defaults["degrees"] = val.lower() in ("1", "true", "yes")
-        elif key.replace("-", "_") in _CONFIG_OPTIONS:
-            defaults[key.replace("-", "_")] = val
-    if sets:
-        defaults["set"] = sets
-    return defaults
-
-
-def _sweep_spec(args, model_override: Optional[str] = None) -> SweepSpec:
+def _sweep_spec(args) -> SweepSpec:
     """The sweep that parsed ``sweep`` or ``nh-sweep`` arguments describe."""
-    model = args.model if model_override is None else model_override
-    if model is None:
+    if args.model is None:
         raise SpecError("a sweep needs --model (or a config file providing it)")
     if args.sweep is None:
         raise SpecError("a sweep needs --sweep name:start:stop:points")
     return SweepSpec(
-        model=model,
+        model=args.model,
         sweep=_parse_sweep(args.sweep),
         fixed=_parse_set(args.set),
         reference=_reference(args),
@@ -248,8 +249,8 @@ def _sweep_spec(args, model_override: Optional[str] = None) -> SweepSpec:
     )
 
 
-def _cmd_sweep(args, model_override: Optional[str] = None) -> int:
-    spec = _sweep_spec(args, model_override)
+def _cmd_sweep(args) -> int:
+    spec = _sweep_spec(args)
     records = run_sweep(spec, _quad_config(args))
     if args.out:
         write_records(spec, records, args.out)
@@ -322,30 +323,20 @@ def _cmd_ratio(args) -> int:
 
 @functools.cache
 def _default_parser() -> argparse.ArgumentParser:
-    """The parser without config defaults, built on the first call and then reused."""
+    """The parser, built on the first call and then reused."""
     return build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _default_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _default_parser()
+    args = parser.parse_args(argv)
     try:
-        if args.command == "sweep" and args.config:
-            args = build_parser(_read_config(args.config)).parse_args(argv)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "nh-sweep":
-            return _cmd_sweep(args, model_override="nh-ssh")
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "winding":
-            return _cmd_winding(args)
-        if args.command == "duality":
-            return _cmd_duality(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "ratio":
-            return _cmd_ratio(args)
-        raise SpecError(f"unknown command {args.command!r}")
+        if getattr(args, "config", None):
+            # a config file's flags go first, so the command line's own win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(args.config), *argv[at:]])
+        return args.run(args)
     except (SpecError, OSError) as exc:  # OSError: a named file cannot be read or written
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -15,7 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .bloch import BlochVector, GlobalReference, ReferenceState, plateau_reference
+from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference, ReferenceState,
+                    plateau_reference)
 from .errors import DomainError, GapClosedError, PartitionError
 from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, ssh_model
 from .quadrature import BZQuadratureConfig, bz_average_vec
@@ -46,8 +47,25 @@ def ground_state_bloch(d) -> BlochVector:
 
 def ground_complexity(model: TwoBandModel, ref: ReferenceState,
                       cfg: BZQuadratureConfig | None = None) -> float:
-    """BZ-averaged ground-state spread complexity for an arbitrary reference."""
-    return _band_complexity(model, ref, _GROUND, cfg)
+    """BZ average of the ground-state C_k = 1/2 + (1/2) n_ref(k) . d_hat(k).
+
+    The kernel takes an array of k and raises GapClosedError at a mode where
+    |d| < GAP_EPS.  The model's singular points and the reference breakpoints
+    are panel edges, where no quadrature node lies, so a gap closing there
+    costs nothing.
+    """
+
+    def ck(k):
+        d = model.d(k)
+        n = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        if np.any(n < GAP_EPS):
+            raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
+        nref = ref.bloch_at(k)
+        dot = nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]
+        return 0.5 * (1.0 + dot / n)
+
+    extra = (*model.singular_points, *ref.breakpoints())
+    return float(bz_average_vec(ck, cfg, extra_points=extra))
 
 
 def _ssh_elliptic_terms(t1: float, t2: float) -> float:
@@ -135,9 +153,17 @@ class BandAssignment:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "signs", signs)
 
-    def sign_at(self, k):
-        """Band sign at k (scalar or array); each interval includes its upper end."""
-        return np.asarray(self.signs)[np.searchsorted(self.breakpoints[1:-1], k, side="left")]
+    def reference(self, n_ref: BlochVector) -> PiecewiseBlochReference:
+        """The piecewise reference -s * n_ref on each band interval.
+
+        C_k = 1/2 - (s/2) n_ref . d_hat is the ground-state C_k against
+        -s * n_ref, so the ground complexity against this reference is the
+        assignment's complexity against n_ref.  Each interval includes its
+        upper end.
+        """
+        bp = self.breakpoints
+        return PiecewiseBlochReference(tuple(
+            (lo, hi, n_ref if s < 0 else -n_ref) for lo, hi, s in zip(bp, bp[1:], self.signs)))
 
     @classmethod
     def two_interval(cls, k0: float, sign_left: int, sign_right: int) -> "BandAssignment":
@@ -148,41 +174,17 @@ class BandAssignment:
         return cls((-PI, PI), (-1,))
 
 
-_GROUND = BandAssignment.ground()
-
-
-def _band_complexity(model: TwoBandModel, ref: ReferenceState, bands: BandAssignment,
-                     cfg: BZQuadratureConfig | None) -> float:
-    """BZ average of C_k = 1/2 - (s(k)/2) n_ref(k) . d_hat(k) for band signs s(k).
-
-    The kernel takes an array of k and raises GapClosedError at a mode where
-    |d| < GAP_EPS.  The model's singular points are panel edges, where no
-    quadrature node lies, so a gap closing there costs nothing.
-    """
-
-    def ck(k):
-        d = model.d(k)
-        n = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if np.any(n < GAP_EPS):
-            raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
-        nref = ref.bloch_at(k)
-        dot = nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]
-        return 0.5 * (1.0 - bands.sign_at(k) * dot / n)
-
-    extra = (*model.singular_points, *ref.breakpoints(), *bands.breakpoints[1:-1])
-    return float(bz_average_vec(ck, cfg, extra_points=extra))
-
-
 def excited_piecewise_complexity(params: SSHParams, bands: BandAssignment,
                                  ref: GlobalReference,
                                  cfg: BZQuadratureConfig | None = None) -> float:
     """Complexity of a piecewise band assignment of the SSH chain.
 
     The target Bloch vector is sign(k) * d_hat(k), so per mode
-    C_k = 1/2 - (sign(k)/2) * n_ref . d_hat(k); the band breakpoints split
-    the quadrature panels.
+    C_k = 1/2 - (sign(k)/2) * n_ref . d_hat(k): the ground complexity against
+    the piecewise reference ``bands.reference(n_ref)``, whose breakpoints
+    split the quadrature panels.
     """
-    return _band_complexity(ssh_model(params), _require_global(ref), bands, cfg)
+    return ground_complexity(ssh_model(params), bands.reference(_require_global(ref).bloch), cfg)
 
 
 def excited_split_closed(params: SSHParams, theta: float) -> float:

@@ -50,18 +50,14 @@ class BiKrylovBasis:
     left1: np.ndarray
 
 
-def _branch_R(r1: complex, r3: complex) -> complex:
-    # Principal square root: Re(R) >= 0, and Im(R) >= 0 on the Re(R) = 0 ray,
-    # which implements the ground-branch rule Re(-R) < 0 with the
-    # Im(-R) < 0 tie-break.
-    return cmath.sqrt(r1 * r1 + r3 * r3)
-
-
 def biorthogonal_ground(h: np.ndarray) -> BiorthogonalPair:
     """Ground biorthogonal pair of a complex-symmetric traceless 2x2 matrix.
 
-    The eigenvalue branch -R with Re(-R) < 0 is selected; the shared complex
-    normalization 1/sqrt(R1^2 + (R + R3)^2) cancels in any left-right product.
+    The eigenvalue branch -R with Re(-R) < 0 is selected.  Of the two
+    proportional ground vectors (R1, -(R + R3)) and (R - R3, -R1), the one
+    with the larger of |R + R3| and |R - R3| is kept: its pairing
+    2R(R +- R3) vanishes only where R^2 does.  The shared complex
+    normalization 1/sqrt(v . v) cancels in any left-right product.
     """
     h = np.asarray(h, dtype=complex)
     r1 = complex(h[0, 1])
@@ -69,14 +65,16 @@ def biorthogonal_ground(h: np.ndarray) -> BiorthogonalPair:
     rsq = r1 * r1 + r3 * r3
     if abs(rsq) < _EP_EPS:
         raise ExceptionalPointError("R^2 = 0: eigenvectors coalesce")
-    R = _branch_R(r1, r3)
-    norm_sq = r1 * r1 + (R + r3) ** 2
-    if abs(norm_sq) < _EP_EPS:
-        raise ExceptionalPointError("self-orthogonal ground state")
-    norm = cmath.sqrt(norm_sq)
-    right = np.array([r1, -(r3 + R)], dtype=complex) / norm
-    left = np.array([r1, -(r3 + R)], dtype=complex) / norm
-    return BiorthogonalPair(right=right, left=left, eigenvalue=-R)
+    # Principal square root: Re(R) >= 0, and Im(R) >= 0 on the Re(R) = 0 ray,
+    # which implements the ground-branch rule Re(-R) < 0 with the
+    # Im(-R) < 0 tie-break.
+    R = cmath.sqrt(rsq)
+    if abs(R + r3) >= abs(R - r3):
+        v = np.array([r1, -(R + r3)], dtype=complex)
+    else:
+        v = np.array([R - r3, -r1], dtype=complex)
+    v /= cmath.sqrt(complex(v @ v))
+    return BiorthogonalPair(right=v, left=v.copy(), eigenvalue=-R)
 
 
 def bikrylov_basis(alpha: complex, beta: complex) -> BiKrylovBasis:
@@ -109,9 +107,9 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
 def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: complex):
     """Array kernel k -> C_k = |w_1| / (|w_0| + |w_1|) for normalized amplitudes.
 
-    Uses the explicit weight formulas in terms of R1, R3 and R; raises
-    ExceptionalPointError at a mode at an exceptional point or with a
-    self-orthogonal ground state.
+    Uses the explicit weight formulas in terms of the ground vector (v0, v1)
+    that biorthogonal_ground keeps; raises ExceptionalPointError at a mode at
+    an exceptional point, the only place where its pairing v . v vanishes.
     """
     ca, cb = alpha.conjugate(), beta.conjugate()
 
@@ -119,14 +117,18 @@ def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: compl
         r1 = params.t1 - params.t2 * np.cos(k)
         r3 = params.t2 * np.sin(k) + 0.5j * params.gamma
         rsq = r1 * r1 + r3 * r3
-        # principal root, as in _branch_R: the ground branch is -R
-        u = np.sqrt(rsq) + r3
-        denom = r1 * r1 + u * u
-        bad = (np.abs(rsq) < _EP_EPS) | (np.abs(denom) < _EP_EPS)
+        bad = np.abs(rsq) < _EP_EPS
         if np.any(bad):
             raise ExceptionalPointError(f"exceptional point at k={float(np.extract(bad, k)[0])}")
-        w0 = np.abs((alpha * r1 - beta * u) * (ca * r1 - cb * u) / denom)
-        w1 = np.abs((alpha * u + beta * r1) * (ca * u + cb * r1) / denom)
+        # principal root, as in biorthogonal_ground: the ground branch is -R
+        root = np.sqrt(rsq)
+        plus, minus = root + r3, root - r3
+        first = np.abs(plus) >= np.abs(minus)
+        v0 = np.where(first, r1, minus)
+        v1 = -np.where(first, plus, r1)
+        denom = v0 * v0 + v1 * v1
+        w0 = np.abs((alpha * v0 + beta * v1) * (ca * v0 + cb * v1) / denom)
+        w1 = np.abs((beta * v0 - alpha * v1) * (cb * v0 - ca * v1) / denom)
         return w1 / (w0 + w1)
 
     return ck

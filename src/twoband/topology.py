@@ -8,7 +8,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DomainError, GapClosedError, NonQuantizedError
-from .models import DualSSHParams, TwoBandModel, ssh_contour
+from .models import GAP_EPS, DualSSHParams, TwoBandModel, dual_pair, ssh_contour
 
 PI = math.pi
 
@@ -28,7 +28,7 @@ def winding_phase_accumulation(f: Callable[[np.ndarray], np.ndarray],
         raise DomainError(f"winding needs a grid of at least 3 steps, got {grid_size}")
     ks = np.linspace(-PI, PI, grid_size + 1)
     vals = np.broadcast_to(np.asarray(f(ks), dtype=complex), ks.shape)
-    if np.min(np.abs(vals)) < 1e-12:
+    if np.min(np.abs(vals)) < GAP_EPS:
         raise GapClosedError("map vanishes on the grid; winding undefined")
     steps = np.angle(vals[1:] / vals[:-1])
     return float(np.sum(steps) / (2.0 * PI))
@@ -69,7 +69,7 @@ def winding_cross_product(model: TwoBandModel, grid_size: int = 4096) -> float:
     else:
         planar = d
     norms = np.sqrt(np.sum(planar * planar, axis=0))
-    if np.min(norms) < 1e-12:
+    if np.min(norms) < GAP_EPS:
         raise GapClosedError("gap closes on the winding grid")
     dhat = planar / norms
     dk = 2.0 * PI / grid_size
@@ -80,9 +80,9 @@ def winding_cross_product(model: TwoBandModel, grid_size: int = 4096) -> float:
 
 def dual_windings(params: DualSSHParams, grid_size: int = 1024) -> Tuple[int, int]:
     """Winding numbers (nu_I, nu_II) of the dual pair; they sum to 1 for r != 1."""
-    t, r = params.t, params.r
-    if abs(r - 1.0) < 1e-12:
+    if dual_pair(params)[0].gap_closed():
         raise GapClosedError("dual pair is gapless at the self-dual point r = 1")
+    t, r = params.t, params.r
     nu_i = winding_log_derivative(ssh_contour(t, r * t), grid_size)
     nu_ii = winding_log_derivative(ssh_contour(t, t / r), grid_size)
     return nu_i, nu_ii

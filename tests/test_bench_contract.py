@@ -46,5 +46,5 @@ def test_every_benchmark_sweep_argv_parses_and_validates(monkeypatch, tmp_path):
     assert len(argvs) == 37
     for argv in argvs:
         args = build_parser().parse_args(argv)
-        sweep = _sweep_spec(args, "nh-ssh" if args.command == "nh-sweep" else None)
+        sweep = _sweep_spec(args)
         assert isinstance(sweep, twoband.SweepSpec), argv

@@ -165,9 +165,10 @@ class TestPlateau:
         ref = plateau_reference()
         assert ref.bloch_at(ks)[2] == pytest.approx([1, 1, 1, -1, -1, -1])
         assert ref.bloch_at(0.0) == pytest.approx([0.0, 0.0, 1.0])
-        bands = BandAssignment.two_interval(0.0, -1, +1)
-        assert list(bands.sign_at(ks)) == [-1, -1, -1, 1, 1, 1]
-        assert bands.sign_at(0.0) == -1
+        # band sign s selects the reference -s * n_ref: +z on k <= 0, -z above
+        bands = BandAssignment.two_interval(0.0, -1, +1).reference(BlochVector(0.0, 0.0, 1.0))
+        assert bands.bloch_at(ks)[2] == pytest.approx([1, 1, 1, -1, -1, -1])
+        assert bands.bloch_at(0.0) == pytest.approx([0.0, 0.0, 1.0])
 
     def test_vanishing_intercell_coupling(self):
         assert plateau_complexity(SSHParams(1.0, 1e-12)) == pytest.approx(0.5, abs=1e-10)

@@ -129,6 +129,20 @@ class TestPerMode:
         with pytest.raises(ExceptionalPointError):
             nh_complexity_per_mode(NonHermitianSSHParams(2.0, 2.5, 1.0), 0.0, AMP, AMP)
 
+    def test_vanishing_r1_with_negative_re_r3_is_not_exceptional(self):
+        # at k = -arccos(t1/t2), R1 = 0 and R = -R3, so R + R3 = 0; the ground
+        # vector (R - R3, -R1) ~ (1, 0) is regular and C_k is |beta|^2 around it
+        params = NonHermitianSSHParams(1.0, 2.0, 1.0)
+        k = -PI / 3.0
+        for node in (k - 1e-9, k, k + 1e-9):
+            assert nh_complexity_per_mode(params, node, 0.6, 0.8) == pytest.approx(0.64, abs=1e-8)
+        assert nh_complexity_per_mode(params, k, 0.6, 0.8) == pytest.approx(0.64, abs=1e-14)
+        assert nh_complexity_per_mode_overlap(params, k, 0.6, 0.8) == pytest.approx(0.64, abs=1e-14)
+        h = nh_ssh_bloch_hamiltonian(params, k)
+        pair = biorthogonal_ground(h)
+        assert pair.pairing() == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(h @ pair.right - pair.eigenvalue * pair.right) < 1e-14
+
 
 class TestGroundComplexity:
     def test_hermitian_reduction(self):

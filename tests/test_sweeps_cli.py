@@ -405,6 +405,117 @@ class TestCLI:
         assert main(["sweep", "--sweep", "t2:0.5:1.5:3"]) == 2
 
 
+def _stdout(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+class TestConfigFile:
+    """A config file stands for the sweep flags it names, placed before the command line's."""
+
+    SWEEP = ["--model", "ssh", "--sweep", "t2:0.5:1.5:3", "--set", "t1=1"]
+    CONF = "model = ssh\nsweep = t2:0.5:1.5:3\nset.t1 = 1\n"
+
+    def test_ref_piecewise_key_equals_the_flag(self, tmp_path, capsys):
+        ref = tmp_path / "ref.txt"
+        ref.write_text(f"{-PI} 0 0 0 1\n0 {PI} 0 0 -1\n")
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(self.CONF + f"ref-piecewise = {ref}\n")
+        flag = _stdout(capsys, ["sweep", *self.SWEEP, "--ref-piecewise", str(ref)])
+        assert flag[0] == 0
+        assert _stdout(capsys, ["sweep", "--config", str(conf)]) == flag
+        # the plateau reference's trivial-side value 1/2 - t2/pi at t2 = 0.5
+        first = flag[1].splitlines()[1].split(",")
+        assert float(first[1]) == pytest.approx(0.5 - 0.5 / PI, abs=1e-8)
+
+    @pytest.mark.parametrize("line", ["quantity = chi_f", "the = 0.3", "bogus = 1"])
+    def test_unknown_key_exits_2(self, line, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(self.CONF + line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(conf)])
+        assert exc.value.code == 2
+        assert line.split()[0] in capsys.readouterr().err
+
+    def test_config_key_naming_another_config_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(self.CONF + f"config = {conf}\n")
+        assert main(["sweep", "--config", str(conf)]) == 2
+        assert "config" in capsys.readouterr().err
+
+    def test_degrees_key_equals_the_flag(self, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(self.CONF + "theta = 60\nphi = 30\ndegrees = true\n")
+        flag = _stdout(capsys, ["sweep", *self.SWEEP, "--theta", "60", "--phi", "30",
+                                "--degrees"])
+        assert flag[0] == 0
+        assert _stdout(capsys, ["sweep", "--config", str(conf)]) == flag
+
+    def test_underscore_spelling_and_later_flags_win(self, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(self.CONF + "quantities = chi_f\nabs_tol = 1e-11\n")
+        flag = _stdout(capsys, ["sweep", *self.SWEEP, "--set", "t1=2",
+                                "--quantities", "complexity", "--abs-tol", "1e-11"])
+        assert flag[0] == 0
+        got = _stdout(capsys, ["sweep", "--config", str(conf), "--set", "t1=2",
+                               "--quantities", "complexity"])
+        assert got == flag
+
+    def test_config_run_builds_no_second_parser(self, monkeypatch, tmp_path, capsys):
+        import twoband.cli as cli
+
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(self.CONF)
+        assert main(["winding", "--model", "ssh"]) == 0  # builds the parser if not yet built
+        monkeypatch.setattr(cli, "build_parser", None)  # any further build would raise
+        assert main(["sweep", "--config", str(conf)]) == 0
+
+
+class TestNHSweepIsSweep:
+    FLAGS = ["--set", "t1=2", "--set", "gamma=1", "--sweep", "t2:1.4:1.6:3",
+             "--theta", "90", "--phi", "0", "--degrees"]
+
+    def test_default_quantities(self, capsys):
+        code, out = _stdout(capsys, ["nh-sweep", *self.FLAGS])
+        assert code == 0
+        assert out.splitlines()[0] == "lambda,complexity,dcomplexity,flags"
+
+    def test_sweep_with_model_nh_ssh_equals_nh_sweep(self, capsys):
+        flags = [*self.FLAGS, "--quantities", "complexity"]
+        nh = _stdout(capsys, ["nh-sweep", *flags])
+        assert nh[0] == 0
+        assert _stdout(capsys, ["sweep", "--model", "nh-ssh", *flags]) == nh
+
+
+class TestWindingGapThreshold:
+    """A winding cell is undefined only where the model itself calls the gap closed."""
+
+    def test_sweep_rows_beside_the_transition_are_not_flagged(self, capsys):
+        lo, hi = 1.0 - 5e-13, 1.0 + 5e-13
+        code, out = _stdout(capsys, ["sweep", "--model", "ssh", "--set", "t1=1",
+                                     "--sweep", f"t2:{lo!r}:{hi!r}:2",
+                                     "--quantities", "chi_f,winding"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[2:] for row in rows] == [["0", ""], ["1", ""]]
+        assert all(math.isfinite(float(row[1])) for row in rows)
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--model", "massive-dirac", "--set", "mu=5e-13"], "winding(planar) = 0.0"),
+        (["--model", "ssh", "--set", "t1=1", "--set", "t2=1.0000000000005"],
+         "winding(contour) = 1"),
+        (["--model", "dual-ssh", "--set", "r=0.9999999999995"], "winding(II) = 1"),
+    ])
+    def test_winding_command_beside_the_transition(self, argv, line, capsys):
+        assert main(["winding", *argv]) == 0
+        assert line in capsys.readouterr().out
+
+    def test_winding_command_on_the_transition_exits_3(self):
+        for argv in (["--model", "massive-dirac", "--set", "mu=0"],
+                     ["--model", "dual-ssh", "--set", "r=1"]):
+            assert main(["winding", *argv]) == 3
+
+
 def _model_choices(command):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
