@@ -47,9 +47,12 @@ class BoundReport:
 
 
 def _dhat_integrals(m: TwoBandModel, cfg: BZQuadratureConfig | None) -> np.ndarray:
-    """The BZ integrals of d(d_hat_i)/d(lambda) at the model's bound parameter."""
+    """The BZ integrals of d(d_hat_i)/d(lambda) at the model's bound parameter.
+
+    Panels start from the model's graded ``panel_edges``.
+    """
     return 2.0 * PI * bz_average_vec(
-        lambda k: dhat_derivative(m.d(k), m.d_deriv(k)), cfg, extra_points=m.singular_points)
+        lambda k: dhat_derivative(m.d(k), m.d_deriv(k)), cfg, extra_points=m.panel_edges())
 
 
 def _susceptibility_terms(model: TwoBandModel, lam: float, cfg: BZQuadratureConfig | None
@@ -71,9 +74,10 @@ def complexity_derivative(model: TwoBandModel, ref: ReferenceState, lam: float,
 
     Per mode dC_k/d(lambda) = n_ref(k) . d(d_hat)/d(lambda) / 2.  A global
     reference contracts Q with the d_hat integrals that the bound and the
-    ratio share; a piecewise one is contracted inside the kernel, with its
-    breakpoints as panel edges.  Where the gap is closed at lam the
-    derivative diverges and GapClosedError is raised before any average.
+    ratio share; a piecewise one is contracted inside the kernel, on panels
+    that start from the model's graded ``panel_edges`` and the reference
+    breakpoints.  Where the gap is closed at lam the derivative diverges and
+    GapClosedError is raised before any average.
     """
     m = model.at(lam)
     if m.gap_closed():
@@ -87,7 +91,7 @@ def complexity_derivative(model: TwoBandModel, ref: ReferenceState, lam: float,
         return 0.5 * (n[0] * v[0] + n[1] * v[1] + n[2] * v[2])
 
     return float(bz_average_vec(kernel, cfg,
-                                extra_points=(*m.singular_points, *ref.breakpoints())))
+                                extra_points=(*m.panel_edges(), *ref.breakpoints())))
 
 
 def _ratio(integrals: Optional[np.ndarray], components, q: np.ndarray) -> float:
@@ -158,9 +162,9 @@ def fs_duality_check(params: DualSSHParams,
     (lhs, rhs, relative residual).
     """
     r = params.r
-    if abs(r - 1.0) < 1e-12:
-        raise DomainError("susceptibility duality check diverges at r = 1")
     model_i, model_ii = dual_pair(params)
+    if model_i.gap_closed():
+        raise GapClosedError("susceptibility duality check diverges at r = 1")
     lhs = chi_F(model_ii, 1.0 / r, cfg).total
     rhs = r ** 4 * chi_F(model_i, r, cfg).total
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -50,9 +50,10 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
     """BZ average of the ground-state C_k = 1/2 + (1/2) n_ref(k) . d_hat(k).
 
     The kernel takes an array of k and raises GapClosedError at a mode where
-    |d| < GAP_EPS.  The model's singular points and the reference breakpoints
-    are panel edges, where no quadrature node lies, so a gap closing there
-    costs nothing.
+    |d| < GAP_EPS.  Panels start from the model's ``panel_edges`` (its
+    singular points, graded by the gap scale) and the reference breakpoints.
+    No quadrature node lies on an edge, so a gap closing there costs nothing,
+    and the peak beside a nearly closed gap takes a few refinement levels.
     """
 
     def ck(k):
@@ -64,7 +65,7 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
         dot = nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]
         return 0.5 * (1.0 + dot / n)
 
-    extra = (*model.singular_points, *ref.breakpoints())
+    extra = (*model.panel_edges(), *ref.breakpoints())
     return float(bz_average_vec(ck, cfg, extra_points=extra))
 
 
@@ -107,7 +108,8 @@ def md_complexity_closed(params: MassiveDiracParams, theta: float) -> float:
 def md_dC_dmu_analytic(params: MassiveDiracParams, theta: float) -> float:
     """Analytic derivative (cos(theta)/(pi sqrt(1+mu^2))) [K(lam) - E(lam)], lam = 1/(1+mu^2).
 
-    Diverges like (cos(theta)/pi) ln(4/|mu|) as mu -> 0; raises DomainError
+    Diverges like (cos(theta)/pi) (ln(4/|mu|) - 1) as mu -> 0, so the
+    coefficient of ln|mu| is -cos(theta)/pi on both sides; raises DomainError
     only where the complement mu^2/(1+mu^2) is 0.
     """
     root = math.hypot(1.0, params.mu)

@@ -81,9 +81,10 @@ def chi_F(model: TwoBandModel, lam: float,
     """BZ-averaged fidelity susceptibility of a model family at parameter lam.
 
     Components chi_F^i = (1/8*pi) * integral |d(d_hat_i)/d(lambda)|^2 dk are
-    integrated together so their sum equals the total identically.  Where
-    the model's gap is closed at lam no average runs: every component is
-    inf, flagged diverged.  Elsewhere the integral is finite, however large;
+    integrated together so their sum equals the total identically, on panels
+    that start from the model's graded ``panel_edges``.  Where the model's
+    gap is closed at lam no average runs: every component is inf, flagged
+    diverged.  Elsewhere the integral is finite, however large;
     only an exhausted subdivision budget flags it, keeping the estimate with
     any non-finite component set to inf.
     """
@@ -96,7 +97,7 @@ def chi_F(model: TwoBandModel, lam: float,
         return 0.25 * v * v
 
     try:
-        comps = bz_average_vec(integrand, cfg, extra_points=m.singular_points)
+        comps = bz_average_vec(integrand, cfg, extra_points=m.panel_edges())
     except ConvergenceError as exc:
         est = np.asarray(exc.estimate, dtype=float)
         est = np.where(np.isfinite(est), est, np.inf)

@@ -9,6 +9,7 @@ rotation tag.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -22,6 +23,9 @@ PI = math.pi
 
 # |d| below this is treated as an exact gap closing.
 GAP_EPS = 1e-13
+
+# Central-difference step of the k-slope of d at the singular points.
+_SLOPE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,38 @@ class TwoBandModel:
     def at(self, lam: float) -> "TwoBandModel":
         return replace(self, lam=float(lam))
 
+    @functools.cached_property
+    def _singular_gaps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """|d| and the k-slope |d_k d| at each singular point, from one call of d."""
+        ks = np.asarray(self.singular_points, dtype=float)
+        d = self.d(np.concatenate((ks, ks - _SLOPE_STEP, ks + _SLOPE_STEP)))
+        d = d.reshape(3, 3, ks.size)
+        slope = d[:, 2] - d[:, 1]
+        return (np.sqrt(np.sum(d[:, 0] * d[:, 0], axis=0)),
+                np.sqrt(np.sum(slope * slope, axis=0)) / (2.0 * _SLOPE_STEP))
+
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the stock gaps close."""
-        d = self.d(np.asarray(self.singular_points, dtype=float))
-        return bool(np.any(np.sqrt(np.sum(d * d, axis=0)) < GAP_EPS))
+        return bool(np.any(self._singular_gaps[0] < GAP_EPS))
+
+    def panel_edges(self) -> Tuple[float, ...]:
+        """The singular points, each graded geometrically by the model's gap scale.
+
+        Beside a singular point k_s the integrands of the averages peak over
+        the gap scale w = |d(k_s)| / |d_k d(k_s)|.  The edges k_s +- w 4^j for
+        w 4^j < 1 (an hp geometric mesh) let adaptive quadrature resolve that
+        peak in a few refinement levels instead of bisecting down to w.  A
+        closed gap, a zero slope or w >= 1 adds no edges at that point.
+        """
+        edges = list(self.singular_points)
+        for k_s, gap, slope in zip(self.singular_points, *self._singular_gaps):
+            if gap < GAP_EPS or not slope > 0.0:
+                continue
+            w = gap / slope
+            while w < 1.0:
+                edges += (k_s - w, k_s + w)
+                w *= 4.0
+        return tuple(edges)
 
     def validate(self, grid_points: int = 64) -> None:
         """Check 2*pi periodicity and (when analytic) the parameter derivative."""

@@ -22,11 +22,15 @@ def winding_phase_accumulation(f: Callable[[np.ndarray], np.ndarray],
 
     ``f`` is called once, on the whole array of grid momenta; a constant
     result stands for every momentum.  A full turn needs phase steps below
-    pi, so the grid must have at least three steps.
+    pi, so the grid must have at least three steps.  The grid of
+    ``grid_size`` uniform steps always holds k = 0, where the stock contours
+    come closest to the origin: an odd size gains a node there.  Without it
+    the sampled SSH contour skips the origin once |t2 - t1| is below about
+    (pi / grid_size)^2 / 2.
     """
     if grid_size < 3:
         raise DomainError(f"winding needs a grid of at least 3 steps, got {grid_size}")
-    ks = np.linspace(-PI, PI, grid_size + 1)
+    ks = np.union1d(np.linspace(-PI, PI, grid_size + 1), 0.0)
     vals = np.broadcast_to(np.asarray(f(ks), dtype=complex), ks.shape)
     if np.min(np.abs(vals)) < GAP_EPS:
         raise GapClosedError("map vanishes on the grid; winding undefined")

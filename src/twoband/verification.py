@@ -14,7 +14,7 @@ import numpy as np
 
 from . import special_functions as sf
 from .bloch import GlobalReference
-from .bounds_duality import (bound_check, complexity_duality_check,
+from .bounds_duality import (bound_check, complexity_derivative, complexity_duality_check,
                              complexity_duality_offset, fs_duality_check,
                              ratio_R, self_dual_constraint)
 from .complexity import (BandAssignment, excited_piecewise_complexity,
@@ -194,6 +194,31 @@ def bound_suite() -> List[CheckResult]:
     return checks
 
 
+def log_divergence_suite() -> List[CheckResult]:
+    """dC/d(lambda) diverges like ln|delta| at the gap closings.
+
+    The slope of ``complexity_derivative`` against ln|delta| between
+    |delta| = 1e-8 and 1e-10, on each side of a transition, is held to the
+    closed-form coefficient of ln|delta|: Re(alpha* beta) / (pi t1) for SSH
+    swept in t2 at t1, and -cos(theta) / pi for the massive-Dirac chain.
+    """
+    cfg = BZQuadratureConfig()
+    ref = GlobalReference(0.9, 0.4)
+    span = math.log(1e-8) - math.log(1e-10)
+    cases = [(f"SSH at t1={t1}", ssh_model(SSHParams(t1, t1)), t1,
+              ref.re_alpha_beta / (PI * t1)) for t1 in (1.0, 1.5)]
+    cases.append(("massive Dirac", massive_dirac_model(MassiveDiracParams()), 0.0,
+                  -math.cos(ref.theta) / PI))
+    checks: List[CheckResult] = []
+    for name, model, transition, coefficient in cases:
+        for side, sign in (("above", 1.0), ("below", -1.0)):
+            near, far = (complexity_derivative(model, ref, transition + sign * delta, cfg)
+                         for delta in (1e-10, 1e-8))
+            checks.append(_check(f"{name}: ln|delta| coefficient of dC/dlambda {side} (relative)",
+                                 (far - near) / span / coefficient - 1.0, 1e-6))
+    return checks
+
+
 def winding_suite() -> List[CheckResult]:
     checks = [
         _check("trivial chain winding (t1=2, t2=1)",
@@ -268,6 +293,7 @@ SUITES: Dict[str, Callable[[], List[CheckResult]]] = {
     "closed-forms": closed_forms_suite,
     "duality": duality_suite,
     "bound": bound_suite,
+    "log-divergence": log_divergence_suite,
     "winding": winding_suite,
     "nonhermitian": nonhermitian_suite,
 }

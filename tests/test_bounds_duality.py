@@ -230,6 +230,25 @@ class TestGeometricDcomplexity:
         assert calls["bz_average_vec"] == 0
 
 
+_LOG_REF = GlobalReference(0.9, 0.4)
+
+
+class TestLogDivergence:
+    """dC/d(lambda) diverges like ln|delta| with the closed forms' coefficient."""
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    @pytest.mark.parametrize("model,transition,coefficient", [
+        (ssh_model(SSHParams(1.0, 1.0)), 1.0, _LOG_REF.re_alpha_beta / PI),
+        (ssh_model(SSHParams(1.5, 1.5)), 1.5, _LOG_REF.re_alpha_beta / (1.5 * PI)),
+        (massive_dirac_model(MassiveDiracParams()), 0.0, -math.cos(_LOG_REF.theta) / PI),
+    ], ids=["ssh-t1=1", "ssh-t1=1.5", "massive-dirac"])
+    def test_slope_against_ln_delta(self, model, transition, coefficient, side):
+        near, far = (complexity_derivative(model, _LOG_REF, transition + side * delta)
+                     for delta in (1e-10, 1e-8))
+        slope = (far - near) / (math.log(1e-8) - math.log(1e-10))
+        assert slope == pytest.approx(coefficient, rel=1e-6)
+
+
 class TestRatio:
     def test_saturates_for_ssh(self):
         got = ratio_R(ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.5 * PI, PI),

@@ -11,12 +11,15 @@ from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
                      GapClosedError, GlobalReference,
                      MassiveDiracParams, NonHermitianSSHParams, SSHParams,
                      TwoBandModel, bz_average, bz_average_vec, chi_F,
+                     chi_F_md_closed, chi_F_ssh_closed, complexity_derivative,
                      complexity_per_mode, excited_piecewise_complexity,
                      ground_complexity, ground_state_bloch, massive_dirac_model,
                      md_complexity_closed, md_dC_dmu_analytic,
                      nh_complexity_per_mode_overlap, nh_ground_complexity,
                      param_derivative, plateau_reference,
                      ssh_complexity_closed, ssh_model)
+from twoband import quadrature
+from twoband.bounds_duality import ratio_complexity_prime
 from twoband.fidelity import dhat_derivative
 from twoband.quadrature import _GK_NODES, _GK_WEIGHTS
 
@@ -247,3 +250,80 @@ class TestArrayEngine:
             bz_average_vec(f, cfg, extra_points=(0.0,))
         # two starting panels, then two new panels per bisection
         assert sum(points) <= 21 * (2 + 2 * (50 - 2))
+
+
+class TestGradedPanels:
+    """Averages beside a gap closing start from the model's graded panel edges."""
+
+    @pytest.mark.parametrize("model,lam", [
+        (ssh_model(SSHParams(1.0, 1.0)), 1.0 + 1e-6),
+        (ssh_model(SSHParams(1.0, 1.0)), 1.0 - 1e-6),
+        (ssh_model(SSHParams(1.0, 1.0)), 1.0 + 1e-8),
+        (ssh_model(SSHParams(1.0, 1.0)), 1.0 - 1e-8),
+        (massive_dirac_model(MassiveDiracParams()), 1e-8),
+    ])
+    def test_chi_F_takes_few_refinement_levels(self, model, lam, monkeypatch):
+        # bisection from the singular points alone takes about log2(1/delta)
+        # levels: 23 at delta = 1e-6, 32 at 1e-8
+        levels = []
+        original = quadrature._gk21
+
+        def counted(*args):
+            levels.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(quadrature, "_gk21", counted)
+        assert not chi_F(model, lam).diverged
+        assert len(levels) <= 8
+
+    @pytest.mark.parametrize("model", [
+        ssh_model(SSHParams(1.0, 1.0)),                          # closed gap
+        massive_dirac_model(MassiveDiracParams(mu=0.0)),         # closed gap
+        ssh_model(SSHParams(3.0, 1.0)),                          # w = 2
+        massive_dirac_model(MassiveDiracParams(mu=1.5)),         # w = 1.5
+        massive_dirac_model(MassiveDiracParams(t=0.0, mu=1e-3)),  # flat in k
+    ])
+    def test_no_edges_without_a_resolvable_scale(self, model):
+        assert model.panel_edges() == model.singular_points
+
+    def test_edges_grade_geometrically_from_the_gap_scale(self):
+        model = ssh_model(SSHParams(1.0, 1.0 + 1e-6))
+        w = ((1.0 + 1e-6) - 1.0) / (1.0 + 1e-6)  # |d(0)| / |d_k d(0)|
+        want = [w * 4.0 ** j for j in range(10)]  # w 4^10 > 1
+        edges = model.panel_edges()
+        assert edges[0] == 0.0 and len(edges) == 21
+        assert sorted(e for e in edges if e > 0.0) == pytest.approx(want, rel=1e-8)
+        assert sorted(-e for e in edges if e < 0.0) == pytest.approx(want, rel=1e-8)
+
+    def test_edges_beside_every_singular_point(self):
+        edges = np.asarray(massive_dirac_model(MassiveDiracParams(mu=1e-3)).panel_edges())
+        for k_s in (0.0, -PI, PI):
+            assert np.min(np.abs(np.abs(edges - k_s) - 1e-3)) < 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, -1e-2, -1e-4, -1e-6, -1e-8])
+    def test_closed_forms_hold_beside_the_transition(self, delta):
+        ref = GlobalReference(0.9, 0.4)
+        params = SSHParams(1.0, 1.0 + delta)
+        model = ssh_model(params)
+        assert chi_F(model, params.t2).components[0] == pytest.approx(
+            chi_F_ssh_closed(params), rel=1e-6)
+        assert ground_complexity(model, ref) == pytest.approx(
+            ssh_complexity_closed(params, ref), abs=1e-8)
+        assert complexity_derivative(model, ref, params.t2) == pytest.approx(
+            ratio_complexity_prime(params.t2, ref), rel=1e-9)
+        params = MassiveDiracParams(mu=delta)
+        model = massive_dirac_model(params)
+        assert chi_F(model, delta).total == pytest.approx(chi_F_md_closed(params), rel=1e-6)
+        assert ground_complexity(model, ref) == pytest.approx(
+            md_complexity_closed(params, ref.theta), abs=1e-8)
+        assert complexity_derivative(model, ref, delta) == pytest.approx(
+            md_dC_dmu_analytic(params, ref.theta), rel=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, -1e-2, -1e-4, -1e-6, -1e-8])
+    def test_piecewise_kernel_holds_beside_the_transition(self, delta):
+        # the plateau reference: dC/dt2 = -1/pi in the trivial phase, 0 in the
+        # topological one; beside the transition the kernel peaks at 1/|delta|
+        # and the error grows to 4e-10 at |delta| = 1e-8, as with bisection alone
+        t2 = 1.0 + delta
+        got = complexity_derivative(ssh_model(SSHParams(1.0, t2)), plateau_reference(), t2)
+        assert got == pytest.approx(0.0 if delta > 0 else -1.0 / PI, abs=1e-9)

@@ -296,7 +296,7 @@ class TestCLI:
 
     def test_verify_all_passes(self, capsys):
         assert main(["verify", "all"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "52/52 checks passed"
+        assert capsys.readouterr().out.splitlines()[-1] == "58/58 checks passed"
 
     def test_winding_subcommand(self, capsys):
         assert main(["winding", "--model", "ssh", "--set", "t1=1", "--set", "t2=2"]) == 0
@@ -514,6 +514,17 @@ class TestWindingGapThreshold:
         for argv in (["--model", "massive-dirac", "--set", "mu=0"],
                      ["--model", "dual-ssh", "--set", "r=1"]):
             assert main(["winding", *argv]) == 3
+
+
+class TestDualityGapThreshold:
+    """The duality command diverges only where the model calls the gap closed."""
+
+    def test_beside_the_self_dual_point_exits_0(self, capsys):
+        assert main(["duality", "--set", "r=1.0000000000005"]) == 0
+        assert "susceptibility:" in capsys.readouterr().out
+
+    def test_on_the_self_dual_point_exits_3(self):
+        assert main(["duality", "--set", "r=1"]) == 3
 
 
 def _model_choices(command):

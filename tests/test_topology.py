@@ -59,6 +59,20 @@ class TestLogDerivative:
             assert len(values) == 1
 
 
+    @pytest.mark.parametrize("t2,want", [(1.0 + 1e-6, 1), (1.0 - 1e-6, 0)])
+    def test_odd_grid_keeps_a_node_at_k_zero(self, t2, want):
+        # without the node the sampled contour passes the origin on the
+        # wrong side once |t2 - t1| < (pi / 1001)^2 / 2
+        assert winding_log_derivative(ssh_offdiagonal(1.0, t2), 1001) == want
+
+    def test_even_grid_is_the_uniform_grid(self):
+        f = ssh_offdiagonal(1.0, 1.0 + 1e-6)
+        vals = f(np.linspace(-PI, PI, 1025))
+        raw = float(np.sum(np.angle(vals[1:] / vals[:-1])) / (2.0 * PI))
+        assert winding_phase_accumulation(f, 1024) == raw
+        assert winding_log_derivative(f, 1024) == 1
+
+
 class TestCrossProduct:
     @pytest.mark.parametrize("mu", [-3.0, -0.5, 0.5, 3.0])
     def test_massive_dirac_is_trivial(self, mu):
