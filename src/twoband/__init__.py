@@ -25,7 +25,7 @@ from .models import (CooperPairBoxParams, DualSSHParams, MassiveDiracParams,
                      nh_ssh_bloch_hamiltonian, ssh_model)
 from .nonhermitian import (BiKrylovBasis, BiorthogonalPair, bikrylov_basis,
                            biorthogonal_ground, detect_cusps,
-                           nh_complexity_per_mode,
+                           nh_complexity_derivative, nh_complexity_per_mode,
                            nh_complexity_per_mode_overlap,
                            nh_ground_complexity)
 from .quadrature import (BZQuadratureConfig, bz_average, bz_average_vec,

@@ -167,8 +167,11 @@ class NonHermitianSSHParams:
 
 
 def _ssh_d(k, t1, t2):
+    # d_x = t1 - t2 cos k, written so that it does not cancel beside the
+    # transition, where both t1 - t2 and k are small
     k = np.asarray(k, dtype=float)
-    return np.stack([t1 - t2 * np.cos(k), np.zeros_like(k), t2 * np.sin(k)])
+    return np.stack([(t1 - t2) + 2.0 * t2 * np.sin(0.5 * k) ** 2, np.zeros_like(k),
+                     t2 * np.sin(k)])
 
 
 def _ssh_d_dt2(k):

@@ -3,9 +3,11 @@
 Left and right eigenvectors of the complex-symmetric Bloch matrix are paired
 by biorthogonal normalization; the two-vector Krylov chains built from a
 reference amplitude pair give per-mode weights w_0, w_1 and the prescription
-C_k = |w_1| / (|w_0| + |w_1|).  Cusp detection locates the non-analyticities
-of the swept average at the PBC gap-closing couplings, whose exceptional
-points lie at k = 0 and k = +-pi: quadrature panel edges, which no node meets.
+C_k = |w_1| / (|w_0| + |w_1|).  The exceptional points of the PBC gap
+closings lie at k = 0 and k = +-pi: quadrature panel edges, which no node
+meets.  The average C is C^1 in the couplings across a closing; beside it,
+dC/d(lambda) departs from its value on the closing like sqrt(delta) on the
+side between the two closings and like delta outside.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ExceptionalPointError, InsufficientDataError,
+from .errors import (DomainError, ExceptionalPointError, InsufficientDataError,
                      NormalizationError)
 from .models import NonHermitianSSHParams, nh_ssh_bloch_hamiltonian
 from .quadrature import BZQuadratureConfig, bz_average_vec
@@ -104,18 +106,36 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     return alpha / n, beta / n
 
 
-def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: complex):
+# d(R1, R3)/d(lambda) for each swept parameter, as functions of (cos k, sin k).
+_SLOPES = {
+    "t2": lambda cos, sin: (-cos, sin),
+    "gamma": lambda cos, sin: (0.0, 0.5j),
+}
+
+
+def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: complex,
+                      parameter: Optional[str] = None):
     """Array kernel k -> C_k = |w_1| / (|w_0| + |w_1|) for normalized amplitudes.
 
     Uses the explicit weight formulas in terms of the ground vector (v0, v1)
     that biorthogonal_ground keeps; raises ExceptionalPointError at a mode at
     an exceptional point, the only place where its pairing v . v vanishes.
+    With a swept ``parameter`` ("t2" or "gamma") the kernel returns the stack
+    (C_k, dC_k/d(parameter)), by the chain rule through R1, R3, R and (v0, v1).
+    Each weight is w = a b / (v . v) with a, b linear in (v0, v1), so
+    |w|' = |w| Re(w'/w) = |w| Re(a'/a + b'/b - (v . v)'/(v . v)) and
+    dC_k = (|w_1|' |w_0| - |w_0|' |w_1|) / (|w_0| + |w_1|)^2
+         = C_k (1 - C_k) Re(a_1'/a_1 + b_1'/b_1 - a_0'/a_0 - b_0'/b_0),
+    in which (v . v)' and any rescaling of (v0, v1) cancel.  Where a weight
+    vanishes, dC_k is 0.
     """
     ca, cb = alpha.conjugate(), beta.conjugate()
+    slopes = None if parameter is None else _SLOPES[parameter]
 
     def ck(k):
-        r1 = params.t1 - params.t2 * np.cos(k)
-        r3 = params.t2 * np.sin(k) + 0.5j * params.gamma
+        cos, sin = np.cos(k), np.sin(k)
+        r1 = params.t1 - params.t2 * cos
+        r3 = params.t2 * sin + 0.5j * params.gamma
         rsq = r1 * r1 + r3 * r3
         bad = np.abs(rsq) < _EP_EPS
         if np.any(bad):
@@ -127,9 +147,23 @@ def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: compl
         v0 = np.where(first, r1, minus)
         v1 = -np.where(first, plus, r1)
         denom = v0 * v0 + v1 * v1
-        w0 = np.abs((alpha * v0 + beta * v1) * (ca * v0 + cb * v1) / denom)
-        w1 = np.abs((beta * v0 - alpha * v1) * (cb * v0 - ca * v1) / denom)
-        return w1 / (w0 + w1)
+        a0, b0 = alpha * v0 + beta * v1, ca * v0 + cb * v1
+        a1, b1 = beta * v0 - alpha * v1, cb * v0 - ca * v1
+        w0, w1 = a0 * b0 / denom, a1 * b1 / denom
+        m0, m1 = np.abs(w0), np.abs(w1)
+        total = m0 + m1
+        c = m1 / total
+        if slopes is None:
+            return c
+        dr1, dr3 = slopes(cos, sin)
+        droot = (r1 * dr1 + r3 * dr3) / root
+        dv0 = np.where(first, dr1, droot - dr3)
+        dv1 = -np.where(first, droot + dr3, dr1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = ((beta * dv0 - alpha * dv1) / a1 + (cb * dv0 - ca * dv1) / b1
+                     - (alpha * dv0 + beta * dv1) / a0 - (ca * dv0 + cb * dv1) / b0).real
+            dc = np.where(m0 * m1 > 0.0, c * (m0 / total) * slope, 0.0)
+        return np.stack((c, dc))
 
     return ck
 
@@ -171,6 +205,25 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
     alpha, beta = _normalized_pair(alpha, beta)
     return float(bz_average_vec(_nh_weight_kernel(params, alpha, beta), cfg,
                                 extra_points=(0.0,)))
+
+
+def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
+                             alpha: complex, beta: complex,
+                             cfg: BZQuadratureConfig | None = None) -> Tuple[float, float]:
+    """BZ averages (C, dC/d(parameter)) of the lossy chain, for parameter "t2" or "gamma".
+
+    One average of the two-component kernel, on panels split at k = 0 as in
+    nh_ground_complexity; C is C^1 in the couplings, so the derivative stays
+    finite on a gap closing, where dC_k/d(parameter) ~ |k|^(-1/2).  Any other
+    parameter raises DomainError.
+    """
+    if parameter not in _SLOPES:
+        raise DomainError(f"the lossy chain is differentiated in {tuple(_SLOPES)}, "
+                          f"not {parameter!r}")
+    alpha, beta = _normalized_pair(alpha, beta)
+    c, dc = bz_average_vec(_nh_weight_kernel(params, alpha, beta, parameter), cfg,
+                           extra_points=(0.0,))
+    return float(c), float(dc)
 
 
 def detect_cusps(sweep: Sequence) -> List[float]:

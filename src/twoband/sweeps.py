@@ -16,7 +16,7 @@ from .complexity import ground_complexity
 from .errors import ExceptionalPointError, GapClosedError, SpecError, UndefinedRatioError
 from .fidelity import chi_F
 from .models import COLUMNS, MODELS, TwoBandModel
-from .nonhermitian import nh_ground_complexity
+from .nonhermitian import nh_complexity_derivative, nh_ground_complexity
 from .quadrature import BZQuadratureConfig, param_derivative
 from .topology import winding_cross_product, winding_log_derivative
 
@@ -76,43 +76,50 @@ class SweepRecord:
     flags: frozenset = frozenset()
 
 
-def _dcomplexity(spec: SweepSpec, model: TwoBandModel | None,
+def _dcomplexity(spec: SweepSpec, model: TwoBandModel,
                  complexity: Callable[[float], float], lam: float,
                  cfg: BZQuadratureConfig, integrals: Optional[np.ndarray]) -> float:
-    """dC/d(lambda) from Bloch-sphere data, sharing the point's d_hat integrals.
+    """dC/d(lambda) of a Hermitian model from Bloch-sphere data, sharing the
+    point's d_hat integrals.
 
-    The lossy chain has no geometric form, and on a closed gap the geometric
-    derivative diverges; both take the finite difference of the complexity.
+    On a closed gap the geometric derivative diverges; there it is the finite
+    difference of the complexity.
     """
     if integrals is not None:
         return float(reference_coefficients(spec.reference) @ integrals)
-    if model is not None:
-        try:
-            return complexity_derivative(model, spec.reference, lam, cfg)
-        except GapClosedError:
-            pass
-    return param_derivative(complexity, lam)
+    try:
+        return complexity_derivative(model, spec.reference, lam, cfg)
+    except GapClosedError:
+        return param_derivative(complexity, lam)
 
 
 def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
-              complexity: Callable[[float], float], lam: float,
+              complexity: Callable[[float], float],
+              lossy: Optional[Callable[[float], Tuple[float, float]]], lam: float,
               cfg: BZQuadratureConfig) -> SweepRecord:
     values: Dict[str, float] = {}
     flags = set()
     wanted = set(spec.quantities)
-    breakdown = integrals = None
+    breakdown = integrals = pair = None
     if wanted & {"bound", "ratio"}:
         breakdown, integrals = _susceptibility_terms(model, lam, cfg)
     elif wanted & {"chi_f", "chi_f_components"}:
         breakdown = chi_F(model, lam, cfg)
+    elif lossy is not None and "dcomplexity" in wanted:
+        try:
+            pair = lossy(lam)
+        except ExceptionalPointError:
+            flags.add("skipped_exceptional")
+            pair = (math.nan, math.nan)
     if breakdown is not None and breakdown.diverged:
         flags.add("diverged")
     for quantity in spec.quantities:
         try:
             if quantity == "complexity":
-                values["complexity"] = complexity(lam)
+                values["complexity"] = complexity(lam) if pair is None else pair[0]
             elif quantity == "dcomplexity":
-                values["dcomplexity"] = _dcomplexity(spec, model, complexity, lam, cfg, integrals)
+                values["dcomplexity"] = (pair[1] if pair is not None else
+                                         _dcomplexity(spec, model, complexity, lam, cfg, integrals))
             elif quantity == "chi_f":
                 values["chi_f"] = breakdown.total
             elif quantity == "chi_f_components":
@@ -152,19 +159,22 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     Results are deterministic for a fixed spec and tolerances.  A parameter
     point runs at most one susceptibility average and one d_hat-derivative
     average, shared by every quantity built from them; where the model's gap
-    is closed neither runs.
+    is closed neither runs.  A lossy-chain point with dcomplexity runs one
+    average of C and dC/d(lambda) together.
     """
     cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]
     name = spec.sweep[0]
-    model = None
+    model = lossy = None
     if entry.hermitian:
         model = entry.model(spec.fixed, name)
         complexity = lambda x: ground_complexity(model.at(x), spec.reference, cfg)
     else:
         base, alpha, beta = entry.params(spec.fixed), spec.reference.alpha, spec.reference.beta
         complexity = lambda x: nh_ground_complexity(replace(base, **{name: x}), alpha, beta, cfg)
-    return [_evaluate(spec, model, complexity, lam, cfg) for lam in spec.grid()]
+        lossy = lambda x: nh_complexity_derivative(replace(base, **{name: x}), name,
+                                                   alpha, beta, cfg)
+    return [_evaluate(spec, model, complexity, lossy, lam, cfg) for lam in spec.grid()]
 
 
 def _format_value(x: float) -> str:

@@ -26,9 +26,8 @@ from .fidelity import (chi_F, chi_F_md_closed, chi_F_md_z_closed,
 from .models import (DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
                      SSHParams, massive_dirac_model,
                      nh_ssh_bloch_hamiltonian, ssh_contour, ssh_model)
-from .nonhermitian import (bikrylov_basis, biorthogonal_ground, detect_cusps,
-                           nh_complexity_per_mode,
-                           nh_complexity_per_mode_overlap,
+from .nonhermitian import (bikrylov_basis, biorthogonal_ground, nh_complexity_derivative,
+                           nh_complexity_per_mode, nh_complexity_per_mode_overlap,
                            nh_ground_complexity)
 from .quadrature import BZQuadratureConfig, param_derivative
 from .topology import dual_windings, winding_cross_product, winding_log_derivative
@@ -276,15 +275,20 @@ def nonhermitian_suite() -> List[CheckResult]:
     checks.append(_check("gamma -> 0 continuity",
                          nh_ground_complexity(NonHermitianSSHParams(2.0, 1.0, 1e-6), amp, amp, cfg)
                          - hermitian, 1e-5))
-    grid = np.linspace(0.5, 4.0, 200)
-    curve = [(float(t2), nh_ground_complexity(NonHermitianSSHParams(2.0, float(t2), 1.0),
-                                              amp, amp, cfg)) for t2 in grid]
-    cusps = detect_cusps(curve)
-    spacing = float(grid[1] - grid[0])
-    resid = 1.0
-    if len(cusps) >= 2:
-        resid = max(min(abs(c - 1.5) for c in cusps), min(abs(c - 2.5) for c in cusps))
-    checks.append(_check("PBC cusps near t2 = t1 +- gamma/2", resid, spacing))
+    # C is C^1 across each PBC gap closing t2 = c: dC/dt2(c + delta) - dC/dt2(c)
+    # scales as |delta|^(1/2) on the side between the two closings and as
+    # |delta| outside.  The exponent is read off delta = 1e-5 and 1e-7.
+    slope = lambda t2: nh_complexity_derivative(NonHermitianSSHParams(2.0, t2, 1.0), "t2",
+                                                amp, amp, cfg)[1]
+    lo, hi = NonHermitianSSHParams(2.0, 2.0, 1.0).gap_closing_couplings()
+    worst = 0.0
+    for closing, inward in ((lo, 1.0), (hi, -1.0)):
+        at = slope(closing)
+        for side, exponent in ((inward, 0.5), (-inward, 1.0)):
+            near, far = (abs(slope(closing + side * delta) - at) for delta in (1e-7, 1e-5))
+            worst = max(worst, abs(math.log(far / near) / math.log(100.0) - exponent))
+    checks.append(_check("dC/dt2 deviation exponents 1/2 inside, 1 outside each PBC closing",
+                         worst, 1e-2))
     return checks
 
 

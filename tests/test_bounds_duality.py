@@ -1,8 +1,6 @@
 """Bound, saturation ratio, and duality-identity tests."""
 
 import math
-import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GapClosedEr
                      ground_complexity, massive_dirac_model, md_dC_dmu_analytic, ratio_R,
                      plateau_reference, reference_coefficients, run_sweep,
                      self_dual_constraint, ssh_model)
-from twoband import quadrature
 from twoband.bounds_duality import ratio_complexity, ratio_complexity_prime
 from twoband.models import MODELS, TwoBandModel
 from twoband.quadrature import param_derivative
@@ -32,23 +29,6 @@ references = st.builds(GlobalReference, st.floats(min_value=0.0, max_value=PI),
 
 _HERMITIAN_PARAMETERS = [(name, parameter) for name, entry in MODELS.items()
                          if entry.hermitian for parameter in entry.builders]
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts of BZ averages and finite-difference derivatives, by function name."""
-    counts = Counter()
-    for name in ("bz_average_vec", "param_derivative"):
-        original = getattr(quadrature, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("twoband") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return counts
 
 
 class TestReferenceCoefficients:
@@ -247,6 +227,16 @@ class TestLogDivergence:
                      for delta in (1e-10, 1e-8))
         slope = (far - near) / (math.log(1e-8) - math.log(1e-10))
         assert slope == pytest.approx(coefficient, rel=1e-6)
+
+    @pytest.mark.parametrize("delta,want", [(1e-8, 0.0), (-1e-8, -1.0 / PI)],
+                             ids=["above", "below"])
+    def test_plateau_derivative_is_exact_beside_the_transition(self, delta, want):
+        # the plateau reference gives dC/dt2 = 0 above and -1/pi below; d_x is
+        # written as (t1 - t2) + 2 t2 sin^2(k/2), which does not cancel where
+        # |t1 - t2| and |k| are both ~1e-8 and the kernel peaks
+        t2 = 1.0 + delta
+        got = complexity_derivative(ssh_model(SSHParams(1.0, t2)), plateau_reference(), t2)
+        assert got == pytest.approx(want, abs=1e-15)
 
 
 class TestRatio:

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from twoband import (BlochVector, ExceptionalPointError, GlobalReference,
+from twoband import (BlochVector, DomainError, ExceptionalPointError, GlobalReference,
                      InsufficientDataError, NonHermitianSSHParams,
                      NormalizationError, SSHParams, SweepSpec, bikrylov_basis,
                      biorthogonal_ground, complexity_per_mode, detect_cusps,
-                     ground_complexity, ground_state_bloch,
+                     ground_complexity, ground_state_bloch, nh_complexity_derivative,
                      nh_complexity_per_mode, nh_complexity_per_mode_overlap,
-                     nh_ground_complexity, nh_ssh_bloch_hamiltonian, run_sweep,
-                     ssh_complexity_closed, ssh_model)
+                     nh_ground_complexity, nh_ssh_bloch_hamiltonian, param_derivative,
+                     run_sweep, ssh_complexity_closed, ssh_model)
 
 PI = math.pi
 AMP = 1.0 / math.sqrt(2.0)
@@ -210,6 +210,88 @@ class TestGroundComplexity:
         spacing = float(grid[1] - grid[0])
         assert min(abs(c - 1.5) for c in cusps) <= spacing
         assert min(abs(c - 2.5) for c in cusps) <= spacing
+
+
+def _lossy_sweep(parameter, quantities):
+    sweep = ("t2", 1.2, 1.4, 2) if parameter == "t2" else ("gamma", 0.5, 0.8, 2)
+    fixed = {"t1": 1.0, "gamma": 1.0} if parameter == "t2" else {"t1": 1.0, "t2": 1.3}
+    return SweepSpec(model="nh-ssh", sweep=sweep, fixed=fixed,
+                     reference=GlobalReference(0.9, 0.4), quantities=quantities)
+
+
+def _row_params(spec, lam):
+    return NonHermitianSSHParams(**{**spec.params(), spec.sweep[0]: lam})
+
+
+class TestComplexityDerivative:
+    @pytest.mark.parametrize("parameter", ["t2", "gamma"])
+    @pytest.mark.parametrize("t1,t2,gamma", [(2.0, 1.0, 1.0), (1.0, 1.3, 1.0),
+                                             (2.5, 1.7, 0.8), (2.0, 3.2, 1.5)])
+    def test_matches_the_finite_difference_at_gapped_points(self, t1, t2, gamma, parameter):
+        params, ref = NonHermitianSSHParams(t1, t2, gamma), GlobalReference(0.9, 0.4)
+        c, dc = nh_complexity_derivative(params, parameter, ref.alpha, ref.beta)
+        fd = param_derivative(lambda x: nh_ground_complexity(
+            NonHermitianSSHParams(**{**vars(params), parameter: x}), ref.alpha, ref.beta),
+            getattr(params, parameter))
+        assert dc == pytest.approx(fd, abs=1e-10)
+        assert c == pytest.approx(nh_ground_complexity(params, ref.alpha, ref.beta), abs=1e-14)
+
+    @pytest.mark.parametrize("parameter", ["t2", "gamma"])
+    def test_sweep_point_runs_one_average(self, calls, parameter):
+        spec = _lossy_sweep(parameter, ("complexity", "dcomplexity"))
+        rows = run_sweep(spec)
+        assert calls == {"bz_average_vec": 2}
+        ref = spec.reference
+        for row in rows:
+            c, dc = nh_complexity_derivative(_row_params(spec, row.lam), parameter,
+                                             ref.alpha, ref.beta)
+            assert row.values == {"complexity": c, "dcomplexity": dc}
+
+    @pytest.mark.parametrize("parameter", ["t2", "gamma"])
+    def test_complexity_sweep_keeps_the_c_only_kernel(self, monkeypatch, parameter):
+        import twoband.nonhermitian as nonhermitian
+
+        shapes = []
+        engine = nonhermitian.bz_average_vec
+
+        def recording(f, *args, **kwargs):
+            def kernel(k):
+                value = f(k)
+                shapes.append(value.shape)
+                return value
+            return engine(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(nonhermitian, "bz_average_vec", recording)
+        spec = _lossy_sweep(parameter, ("complexity",))
+        rows = run_sweep(spec)
+        assert shapes and all(len(shape) == 1 for shape in shapes)
+        ref = spec.reference
+        for row in rows:
+            want = nh_ground_complexity(_row_params(spec, row.lam), ref.alpha, ref.beta)
+            assert row.values == {"complexity": want}
+
+    @pytest.mark.parametrize("parameter", ["t2", "gamma"])
+    def test_pole_reference_has_zero_derivative(self, parameter):
+        # with alpha = 1, beta = 0, w_0 vanishes where R1 = 0, at cos k = t1/t2,
+        # and w_1 at the mirror mode; C = 1/2 for every coupling
+        params = NonHermitianSSHParams(2.0, 3.0, 1.0)
+        k_star = math.acos(params.t1 / params.t2)
+        assert sorted(round(nh_complexity_per_mode(params, s * k_star, 1.0, 0.0), 12)
+                      for s in (1.0, -1.0)) == [0.0, 1.0]
+        ref = GlobalReference(0.0, 0.0)
+        c, dc = nh_complexity_derivative(params, parameter, ref.alpha, ref.beta)
+        assert c == pytest.approx(0.5, abs=1e-15)
+        assert dc == pytest.approx(0.0, abs=1e-15)
+        fixed = {"t1": 2.0, "gamma": 1.0} if parameter == "t2" else {"t1": 2.0, "t2": 3.0}
+        rows = run_sweep(SweepSpec(model="nh-ssh", sweep=(parameter, 0.5, 3.0, 3), fixed=fixed,
+                                   reference=ref, quantities=("complexity", "dcomplexity")))
+        for row in rows:
+            assert row.flags == frozenset()
+            assert row.values["dcomplexity"] == pytest.approx(0.0, abs=1e-15)
+
+    def test_rejects_a_parameter_it_cannot_differentiate(self):
+        with pytest.raises(DomainError):
+            nh_complexity_derivative(NonHermitianSSHParams(2.0, 1.0, 1.0), "t1", AMP, AMP)
 
 
 class TestDetectCusps:

@@ -323,7 +323,6 @@ class TestGradedPanels:
     def test_piecewise_kernel_holds_beside_the_transition(self, delta):
         # the plateau reference: dC/dt2 = -1/pi in the trivial phase, 0 in the
         # topological one; beside the transition the kernel peaks at 1/|delta|
-        # and the error grows to 4e-10 at |delta| = 1e-8, as with bisection alone
         t2 = 1.0 + delta
         got = complexity_derivative(ssh_model(SSHParams(1.0, t2)), plateau_reference(), t2)
-        assert got == pytest.approx(0.0 if delta > 0 else -1.0 / PI, abs=1e-9)
+        assert got == pytest.approx(0.0 if delta > 0 else -1.0 / PI, abs=1e-15)
