@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
 from .complexity import _require_global, _ssh_elliptic_terms, ground_complexity
 from .errors import DomainError, GapClosedError, UndefinedRatioError
-from .fidelity import SusceptibilityBreakdown, chi_F, dhat_derivative
+from .fidelity import _bloch_averages, _BlochAverages, chi_F
 from .models import DualSSHParams, TwoBandModel, dual_pair
-from .quadrature import BZQuadratureConfig, bz_average_vec
+from .quadrature import BZQuadratureConfig
 from .special_functions import complementary_K, elliptic_derivatives
 
 PI = math.pi
@@ -46,79 +46,45 @@ class BoundReport:
     ratio: float
 
 
-def _dhat_integrals(m: TwoBandModel, cfg: BZQuadratureConfig | None) -> np.ndarray:
-    """The BZ integrals of d(d_hat_i)/d(lambda) at the model's bound parameter.
-
-    Panels start from the model's graded ``panel_edges``.
-    """
-    return 2.0 * PI * bz_average_vec(
-        lambda k: dhat_derivative(m.d(k), m.d_deriv(k)), cfg, extra_points=m.panel_edges())
-
-
-def _susceptibility_terms(model: TwoBandModel, lam: float, cfg: BZQuadratureConfig | None
-                          ) -> Tuple[SusceptibilityBreakdown, Optional[np.ndarray]]:
-    """chi_F at lam and, unless it diverged, the BZ integrals of d(d_hat_i)/d(lambda).
-
-    These two averages are all the bound, the ratio and the complexity
-    derivative need at one point.
-    """
-    breakdown = chi_F(model, lam, cfg)
-    if breakdown.diverged:
-        return breakdown, None
-    return breakdown, _dhat_integrals(model.at(lam), cfg)
-
-
 def complexity_derivative(model: TwoBandModel, ref: ReferenceState, lam: float,
                           cfg: BZQuadratureConfig | None = None) -> float:
     """dC/d(lambda) of the ground complexity from Bloch-sphere data.
 
-    Per mode dC_k/d(lambda) = n_ref(k) . d(d_hat)/d(lambda) / 2.  A global
-    reference contracts Q with the d_hat integrals that the bound and the
-    ratio share; a piecewise one is contracted inside the kernel, on panels
-    that start from the model's graded ``panel_edges`` and the reference
-    breakpoints.  Where the gap is closed at lam the derivative diverges and
-    GapClosedError is raised before any average.
+    Per mode dC_k/d(lambda) = n_ref(k) . d(d_hat)/d(lambda) / 2, for a global
+    or a piecewise reference alike.  Where the gap is closed at lam the
+    derivative diverges and GapClosedError is raised before any average; an
+    exhausted subdivision budget raises ConvergenceError.
     """
-    m = model.at(lam)
-    if m.gap_closed():
+    dc = _bloch_averages(model.at(lam), ref, cfg, derivative=True).dcomplexity
+    if dc is None:
         raise GapClosedError("complexity derivative diverges where the gap is closed")
-    if isinstance(ref, GlobalReference):
-        return float(reference_coefficients(ref) @ _dhat_integrals(m, cfg))
-
-    def kernel(k):
-        v = dhat_derivative(m.d(k), m.d_deriv(k))
-        n = ref.bloch_at(k)
-        return 0.5 * (n[0] * v[0] + n[1] * v[1] + n[2] * v[2])
-
-    return float(bz_average_vec(kernel, cfg,
-                                extra_points=(*m.panel_edges(), *ref.breakpoints())))
+    return dc
 
 
-def _ratio(integrals: Optional[np.ndarray], components, q: np.ndarray) -> float:
-    """Saturation ratio of the axis with the largest |integral|; NaN without integrals."""
-    if integrals is None:
+def _ratio(avg: _BlochAverages, q: np.ndarray) -> float:
+    """Saturation ratio of the axis with the largest |integral|; NaN where chi diverged."""
+    if avg.chi.diverged:
         return math.nan
-    axis = int(np.argmax(np.abs(integrals)))
+    axis = int(np.argmax(np.abs(avg.integrals)))
     if abs(q[axis]) < 1e-15:
         raise UndefinedRatioError(
             f"reference coefficient Q[{axis}] vanishes for the dominant component")
-    comp = components[axis]
+    comp = avg.chi.components[axis]
     if not comp > 0.0:
         raise UndefinedRatioError("dominant susceptibility component vanishes")
-    return abs(integrals[axis]) / (4.0 * PI * math.sqrt(comp))
+    return abs(avg.integrals[axis]) / (4.0 * PI * math.sqrt(comp))
 
 
-def _bound_report(lam: float, ref: GlobalReference, breakdown: SusceptibilityBreakdown,
-                  integrals: Optional[np.ndarray]) -> BoundReport:
-    """Both sides of the bound from the terms of ``_susceptibility_terms``."""
+def _bound_report(lam: float, ref: GlobalReference, avg: _BlochAverages) -> BoundReport:
+    """Both sides of the bound from the derivative and chi averages of one point."""
     q = reference_coefficients(ref)
-    if integrals is None:
+    if avg.chi.diverged:
         return BoundReport(lam=float(lam), lhs=math.nan, rhs=math.inf, q=tuple(q),
                            satisfied=True, ratio=math.nan)
-    lhs = abs(float(q @ integrals))
-    rhs = 4.0 * PI * float(np.sum(np.abs(q) * np.sqrt(np.maximum(breakdown.components, 0.0))))
+    lhs = abs(avg.dcomplexity)
+    rhs = 4.0 * PI * float(np.sum(np.abs(q) * np.sqrt(np.maximum(avg.chi.components, 0.0))))
     try:
-        ratio = _ratio(integrals, breakdown.components, q)
+        ratio = _ratio(avg, q)
     except UndefinedRatioError:
         ratio = math.nan
     return BoundReport(lam=float(lam), lhs=lhs, rhs=rhs, q=tuple(q),
@@ -129,13 +95,14 @@ def bound_check(model: TwoBandModel, ref: GlobalReference, lam: float,
                 cfg: BZQuadratureConfig | None = None) -> BoundReport:
     """Evaluate both sides of the bound at one parameter value.
 
-    The left side is the geometric derivative |dC/d(lambda)| =
-    |sum_i Q_i integral of d(d_hat_i)/d(lambda) dk|; the right side combines
-    the susceptibility components.  Where the susceptibility diverges no
-    d_hat integral runs: lhs and the ratio are NaN, rhs is inf, and the
+    The left side is the geometric derivative |dC/d(lambda)|, the right side
+    combines the susceptibility components; both come from one average.
+    Where the susceptibility diverges (a closed gap, where no average runs,
+    or an exhausted budget) lhs and the ratio are NaN, rhs is inf, and the
     bound counts as satisfied.  A piecewise reference raises DomainError.
     """
-    return _bound_report(lam, _require_global(ref), *_susceptibility_terms(model, lam, cfg))
+    avg = _bloch_averages(model.at(lam), _require_global(ref), cfg, derivative=True, chi=True)
+    return _bound_report(lam, ref, avg)
 
 
 def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
@@ -148,9 +115,8 @@ def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
     tends to sqrt(2/3) deep in either phase.  NaN where the susceptibility
     diverges.  A piecewise reference raises DomainError.
     """
-    q = reference_coefficients(_require_global(ref))
-    breakdown, integrals = _susceptibility_terms(model, lam, cfg)
-    return _ratio(integrals, breakdown.components, q)
+    avg = _bloch_averages(model.at(lam), _require_global(ref), cfg, derivative=True, chi=True)
+    return _ratio(avg, reference_coefficients(ref))
 
 
 def fs_duality_check(params: DualSSHParams,

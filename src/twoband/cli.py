@@ -279,9 +279,7 @@ def _cmd_winding(args) -> int:
         print(f"winding(II) = {nu_ii}")
     elif entry.contour is not None:
         nu = winding_log_derivative(entry.contour(entry.values(sets)), args.grid_size)
-        planar = winding_cross_product(entry.model(sets), max(args.grid_size, 4096))
         print(f"winding(contour) = {nu}")
-        print(f"winding(planar)  = {planar:.12f}")
     else:
         planar = winding_cross_product(entry.model(sets), max(args.grid_size, 1024))
         print(f"winding(planar) = {planar:.12e}")

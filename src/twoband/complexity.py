@@ -19,7 +19,8 @@ from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference, Refer
                     plateau_reference)
 from .errors import DomainError, GapClosedError, PartitionError
 from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, ssh_model
-from .quadrature import BZQuadratureConfig, bz_average_vec
+from .fidelity import _bloch_averages
+from .quadrature import BZQuadratureConfig
 from .special_functions import complementary_K, complete_E
 
 PI = math.pi
@@ -49,24 +50,12 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
                       cfg: BZQuadratureConfig | None = None) -> float:
     """BZ average of the ground-state C_k = 1/2 + (1/2) n_ref(k) . d_hat(k).
 
-    The kernel takes an array of k and raises GapClosedError at a mode where
-    |d| < GAP_EPS.  Panels start from the model's ``panel_edges`` (its
-    singular points, graded by the gap scale) and the reference breakpoints.
-    No quadrature node lies on an edge, so a gap closing there costs nothing,
-    and the peak beside a nearly closed gap takes a few refinement levels.
+    The kernel raises GapClosedError at a mode where |d| < GAP_EPS, which no
+    node meets at the model's singular points: panels start from its graded
+    ``panel_edges`` and the reference breakpoints.  An exhausted subdivision
+    budget raises ConvergenceError.
     """
-
-    def ck(k):
-        d = model.d(k)
-        n = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if np.any(n < GAP_EPS):
-            raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
-        nref = ref.bloch_at(k)
-        dot = nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]
-        return 0.5 * (1.0 + dot / n)
-
-    extra = (*model.panel_edges(), *ref.breakpoints())
-    return float(bz_average_vec(ck, cfg, extra_points=extra))
+    return _bloch_averages(model, ref, cfg, complexity=True).complexity
 
 
 def _ssh_elliptic_terms(t1: float, t2: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -76,33 +76,80 @@ class SusceptibilityBreakdown:
     diverged: bool = False
 
 
+class _BlochAverages(NamedTuple):
+    """BZ averages at one parameter point; a quantity not asked for is None."""
+    complexity: Optional[float]
+    dcomplexity: Optional[float]
+    integrals: Optional[np.ndarray]  # integral of d(d_hat)/d(lambda) dk, per axis
+    chi: Optional[SusceptibilityBreakdown]
+
+
+def _bloch_averages(m: TwoBandModel, ref, cfg: BZQuadratureConfig | None, *, complexity=False,
+                    derivative=False, chi=False) -> _BlochAverages:
+    """C, dC/d(lambda) with the d_hat-derivative integrals, and chi_F of ``m``, from
+    one average on its graded ``panel_edges`` and the reference breakpoints.
+
+    The kernel evaluates d, and d_deriv only for dC or chi, and returns a group
+    per quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
+    v^2 / 4 per axis.  On a closed gap only C is averaged: dC is None and chi
+    inf, flagged diverged.  An exhausted budget flags chi diverged and keeps
+    the estimates (its non-finite ones as inf); without chi it raises.
+    """
+    closed = (derivative or chi) and m.gap_closed()
+    derivative, averaged_chi = derivative and not closed, chi and not closed
+    uses_ref = complexity or derivative
+
+    def kernel(k):
+        d = m.d(k)
+        nref = ref.bloch_at(k) if uses_ref else None
+        groups = []
+        if complexity:
+            n = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+            if np.any(n < GAP_EPS):
+                raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
+            groups.append(0.5 * (1.0 + (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n))
+        if derivative or averaged_chi:
+            v = dhat_derivative(d, m.d_deriv(k))
+            if derivative:
+                dot = nref[0] * v[0] + nref[1] * v[1] + nref[2] * v[2]
+                groups.append(np.vstack((0.5 * dot, v)))
+            if averaged_chi:
+                groups.append(0.25 * v * v)
+        return tuple(groups) if len(groups) > 1 else groups[0]  # one group: a plain array
+
+    out, diverged = (), closed
+    if uses_ref or averaged_chi:
+        edges = (*m.panel_edges(), *(ref.breakpoints() if uses_ref else ()))
+        try:
+            out = bz_average_vec(kernel, cfg, extra_points=edges)
+        except ConvergenceError as exc:
+            if not chi:
+                raise
+            out, diverged = exc.estimate, True
+    out = iter(out if isinstance(out, tuple) else (out,))
+    c = float(next(out)) if complexity else None
+    dc = integrals = breakdown = None
+    if derivative:
+        row = next(out)
+        dc, integrals = float(row[0]), 2.0 * PI * row[1:]
+    if chi:
+        comps = next(out) if averaged_chi else np.full(3, np.inf)
+        comps = np.where(np.isfinite(comps), comps, np.inf)
+        breakdown = SusceptibilityBreakdown(float(np.sum(comps)), tuple(comps), diverged)
+    return _BlochAverages(c, dc, integrals, breakdown)
+
+
 def chi_F(model: TwoBandModel, lam: float,
           cfg: BZQuadratureConfig | None = None) -> SusceptibilityBreakdown:
     """BZ-averaged fidelity susceptibility of a model family at parameter lam.
 
     Components chi_F^i = (1/8*pi) * integral |d(d_hat_i)/d(lambda)|^2 dk are
-    integrated together so their sum equals the total identically, on panels
-    that start from the model's graded ``panel_edges``.  Where the model's
-    gap is closed at lam no average runs: every component is inf, flagged
-    diverged.  Elsewhere the integral is finite, however large;
-    only an exhausted subdivision budget flags it, keeping the estimate with
-    any non-finite component set to inf.
+    integrated together, so their sum equals the total identically.  On a
+    closed gap no average runs and every component is inf, flagged diverged.
+    Elsewhere the integral is finite, however large; only an exhausted
+    budget flags it, keeping the estimate with non-finite components as inf.
     """
-    m = model.at(lam)
-    if m.gap_closed():
-        return SusceptibilityBreakdown(math.inf, (math.inf,) * 3, diverged=True)
-
-    def integrand(k):
-        v = dhat_derivative(m.d(k), m.d_deriv(k))
-        return 0.25 * v * v
-
-    try:
-        comps = bz_average_vec(integrand, cfg, extra_points=m.panel_edges())
-    except ConvergenceError as exc:
-        est = np.asarray(exc.estimate, dtype=float)
-        est = np.where(np.isfinite(est), est, np.inf)
-        return SusceptibilityBreakdown(float(np.sum(est)), tuple(est), diverged=True)
-    return SusceptibilityBreakdown(float(np.sum(comps)), tuple(comps))
+    return _bloch_averages(model.at(lam), None, cfg, chi=True).chi
 
 
 def chi_F_ssh_closed(params: SSHParams) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Tuple
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy
@@ -93,63 +93,79 @@ _REFINE_MARGIN = 16.0
 _MAX_SPLIT = 64
 
 
-def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-          hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod integrals (..., p) and error estimates (p,) of p panels, one call of f."""
+def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod integrals (..., p) and |K21 - G10| errors (p,) of p panels, one call of f;
+    a tuple of groups is stacked into rows, with errors (groups, p) and its layout."""
     half = 0.5 * (hi - lo)
     k = ((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
-    y = np.asarray(f(k), dtype=float)
+    out = f(k)
+    rows = [np.reshape(y, (-1, k.size)) for y in out] if isinstance(out, tuple) else None
+    y = np.asarray(out if rows is None else np.concatenate(rows), dtype=float)
     rules = (y.reshape(y.shape[:-1] + (lo.size, _GK_NODES.size)) @ _GK_WEIGHTS) * half[:, None]
-    kronrod = rules[..., 0]
-    err = np.abs(kronrod - rules[..., 1]).reshape(-1, lo.size).sum(axis=0)
-    return kronrod, err
+    diff = np.abs(rules[..., 0] - rules[..., 1])
+    if rows is None:
+        return rules[..., 0], diff.reshape(-1, lo.size).sum(axis=0), None
+    first = np.cumsum([0] + [len(r) for r in rows[:-1]])
+    return rules[..., 0], np.add.reduceat(diff, first, axis=0), ([g.shape[:-1] for g in out], first)
 
 
-def bz_average_vec(f: Callable[[np.ndarray], np.ndarray], cfg: BZQuadratureConfig | None = None,
-                   extra_points: Iterable[float] = ()) -> np.ndarray:
+def bz_average_vec(f: Callable, cfg: BZQuadratureConfig | None = None,
+                   extra_points: Iterable[float] = ()):
     """(1/2*pi) * integral over [-pi, pi] of an array kernel, by adaptive GK21.
 
-    ``f`` maps k of shape (n,) to values of shape (..., n); all components
-    share one set of panels.  Panels start from [-pi, pi] split at the
-    caller's ``extra_points`` and nowhere else.  Each refinement level calls
-    ``f`` once, on the 21 nodes of every panel it bisects.  The error estimate is
-    |K21 - G10| per panel, summed over components; refinement stops once
-    its total is at most max(abs_tol * 2 pi, rel_tol * |I|).  Each level
-    bisects the worst panels, at most _MAX_SPLIT of them, until the rest
-    would meet that tolerance divided by _REFINE_MARGIN.
-    ``max_subdivisions`` caps the number of panels: when it binds, the worst
-    panels are bisected first, and a full budget raises ConvergenceError
-    carrying the current estimate and error, as does a non-finite error.
-    No node lies on a panel edge, so a kernel undefined only at the caller's
-    points is never evaluated there; elsewhere it raises its own error.
+    ``f`` maps k of shape (n,) to values of shape (..., n), or to a tuple of
+    such arrays (groups), and the result takes the same form.  All components
+    share panels, which start from [-pi, pi] split at ``extra_points``; each
+    level calls ``f`` once, on the 21 nodes of every panel it bisects.  A
+    group's error is |K21 - G10| summed over its components and panels, and
+    each group stops at its own max(abs_tol * 2 pi, rel_tol * sum |I|), as in
+    DCUHRE (Berntsen, Espelid & Genz 1991).  Each level bisects the panels of
+    largest error in units of the tolerances, at most _MAX_SPLIT, until the
+    rest would meet them divided by _REFINE_MARGIN.  More than
+    ``max_subdivisions`` panels, or a non-finite error, raise ConvergenceError
+    with the current estimate.  No node lies on a panel edge, so a kernel
+    undefined only at the caller's points is never evaluated there.
     """
     cfg = cfg or BZQuadratureConfig()
     edges = np.array([-PI, *_interior_points(extra_points), PI])
     lo, hi = edges[:-1], edges[1:]
-    val, err = _gk21(f, lo, hi)
+    val, err, layout = _gk21(f, lo, hi)
     while True:
         total = val.sum(axis=-1)
-        err_total = float(err.sum())
-        tol = max(cfg.abs_tol * 2.0 * PI, cfg.rel_tol * float(np.abs(total).sum()))
-        if err_total <= tol:
-            return total / (2.0 * PI)
+        if layout is None:
+            err_total = float(err.sum())
+            tol = max(cfg.abs_tol * 2.0 * PI, cfg.rel_tol * float(np.abs(total).sum()))
+            converged, score = err_total <= tol, err
+        else:
+            group_err = err.sum(axis=-1).tolist()
+            tols = [max(cfg.abs_tol * 2.0 * PI, cfg.rel_tol * size)
+                    for size in np.add.reduceat(np.abs(total), layout[1]).tolist()]
+            converged = all(map(float.__le__, group_err, tols))
+            # panel errors in units of the first group's tolerance
+            weights = [tols[0] / t for t in tols]
+            score, tol = np.dot(weights, err), tols[0]
+            err_total = sum(w * e for w, e in zip(weights, group_err))
         room = cfg.max_subdivisions - lo.size
-        if room <= 0 or not math.isfinite(err_total):
+        if converged or room <= 0 or not math.isfinite(err_total):
+            estimate = total / (2.0 * PI) if layout is None else tuple(
+                e.reshape(s) for e, s in zip(np.split(total / (2.0 * PI), layout[1][1:]), layout[0]))
+            if converged:
+                return estimate
             raise ConvergenceError("BZ average did not converge within the subdivision budget",
-                                   estimate=total / (2.0 * PI), error=err_total / (2.0 * PI))
-        order = np.argsort(-err)
-        n_split = int(np.searchsorted(np.cumsum(err[order]),
+                                   estimate=estimate, error=float(err.sum()) / (2.0 * PI))
+        order = np.argsort(-score)
+        n_split = int(np.searchsorted(np.cumsum(score[order]),
                                       err_total - tol / _REFINE_MARGIN)) + 1
         n_split = min(n_split, room, _MAX_SPLIT)
         split, keep = order[:n_split], order[n_split:]
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
-        new_val, new_err = _gk21(f, new_lo, new_hi)
+        new_val, new_err, _ = _gk21(f, new_lo, new_hi)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
         val = np.concatenate((val[..., keep], new_val), axis=-1)
-        err = np.concatenate((err[keep], new_err))
+        err = np.concatenate((err[..., keep], new_err), axis=-1)
 
 
 def param_derivative(g: Callable[[float], float], at: float, step: float = 1e-5):

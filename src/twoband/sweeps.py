@@ -10,11 +10,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
-from .bounds_duality import (_bound_report, _ratio, _susceptibility_terms, complexity_derivative,
-                             reference_coefficients)
+from .bounds_duality import _bound_report, _ratio, reference_coefficients
 from .complexity import ground_complexity
 from .errors import ExceptionalPointError, GapClosedError, SpecError, UndefinedRatioError
-from .fidelity import chi_F
+from .fidelity import _bloch_averages
 from .models import COLUMNS, MODELS, TwoBandModel
 from .nonhermitian import nh_complexity_derivative, nh_ground_complexity
 from .quadrature import BZQuadratureConfig, param_derivative
@@ -76,23 +75,6 @@ class SweepRecord:
     flags: frozenset = frozenset()
 
 
-def _dcomplexity(spec: SweepSpec, model: TwoBandModel,
-                 complexity: Callable[[float], float], lam: float,
-                 cfg: BZQuadratureConfig, integrals: Optional[np.ndarray]) -> float:
-    """dC/d(lambda) of a Hermitian model from Bloch-sphere data, sharing the
-    point's d_hat integrals.
-
-    On a closed gap the geometric derivative diverges; there it is the finite
-    difference of the complexity.
-    """
-    if integrals is not None:
-        return float(reference_coefficients(spec.reference) @ integrals)
-    try:
-        return complexity_derivative(model, spec.reference, lam, cfg)
-    except GapClosedError:
-        return param_derivative(complexity, lam)
-
-
 def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
               complexity: Callable[[float], float],
               lossy: Optional[Callable[[float], Tuple[float, float]]], lam: float,
@@ -100,38 +82,40 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
     values: Dict[str, float] = {}
     flags = set()
     wanted = set(spec.quantities)
-    breakdown = integrals = pair = None
-    if wanted & {"bound", "ratio"}:
-        breakdown, integrals = _susceptibility_terms(model, lam, cfg)
-    elif wanted & {"chi_f", "chi_f_components"}:
-        breakdown = chi_F(model, lam, cfg)
-    elif lossy is not None and "dcomplexity" in wanted:
+    avg = pair = None
+    if model is not None:
+        avg = _bloch_averages(model.at(lam), spec.reference, cfg,
+                              complexity="complexity" in wanted,
+                              derivative=bool(wanted & {"dcomplexity", "bound", "ratio"}),
+                              chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}))
+        if avg.chi is not None and avg.chi.diverged:
+            flags.add("diverged")
+        pair = (avg.complexity, avg.dcomplexity)
+    elif "dcomplexity" in wanted:
         try:
             pair = lossy(lam)
         except ExceptionalPointError:
             flags.add("skipped_exceptional")
             pair = (math.nan, math.nan)
-    if breakdown is not None and breakdown.diverged:
-        flags.add("diverged")
     for quantity in spec.quantities:
         try:
             if quantity == "complexity":
                 values["complexity"] = complexity(lam) if pair is None else pair[0]
             elif quantity == "dcomplexity":
-                values["dcomplexity"] = (pair[1] if pair is not None else
-                                         _dcomplexity(spec, model, complexity, lam, cfg, integrals))
+                # the geometric dC diverges on a closed gap; the finite difference of C stands in
+                values["dcomplexity"] = (pair[1] if pair[1] is not None else
+                                         param_derivative(complexity, lam))
             elif quantity == "chi_f":
-                values["chi_f"] = breakdown.total
+                values["chi_f"] = avg.chi.total
             elif quantity == "chi_f_components":
-                values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = breakdown.components
+                values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = avg.chi.components
             elif quantity == "bound":
-                report = _bound_report(lam, spec.reference, breakdown, integrals)
+                report = _bound_report(lam, spec.reference, avg)
                 values["bound_lhs"] = report.lhs
                 values["bound_rhs"] = report.rhs
                 values["bound_satisfied"] = 1.0 if report.satisfied else 0.0
             elif quantity == "ratio":
-                values["ratio"] = _ratio(integrals, breakdown.components,
-                                         reference_coefficients(spec.reference))
+                values["ratio"] = _ratio(avg, reference_coefficients(spec.reference))
             elif quantity == "winding":
                 try:
                     contour = MODELS[spec.model].contour
@@ -156,11 +140,10 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
 def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
-    Results are deterministic for a fixed spec and tolerances.  A parameter
-    point runs at most one susceptibility average and one d_hat-derivative
-    average, shared by every quantity built from them; where the model's gap
-    is closed neither runs.  A lossy-chain point with dcomplexity runs one
-    average of C and dC/d(lambda) together.
+    Results are deterministic for a fixed spec and tolerances.  A Hermitian
+    point runs one average for all its quantities; on a closed gap only C is
+    averaged and dcomplexity is its finite difference.  A lossy-chain point
+    with dcomplexity runs one average of C and dC/d(lambda) together.
     """
     cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GapClosedError,
                      GlobalReference, MassiveDiracParams, SSHParams, SweepSpec,
-                     UndefinedRatioError, bound_check, complexity_derivative,
+                     UndefinedRatioError, bound_check, chi_F_md_closed, complexity_derivative,
                      complexity_duality_check,
                      complexity_duality_offset, fs_duality_check,
                      ground_complexity, massive_dirac_model, md_dC_dmu_analytic, ratio_R,
@@ -128,35 +128,80 @@ class TestBoundCheck:
         assert report.satisfied and math.isfinite(report.rhs)
         assert report.lhs == pytest.approx(abs(ratio_complexity_prime(t2, ref)), rel=1e-8)
 
-    def test_gapped_point_runs_two_averages_and_no_finite_difference(self, calls):
+    def test_gapped_point_runs_one_average_and_no_finite_difference(self, calls):
         bound_check(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
-        assert calls == {"bz_average_vec": 2}
+        assert calls == {"bz_average_vec": 1}
 
     def test_divergent_point_runs_no_average(self, calls):
         bound_check(ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.9, 0.4), 1.0,
                     BZQuadratureConfig(max_subdivisions=200))
         assert calls == {}
 
-    @pytest.mark.parametrize("quantities,averages", [
-        (("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"), 3),
-        (("chi_f",), 1),
+    @pytest.mark.parametrize("model,quantities,ref", [
+        ("ssh", ("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"),
+         GlobalReference(0.9, 0.4)),
+        ("ssh", ("chi_f",), GlobalReference(0.9, 0.4)),
+        ("ssh", ("complexity", "dcomplexity"), GlobalReference(0.9, 0.4)),
+        ("ssh", ("complexity", "chi_f"), GlobalReference(0.9, 0.4)),
+        ("ssh", ("complexity", "dcomplexity"), plateau_reference()),
+        ("massive-dirac", ("complexity", "dcomplexity", "bound"), GlobalReference(0.9, 0.4)),
     ])
-    def test_sweep_point_shares_its_averages(self, calls, quantities, averages):
-        spec = SweepSpec(model="ssh", sweep=("t2", 1.5, 2.0, 2), fixed={"t1": 1.0},
-                         reference=GlobalReference(0.9, 0.4), quantities=quantities)
+    def test_sweep_point_shares_its_averages(self, calls, model, quantities, ref):
+        parameter = "t2" if model == "ssh" else "mu"
+        spec = SweepSpec(model=model, sweep=(parameter, 1.5, 2.0, 2), reference=ref,
+                         quantities=quantities)
         run_sweep(spec)
-        assert calls["bz_average_vec"] == 2 * averages
+        assert calls["bz_average_vec"] == 2
         assert calls["param_derivative"] == 0
 
+    def test_gapped_ratio_runs_one_average(self, calls):
+        ratio_R(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
+        assert calls == {"bz_average_vec": 1}
+
+    def test_closed_gap_row_runs_only_the_complexity_and_its_stencil(self, calls):
+        spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
+                         reference=GlobalReference(0.9, 0.4),
+                         quantities=("complexity", "dcomplexity", "chi_f", "chi_f_components",
+                                     "bound", "ratio"))
+        gap = run_sweep(spec)[1]
+        # one average per gapped row; C and the four points of the stencil on the gap
+        assert calls == {"bz_average_vec": 2 + 1 + 4, "param_derivative": 1}
+        assert gap.flags == {"diverged"} and gap.values["chi_f"] == math.inf
+        assert math.isfinite(gap.values["dcomplexity"]) and math.isnan(gap.values["bound_lhs"])
+
+    def test_complexity_average_never_differentiates_the_model(self, monkeypatch):
+        def fail(self, k):
+            raise AssertionError("d_deriv was evaluated for the complexity alone")
+
+        monkeypatch.setattr(TwoBandModel, "d_deriv", fail)
+        model, ref = ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4)
+        assert ground_complexity(model, ref) == pytest.approx(
+            ratio_complexity(2.0, ref), abs=1e-12)
+        ground_complexity(model, plateau_reference())
+        spec = SweepSpec(model="massive-dirac", sweep=("mu", -1.0, 1.0, 3), reference=ref)
+        assert all(math.isfinite(rec.values["complexity"]) for rec in run_sweep(spec))
+
+    def test_exhausted_budget_keeps_one_average_estimates(self, calls):
+        # beside mu = 0 the massive-Dirac average exhausts its budget on panels
+        # at k = +-pi; the row keeps the estimates of its one average
+        ref = GlobalReference(0.9, 0.4)
+        spec = SweepSpec(model="massive-dirac", sweep=("mu", 1e-10, 1.0, 2), reference=ref,
+                         quantities=("chi_f", "dcomplexity"))
+        row = run_sweep(spec)[0]
+        assert calls == {"bz_average_vec": 2}
+        params = MassiveDiracParams(mu=1e-10)
+        assert row.values["chi_f"] == pytest.approx(chi_F_md_closed(params), rel=1e-8)
+        assert row.values["dcomplexity"] == pytest.approx(
+            md_dC_dmu_analytic(params, ref.theta), abs=1e-9)
+
     def test_divergent_point_has_nan_ratio_without_integrating(self, monkeypatch):
-        import twoband.bounds_duality as bd
+        import twoband.fidelity as fidelity
 
         def fail(*args, **kwargs):
-            raise AssertionError("the d(d_hat)/d(lambda) integrals were computed")
+            raise AssertionError("an average ran on a closed gap")
 
-        # chi_F averages through its own module's binding, so this catches
-        # only the d(d_hat)/d(lambda) average
-        monkeypatch.setattr(bd, "bz_average_vec", fail)
+        # every Hermitian point average runs through the fidelity module's binding
+        monkeypatch.setattr(fidelity, "bz_average_vec", fail)
         model, ref = ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.5 * PI, PI)
         report = bound_check(model, ref, 1.0)
         assert math.isinf(report.rhs) and math.isnan(report.ratio)

@@ -252,6 +252,45 @@ class TestArrayEngine:
         assert sum(points) <= 21 * (2 + 2 * (50 - 2))
 
 
+class TestGroupedKernel:
+    """A kernel that returns a tuple holds each entry to its own tolerance."""
+
+    A = 1.001
+    # (1/2 pi) integral of (1 + cos k) / (a + cos k) = 1 - sqrt((a - 1) / (a + 1))
+    PEAK = 1.0 - math.sqrt((A - 1.0) / (A + 1.0))
+
+    def peak(self, k):
+        return (1.0 + np.cos(k)) / (self.A + np.cos(k))
+
+    def test_small_group_keeps_its_relative_accuracy_beside_a_huge_one(self):
+        small, big = bz_average_vec(lambda k: (np.cos(k) ** 2, 1e9 * self.peak(k)))
+        assert small == pytest.approx(0.5, rel=1e-10, abs=0.0)
+        assert big == pytest.approx(1e9 * self.PEAK, rel=1e-10, abs=0.0)
+
+    def test_peaked_small_group_is_refined_for_its_own_tolerance(self):
+        # a tolerance shared with the 1e9 group would allow the peaked
+        # group an error of about 0.6
+        small, big = bz_average_vec(lambda k: (self.peak(k), 1e9 * np.cos(k) ** 2))
+        assert small == pytest.approx(self.PEAK, rel=1e-10, abs=0.0)
+        assert big == pytest.approx(0.5e9, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("kernel", [
+        lambda k: (1.0 + np.cos(k)) / (1.001 + np.cos(k)),
+        lambda k: np.stack([np.ones_like(k), np.abs(np.sin(k)), 1.0 / (1.2 - np.cos(k))]),
+    ], ids=["scalar", "three-component"])
+    def test_one_entry_tuple_equals_the_plain_array_bit_for_bit(self, kernel):
+        plain = bz_average_vec(kernel, extra_points=(0.0,))
+        (grouped,) = bz_average_vec(lambda k: (kernel(k),), extra_points=(0.0,))
+        assert np.array_equal(grouped, plain)
+
+    def test_budget_exhaustion_keeps_an_estimate_per_group(self):
+        cfg = BZQuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)
+        with pytest.raises(ConvergenceError) as info:
+            bz_average_vec(lambda k: (np.cos(k) ** 2, np.sin(1000.0 * k * k)), cfg)
+        small, wild = info.value.estimate
+        assert small == pytest.approx(0.5, abs=1e-12) and np.isfinite(wild)
+
+
 class TestGradedPanels:
     """Averages beside a gap closing start from the model's graded panel edges."""
 

@@ -510,6 +510,13 @@ class TestWindingGapThreshold:
         assert main(["winding", *argv]) == 0
         assert line in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t2", ["1.0000000000005", "1.00001"])
+    def test_contour_families_print_only_the_contour_winding(self, t2, capsys):
+        # the planar integral read 0.818 and 0.820 here: its grid cannot follow
+        # d_hat turning by pi over a width |t2 - t1| at k = 0
+        assert main(["winding", "--model", "ssh", "--set", "t1=1", "--set", f"t2={t2}"]) == 0
+        assert capsys.readouterr().out == "winding(contour) = 1\n"
+
     def test_winding_command_on_the_transition_exits_3(self):
         for argv in (["--model", "massive-dirac", "--set", "mu=0"],
                      ["--model", "dual-ssh", "--set", "r=1"]):
