@@ -93,10 +93,12 @@ def _bloch_averages(m: TwoBandModel, ref, cfg: BZQuadratureConfig | None, *, com
     per quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
     v^2 / 4 per axis.  On a closed gap only C is averaged: dC is None and chi
     inf, flagged diverged.  An exhausted budget flags chi diverged and keeps
-    the estimates (its non-finite ones as inf); without chi it raises.
+    every group's unconverged estimate (chi's non-finite ones as inf);
+    without chi it raises.
     """
     closed = (derivative or chi) and m.gap_closed()
-    derivative, averaged_chi = derivative and not closed, chi and not closed
+    derivative = derivative and not closed
+    averaged_chi = chi and not closed
     uses_ref = complexity or derivative
 
     def kernel(k):
@@ -115,7 +117,9 @@ def _bloch_averages(m: TwoBandModel, ref, cfg: BZQuadratureConfig | None, *, com
                 groups.append(np.vstack((0.5 * dot, v)))
             if averaged_chi:
                 groups.append(0.25 * v * v)
-        return tuple(groups) if len(groups) > 1 else groups[0]  # one group: a plain array
+        if len(groups) == 1:
+            return groups[0]  # a plain array skips the engine's group bookkeeping
+        return tuple(groups)
 
     out, diverged = (), closed
     if uses_ref or averaged_chi:
@@ -126,7 +130,9 @@ def _bloch_averages(m: TwoBandModel, ref, cfg: BZQuadratureConfig | None, *, com
             if not chi:
                 raise
             out, diverged = exc.estimate, True
-    out = iter(out if isinstance(out, tuple) else (out,))
+        if not isinstance(out, tuple):
+            out = (out,)
+    out = iter(out)
     c = float(next(out)) if complexity else None
     dc = integrals = breakdown = None
     if derivative:

@@ -11,7 +11,8 @@ from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GapClosedEr
                      UndefinedRatioError, bound_check, chi_F_md_closed, complexity_derivative,
                      complexity_duality_check,
                      complexity_duality_offset, fs_duality_check,
-                     ground_complexity, massive_dirac_model, md_dC_dmu_analytic, ratio_R,
+                     ground_complexity, massive_dirac_model, md_complexity_closed,
+                     md_dC_dmu_analytic, ratio_R,
                      plateau_reference, reference_coefficients, run_sweep,
                      self_dual_constraint, ssh_model)
 from twoband.bounds_duality import ratio_complexity, ratio_complexity_prime
@@ -193,6 +194,18 @@ class TestBoundCheck:
         assert row.values["chi_f"] == pytest.approx(chi_F_md_closed(params), rel=1e-8)
         assert row.values["dcomplexity"] == pytest.approx(
             md_dC_dmu_analytic(params, ref.theta), abs=1e-9)
+
+    def test_exhausted_budget_row_keeps_the_complexity_of_its_average(self, calls):
+        # C shares the average whose budget runs out; it still meets the
+        # closed form and the C-only average to the quadrature tolerance
+        ref = GlobalReference(0.9, 0.4)
+        spec = SweepSpec(model="massive-dirac", sweep=("mu", 1e-10, 1.0, 2), reference=ref,
+                         quantities=("complexity", "chi_f"))
+        c = run_sweep(spec)[0].values["complexity"]
+        assert calls == {"bz_average_vec": 2}
+        params = MassiveDiracParams(mu=1e-10)
+        assert c == pytest.approx(md_complexity_closed(params, ref.theta), rel=1e-10)
+        assert c == pytest.approx(ground_complexity(massive_dirac_model(params), ref), rel=1e-10)
 
     def test_divergent_point_has_nan_ratio_without_integrating(self, monkeypatch):
         import twoband.fidelity as fidelity
