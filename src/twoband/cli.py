@@ -277,8 +277,8 @@ def _cmd_winding(args) -> int:
         nu_i, nu_ii = dual_windings(entry.params(sets), args.grid_size)
         print(f"winding(I)  = {nu_i}")
         print(f"winding(II) = {nu_ii}")
-    elif entry.contour is not None:
-        nu = winding_log_derivative(entry.contour(entry.values(sets)), args.grid_size)
+    elif entry.rotated:
+        nu = winding_log_derivative(entry.model(sets).contour, args.grid_size)
         print(f"winding(contour) = {nu}")
     else:
         planar = winding_cross_product(entry.model(sets), max(args.grid_size, 1024))

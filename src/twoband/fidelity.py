@@ -162,14 +162,15 @@ def chi_F_ssh_closed(params: SSHParams) -> float:
     """Closed-form x-component of the SSH susceptibility (sweep parameter t2).
 
     3 t2^2 / (32 t1^2 (t1^2 - t2^2)) for t1 > t2 and the t1 <-> t2 mirror for
-    t2 > t1; diverges like 1/|t1 - t2| at the transition.
+    t2 > t1; diverges like 1/|t1 - t2| at the transition.  The difference of
+    squares is formed as (t1 - t2)(t1 + t2), which does not cancel there.
     """
     t1, t2 = params.t1, params.t2
     if t1 == t2:
         raise DomainError("SSH susceptibility diverges at t1 = t2")
     if t1 > t2:
-        return 3.0 * t2 ** 2 / (32.0 * t1 ** 2 * (t1 ** 2 - t2 ** 2))
-    return 3.0 * t1 ** 2 / (32.0 * t2 ** 2 * (t2 ** 2 - t1 ** 2))
+        return 3.0 * t2 ** 2 / (32.0 * t1 ** 2 * ((t1 - t2) * (t1 + t2)))
+    return 3.0 * t1 ** 2 / (32.0 * t2 ** 2 * ((t2 - t1) * (t2 + t1)))
 
 
 def chi_F_md_closed(params: MassiveDiracParams) -> float:

@@ -1,10 +1,11 @@
 """The model zoo: analytic d(k, lambda) vectors and their parameter derivatives.
 
-All Hermitian models are stored in the rotated basis (d_y = 0) obtained from
-the sigma relabeling (x, y, z) -> (x, z, -y); the rotation is applied once at
-construction time and recorded on the model so topology diagnostics can undo
-it.  The massive-Dirac family is native to the final basis and carries no
-rotation tag.
+Every stock Hermitian family has d(k) = a + b cos k + c sin k; its entry in
+``MODELS`` gives the rows (a, b, c) once, and d, d(d)/d(lambda) and the
+winding contour come from them.  The SSH chains are stored in the rotated
+basis (d_y = 0) of the sigma relabeling (x, y, z) -> (x, z, -y), recorded on
+the model so topology diagnostics can undo it; massive Dirac and the
+Cooper-pair box are native to the final basis.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class TwoBandModel:
 
     def at(self, lam: float) -> "TwoBandModel":
         return replace(self, lam=float(lam))
+
+    def contour(self, k):
+        """The stored d_x - i d_z; in the rotated basis, the off-diagonal Bloch element."""
+        d = self.d(k)
+        return d[0] - 1j * d[2]
 
     @functools.cached_property
     def _singular_gaps(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -166,111 +172,33 @@ class NonHermitianSSHParams:
         return (self.t1 - 0.5 * abs(self.gamma), self.t1 + 0.5 * abs(self.gamma))
 
 
-def _ssh_d(k, t1, t2):
-    # d_x = t1 - t2 cos k, written so that it does not cancel beside the
-    # transition, where both t1 - t2 and k are small
+Rows = Tuple[Tuple[float, float, float], ...]
+
+
+def _bloch_sum(rows: Rows, k) -> np.ndarray:
+    """a + b cos k + c sin k for the rows (a, b, c), one component at a time.
+
+    Zero coefficients are skipped.  Where a and b are both nonzero the first
+    two terms are summed as (a + b) - 2 b sin^2(k/2), which does not cancel
+    beside k = 0 when a is close to -b, as at the SSH transition.
+    """
     k = np.asarray(k, dtype=float)
-    return np.stack([(t1 - t2) + 2.0 * t2 * np.sin(0.5 * k) ** 2, np.zeros_like(k),
-                     t2 * np.sin(k)])
+    d = np.zeros((3,) + k.shape)
+    for i, (a_i, b_i, c_i) in enumerate(zip(*rows)):
+        if a_i and b_i:
+            d[i] = (a_i + b_i) - 2.0 * b_i * np.sin(0.5 * k) ** 2
+        elif b_i:
+            d[i] = b_i * np.cos(k)
+        elif a_i:
+            d[i] = a_i
+        if c_i:
+            d[i] += c_i * np.sin(k)
+    return d
 
 
-def _ssh_d_dt2(k):
-    k = np.asarray(k, dtype=float)
-    return np.stack([-np.cos(k), np.zeros_like(k), np.sin(k)])
-
-
-def ssh_model(params: SSHParams) -> TwoBandModel:
-    """d(k) = (t1 - t2 cos k, 0, t2 sin k), swept in t2."""
-    t1 = params.t1
-    return TwoBandModel(lambda k, t2: _ssh_d(k, t1, t2), params.t2,
-                        lambda k, t2: _ssh_d_dt2(k), rotated=True,
-                        singular_points=(0.0,), label="ssh")
-
-
-def _ssh_t1_model(params: SSHParams) -> TwoBandModel:
-    """The same chain swept in t1 at fixed t2."""
-    t2 = params.t2
-
-    def deriv(k, t1):
-        k = np.asarray(k, dtype=float)
-        return np.stack([np.ones_like(k), np.zeros_like(k), np.zeros_like(k)])
-
-    return TwoBandModel(lambda k, t1: _ssh_d(k, t1, t2), params.t1, deriv,
-                        rotated=True, singular_points=(0.0,), label="ssh")
-
-
-def ssh_contour(t1: float, t2: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Off-diagonal Bloch element t1 - t2 e^{ik} of a dimerized chain.
-
-    Its phase winds once around the zone in the topological phase t2 > t1.
-    """
-    return lambda k: t1 - t2 * np.exp(1j * k)
-
-
-def massive_dirac_model(params: MassiveDiracParams) -> TwoBandModel:
-    """d(k) = (t sin k, 0, mu), swept in mu."""
-    t = params.t
-
-    def family(k, mu):
-        k = np.asarray(k, dtype=float)
-        return np.stack([t * np.sin(k), np.zeros_like(k), np.full_like(k, mu)])
-
-    def deriv(k, mu):
-        k = np.asarray(k, dtype=float)
-        z = np.zeros_like(k)
-        return np.stack([z, z, np.ones_like(k)])
-
-    return TwoBandModel(family, params.mu, deriv, rotated=False,
-                        singular_points=(0.0, -PI, PI), label="massive-dirac")
-
-
-def dual_pair(params: DualSSHParams) -> Tuple[TwoBandModel, TwoBandModel]:
-    """The two dual families: couplings (t, r*t) and (t, t/r), each swept in r.
-
-    Both are ordinary SSH chains; family II carries 1/r where family I carries
-    r, so the two coincide componentwise at the self-dual point r = 1.
-    """
-    t = params.t
-    model_i = TwoBandModel(lambda k, r: _ssh_d(k, t, r * t), params.r,
-                           lambda k, r: t * _ssh_d_dt2(k),
-                           rotated=True, singular_points=(0.0,), label="dual-ssh-I")
-    model_ii = TwoBandModel(lambda k, r: _ssh_d(k, t, t / r), params.r,
-                            lambda k, r: (-t / r ** 2) * _ssh_d_dt2(k),
-                            rotated=True, singular_points=(0.0,), label="dual-ssh-II")
-    return model_i, model_ii
-
-
-def cooper_pair_box_model(params: CooperPairBoxParams) -> TwoBandModel:
-    """Massive-Dirac-form model in the flux angle k = pi * Phi/Phi0, swept in ng.
-
-    d(k) = (-Ej cos k, 0, Ecc (1 - 2 ng) / 2); the flux ratio spans [-1, 1]
-    with period 2, and the gap closes at ng = 1/2, Phi = Phi0/2.
-    """
-    Ej, Ecc = params.Ej, params.Ecc
-
-    def family(k, ng):
-        k = np.asarray(k, dtype=float)
-        return np.stack([-Ej * np.cos(k), np.zeros_like(k),
-                         np.full_like(k, 0.5 * Ecc * (1.0 - 2.0 * ng))])
-
-    def deriv(k, ng):
-        k = np.asarray(k, dtype=float)
-        z = np.zeros_like(k)
-        return np.stack([z, z, np.full_like(k, -Ecc)])
-
-    return TwoBandModel(family, params.ng, deriv, rotated=False,
-                        singular_points=(-0.5 * PI, 0.5 * PI), label="cooper-pair-box")
-
-
-def nh_ssh_bloch_hamiltonian(params: NonHermitianSSHParams, k: float) -> np.ndarray:
-    """Complex-symmetric Bloch matrix [[R3, R1], [R1, -R3]] of the lossy chain.
-
-    R1 = t1 - t2 cos k and R3 = t2 sin k + i*gamma/2; the eigenvalues are
-    +-R with R^2 = R1^2 + R3^2, vanishing at the exceptional points.
-    """
-    r1 = params.t1 - params.t2 * math.cos(k)
-    r3 = params.t2 * math.sin(k) + 0.5j * params.gamma
-    return np.array([[r3, r1], [r1, -r3]], dtype=complex)
+def _ssh_rows(t1: float, t2: float) -> Rows:
+    """d(k) = (t1 - t2 cos k, 0, t2 sin k)."""
+    return (t1, 0.0, 0.0), (-t2, 0.0, 0.0), (0.0, 0.0, t2)
 
 
 # Every quantity a Hermitian sweep can evaluate -> its CSV columns, in emission order.
@@ -290,25 +218,28 @@ QUANTITIES = tuple(COLUMNS)
 class ModelEntry:
     """Everything sweeps and the command line know about one model family.
 
-    ``builders`` maps each sweepable parameter, the family's own one first,
-    to the function that builds the model swept in it from the params
-    dataclass; it maps to None where the family has no Hermitian model.
-    ``contour`` maps parameter values to the off-diagonal Bloch element whose
-    phase winding is the family's invariant; it takes plain values, not the
-    params dataclass, so a sweep can evaluate it at any grid value.
+    ``parameters`` names the sweepable parameters, the family's own one
+    first.  A Hermitian family is defined by ``rows``: its params as keywords
+    -> the rows (a, b, c) of d(k) = a + b cos k + c sin k, each a 3-vector
+    and each affine in every sweepable parameter.  ``singular_points`` are
+    the momenta where its gap can close, and ``rotated`` tells whether d is
+    stored in the rotated basis, where d_x - i d_z is the off-diagonal Bloch
+    element.  The lossy chain has no rows.
     """
 
     name: str
     params_type: type
     defaults: Mapping[str, float]
-    builders: Mapping[str, Optional[Callable[[Any], TwoBandModel]]]
+    parameters: Tuple[str, ...]
+    rows: Optional[Callable[..., Rows]] = None
+    singular_points: Tuple[float, ...] = (0.0,)
+    rotated: bool = False
     quantities: Tuple[str, ...] = QUANTITIES
-    contour: Optional[Callable[[Mapping[str, float]], Callable]] = None
 
     @property
     def hermitian(self) -> bool:
-        """Whether every sweepable parameter has a TwoBandModel builder."""
-        return None not in self.builders.values()
+        """Whether the family has Bloch rows, and so a TwoBandModel."""
+        return self.rows is not None
 
     def values(self, fixed: Mapping[str, float]) -> Dict[str, float]:
         """The defaults overridden by ``fixed``; an unknown key is a SpecError."""
@@ -322,24 +253,80 @@ class ModelEntry:
         return self.params_type(**self.values(fixed))
 
     def model(self, fixed: Mapping[str, float], parameter: Optional[str] = None) -> TwoBandModel:
-        """The family swept in ``parameter``, by default the first sweepable one."""
-        build = self.builders[parameter or next(iter(self.builders))]
-        return build(self.params(fixed))
+        """The family swept in ``parameter``, by default the first sweepable one.
+
+        d(d)/d(lambda) is the difference of the rows at lambda = 1 and 0,
+        exact because the rows are affine in every sweepable parameter.
+        """
+        parameter = parameter or self.parameters[0]
+        values = vars(self.params(fixed))
+        rows_at = lambda lam: self.rows(**{**values, parameter: lam})
+        slope = tuple(tuple(p - q for p, q in zip(one, zero))
+                      for one, zero in zip(rows_at(1.0), rows_at(0.0)))
+        return TwoBandModel(lambda k, lam: _bloch_sum(rows_at(lam), k), values[parameter],
+                            lambda k, lam: _bloch_sum(slope, k), self.rotated,
+                            self.singular_points, self.name)
 
 
 # The model families by name.  The Hermitian defaults sit at gapped values,
-# so point commands without --set are well defined.
+# so point commands without --set are well defined.  The SSH chains also
+# close at k = +-pi, where a swept coupling reaches -t1.
 MODELS: Dict[str, ModelEntry] = {entry.name: entry for entry in (
-    ModelEntry("ssh", SSHParams, {"t1": 1.0, "t2": 2.0},
-               {"t2": ssh_model, "t1": _ssh_t1_model},
-               contour=lambda p: ssh_contour(p["t1"], p["t2"])),
-    ModelEntry("massive-dirac", MassiveDiracParams, {"t": 1.0, "mu": 1.0},
-               {"mu": massive_dirac_model}),
-    ModelEntry("dual-ssh", DualSSHParams, {"t": 1.0, "r": 2.0},
-               {"r": lambda params: dual_pair(params)[0]},
-               contour=lambda p: ssh_contour(p["t"], p["r"] * p["t"])),
+    ModelEntry("ssh", SSHParams, {"t1": 1.0, "t2": 2.0}, ("t2", "t1"), _ssh_rows,
+               (0.0, -PI, PI), rotated=True),
+    ModelEntry("massive-dirac", MassiveDiracParams, {"t": 1.0, "mu": 1.0}, ("mu",),
+               lambda t, mu: ((0.0, 0.0, mu), (0.0, 0.0, 0.0), (t, 0.0, 0.0)),
+               (0.0, -PI, PI)),
+    ModelEntry("dual-ssh", DualSSHParams, {"t": 1.0, "r": 2.0}, ("r",),
+               lambda t, r: _ssh_rows(t, r * t), (0.0, -PI, PI), rotated=True),
     ModelEntry("cooper-pair-box", CooperPairBoxParams, {"Ej": 1.0, "Ecc": 1.0, "ng": 0.0},
-               {"ng": cooper_pair_box_model}),
+               ("ng",), lambda Ej, Ecc, ng: ((0.0, 0.0, 0.5 * Ecc * (1.0 - 2.0 * ng)),
+                                            (-Ej, 0.0, 0.0), (0.0, 0.0, 0.0)),
+               (-0.5 * PI, 0.5 * PI)),
     ModelEntry("nh-ssh", NonHermitianSSHParams, {"t1": 1.0, "t2": 1.0, "gamma": 0.0},
-               {"t2": None, "gamma": None}, quantities=("complexity", "dcomplexity")),
+               ("t2", "gamma"), quantities=("complexity", "dcomplexity")),
 )}
+
+
+def ssh_model(params: SSHParams) -> TwoBandModel:
+    """d(k) = (t1 - t2 cos k, 0, t2 sin k), swept in t2."""
+    return MODELS["ssh"].model(vars(params))
+
+
+def massive_dirac_model(params: MassiveDiracParams) -> TwoBandModel:
+    """d(k) = (t sin k, 0, mu), swept in mu."""
+    return MODELS["massive-dirac"].model(vars(params))
+
+
+def dual_pair(params: DualSSHParams) -> Tuple[TwoBandModel, TwoBandModel]:
+    """The two dual families: couplings (t, r*t) and (t, t/r), each swept in r.
+
+    Both are ordinary SSH chains; family II carries 1/r where family I carries
+    r, so the two coincide componentwise at the self-dual point r = 1.
+    """
+    t = params.t
+    ssh = ssh_model(SSHParams(t, t / params.r))
+    model_ii = replace(ssh, family=lambda k, r: ssh.family(k, t / r), lam=params.r,
+                       family_deriv=lambda k, r: (-t / r ** 2) * ssh.family_deriv(k, t / r),
+                       label="dual-ssh-II")
+    return MODELS["dual-ssh"].model(vars(params)), model_ii
+
+
+def cooper_pair_box_model(params: CooperPairBoxParams) -> TwoBandModel:
+    """Massive-Dirac-form model in the flux angle k = pi * Phi/Phi0, swept in ng.
+
+    d(k) = (-Ej cos k, 0, Ecc (1 - 2 ng) / 2); the flux ratio spans [-1, 1]
+    with period 2, and the gap closes at ng = 1/2, Phi = Phi0/2.
+    """
+    return MODELS["cooper-pair-box"].model(vars(params))
+
+
+def nh_ssh_bloch_hamiltonian(params: NonHermitianSSHParams, k: float) -> np.ndarray:
+    """Complex-symmetric Bloch matrix [[R3, R1], [R1, -R3]] of the lossy chain.
+
+    R1 = t1 - t2 cos k and R3 = t2 sin k + i*gamma/2; the eigenvalues are
+    +-R with R^2 = R1^2 + R3^2, vanishing at the exceptional points.
+    """
+    r1 = params.t1 - params.t2 * math.cos(k)
+    r3 = params.t2 * math.sin(k) + 0.5j * params.gamma
+    return np.array([[r3, r1], [r1, -r3]], dtype=complex)

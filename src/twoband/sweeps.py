@@ -37,7 +37,7 @@ class SweepSpec:
         if entry is None:
             raise SpecError(f"unknown model {self.model!r}; choose from {tuple(MODELS)}")
         name, start, stop, points = self.sweep
-        if name not in entry.builders:
+        if name not in entry.parameters:
             raise SpecError(f"model {self.model!r} cannot sweep {name!r}")
         if name in self.fixed:
             raise SpecError(f"sweep parameter {name!r} must not also be fixed")
@@ -118,12 +118,9 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
                 values["ratio"] = _ratio(avg, reference_coefficients(spec.reference))
             elif quantity == "winding":
                 try:
-                    contour = MODELS[spec.model].contour
-                    if contour is None:
-                        values["winding"] = winding_cross_product(model.at(lam))
-                    else:
-                        point = {**spec.params(), spec.sweep[0]: lam}
-                        values["winding"] = float(winding_log_derivative(contour(point)))
+                    point = model.at(lam)
+                    values["winding"] = (float(winding_log_derivative(point.contour))
+                                         if point.rotated else winding_cross_product(point))
                 except GapClosedError:
                     flags.add("diverged")
                     values["winding"] = math.nan

@@ -8,7 +8,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DomainError, GapClosedError, NonQuantizedError
-from .models import GAP_EPS, DualSSHParams, TwoBandModel, dual_pair, ssh_contour
+from .models import GAP_EPS, DualSSHParams, TwoBandModel, dual_pair
 
 PI = math.pi
 
@@ -83,10 +83,9 @@ def winding_cross_product(model: TwoBandModel, grid_size: int = 4096) -> float:
 
 
 def dual_windings(params: DualSSHParams, grid_size: int = 1024) -> Tuple[int, int]:
-    """Winding numbers (nu_I, nu_II) of the dual pair; they sum to 1 for r != 1."""
-    if dual_pair(params)[0].gap_closed():
+    """Winding numbers (nu_I, nu_II) of the dual pair's contours; they sum to 1 for r != 1."""
+    model_i, model_ii = dual_pair(params)
+    if model_i.gap_closed():
         raise GapClosedError("dual pair is gapless at the self-dual point r = 1")
-    t, r = params.t, params.r
-    nu_i = winding_log_derivative(ssh_contour(t, r * t), grid_size)
-    nu_ii = winding_log_derivative(ssh_contour(t, t / r), grid_size)
-    return nu_i, nu_ii
+    return (winding_log_derivative(model_i.contour, grid_size),
+            winding_log_derivative(model_ii.contour, grid_size))

@@ -25,7 +25,7 @@ from .fidelity import (chi_F, chi_F_md_closed, chi_F_md_z_closed,
                        chi_F_ssh_closed)
 from .models import (DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
                      SSHParams, massive_dirac_model,
-                     nh_ssh_bloch_hamiltonian, ssh_contour, ssh_model)
+                     nh_ssh_bloch_hamiltonian, ssh_model)
 from .nonhermitian import (bikrylov_basis, biorthogonal_ground, nh_complexity_derivative,
                            nh_complexity_per_mode, nh_complexity_per_mode_overlap,
                            nh_ground_complexity)
@@ -221,9 +221,9 @@ def log_divergence_suite() -> List[CheckResult]:
 def winding_suite() -> List[CheckResult]:
     checks = [
         _check("trivial chain winding (t1=2, t2=1)",
-               winding_log_derivative(ssh_contour(2.0, 1.0)), 0.0),
+               winding_log_derivative(ssh_model(SSHParams(2.0, 1.0)).contour), 0.0),
         _check("topological chain winding (t1=1, t2=2) minus 1",
-               winding_log_derivative(ssh_contour(1.0, 2.0)) - 1, 0.0),
+               winding_log_derivative(ssh_model(SSHParams(1.0, 2.0)).contour) - 1, 0.0),
         _check("constant map winding",
                winding_log_derivative(lambda k: 1.0 + 0.0j), 0.0),
     ]

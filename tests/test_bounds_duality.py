@@ -29,7 +29,7 @@ references = st.builds(GlobalReference, st.floats(min_value=0.0, max_value=PI),
                        st.floats(min_value=0.0, max_value=2.0 * PI))
 
 _HERMITIAN_PARAMETERS = [(name, parameter) for name, entry in MODELS.items()
-                         if entry.hermitian for parameter in entry.builders]
+                         if entry.hermitian for parameter in entry.parameters]
 
 
 class TestReferenceCoefficients:

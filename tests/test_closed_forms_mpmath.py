@@ -14,8 +14,9 @@ import mpmath as mp
 import pytest
 
 from twoband import (DomainError, DualSSHParams, GlobalReference, MassiveDiracParams,
-                     SSHParams, complexity_duality_offset, dE_dm, md_complexity_closed,
-                     md_dC_dmu_analytic, self_dual_constraint, ssh_complexity_closed)
+                     SSHParams, chi_F_ssh_closed, complexity_duality_offset, dE_dm,
+                     md_complexity_closed, md_dC_dmu_analytic, self_dual_constraint,
+                     ssh_complexity_closed)
 from twoband.bounds_duality import (complexity_duality_offset_prime, ratio_complexity,
                                     ratio_complexity_prime)
 
@@ -81,6 +82,17 @@ def test_derivatives_match_mpmath_to_1e12_relative(q):
     assert _rel(md_dC_dmu_analytic(MassiveDiracParams(mu=q), THETA), md_prime) <= 1e-12
     constraint, _ = self_dual_constraint(DualSSHParams(1.0, r), REF)
     assert _rel(constraint, 2 * c_prime - h_prime) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [side * eps for eps in (1e-6, 1e-8, 1e-10)
+                                   for side in (1.0, -1.0)])
+def test_ssh_susceptibility_matches_mpmath_to_1e14_relative(delta):
+    # the difference of squares t2^2 - t1^2 cancels here unless it is factored
+    t1, t2 = 1.0, 1.0 + delta
+    with mp.workdps(40):
+        lo, hi = sorted((mp.mpf(t1), mp.mpf(t2)))
+        want = 3 * lo ** 2 / (32 * hi ** 2 * (hi ** 2 - lo ** 2))
+    assert _rel(chi_F_ssh_closed(SSHParams(t1, t2)), want) <= 1e-14
 
 
 def test_derivatives_raise_only_at_the_transition():

@@ -138,8 +138,10 @@ class TestNonHermitianHamiltonian:
 
 
 # Each Hermitian registry family and swept parameter at its gap closing.
+# The SSH chains also close at k = pi, where a swept coupling reaches -t1.
 _TRANSITIONS = [("ssh", "t2", 1.0), ("ssh", "t1", 2.0), ("massive-dirac", "mu", 0.0),
-                ("dual-ssh", "r", 1.0), ("cooper-pair-box", "ng", 0.5)]
+                ("dual-ssh", "r", 1.0), ("cooper-pair-box", "ng", 0.5),
+                ("ssh", "t2", -1.0), ("ssh", "t1", -2.0), ("dual-ssh", "r", -1.0)]
 
 
 class TestModelContract:
@@ -192,7 +194,7 @@ class TestModelContract:
 
 
 _ENTRY_PARAMETERS = [(name, parameter) for name, entry in MODELS.items()
-                     for parameter in entry.builders]
+                     for parameter in entry.parameters]
 
 
 class TestRegistry:
@@ -206,12 +208,22 @@ class TestRegistry:
         SweepSpec(model=name, sweep=(parameter, 0.5, 1.5, 3))
         assert isinstance(entry.params({}), entry.params_type)
         if not entry.hermitian:
-            assert entry.builders[parameter] is None
             return
         model = entry.model({}, parameter)
         assert model.lam == entry.defaults[parameter]
         assert np.min(np.linalg.norm(model.d(KGRID), axis=0)) > 1e-3
         model.validate(grid_points=128)
+
+    @pytest.mark.parametrize("name,parameter", [
+        (name, parameter) for name, parameter in _ENTRY_PARAMETERS if MODELS[name].hermitian])
+    def test_rows_are_affine_in_every_sweepable_parameter(self, name, parameter):
+        # the models' d(d)/d(lambda) is the difference of the rows at 1 and 0
+        entry = MODELS[name]
+        values = entry.values({})
+        rows = lambda lam: np.array(entry.rows(**{**values, parameter: lam}))
+        for lam in (-2.5, -0.3, 0.5, 1.7, 4.0):
+            assert np.allclose(rows(lam), rows(0.0) + lam * (rows(1.0) - rows(0.0)),
+                               rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("name,fixed,expected", [
         ("ssh", {"t1": 1.0, "t2": 2.0}, 1),
@@ -221,5 +233,5 @@ class TestRegistry:
     ])
     def test_contour_is_the_winding_of_the_model(self, name, fixed, expected):
         entry = MODELS[name]
-        assert winding_log_derivative(entry.contour(entry.values(fixed))) == expected
+        assert winding_log_derivative(entry.model(fixed).contour) == expected
         assert winding_cross_product(entry.model(fixed)) == pytest.approx(expected, abs=1e-6)

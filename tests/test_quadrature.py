@@ -315,6 +315,19 @@ class TestGradedPanels:
         assert not chi_F(model, lam).diverged
         assert len(levels) <= 8
 
+    def test_negative_coupling_closing_is_graded_at_pi(self, monkeypatch):
+        # t2 = -t1 closes the gap at k = pi; bisection toward pi took 23 levels
+        levels = []
+        original = quadrature._gk21
+
+        def counted(*args):
+            levels.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(quadrature, "_gk21", counted)
+        assert not chi_F(ssh_model(SSHParams(1.0, 2.0)), -1.0 - 1e-6).diverged
+        assert len(levels) <= 3
+
     @pytest.mark.parametrize("model", [
         ssh_model(SSHParams(1.0, 1.0)),                          # closed gap
         massive_dirac_model(MassiveDiracParams(mu=0.0)),         # closed gap
@@ -330,9 +343,9 @@ class TestGradedPanels:
         w = ((1.0 + 1e-6) - 1.0) / (1.0 + 1e-6)  # |d(0)| / |d_k d(0)|
         want = [w * 4.0 ** j for j in range(10)]  # w 4^10 > 1
         edges = model.panel_edges()
-        assert edges[0] == 0.0 and len(edges) == 21
-        assert sorted(e for e in edges if e > 0.0) == pytest.approx(want, rel=1e-8)
-        assert sorted(-e for e in edges if e < 0.0) == pytest.approx(want, rel=1e-8)
+        assert edges[0] == 0.0 and len(edges) == 23
+        assert sorted(e for e in edges if 0.0 < e < PI) == pytest.approx(want, rel=1e-8)
+        assert sorted(-e for e in edges if -PI < e < 0.0) == pytest.approx(want, rel=1e-8)
 
     def test_edges_beside_every_singular_point(self):
         edges = np.asarray(massive_dirac_model(MassiveDiracParams(mu=1e-3)).panel_edges())

@@ -522,6 +522,16 @@ class TestWindingGapThreshold:
                      ["--model", "dual-ssh", "--set", "r=1"]):
             assert main(["winding", *argv]) == 3
 
+    def test_negative_coupling_closes_at_pi_and_the_sweep_goes_on(self, capsys):
+        # t2 = -t1 closes the gap at k = pi, a singular point of the chain
+        code, out = _stdout(capsys, ["sweep", "--model", "ssh", "--sweep", "t2:-1.5:-0.5:3",
+                                     "--quantities", "chi_f,winding"])
+        assert code == 0
+        assert out.splitlines()[2] == "-1,inf,nan,diverged"
+        code, out = _stdout(capsys, ["bound", "--model", "ssh", "--lam", "-1"])
+        assert code == 0
+        assert "lhs=|dC/dlambda|=nan" in out and "rhs=4*pi*sum|Q_i|sqrt(chiF_i)=inf" in out
+
 
 class TestDualityGapThreshold:
     """The duality command diverges only where the model calls the gap closed."""
