@@ -18,7 +18,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .quadrature import param_derivative
+from .quadrature import graded_edges, param_derivative
 
 PI = math.pi
 
@@ -82,19 +82,15 @@ class TwoBandModel:
         """The singular points, each graded geometrically by the model's gap scale.
 
         Beside a singular point k_s the integrands of the averages peak over
-        the gap scale w = |d(k_s)| / |d_k d(k_s)|.  The edges k_s +- w 4^j for
-        w 4^j < 1 (an hp geometric mesh) let adaptive quadrature resolve that
-        peak in a few refinement levels instead of bisecting down to w.  A
-        closed gap, a zero slope or w >= 1 adds no edges at that point.
+        the gap scale w = |d(k_s)| / |d_k d(k_s)|; ``graded_edges`` adds
+        k_s +- w 4^j for w 4^j < 1.  A closed gap, a zero slope or w >= 1 adds
+        no edges at that point.
         """
         edges = list(self.singular_points)
         for k_s, gap, slope in zip(self.singular_points, *self._singular_gaps):
             if gap < GAP_EPS or not slope > 0.0:
                 continue
-            w = gap / slope
-            while w < 1.0:
-                edges += (k_s - w, k_s + w)
-                w *= 4.0
+            edges += graded_edges(k_s, gap / slope)
         return tuple(edges)
 
     def validate(self, grid_points: int = 64) -> None:

@@ -3,9 +3,10 @@
 Left and right eigenvectors of the complex-symmetric Bloch matrix are paired
 by biorthogonal normalization; the two-vector Krylov chains built from a
 reference amplitude pair give per-mode weights w_0, w_1 and the prescription
-C_k = |w_1| / (|w_0| + |w_1|).  The exceptional points of the PBC gap
-closings lie at k = 0 and k = +-pi: quadrature panel edges, which no node
-meets.  The average C is C^1 in the couplings across a closing; beside it,
+C_k = |w_1| / (|w_0| + |w_1|).  The exceptional points (EPs) of the PBC gap
+closings lie at k = 0 and k = +-pi: graded panel edges, which no node meets;
+only a mode where R^2 is exactly 0 raises ExceptionalPointError.  The
+average C is C^1 in the couplings across a closing; beside it,
 dC/d(lambda) departs from its value on the closing like sqrt(delta) on the
 side between the two closings and like delta outside.
 """
@@ -22,12 +23,12 @@ import numpy as np
 from .errors import (DomainError, ExceptionalPointError, InsufficientDataError,
                      NormalizationError)
 from .models import NonHermitianSSHParams, nh_ssh_bloch_hamiltonian
-from .quadrature import BZQuadratureConfig, bz_average_vec
+from .quadrature import BZQuadratureConfig, bz_average_vec, graded_edges
 
 PI = math.pi
 
-# |R^2| below this is treated as an exceptional point.
-_EP_EPS = 1e-20
+# The EP scale that grades the panels on a closing, where it is 0.
+_EP_SCALE_FLOOR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def biorthogonal_ground(h: np.ndarray) -> BiorthogonalPair:
     r1 = complex(h[0, 1])
     r3 = complex(h[0, 0])
     rsq = r1 * r1 + r3 * r3
-    if abs(rsq) < _EP_EPS:
+    if rsq == 0:
         raise ExceptionalPointError("R^2 = 0: eigenvectors coalesce")
     # Principal square root: Re(R) >= 0, and Im(R) >= 0 on the Re(R) = 0 ray,
     # which implements the ground-branch rule Re(-R) < 0 with the
@@ -118,8 +119,9 @@ def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: compl
     """Array kernel k -> C_k = |w_1| / (|w_0| + |w_1|) for normalized amplitudes.
 
     Uses the explicit weight formulas in terms of the ground vector (v0, v1)
-    that biorthogonal_ground keeps; raises ExceptionalPointError at a mode at
-    an exceptional point, the only place where its pairing v . v vanishes.
+    that biorthogonal_ground keeps; raises ExceptionalPointError at a mode
+    where R^2 = 0, an exceptional point and the only place where its pairing
+    v . v vanishes.
     With a swept ``parameter`` ("t2" or "gamma") the kernel returns the stack
     (C_k, dC_k/d(parameter)), by the chain rule through R1, R3, R and (v0, v1).
     Each weight is w = a b / (v . v) with a, b linear in (v0, v1), so
@@ -137,7 +139,7 @@ def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: compl
         r1 = params.t1 - params.t2 * cos
         r3 = params.t2 * sin + 0.5j * params.gamma
         rsq = r1 * r1 + r3 * r3
-        bad = np.abs(rsq) < _EP_EPS
+        bad = rsq == 0
         if np.any(bad):
             raise ExceptionalPointError(f"exceptional point at k={float(np.extract(bad, k)[0])}")
         # principal root, as in biorthogonal_ground: the ground branch is -R
@@ -194,17 +196,37 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
     return abs(w1) / (abs(w0) + abs(w1))
 
 
+def _ep_edges(params: NonHermitianSSHParams) -> List[float]:
+    """Panel edges of the lossy averages: k = 0, graded toward each EP k_s in {0, +-pi}.
+
+    Beside k_s, R^2 is R^2(k_s) + i gamma t2 cos(k_s) (k - k_s) to first
+    order, so its complex zero lies |R^2(k_s)| / |gamma t2| from k_s; that EP
+    scale w is |(t1 -+ t2)^2 - gamma^2 / 4| / |gamma t2|, and C_k and its
+    derivative peak over it.  On a closing w = 0 and the grading runs down
+    to _EP_SCALE_FLOOR; at gamma = 0 or t2 = 0 there is no grading.
+    """
+    edges = [0.0]
+    slope = abs(params.gamma * params.t2)
+    if slope > 0.0:
+        half = 0.5 * params.gamma
+        for k_s, r1 in ((0.0, params.t1 - params.t2), (-PI, params.t1 + params.t2),
+                        (PI, params.t1 + params.t2)):
+            w = abs((r1 - half) * (r1 + half)) / slope
+            edges += graded_edges(k_s, max(w, _EP_SCALE_FLOOR))
+    return edges
+
+
 def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: complex,
                          cfg: BZQuadratureConfig | None = None) -> float:
     """BZ average of the biorthogonal per-mode complexity.
 
-    k = 0 is a panel edge, so the exceptional points of the PBC gap closings
-    are never evaluated; a node that meets one elsewhere raises
-    ExceptionalPointError.
+    The panels are graded toward the exceptional points k = 0 and +-pi
+    (``_ep_edges``), which are panel edges and never evaluated; a mode where
+    R^2 is exactly 0 raises ExceptionalPointError.
     """
     alpha, beta = _normalized_pair(alpha, beta)
     return float(bz_average_vec(_nh_weight_kernel(params, alpha, beta), cfg,
-                                extra_points=(0.0,)))
+                                extra_points=_ep_edges(params)))
 
 
 def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
@@ -212,17 +234,18 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
                              cfg: BZQuadratureConfig | None = None) -> Tuple[float, float]:
     """BZ averages (C, dC/d(parameter)) of the lossy chain, for parameter "t2" or "gamma".
 
-    One average of the two-component kernel, on panels split at k = 0 as in
-    nh_ground_complexity; C is C^1 in the couplings, so the derivative stays
-    finite on a gap closing, where dC_k/d(parameter) ~ |k|^(-1/2).  Any other
-    parameter raises DomainError.
+    One average of the two-component kernel, on the EP-graded panels of
+    nh_ground_complexity; a mode where R^2 is exactly 0 raises
+    ExceptionalPointError.  C is C^1 in the couplings, so the derivative
+    stays finite on a gap closing, where dC_k/d(parameter) ~ |k - k_s|^(-1/2)
+    at the EP k_s.  Any other parameter raises DomainError.
     """
     if parameter not in _SLOPES:
         raise DomainError(f"the lossy chain is differentiated in {tuple(_SLOPES)}, "
                           f"not {parameter!r}")
     alpha, beta = _normalized_pair(alpha, beta)
     c, dc = bz_average_vec(_nh_weight_kernel(params, alpha, beta, parameter), cfg,
-                           extra_points=(0.0,))
+                           extra_points=_ep_edges(params))
     return float(c), float(dc)
 
 

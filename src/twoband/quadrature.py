@@ -38,6 +38,21 @@ def _interior_points(points: Iterable[float]) -> list:
     return sorted({float(p) for p in points if -PI < p < PI})
 
 
+def graded_edges(k_s: float, w: float) -> list:
+    """The panel edges k_s +- w 4^j for every j >= 0 with w 4^j < 1.
+
+    This is the hp geometric mesh toward a point where an integrand peaks
+    over the width w (Schwab, p- and hp-FEM, 1998), in the role of QUADPACK's
+    qagp break points: adaptive bisection then resolves the peak in a few
+    levels instead of about log2(1/w).  A w that is not in (0, 1) adds none.
+    """
+    edges = []
+    while 0.0 < w < 1.0:
+        edges += (k_s - w, k_s + w)
+        w *= 4.0
+    return edges
+
+
 def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = None,
                extra_points: Iterable[float] = ()) -> float:
     """(1/2*pi) * integral of a scalar f over [-pi, pi] by QUADPACK.

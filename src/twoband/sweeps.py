@@ -62,9 +62,6 @@ class SweepSpec:
         _, start, stop, points = self.sweep
         return np.linspace(start, stop, points)
 
-    def params(self) -> Dict[str, float]:
-        return MODELS[self.model].values(self.fixed)
-
 
 @dataclass(frozen=True)
 class SweepRecord:

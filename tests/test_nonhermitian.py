@@ -13,6 +13,9 @@ from twoband import (BlochVector, DomainError, ExceptionalPointError, GlobalRefe
                      nh_complexity_per_mode, nh_complexity_per_mode_overlap,
                      nh_ground_complexity, nh_ssh_bloch_hamiltonian, param_derivative,
                      run_sweep, ssh_complexity_closed, ssh_model)
+from twoband import quadrature
+from twoband.models import MODELS
+from twoband.nonhermitian import _ep_edges
 
 PI = math.pi
 AMP = 1.0 / math.sqrt(2.0)
@@ -50,6 +53,54 @@ class TestBiorthogonalGround:
         h = nh_ssh_bloch_hamiltonian(NonHermitianSSHParams(2.0, 2.5, 1.0), 0.0)
         with pytest.raises(ExceptionalPointError):
             biorthogonal_ground(h)
+
+
+class TestExceptionalPointGrading:
+    """The lossy averages grade their panels toward the EPs at k = 0 and +-pi."""
+
+    @pytest.mark.parametrize("parameter", ["t2", "gamma"])
+    @pytest.mark.parametrize("t2", [1.5, 2.5, -1.5, -2.5])
+    def test_closing_row_takes_few_levels(self, monkeypatch, t2, parameter):
+        # the closings of t1 = 2, gamma = 1: the EP sits at k = 0 for t2 > 0
+        # and at k = +-pi for t2 < 0; bisection from [-pi, 0, pi] took 51-54 levels
+        levels = []
+        original = quadrature._gk21
+
+        def counted(*args):
+            levels.append(args[1].size)
+            return original(*args)
+
+        monkeypatch.setattr(quadrature, "_gk21", counted)
+        ref = GlobalReference(0.9, 0.4)
+        nh_complexity_derivative(NonHermitianSSHParams(2.0, t2, 1.0), parameter,
+                                 ref.alpha, ref.beta)
+        assert len(levels) <= 6
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edges_grade_geometrically_from_the_ep_scale(self, sign):
+        # t2 = 2.4: |R^2| / |d_k R^2| is 0.0375 at the near EP (k = 0 for
+        # t2 > 0, +-pi for t2 < 0) and about 8 at the far one, which adds none
+        edges = _ep_edges(NonHermitianSSHParams(2.0, sign * 2.4, 1.0))
+        inside = [e for e in edges[1:] if -PI < e < PI]
+        assert edges[0] == 0.0 and len(inside) == 6
+        offsets = sorted(abs(e) if sign > 0 else PI - abs(e) for e in inside)
+        assert offsets == pytest.approx([0.0375, 0.0375, 0.15, 0.15, 0.6, 0.6], rel=1e-12)
+
+    def test_closing_grades_down_to_the_floor(self):
+        edges = [e for e in _ep_edges(NonHermitianSSHParams(2.0, 2.5, 1.0)) if e > 0.0]
+        assert min(edges) == 1e-16 and max(edges) < 1.0 < 4.0 * max(edges)
+
+    @pytest.mark.parametrize("t2,gamma", [(1.5, 0.0), (0.0, 1.0)])
+    def test_no_grading_without_loss_or_hopping(self, t2, gamma):
+        assert _ep_edges(NonHermitianSSHParams(2.0, t2, gamma)) == [0.0]
+
+    @pytest.mark.parametrize("k", [3e-21, -3e-21])
+    def test_mode_beside_an_ep_is_regular(self, k):
+        # |R^2| is about 7.5e-21 here: only R^2 = 0 exactly is exceptional
+        params = NonHermitianSSHParams(2.0, 2.5, 1.0)
+        on = nh_complexity_per_mode_overlap(params, k, 0.6, 0.8)
+        assert nh_complexity_per_mode(params, k, 0.6, 0.8) == pytest.approx(on, abs=1e-12)
+        assert on == pytest.approx(nh_complexity_per_mode(params, 1e-12, 0.6, 0.8), abs=1e-5)
 
 
 class TestBiKrylovBasis:
@@ -220,7 +271,7 @@ def _lossy_sweep(parameter, quantities):
 
 
 def _row_params(spec, lam):
-    return NonHermitianSSHParams(**{**spec.params(), spec.sweep[0]: lam})
+    return NonHermitianSSHParams(**{**MODELS[spec.model].values(spec.fixed), spec.sweep[0]: lam})
 
 
 class TestComplexityDerivative:

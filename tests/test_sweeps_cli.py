@@ -487,6 +487,22 @@ class TestNHSweepIsSweep:
         assert _stdout(capsys, ["sweep", "--model", "nh-ssh", *flags]) == nh
 
 
+class TestLossyExceptionalPoints:
+    def test_rows_on_and_beside_the_closings_are_not_flagged(self, capsys):
+        # t2 = 1.75 and 3.25 are closings; an absolute |R^2| threshold kept
+        # beside the graded panels flagged a row here skipped_exceptional
+        code, out = _stdout(capsys, ["nh-sweep", "--set", "t1=2.5", "--set", "gamma=1.5",
+                                     "--sweep", "t2:1.5625:3.34375:20",
+                                     "--theta", "2.1119833563959167",
+                                     "--phi", "0.9747569814724744"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 20
+        for lam, c, dc, flags in rows:
+            assert flags == ""
+            assert math.isfinite(float(c)) and math.isfinite(float(dc))
+
+
 class TestWindingGapThreshold:
     """A winding cell is undefined only where the model itself calls the gap closed."""
 
