@@ -55,7 +55,7 @@ def complexity_derivative(model: TwoBandModel, ref: ReferenceState, lam: float,
     derivative diverges and GapClosedError is raised before any average; an
     exhausted subdivision budget raises ConvergenceError.
     """
-    dc = _bloch_averages(model.at(lam), ref, cfg, derivative=True).dcomplexity
+    dc = _bloch_averages(model, [lam], ref, cfg, derivative=True)[0].dcomplexity
     if dc is None:
         raise GapClosedError("complexity derivative diverges where the gap is closed")
     return dc
@@ -101,7 +101,7 @@ def bound_check(model: TwoBandModel, ref: GlobalReference, lam: float,
     or an exhausted budget) lhs and the ratio are NaN, rhs is inf, and the
     bound counts as satisfied.  A piecewise reference raises DomainError.
     """
-    avg = _bloch_averages(model.at(lam), _require_global(ref), cfg, derivative=True, chi=True)
+    avg = _bloch_averages(model, [lam], _require_global(ref), cfg, derivative=True, chi=True)[0]
     return _bound_report(lam, ref, avg)
 
 
@@ -115,7 +115,7 @@ def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
     tends to sqrt(2/3) deep in either phase.  NaN where the susceptibility
     diverges.  A piecewise reference raises DomainError.
     """
-    avg = _bloch_averages(model.at(lam), _require_global(ref), cfg, derivative=True, chi=True)
+    avg = _bloch_averages(model, [lam], _require_global(ref), cfg, derivative=True, chi=True)[0]
     return _ratio(avg, reference_coefficients(ref))
 
 

@@ -55,7 +55,7 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
     ``panel_edges`` and the reference breakpoints.  An exhausted subdivision
     budget raises ConvergenceError.
     """
-    return _bloch_averages(model, ref, cfg, complexity=True).complexity
+    return _bloch_averages(model, [model.lam], ref, cfg, complexity=True)[0].complexity
 
 
 def _ssh_elliptic_terms(t1: float, t2: float) -> float:

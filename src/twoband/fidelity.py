@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GapClosedError
 from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel
-from .quadrature import BZQuadratureConfig, bz_average_vec
+from .quadrature import BZQuadratureConfig, bz_averages
 
 PI = math.pi
 
@@ -84,25 +84,31 @@ class _BlochAverages(NamedTuple):
     chi: Optional[SusceptibilityBreakdown]
 
 
-def _bloch_averages(m: TwoBandModel, ref, cfg: BZQuadratureConfig | None, *, complexity=False,
-                    derivative=False, chi=False) -> _BlochAverages:
-    """C, dC/d(lambda) with the d_hat-derivative integrals, and chi_F of ``m``, from
-    one average on its graded ``panel_edges`` and the reference breakpoints.
+def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
+                    complexity=False, derivative=False, chi=False) -> List[_BlochAverages]:
+    """C, dC/d(lambda) with the d_hat-derivative integrals, and chi_F of the family
+    ``m`` at each of ``lams``, from one ``bz_averages`` run in which each lambda owns
+    the panels of its graded ``panel_edges`` and the reference breakpoints.
 
     The kernel evaluates d, and d_deriv only for dC or chi, and returns a group
     per quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
-    v^2 / 4 per axis.  On a closed gap only C is averaged: dC is None and chi
-    inf, flagged diverged.  An exhausted budget flags chi diverged and keeps
-    every group's unconverged estimate (chi's non-finite ones as inf);
-    without chi it raises.
+    v^2 / 4 per axis.  Where dC or chi is asked for, a closed gap runs no
+    average: C and dC are None and chi is inf, flagged diverged.  An exhausted
+    budget flags chi diverged and keeps every group's unconverged estimate
+    (chi's non-finite ones as inf); without chi it raises.
     """
-    closed = (derivative or chi) and m.gap_closed()
-    derivative = derivative and not closed
-    averaged_chi = chi and not closed
+    lams = np.asarray(lams, dtype=float)
+    gaps, slopes = m.singular_gaps(lams)
+    # no average: a closed gap where dC or chi is asked for, or nothing asked for
+    idle = (np.any(gaps < GAP_EPS, axis=1) & (derivative or chi)
+            | (not (complexity or derivative or chi)))
+    averaged = np.flatnonzero(~idle)
+    open_lams = lams[averaged]
     uses_ref = complexity or derivative
 
-    def kernel(k):
-        d = m.d(k)
+    def kernel(k, owner):
+        point = m.at(open_lams[owner])
+        d = point.d(k)
         nref = ref.bloch_at(k) if uses_ref else None
         groups = []
         if complexity:
@@ -110,39 +116,37 @@ def _bloch_averages(m: TwoBandModel, ref, cfg: BZQuadratureConfig | None, *, com
             if np.any(n < GAP_EPS):
                 raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
             groups.append(0.5 * (1.0 + (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n))
-        if derivative or averaged_chi:
-            v = dhat_derivative(d, m.d_deriv(k))
+        if derivative or chi:
+            v = dhat_derivative(d, point.d_deriv(k))
             if derivative:
                 dot = nref[0] * v[0] + nref[1] * v[1] + nref[2] * v[2]
                 groups.append(np.vstack((0.5 * dot, v)))
-            if averaged_chi:
+            if chi:
                 groups.append(0.25 * v * v)
-        if len(groups) == 1:
-            return groups[0]  # a plain array skips the engine's group bookkeeping
         return tuple(groups)
 
-    out, diverged = (), closed
-    if uses_ref or averaged_chi:
-        edges = (*m.panel_edges(), *(ref.breakpoints() if uses_ref else ()))
-        try:
-            out = bz_average_vec(kernel, cfg, extra_points=edges)
-        except ConvergenceError as exc:
+    breaks = ref.breakpoints() if uses_ref else ()
+    edges = [(*m.panel_edges((gaps[i], slopes[i])), *breaks) for i in averaged]
+    runs = iter(bz_averages(kernel, edges, cfg) if edges else ())
+    results = []
+    for is_idle in idle:
+        out, diverged = ((None,) * 3, True) if is_idle else (next(runs), False)
+        if isinstance(out, ConvergenceError):
             if not chi:
-                raise
-            out, diverged = exc.estimate, True
-        if not isinstance(out, tuple):
-            out = (out,)
-    out = iter(out)
-    c = float(next(out)) if complexity else None
-    dc = integrals = breakdown = None
-    if derivative:
-        row = next(out)
-        dc, integrals = float(row[0]), 2.0 * PI * row[1:]
-    if chi:
-        comps = next(out) if averaged_chi else np.full(3, np.inf)
-        comps = np.where(np.isfinite(comps), comps, np.inf)
-        breakdown = SusceptibilityBreakdown(float(np.sum(comps)), tuple(comps), diverged)
-    return _BlochAverages(c, dc, integrals, breakdown)
+                raise out
+            out, diverged = out.estimate, True
+        out = iter(out)
+        c = float(next(out)) if complexity and not is_idle else None
+        dc = integrals = breakdown = None
+        if derivative and not is_idle:
+            row = next(out)
+            dc, integrals = float(row[0]), 2.0 * PI * row[1:]
+        if chi:
+            comps = np.full(3, np.inf) if is_idle else next(out)
+            comps = np.where(np.isfinite(comps), comps, np.inf)
+            breakdown = SusceptibilityBreakdown(float(np.sum(comps)), tuple(comps), diverged)
+        results.append(_BlochAverages(c, dc, integrals, breakdown))
+    return results
 
 
 def chi_F(model: TwoBandModel, lam: float,
@@ -155,7 +159,7 @@ def chi_F(model: TwoBandModel, lam: float,
     Elsewhere the integral is finite, however large; only an exhausted
     budget flags it, keeping the estimate with non-finite components as inf.
     """
-    return _bloch_averages(model.at(lam), None, cfg, chi=True).chi
+    return _bloch_averages(model, [lam], None, cfg, chi=True)[0].chi
 
 
 def chi_F_ssh_closed(params: SSHParams) -> float:

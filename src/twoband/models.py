@@ -10,7 +10,6 @@ Cooper-pair box are native to the final basis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
@@ -56,41 +55,45 @@ class TwoBandModel:
             return np.asarray(self.family_deriv(k, self.lam), dtype=float)
         return param_derivative(lambda lam: np.asarray(self.family(k, lam), dtype=float), self.lam)
 
-    def at(self, lam: float) -> "TwoBandModel":
-        return replace(self, lam=float(lam))
+    def at(self, lam) -> "TwoBandModel":
+        """The family at lam: a number, or an array of one value per k node."""
+        return TwoBandModel(self.family, lam if isinstance(lam, np.ndarray) else float(lam),
+                            self.family_deriv, self.rotated, self.singular_points, self.label)
 
     def contour(self, k):
         """The stored d_x - i d_z; in the rotated basis, the off-diagonal Bloch element."""
         d = self.d(k)
         return d[0] - 1j * d[2]
 
-    @functools.cached_property
-    def _singular_gaps(self) -> Tuple[np.ndarray, np.ndarray]:
-        """|d| and the k-slope |d_k d| at each singular point, from one call of d."""
+    def singular_gaps(self, lams) -> Tuple[np.ndarray, np.ndarray]:
+        """|d| and |d_k d| at the singular points (columns) for each of ``lams`` (rows)."""
         ks = np.asarray(self.singular_points, dtype=float)
-        d = self.d(np.concatenate((ks, ks - _SLOPE_STEP, ks + _SLOPE_STEP)))
-        d = d.reshape(3, 3, ks.size)
-        slope = d[:, 2] - d[:, 1]
-        return (np.sqrt(np.sum(d[:, 0] * d[:, 0], axis=0)),
+        k = np.concatenate((ks, ks - _SLOPE_STEP, ks + _SLOPE_STEP))
+        lams = np.asarray(lams, dtype=float)
+        d = self.at(np.repeat(lams, k.size)).d(np.broadcast_to(k, (lams.size, k.size)).ravel())
+        d = d.reshape(3, lams.size, 3, ks.size)
+        slope = d[:, :, 2] - d[:, :, 1]
+        return (np.sqrt(np.sum(d[:, :, 0] * d[:, :, 0], axis=0)),
                 np.sqrt(np.sum(slope * slope, axis=0)) / (2.0 * _SLOPE_STEP))
 
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the stock gaps close."""
-        return bool(np.any(self._singular_gaps[0] < GAP_EPS))
+        return bool(np.any(self.singular_gaps([self.lam])[0] < GAP_EPS))
 
-    def panel_edges(self) -> Tuple[float, ...]:
+    def panel_edges(self, gaps=None) -> Tuple[float, ...]:
         """The singular points, each graded geometrically by the model's gap scale.
 
         Beside a singular point k_s the integrands of the averages peak over
         the gap scale w = |d(k_s)| / |d_k d(k_s)|; ``graded_edges`` adds
         k_s +- w 4^j for w 4^j < 1.  A closed gap, a zero slope or w >= 1 adds
-        no edges at that point.
+        no edges at that point.  ``gaps`` is a row of ``singular_gaps``.
         """
+        gap, slope = gaps if gaps is not None else (g[0] for g in self.singular_gaps([self.lam]))
         edges = list(self.singular_points)
-        for k_s, gap, slope in zip(self.singular_points, *self._singular_gaps):
-            if gap < GAP_EPS or not slope > 0.0:
+        for k_s, gap_s, slope_s in zip(self.singular_points, gap, slope):
+            if gap_s < GAP_EPS or not slope_s > 0.0:
                 continue
-            edges += graded_edges(k_s, gap / slope)
+            edges += graded_edges(k_s, gap_s / slope_s)
         return tuple(edges)
 
     def validate(self, grid_points: int = 64) -> None:
@@ -163,31 +166,42 @@ class NonHermitianSSHParams:
         if not all(math.isfinite(v) for v in (self.t1, self.t2, self.gamma)):
             raise DomainError("non-Hermitian SSH parameters must be finite")
 
-    def gap_closing_couplings(self) -> Tuple[float, float]:
-        """The two PBC gap-closing values of t2 at fixed t1 and gamma."""
-        return (self.t1 - 0.5 * abs(self.gamma), self.t1 + 0.5 * abs(self.gamma))
+    def gap_closing_couplings(self) -> Tuple[float, float, float, float]:
+        """The PBC gap-closing values of t2 at fixed t1 and gamma, sorted: t1 +- |gamma|/2
+        (at k = 0) and -t1 +- |gamma|/2 (at k = +-pi)."""
+        half = 0.5 * abs(self.gamma)
+        return tuple(sorted((self.t1 - half, self.t1 + half, -self.t1 - half, -self.t1 + half)))
 
 
 Rows = Tuple[Tuple[float, float, float], ...]
 
 
+def _zero(x) -> bool:
+    """Whether a coefficient is the number 0; an array of node values never is."""
+    return not isinstance(x, np.ndarray) and x == 0
+
+
 def _bloch_sum(rows: Rows, k) -> np.ndarray:
     """a + b cos k + c sin k for the rows (a, b, c), one component at a time.
 
-    Zero coefficients are skipped.  Where a and b are both nonzero the first
-    two terms are summed as (a + b) - 2 b sin^2(k/2), which does not cancel
-    beside k = 0 when a is close to -b, as at the SSH transition.
+    A coefficient is a number or an array of one value per k; zero terms are
+    skipped.  Where a and b are both nonzero the first two terms are summed as
+    (a + b) - 2 b sin^2(k/2), which does not cancel beside k = 0 when a is
+    close to -b, as at the SSH transition; where a is 0 they are b cos k.
     """
     k = np.asarray(k, dtype=float)
     d = np.zeros((3,) + k.shape)
     for i, (a_i, b_i, c_i) in enumerate(zip(*rows)):
-        if a_i and b_i:
-            d[i] = (a_i + b_i) - 2.0 * b_i * np.sin(0.5 * k) ** 2
-        elif b_i:
+        if _zero(b_i):
+            if not _zero(a_i):
+                d[i] = a_i
+        elif _zero(a_i):
             d[i] = b_i * np.cos(k)
-        elif a_i:
-            d[i] = a_i
-        if c_i:
+        else:
+            d[i] = (a_i + b_i) - 2.0 * b_i * np.sin(0.5 * k) ** 2
+            if isinstance(a_i, np.ndarray) and np.count_nonzero(a_i) < a_i.size:
+                d[i] = np.where(a_i != 0, d[i], b_i * np.cos(k))
+        if not _zero(c_i):
             d[i] += c_i * np.sin(k)
     return d
 
@@ -245,8 +259,11 @@ class ModelEntry:
         return {**self.defaults, **{k: float(v) for k, v in fixed.items()}}
 
     def params(self, fixed: Mapping[str, float]):
-        """The params dataclass at the defaults overridden by ``fixed``."""
-        return self.params_type(**self.values(fixed))
+        """The params at the defaults overridden by ``fixed``; out of domain is a SpecError."""
+        try:
+            return self.params_type(**self.values(fixed))
+        except DomainError as exc:
+            raise SpecError(str(exc)) from None
 
     def model(self, fixed: Mapping[str, float], parameter: Optional[str] = None) -> TwoBandModel:
         """The family swept in ``parameter``, by default the first sweepable one.

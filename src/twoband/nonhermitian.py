@@ -20,10 +20,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DomainError, ExceptionalPointError, InsufficientDataError,
-                     NormalizationError)
+from .errors import (ConvergenceError, DomainError, ExceptionalPointError,
+                     InsufficientDataError, NormalizationError)
 from .models import NonHermitianSSHParams, nh_ssh_bloch_hamiltonian
-from .quadrature import BZQuadratureConfig, bz_average_vec, graded_edges
+from .quadrature import BZQuadratureConfig, _lone, bz_averages, graded_edges
 
 PI = math.pi
 
@@ -114,14 +114,15 @@ _SLOPES = {
 }
 
 
-def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: complex,
+def _nh_weight_kernel(params: Sequence[NonHermitianSSHParams], alpha: complex, beta: complex,
                       parameter: Optional[str] = None):
-    """Array kernel k -> C_k = |w_1| / (|w_0| + |w_1|) for normalized amplitudes.
+    """Array kernel (k, owner) -> C_k = |w_1| / (|w_0| + |w_1|) of params[owner],
+    for normalized amplitudes.
 
     Uses the explicit weight formulas in terms of the ground vector (v0, v1)
-    that biorthogonal_ground keeps; raises ExceptionalPointError at a mode
-    where R^2 = 0, an exceptional point and the only place where its pairing
-    v . v vanishes.
+    that biorthogonal_ground keeps.  A mode where R^2 = 0, an exceptional
+    point and the only place where its pairing v . v vanishes, has C_k NaN
+    (0/0), which fails its owner's average alone.
     With a swept ``parameter`` ("t2" or "gamma") the kernel returns the stack
     (C_k, dC_k/d(parameter)), by the chain rule through R1, R3, R and (v0, v1).
     Each weight is w = a b / (v . v) with a, b linear in (v0, v1), so
@@ -133,17 +134,17 @@ def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: compl
     """
     ca, cb = alpha.conjugate(), beta.conjugate()
     slopes = None if parameter is None else _SLOPES[parameter]
+    t1s, t2s, gammas = (np.array([getattr(p, name) for p in params])
+                        for name in ("t1", "t2", "gamma"))
 
-    def ck(k):
+    @np.errstate(divide="ignore", invalid="ignore")
+    def ck(k, owner):
+        t1, t2, gamma = t1s[owner], t2s[owner], gammas[owner]
         cos, sin = np.cos(k), np.sin(k)
-        r1 = params.t1 - params.t2 * cos
-        r3 = params.t2 * sin + 0.5j * params.gamma
-        rsq = r1 * r1 + r3 * r3
-        bad = rsq == 0
-        if np.any(bad):
-            raise ExceptionalPointError(f"exceptional point at k={float(np.extract(bad, k)[0])}")
+        r1 = t1 - t2 * cos
+        r3 = t2 * sin + 0.5j * gamma
         # principal root, as in biorthogonal_ground: the ground branch is -R
-        root = np.sqrt(rsq)
+        root = np.sqrt(r1 * r1 + r3 * r3)
         plus, minus = root + r3, root - r3
         first = np.abs(plus) >= np.abs(minus)
         v0 = np.where(first, r1, minus)
@@ -161,10 +162,9 @@ def _nh_weight_kernel(params: NonHermitianSSHParams, alpha: complex, beta: compl
         droot = (r1 * dr1 + r3 * dr3) / root
         dv0 = np.where(first, dr1, droot - dr3)
         dv1 = -np.where(first, droot + dr3, dr1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = ((beta * dv0 - alpha * dv1) / a1 + (cb * dv0 - ca * dv1) / b1
-                     - (alpha * dv0 + beta * dv1) / a0 - (ca * dv0 + cb * dv1) / b0).real
-            dc = np.where(m0 * m1 > 0.0, c * (m0 / total) * slope, 0.0)
+        slope = ((beta * dv0 - alpha * dv1) / a1 + (cb * dv0 - ca * dv1) / b1
+                 - (alpha * dv0 + beta * dv1) / a0 - (ca * dv0 + cb * dv1) / b0).real
+        dc = np.where(m0 * m1 > 0.0, c * (m0 / total) * slope, 0.0)
         return np.stack((c, dc))
 
     return ck
@@ -178,7 +178,10 @@ def nh_complexity_per_mode(params: NonHermitianSSHParams, k: float,
     away; raises ExceptionalPointError where the weights are undefined.
     """
     alpha, beta = _normalized_pair(alpha, beta)
-    return float(_nh_weight_kernel(params, alpha, beta)(float(k)))
+    c = float(_nh_weight_kernel([params], alpha, beta)(np.array([float(k)]), 0)[0])
+    if math.isnan(c):
+        raise ExceptionalPointError(f"exceptional point at k={k}: R^2 = 0")
+    return c
 
 
 def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
@@ -216,6 +219,20 @@ def _ep_edges(params: NonHermitianSSHParams) -> List[float]:
     return edges
 
 
+def _nh_averages(params: Sequence[NonHermitianSSHParams], parameter: Optional[str],
+                 alpha: complex, beta: complex, cfg: BZQuadratureConfig | None) -> list:
+    """Per chain of ``params``, on its EP-graded panels in one ``bz_averages`` run: (C,),
+    with a ``parameter`` (C, dC/d(parameter)), or the error that ended its average."""
+    alpha, beta = _normalized_pair(alpha, beta)
+    runs = bz_averages(_nh_weight_kernel(params, alpha, beta, parameter),
+                       [_ep_edges(p) for p in params], cfg)
+    # the kernel's only non-finite values are the NaN of a mode where R^2 = 0
+    return [ExceptionalPointError("exceptional point: R^2 = 0 at a mode")
+            if isinstance(run, ConvergenceError) and not math.isfinite(run.error) else
+            run if isinstance(run, Exception) else tuple(np.atleast_1d(run).tolist())
+            for run in runs]
+
+
 def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: complex,
                          cfg: BZQuadratureConfig | None = None) -> float:
     """BZ average of the biorthogonal per-mode complexity.
@@ -224,9 +241,7 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
     (``_ep_edges``), which are panel edges and never evaluated; a mode where
     R^2 is exactly 0 raises ExceptionalPointError.
     """
-    alpha, beta = _normalized_pair(alpha, beta)
-    return float(bz_average_vec(_nh_weight_kernel(params, alpha, beta), cfg,
-                                extra_points=_ep_edges(params)))
+    return _lone(_nh_averages([params], None, alpha, beta, cfg))[0]
 
 
 def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
@@ -243,10 +258,7 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
     if parameter not in _SLOPES:
         raise DomainError(f"the lossy chain is differentiated in {tuple(_SLOPES)}, "
                           f"not {parameter!r}")
-    alpha, beta = _normalized_pair(alpha, beta)
-    c, dc = bz_average_vec(_nh_weight_kernel(params, alpha, beta, parameter), cfg,
-                           extra_points=_ep_edges(params))
-    return float(c), float(dc)
+    return _lone(_nh_averages([params], parameter, alpha, beta, cfg))
 
 
 def detect_cusps(sweep: Sequence) -> List[float]:

@@ -3,16 +3,18 @@
 The integrands met here are smooth except for integrable features at gap
 closings (all located at k in {0, +-pi} for the stock models), so the
 integrators pre-split at the points each caller names and subdivide adaptively.
-Library averages go through ``bz_average_vec``, which evaluates an array
-kernel on whole refinement levels at once; ``bz_average`` wraps QUADPACK
-(``scipy.integrate``, loaded on first call) as its independent oracle.
+Library averages go through ``bz_averages``, which evaluates an array kernel
+for many integrands at once on whole refinement levels; ``bz_average_vec`` is
+its one-integrand call, and ``bz_average`` wraps QUADPACK
+(``scipy.integrate``, loaded on first call) as their independent oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -58,7 +60,7 @@ def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = Non
     """(1/2*pi) * integral of a scalar f over [-pi, pi] by QUADPACK.
 
     This is the path for user callables of one k and the independent oracle
-    of the array engine ``bz_average_vec``.
+    of the array engine ``bz_averages``.
     """
     cfg = cfg or BZQuadratureConfig()
     pts = _interior_points(extra_points)
@@ -108,96 +110,133 @@ _REFINE_MARGIN = 16.0
 _MAX_SPLIT = 64
 
 
-def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod integrals (..., p) and |K21 - G10| errors (p,) of p panels, from one call of f.
-    A tuple of groups is stacked into rows; its errors are (groups, p) and its layout
-    holds the group shapes without k and the row where each group starts."""
+# Owners averaged in one run at most; bounds the size of one kernel call.
+_MAX_OWNERS = 64
+
+
+def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
+    """Kronrod integrals and |K21 - G10| errors, both (rows, p), of p panels from one
+    call of f on their nodes and each node's owner; the kernel's output is returned too."""
     half = 0.5 * (hi - lo)
     k = ((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
-    out = f(k)
-    if isinstance(out, tuple):
-        rows = [np.reshape(g, (-1, k.size)) for g in out]
-        y = np.asarray(np.concatenate(rows), dtype=float)
-    else:
-        y = np.asarray(out, dtype=float)
-    rules = (y.reshape(y.shape[:-1] + (lo.size, _GK_NODES.size)) @ _GK_WEIGHTS) * half[:, None]
-    diff = np.abs(rules[..., 0] - rules[..., 1])
-    if not isinstance(out, tuple):
-        return rules[..., 0], diff.reshape(-1, lo.size).sum(axis=0), None
-    first = np.cumsum([0] + [len(r) for r in rows[:-1]])
-    layout = ([np.shape(g)[:-1] for g in out], first)
-    return rules[..., 0], np.add.reduceat(diff, first, axis=0), layout
+    out = f(k, np.repeat(owner, _GK_NODES.size))
+    rows = [np.reshape(g, (-1, k.size)) for g in (out if isinstance(out, tuple) else (out,))]
+    y = np.concatenate(rows) if len(rows) > 1 else rows[0]
+    rules = (y.reshape(-1, lo.size, _GK_NODES.size) @ _GK_WEIGHTS) * half[:, None]
+    return rules[..., 0], np.abs(rules[..., 0] - rules[..., 1]), out
+
+
+def bz_averages(f: Callable, edges: Sequence[Iterable[float]],
+                cfg: BZQuadratureConfig | None = None) -> list:
+    """(1/2*pi) * integral over [-pi, pi] of many integrands (owners), by adaptive GK21.
+
+    ``f(k, owner)`` maps nodes k (n,) and each node's index into ``edges`` to
+    values (..., n), or to a tuple of such arrays (groups), alike for all
+    owners.  Owner i's panels start from [-pi, pi] split at ``edges[i]``;
+    each level calls ``f`` once, on the 21 nodes of every panel it bisects.
+    Per owner, a group's error is |K21 - G10| over its components and panels
+    and stops at max(abs_tol * 2 pi, rel_tol * sum |I|) (DCUHRE, Berntsen,
+    Espelid & Genz 1991); each level bisects the owner's panels of largest
+    error in units of those tolerances, ranked stably, at most _MAX_SPLIT,
+    until the rest would meet them over _REFINE_MARGIN.  A finished owner's
+    panels stay unsplit.  Returns per owner the estimate in the kernel's form
+    or, past ``max_subdivisions`` panels or at a non-finite error, a
+    ConvergenceError carrying it.  No node lies on a panel edge.
+    """
+    cfg = cfg or BZQuadratureConfig()
+    cuts = [np.array([-PI, *_interior_points(e), PI]) for e in edges]
+    results = [None] * len(cuts)
+    for first in range(0, len(cuts), _MAX_OWNERS):
+        chunk = cuts[first:first + _MAX_OWNERS]
+        npan = np.array([c.size - 1 for c in chunk])
+        own = np.repeat(np.arange(len(chunk)), npan)  # each panel's owner, less first
+        lo, hi = np.concatenate([c[:-1] for c in chunk]), np.concatenate([c[1:] for c in chunk])
+        val, diff, out = _gk21(f, lo, hi, first + own)
+        shapes = [np.shape(g)[:-1] for g in (out if isinstance(out, tuple) else (out,))]
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        rows, n_rows = np.array([0] + ends[:-1]), 2 + ends[-1]  # first row of each group
+        # Panels are the columns (lo, hi, kernel rows' integrals, groups' errors) of a
+        # C-ordered array, whose row sums are pairwise; each owner's lie together, in
+        # the order of a lone average: unsplit by rank, left halves, right halves.
+        state = np.concatenate(([lo, hi], val, np.add.reduceat(diff, rows)))
+        alive = npan > 0
+        while True:
+            starts = np.add.accumulate(npan) - npan
+            sums = np.add.reduceat(state[2:], starts, axis=1)
+            owner_err = sums[n_rows - 2:]
+            tol = np.maximum(cfg.abs_tol * 2.0 * PI,
+                             cfg.rel_tol * np.add.reduceat(np.abs(sums[:n_rows - 2]), rows))
+            converged = np.logical_and.reduce(owner_err <= tol)
+            weights = tol[0] / tol  # errors in units of the first group's tolerance
+            err_total = np.add.reduce(weights * owner_err)
+            room = cfg.max_subdivisions - npan
+            running = alive & ~converged & (room > 0) & np.isfinite(err_total)
+            for i in np.flatnonzero(alive & ~running):
+                span = state[:, starts[i]:starts[i] + npan[i]]
+                total = span[2:n_rows].sum(axis=-1) / (2.0 * PI)  # pairwise, in panel order
+                estimate = tuple(total[a:b].reshape(shape)[()]
+                                 for a, b, shape in zip(rows, ends, shapes))
+                estimate = estimate if isinstance(out, tuple) else estimate[0]
+                results[first + i] = estimate if converged[i] else ConvergenceError(
+                    "BZ average did not converge within the subdivision budget",
+                    estimate=estimate, error=float(span[n_rows:].sum()) / (2.0 * PI))
+            alive = running
+            if not alive.any():
+                break
+            score = (state[n_rows] if len(ends) == 1 else
+                     np.add.reduce(weights[:, own] * state[n_rows:]))
+            order = np.lexsort((-score, own))
+            rank = np.arange(own.size) - starts[own]  # position in the owner's ranking
+            ranked = np.zeros((npan.size, np.maximum.reduce(npan)))
+            ranked[own, rank] = score[order]
+            below = (np.add.accumulate(ranked, axis=1)
+                     < (err_total - tol[0] / _REFINE_MARGIN)[:, None])
+            n_split = np.where(alive, np.minimum(np.add.reduce(below, axis=1) + 1,
+                                                 np.minimum(room, _MAX_SPLIT)), 0)
+            split = rank < n_split[own]
+            cut, kept = order[split], order[~split]
+            lo, hi = state[:2].take(cut, axis=1)
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+            new_own = np.concatenate((own[cut], own[cut]))
+            val, diff, _ = _gk21(f, lo, hi, first + new_own)
+            own = np.concatenate((own[kept], new_own))
+            place = np.argsort(own, kind="stable")
+            own = own[place]
+            state = np.concatenate((state.take(kept, axis=1), np.concatenate(
+                ([lo, hi], val, np.add.reduceat(diff, rows)))), axis=1).take(place, axis=1)
+            npan = np.bincount(own, minlength=npan.size)
+    return results
 
 
 def bz_average_vec(f: Callable, cfg: BZQuadratureConfig | None = None,
                    extra_points: Iterable[float] = ()):
-    """(1/2*pi) * integral over [-pi, pi] of an array kernel, by adaptive GK21.
+    """``bz_averages`` of one kernel ``f(k)`` on panels split at ``extra_points``.
 
-    ``f`` maps k of shape (n,) to values of shape (..., n), or to a tuple of
-    such arrays (groups), and the result takes the same form.  All components
-    share panels, which start from [-pi, pi] split at ``extra_points``; each
-    level calls ``f`` once, on the 21 nodes of every panel it bisects.  A
-    group's error is |K21 - G10| summed over its components and panels, and
-    each group stops at its own max(abs_tol * 2 pi, rel_tol * sum |I|), as in
-    DCUHRE (Berntsen, Espelid & Genz 1991); a plain array is one group.  Each
-    level bisects the panels of largest error in units of the tolerances, at
-    most _MAX_SPLIT, until the rest would meet them divided by _REFINE_MARGIN.
-    More than ``max_subdivisions`` panels, or a non-finite error, raise
-    ConvergenceError with the current estimate.  No node lies on a panel
-    edge, so a kernel undefined only at the caller's points is never
-    evaluated there.
+    The result takes the kernel's form; its ConvergenceError is raised.  No
+    node lies on a panel edge, so a kernel undefined only at the caller's
+    points is never evaluated there.
     """
-    cfg = cfg or BZQuadratureConfig()
-    edges = np.array([-PI, *_interior_points(extra_points), PI])
-    lo, hi = edges[:-1], edges[1:]
-    val, err, layout = _gk21(f, lo, hi)
-    while True:
-        total = val.sum(axis=-1)
-        if layout is None:
-            # a plain array skips the group bookkeeping, whose small numpy calls
-            # per level make a one-group average about 40% slower
-            err_total = float(err.sum())
-            tol = max(cfg.abs_tol * 2.0 * PI, cfg.rel_tol * float(np.abs(total).sum()))
-            converged = err_total <= tol
-            score = err
-        else:
-            shapes, first = layout
-            group_err = err.sum(axis=-1).tolist()
-            sizes = np.add.reduceat(np.abs(total), first).tolist()
-            tols = [max(cfg.abs_tol * 2.0 * PI, cfg.rel_tol * size) for size in sizes]
-            converged = all(e <= t for e, t in zip(group_err, tols))
-            # panel errors in units of the first group's tolerance
-            weights = [tols[0] / t for t in tols]
-            score = np.dot(weights, err)
-            tol = tols[0]
-            err_total = sum(w * e for w, e in zip(weights, group_err))
-        room = cfg.max_subdivisions - lo.size
-        if converged or room <= 0 or not math.isfinite(err_total):
-            if layout is None:
-                estimate = total / (2.0 * PI)
-            else:
-                parts = np.split(total / (2.0 * PI), first[1:])
-                estimate = tuple(part.reshape(shape) for part, shape in zip(parts, shapes))
-            if converged:
-                return estimate
-            raise ConvergenceError("BZ average did not converge within the subdivision budget",
-                                   estimate=estimate, error=float(err.sum()) / (2.0 * PI))
-        order = np.argsort(-score)
-        n_split = int(np.searchsorted(np.cumsum(score[order]),
-                                      err_total - tol / _REFINE_MARGIN)) + 1
-        n_split = min(n_split, room, _MAX_SPLIT)
-        split, keep = order[:n_split], order[n_split:]
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        new_val, new_err, _ = _gk21(f, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        val = np.concatenate((val[..., keep], new_val), axis=-1)
-        err = np.concatenate((err[..., keep], new_err), axis=-1)
+    return _lone(bz_averages(lambda k, owner: f(k), [extra_points], cfg))
 
 
-def param_derivative(g: Callable[[float], float], at: float, step: float = 1e-5):
+def _lone(results: list):
+    """The result of a one-owner run; an error in its place is raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+_FD_STEP = 1e-5  # the default step of param_derivative
+
+
+def _stencil(at: float, step: float) -> Tuple[float, float, float, float]:
+    """The points param_derivative evaluates g at: at + h, at - h, at + 2h, at - 2h."""
+    return at + step, at - step, at + 2.0 * step, at - 2.0 * step
+
+
+def param_derivative(g: Callable[[float], float], at: float, step: float = _FD_STEP):
     """Fourth-order central finite-difference derivative of g at the given point.
 
     ``g`` may return a float or an array.  Differences are grouped before
@@ -206,7 +245,5 @@ def param_derivative(g: Callable[[float], float], at: float, step: float = 1e-5)
     """
     if not step > 0:
         raise DomainError("finite-difference step must be positive")
-    h = step
-    inner = g(at + h) - g(at - h)
-    outer = g(at + 2.0 * h) - g(at - 2.0 * h)
-    return (8.0 * inner - outer) / (12.0 * h)
+    plus, minus, plus2, minus2 = (g(x) for x in _stencil(at, step))
+    return (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * step)

@@ -5,18 +5,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
 from .bounds_duality import _bound_report, _ratio, reference_coefficients
-from .complexity import ground_complexity
 from .errors import ExceptionalPointError, GapClosedError, SpecError, UndefinedRatioError
-from .fidelity import _bloch_averages
+from .fidelity import _bloch_averages, _BlochAverages
 from .models import COLUMNS, MODELS, TwoBandModel
-from .nonhermitian import nh_complexity_derivative, nh_ground_complexity
-from .quadrature import BZQuadratureConfig, param_derivative
+from .nonhermitian import _nh_averages
+from .quadrature import _FD_STEP, BZQuadratureConfig, _stencil, param_derivative
 from .topology import winding_cross_product, winding_log_derivative
 
 PI = math.pi
@@ -72,36 +71,16 @@ class SweepRecord:
     flags: frozenset = frozenset()
 
 
-def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
-              complexity: Callable[[float], float],
-              lossy: Optional[Callable[[float], Tuple[float, float]]], lam: float,
-              cfg: BZQuadratureConfig) -> SweepRecord:
+def _evaluate(spec: SweepSpec, model: TwoBandModel | None, lam: float, avg: _BlochAverages,
+              flags: frozenset) -> SweepRecord:
     values: Dict[str, float] = {}
-    flags = set()
-    wanted = set(spec.quantities)
-    avg = pair = None
-    if model is not None:
-        avg = _bloch_averages(model.at(lam), spec.reference, cfg,
-                              complexity="complexity" in wanted,
-                              derivative=bool(wanted & {"dcomplexity", "bound", "ratio"}),
-                              chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}))
-        if avg.chi is not None and avg.chi.diverged:
-            flags.add("diverged")
-        pair = (avg.complexity, avg.dcomplexity)
-    elif "dcomplexity" in wanted:
-        try:
-            pair = lossy(lam)
-        except ExceptionalPointError:
-            flags.add("skipped_exceptional")
-            pair = (math.nan, math.nan)
+    flags = set(flags)
+    if avg.chi is not None and avg.chi.diverged:
+        flags.add("diverged")
     for quantity in spec.quantities:
         try:
-            if quantity == "complexity":
-                values["complexity"] = complexity(lam) if pair is None else pair[0]
-            elif quantity == "dcomplexity":
-                # the geometric dC diverges on a closed gap; the finite difference of C stands in
-                values["dcomplexity"] = (pair[1] if pair[1] is not None else
-                                         param_derivative(complexity, lam))
+            if quantity in ("complexity", "dcomplexity"):
+                values[quantity] = getattr(avg, quantity)
             elif quantity == "chi_f":
                 values["chi_f"] = avg.chi.total
             elif quantity == "chi_f_components":
@@ -121,37 +100,63 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None,
                 except GapClosedError:
                     flags.add("diverged")
                     values["winding"] = math.nan
-        except ExceptionalPointError:
-            flags.add("skipped_exceptional")
-            for col in COLUMNS[quantity]:
-                values[col] = math.nan
         except UndefinedRatioError:
             flags.add("undefined_ratio")
             values["ratio"] = math.nan
     return SweepRecord(lam=float(lam), values=values, flags=frozenset(flags))
 
 
+def _closed_gap_rows(model: TwoBandModel, grid: np.ndarray, avgs: List[_BlochAverages],
+                     spec: SweepSpec, cfg: BZQuadratureConfig) -> None:
+    """Fill in C and, as the finite difference of C, dC/d(lambda) on the rows whose
+    gap is closed, where no average ran, from one more run."""
+    wants_c, wants_fd = "complexity" in spec.quantities, "dcomplexity" in spec.quantities
+    points = {i: ((lam,) if wants_c else ()) + (_stencil(lam, _FD_STEP) if wants_fd else ())
+              for i, (lam, avg) in enumerate(zip(grid, avgs))
+              if (wants_c and avg.complexity is None) or (wants_fd and avg.dcomplexity is None)}
+    if points:
+        values = iter([avg.complexity for avg in _bloch_averages(
+            model, [x for xs in points.values() for x in xs], spec.reference, cfg, complexity=True)])
+    for i, xs in points.items():
+        c = dict(zip(xs, values))  # C at each point of the row
+        avgs[i] = avgs[i]._replace(
+            complexity=c[grid[i]] if wants_c else None,
+            dcomplexity=param_derivative(c.__getitem__, grid[i]) if wants_fd else None)
+
+
 def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
-    Results are deterministic for a fixed spec and tolerances.  A Hermitian
-    point runs one average for all its quantities; on a closed gap only C is
-    averaged and dcomplexity is its finite difference.  A lossy-chain point
-    with dcomplexity runs one average of C and dC/d(lambda) together.
+    Each point owns its panels in one run of the quadrature engine for all
+    its quantities, and equals the library call at its point.  On a closed
+    Hermitian gap only C is averaged and dcomplexity is its finite
+    difference, in one more run.  A lossy-chain row whose kernel meets
+    R^2 == 0 exactly is flagged skipped_exceptional.
     """
     cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]
-    name = spec.sweep[0]
-    model = lossy = None
+    name, grid, wanted = spec.sweep[0], spec.grid(), set(spec.quantities)
+    model, flags = None, [frozenset()] * grid.size
     if entry.hermitian:
         model = entry.model(spec.fixed, name)
-        complexity = lambda x: ground_complexity(model.at(x), spec.reference, cfg)
+        avgs = _bloch_averages(model, grid, spec.reference, cfg,
+                               complexity="complexity" in wanted,
+                               derivative=bool(wanted & {"dcomplexity", "bound", "ratio"}),
+                               chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}))
+        _closed_gap_rows(model, grid, avgs, spec, cfg)
     else:
-        base, alpha, beta = entry.params(spec.fixed), spec.reference.alpha, spec.reference.beta
-        complexity = lambda x: nh_ground_complexity(replace(base, **{name: x}), alpha, beta, cfg)
-        lossy = lambda x: nh_complexity_derivative(replace(base, **{name: x}), name,
-                                                   alpha, beta, cfg)
-    return [_evaluate(spec, model, complexity, lossy, lam, cfg) for lam in spec.grid()]
+        base = entry.params(spec.fixed)
+        runs = _nh_averages([replace(base, **{name: lam}) for lam in grid],
+                            name if "dcomplexity" in wanted else None,
+                            spec.reference.alpha, spec.reference.beta, cfg)
+        avgs = []
+        for i, run in enumerate(runs):
+            if isinstance(run, ExceptionalPointError):
+                flags[i], run = frozenset(("skipped_exceptional",)), (math.nan, math.nan)
+            elif isinstance(run, Exception):
+                raise run
+            avgs.append(_BlochAverages(run[0], run[-1], None, None))
+    return [_evaluate(spec, model, lam, avg, flag) for lam, avg, flag in zip(grid, avgs, flags)]
 
 
 def _format_value(x: float) -> str:

@@ -10,13 +10,17 @@ from twoband import quadrature
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of BZ averages and finite-difference derivatives, by function name."""
+    """Calls of the quadrature engine and of finite-difference derivatives, by
+    function name, and under "averages" the number of owners the engine runs
+    (``bz_average_vec`` is a one-owner run)."""
     counts = Counter()
-    for name in ("bz_average_vec", "param_derivative"):
+    for name in ("bz_averages", "bz_average_vec", "param_derivative"):
         original = getattr(quadrature, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
+            if _name == "bz_averages":
+                counts["averages"] += len(args[1])
             return _original(*args, **kwargs)
 
         for module in list(sys.modules.values()):

@@ -131,7 +131,7 @@ class TestBoundCheck:
 
     def test_gapped_point_runs_one_average_and_no_finite_difference(self, calls):
         bound_check(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
-        assert calls == {"bz_average_vec": 1}
+        assert calls == {"bz_averages": 1, "averages": 1}
 
     def test_divergent_point_runs_no_average(self, calls):
         bound_check(ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.9, 0.4), 1.0,
@@ -152,12 +152,12 @@ class TestBoundCheck:
         spec = SweepSpec(model=model, sweep=(parameter, 1.5, 2.0, 2), reference=ref,
                          quantities=quantities)
         run_sweep(spec)
-        assert calls["bz_average_vec"] == 2
-        assert calls["param_derivative"] == 0
+        # one run of the engine, in which each row owns one average
+        assert calls == {"bz_averages": 1, "averages": 2}
 
     def test_gapped_ratio_runs_one_average(self, calls):
         ratio_R(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
-        assert calls == {"bz_average_vec": 1}
+        assert calls == {"bz_averages": 1, "averages": 1}
 
     def test_closed_gap_row_runs_only_the_complexity_and_its_stencil(self, calls):
         spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
@@ -165,8 +165,9 @@ class TestBoundCheck:
                          quantities=("complexity", "dcomplexity", "chi_f", "chi_f_components",
                                      "bound", "ratio"))
         gap = run_sweep(spec)[1]
-        # one average per gapped row; C and the four points of the stencil on the gap
-        assert calls == {"bz_average_vec": 2 + 1 + 4, "param_derivative": 1}
+        # one average per gapped row in one run; C and the four points of the
+        # stencil on the gap in one more
+        assert calls == {"bz_averages": 2, "averages": 2 + 1 + 4, "param_derivative": 1}
         assert gap.flags == {"diverged"} and gap.values["chi_f"] == math.inf
         assert math.isfinite(gap.values["dcomplexity"]) and math.isnan(gap.values["bound_lhs"])
 
@@ -189,7 +190,7 @@ class TestBoundCheck:
         spec = SweepSpec(model="massive-dirac", sweep=("mu", 1e-10, 1.0, 2), reference=ref,
                          quantities=("chi_f", "dcomplexity"))
         row = run_sweep(spec)[0]
-        assert calls == {"bz_average_vec": 2}
+        assert calls == {"bz_averages": 1, "averages": 2}
         params = MassiveDiracParams(mu=1e-10)
         assert row.values["chi_f"] == pytest.approx(chi_F_md_closed(params), rel=1e-8)
         assert row.values["dcomplexity"] == pytest.approx(
@@ -202,7 +203,7 @@ class TestBoundCheck:
         spec = SweepSpec(model="massive-dirac", sweep=("mu", 1e-10, 1.0, 2), reference=ref,
                          quantities=("complexity", "chi_f"))
         c = run_sweep(spec)[0].values["complexity"]
-        assert calls == {"bz_average_vec": 2}
+        assert calls == {"bz_averages": 1, "averages": 2}
         params = MassiveDiracParams(mu=1e-10)
         assert c == pytest.approx(md_complexity_closed(params, ref.theta), rel=1e-10)
         assert c == pytest.approx(ground_complexity(massive_dirac_model(params), ref), rel=1e-10)
@@ -214,7 +215,7 @@ class TestBoundCheck:
             raise AssertionError("an average ran on a closed gap")
 
         # every Hermitian point average runs through the fidelity module's binding
-        monkeypatch.setattr(fidelity, "bz_average_vec", fail)
+        monkeypatch.setattr(fidelity, "bz_averages", fail)
         model, ref = ssh_model(SSHParams(1.0, 1.0)), GlobalReference(0.5 * PI, PI)
         report = bound_check(model, ref, 1.0)
         assert math.isinf(report.rhs) and math.isnan(report.ratio)
@@ -225,7 +226,7 @@ class TestBoundCheck:
         for check in (bound_check, ratio_R):
             with pytest.raises(DomainError):
                 check(model, plateau_reference(), 2.0)
-        assert calls["bz_average_vec"] == 0
+        assert calls["bz_averages"] == 0
 
     def test_report_ratio_equals_ratio_R(self):
         model, ref = ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4)
@@ -265,7 +266,7 @@ class TestGeometricDcomplexity:
     def test_closed_gap_raises_before_any_average(self, calls):
         with pytest.raises(GapClosedError):
             complexity_derivative(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 1.0)
-        assert calls["bz_average_vec"] == 0
+        assert calls["bz_averages"] == 0
 
 
 _LOG_REF = GlobalReference(0.9, 0.4)

@@ -1,7 +1,7 @@
 """Cold start: sweeps never load scipy.special or scipy.integrate.
 
 The sweep path runs on Bloch vectors, numpy and the array engine
-``bz_average_vec``.  scipy's submodules load on first use: ``scipy.special``
+``bz_averages``.  scipy's submodules load on first use: ``scipy.special``
 for the elliptic closed forms, ``scipy.integrate`` for the QUADPACK oracles.
 The check runs in a fresh interpreter, because the test session itself has
 long since imported both.

@@ -149,7 +149,7 @@ class TestBZAveraged:
         def fail(*args, **kwargs):
             raise AssertionError("an average ran on a closed gap")
 
-        monkeypatch.setattr(fidelity, "bz_average_vec", fail)
+        monkeypatch.setattr(fidelity, "bz_averages", fail)
         got = chi_F(ssh_model(SSHParams(1.0, 2.0)), 1.0)
         assert got.diverged
         assert got.total == math.inf and got.components == (math.inf,) * 3

@@ -134,7 +134,11 @@ class TestNonHermitianHamiltonian:
             assert np.trace(h) == 0.0
 
     def test_gap_closing_couplings(self):
-        assert NonHermitianSSHParams(2.0, 1.0, 1.0).gap_closing_couplings() == (1.5, 2.5)
+        # t2 = t1 -+ gamma/2 closes at k = 0, t2 = -t1 -+ gamma/2 at k = +-pi
+        assert NonHermitianSSHParams(2.0, 1.0, 1.0).gap_closing_couplings() == (
+            -2.5, -1.5, 1.5, 2.5)
+        assert NonHermitianSSHParams(2.0, 1.0, -1.0).gap_closing_couplings() == (
+            -2.5, -1.5, 1.5, 2.5)
 
 
 # Each Hermitian registry family and swept parameter at its gap closing.

@@ -214,7 +214,8 @@ class TestGroundComplexity:
         # k = +-pi: no GK21 node falls on either, so the average is finite
         import twoband.nonhermitian as nonhermitian
 
-        t2 = NonHermitianSSHParams(1.0, 1.0, 1.0).gap_closing_couplings()[which]
+        # the closings t2 = t1 -+ gamma/2, the upper two of the four
+        t2 = NonHermitianSSHParams(1.0, 1.0, 1.0).gap_closing_couplings()[2 + which]
         params = NonHermitianSSHParams(1.0, t2, 1.0)
         ks = np.linspace(-PI, PI, 4097)
         rsq = np.array([np.linalg.det(nh_ssh_bloch_hamiltonian(params, float(k))) for k in ks])
@@ -223,27 +224,27 @@ class TestGroundComplexity:
         assert abs(np.linalg.det(nh_ssh_bloch_hamiltonian(params, 0.0))) < 1e-15
 
         nodes = []
-        engine = nonhermitian.bz_average_vec
+        engine = nonhermitian.bz_averages
 
         def recording(f, *args, **kwargs):
-            def kernel(k):
+            def kernel(k, owner):
                 nodes.append(np.array(k))
-                return f(k)
+                return f(k, owner)
             return engine(kernel, *args, **kwargs)
 
-        monkeypatch.setattr(nonhermitian, "bz_average_vec", recording)
+        monkeypatch.setattr(nonhermitian, "bz_averages", recording)
         value = nh_ground_complexity(params, AMP, AMP)
         assert 0.0 <= value <= 1.0
         nodes = np.concatenate(nodes)
         assert not np.any(np.isin(nodes, (0.0, -PI, PI)))
 
     def test_gap_closing_sweep_rows_are_unflagged(self):
-        lo, hi = NonHermitianSSHParams(1.0, 1.0, 1.0).gap_closing_couplings()
-        spec = SweepSpec(model="nh-ssh", sweep=("t2", lo, hi, 2),
+        closings = NonHermitianSSHParams(1.0, 1.0, 1.0).gap_closing_couplings()
+        spec = SweepSpec(model="nh-ssh", sweep=("t2", closings[0], closings[-1], 4),
                          fixed={"t1": 1.0, "gamma": 1.0},
                          quantities=("complexity", "dcomplexity"))
         rows = run_sweep(spec)
-        assert [row.lam for row in rows] == [lo, hi]
+        assert tuple(row.lam for row in rows) == closings
         for row in rows:
             assert row.flags == frozenset()
             assert all(math.isfinite(v) for v in row.values.values())
@@ -291,7 +292,7 @@ class TestComplexityDerivative:
     def test_sweep_point_runs_one_average(self, calls, parameter):
         spec = _lossy_sweep(parameter, ("complexity", "dcomplexity"))
         rows = run_sweep(spec)
-        assert calls == {"bz_average_vec": 2}
+        assert calls == {"bz_averages": 1, "averages": 2}
         ref = spec.reference
         for row in rows:
             c, dc = nh_complexity_derivative(_row_params(spec, row.lam), parameter,
@@ -303,16 +304,16 @@ class TestComplexityDerivative:
         import twoband.nonhermitian as nonhermitian
 
         shapes = []
-        engine = nonhermitian.bz_average_vec
+        engine = nonhermitian.bz_averages
 
         def recording(f, *args, **kwargs):
-            def kernel(k):
-                value = f(k)
+            def kernel(k, owner):
+                value = f(k, owner)
                 shapes.append(value.shape)
                 return value
             return engine(kernel, *args, **kwargs)
 
-        monkeypatch.setattr(nonhermitian, "bz_average_vec", recording)
+        monkeypatch.setattr(nonhermitian, "bz_averages", recording)
         spec = _lossy_sweep(parameter, ("complexity",))
         rows = run_sweep(spec)
         assert shapes and all(len(shape) == 1 for shape in shapes)

@@ -252,6 +252,46 @@ class TestArrayEngine:
         assert sum(points) <= 21 * (2 + 2 * (50 - 2))
 
 
+class TestOwners:
+    """bz_averages runs many integrands at once; each owner is its own lone average."""
+
+    KERNELS = [(lambda k: (1.0 + np.cos(k)) / (1.001 + np.cos(k)), (0.0,)),
+               (lambda k: np.sqrt(np.abs(k - 0.3)) + np.exp(np.cos(3.0 * k)), (0.3, -1.0)),
+               (lambda k: np.cos(k) ** 2, ()),
+               (lambda k: 1.0 / (1.2 - np.sin(k)), (0.5 * PI, 0.1, 0.2))]
+
+    def kernel(self, kernels):
+        def f(k, owner):
+            out = np.empty_like(k)
+            for i, (g, _) in enumerate(kernels):
+                out[owner == i] = g(k[owner == i])
+            return out
+        return f
+
+    def test_each_owner_equals_its_lone_average(self, monkeypatch):
+        kernels = self.KERNELS * 2
+        edges = [points for _, points in kernels]
+        alone = [bz_average_vec(g, extra_points=points) for g, points in kernels]
+        assert quadrature.bz_averages(self.kernel(kernels), edges) == alone
+        monkeypatch.setattr(quadrature, "_MAX_OWNERS", 3)  # three chunks
+        assert quadrature.bz_averages(self.kernel(kernels), edges) == alone
+
+    def test_budget_is_per_owner(self):
+        cfg = BZQuadratureConfig(max_subdivisions=50)
+        kernels = [(lambda k: 1.0 / np.abs(k), (0.0,))] + self.KERNELS
+        nodes = []
+
+        def f(k, owner):
+            nodes.append(owner)
+            return self.kernel(kernels)(k, owner)
+
+        runs = quadrature.bz_averages(f, [points for _, points in kernels], cfg)
+        assert isinstance(runs[0], ConvergenceError) and np.isfinite(runs[0].estimate)
+        # two starting panels, then two new panels per bisection
+        assert np.count_nonzero(np.concatenate(nodes) == 0) <= 21 * (2 + 2 * (50 - 2))
+        assert runs[1:] == [bz_average_vec(g, cfg, points) for g, points in self.KERNELS]
+
+
 class TestGroupedKernel:
     """A kernel that returns a tuple holds each entry to its own tolerance."""
 

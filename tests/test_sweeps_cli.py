@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from twoband import (GlobalReference, SpecError, SweepSpec, detect_cusps,
-                     plateau_reference, records_to_csv, records_to_json,
-                     run_sweep, write_records)
+from twoband import (GlobalReference, NonHermitianSSHParams, SpecError, SweepSpec,
+                     UndefinedRatioError, bound_check, chi_F, complexity_derivative,
+                     detect_cusps, ground_complexity, nh_complexity_derivative,
+                     nh_ground_complexity, param_derivative, plateau_reference, ratio_R,
+                     records_to_csv, records_to_json, run_sweep, write_records)
 from twoband.cli import build_parser, main
 from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
@@ -127,7 +129,8 @@ class TestRunSweep:
         recs = run_sweep(spec, BZQuadratureConfig(max_subdivisions=300))
         flags = {round(r.lam, 6): r.flags for r in recs}
         assert "diverged" in flags[1.0]
-        assert flags[0.9] == frozenset()
+        # the exhausted row's neighbours in the same batch keep their own budgets
+        assert flags[0.9] == flags[1.1] == frozenset()
 
     def test_chi_components_columns(self):
         spec = SweepSpec(model="massive-dirac", sweep=("mu", 0.5, 1.5, 3),
@@ -487,7 +490,85 @@ class TestNHSweepIsSweep:
         assert _stdout(capsys, ["sweep", "--model", "nh-ssh", *flags]) == nh
 
 
+class TestBatchedRows:
+    """Every sweep row equals the library call at its point."""
+
+    REF = GlobalReference(0.9, 0.4)
+
+    @staticmethod
+    def same(got, want):
+        return (math.isnan(got) and math.isnan(want)) or got == pytest.approx(
+            want, rel=2e-15, abs=0.0)
+
+    def library_values(self, model, lam):
+        complexity = lambda x: ground_complexity(model.at(x), self.REF)
+        values = {"complexity": complexity(lam)}
+        values["dcomplexity"] = (param_derivative(complexity, lam) if model.at(lam).gap_closed()
+                                 else complexity_derivative(model, self.REF, lam))
+        chi = chi_F(model, lam)
+        values["chi_f"] = chi.total
+        values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = chi.components
+        report = bound_check(model, self.REF, lam)
+        values["bound_lhs"], values["bound_rhs"] = report.lhs, report.rhs
+        values["bound_satisfied"] = 1.0 if report.satisfied else 0.0
+        try:
+            values["ratio"] = ratio_R(model, self.REF, lam)
+        except UndefinedRatioError:
+            values["ratio"] = math.nan
+        return values
+
+    # each window has its transition on a grid point, a closed-gap row
+    @pytest.mark.parametrize("model,parameter,fixed,start,stop", [
+        ("ssh", "t2", {"t1": 1.0}, 0.5, 1.5),
+        ("ssh", "t1", {"t2": 1.25}, 0.75, 1.75),
+        ("massive-dirac", "mu", {}, -1.0, 1.0),
+        ("dual-ssh", "r", {}, 0.5, 1.5),
+        ("cooper-pair-box", "ng", {}, 0.0, 1.0),
+    ])
+    @pytest.mark.parametrize("quantities", [
+        ("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"),
+        ("complexity",), ("dcomplexity", "chi_f"), ("chi_f_components", "bound"), ("ratio",),
+    ])
+    def test_hermitian_rows(self, model, parameter, fixed, start, stop, quantities):
+        spec = SweepSpec(model=model, sweep=(parameter, start, stop, 5), fixed=fixed,
+                         reference=self.REF, quantities=quantities)
+        family = MODELS[model].model(fixed, parameter)
+        for row in run_sweep(spec):
+            want = self.library_values(family, row.lam)
+            assert all(self.same(got, want[col]) for col, got in row.values.items()), row
+
+    @pytest.mark.parametrize("parameter,fixed,start,stop", [
+        ("t2", {"t1": 2.0, "gamma": 1.0}, 1.0, 3.0),  # closings at 1.5 and 2.5
+        ("gamma", {"t1": 2.0, "t2": 1.5}, 0.0, 2.0),  # a closing at gamma = 1
+    ])
+    def test_lossy_rows(self, parameter, fixed, start, stop):
+        spec = SweepSpec(model="nh-ssh", sweep=(parameter, start, stop, 5), fixed=fixed,
+                         reference=self.REF, quantities=("complexity", "dcomplexity"))
+        for row in run_sweep(spec):
+            params = NonHermitianSSHParams(**{**fixed, parameter: row.lam})
+            c, dc = nh_complexity_derivative(params, parameter, self.REF.alpha, self.REF.beta)
+            assert row.flags == frozenset() and self.same(row.values["complexity"], c)
+            assert self.same(row.values["dcomplexity"], dc)
+
+
 class TestLossyExceptionalPoints:
+    @pytest.mark.parametrize("quantities", [None, "complexity"])
+    def test_exact_exceptional_row_is_skipped_alone(self, quantities, capsys):
+        # at t2 = 0 with |t1| = |gamma|/2, R^2 = 0 at every mode
+        argv = ["nh-sweep", "--set", "t1=1", "--set", "gamma=2", "--sweep", "t2:-1:1:3"]
+        code, out = _stdout(capsys, argv + (["--quantities", quantities] if quantities else []))
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        ref = GlobalReference(0.5 * PI, PI)
+        assert rows[1] == ["0", "nan"] + (["nan"] if quantities is None else []) + [
+            "skipped_exceptional"]
+        for row, t2 in ((rows[0], -1.0), (rows[2], 1.0)):
+            params = NonHermitianSSHParams(1.0, t2, 2.0)
+            want = (nh_complexity_derivative(params, "t2", ref.alpha, ref.beta)
+                    if quantities is None else (nh_ground_complexity(params, ref.alpha, ref.beta),))
+            assert row == [f"{t2:.17g}", *(f"{x:.17g}" for x in want), ""]
+
+
     def test_rows_on_and_beside_the_closings_are_not_flagged(self, capsys):
         # t2 = 1.75 and 3.25 are closings; an absolute |R^2| threshold kept
         # beside the graded panels flagged a row here skipped_exceptional
@@ -619,6 +700,15 @@ class TestRegistryCLI:
     ])
     def test_point_commands_accept_every_hermitian_model(self, argv):
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["winding", "--model", "ssh", "--set", "t2=-2"],
+        ["bound", "--model", "ssh", "--set", "t2=-2", "--lam", "-1.5"],
+    ])
+    def test_point_command_rejects_a_value_outside_the_domain(self, argv, capsys):
+        # the sweep parameter's value comes from --lam, but --set builds the params
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_point_command_rejects_unknown_parameter(self, capsys):
         assert main(["bound", "--model", "ssh", "--set", "mu=1", "--lam", "2"]) == 2
