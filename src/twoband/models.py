@@ -1,8 +1,8 @@
 """The model zoo: analytic d(k, lambda) vectors and their parameter derivatives.
 
 Every stock Hermitian family has d(k) = a + b cos k + c sin k; its entry in
-``MODELS`` gives the rows (a, b, c) once, and d, d(d)/d(lambda) and the
-winding contour come from them.  The SSH chains are stored in the rotated
+``MODELS`` gives the rows (a, b, c) once, and d, d(d)/d(lambda), d(d)/dk and
+the winding contour come from them.  The SSH chains are stored in the rotated
 basis (d_y = 0) of the sigma relabeling (x, y, z) -> (x, z, -y), recorded on
 the model so topology diagnostics can undo it; massive Dirac and the
 Cooper-pair box are native to the final basis.
@@ -33,9 +33,10 @@ class TwoBandModel:
     """A one-parameter family k -> d(k, lambda) of two-band Bloch Hamiltonians.
 
     ``family`` maps (k, lam) to the three d components and broadcasts over
-    numpy arrays of k.  ``family_deriv`` is the analytic d(d)/d(lambda) when
-    available; otherwise derivatives fall back to ``param_derivative``.
-    Models are immutable; ``at`` rebinds the swept parameter.
+    numpy arrays of k.  ``family_deriv`` and ``family_dk`` are the analytic
+    d(d)/d(lambda) and d(d)/dk when available; otherwise derivatives fall
+    back to ``param_derivative``.  Models are immutable; ``at`` rebinds the
+    swept parameter.
     """
 
     family: Callable[[np.ndarray, float], np.ndarray]
@@ -44,6 +45,7 @@ class TwoBandModel:
     rotated: bool = False
     singular_points: Tuple[float, ...] = (0.0,)
     label: str = ""
+    family_dk: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def d(self, k):
         """d(k) at the bound parameter value; shape (3,) + shape(k)."""
@@ -55,10 +57,17 @@ class TwoBandModel:
             return np.asarray(self.family_deriv(k, self.lam), dtype=float)
         return param_derivative(lambda lam: np.asarray(self.family(k, lam), dtype=float), self.lam)
 
+    def d_dk(self, k):
+        """Momentum derivative of d at the bound value (analytic or finite difference)."""
+        if self.family_dk is not None:
+            return np.asarray(self.family_dk(k, self.lam), dtype=float)
+        return param_derivative(self.d, np.asarray(k, dtype=float))
+
     def at(self, lam) -> "TwoBandModel":
         """The family at lam: a number, or an array of one value per k node."""
         return TwoBandModel(self.family, lam if isinstance(lam, np.ndarray) else float(lam),
-                            self.family_deriv, self.rotated, self.singular_points, self.label)
+                            self.family_deriv, self.rotated, self.singular_points, self.label,
+                            self.family_dk)
 
     def contour(self, k):
         """The stored d_x - i d_z; in the rotated basis, the off-diagonal Bloch element."""
@@ -97,7 +106,7 @@ class TwoBandModel:
         return tuple(edges)
 
     def validate(self, grid_points: int = 64) -> None:
-        """Check 2*pi periodicity and (when analytic) the parameter derivative."""
+        """Check 2*pi periodicity and (when analytic) the parameter and momentum derivatives."""
         ks = np.linspace(-PI, PI, grid_points, endpoint=False)
         if np.max(np.abs(self.d(ks) - self.d(ks + 2.0 * PI))) > 1e-12:
             raise DomainError(f"model {self.label!r} is not 2*pi-periodic in k")
@@ -105,6 +114,10 @@ class TwoBandModel:
             fd = replace(self, family_deriv=None).d_deriv(ks)
             if np.max(np.abs(fd - self.d_deriv(ks))) > 1e-7:
                 raise DomainError(f"analytic derivative of {self.label!r} disagrees with FD")
+        if self.family_dk is not None:
+            fd = replace(self, family_dk=None).d_dk(ks)
+            if np.max(np.abs(fd - self.d_dk(ks))) > 1e-7:
+                raise DomainError(f"analytic k-derivative of {self.label!r} disagrees with FD")
 
 
 @dataclass(frozen=True)
@@ -206,6 +219,12 @@ def _bloch_sum(rows: Rows, k) -> np.ndarray:
     return d
 
 
+def _k_slope(rows: Rows) -> Rows:
+    """The rows (0, c, -b) of d(d)/dk for d = a + b cos k + c sin k."""
+    _, b, c = rows
+    return (0.0, 0.0, 0.0), c, tuple(-x for x in b)
+
+
 def _ssh_rows(t1: float, t2: float) -> Rows:
     """d(k) = (t1 - t2 cos k, 0, t2 sin k)."""
     return (t1, 0.0, 0.0), (-t2, 0.0, 0.0), (0.0, 0.0, t2)
@@ -269,7 +288,8 @@ class ModelEntry:
         """The family swept in ``parameter``, by default the first sweepable one.
 
         d(d)/d(lambda) is the difference of the rows at lambda = 1 and 0,
-        exact because the rows are affine in every sweepable parameter.
+        exact because the rows are affine in every sweepable parameter;
+        d(d)/dk has the rows (0, c, -b).
         """
         parameter = parameter or self.parameters[0]
         values = vars(self.params(fixed))
@@ -278,7 +298,8 @@ class ModelEntry:
                       for one, zero in zip(rows_at(1.0), rows_at(0.0)))
         return TwoBandModel(lambda k, lam: _bloch_sum(rows_at(lam), k), values[parameter],
                             lambda k, lam: _bloch_sum(slope, k), self.rotated,
-                            self.singular_points, self.name)
+                            self.singular_points, self.name,
+                            lambda k, lam: _bloch_sum(_k_slope(rows_at(lam)), k))
 
 
 # The model families by name.  The Hermitian defaults sit at gapped values,
@@ -321,7 +342,7 @@ def dual_pair(params: DualSSHParams) -> Tuple[TwoBandModel, TwoBandModel]:
     ssh = ssh_model(SSHParams(t, t / params.r))
     model_ii = replace(ssh, family=lambda k, r: ssh.family(k, t / r), lam=params.r,
                        family_deriv=lambda k, r: (-t / r ** 2) * ssh.family_deriv(k, t / r),
-                       label="dual-ssh-II")
+                       family_dk=lambda k, r: ssh.family_dk(k, t / r), label="dual-ssh-II")
     return MODELS["dual-ssh"].model(vars(params)), model_ii
 
 

@@ -11,12 +11,12 @@ import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
 from .bounds_duality import _bound_report, _ratio, reference_coefficients
-from .errors import ExceptionalPointError, GapClosedError, SpecError, UndefinedRatioError
+from .errors import ExceptionalPointError, SpecError, UndefinedRatioError
 from .fidelity import _bloch_averages, _BlochAverages
 from .models import COLUMNS, MODELS, TwoBandModel
 from .nonhermitian import _nh_averages
 from .quadrature import _FD_STEP, BZQuadratureConfig, _stencil, param_derivative
-from .topology import winding_cross_product, winding_log_derivative
+from .topology import _nearest_winding
 
 PI = math.pi
 
@@ -93,13 +93,12 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None, lam: float, avg: _Blo
             elif quantity == "ratio":
                 values["ratio"] = _ratio(avg, reference_coefficients(spec.reference))
             elif quantity == "winding":
-                try:
-                    point = model.at(lam)
-                    values["winding"] = (float(winding_log_derivative(point.contour))
-                                         if point.rotated else winding_cross_product(point))
-                except GapClosedError:
+                if avg.winding is None:  # closed gap
                     flags.add("diverged")
                     values["winding"] = math.nan
+                else:
+                    values["winding"] = (float(_nearest_winding(avg.winding)) if model.rotated
+                                         else avg.winding)
         except UndefinedRatioError:
             flags.add("undefined_ratio")
             values["ratio"] = math.nan
@@ -128,7 +127,8 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
     Each point owns its panels in one run of the quadrature engine for all
-    its quantities, and equals the library call at its point.  On a closed
+    its quantities, the winding too, and equals the library call at its
+    point; a contour winding is rounded by ``_nearest_winding``.  On a closed
     Hermitian gap only C is averaged and dcomplexity is its finite
     difference, in one more run.  A lossy-chain row whose kernel meets
     R^2 == 0 exactly is flagged skipped_exceptional.
@@ -142,7 +142,8 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
         avgs = _bloch_averages(model, grid, spec.reference, cfg,
                                complexity="complexity" in wanted,
                                derivative=bool(wanted & {"dcomplexity", "bound", "ratio"}),
-                               chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}))
+                               chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}),
+                               winding="winding" in wanted)
         _closed_gap_rows(model, grid, avgs, spec, cfg)
     else:
         base = entry.params(spec.fixed)

@@ -45,11 +45,14 @@ def winding_log_derivative(f: Callable[[np.ndarray], np.ndarray], grid_size: int
     and rounds to the nearest integer; grids fine enough that consecutive
     phase steps stay below pi give the exact integer for gapped maps.
     """
-    raw = winding_phase_accumulation(f, grid_size)
-    nearest = round(raw)
-    if abs(raw - nearest) > _QUANTIZATION_SLACK:
+    return _nearest_winding(winding_phase_accumulation(f, grid_size))
+
+
+def _nearest_winding(raw: float) -> int:
+    """The integer within _QUANTIZATION_SLACK of a winding estimate, else NonQuantizedError."""
+    if not (math.isfinite(raw) and abs(raw - round(raw)) <= _QUANTIZATION_SLACK):
         raise NonQuantizedError(f"winding accumulation {raw} is not near an integer")
-    return int(nearest)
+    return round(raw)
 
 
 def winding_cross_product(model: TwoBandModel, grid_size: int = 4096) -> float:

@@ -165,6 +165,32 @@ class TestModelContract:
             fd = (model.at(model.lam + h).d(KGRID) - model.at(model.lam - h).d(KGRID)) / (2.0 * h)
             assert np.max(np.abs(fd - model.d_deriv(KGRID))) < 1e-7
 
+    @pytest.mark.parametrize("name,parameter,index", [
+        *((n, q, None) for n, e in MODELS.items() if e.hermitian for q in e.parameters),
+        ("dual-ssh", "r", 0), ("dual-ssh", "r", 1),  # the two families of dual_pair
+    ])
+    def test_momentum_derivative_is_the_central_difference(self, name, parameter, index):
+        h = 1e-6
+        for lam in (-0.7, 0.3, 1.3, 2.5):
+            if index is None:
+                model = MODELS[name].model({}, parameter).at(lam)
+            else:
+                model = dual_pair(DualSSHParams(1.5, abs(lam)))[index]
+            model.validate(grid_points=128)
+            fd = (model.d(KGRID + h) - model.d(KGRID - h)) / (2.0 * h)
+            assert np.max(np.abs(fd - model.d_dk(KGRID))) < 1e-8
+
+    def test_validate_rejects_a_wrong_momentum_derivative(self):
+        from dataclasses import replace
+        model = ssh_model(SSHParams(1.0, 1.4))
+        wrong = replace(model, family_dk=lambda k, lam: -model.family_dk(k, lam))
+        with pytest.raises(DomainError, match="k-derivative"):
+            wrong.validate()
+        # family II must not inherit the k-derivative of its chain, whose lambda is t2
+        model_ii = dual_pair(DualSSHParams(1.0, 2.0))[1]
+        with pytest.raises(DomainError, match="k-derivative"):
+            replace(model_ii, family_dk=ssh_model(SSHParams(1.0, 0.5)).family_dk).validate()
+
     def test_fd_fallback_when_no_analytic_derivative(self):
         from dataclasses import replace
         model = replace(ssh_model(SSHParams(1.0, 1.4)), family_deriv=None)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from twoband import (GlobalReference, NonHermitianSSHParams, SpecError, SweepSpe
                      UndefinedRatioError, bound_check, chi_F, complexity_derivative,
                      detect_cusps, ground_complexity, nh_complexity_derivative,
                      nh_ground_complexity, param_derivative, plateau_reference, ratio_R,
-                     records_to_csv, records_to_json, run_sweep, write_records)
+                     records_to_csv, records_to_json, run_sweep, winding_cross_product,
+                     winding_log_derivative, write_records)
 from twoband.cli import build_parser, main
 from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
@@ -515,6 +517,10 @@ class TestBatchedRows:
             values["ratio"] = ratio_R(model, self.REF, lam)
         except UndefinedRatioError:
             values["ratio"] = math.nan
+        point = model.at(lam)  # the grid oracle of the winding column
+        values["winding"] = (math.nan if point.gap_closed() else
+                             winding_log_derivative(point.contour) if point.rotated
+                             else winding_cross_product(point))
         return values
 
     # each window has its transition on a grid point, a closed-gap row
@@ -526,8 +532,9 @@ class TestBatchedRows:
         ("cooper-pair-box", "ng", {}, 0.0, 1.0),
     ])
     @pytest.mark.parametrize("quantities", [
-        ("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"),
-        ("complexity",), ("dcomplexity", "chi_f"), ("chi_f_components", "bound"), ("ratio",),
+        ("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio", "winding"),
+        ("complexity",), ("dcomplexity", "chi_f", "winding"),
+        ("chi_f_components", "bound", "winding"), ("ratio",), ("complexity", "winding"),
     ])
     def test_hermitian_rows(self, model, parameter, fixed, start, stop, quantities):
         spec = SweepSpec(model=model, sweep=(parameter, start, stop, 5), fixed=fixed,
@@ -536,6 +543,22 @@ class TestBatchedRows:
         for row in run_sweep(spec):
             want = self.library_values(family, row.lam)
             assert all(self.same(got, want[col]) for col, got in row.values.items()), row
+
+    def test_gapped_winding_sweep_runs_one_average_and_no_grid(self, calls, monkeypatch):
+        def grid(*args, **kwargs):
+            raise AssertionError("a sweep evaluated a winding grid")
+
+        for module in [m for m in sys.modules.values() if m.__name__.startswith("twoband")]:
+            for name in ("winding_phase_accumulation", "winding_log_derivative",
+                         "winding_cross_product"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, grid)
+        spec = SweepSpec(model="ssh", sweep=("t1", 1.5, 2.5, 9), fixed={"t2": 1.25},
+                         reference=self.REF, quantities=("complexity", "winding"))
+        rows = run_sweep(spec)
+        assert calls["bz_averages"] == 1 and calls["averages"] == 9
+        assert calls["bz_average_vec"] == calls["param_derivative"] == 0
+        assert [row.values["winding"] for row in rows] == [0.0] * 9
 
     @pytest.mark.parametrize("parameter,fixed,start,stop", [
         ("t2", {"t1": 2.0, "gamma": 1.0}, 1.0, 3.0),  # closings at 1.5 and 2.5
@@ -613,6 +636,23 @@ class TestWindingGapThreshold:
         # d_hat turning by pi over a width |t2 - t1| at k = 0
         assert main(["winding", "--model", "ssh", "--set", "t1=1", "--set", f"t2={t2}"]) == 0
         assert capsys.readouterr().out == "winding(contour) = 1\n"
+
+    @pytest.mark.parametrize("window", ["t2:-1.0000000001:-0.9999999999:3",
+                                        "t2:-1.0000000000005:-0.9999999999995:3"])
+    @pytest.mark.parametrize("quantities", ["complexity,winding", "winding"])
+    def test_rows_beside_the_pi_closing_keep_their_winding(self, window, quantities, capsys):
+        # beside t2 = -t1 the winding average cannot meet its tolerance: the gap
+        # closes at k = +-pi, 1.2e-16 beyond the float ends of the zone.  The
+        # row keeps the rounded estimate, and C its own average
+        code, out = _stdout(capsys, ["sweep", "--model", "ssh", "--set", "t1=1",
+                                     "--sweep", window, "--quantities", quantities])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[-2:] for row in rows] == [["1", ""], ["nan", "diverged"], ["0", ""]]
+        if quantities == "complexity,winding":
+            ssh, ref = MODELS["ssh"].model({"t1": 1.0}), GlobalReference(0.5 * PI, PI)
+            for row in rows:
+                assert row[1] == f"{ground_complexity(ssh.at(float(row[0])), ref):.17g}"
 
     def test_winding_command_on_the_transition_exits_3(self):
         for argv in (["--model", "massive-dirac", "--set", "mu=0"],

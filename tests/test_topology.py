@@ -9,7 +9,7 @@ from twoband import (DomainError, DualSSHParams, GapClosedError, MassiveDiracPar
                      NonQuantizedError, SSHParams, dual_windings,
                      massive_dirac_model, ssh_model, winding_cross_product,
                      winding_log_derivative)
-from twoband.topology import winding_phase_accumulation
+from twoband.topology import _nearest_winding, winding_phase_accumulation
 
 PI = math.pi
 
@@ -36,6 +36,14 @@ class TestLogDerivative:
         # an open (non-periodic) phase ramp accumulates half a turn
         with pytest.raises(NonQuantizedError):
             winding_log_derivative(lambda k: np.exp(0.5j * k))
+
+    def test_nearest_winding_is_the_acceptance_rule(self):
+        # the rule a sweep applies to its averaged winding, as the grid does
+        assert _nearest_winding(0.95) == 1 and _nearest_winding(-0.05) == 0
+        assert isinstance(_nearest_winding(2.0), int)
+        for raw in (0.5, 0.85, math.nan, math.inf):
+            with pytest.raises(NonQuantizedError):
+                _nearest_winding(raw)
 
     def test_quantization_residual(self):
         for t1, t2 in ((2.0, 1.0), (1.0, 2.0), (1.0, 1.1)):
