@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GapClosedError
-from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel
+from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, closed_rows
 from .quadrature import BZQuadratureConfig, bz_averages
 
 PI = math.pi
@@ -82,46 +82,37 @@ class _BlochAverages(NamedTuple):
     dcomplexity: Optional[float]
     integrals: Optional[np.ndarray]  # integral of d(d_hat)/d(lambda) dk, per axis
     chi: Optional[SusceptibilityBreakdown]
-    winding: Optional[float] = None
 
 
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
-                    complexity=False, derivative=False, chi=False,
-                    winding=False) -> List[_BlochAverages]:
-    """C, dC/d(lambda) with the d_hat-derivative integrals, chi_F and the winding of
-    the family ``m`` at each of ``lams``, from one ``bz_averages`` run in which each
-    lambda owns the panels of its graded ``panel_edges`` and the reference breakpoints.
+                    complexity=False, derivative=False, chi=False) -> List[_BlochAverages]:
+    """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family
+    ``m`` at each of ``lams``, from one ``bz_averages`` run in which each lambda
+    owns the panels of its graded ``panel_edges`` and the reference breakpoints.
 
-    The kernel evaluates d, d_deriv only for dC or chi and d_k d only for the
-    winding, and returns a group per quantity asked for: C_k; (n_ref . v / 2, v)
-    with v = d(d_hat)/d(lambda); v^2 / 4 per axis; the winding rate
-    (d_q d_k d_x - d_x d_k d_q) / |d|^2 with q = z for a rotated family and
-    q = y otherwise, the Im(f'/f) of the contour f = d_x - i d_z where d_y = 0.
-    Where dC, chi or the winding is asked for, a closed gap runs no average:
-    C, dC and the winding are None and chi is inf, flagged diverged.  An
-    exhausted budget flags chi diverged and keeps every group's unconverged
-    estimate (chi's non-finite ones as inf); without chi it raises.  With the
-    winding, an exhausted point keeps the winding's estimate and averages its
-    other quantities again without it, so they follow those rules alone.
+    The kernel evaluates d_deriv only for dC or chi, and returns a group per
+    quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
+    v^2 / 4 per axis.  Where dC or chi is asked for, a closed gap
+    (``closed_rows``) runs no average: C and dC are None and chi is inf,
+    flagged diverged.  An exhausted budget flags chi diverged and keeps every
+    group's unconverged estimate (chi's non-finite ones as inf); without chi
+    it raises.
     """
     lams = np.asarray(lams, dtype=float)
     gaps, slopes = m.singular_gaps(lams)
-    # no average: a closed gap where dC, chi or the winding is asked for, or nothing asked for
-    idle = (np.any(gaps < GAP_EPS, axis=1) & (derivative or chi or winding)
-            | (not (complexity or derivative or chi or winding)))
+    # no average: a closed gap where dC or chi is asked for, or nothing asked for
+    idle = closed_rows(gaps) & (derivative or chi) | (not (complexity or derivative or chi))
     averaged = np.flatnonzero(~idle)
     open_lams = lams[averaged]
     uses_ref = complexity or derivative
-    q = 2 if m.rotated else 1
 
     def kernel(k, owner):
         point = m.at(open_lams[owner])
         d = point.d(k)
         nref = ref.bloch_at(k) if uses_ref else None
-        norm2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
         groups = []
         if complexity:
-            n = np.sqrt(norm2)
+            n = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
             if np.any(n < GAP_EPS):
                 raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
             groups.append(0.5 * (1.0 + (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n))
@@ -132,22 +123,15 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
                 groups.append(np.vstack((0.5 * dot, v)))
             if chi:
                 groups.append(0.25 * v * v)
-        if winding:
-            dk = point.d_dk(k)
-            groups.append((d[q] * dk[0] - d[0] * dk[q]) / norm2)
         return tuple(groups)
 
     breaks = ref.breakpoints() if uses_ref else ()
     edges = [(*m.panel_edges((gaps[i], slopes[i])), *breaks) for i in averaged]
     runs = iter(bz_averages(kernel, edges, cfg) if edges else ())
-    results, exhausted = [], []
+    results = []
     for is_idle in idle:
         out, diverged = ((None,) * 3, True) if is_idle else (next(runs), False)
         if isinstance(out, ConvergenceError):
-            if winding:
-                exhausted.append(len(results))
-                results.append(_BlochAverages(None, None, None, None, float(out.estimate[-1])))
-                continue
             if not chi:
                 raise out
             out, diverged = out.estimate, True
@@ -161,13 +145,7 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
             comps = np.full(3, np.inf) if is_idle else next(out)
             comps = np.where(np.isfinite(comps), comps, np.inf)
             breakdown = SusceptibilityBreakdown(float(np.sum(comps)), tuple(comps), diverged)
-        w = float(next(out)) if winding and not is_idle else None
-        results.append(_BlochAverages(c, dc, integrals, breakdown, w))
-    if exhausted:
-        alone = _bloch_averages(m, lams[exhausted], ref, cfg, complexity=complexity,
-                                derivative=derivative, chi=chi)
-        for i, avg in zip(exhausted, alone):
-            results[i] = avg._replace(winding=results[i].winding)
+        results.append(_BlochAverages(c, dc, integrals, breakdown))
     return results
 
 

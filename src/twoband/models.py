@@ -1,11 +1,11 @@
 """The model zoo: analytic d(k, lambda) vectors and their parameter derivatives.
 
 Every stock Hermitian family has d(k) = a + b cos k + c sin k; its entry in
-``MODELS`` gives the rows (a, b, c) once, and d, d(d)/d(lambda), d(d)/dk and
-the winding contour come from them.  The SSH chains are stored in the rotated
-basis (d_y = 0) of the sigma relabeling (x, y, z) -> (x, z, -y), recorded on
-the model so topology diagnostics can undo it; massive Dirac and the
-Cooper-pair box are native to the final basis.
+``MODELS`` gives the rows (a, b, c) once, and d, d(d)/d(lambda), the winding
+contour and its exact winding number come from them.  The SSH chains are
+stored in the rotated basis (d_y = 0) of the sigma relabeling
+(x, y, z) -> (x, z, -y), recorded on the model so topology diagnostics can
+undo it; massive Dirac and the Cooper-pair box are native to the final basis.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ class TwoBandModel:
     """A one-parameter family k -> d(k, lambda) of two-band Bloch Hamiltonians.
 
     ``family`` maps (k, lam) to the three d components and broadcasts over
-    numpy arrays of k.  ``family_deriv`` and ``family_dk`` are the analytic
-    d(d)/d(lambda) and d(d)/dk when available; otherwise derivatives fall
-    back to ``param_derivative``.  Models are immutable; ``at`` rebinds the
-    swept parameter.
+    numpy arrays of k.  ``family_deriv`` is the analytic d(d)/d(lambda) when
+    available; otherwise the derivative falls back to ``param_derivative``.
+    Models are immutable; ``at`` rebinds the swept parameter.
     """
 
     family: Callable[[np.ndarray, float], np.ndarray]
@@ -45,7 +44,6 @@ class TwoBandModel:
     rotated: bool = False
     singular_points: Tuple[float, ...] = (0.0,)
     label: str = ""
-    family_dk: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def d(self, k):
         """d(k) at the bound parameter value; shape (3,) + shape(k)."""
@@ -57,17 +55,10 @@ class TwoBandModel:
             return np.asarray(self.family_deriv(k, self.lam), dtype=float)
         return param_derivative(lambda lam: np.asarray(self.family(k, lam), dtype=float), self.lam)
 
-    def d_dk(self, k):
-        """Momentum derivative of d at the bound value (analytic or finite difference)."""
-        if self.family_dk is not None:
-            return np.asarray(self.family_dk(k, self.lam), dtype=float)
-        return param_derivative(self.d, np.asarray(k, dtype=float))
-
     def at(self, lam) -> "TwoBandModel":
         """The family at lam: a number, or an array of one value per k node."""
         return TwoBandModel(self.family, lam if isinstance(lam, np.ndarray) else float(lam),
-                            self.family_deriv, self.rotated, self.singular_points, self.label,
-                            self.family_dk)
+                            self.family_deriv, self.rotated, self.singular_points, self.label)
 
     def contour(self, k):
         """The stored d_x - i d_z; in the rotated basis, the off-diagonal Bloch element."""
@@ -87,7 +78,7 @@ class TwoBandModel:
 
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the stock gaps close."""
-        return bool(np.any(self.singular_gaps([self.lam])[0] < GAP_EPS))
+        return bool(closed_rows(self.singular_gaps([self.lam])[0])[0])
 
     def panel_edges(self, gaps=None) -> Tuple[float, ...]:
         """The singular points, each graded geometrically by the model's gap scale.
@@ -106,7 +97,7 @@ class TwoBandModel:
         return tuple(edges)
 
     def validate(self, grid_points: int = 64) -> None:
-        """Check 2*pi periodicity and (when analytic) the parameter and momentum derivatives."""
+        """Check 2*pi periodicity and (when analytic) the parameter derivative."""
         ks = np.linspace(-PI, PI, grid_points, endpoint=False)
         if np.max(np.abs(self.d(ks) - self.d(ks + 2.0 * PI))) > 1e-12:
             raise DomainError(f"model {self.label!r} is not 2*pi-periodic in k")
@@ -114,10 +105,11 @@ class TwoBandModel:
             fd = replace(self, family_deriv=None).d_deriv(ks)
             if np.max(np.abs(fd - self.d_deriv(ks))) > 1e-7:
                 raise DomainError(f"analytic derivative of {self.label!r} disagrees with FD")
-        if self.family_dk is not None:
-            fd = replace(self, family_dk=None).d_dk(ks)
-            if np.max(np.abs(fd - self.d_dk(ks))) > 1e-7:
-                raise DomainError(f"analytic k-derivative of {self.label!r} disagrees with FD")
+
+
+def closed_rows(gaps) -> np.ndarray:
+    """Per row of the |d| of ``singular_gaps``: is |d| < GAP_EPS at a singular point?"""
+    return np.any(np.asarray(gaps) < GAP_EPS, axis=1)
 
 
 @dataclass(frozen=True)
@@ -219,12 +211,6 @@ def _bloch_sum(rows: Rows, k) -> np.ndarray:
     return d
 
 
-def _k_slope(rows: Rows) -> Rows:
-    """The rows (0, c, -b) of d(d)/dk for d = a + b cos k + c sin k."""
-    _, b, c = rows
-    return (0.0, 0.0, 0.0), c, tuple(-x for x in b)
-
-
 def _ssh_rows(t1: float, t2: float) -> Rows:
     """d(k) = (t1 - t2 cos k, 0, t2 sin k)."""
     return (t1, 0.0, 0.0), (-t2, 0.0, 0.0), (0.0, 0.0, t2)
@@ -288,8 +274,7 @@ class ModelEntry:
         """The family swept in ``parameter``, by default the first sweepable one.
 
         d(d)/d(lambda) is the difference of the rows at lambda = 1 and 0,
-        exact because the rows are affine in every sweepable parameter;
-        d(d)/dk has the rows (0, c, -b).
+        exact because the rows are affine in every sweepable parameter.
         """
         parameter = parameter or self.parameters[0]
         values = vars(self.params(fixed))
@@ -298,8 +283,29 @@ class ModelEntry:
                       for one, zero in zip(rows_at(1.0), rows_at(0.0)))
         return TwoBandModel(lambda k, lam: _bloch_sum(rows_at(lam), k), values[parameter],
                             lambda k, lam: _bloch_sum(slope, k), self.rotated,
-                            self.singular_points, self.name,
-                            lambda k, lam: _bloch_sum(_k_slope(rows_at(lam)), k))
+                            self.singular_points, self.name)
+
+    def windings(self, fixed: Mapping[str, float], parameter: str, lams) -> np.ndarray:
+        """The winding of the family swept in ``parameter`` at each of ``lams``, counted
+        from the rows; NaN where ``closed_rows``.  Every stock planar family has zero
+        y rows, so it winds 0.  With z = e^{ik} a rotated family's contour
+        d_x - i d_z is p0 / z + p1 + p2 z; it winds by the number of zeros of
+        p0 + p1 z + p2 z^2 in |z| < 1, minus 1.  The roots q / p2 and p0 / q, with
+        q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 signed not to cancel, also hold
+        p2 = 0 (one root) and p0 = 0 (a root at 0).
+        """
+        lams = np.asarray(lams, dtype=float)
+        closed = closed_rows(self.model(fixed, parameter).singular_gaps(lams)[0])
+        if not self.rotated:
+            return np.where(closed, np.nan, 0.0)
+        (ax, _, az), (bx, _, bz), (cx, _, cz) = self.rows(
+            **{**vars(self.params(fixed)), parameter: lams})
+        b, c, p1 = bx - 1j * bz, cx - 1j * cz, ax - 1j * az
+        p0, p2 = 0.5 * (b + 1j * c), 0.5 * (b - 1j * c)
+        root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
+        q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)
+        inside = 1.0 * (np.abs(q) < np.abs(p2)) + ((np.abs(p0) < np.abs(q)) | (p0 == 0.0))
+        return np.where(closed, np.nan, inside - 1.0)
 
 
 # The model families by name.  The Hermitian defaults sit at gapped values,
@@ -342,7 +348,7 @@ def dual_pair(params: DualSSHParams) -> Tuple[TwoBandModel, TwoBandModel]:
     ssh = ssh_model(SSHParams(t, t / params.r))
     model_ii = replace(ssh, family=lambda k, r: ssh.family(k, t / r), lam=params.r,
                        family_deriv=lambda k, r: (-t / r ** 2) * ssh.family_deriv(k, t / r),
-                       family_dk=lambda k, r: ssh.family_dk(k, t / r), label="dual-ssh-II")
+                       label="dual-ssh-II")
     return MODELS["dual-ssh"].model(vars(params)), model_ii
 
 

@@ -16,7 +16,6 @@ from .fidelity import _bloch_averages, _BlochAverages
 from .models import COLUMNS, MODELS, TwoBandModel
 from .nonhermitian import _nh_averages
 from .quadrature import _FD_STEP, BZQuadratureConfig, _stencil, param_derivative
-from .topology import _nearest_winding
 
 PI = math.pi
 
@@ -40,6 +39,8 @@ class SweepSpec:
             raise SpecError(f"model {self.model!r} cannot sweep {name!r}")
         if name in self.fixed:
             raise SpecError(f"sweep parameter {name!r} must not also be fixed")
+        if not float(points).is_integer():
+            raise SpecError(f"a sweep needs a whole number of points, not {points!r}")
         if int(points) < 2:
             raise SpecError("a sweep needs at least 2 points")
         if not (math.isfinite(float(start)) and math.isfinite(float(stop))):
@@ -71,7 +72,7 @@ class SweepRecord:
     flags: frozenset = frozenset()
 
 
-def _evaluate(spec: SweepSpec, model: TwoBandModel | None, lam: float, avg: _BlochAverages,
+def _evaluate(spec: SweepSpec, lam: float, avg: _BlochAverages, winding: float,
               flags: frozenset) -> SweepRecord:
     values: Dict[str, float] = {}
     flags = set(flags)
@@ -93,12 +94,9 @@ def _evaluate(spec: SweepSpec, model: TwoBandModel | None, lam: float, avg: _Blo
             elif quantity == "ratio":
                 values["ratio"] = _ratio(avg, reference_coefficients(spec.reference))
             elif quantity == "winding":
-                if avg.winding is None:  # closed gap
+                if math.isnan(winding):  # closed gap
                     flags.add("diverged")
-                    values["winding"] = math.nan
-                else:
-                    values["winding"] = (float(_nearest_winding(avg.winding)) if model.rotated
-                                         else avg.winding)
+                values["winding"] = winding
         except UndefinedRatioError:
             flags.add("undefined_ratio")
             values["ratio"] = math.nan
@@ -127,24 +125,26 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
     Each point owns its panels in one run of the quadrature engine for all
-    its quantities, the winding too, and equals the library call at its
-    point; a contour winding is rounded by ``_nearest_winding``.  On a closed
-    Hermitian gap only C is averaged and dcomplexity is its finite
-    difference, in one more run.  A lossy-chain row whose kernel meets
-    R^2 == 0 exactly is flagged skipped_exceptional.
+    its averaged quantities, and equals the library call at its point.  On a
+    closed Hermitian gap only C is averaged and dcomplexity is its finite
+    difference, in one more run.  The winding is no average: it is counted
+    from the Bloch rows by ``ModelEntry.windings``, NaN and flagged diverged
+    on a closed gap.  A lossy-chain row whose kernel meets R^2 == 0 exactly
+    is flagged skipped_exceptional.
     """
     cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]
     name, grid, wanted = spec.sweep[0], spec.grid(), set(spec.quantities)
-    model, flags = None, [frozenset()] * grid.size
+    flags, windings = [frozenset()] * grid.size, [math.nan] * grid.size
     if entry.hermitian:
         model = entry.model(spec.fixed, name)
         avgs = _bloch_averages(model, grid, spec.reference, cfg,
                                complexity="complexity" in wanted,
                                derivative=bool(wanted & {"dcomplexity", "bound", "ratio"}),
-                               chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}),
-                               winding="winding" in wanted)
+                               chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}))
         _closed_gap_rows(model, grid, avgs, spec, cfg)
+        if "winding" in wanted:
+            windings = entry.windings(spec.fixed, name, grid).tolist()
     else:
         base = entry.params(spec.fixed)
         runs = _nh_averages([replace(base, **{name: lam}) for lam in grid],
@@ -157,7 +157,8 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
             elif isinstance(run, Exception):
                 raise run
             avgs.append(_BlochAverages(run[0], run[-1], None, None))
-    return [_evaluate(spec, model, lam, avg, flag) for lam, avg, flag in zip(grid, avgs, flags)]
+    return [_evaluate(spec, lam, avg, winding, flag)
+            for lam, avg, winding, flag in zip(grid, avgs, windings, flags)]
 
 
 def _format_value(x: float) -> str:

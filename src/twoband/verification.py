@@ -23,7 +23,7 @@ from .complexity import (BandAssignment, excited_piecewise_complexity,
                          ssh_complexity_closed)
 from .fidelity import (chi_F, chi_F_md_closed, chi_F_md_z_closed,
                        chi_F_ssh_closed)
-from .models import (DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
+from .models import (MODELS, DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
                      SSHParams, massive_dirac_model,
                      nh_ssh_bloch_hamiltonian, ssh_model)
 from .nonhermitian import (bikrylov_basis, biorthogonal_ground, nh_complexity_derivative,
@@ -236,6 +236,15 @@ def winding_suite() -> List[CheckResult]:
     for r in (0.3, 0.5, 2.0, 4.0):
         nu_i, nu_ii = dual_windings(DualSSHParams(1.0, r))
         checks.append(_check(f"dual windings sum to 1 at r={r}", nu_i + nu_ii - 1, 0.0))
+    # the sweep column's root count against the contour grid
+    cases = [("ssh", "t1", 2.0, 1.0), ("ssh", "t1", 1.0, 2.0), ("ssh", "t1", 1.0, -2.0)]
+    cases += [("dual-ssh", "t", 1.0, r) for r in (0.3, 0.5, 2.0, 4.0)]
+    for name, key, value, lam in cases:
+        entry, swept = MODELS[name], MODELS[name].parameters[0]
+        grid = winding_log_derivative(entry.model({key: value}).at(lam).contour)
+        nu = entry.windings({key: value}, swept, [lam])[0]
+        checks.append(_check(f"{name} root-count winding at {key}={value}, {swept}={lam} "
+                             "vs contour grid", nu - grid, 0.0))
     return checks
 
 

@@ -165,32 +165,6 @@ class TestModelContract:
             fd = (model.at(model.lam + h).d(KGRID) - model.at(model.lam - h).d(KGRID)) / (2.0 * h)
             assert np.max(np.abs(fd - model.d_deriv(KGRID))) < 1e-7
 
-    @pytest.mark.parametrize("name,parameter,index", [
-        *((n, q, None) for n, e in MODELS.items() if e.hermitian for q in e.parameters),
-        ("dual-ssh", "r", 0), ("dual-ssh", "r", 1),  # the two families of dual_pair
-    ])
-    def test_momentum_derivative_is_the_central_difference(self, name, parameter, index):
-        h = 1e-6
-        for lam in (-0.7, 0.3, 1.3, 2.5):
-            if index is None:
-                model = MODELS[name].model({}, parameter).at(lam)
-            else:
-                model = dual_pair(DualSSHParams(1.5, abs(lam)))[index]
-            model.validate(grid_points=128)
-            fd = (model.d(KGRID + h) - model.d(KGRID - h)) / (2.0 * h)
-            assert np.max(np.abs(fd - model.d_dk(KGRID))) < 1e-8
-
-    def test_validate_rejects_a_wrong_momentum_derivative(self):
-        from dataclasses import replace
-        model = ssh_model(SSHParams(1.0, 1.4))
-        wrong = replace(model, family_dk=lambda k, lam: -model.family_dk(k, lam))
-        with pytest.raises(DomainError, match="k-derivative"):
-            wrong.validate()
-        # family II must not inherit the k-derivative of its chain, whose lambda is t2
-        model_ii = dual_pair(DualSSHParams(1.0, 2.0))[1]
-        with pytest.raises(DomainError, match="k-derivative"):
-            replace(model_ii, family_dk=ssh_model(SSHParams(1.0, 0.5)).family_dk).validate()
-
     def test_fd_fallback_when_no_analytic_derivative(self):
         from dataclasses import replace
         model = replace(ssh_model(SSHParams(1.0, 1.4)), family_deriv=None)
@@ -265,3 +239,49 @@ class TestRegistry:
         entry = MODELS[name]
         assert winding_log_derivative(entry.model(fixed).contour) == expected
         assert winding_cross_product(entry.model(fixed)) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("name,parameter", [
+        (name, parameter) for name, parameter in _ENTRY_PARAMETERS if MODELS[name].hermitian])
+    def test_every_hermitian_family_has_zero_y_rows(self, name, parameter):
+        # a contour family winds as d_x - i d_z and a planar one as the x-y
+        # plane: both windings in ModelEntry.windings rest on d_y = 0
+        entry = MODELS[name]
+        values = entry.values({})
+        for lam in (0.0, 1.0):
+            assert np.all(np.array(entry.rows(**{**values, parameter: lam}))[:, 1] == 0.0)
+
+
+def _grid_winding(entry, fixed, parameter, lam):
+    """The grid oracle of ModelEntry.windings: NaN on a closed gap."""
+    model = entry.model(fixed, parameter).at(lam)
+    if model.gap_closed():
+        return math.nan
+    if model.rotated:
+        return float(winding_log_derivative(model.contour))
+    return winding_cross_product(model)
+
+
+class TestRootCountWinding:
+    """ModelEntry.windings counts the contour's zeros; the grids are its oracle."""
+
+    @pytest.mark.parametrize("name,fixed,parameter,lams", [
+        ("ssh", {"t1": 1.0}, "t2", [0.0, 0.5, 2.0]),  # t2 = 0: p2 = 0, f = t1
+        ("ssh", {"t2": 1.0}, "t1", [0.0, 0.5, 2.0]),  # t1 = 0: p0 = p1 = 0, f = -e^{ik}
+        ("ssh", {"t1": 1.0}, "t2", [-3.0, -1.5, -1.0, -0.75, -0.25]),  # both sides of -t1
+        ("ssh", {"t2": 1.5}, "t1", [-2.0, -1.5, -1.0, 0.5, 1.5, 2.0]),
+        ("ssh", {"t1": 1.0}, "t2", [1.0 - 5e-13, 1.0, 1.0 + 5e-13]),
+        ("ssh", {"t1": 1.0}, "t2", [-1.0 - 5e-13, -1.0, -1.0 + 5e-13]),
+        ("ssh", {"t1": 0.75}, "t2", [0.75 - 5e-13, 0.75 + 5e-13, -0.75 - 5e-13, -0.75 + 5e-13]),
+        ("dual-ssh", {}, "r", [1.0 - 5e-13, 1.0, 1.0 + 5e-13]),
+        ("dual-ssh", {"t": 1.5}, "r", [0.3, 0.5, 2.0, 4.0]),
+        ("massive-dirac", {}, "mu", [-1.0, 0.0, 1e-3, 1.0]),
+        ("cooper-pair-box", {}, "ng", [0.0, 0.5, 0.75]),
+    ])
+    def test_root_count_equals_the_grid_oracle(self, name, fixed, parameter, lams):
+        entry = MODELS[name]
+        got = entry.windings(fixed, parameter, lams)
+        want = [_grid_winding(entry, fixed, parameter, lam) for lam in lams]
+        assert got.shape == (len(lams),)
+        for g, w in zip(got, want):
+            assert (math.isnan(g) and math.isnan(w)) or g == pytest.approx(w, abs=1e-9)
+        assert all(math.isnan(g) or g == round(g) for g in got)

@@ -30,6 +30,15 @@ class TestSweepSpecValidation:
         with pytest.raises(SpecError):
             SweepSpec(model="ssh", sweep=("t2", 0.0, 1.0, 1))
 
+    @pytest.mark.parametrize("points", [2.7, 3.999, math.nan, math.inf])
+    def test_non_integral_points(self, points):
+        with pytest.raises(SpecError):
+            SweepSpec(model="ssh", sweep=("t2", 0.0, 1.0, points))
+
+    def test_integral_float_points(self):
+        spec = SweepSpec(model="ssh", sweep=("t2", 0.0, 1.0, 3.0))
+        assert spec.sweep[3] == 3 and spec.grid().size == 3
+
     def test_reversed_range(self):
         with pytest.raises(SpecError):
             SweepSpec(model="ssh", sweep=("t2", 2.0, 1.0, 5))
@@ -301,7 +310,7 @@ class TestCLI:
 
     def test_verify_all_passes(self, capsys):
         assert main(["verify", "all"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "58/58 checks passed"
+        assert capsys.readouterr().out.splitlines()[-1] == "65/65 checks passed"
 
     def test_winding_subcommand(self, capsys):
         assert main(["winding", "--model", "ssh", "--set", "t1=1", "--set", "t2=2"]) == 0
@@ -641,9 +650,9 @@ class TestWindingGapThreshold:
                                         "t2:-1.0000000000005:-0.9999999999995:3"])
     @pytest.mark.parametrize("quantities", ["complexity,winding", "winding"])
     def test_rows_beside_the_pi_closing_keep_their_winding(self, window, quantities, capsys):
-        # beside t2 = -t1 the winding average cannot meet its tolerance: the gap
-        # closes at k = +-pi, 1.2e-16 beyond the float ends of the zone.  The
-        # row keeps the rounded estimate, and C its own average
+        # beside t2 = -t1 the gap closes at k = +-pi, the ends of the zone; the
+        # root count of the contour t1 - t2 e^{ik} compares |t2| with t1 exactly,
+        # and C, the closed row's too, is the library's average
         code, out = _stdout(capsys, ["sweep", "--model", "ssh", "--set", "t1=1",
                                      "--sweep", window, "--quantities", quantities])
         assert code == 0
@@ -653,6 +662,17 @@ class TestWindingGapThreshold:
             ssh, ref = MODELS["ssh"].model({"t1": 1.0}), GlobalReference(0.5 * PI, PI)
             for row in rows:
                 assert row[1] == f"{ground_complexity(ssh.at(float(row[0])), ref):.17g}"
+
+    @pytest.mark.parametrize("quantities,runs,owners", [
+        ("winding", 0, 0), ("complexity,winding", 1, 3)])
+    def test_winding_beside_the_pi_closing_averages_nothing(self, quantities, runs, owners,
+                                                            calls, capsys):
+        # the winding is counted, not averaged: only C runs, on every row, closed or not
+        code, _ = _stdout(capsys, ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep",
+                                   "t2:-1.0000000001:-0.9999999999:3", "--quantities", quantities])
+        assert code == 0
+        assert calls["bz_averages"] == runs and calls["averages"] == owners
+        assert calls["bz_average_vec"] == calls["param_derivative"] == 0
 
     def test_winding_command_on_the_transition_exits_3(self):
         for argv in (["--model", "massive-dirac", "--set", "mu=0"],
