@@ -22,11 +22,10 @@ from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
                     ReferenceState)
 from .bounds_duality import (bound_check, complexity_duality_check,
                              fs_duality_check, ratio_R, self_dual_constraint)
-from .errors import DomainError, PartitionError, SpecError, TwoBandError
+from .errors import DomainError, GapClosedError, PartitionError, SpecError, TwoBandError
 from .models import MODELS, QUANTITIES
 from .quadrature import BZQuadratureConfig
 from .sweeps import SweepSpec, records_to_csv, run_sweep, write_records
-from .topology import dual_windings, winding_cross_product, winding_log_derivative
 from .verification import SUITES, run_suite
 
 PI = math.pi
@@ -80,14 +79,6 @@ def _tolerance(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
     return value
-
-
-def _grid_size(text: str) -> int:
-    """A winding grid needs at least three steps to carry a full turn in steps below pi."""
-    size = int(text)
-    if size < 3:
-        raise argparse.ArgumentTypeError(f"grid size must be at least 3, got {size}")
-    return size
 
 
 def _lines(path: str) -> List[Tuple[str, str]]:
@@ -211,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("winding", help="winding numbers of a model")
     p.add_argument("--model", choices=_HERMITIAN, required=True)
     p.add_argument("--set", action="append", metavar="KEY=VAL")
-    p.add_argument("--grid-size", type=_grid_size, default=1024)
     p.set_defaults(run=_cmd_winding)
 
     p = sub.add_parser("duality", help="susceptibility/complexity duality residuals")
@@ -271,18 +261,24 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_winding(args) -> int:
+    """Print ``ModelEntry.windings`` at the model's first sweepable parameter and, for
+    dual-ssh, of family II, the ssh rows at t1 = t, t2 = t / r; a closed gap exits 3."""
     entry = MODELS[args.model]
     sets = _parse_set(args.set)
+    name = entry.parameters[0]
+    nus = [entry.windings(sets, name, [entry.values(sets)[name]])[0]]
     if args.model == "dual-ssh":
-        nu_i, nu_ii = dual_windings(entry.params(sets), args.grid_size)
-        print(f"winding(I)  = {nu_i}")
-        print(f"winding(II) = {nu_ii}")
+        params = entry.params(sets)
+        nus.append(MODELS["ssh"].windings({"t1": params.t}, "t2", [params.t / params.r])[0])
+    if any(math.isnan(nu) for nu in nus):
+        raise GapClosedError(f"{args.model} gap is closed; its winding is undefined")
+    if args.model == "dual-ssh":
+        print(f"winding(I)  = {int(nus[0])}")
+        print(f"winding(II) = {int(nus[1])}")
     elif entry.rotated:
-        nu = winding_log_derivative(entry.model(sets).contour, args.grid_size)
-        print(f"winding(contour) = {nu}")
+        print(f"winding(contour) = {int(nus[0])}")
     else:
-        planar = winding_cross_product(entry.model(sets), max(args.grid_size, 1024))
-        print(f"winding(planar) = {planar:.12e}")
+        print(f"winding(planar) = {nus[0]:.12e}")
     return EXIT_OK
 
 

@@ -92,18 +92,20 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
-    v^2 / 4 per axis.  Where dC or chi is asked for, a closed gap
-    (``closed_rows``) runs no average: C and dC are None and chi is inf,
-    flagged diverged.  An exhausted budget flags chi diverged and keeps every
-    group's unconverged estimate (chi's non-finite ones as inf); without chi
-    it raises.
+    v^2 / 4 per axis.  On a closed gap (``closed_rows``) dC is None and chi is
+    inf, flagged diverged; the row averages only C, with v zeroed so that its C
+    is the C-only average's bit for bit.  An exhausted budget flags chi
+    diverged and keeps every group's unconverged estimate (chi's non-finite
+    ones as inf); without chi it raises.
     """
     lams = np.asarray(lams, dtype=float)
     gaps, slopes = m.singular_gaps(lams)
-    # no average: a closed gap where dC or chi is asked for, or nothing asked for
-    idle = closed_rows(gaps) & (derivative or chi) | (not (complexity or derivative or chi))
+    closed = closed_rows(gaps)
+    # no average: a closed gap where C is not asked for, or nothing asked for
+    idle = closed & (not complexity) | (not (complexity or derivative or chi))
     averaged = np.flatnonzero(~idle)
-    open_lams = lams[averaged]
+    open_lams, zeroed = lams[averaged], closed[averaged]
+    zeroing = zeroed.any()  # no per-node work where no averaged row is closed
     uses_ref = complexity or derivative
 
     def kernel(k, owner):
@@ -117,7 +119,8 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
                 raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
             groups.append(0.5 * (1.0 + (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n))
         if derivative or chi:
-            v = dhat_derivative(d, point.d_deriv(k))
+            d_deriv = point.d_deriv(k)
+            v = dhat_derivative(d, np.where(zeroed[owner], 0.0, d_deriv) if zeroing else d_deriv)
             if derivative:
                 dot = nref[0] * v[0] + nref[1] * v[1] + nref[2] * v[2]
                 groups.append(np.vstack((0.5 * dot, v)))
@@ -129,8 +132,8 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     edges = [(*m.panel_edges((gaps[i], slopes[i])), *breaks) for i in averaged]
     runs = iter(bz_averages(kernel, edges, cfg) if edges else ())
     results = []
-    for is_idle in idle:
-        out, diverged = ((None,) * 3, True) if is_idle else (next(runs), False)
+    for is_idle, is_closed in zip(idle, closed):
+        out, diverged = (() if is_idle else next(runs)), bool(is_closed)
         if isinstance(out, ConvergenceError):
             if not chi:
                 raise out
@@ -138,11 +141,11 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
         out = iter(out)
         c = float(next(out)) if complexity and not is_idle else None
         dc = integrals = breakdown = None
-        if derivative and not is_idle:
+        if derivative and not is_closed:
             row = next(out)
             dc, integrals = float(row[0]), 2.0 * PI * row[1:]
         if chi:
-            comps = np.full(3, np.inf) if is_idle else next(out)
+            comps = np.full(3, np.inf) if is_closed else next(out)
             comps = np.where(np.isfinite(comps), comps, np.inf)
             breakdown = SusceptibilityBreakdown(float(np.sum(comps)), tuple(comps), diverged)
         results.append(_BlochAverages(c, dc, integrals, breakdown))

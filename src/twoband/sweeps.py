@@ -48,6 +48,8 @@ class SweepSpec:
         if not (float(start) < float(stop)):
             raise SpecError("sweep start must be below stop")
         entry.values(self.fixed)  # rejects unknown fixed keys
+        if not self.quantities or len(set(self.quantities)) < len(self.quantities):
+            raise SpecError(f"sweep quantities must be distinct, at least one: {self.quantities}")
         bad = [q for q in self.quantities if q not in entry.quantities]
         if bad:
             raise SpecError(f"{self.model!r} sweeps support only {entry.quantities}, not {bad}")
@@ -105,32 +107,29 @@ def _evaluate(spec: SweepSpec, lam: float, avg: _BlochAverages, winding: float,
 
 def _closed_gap_rows(model: TwoBandModel, grid: np.ndarray, avgs: List[_BlochAverages],
                      spec: SweepSpec, cfg: BZQuadratureConfig) -> None:
-    """Fill in C and, as the finite difference of C, dC/d(lambda) on the rows whose
-    gap is closed, where no average ran, from one more run."""
-    wants_c, wants_fd = "complexity" in spec.quantities, "dcomplexity" in spec.quantities
-    points = {i: ((lam,) if wants_c else ()) + (_stencil(lam, _FD_STEP) if wants_fd else ())
-              for i, (lam, avg) in enumerate(zip(grid, avgs))
-              if (wants_c and avg.complexity is None) or (wants_fd and avg.dcomplexity is None)}
-    if points:
-        values = iter([avg.complexity for avg in _bloch_averages(
-            model, [x for xs in points.values() for x in xs], spec.reference, cfg, complexity=True)])
-    for i, xs in points.items():
-        c = dict(zip(xs, values))  # C at each point of the row
-        avgs[i] = avgs[i]._replace(
-            complexity=c[grid[i]] if wants_c else None,
-            dcomplexity=param_derivative(c.__getitem__, grid[i]) if wants_fd else None)
+    """Fill in dC/d(lambda) on the rows whose gap is closed as the finite difference
+    of C, from one more run that averages C at their stencil points only."""
+    rows = [i for i, avg in enumerate(avgs) if avg.dcomplexity is None]
+    if not rows or "dcomplexity" not in spec.quantities:
+        return
+    points = [x for i in rows for x in _stencil(grid[i], _FD_STEP)]
+    c = dict(zip(points, (avg.complexity for avg in _bloch_averages(
+        model, points, spec.reference, cfg, complexity=True))))
+    for i in rows:
+        avgs[i] = avgs[i]._replace(dcomplexity=param_derivative(c.__getitem__, grid[i]))
 
 
 def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
     Each point owns its panels in one run of the quadrature engine for all
-    its averaged quantities, and equals the library call at its point.  On a
-    closed Hermitian gap only C is averaged and dcomplexity is its finite
-    difference, in one more run.  The winding is no average: it is counted
-    from the Bloch rows by ``ModelEntry.windings``, NaN and flagged diverged
-    on a closed gap.  A lossy-chain row whose kernel meets R^2 == 0 exactly
-    is flagged skipped_exceptional.
+    its averaged quantities, and equals the library call at its point.  A
+    closed Hermitian gap averages only C in that run; its dcomplexity is the
+    finite difference of C, averaged at the stencil points in one more run.
+    The winding is no average: it is counted from the Bloch rows by
+    ``ModelEntry.windings``, NaN and flagged diverged on a closed gap.  A
+    lossy-chain row whose kernel meets R^2 == 0 exactly is flagged
+    skipped_exceptional.
     """
     cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]

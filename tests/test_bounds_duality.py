@@ -165,11 +165,37 @@ class TestBoundCheck:
                          quantities=("complexity", "dcomplexity", "chi_f", "chi_f_components",
                                      "bound", "ratio"))
         gap = run_sweep(spec)[1]
-        # one average per gapped row in one run; C and the four points of the
-        # stencil on the gap in one more
-        assert calls == {"bz_averages": 2, "averages": 2 + 1 + 4, "param_derivative": 1}
+        # one average per row in one run, the closed row's of C alone; the four
+        # points of the stencil on the gap in one more
+        assert calls == {"bz_averages": 2, "averages": 3 + 4, "param_derivative": 1}
         assert gap.flags == {"diverged"} and gap.values["chi_f"] == math.inf
         assert math.isfinite(gap.values["dcomplexity"]) and math.isnan(gap.values["bound_lhs"])
+
+    def test_closed_gap_complexity_shares_the_main_run(self, calls):
+        ref = GlobalReference(0.9, 0.4)
+        spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
+                         reference=ref, quantities=("complexity", "chi_f"))
+        gap = run_sweep(spec)[1]
+        assert calls == {"bz_averages": 1, "averages": 3}
+        # the closed row's zeroed chi group leaves its C that of the C-only average
+        assert gap.values["complexity"] == ground_complexity(ssh_model(SSHParams(1.0, 1.0)), ref)
+        assert gap.values["chi_f"] == math.inf and gap.flags == {"diverged"}
+
+    def test_closed_gap_row_evaluates_no_singular_gaps_twice(self, calls, monkeypatch):
+        seen, singular_gaps = [], TwoBandModel.singular_gaps
+
+        def recorded(self, lams):
+            seen.extend(np.atleast_1d(lams).tolist())
+            return singular_gaps(self, lams)
+
+        monkeypatch.setattr(TwoBandModel, "singular_gaps", recorded)
+        spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
+                         reference=GlobalReference(0.9, 0.4),
+                         quantities=("complexity", "dcomplexity"))
+        gap = run_sweep(spec)[1]
+        assert calls == {"bz_averages": 2, "averages": 3 + 4, "param_derivative": 1}
+        assert len(seen) == len(set(seen)) == 3 + 4
+        assert math.isfinite(gap.values["complexity"]) and math.isfinite(gap.values["dcomplexity"])
 
     def test_complexity_average_never_differentiates_the_model(self, monkeypatch):
         def fail(self, k):

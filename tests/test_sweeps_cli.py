@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from twoband import (GlobalReference, NonHermitianSSHParams, SpecError, SweepSpec,
-                     UndefinedRatioError, bound_check, chi_F, complexity_derivative,
-                     detect_cusps, ground_complexity, nh_complexity_derivative,
+from twoband import (DualSSHParams, GlobalReference, NonHermitianSSHParams, SpecError,
+                     SweepSpec, UndefinedRatioError, bound_check, chi_F, complexity_derivative,
+                     detect_cusps, dual_windings, ground_complexity, nh_complexity_derivative,
                      nh_ground_complexity, param_derivative, plateau_reference, ratio_R,
                      records_to_csv, records_to_json, run_sweep, winding_cross_product,
                      winding_log_derivative, write_records)
@@ -55,6 +55,19 @@ class TestSweepSpecValidation:
     def test_unknown_quantity(self):
         with pytest.raises(SpecError):
             SweepSpec(model="ssh", sweep=("t2", 0.1, 1.0, 5), quantities=("entropy",))
+
+    @pytest.mark.parametrize("quantities", [(), ("complexity", "complexity"),
+                                            ("chi_f", "winding", "chi_f")])
+    def test_empty_or_repeated_quantities(self, quantities):
+        with pytest.raises(SpecError):
+            SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), quantities=quantities)
+
+    @pytest.mark.parametrize("quantities", [",", "complexity,complexity"])
+    def test_cli_empty_or_repeated_quantities_exit_2(self, quantities, capsys):
+        assert main(["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3",
+                     "--quantities", quantities]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "configuration error" in captured.err
 
     def test_nh_model_rejects_hermitian_quantities(self):
         with pytest.raises(SpecError):
@@ -674,9 +687,39 @@ class TestWindingGapThreshold:
         assert calls["bz_averages"] == runs and calls["averages"] == owners
         assert calls["bz_average_vec"] == calls["param_derivative"] == 0
 
+    @pytest.mark.parametrize("model,fixed", [
+        *(("ssh", {"t1": 1.0, "t2": 1.0 + sign * delta})
+          for delta in (5e-13, 1e-10, 1e-6, 0.5) for sign in (1, -1)),
+        *(("dual-ssh", {"r": r}) for r in (1.0 + 5e-13, 1.0 - 5e-13, 0.5, 3.0)),
+        *(("massive-dirac", {"mu": mu}) for mu in (1e-12, -1e-12, 0.5)),
+        *(("cooper-pair-box", {"ng": ng}) for ng in (0.3, 0.5 + 1e-10, 0.5 - 1e-10)),
+    ])
+    def test_winding_command_prints_the_root_count_of_the_grid(self, model, fixed, capsys):
+        argv = ["winding", "--model", model]
+        for key, value in fixed.items():
+            argv += ["--set", f"{key}={value!r}"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        entry = MODELS[model]
+        name = entry.parameters[0]
+        count = entry.windings(fixed, name, [fixed[name]])[0]
+        if model == "dual-ssh":
+            params = DualSSHParams(**fixed)
+            count_ii = MODELS["ssh"].windings({"t1": params.t}, "t2", [params.t / params.r])[0]
+            assert (count, count_ii) == dual_windings(params)
+            assert out == f"winding(I)  = {count:.0f}\nwinding(II) = {count_ii:.0f}\n"
+        elif entry.rotated:
+            assert count == winding_log_derivative(entry.model(fixed).contour)
+            assert out == f"winding(contour) = {count:.0f}\n"
+        else:
+            assert count == winding_cross_product(entry.model(fixed)) == 0.0
+            assert out == f"winding(planar) = {count:.12e}\n"
+
     def test_winding_command_on_the_transition_exits_3(self):
         for argv in (["--model", "massive-dirac", "--set", "mu=0"],
-                     ["--model", "dual-ssh", "--set", "r=1"]):
+                     ["--model", "dual-ssh", "--set", "r=1"],
+                     ["--model", "ssh", "--set", "t1=1", "--set", "t2=1"],
+                     ["--model", "cooper-pair-box", "--set", "ng=0.5"]):
             assert main(["winding", *argv]) == 3
 
     def test_negative_coupling_closes_at_pi_and_the_sweep_goes_on(self, capsys):
@@ -718,13 +761,6 @@ class TestRegistryCLI:
         assert main(["sweep", "--model", "ssh", "--set", "alpha=3",
                      "--sweep", "t2:1.5:2:2"]) == 2
         assert "alpha" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("size", ["0", "-3", "2"])
-    def test_winding_grid_below_three_steps_exits_2(self, size, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["winding", "--model", "ssh", "--set", "t2=2", "--grid-size", size])
-        assert exc.value.code == 2
-        assert "grid size must be at least 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--model", "ssh", "--set", "t1=1", "--lam", "nan"],
