@@ -23,7 +23,7 @@ from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
 from .bounds_duality import (bound_check, complexity_duality_check,
                              fs_duality_check, ratio_R, self_dual_constraint)
 from .errors import DomainError, GapClosedError, PartitionError, SpecError, TwoBandError
-from .models import MODELS, QUANTITIES
+from .models import MODELS, QUANTITIES, dual_pair
 from .quadrature import BZQuadratureConfig
 from .sweeps import SweepSpec, records_to_csv, run_sweep, write_records
 from .verification import SUITES, run_suite
@@ -261,15 +261,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_winding(args) -> int:
-    """Print ``ModelEntry.windings`` at the model's first sweepable parameter and, for
-    dual-ssh, of family II, the ssh rows at t1 = t, t2 = t / r; a closed gap exits 3."""
+    """Print ``TwoBandModel.windings`` of the model and, for dual-ssh, of both
+    ``dual_pair`` families; a closed gap exits 3."""
     entry = MODELS[args.model]
     sets = _parse_set(args.set)
-    name = entry.parameters[0]
-    nus = [entry.windings(sets, name, [entry.values(sets)[name]])[0]]
-    if args.model == "dual-ssh":
-        params = entry.params(sets)
-        nus.append(MODELS["ssh"].windings({"t1": params.t}, "t2", [params.t / params.r])[0])
+    models = dual_pair(entry.params(sets)) if args.model == "dual-ssh" else (entry.model(sets),)
+    nus = [model.windings([model.lam])[0] for model in models]
     if any(math.isnan(nu) for nu in nus):
         raise GapClosedError(f"{args.model} gap is closed; its winding is undefined")
     if args.model == "dual-ssh":

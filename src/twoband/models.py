@@ -17,48 +17,44 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .quadrature import graded_edges, param_derivative
+from .quadrature import graded_edges
 
 PI = math.pi
 
 # |d| below this is treated as an exact gap closing.
 GAP_EPS = 1e-13
 
-# Central-difference step of the k-slope of d at the singular points.
-_SLOPE_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class TwoBandModel:
     """A one-parameter family k -> d(k, lambda) of two-band Bloch Hamiltonians.
 
-    ``family`` maps (k, lam) to the three d components and broadcasts over
-    numpy arrays of k.  ``family_deriv`` is the analytic d(d)/d(lambda) when
-    available; otherwise the derivative falls back to ``param_derivative``.
-    Models are immutable; ``at`` rebinds the swept parameter.
+    ``rows`` maps lambda to the rows (a, b, c) of d(k) = a + b cos k + c sin k,
+    each a 3-vector, and ``slope`` maps it to the rows of d(d)/d(lambda); both
+    take a number or an array of one value per k node.  Models are
+    immutable; ``at`` rebinds the swept parameter.
     """
 
-    family: Callable[[np.ndarray, float], np.ndarray]
+    rows: Callable[..., Rows]
+    slope: Callable[..., Rows]
     lam: float
-    family_deriv: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     rotated: bool = False
     singular_points: Tuple[float, ...] = (0.0,)
     label: str = ""
 
     def d(self, k):
         """d(k) at the bound parameter value; shape (3,) + shape(k)."""
-        return np.asarray(self.family(k, self.lam), dtype=float)
+        return _bloch_sum(self.rows(self.lam), k)
 
     def d_deriv(self, k):
-        """Parameter derivative of d at the bound value (analytic or finite difference)."""
-        if self.family_deriv is not None:
-            return np.asarray(self.family_deriv(k, self.lam), dtype=float)
-        return param_derivative(lambda lam: np.asarray(self.family(k, lam), dtype=float), self.lam)
+        """The parameter derivative of d at the bound value."""
+        return _bloch_sum(self.slope(self.lam), k)
 
     def at(self, lam) -> "TwoBandModel":
         """The family at lam: a number, or an array of one value per k node."""
-        return TwoBandModel(self.family, lam if isinstance(lam, np.ndarray) else float(lam),
-                            self.family_deriv, self.rotated, self.singular_points, self.label)
+        lam = lam if isinstance(lam, np.ndarray) else float(lam)
+        return TwoBandModel(self.rows, self.slope, lam, self.rotated, self.singular_points,
+                            self.label)
 
     def contour(self, k):
         """The stored d_x - i d_z; in the rotated basis, the off-diagonal Bloch element."""
@@ -66,15 +62,17 @@ class TwoBandModel:
         return d[0] - 1j * d[2]
 
     def singular_gaps(self, lams) -> Tuple[np.ndarray, np.ndarray]:
-        """|d| and |d_k d| at the singular points (columns) for each of ``lams`` (rows)."""
+        """|d| and |d_k d| at the singular points (columns) for each of ``lams`` (rows).
+
+        The k-slope is exact: d_k d has the rows (0, c, -b).
+        """
         ks = np.asarray(self.singular_points, dtype=float)
-        k = np.concatenate((ks, ks - _SLOPE_STEP, ks + _SLOPE_STEP))
         lams = np.asarray(lams, dtype=float)
-        d = self.at(np.repeat(lams, k.size)).d(np.broadcast_to(k, (lams.size, k.size)).ravel())
-        d = d.reshape(3, lams.size, 3, ks.size)
-        slope = d[:, :, 2] - d[:, :, 1]
-        return (np.sqrt(np.sum(d[:, :, 0] * d[:, :, 0], axis=0)),
-                np.sqrt(np.sum(slope * slope, axis=0)) / (2.0 * _SLOPE_STEP))
+        k = np.tile(ks, lams.size)
+        a, b, c = self.rows(np.repeat(lams, ks.size))
+        norm = lambda v: np.sqrt(np.sum(v * v, axis=0)).reshape(lams.size, ks.size)
+        return (norm(_bloch_sum((a, b, c), k)),
+                norm(_bloch_sum(((0.0, 0.0, 0.0), c, tuple(-b_i for b_i in b)), k)))
 
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the stock gaps close."""
@@ -96,15 +94,29 @@ class TwoBandModel:
             edges += graded_edges(k_s, gap_s / slope_s)
         return tuple(edges)
 
-    def validate(self, grid_points: int = 64) -> None:
-        """Check 2*pi periodicity and (when analytic) the parameter derivative."""
-        ks = np.linspace(-PI, PI, grid_points, endpoint=False)
-        if np.max(np.abs(self.d(ks) - self.d(ks + 2.0 * PI))) > 1e-12:
-            raise DomainError(f"model {self.label!r} is not 2*pi-periodic in k")
-        if self.family_deriv is not None:
-            fd = replace(self, family_deriv=None).d_deriv(ks)
-            if np.max(np.abs(fd - self.d_deriv(ks))) > 1e-7:
-                raise DomainError(f"analytic derivative of {self.label!r} disagrees with FD")
+    def windings(self, lams) -> np.ndarray:
+        """The winding at each of ``lams``, counted from the rows; NaN where ``closed_rows``.
+
+        Both counts need zero y rows, else a DomainError.  A planar family
+        then winds 0.  With z = e^{ik} a rotated family's contour d_x - i d_z
+        is p0 / z + p1 + p2 z; it winds by the number of zeros of
+        p0 + p1 z + p2 z^2 in |z| < 1, minus 1.  The roots q / p2 and p0 / q,
+        with q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 signed not to cancel, also
+        hold p2 = 0 (one root) and p0 = 0 (a root at 0).
+        """
+        lams = np.asarray(lams, dtype=float)
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = self.rows(lams)
+        if any(np.any(np.asarray(y) != 0.0) for y in (ay, by, cy)):
+            raise DomainError(f"model {self.label!r} has nonzero y rows; no winding is counted")
+        closed = closed_rows(self.singular_gaps(lams)[0])
+        if not self.rotated:
+            return np.where(closed, np.nan, 0.0)
+        b, c, p1 = bx - 1j * bz, cx - 1j * cz, ax - 1j * az
+        p0, p2 = 0.5 * (b + 1j * c), 0.5 * (b - 1j * c)
+        root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
+        q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)
+        inside = 1.0 * (np.abs(q) < np.abs(p2)) + ((np.abs(p0) < np.abs(q)) | (p0 == 0.0))
+        return np.where(closed, np.nan, inside - 1.0)
 
 
 def closed_rows(gaps) -> np.ndarray:
@@ -114,14 +126,14 @@ def closed_rows(gaps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SSHParams:
-    """Hopping amplitudes of the dimerized chain; both must be positive."""
+    """Hopping amplitudes of the dimerized chain; both must be finite and positive."""
 
     t1: float
     t2: float
 
     def __post_init__(self):
-        if not (self.t1 > 0 and self.t2 > 0):
-            raise DomainError("SSH hoppings must satisfy t1 > 0 and t2 > 0")
+        if not (0 < self.t1 < math.inf and 0 < self.t2 < math.inf):
+            raise DomainError("SSH hoppings must be finite and satisfy t1 > 0 and t2 > 0")
 
 
 @dataclass(frozen=True)
@@ -132,10 +144,10 @@ class DualSSHParams:
     r: float = 1.0
 
     def __post_init__(self):
-        if not (self.t > 0):
-            raise DomainError("coupling t must be positive")
-        if not (self.r > 0):
-            raise DomainError("ratio r must be positive")
+        if not (0 < self.t < math.inf):
+            raise DomainError("coupling t must be finite and positive")
+        if not (0 < self.r < math.inf):
+            raise DomainError("ratio r must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -157,8 +169,9 @@ class CooperPairBoxParams:
     ng: float = 0.0
 
     def __post_init__(self):
-        if not (self.Ej > 0 and self.Ecc > 0):
-            raise DomainError("Cooper-pair-box energies Ej and Ecc must be positive")
+        if not (0 < self.Ej < math.inf and 0 < self.Ecc < math.inf and math.isfinite(self.ng)):
+            raise DomainError("Cooper-pair-box energies Ej and Ecc must be finite and "
+                              "positive, and the gate charge ng finite")
 
 
 @dataclass(frozen=True)
@@ -278,34 +291,11 @@ class ModelEntry:
         """
         parameter = parameter or self.parameters[0]
         values = vars(self.params(fixed))
-        rows_at = lambda lam: self.rows(**{**values, parameter: lam})
+        rows = lambda lam: self.rows(**{**values, parameter: lam})
         slope = tuple(tuple(p - q for p, q in zip(one, zero))
-                      for one, zero in zip(rows_at(1.0), rows_at(0.0)))
-        return TwoBandModel(lambda k, lam: _bloch_sum(rows_at(lam), k), values[parameter],
-                            lambda k, lam: _bloch_sum(slope, k), self.rotated,
+                      for one, zero in zip(rows(1.0), rows(0.0)))
+        return TwoBandModel(rows, lambda lam: slope, values[parameter], self.rotated,
                             self.singular_points, self.name)
-
-    def windings(self, fixed: Mapping[str, float], parameter: str, lams) -> np.ndarray:
-        """The winding of the family swept in ``parameter`` at each of ``lams``, counted
-        from the rows; NaN where ``closed_rows``.  Every stock planar family has zero
-        y rows, so it winds 0.  With z = e^{ik} a rotated family's contour
-        d_x - i d_z is p0 / z + p1 + p2 z; it winds by the number of zeros of
-        p0 + p1 z + p2 z^2 in |z| < 1, minus 1.  The roots q / p2 and p0 / q, with
-        q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 signed not to cancel, also hold
-        p2 = 0 (one root) and p0 = 0 (a root at 0).
-        """
-        lams = np.asarray(lams, dtype=float)
-        closed = closed_rows(self.model(fixed, parameter).singular_gaps(lams)[0])
-        if not self.rotated:
-            return np.where(closed, np.nan, 0.0)
-        (ax, _, az), (bx, _, bz), (cx, _, cz) = self.rows(
-            **{**vars(self.params(fixed)), parameter: lams})
-        b, c, p1 = bx - 1j * bz, cx - 1j * cz, ax - 1j * az
-        p0, p2 = 0.5 * (b + 1j * c), 0.5 * (b - 1j * c)
-        root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
-        q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)
-        inside = 1.0 * (np.abs(q) < np.abs(p2)) + ((np.abs(p0) < np.abs(q)) | (p0 == 0.0))
-        return np.where(closed, np.nan, inside - 1.0)
 
 
 # The model families by name.  The Hermitian defaults sit at gapped values,
@@ -345,11 +335,9 @@ def dual_pair(params: DualSSHParams) -> Tuple[TwoBandModel, TwoBandModel]:
     r, so the two coincide componentwise at the self-dual point r = 1.
     """
     t = params.t
-    ssh = ssh_model(SSHParams(t, t / params.r))
-    model_ii = replace(ssh, family=lambda k, r: ssh.family(k, t / r), lam=params.r,
-                       family_deriv=lambda k, r: (-t / r ** 2) * ssh.family_deriv(k, t / r),
-                       label="dual-ssh-II")
-    return MODELS["dual-ssh"].model(vars(params)), model_ii
+    model_i = MODELS["dual-ssh"].model(vars(params))
+    return model_i, replace(model_i, rows=lambda r: _ssh_rows(t, t / r),
+                            slope=lambda r: _ssh_rows(0.0, -t / r ** 2), label="dual-ssh-II")
 
 
 def cooper_pair_box_model(params: CooperPairBoxParams) -> TwoBandModel:

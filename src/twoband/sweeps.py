@@ -47,7 +47,7 @@ class SweepSpec:
             raise SpecError("sweep start and stop must be finite")
         if not (float(start) < float(stop)):
             raise SpecError("sweep start must be below stop")
-        entry.values(self.fixed)  # rejects unknown fixed keys
+        entry.params(self.fixed)  # rejects unknown keys and values out of the domain
         if not self.quantities or len(set(self.quantities)) < len(self.quantities):
             raise SpecError(f"sweep quantities must be distinct, at least one: {self.quantities}")
         bad = [q for q in self.quantities if q not in entry.quantities]
@@ -127,7 +127,7 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     closed Hermitian gap averages only C in that run; its dcomplexity is the
     finite difference of C, averaged at the stencil points in one more run.
     The winding is no average: it is counted from the Bloch rows by
-    ``ModelEntry.windings``, NaN and flagged diverged on a closed gap.  A
+    ``TwoBandModel.windings``, NaN and flagged diverged on a closed gap.  A
     lossy-chain row whose kernel meets R^2 == 0 exactly is flagged
     skipped_exceptional.
     """
@@ -143,7 +143,7 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
                                chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}))
         _closed_gap_rows(model, grid, avgs, spec, cfg)
         if "winding" in wanted:
-            windings = entry.windings(spec.fixed, name, grid).tolist()
+            windings = model.windings(grid).tolist()
     else:
         base = entry.params(spec.fixed)
         runs = _nh_averages([replace(base, **{name: lam}) for lam in grid],

@@ -240,9 +240,9 @@ def winding_suite() -> List[CheckResult]:
     cases = [("ssh", "t1", 2.0, 1.0), ("ssh", "t1", 1.0, 2.0), ("ssh", "t1", 1.0, -2.0)]
     cases += [("dual-ssh", "t", 1.0, r) for r in (0.3, 0.5, 2.0, 4.0)]
     for name, key, value, lam in cases:
-        entry, swept = MODELS[name], MODELS[name].parameters[0]
-        grid = winding_log_derivative(entry.model({key: value}).at(lam).contour)
-        nu = entry.windings({key: value}, swept, [lam])[0]
+        swept, model = MODELS[name].parameters[0], MODELS[name].model({key: value})
+        grid = winding_log_derivative(model.at(lam).contour)
+        nu = model.windings([lam])[0]
         checks.append(_check(f"{name} root-count winding at {key}={value}, {swept}={lam} "
                              "vs contour grid", nu - grid, 0.0))
     return checks

@@ -30,6 +30,12 @@ def test_every_required_name_is_a_function_of_its_module(monkeypatch):
     assert trace.REQUIRED and missing == []
 
 
+def test_the_traced_model_methods_are_plain_functions_of_the_class():
+    # ``install`` patches them through ``TwoBandModel.__dict__``
+    for name in ("d", "d_deriv"):
+        assert inspect.isfunction(twoband.TwoBandModel.__dict__.get(name)), name
+
+
 def test_every_benchmark_sweep_argv_parses_and_validates(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_workloads_contract",

@@ -66,15 +66,9 @@ class TestBoundCheck:
         assert report.satisfied
 
     def test_static_model_saturates_trivially(self):
-        def family(k, lam):
-            k = np.asarray(k, dtype=float)
-            return np.stack([2.0 + np.cos(k), np.zeros_like(k), np.sin(k)])
-
-        def deriv(k, lam):
-            k = np.asarray(k, dtype=float)
-            return np.zeros((3,) + k.shape)
-
-        model = TwoBandModel(family, 0.0, deriv, label="static")
+        # d = (2 + cos k, 0, sin k) at every lambda
+        rows = lambda lam: ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        model = TwoBandModel(rows, lambda lam: ((0.0,) * 3,) * 3, 0.0, label="static")
         report = bound_check(model, GlobalReference(0.8, 0.3), 0.0)
         assert report.lhs == 0.0
         assert report.rhs == 0.0

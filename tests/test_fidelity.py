@@ -1,7 +1,6 @@
 """Fidelity-susceptibility tests: per-mode oracles, closed forms, divergences."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,15 +88,9 @@ class TestBZAveraged:
         assert got.components[2] == pytest.approx(3.0 / (32.0 * 2.0 ** 2.5), rel=1e-10)
 
     def test_parameter_independent_model_gives_zero(self):
-        def family(k, lam):
-            k = np.asarray(k, dtype=float)
-            return np.stack([2.0 + np.cos(k), np.zeros_like(k), np.sin(k)])
-
-        def deriv(k, lam):
-            k = np.asarray(k, dtype=float)
-            return np.zeros((3,) + k.shape)
-
-        model = TwoBandModel(family, 1.0, deriv, label="static")
+        # d = (2 + cos k, 0, sin k) at every lambda
+        rows = lambda lam: ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        model = TwoBandModel(rows, lambda lam: ((0.0,) * 3,) * 3, 1.0, label="static")
         got = chi_F(model, 1.0)
         assert got.total == 0.0
         assert got.components == (0.0, 0.0, 0.0)
@@ -153,13 +146,6 @@ class TestBZAveraged:
         got = chi_F(ssh_model(SSHParams(1.0, 2.0)), 1.0)
         assert got.diverged
         assert got.total == math.inf and got.components == (math.inf,) * 3
-
-    def test_fd_derivative_fallback_path(self):
-        analytic = ssh_model(SSHParams(1.0, 1.6))
-        fallback = replace(analytic, family_deriv=None)
-        a = chi_F(analytic, 1.6)
-        b = chi_F(fallback, 1.6)
-        assert b.total == pytest.approx(a.total, rel=1e-5)
 
 
 class TestSSHClosedForm:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from twoband import (CooperPairBoxParams, DomainError, DualSSHParams, GlobalReference,
-                     MassiveDiracParams, NonHermitianSSHParams, SSHParams,
+                     MassiveDiracParams, NonHermitianSSHParams, SpecError, SSHParams,
                      cooper_pair_box_model, dual_pair, ground_complexity,
                      massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
 from twoband.models import MODELS
 from twoband.sweeps import SweepSpec
-from twoband.topology import winding_cross_product, winding_log_derivative
+from twoband.topology import dual_windings, winding_cross_product, winding_log_derivative
 
 PI = math.pi
 KGRID = np.linspace(-PI, PI, 128, endpoint=False)
@@ -106,6 +106,23 @@ class TestCooperPairBox:
             CooperPairBoxParams(Ej=0.0, Ecc=1.0)
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: SSHParams(v, 1.0), lambda v: SSHParams(1.0, v),
+        lambda v: DualSSHParams(v, 2.0), lambda v: DualSSHParams(1.0, v),
+        lambda v: CooperPairBoxParams(v, 1.0), lambda v: CooperPairBoxParams(1.0, v),
+        lambda v: CooperPairBoxParams(1.0, 1.0, ng=v),
+    ], ids=["ssh-t1", "ssh-t2", "dual-t", "dual-r", "cpb-Ej", "cpb-Ecc", "cpb-ng"])
+    def test_is_a_domain_error(self, make, value):
+        with pytest.raises(DomainError):
+            make(value)
+
+    def test_a_non_finite_fixed_value_is_a_spec_error_of_the_sweep(self):
+        with pytest.raises(SpecError):
+            SweepSpec(model="ssh", sweep=("t1", 0.5, 1.5, 3), fixed={"t2": math.inf})
+
+
 class TestNonHermitianHamiltonian:
     def test_hermitian_limit_matches_rotated_ssh(self):
         params = NonHermitianSSHParams(1.2, 0.7, 0.0)
@@ -161,15 +178,9 @@ class TestModelContract:
         h = 1e-6
         for lam in lams:
             model = factory(lam)
-            model.validate(grid_points=128)
+            assert np.max(np.abs(model.d(KGRID) - model.d(KGRID + 2.0 * PI))) < 1e-12
             fd = (model.at(model.lam + h).d(KGRID) - model.at(model.lam - h).d(KGRID)) / (2.0 * h)
             assert np.max(np.abs(fd - model.d_deriv(KGRID))) < 1e-7
-
-    def test_fd_fallback_when_no_analytic_derivative(self):
-        from dataclasses import replace
-        model = replace(ssh_model(SSHParams(1.0, 1.4)), family_deriv=None)
-        analytic = ssh_model(SSHParams(1.0, 1.4)).d_deriv(KGRID)
-        assert np.max(np.abs(model.d_deriv(KGRID) - analytic)) < 1e-9
 
     @pytest.mark.parametrize("name,parameter,transition", _TRANSITIONS)
     def test_gap_closed_at_the_transition_only(self, name, parameter, transition):
@@ -216,7 +227,6 @@ class TestRegistry:
         model = entry.model({}, parameter)
         assert model.lam == entry.defaults[parameter]
         assert np.min(np.linalg.norm(model.d(KGRID), axis=0)) > 1e-3
-        model.validate(grid_points=128)
 
     @pytest.mark.parametrize("name,parameter", [
         (name, parameter) for name, parameter in _ENTRY_PARAMETERS if MODELS[name].hermitian])
@@ -244,7 +254,7 @@ class TestRegistry:
         (name, parameter) for name, parameter in _ENTRY_PARAMETERS if MODELS[name].hermitian])
     def test_every_hermitian_family_has_zero_y_rows(self, name, parameter):
         # a contour family winds as d_x - i d_z and a planar one as the x-y
-        # plane: both windings in ModelEntry.windings rest on d_y = 0
+        # plane: both windings in TwoBandModel.windings rest on d_y = 0
         entry = MODELS[name]
         values = entry.values({})
         for lam in (0.0, 1.0):
@@ -252,7 +262,7 @@ class TestRegistry:
 
 
 def _grid_winding(entry, fixed, parameter, lam):
-    """The grid oracle of ModelEntry.windings: NaN on a closed gap."""
+    """The grid oracle of TwoBandModel.windings: NaN on a closed gap."""
     model = entry.model(fixed, parameter).at(lam)
     if model.gap_closed():
         return math.nan
@@ -261,8 +271,33 @@ def _grid_winding(entry, fixed, parameter, lam):
     return winding_cross_product(model)
 
 
+# Each Hermitian family, two values of its swept parameter, and the analytic
+# |d_k d| at its singular points as a function of that parameter.
+_SLOPES = [
+    (ssh_model(SSHParams(0.7, 1.3)), (1.3, -2.9), abs),
+    (massive_dirac_model(MassiveDiracParams(1.7, 0.3)), (0.3, -1e-9), lambda mu: 1.7),
+    (dual_pair(DualSSHParams(1.3, 2.9))[0], (2.9, 0.4), lambda r: r * 1.3),
+    (dual_pair(DualSSHParams(1.3, 2.9))[1], (2.9, 0.4), lambda r: 1.3 / r),
+    (cooper_pair_box_model(CooperPairBoxParams(0.9, 1.1, 0.2)), (0.2, 0.5), lambda ng: 0.9),
+]
+
+
+class TestExactSlope:
+    def test_every_hermitian_family_is_covered(self):
+        labels = {model.label for model, _, _ in _SLOPES}
+        assert labels == {name for name, e in MODELS.items() if e.hermitian} | {"dual-ssh-II"}
+
+    @pytest.mark.parametrize("model,lams,slope", _SLOPES, ids=[m.label for m, _, _ in _SLOPES])
+    def test_singular_gaps_give_the_analytic_k_slope_to_one_ulp(self, model, lams, slope):
+        _, got = model.singular_gaps(lams)
+        assert got.shape == (len(lams), len(model.singular_points))
+        for row, lam in zip(got, lams):
+            want = slope(lam)
+            assert np.all(np.abs(row - want) <= np.spacing(want)), (lam, row, want)
+
+
 class TestRootCountWinding:
-    """ModelEntry.windings counts the contour's zeros; the grids are its oracle."""
+    """TwoBandModel.windings counts the contour's zeros; the grids are its oracle."""
 
     @pytest.mark.parametrize("name,fixed,parameter,lams", [
         ("ssh", {"t1": 1.0}, "t2", [0.0, 0.5, 2.0]),  # t2 = 0: p2 = 0, f = t1
@@ -279,9 +314,18 @@ class TestRootCountWinding:
     ])
     def test_root_count_equals_the_grid_oracle(self, name, fixed, parameter, lams):
         entry = MODELS[name]
-        got = entry.windings(fixed, parameter, lams)
+        got = entry.model(fixed, parameter).windings(lams)
         want = [_grid_winding(entry, fixed, parameter, lam) for lam in lams]
         assert got.shape == (len(lams),)
         for g, w in zip(got, want):
             assert (math.isnan(g) and math.isnan(w)) or g == pytest.approx(w, abs=1e-9)
         assert all(math.isnan(g) or g == round(g) for g in got)
+
+    def test_dual_family_two_counts_as_the_grid_oracle(self):
+        rs = [0.3, 0.5, 1.0, 2.0, 4.0]
+        got = dual_pair(DualSSHParams(1.0, 2.0))[1].windings(rs)
+        for r, nu in zip(rs, got):
+            if r == 1.0:
+                assert math.isnan(nu)
+            else:
+                assert nu == dual_windings(DualSSHParams(1.0, r))[1]

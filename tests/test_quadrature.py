@@ -107,18 +107,17 @@ ENGINE_TOL = 1e-10
 
 
 def _three_axis_model():
-    """A gapped family whose d(d_hat)/d(lambda) has all three components."""
+    """A gapped family whose d(d_hat)/d(lambda) has all three components:
+    d = (1 + lam cos k, 0.2 + 0.4 sin k, 0.3 + lam sin k)."""
+    rows = lambda lam: ((1.0, 0.2, 0.3), (lam, 0.0, 0.0), (0.0, 0.4, lam))
+    slope = lambda lam: ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    return TwoBandModel(rows, slope, 0.5, label="three-axis")
 
-    def family(k, lam):
-        k = np.asarray(k, dtype=float)
-        return np.stack([1.0 + lam * np.cos(k), 0.4 * np.sin(k) + 0.2,
-                         lam * np.sin(2.0 * k) + 0.3])
 
-    def deriv(k, lam):
-        k = np.asarray(k, dtype=float)
-        return np.stack([np.cos(k), np.zeros_like(k), np.sin(2.0 * k)])
-
-    return TwoBandModel(family, 0.5, deriv, label="three-axis")
+def test_three_axis_model_has_no_counted_winding():
+    # its y rows are nonzero, the premise of both root counts fails
+    with pytest.raises(DomainError, match="y rows"):
+        _three_axis_model().windings([0.5])
 
 
 def _scalar_ground(model, ref_at):

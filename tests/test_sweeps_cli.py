@@ -701,11 +701,10 @@ class TestWindingGapThreshold:
         assert main(argv) == 0
         out = capsys.readouterr().out
         entry = MODELS[model]
-        name = entry.parameters[0]
-        count = entry.windings(fixed, name, [fixed[name]])[0]
+        count = entry.model(fixed).windings([fixed[entry.parameters[0]]])[0]
         if model == "dual-ssh":
             params = DualSSHParams(**fixed)
-            count_ii = MODELS["ssh"].windings({"t1": params.t}, "t2", [params.t / params.r])[0]
+            count_ii = MODELS["ssh"].model({"t1": params.t}).windings([params.t / params.r])[0]
             assert (count, count_ii) == dual_windings(params)
             assert out == f"winding(I)  = {count:.0f}\nwinding(II) = {count_ii:.0f}\n"
         elif entry.rotated:
