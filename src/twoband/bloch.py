@@ -15,7 +15,9 @@ PI = math.pi
 
 
 def canonical_angles(theta: float, phi: float) -> Tuple[float, float]:
-    """Reduce arbitrary (theta, phi) to theta in [0, pi], phi in [0, 2*pi)."""
+    """Reduce finite (theta, phi) to theta in [0, pi], phi in [0, 2*pi); else a DomainError."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError("Bloch angles must be finite")
     theta = math.fmod(theta, 2.0 * PI)
     if theta < 0.0:
         theta += 2.0 * PI
@@ -80,7 +82,7 @@ class GlobalReference(ReferenceState):
 
     The equivalent amplitude pair is alpha = cos(theta/2),
     beta = exp(i*phi) * sin(theta/2).  Out-of-range angles are reduced
-    modulo the sphere parametrization instead of rejected.
+    modulo the sphere parametrization; non-finite ones are a DomainError.
     """
 
     theta: float
@@ -134,6 +136,8 @@ class PiecewiseBlochReference(ReferenceState):
         pieces = tuple((float(lo), float(hi), vec) for lo, hi, vec in self.pieces)
         if not pieces:
             raise PartitionError("empty piecewise reference")
+        if not all(math.isfinite(b) for lo, hi, _ in pieces for b in (lo, hi)):
+            raise PartitionError("piecewise interval bounds must be finite")
         if abs(pieces[0][0] + PI) > 1e-12 or abs(pieces[-1][1] - PI) > 1e-12:
             raise PartitionError("piecewise reference must cover [-pi, pi]")
         for (lo, hi, _), (lo2, _, _) in zip(pieces, pieces[1:]):

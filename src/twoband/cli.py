@@ -46,12 +46,9 @@ def _parse_set(items: Optional[List[str]]) -> Dict[str, float]:
             raise SpecError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         try:
-            value = float(val)
+            out[key.strip()] = float(val)
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise SpecError(f"--set value for {key!r} is not a finite number: {val!r}")
-        out[key.strip()] = value
+            raise SpecError(f"--set value for {key!r} is not a number: {val!r}") from None
     return out
 
 

@@ -133,16 +133,13 @@ class BandAssignment:
     def __post_init__(self):
         bp = tuple(float(b) for b in self.breakpoints)
         signs = tuple(int(s) for s in self.signs)
-        if len(bp) < 2 or abs(bp[0] + PI) > 1e-12 or abs(bp[-1] - PI) > 1e-12:
-            raise PartitionError("breakpoints must run from -pi to pi")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise PartitionError("breakpoints must be strictly increasing")
         if len(signs) != len(bp) - 1:
             raise PartitionError("need exactly one sign per interval")
         if any(s not in (-1, 1) for s in signs):
             raise PartitionError("band signs must be +1 or -1")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "signs", signs)
+        self.reference(BlochVector(0.0, 0.0, 1.0))  # a PartitionError unless bp tile [-pi, pi]
 
     def reference(self, n_ref: BlochVector) -> PiecewiseBlochReference:
         """The piecewise reference -s * n_ref on each band interval.

@@ -96,10 +96,12 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     inf, flagged diverged; the row averages only C, with v zeroed so that its C
     is the C-only average's bit for bit.  An exhausted budget flags chi
     diverged and keeps every group's unconverged estimate (chi's non-finite
-    ones as inf); without chi it raises.
+    ones as inf); without chi it raises.  A non-finite lambda is a DomainError.
     """
     lams = np.asarray(lams, dtype=float)
-    gaps, slopes = m.singular_gaps(lams)
+    if not np.all(np.isfinite(lams)):
+        raise DomainError("the parameter value must be finite")
+    points, gaps, slopes = m.singular_gaps(lams)
     closed = closed_rows(gaps)
     # no average: a closed gap where C is not asked for, or nothing asked for
     idle = closed & (not complexity) | (not (complexity or derivative or chi))
@@ -129,7 +131,7 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
         return tuple(groups)
 
     breaks = ref.breakpoints() if uses_ref else ()
-    edges = [(*m.panel_edges((gaps[i], slopes[i])), *breaks) for i in averaged]
+    edges = [(*m.panel_edges((points[i], gaps[i], slopes[i])), *breaks) for i in averaged]
     runs = iter(bz_averages(kernel, edges, cfg) if edges else ())
     results = []
     for is_idle, is_closed in zip(idle, closed):

@@ -2,8 +2,8 @@
 
 Every stock Hermitian family has d(k) = a + b cos k + c sin k; its entry in
 ``MODELS`` gives the rows (a, b, c) once, and d, d(d)/d(lambda), the winding
-contour and its exact winding number come from them.  The SSH chains are
-stored in the rotated basis (d_y = 0) of the sigma relabeling
+contour, its exact winding number and the gap closings come from them.  The
+SSH chains are stored in the rotated basis (d_y = 0) of the sigma relabeling
 (x, y, z) -> (x, z, -y), recorded on the model so topology diagnostics can
 undo it; massive Dirac and the Cooper-pair box are native to the final basis.
 """
@@ -39,7 +39,6 @@ class TwoBandModel:
     slope: Callable[..., Rows]
     lam: float
     rotated: bool = False
-    singular_points: Tuple[float, ...] = (0.0,)
     label: str = ""
 
     def d(self, k):
@@ -53,68 +52,63 @@ class TwoBandModel:
     def at(self, lam) -> "TwoBandModel":
         """The family at lam: a number, or an array of one value per k node."""
         lam = lam if isinstance(lam, np.ndarray) else float(lam)
-        return TwoBandModel(self.rows, self.slope, lam, self.rotated, self.singular_points,
-                            self.label)
+        return TwoBandModel(self.rows, self.slope, lam, self.rotated, self.label)
 
     def contour(self, k):
         """The stored d_x - i d_z; in the rotated basis, the off-diagonal Bloch element."""
         d = self.d(k)
         return d[0] - 1j * d[2]
 
-    def singular_gaps(self, lams) -> Tuple[np.ndarray, np.ndarray]:
-        """|d| and |d_k d| at the singular points (columns) for each of ``lams`` (rows).
+    def singular_gaps(self, lams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The singular points of each of ``lams`` (rows), and |d| and |d_k d| there.
 
-        The k-slope is exact: d_k d has the rows (0, c, -b).
+        d = 0 needs d_x = d_z = 0, so every closing lies at the argument of a
+        zero of ``_contour_zeros``, arg(q conj(p2)) or arg(p0 conj(q)), which is
+        0 for a missing zero.  The k-slope is exact: d_k d has the rows (0, c, -b).
         """
-        ks = np.asarray(self.singular_points, dtype=float)
         lams = np.asarray(lams, dtype=float)
-        k = np.tile(ks, lams.size)
-        a, b, c = self.rows(np.repeat(lams, ks.size))
-        norm = lambda v: np.sqrt(np.sum(v * v, axis=0)).reshape(lams.size, ks.size)
-        return (norm(_bloch_sum((a, b, c), k)),
-                norm(_bloch_sum(((0.0, 0.0, 0.0), c, tuple(-b_i for b_i in b)), k)))
+        rows = self.rows(lams)
+        p0, q, p2 = _contour_zeros(rows)
+        k = np.angle([q * np.conj(p2), p0 * np.conj(q)]).reshape(2, -1) * np.ones(lams.size)
+        norm = lambda v: np.sqrt(np.sum(v * v, axis=0)).T
+        return (k.T, norm(_bloch_sum(rows, k)),
+                norm(_bloch_sum(((0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])), k)))
 
     def gap_closed(self) -> bool:
-        """Whether |d| < GAP_EPS at one of the singular points, where the stock gaps close."""
-        return bool(closed_rows(self.singular_gaps([self.lam])[0])[0])
+        """Whether |d| < GAP_EPS at one of the singular points, where the gap can close."""
+        return bool(closed_rows(self.singular_gaps([self.lam])[1])[0])
 
     def panel_edges(self, gaps=None) -> Tuple[float, ...]:
-        """The singular points, each graded geometrically by the model's gap scale.
+        """The singular points and their periodic images, graded by the gap scale, unordered.
 
         Beside a singular point k_s the integrands of the averages peak over
         the gap scale w = |d(k_s)| / |d_k d(k_s)|; ``graded_edges`` adds
-        k_s +- w 4^j for w 4^j < 1.  A closed gap, a zero slope or w >= 1 adds
-        no edges at that point.  ``gaps`` is a row of ``singular_gaps``.
+        k_s +- w 4^j for w 4^j < 1, here and at the image k_s - 2 pi sign(k_s)
+        where those reach the zone, so a point at +-pi grades both zone ends.
+        A closed gap, a zero slope or w >= 1 adds none.  ``gaps`` is a row of ``singular_gaps``.
         """
-        gap, slope = gaps if gaps is not None else (g[0] for g in self.singular_gaps([self.lam]))
-        edges = list(self.singular_points)
-        for k_s, gap_s, slope_s in zip(self.singular_points, gap, slope):
-            if gap_s < GAP_EPS or not slope_s > 0.0:
-                continue
-            edges += graded_edges(k_s, gap_s / slope_s)
+        points, gap, slope = gaps or [g[0] for g in self.singular_gaps([self.lam])]
+        edges = set()
+        for k_s, gap_s, slope_s in zip(points.tolist(), gap.tolist(), slope.tolist()):
+            w = gap_s / slope_s if gap_s >= GAP_EPS and slope_s > 0.0 else 0.0
+            for k in (k_s, k_s - math.copysign(2.0 * PI, k_s)):
+                if abs(k) < PI + 1.0:  # w < 1, so no edge of a farther image is inside
+                    edges.update((k, *graded_edges(k, w)))
         return tuple(edges)
 
     def windings(self, lams) -> np.ndarray:
         """The winding at each of ``lams``, counted from the rows; NaN where ``closed_rows``.
 
-        Both counts need zero y rows, else a DomainError.  A planar family
-        then winds 0.  With z = e^{ik} a rotated family's contour d_x - i d_z
-        is p0 / z + p1 + p2 z; it winds by the number of zeros of
-        p0 + p1 z + p2 z^2 in |z| < 1, minus 1.  The roots q / p2 and p0 / q,
-        with q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 signed not to cancel, also
-        hold p2 = 0 (one root) and p0 = 0 (a root at 0).
+        Both counts need zero y rows, else a DomainError.  A planar family then
+        winds 0, and a rotated one by its ``_contour_zeros`` in |z| < 1, minus 1.
         """
-        lams = np.asarray(lams, dtype=float)
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = self.rows(lams)
-        if any(np.any(np.asarray(y) != 0.0) for y in (ay, by, cy)):
+        rows = self.rows(np.asarray(lams, dtype=float))
+        if any(np.any(np.asarray(row[1]) != 0.0) for row in rows):
             raise DomainError(f"model {self.label!r} has nonzero y rows; no winding is counted")
-        closed = closed_rows(self.singular_gaps(lams)[0])
+        closed = closed_rows(self.singular_gaps(lams)[1])
         if not self.rotated:
             return np.where(closed, np.nan, 0.0)
-        b, c, p1 = bx - 1j * bz, cx - 1j * cz, ax - 1j * az
-        p0, p2 = 0.5 * (b + 1j * c), 0.5 * (b - 1j * c)
-        root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
-        q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)
+        p0, q, p2 = _contour_zeros(rows)
         inside = 1.0 * (np.abs(q) < np.abs(p2)) + ((np.abs(p0) < np.abs(q)) | (p0 == 0.0))
         return np.where(closed, np.nan, inside - 1.0)
 
@@ -122,6 +116,18 @@ class TwoBandModel:
 def closed_rows(gaps) -> np.ndarray:
     """Per row of the |d| of ``singular_gaps``: is |d| < GAP_EPS at a singular point?"""
     return np.any(np.asarray(gaps) < GAP_EPS, axis=1)
+
+
+def _contour_zeros(rows: Rows):
+    """(p0, q, p2): with z = e^{ik} the rows' z (d_x - i d_z) is p0 + p1 z + p2 z^2, whose
+    zeros are q / p2 and p0 / q; q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 is signed not to
+    cancel, so the pair also holds p2 = 0 (one zero) and p0 = 0 (a zero at 0)."""
+    (ax, _, az), (bx, _, bz), (cx, _, cz) = rows
+    b, c, p1 = bx - 1j * bz, cx - 1j * cz, ax - 1j * az
+    p0, p2 = 0.5 * (b + 1j * c), 0.5 * (b - 1j * c)
+    root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
+    q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)
+    return p0, q, p2
 
 
 @dataclass(frozen=True)
@@ -249,10 +255,9 @@ class ModelEntry:
     ``parameters`` names the sweepable parameters, the family's own one
     first.  A Hermitian family is defined by ``rows``: its params as keywords
     -> the rows (a, b, c) of d(k) = a + b cos k + c sin k, each a 3-vector
-    and each affine in every sweepable parameter.  ``singular_points`` are
-    the momenta where its gap can close, and ``rotated`` tells whether d is
-    stored in the rotated basis, where d_x - i d_z is the off-diagonal Bloch
-    element.  The lossy chain has no rows.
+    and each affine in every sweepable parameter.  ``rotated`` tells whether
+    d is stored in the rotated basis, where d_x - i d_z is the off-diagonal
+    Bloch element.  The lossy chain has no rows.
     """
 
     name: str
@@ -260,7 +265,6 @@ class ModelEntry:
     defaults: Mapping[str, float]
     parameters: Tuple[str, ...]
     rows: Optional[Callable[..., Rows]] = None
-    singular_points: Tuple[float, ...] = (0.0,)
     rotated: bool = False
     quantities: Tuple[str, ...] = QUANTITIES
 
@@ -294,25 +298,20 @@ class ModelEntry:
         rows = lambda lam: self.rows(**{**values, parameter: lam})
         slope = tuple(tuple(p - q for p, q in zip(one, zero))
                       for one, zero in zip(rows(1.0), rows(0.0)))
-        return TwoBandModel(rows, lambda lam: slope, values[parameter], self.rotated,
-                            self.singular_points, self.name)
+        return TwoBandModel(rows, lambda lam: slope, values[parameter], self.rotated, self.name)
 
 
 # The model families by name.  The Hermitian defaults sit at gapped values,
-# so point commands without --set are well defined.  The SSH chains also
-# close at k = +-pi, where a swept coupling reaches -t1.
+# so point commands without --set are well defined.
 MODELS: Dict[str, ModelEntry] = {entry.name: entry for entry in (
-    ModelEntry("ssh", SSHParams, {"t1": 1.0, "t2": 2.0}, ("t2", "t1"), _ssh_rows,
-               (0.0, -PI, PI), rotated=True),
+    ModelEntry("ssh", SSHParams, {"t1": 1.0, "t2": 2.0}, ("t2", "t1"), _ssh_rows, rotated=True),
     ModelEntry("massive-dirac", MassiveDiracParams, {"t": 1.0, "mu": 1.0}, ("mu",),
-               lambda t, mu: ((0.0, 0.0, mu), (0.0, 0.0, 0.0), (t, 0.0, 0.0)),
-               (0.0, -PI, PI)),
+               lambda t, mu: ((0.0, 0.0, mu), (0.0, 0.0, 0.0), (t, 0.0, 0.0))),
     ModelEntry("dual-ssh", DualSSHParams, {"t": 1.0, "r": 2.0}, ("r",),
-               lambda t, r: _ssh_rows(t, r * t), (0.0, -PI, PI), rotated=True),
+               lambda t, r: _ssh_rows(t, r * t), rotated=True),
     ModelEntry("cooper-pair-box", CooperPairBoxParams, {"Ej": 1.0, "Ecc": 1.0, "ng": 0.0},
                ("ng",), lambda Ej, Ecc, ng: ((0.0, 0.0, 0.5 * Ecc * (1.0 - 2.0 * ng)),
-                                            (-Ej, 0.0, 0.0), (0.0, 0.0, 0.0)),
-               (-0.5 * PI, 0.5 * PI)),
+                                            (-Ej, 0.0, 0.0), (0.0, 0.0, 0.0))),
     ModelEntry("nh-ssh", NonHermitianSSHParams, {"t1": 1.0, "t2": 1.0, "gamma": 0.0},
                ("t2", "gamma"), quantities=("complexity", "dcomplexity")),
 )}

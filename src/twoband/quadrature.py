@@ -1,7 +1,7 @@
 """Brillouin-zone averaging and numerical differentiation.
 
 The integrands met here are smooth except for integrable features at gap
-closings (all located at k in {0, +-pi} for the stock models), so the
+closings (at k in {0, +-pi} or +-pi/2 for the stock models), so the
 integrators pre-split at the points each caller names and subdivide adaptively.
 Library averages go through ``bz_averages``, which evaluates an array kernel
 for many integrands at once on whole refinement levels; ``bz_average_vec`` is
@@ -31,8 +31,8 @@ class BZQuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise DomainError("quadrature tolerances must be finite and positive")
 
 
 def _interior_points(points: Iterable[float]) -> list:

@@ -1,9 +1,11 @@
 """The benchmark's contract with the library and the command line.
 
 ``perfbench/bench_trace.py`` refuses to run when a function it counts is
-gone, and ``perfbench/bench_workloads.py`` sends fixed flags and ``--set``
-keys; these tests report a deletion or rename of either from the tier-1
-suite.  Both files are loaded by path and only read.
+gone, ``perfbench/bench_workloads.py`` sends fixed flags and ``--set``
+keys, and ``perfbench/bench_checks.py`` judges every output; these tests
+report a deletion or rename of either, or an output the benchmark would
+count as failed, from the tier-1 suite.  The files are loaded by path and
+only read.
 """
 
 import importlib
@@ -16,14 +18,21 @@ import twoband
 from twoband.cli import _sweep_spec, build_parser
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-_TRACE = _PERFBENCH / "bench_trace.py"
+
+
+def _load(monkeypatch, name):
+    """The perfbench module ``name``, loaded by path without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"{name}_contract", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_required_name_is_a_function_of_its_module(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_trace_contract", _TRACE)
-    trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace)
+    trace = _load(monkeypatch, "bench_trace")
     missing = [f"{layer}.{name}" for layer, names in trace.REQUIRED.items() for name in names
                if not inspect.isfunction(
                    getattr(importlib.import_module("twoband." + layer), name, None))]
@@ -37,13 +46,7 @@ def test_the_traced_model_methods_are_plain_functions_of_the_class():
 
 
 def test_every_benchmark_sweep_argv_parses_and_validates(monkeypatch, tmp_path):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_workloads_contract",
-                                                  _PERFBENCH / "bench_workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = _load(monkeypatch, "bench_workloads")
     argvs = []
     for name in ("gapped-sweep", "critical-sweep", "lossy-sweep"):
         gen = workloads.Generator(name, 1, tmp_path / name, twoband)
@@ -54,3 +57,19 @@ def test_every_benchmark_sweep_argv_parses_and_validates(monkeypatch, tmp_path):
         args = build_parser().parse_args(argv)
         sweep = _sweep_spec(args)
         assert isinstance(sweep, twoband.SweepSpec), argv
+
+
+def test_one_round_of_every_workload_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # a request the benchmark counts as failed, or an output its checks
+    # reject, fails here before any timed run
+    workloads, checks, run = (_load(monkeypatch, name)
+                              for name in ("bench_workloads", "bench_checks", "run"))
+    for name in workloads.WORKLOADS:
+        gen = workloads.Generator(name, 1, tmp_path / name, twoband)
+        gen.write_inputs()
+        tally = run.Tally(name, 1)
+        for req in gen.round():
+            tally.record(twoband, checks, req, run.execute(twoband, req))
+        failed = [(req.label(), out.code, out.first_err, why)
+                  for req, out, why in tally.failures()]
+        assert tally.latencies and tally.points > 0 and failed == [], (name, failed)

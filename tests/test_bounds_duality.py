@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GapClosedError,
                      GlobalReference, MassiveDiracParams, SSHParams, SweepSpec,
-                     UndefinedRatioError, bound_check, chi_F_md_closed, complexity_derivative,
+                     UndefinedRatioError, bound_check, chi_F, chi_F_md_closed,
+                     complexity_derivative,
                      complexity_duality_check,
                      complexity_duality_offset, fs_duality_check,
                      ground_complexity, massive_dirac_model, md_complexity_closed,
@@ -54,6 +55,16 @@ def _dcomplexity_row(model, parameter, lam, ref, fixed=None):
 
 
 class TestBoundCheck:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_a_domain_error(self, lam):
+        # a NaN lambda reported satisfied=True with lhs NaN
+        model, ref = ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4)
+        for call in (lambda: bound_check(model, ref, lam), lambda: ratio_R(model, ref, lam),
+                     lambda: complexity_derivative(model, ref, lam),
+                     lambda: chi_F(model, lam), lambda: ground_complexity(model.at(lam), ref)):
+            with pytest.raises(DomainError, match="finite"):
+                call()
+
     def test_ssh_topological_point(self):
         report = bound_check(ssh_model(SSHParams(1.0, 3.0)),
                              GlobalReference(0.5 * PI, PI), 3.0)

@@ -14,7 +14,7 @@ from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
                      ground_complexity, ground_state_bloch, incomplete_E,
                      md_complexity_closed, md_dC_dmu_analytic,
                      plateau_complexity, ssh_complexity_closed, ssh_model)
-from twoband.bloch import canonical_angles, plateau_reference
+from twoband.bloch import PiecewiseBlochReference, canonical_angles, plateau_reference
 from twoband.quadrature import param_derivative
 
 PI = math.pi
@@ -78,6 +78,13 @@ class TestGroundComplexity:
     def test_massive_dirac_value_at_mu_one(self):
         model_value = md_complexity_closed(MassiveDiracParams(mu=1.0), 0.0)
         assert model_value == pytest.approx(0.5 + complete_K(0.5) / (PI * math.sqrt(2.0)), abs=1e-14)
+
+    @pytest.mark.parametrize("theta,phi", [(math.inf, 0.0), (0.3, -math.inf),
+                                           (math.nan, 0.0), (0.3, math.nan)])
+    def test_non_finite_angles_are_a_domain_error(self, theta, phi):
+        # an infinite angle raised a bare ValueError from math.fmod
+        with pytest.raises(DomainError, match="finite"):
+            GlobalReference(theta, phi)
 
     def test_angle_reduction_modulo_sphere(self):
         raw = GlobalReference(-0.3, 7.0)
@@ -241,6 +248,15 @@ class TestExcitedPiecewise:
             BandAssignment((-PI, 0.0, PI), (1,))
         with pytest.raises(PartitionError):
             BandAssignment((-3.0, PI), (1,))
+        with pytest.raises(PartitionError):
+            BandAssignment((-PI, math.nan, PI), (1, -1))
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_piecewise_reference_rejects_non_finite_bounds(self, bound):
+        # a NaN split averaged to 0.5, where the split at 0 gives 0.1817
+        up, down = BlochVector(0.0, 0.0, 1.0), BlochVector(0.0, 0.0, -1.0)
+        with pytest.raises(PartitionError, match="finite"):
+            PiecewiseBlochReference(((-PI, bound, up), (bound, PI, down)))
 
 
 class TestMassiveDiracClosedForm:

@@ -9,7 +9,7 @@ from twoband import (CooperPairBoxParams, DomainError, DualSSHParams, GlobalRefe
                      MassiveDiracParams, NonHermitianSSHParams, SpecError, SSHParams,
                      cooper_pair_box_model, dual_pair, ground_complexity,
                      massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
-from twoband.models import MODELS
+from twoband.models import MODELS, closed_rows
 from twoband.sweeps import SweepSpec
 from twoband.topology import dual_windings, winding_cross_product, winding_log_derivative
 
@@ -165,6 +165,19 @@ _TRANSITIONS = [("ssh", "t2", 1.0), ("ssh", "t1", 2.0), ("massive-dirac", "mu", 
                 ("ssh", "t2", -1.0), ("ssh", "t1", -2.0), ("dual-ssh", "r", -1.0)]
 
 
+# Every Hermitian family, both dual families included, swept in each of its
+# parameters, and the values at which its gap closes.
+_DUAL_I, _DUAL_II = dual_pair(DualSSHParams(1.0, 2.0))
+_FAMILIES = [
+    pytest.param(MODELS["ssh"].model({}, "t2"), (1.0, -1.0), id="ssh-t2"),
+    pytest.param(MODELS["ssh"].model({}, "t1"), (2.0, -2.0), id="ssh-t1"),
+    pytest.param(MODELS["massive-dirac"].model({}), (0.0,), id="massive-dirac"),
+    pytest.param(_DUAL_I, (1.0, -1.0), id="dual-ssh"),
+    pytest.param(_DUAL_II, (1.0, -1.0), id="dual-ssh-II"),
+    pytest.param(MODELS["cooper-pair-box"].model({}), (0.5,), id="cooper-pair-box"),
+]
+
+
 class TestModelContract:
     @pytest.mark.parametrize("factory,lams", [
         (lambda lam: ssh_model(SSHParams(1.0, lam)), (0.3, 0.8, 1.0, 1.5, 2.5)),
@@ -189,19 +202,28 @@ class TestModelContract:
         for lam in (transition - 1e-6, transition + 1e-6, model.lam):
             assert not model.at(lam).gap_closed()
 
-    @pytest.mark.parametrize("name,parameter,transition", _TRANSITIONS)
-    def test_gap_closes_only_at_the_singular_points(self, name, parameter, transition):
-        # the singular points are panel edges, where no quadrature node lies:
-        # |d| grows at least linearly away from them, and an average through
-        # the transition meets no mode with |d| < GAP_EPS
-        model = MODELS[name].model({}, parameter).at(transition)
+    @pytest.mark.parametrize("model,transitions", _FAMILIES)
+    def test_gap_closes_only_at_the_singular_points(self, model, transitions):
+        # for every lambda |d| is smallest at a point derived from the rows, so
+        # a gap can close nowhere else; at a transition it closes there, |d|
+        # grows at least linearly away from the points and their images (panel
+        # edges, where no quadrature node lies), and an average through the
+        # transition meets no mode with |d| < GAP_EPS
+        window = np.linspace(-3.0, 3.0, 24)  # negative couplings; no transition, no 0
+        lams = np.concatenate((window, transitions))
         ks = np.linspace(-PI, PI, 4097)
-        edges = np.asarray(model.singular_points)
-        distance = np.min(np.abs(ks[:, None] - edges[None, :]), axis=1)
-        norm = np.sqrt(np.sum(model.d(ks) ** 2, axis=0))
-        assert np.all(norm >= 0.5 * distance)
-        value = ground_complexity(model, GlobalReference(0.9, 0.4))
-        assert 0.0 <= value <= 1.0
+        points, gaps, _ = model.singular_gaps(lams)
+        for lam, gap in zip(lams, gaps):
+            norm = np.sqrt(np.sum(model.at(lam).d(ks) ** 2, axis=0))
+            assert np.min(gap) <= np.min(norm) + 1e-12, lam
+        assert list(closed_rows(gaps)) == [False] * window.size + [True] * len(transitions)
+        for lam, k_s in zip(transitions, points[window.size:]):
+            edges = np.concatenate((k_s, k_s - 2.0 * PI * np.sign(k_s)))
+            distance = np.min(np.abs(ks[:, None] - edges[None, :]), axis=1)
+            norm = np.sqrt(np.sum(model.at(lam).d(ks) ** 2, axis=0))
+            assert np.all(norm >= 0.5 * distance)
+            value = ground_complexity(model.at(lam), GlobalReference(0.9, 0.4))
+            assert 0.0 <= value <= 1.0
 
     def test_at_rebinds_parameter(self):
         model = ssh_model(SSHParams(1.0, 1.0))
@@ -272,7 +294,7 @@ def _grid_winding(entry, fixed, parameter, lam):
 
 
 # Each Hermitian family, two values of its swept parameter, and the analytic
-# |d_k d| at its singular points as a function of that parameter.
+# |d_k d| at the singular points of each value as a function of that parameter.
 _SLOPES = [
     (ssh_model(SSHParams(0.7, 1.3)), (1.3, -2.9), abs),
     (massive_dirac_model(MassiveDiracParams(1.7, 0.3)), (0.3, -1e-9), lambda mu: 1.7),
@@ -289,8 +311,8 @@ class TestExactSlope:
 
     @pytest.mark.parametrize("model,lams,slope", _SLOPES, ids=[m.label for m, _, _ in _SLOPES])
     def test_singular_gaps_give_the_analytic_k_slope_to_one_ulp(self, model, lams, slope):
-        _, got = model.singular_gaps(lams)
-        assert got.shape == (len(lams), len(model.singular_points))
+        points, _, got = model.singular_gaps(lams)
+        assert points.shape == got.shape == (len(lams), 2)
         for row, lam in zip(got, lams):
             want = slope(lam)
             assert np.all(np.abs(row - want) <= np.spacing(want)), (lam, row, want)

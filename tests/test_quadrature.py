@@ -1,6 +1,5 @@
 """Brillouin-zone quadrature and finite-difference tests."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -56,11 +55,12 @@ class TestBZAverage:
 
         assert abs(bz_average(odd)) < 1e-10
 
-    def test_splitting_invariance_for_integrable_features(self):
+    def test_splitting_invariance_for_integrable_features(self, monkeypatch):
         model = massive_dirac_model(MassiveDiracParams(mu=0.01))
         ref = GlobalReference(0.2, 0.0)
         with_split = ground_complexity(model, ref)
-        no_split = ground_complexity(dataclasses.replace(model, singular_points=()), ref)
+        monkeypatch.setattr(TwoBandModel, "panel_edges", lambda self, gaps=None: ())
+        no_split = ground_complexity(model, ref)
         assert with_split == pytest.approx(no_split, abs=1e-9)
 
     def test_convergence_error_when_budget_exhausted(self):
@@ -71,6 +71,13 @@ class TestBZAverage:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             BZQuadratureConfig(abs_tol=0.0)
+
+    @pytest.mark.parametrize("tols", [{"abs_tol": math.inf, "rel_tol": math.inf},
+                                      {"abs_tol": math.nan}, {"rel_tol": math.inf}])
+    def test_non_finite_tolerances_are_a_domain_error(self, tols):
+        # infinite tolerances divided inf by inf in the engine
+        with pytest.raises(DomainError, match="finite"):
+            BZQuadratureConfig(**tols)
 
 
 class TestParamDerivative:
@@ -120,6 +127,11 @@ def test_three_axis_model_has_no_counted_winding():
         _three_axis_model().windings([0.5])
 
 
+def _points(model):
+    """The model's singular points at its bound parameter value."""
+    return tuple(model.singular_gaps([model.lam])[0][0])
+
+
 def _scalar_ground(model, ref_at):
     """Oracle integrand; ref_at maps one k to the reference BlochVector."""
 
@@ -144,7 +156,7 @@ class TestArrayEngineAgainstOracle:
         model = massive_dirac_model(MassiveDiracParams(mu=mu))
         ref = GlobalReference(0.3, 1.1)
         oracle = bz_average(_scalar_ground(model, lambda k: ref.bloch), ORACLE,
-                            extra_points=model.singular_points)
+                            extra_points=_points(model))
         assert ground_complexity(model, ref) == pytest.approx(oracle, abs=ENGINE_TOL)
 
     @pytest.mark.parametrize("t2", [0.6, 1.7])
@@ -180,7 +192,7 @@ class TestArrayEngineAgainstOracle:
             def comp(k):
                 return 0.25 * dhat_derivative(model.d(k), model.d_deriv(k))[axis] ** 2
 
-            oracle = bz_average(comp, ORACLE, extra_points=model.singular_points)
+            oracle = bz_average(comp, ORACLE, extra_points=_points(model))
             assert got.components[axis] == pytest.approx(oracle, abs=ENGINE_TOL,
                                                           rel=ENGINE_TOL)
         if model.label == "three-axis":
@@ -375,14 +387,15 @@ class TestGradedPanels:
         massive_dirac_model(MassiveDiracParams(t=0.0, mu=1e-3)),  # flat in k
     ])
     def test_no_edges_without_a_resolvable_scale(self, model):
-        assert model.panel_edges() == model.singular_points
+        # the derived points of these models are 0 and +-pi, the zone ends
+        assert set(model.panel_edges()) <= {0.0, -PI, PI}
 
     def test_edges_grade_geometrically_from_the_gap_scale(self):
         model = ssh_model(SSHParams(1.0, 1.0 + 1e-6))
         w = ((1.0 + 1e-6) - 1.0) / (1.0 + 1e-6)  # |d(0)| / |d_k d(0)|
         want = [w * 4.0 ** j for j in range(10)]  # w 4^10 > 1
         edges = model.panel_edges()
-        assert edges[0] == 0.0 and len(edges) == 23
+        assert 0.0 in edges and len(edges) == 21  # both contour zeros lie at k = 0
         assert sorted(e for e in edges if 0.0 < e < PI) == pytest.approx(want, rel=1e-8)
         assert sorted(-e for e in edges if -PI < e < 0.0) == pytest.approx(want, rel=1e-8)
 
@@ -390,6 +403,38 @@ class TestGradedPanels:
         edges = np.asarray(massive_dirac_model(MassiveDiracParams(mu=1e-3)).panel_edges())
         for k_s in (0.0, -PI, PI):
             assert np.min(np.abs(np.abs(edges - k_s) - 1e-3)) < 1e-12
+
+    def test_a_point_at_pi_grades_both_zone_ends(self):
+        # t2 = -t1 - 1e-6 puts a contour zero at k = pi, a gap scale w beside it
+        model = ssh_model(SSHParams(1.0, 2.0)).at(-1.0 - 1e-6)
+        w = 1e-6 / (1.0 + 1e-6)
+        edges = np.asarray(model.panel_edges())
+        for inside in (-PI + w, PI - w):
+            assert np.min(np.abs(edges - inside)) < 1e-15
+
+    @pytest.mark.parametrize("k0", [1.0, 0.5 * PI, 3.0])
+    def test_a_closing_away_from_zero_is_found_from_the_rows(self, k0, monkeypatch):
+        # d = (mu + 2 sin^2((k - k0)/2), 0, sin(k - k0)) closes at k0: graded
+        # there it takes as few levels as at k0 = 0, and bisection toward k0
+        # from k = 0 took 22-23
+        levels = []
+        original = quadrature._gk21
+
+        def counted(*args):
+            levels.append(1)
+            return original(*args)
+
+        def shifted_dirac(k0):
+            rows = lambda mu: ((1.0 + mu, 0.0, 0.0), (-math.cos(k0), 0.0, -math.sin(k0)),
+                               (-math.sin(k0), 0.0, math.cos(k0)))
+            slope = lambda mu: ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+            return TwoBandModel(rows, slope, 1e-6, label="shifted-dirac")
+
+        at_zero = chi_F(shifted_dirac(0.0), 1e-6).total
+        monkeypatch.setattr(quadrature, "_gk21", counted)
+        got = chi_F(shifted_dirac(k0), 1e-6)
+        assert not got.diverged and len(levels) <= 3
+        assert got.total == pytest.approx(at_zero, rel=2e-10)
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, -1e-2, -1e-4, -1e-6, -1e-8])
     def test_closed_forms_hold_beside_the_transition(self, delta):

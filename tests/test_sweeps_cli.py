@@ -386,6 +386,31 @@ class TestCLI:
                      "--ref-piecewise", str(untiled)]) == 2
         assert str(untiled) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--model", "ssh", "--set", "t1=inf", "--sweep", "t2:0.5:1:2"],
+         "SSH hoppings must be finite"),
+        (["sweep", "--model", "ssh", "--set", "t1=nan", "--sweep", "t2:0.5:1:2"],
+         "SSH hoppings must be finite"),
+        (["sweep", "--model", "ssh", "--set", "t1=abc", "--sweep", "t2:0.5:1:2"],
+         "--set value for 't1' is not a number: 'abc'"),
+        (["sweep", "--model", "ssh", "--set", "foo=inf", "--sweep", "t2:0.5:1:2"],
+         "unknown fixed parameters ['foo']"),
+        (["sweep", "--model", "massive-dirac", "--set", "t=-inf", "--sweep", "mu:0.5:1:2"],
+         "massive-Dirac parameters must be finite"),
+        (["nh-sweep", "--set", "gamma=inf", "--sweep", "t2:0.5:1:2"],
+         "non-Hermitian SSH parameters must be finite"),
+        (["winding", "--model", "cooper-pair-box", "--set", "ng=nan"],
+         "the gate charge ng finite"),
+        (["duality", "--set", "r=inf"], "ratio r must be finite"),
+        (["bound", "--model", "dual-ssh", "--set", "t=nan", "--lam", "2"],
+         "coupling t must be finite"),
+    ])
+    def test_set_values_are_judged_by_the_params(self, argv, message, capsys):
+        # --set only parses; each params type rejects its non-finite values
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
     def test_rows_beside_the_transition_are_unflagged(self, capsys):
         # chi_f there is 6.2e8 and 6.2e10: large, correct and not divergent
         assert main(["sweep", "--model", "ssh", "--set", "t1=1",
