@@ -29,8 +29,8 @@ def dhat_derivative(d, d_deriv) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     dd = np.asarray(d_deriv, dtype=float)
-    n = np.sqrt(np.sum(d * d, axis=0))
-    if np.any(n < GAP_EPS):
+    n = np.sqrt((d * d).sum(axis=0))
+    if (n < GAP_EPS).any():
         raise GapClosedError("unit-vector derivative undefined at a gap closing")
     dhat = d / n
     return (dd - dhat * np.sum(dhat * dd, axis=0)) / n
@@ -85,24 +85,26 @@ class _BlochAverages(NamedTuple):
 
 
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
-                    complexity=False, derivative=False, chi=False) -> List[_BlochAverages]:
+                    complexity=False, derivative=False, chi=False,
+                    gaps=None) -> List[_BlochAverages]:
     """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family
-    ``m`` at each of ``lams``, from one ``bz_averages`` run in which each lambda
-    owns the panels of its graded ``panel_edges`` and the reference breakpoints.
+    ``m`` at each of ``lams`` (whose ``singular_gaps`` the caller may pass), from
+    one ``bz_averages`` run in which each lambda owns the panels of its graded
+    ``panel_edges`` and the reference breakpoints.
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
     v^2 / 4 per axis.  On a closed gap (``closed_rows``) dC is None and chi is
-    inf, flagged diverged; the row averages only C, with v zeroed so that its C
-    is the C-only average's bit for bit.  An exhausted budget flags chi
+    inf, flagged diverged; the row averages only C, with v = 0 (and no d_deriv)
+    on its nodes, as the C-only average does.  An exhausted budget flags chi
     diverged and keeps every group's unconverged estimate (chi's non-finite
     ones as inf); without chi it raises.  A non-finite lambda is a DomainError.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
         raise DomainError("the parameter value must be finite")
-    points, gaps, slopes = m.singular_gaps(lams)
-    closed = closed_rows(gaps)
+    gaps = m.singular_gaps(lams) if gaps is None else gaps
+    closed = closed_rows(gaps[1])
     # no average: a closed gap where C is not asked for, or nothing asked for
     idle = closed & (not complexity) | (not (complexity or derivative or chi))
     averaged = np.flatnonzero(~idle)
@@ -117,12 +119,15 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
         groups = []
         if complexity:
             n = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-            if np.any(n < GAP_EPS):
+            if (n < GAP_EPS).any():
                 raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
             groups.append(0.5 * (1.0 + (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n))
         if derivative or chi:
-            d_deriv = point.d_deriv(k)
-            v = dhat_derivative(d, np.where(zeroed[owner], 0.0, d_deriv) if zeroing else d_deriv)
+            d_deriv = np.zeros_like(d) if zeroing else point.d_deriv(k)
+            if zeroing:  # d_deriv on the open rows' nodes only: a closed row's v is 0
+                live = ~zeroed[owner]
+                d_deriv[:, live] = m.at(open_lams[owner[live]]).d_deriv(k[live])
+            v = dhat_derivative(d, d_deriv)
             if derivative:
                 dot = nref[0] * v[0] + nref[1] * v[1] + nref[2] * v[2]
                 groups.append(np.vstack((0.5 * dot, v)))
@@ -130,12 +135,15 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
                 groups.append(0.25 * v * v)
         return tuple(groups)
 
-    breaks = ref.breakpoints() if uses_ref else ()
-    edges = [(*m.panel_edges((points[i], gaps[i], slopes[i])), *breaks) for i in averaged]
-    runs = iter(bz_averages(kernel, edges, cfg) if edges else ())
-    results = []
-    for is_idle, is_closed in zip(idle, closed):
-        out, diverged = (() if is_idle else next(runs)), bool(is_closed)
+    runs = []
+    if averaged.size:
+        edges = np.reshape(m.panel_edges([g[averaged] for g in gaps]), (averaged.size, -1))
+        breaks = ref.breakpoints() if uses_ref else ()
+        edges = np.hstack((edges, np.full((len(edges), len(breaks)), breaks)))
+        runs = bz_averages(kernel, edges, cfg)
+    runs, results = iter(runs), []
+    for is_idle, is_closed in zip(idle.tolist(), closed.tolist()):
+        out, diverged = (() if is_idle else next(runs)), is_closed
         if isinstance(out, ConvergenceError):
             if not chi:
                 raise out
@@ -146,10 +154,11 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
         if derivative and not is_closed:
             row = next(out)
             dc, integrals = float(row[0]), 2.0 * PI * row[1:]
-        if chi:
-            comps = np.full(3, np.inf) if is_closed else next(out)
-            comps = np.where(np.isfinite(comps), comps, np.inf)
-            breakdown = SusceptibilityBreakdown(float(np.sum(comps)), tuple(comps), diverged)
+        if chi:  # the total in the order of numpy's sum of three: ((0 + x) + y) + z
+            comps = (np.inf,) * 3 if is_closed else tuple(
+                x if math.isfinite(x) else np.inf for x in next(out).tolist())
+            breakdown = SusceptibilityBreakdown(0.0 + comps[0] + comps[1] + comps[2], comps,
+                                                diverged)
         results.append(_BlochAverages(c, dc, integrals, breakdown))
     return results
 

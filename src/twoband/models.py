@@ -66,35 +66,39 @@ class TwoBandModel:
         zero of ``_contour_zeros``, arg(q conj(p2)) or arg(p0 conj(q)), which is
         0 for a missing zero.  The k-slope is exact: d_k d has the rows (0, c, -b).
         """
+        return self._closings(lams)[2]
+
+    def _closings(self, lams):
+        """The rows at ``lams``, their ``_contour_zeros`` and their ``singular_gaps``."""
         lams = np.asarray(lams, dtype=float)
         rows = self.rows(lams)
-        p0, q, p2 = _contour_zeros(rows)
+        p0, q, p2 = zeros = _contour_zeros(rows)
         k = np.angle([q * np.conj(p2), p0 * np.conj(q)]).reshape(2, -1) * np.ones(lams.size)
         norm = lambda v: np.sqrt(np.sum(v * v, axis=0)).T
-        return (k.T, norm(_bloch_sum(rows, k)),
-                norm(_bloch_sum(((0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])), k)))
+        return rows, zeros, (k.T, norm(_bloch_sum(rows, k)), norm(_bloch_sum(
+            ((0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])), k)))
 
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the gap can close."""
         return bool(closed_rows(self.singular_gaps([self.lam])[1])[0])
 
-    def panel_edges(self, gaps=None) -> Tuple[float, ...]:
-        """The singular points and their periodic images, graded by the gap scale, unordered.
+    def panel_edges(self, gaps=None) -> np.ndarray:
+        """Per row of ``gaps`` (``singular_gaps``, by default at the bound parameter): its
+        singular points and their images, graded by the gap scale, unordered, NaN-padded.
 
         Beside a singular point k_s the integrands of the averages peak over
         the gap scale w = |d(k_s)| / |d_k d(k_s)|; ``graded_edges`` adds
         k_s +- w 4^j for w 4^j < 1, here and at the image k_s - 2 pi sign(k_s)
         where those reach the zone, so a point at +-pi grades both zone ends.
-        A closed gap, a zero slope or w >= 1 adds none.  ``gaps`` is a row of ``singular_gaps``.
+        A closed gap, a zero slope or w >= 1 adds none.
         """
-        points, gap, slope = gaps or [g[0] for g in self.singular_gaps([self.lam])]
-        edges = set()
-        for k_s, gap_s, slope_s in zip(points.tolist(), gap.tolist(), slope.tolist()):
-            w = gap_s / slope_s if gap_s >= GAP_EPS and slope_s > 0.0 else 0.0
-            for k in (k_s, k_s - math.copysign(2.0 * PI, k_s)):
-                if abs(k) < PI + 1.0:  # w < 1, so no edge of a farther image is inside
-                    edges.update((k, *graded_edges(k, w)))
-        return tuple(edges)
+        points, gap, slope = self.singular_gaps([self.lam]) if gaps is None else gaps
+        w = np.divide(gap, slope, out=np.zeros(np.shape(gap)),
+                      where=(gap >= GAP_EPS) & (gap < slope))
+        centres = points[..., None] - np.copysign((0.0, 2.0 * PI), points[..., None])
+        centres = np.where(np.abs(centres) < PI + 1.0, centres, np.nan)  # w < 1: none farther in
+        return np.concatenate((centres[..., None], graded_edges(centres, w[..., None])),
+                              axis=-1).reshape(len(points), -1)
 
     def windings(self, lams) -> np.ndarray:
         """The winding at each of ``lams``, counted from the rows; NaN where ``closed_rows``.
@@ -102,13 +106,16 @@ class TwoBandModel:
         Both counts need zero y rows, else a DomainError.  A planar family then
         winds 0, and a rotated one by its ``_contour_zeros`` in |z| < 1, minus 1.
         """
-        rows = self.rows(np.asarray(lams, dtype=float))
+        return self._windings(*self._closings(lams))
+
+    def _windings(self, rows, zeros, gaps) -> np.ndarray:
+        """``windings`` from the rows' ``_closings``."""
+        p0, q, p2 = zeros
         if any(np.any(np.asarray(row[1]) != 0.0) for row in rows):
             raise DomainError(f"model {self.label!r} has nonzero y rows; no winding is counted")
-        closed = closed_rows(self.singular_gaps(lams)[1])
+        closed = closed_rows(gaps[1])
         if not self.rotated:
             return np.where(closed, np.nan, 0.0)
-        p0, q, p2 = _contour_zeros(rows)
         inside = 1.0 * (np.abs(q) < np.abs(p2)) + ((np.abs(p0) < np.abs(q)) | (p0 == 0.0))
         return np.where(closed, np.nan, inside - 1.0)
 
@@ -121,9 +128,13 @@ def closed_rows(gaps) -> np.ndarray:
 def _contour_zeros(rows: Rows):
     """(p0, q, p2): with z = e^{ik} the rows' z (d_x - i d_z) is p0 + p1 z + p2 z^2, whose
     zeros are q / p2 and p0 / q; q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 is signed not to
-    cancel, so the pair also holds p2 = 0 (one zero) and p0 = 0 (a zero at 0)."""
-    (ax, _, az), (bx, _, bz), (cx, _, cz) = rows
+    cancel, so the pair also holds p2 = 0 (one zero) and p0 = 0 (a zero at 0).  Where
+    d_x and d_z vanish at every k, d = 0 needs d_y = 0, so d_y takes the place of d_x."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rows
     b, c, p1 = bx - 1j * bz, cx - 1j * cz, ax - 1j * az
+    flat = (b == 0) & (c == 0) & (p1 == 0)
+    if np.any(flat):
+        b, c, p1 = np.where(flat, by, b), np.where(flat, cy, c), np.where(flat, ay, p1)
     p0, p2 = 0.5 * (b + 1j * c), 0.5 * (b - 1j * c)
     root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
     q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)

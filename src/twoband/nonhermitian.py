@@ -199,8 +199,8 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
     return abs(w1) / (abs(w0) + abs(w1))
 
 
-def _ep_edges(params: NonHermitianSSHParams) -> List[float]:
-    """Panel edges of the lossy averages: k = 0, graded toward each EP k_s in {0, +-pi}.
+def _ep_edges(params: Sequence[NonHermitianSSHParams]) -> np.ndarray:
+    """Per chain, padded with NaN: k = 0, graded toward each EP k_s in {0, +-pi}.
 
     Beside k_s, R^2 is R^2(k_s) + i gamma t2 cos(k_s) (k - k_s) to first
     order, so its complex zero lies |R^2(k_s)| / |gamma t2| from k_s; that EP
@@ -208,15 +208,12 @@ def _ep_edges(params: NonHermitianSSHParams) -> List[float]:
     derivative peak over it.  On a closing w = 0 and the grading runs down
     to _EP_SCALE_FLOOR; at gamma = 0 or t2 = 0 there is no grading.
     """
-    edges = [0.0]
-    slope = abs(params.gamma * params.t2)
-    if slope > 0.0:
-        half = 0.5 * params.gamma
-        for k_s, r1 in ((0.0, params.t1 - params.t2), (-PI, params.t1 + params.t2),
-                        (PI, params.t1 + params.t2)):
-            w = abs((r1 - half) * (r1 + half)) / slope
-            edges += graded_edges(k_s, max(w, _EP_SCALE_FLOOR))
-    return edges
+    t1, t2, gamma = np.array([(p.t1, p.t2, p.gamma) for p in params]).T[:, :, None]
+    r1, slope, half = t1 + np.array([-1.0, 1.0, 1.0]) * t2, np.abs(gamma * t2), 0.5 * gamma
+    w = np.divide(np.abs((r1 - half) * (r1 + half)), slope, out=np.full(r1.shape, np.nan),
+                  where=slope > 0.0)  # NaN, and so no grading, where slope = 0
+    return np.concatenate((np.zeros((len(w), 1)), graded_edges(
+        np.array([0.0, -PI, PI]), np.maximum(w, _EP_SCALE_FLOOR)).reshape(len(w), -1)), axis=1)
 
 
 def _nh_averages(params: Sequence[NonHermitianSSHParams], parameter: Optional[str],
@@ -225,7 +222,7 @@ def _nh_averages(params: Sequence[NonHermitianSSHParams], parameter: Optional[st
     with a ``parameter`` (C, dC/d(parameter)), or the error that ended its average."""
     alpha, beta = _normalized_pair(alpha, beta)
     runs = bz_averages(_nh_weight_kernel(params, alpha, beta, parameter),
-                       [_ep_edges(p) for p in params], cfg)
+                       _ep_edges(params), cfg)
     # the kernel's only non-finite values are the NaN of a mode where R^2 = 0
     return [ExceptionalPointError("exceptional point: R^2 = 0 at a mode")
             if isinstance(run, ConvergenceError) and not math.isfinite(run.error) else

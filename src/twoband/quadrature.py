@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 import scipy
@@ -35,24 +35,20 @@ class BZQuadratureConfig:
             raise DomainError("quadrature tolerances must be finite and positive")
 
 
-def _interior_points(points: Iterable[float]) -> list:
-    """The caller's panel edges strictly inside (-pi, pi), sorted and distinct."""
-    return sorted({float(p) for p in points if -PI < p < PI})
-
-
-def graded_edges(k_s: float, w: float) -> list:
-    """The panel edges k_s +- w 4^j for every j >= 0 with w 4^j < 1.
+def graded_edges(k_s, w) -> np.ndarray:
+    """The panel edges k_s -+ w 4^j for every j >= 0 with w 4^j < 1, NaN for the rest.
 
     This is the hp geometric mesh toward a point where an integrand peaks
     over the width w (Schwab, p- and hp-FEM, 1998), in the role of QUADPACK's
     qagp break points: adaptive bisection then resolves the peak in a few
     levels instead of about log2(1/w).  A w that is not in (0, 1) adds none.
+    k_s and w broadcast, with each point's edges on a new last axis.
     """
-    edges = []
-    while 0.0 < w < 1.0:
-        edges += (k_s - w, k_s + w)
-        w *= 4.0
-    return edges
+    w = np.where(np.asarray(w) > 0.0, w, 1.0)
+    levels = -math.frexp(w.min(initial=1.0))[1] // 2 + 1  # w = m 2^e: w 4^j < 1 for 2j <= -e
+    scale = np.ldexp(w[..., None], np.arange(0, 2 * levels, 2))  # w 4^j, exact
+    scale, k_s = np.where(scale < 1.0, scale, np.nan), np.asarray(k_s)[..., None]
+    return np.concatenate((k_s - scale, k_s + scale), axis=-1)
 
 
 def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = None,
@@ -63,7 +59,7 @@ def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = Non
     of the array engine ``bz_averages``.
     """
     cfg = cfg or BZQuadratureConfig()
-    pts = _interior_points(extra_points)
+    pts = sorted({float(p) for p in extra_points if -PI < p < PI})
     val, err, *rest = scipy.integrate.quad(f, -PI, PI, points=pts or None,
                                            limit=cfg.max_subdivisions,
                                            epsabs=cfg.abs_tol * 2.0 * PI,
@@ -119,45 +115,49 @@ def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     call of f on their nodes and each node's owner; the kernel's output is returned too."""
     half = 0.5 * (hi - lo)
     k = ((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
-    out = f(k, np.repeat(owner, _GK_NODES.size))
+    out = f(k, owner.repeat(_GK_NODES.size))
     rows = [np.reshape(g, (-1, k.size)) for g in (out if isinstance(out, tuple) else (out,))]
     y = np.concatenate(rows) if len(rows) > 1 else rows[0]
     rules = (y.reshape(-1, lo.size, _GK_NODES.size) @ _GK_WEIGHTS) * half[:, None]
     return rules[..., 0], np.abs(rules[..., 0] - rules[..., 1]), out
 
 
-def bz_averages(f: Callable, edges: Sequence[Iterable[float]],
-                cfg: BZQuadratureConfig | None = None) -> list:
+def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> list:
     """(1/2*pi) * integral over [-pi, pi] of many integrands (owners), by adaptive GK21.
 
     ``f(k, owner)`` maps nodes k (n,) and each node's index into ``edges`` to
     values (..., n), or to a tuple of such arrays (groups), alike for all
-    owners.  Owner i's panels start from [-pi, pi] split at ``edges[i]``;
-    each level calls ``f`` once, on the 21 nodes of every panel it bisects.
-    Per owner, a group's error is |K21 - G10| over its components and panels
-    and stops at max(abs_tol * 2 pi, rel_tol * sum |I|) (DCUHRE, Berntsen,
-    Espelid & Genz 1991); each level bisects the owner's panels of largest
-    error in units of those tolerances, ranked stably, at most _MAX_SPLIT,
-    until the rest would meet them over _REFINE_MARGIN.  A finished owner's
-    panels stay unsplit.  Returns per owner the estimate in the kernel's form
-    or, past ``max_subdivisions`` panels or at a non-finite error, a
-    ConvergenceError carrying it.  No node lies on a panel edge.
+    owners.  Owner i's panels start from [-pi, pi] split at ``edges[i]`` (a
+    matrix's rows padded with NaN, or iterables); each level calls ``f`` once,
+    on the 21 nodes of every panel it bisects.  Per owner, a group's error is
+    |K21 - G10| over its components and panels and stops at max(abs_tol * 2 pi,
+    rel_tol * sum |I|) (DCUHRE, Berntsen, Espelid & Genz 1991); each level
+    bisects the owner's panels of largest error in units of those tolerances,
+    ranked stably, at most _MAX_SPLIT, until the rest would meet them over
+    _REFINE_MARGIN.  A finished owner's panels stay unsplit.  Returns per owner
+    the estimate in the kernel's form or, past ``max_subdivisions`` panels or at
+    a non-finite error, a ConvergenceError carrying it.  No node is on an edge.
     """
     cfg = cfg or BZQuadratureConfig()
-    cuts = [np.array([-PI, *_interior_points(e), PI]) for e in edges]
-    results = [None] * len(cuts)
+    if not isinstance(edges, np.ndarray):
+        edges = np.array(list(itertools.zip_longest(*edges, fillvalue=PI))
+                         or np.empty((0, len(edges))), dtype=float).T
+    inside = np.where((-PI < edges) & (edges < PI), edges, PI)  # pi pads an owner's row
+    cuts = np.sort(np.hstack((inside, np.full((len(inside), 2), (-PI, PI)))), axis=1)
+    results = []
     for first in range(0, len(cuts), _MAX_OWNERS):
         chunk = cuts[first:first + _MAX_OWNERS]
-        npan = np.array([c.size - 1 for c in chunk])
-        own = np.repeat(np.arange(len(chunk)), npan)  # each panel's owner, less first
-        lo, hi = np.concatenate([c[:-1] for c in chunk]), np.concatenate([c[1:] for c in chunk])
+        new = chunk[:, 1:] > chunk[:, :-1]  # a panel between each two distinct cuts
+        npan = new.sum(axis=1)
+        own = np.arange(npan.size).repeat(npan)  # each panel's owner, less first
+        lo, hi = chunk[:, :-1][new], chunk[:, 1:][new]
         val, diff, out = _gk21(f, lo, hi, first + own)
         shapes = [np.shape(g)[:-1] for g in (out if isinstance(out, tuple) else (out,))]
         ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         rows, n_rows = np.array([0] + ends[:-1]), 2 + ends[-1]  # first row of each group
         # Panels are the columns (lo, hi, kernel rows' integrals, groups' errors) of a
-        # C-ordered array, whose row sums are pairwise; each owner's lie together, in
-        # the order of a lone average: unsplit by rank, left halves, right halves.
+        # C-ordered array; each owner's lie together, in the order of a lone average:
+        # unsplit by rank, left halves, right halves.  A finished owner's keep theirs.
         state = np.concatenate(([lo, hi], val, np.add.reduceat(diff, rows)))
         alive = npan > 0
         while True:
@@ -167,27 +167,17 @@ def bz_averages(f: Callable, edges: Sequence[Iterable[float]],
             tol = np.maximum(cfg.abs_tol * 2.0 * PI,
                              cfg.rel_tol * np.add.reduceat(np.abs(sums[:n_rows - 2]), rows))
             converged = np.logical_and.reduce(owner_err <= tol)
-            weights = tol[0] / tol  # errors in units of the first group's tolerance
-            err_total = np.add.reduce(weights * owner_err)
+            weights = None if len(ends) == 1 else tol[0] / tol  # in first-group tolerances
+            err_total = owner_err[0] if weights is None else np.add.reduce(weights * owner_err)
             room = cfg.max_subdivisions - npan
-            running = alive & ~converged & (room > 0) & np.isfinite(err_total)
-            for i in np.flatnonzero(alive & ~running):
-                span = state[:, starts[i]:starts[i] + npan[i]]
-                total = span[2:n_rows].sum(axis=-1) / (2.0 * PI)  # pairwise, in panel order
-                estimate = tuple(total[a:b].reshape(shape)[()]
-                                 for a, b, shape in zip(rows, ends, shapes))
-                estimate = estimate if isinstance(out, tuple) else estimate[0]
-                results[first + i] = estimate if converged[i] else ConvergenceError(
-                    "BZ average did not converge within the subdivision budget",
-                    estimate=estimate, error=float(span[n_rows:].sum()) / (2.0 * PI))
-            alive = running
+            alive &= ~converged & (room > 0) & np.isfinite(err_total)
             if not alive.any():
                 break
-            score = (state[n_rows] if len(ends) == 1 else
+            score = (state[n_rows] if weights is None else
                      np.add.reduce(weights[:, own] * state[n_rows:]))
-            order = np.lexsort((-score, own))
+            order = np.lexsort((np.where(alive[own], -score, 0.0), own))
             rank = np.arange(own.size) - starts[own]  # position in the owner's ranking
-            ranked = np.zeros((npan.size, np.maximum.reduce(npan)))
+            ranked = np.zeros((npan.size, npan.max()))
             ranked[own, rank] = score[order]
             below = (np.add.accumulate(ranked, axis=1)
                      < (err_total - tol[0] / _REFINE_MARGIN)[:, None])
@@ -206,6 +196,22 @@ def bz_averages(f: Callable, edges: Sequence[Iterable[float]],
             state = np.concatenate((state.take(kept, axis=1), np.concatenate(
                 ([lo, hi], val, np.add.reduceat(diff, rows)))), axis=1).take(place, axis=1)
             npan = np.bincount(own, minlength=npan.size)
+        # Owners of one panel count are summed as one C-ordered (rows, owners, panels) block,
+        # or a lone owner's view: numpy's pairwise sum per owner, in panel order (the
+        # strided result of state[:, index] would be summed sequentially).
+        total = np.empty((n_rows - 2, npan.size))
+        for p in set(npan.tolist()):
+            which = (npan == p).nonzero()[0]
+            block = (state[2:n_rows, starts[which[0]]:starts[which[0]] + p][:, None] if which.size
+                     == 1 else state[2:n_rows].take(starts[which][:, None] + np.arange(p), axis=1))
+            total[:, which] = block.sum(axis=-1) / (2.0 * PI)
+        groups = [total[a:b].T.reshape((-1, *shape)) for a, b, shape in zip(rows, ends, shapes)]
+        found = list(zip(*groups)) if isinstance(out, tuple) else list(groups[0])
+        for i in (~converged).nonzero()[0].tolist():
+            error = float(state[n_rows:, starts[i]:starts[i] + npan[i]].sum()) / (2.0 * PI)
+            found[i] = ConvergenceError("BZ average did not converge within the subdivision "
+                                        "budget", estimate=found[i], error=error)
+        results += found
     return results
 
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -90,8 +90,7 @@ def _evaluate(spec: SweepSpec, lam: float, avg: _BlochAverages, winding: float,
                 values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = avg.chi.components
             elif quantity == "bound":
                 report = _bound_report(lam, spec.reference, avg)
-                values["bound_lhs"] = report.lhs
-                values["bound_rhs"] = report.rhs
+                values["bound_lhs"], values["bound_rhs"] = report.lhs, report.rhs
                 values["bound_satisfied"] = 1.0 if report.satisfied else 0.0
             elif quantity == "ratio":
                 values["ratio"] = _ratio(avg, reference_coefficients(spec.reference))
@@ -127,7 +126,8 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     closed Hermitian gap averages only C in that run; its dcomplexity is the
     finite difference of C, averaged at the stencil points in one more run.
     The winding is no average: it is counted from the Bloch rows by
-    ``TwoBandModel.windings``, NaN and flagged diverged on a closed gap.  A
+    ``TwoBandModel.windings`` from the rows' zeros that also give the
+    averages' singular points, NaN and flagged diverged on a closed gap.  A
     lossy-chain row whose kernel meets R^2 == 0 exactly is flagged
     skipped_exceptional.
     """
@@ -137,13 +137,15 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     flags, windings = [frozenset()] * grid.size, [math.nan] * grid.size
     if entry.hermitian:
         model = entry.model(spec.fixed, name)
+        closings = model._closings(grid)
         avgs = _bloch_averages(model, grid, spec.reference, cfg,
                                complexity="complexity" in wanted,
                                derivative=bool(wanted & {"dcomplexity", "bound", "ratio"}),
-                               chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}))
+                               chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}),
+                               gaps=closings[2])
         _closed_gap_rows(model, grid, avgs, spec, cfg)
         if "winding" in wanted:
-            windings = model.windings(grid).tolist()
+            windings = model._windings(*closings).tolist()
     else:
         base = entry.params(spec.fixed)
         runs = _nh_averages([replace(base, **{name: lam}) for lam in grid],
@@ -160,48 +162,50 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
             for lam, avg, winding, flag in zip(grid, avgs, windings, flags)]
 
 
-def _format_value(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def records_to_csv(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
     """Render a sweep as CSV with 17-significant-digit reals and a flags column."""
     cols = [c for q in spec.quantities for c in COLUMNS[q]]
     lines = ["lambda," + ",".join(cols) + ",flags"]
     for rec in records:
-        cells = [_format_value(rec.lam)]
-        cells += [_format_value(rec.values.get(c, math.nan)) for c in cols]
-        cells.append(";".join(sorted(rec.flags)))
-        lines.append(",".join(cells))
+        lines.append(",".join([f"{rec.lam:.17g}", *[f"{rec.values.get(c, math.nan):.17g}"
+                                                     for c in cols], ";".join(sorted(rec.flags))]))
     return "\n".join(lines) + "\n"
 
 
-def _json_real(x: float) -> float | None:
-    return x if math.isfinite(x) else None
+def _json_real(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+def _json_block(brackets: str, items, indent: str) -> str:
+    """Rendered items as a JSON object or array, in the layout of json.dumps(indent=2)."""
+    if not items:
+        return brackets
+    inner = ",\n" + indent + "  "
+    return brackets[0] + inner[1:] + inner.join(items) + "\n" + indent + brackets[1]
 
 
 def records_to_json(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
-    """Render a sweep as strict JSON: a NaN or infinite value is written as null."""
-    payload = {
-        "model": spec.model,
-        "sweep": {"parameter": spec.sweep[0], "start": _json_real(spec.sweep[1]),
-                  "stop": _json_real(spec.sweep[2]), "points": spec.sweep[3]},
-        "fixed": {k: _json_real(float(v)) for k, v in sorted(spec.fixed.items())},
-        "quantities": list(spec.quantities),
-        "records": [
-            {"lambda": _json_real(rec.lam),
-             "values": {k: _json_real(rec.values[k]) for k in sorted(rec.values)},
-             "flags": sorted(rec.flags)}
-            for rec in records
-        ],
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Render a sweep as strict JSON: a NaN or infinite value is written as null.
+
+    The text is that of ``json.dumps(payload, indent=2, allow_nan=False)`` of
+    the payload's nested dicts and lists, written directly: reals by their
+    repr, value keys sorted, two-space indent.
+    """
+    reals = lambda pairs, indent: _json_block(
+        "{}", [f"{_quote(k)}: {_json_real(float(v))}" for k, v in sorted(pairs)], indent)
+    records = [f'{{\n      "lambda": {_json_real(rec.lam)},\n      "values": '
+               f'{reals(rec.values.items(), "      ")},\n      "flags": '
+               f'{_json_block("[]", [_quote(f) for f in sorted(rec.flags)], "      ")}\n    }}'
+               for rec in records]
+    name, start, stop, points = spec.sweep
+    return (f'{{\n  "model": {_quote(spec.model)},\n  "sweep": {{\n    "parameter": '
+            f'{_quote(name)},\n    "start": {_json_real(start)},\n    "stop": {_json_real(stop)},'
+            f'\n    "points": {points}\n  }},\n  "fixed": {reals(spec.fixed.items(), "  ")},\n'
+            f'  "quantities": {_json_block("[]", [_quote(q) for q in spec.quantities], "  ")},\n'
+            f'  "records": {_json_block("[]", records, "  ")}\n}}\n')
 
 
 def write_records(spec: SweepSpec, records: Sequence[SweepRecord], path: str) -> None:
-    if path.endswith(".json"):
-        text = records_to_json(spec, records)
-    else:
-        text = records_to_csv(spec, records)
+    text = (records_to_json if path.endswith(".json") else records_to_csv)(spec, records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -186,14 +186,31 @@ class TestBoundCheck:
         assert gap.values["complexity"] == ground_complexity(ssh_model(SSHParams(1.0, 1.0)), ref)
         assert gap.values["chi_f"] == math.inf and gap.flags == {"diverged"}
 
+    def test_closed_gap_row_evaluates_no_d_deriv(self, monkeypatch):
+        # the closed row t2 = t1 averages C alone: d_deriv runs on the open rows' nodes
+        nodes, d_deriv = [], TwoBandModel.d_deriv
+
+        def counted(self, k):
+            nodes.append(np.size(k))
+            return d_deriv(self, k)
+
+        monkeypatch.setattr(TwoBandModel, "d_deriv", counted)
+        ref, quantities = GlobalReference(0.9, 0.4), ("complexity", "chi_f")
+        through = run_sweep(SweepSpec("ssh", ("t2", 0.5, 1.5, 3), {"t1": 1.0}, ref, quantities))
+        through_nodes, nodes[:] = sum(nodes), []
+        beside = run_sweep(SweepSpec("ssh", ("t2", 0.5, 1.5, 2), {"t1": 1.0}, ref, quantities))
+        assert through_nodes == sum(nodes) > 0
+        assert [through[0], through[2]] == beside
+
     def test_closed_gap_row_evaluates_no_singular_gaps_twice(self, calls, monkeypatch):
-        seen, singular_gaps = [], TwoBandModel.singular_gaps
+        # every lambda's singular gaps come from TwoBandModel._closings
+        seen, closings = [], TwoBandModel._closings
 
         def recorded(self, lams):
             seen.extend(np.atleast_1d(lams).tolist())
-            return singular_gaps(self, lams)
+            return closings(self, lams)
 
-        monkeypatch.setattr(TwoBandModel, "singular_gaps", recorded)
+        monkeypatch.setattr(TwoBandModel, "_closings", recorded)
         spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
                          reference=GlobalReference(0.9, 0.4),
                          quantities=("complexity", "dcomplexity"))

@@ -9,8 +9,9 @@ from twoband import (CooperPairBoxParams, DomainError, DualSSHParams, GlobalRefe
                      MassiveDiracParams, NonHermitianSSHParams, SpecError, SSHParams,
                      cooper_pair_box_model, dual_pair, ground_complexity,
                      massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
+from twoband import models
 from twoband.models import MODELS, closed_rows
-from twoband.sweeps import SweepSpec
+from twoband.sweeps import SweepSpec, run_sweep
 from twoband.topology import dual_windings, winding_cross_product, winding_log_derivative
 
 PI = math.pi
@@ -342,6 +343,21 @@ class TestRootCountWinding:
         for g, w in zip(got, want):
             assert (math.isnan(g) and math.isnan(w)) or g == pytest.approx(w, abs=1e-9)
         assert all(math.isnan(g) or g == round(g) for g in got)
+
+    def test_a_sweep_finds_the_contour_zeros_once(self, monkeypatch):
+        # the rows' zeros serve the singular points of the averages and the count
+        calls, contour_zeros = [], models._contour_zeros
+
+        def counted(rows):
+            calls.append(rows)
+            return contour_zeros(rows)
+
+        monkeypatch.setattr(models, "_contour_zeros", counted)
+        spec = SweepSpec("ssh", ("t2", 0.5, 1.5, 5), {"t1": 1.0},
+                         quantities=("complexity", "winding"))
+        windings = [rec.values["winding"] for rec in run_sweep(spec)]
+        assert len(calls) == 1
+        assert windings[:2] + windings[3:] == [0.0, 0.0, 1.0, 1.0] and math.isnan(windings[2])
 
     def test_dual_family_two_counts_as_the_grid_oracle(self):
         rs = [0.3, 0.5, 1.0, 2.0, 4.0]

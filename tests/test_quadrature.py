@@ -132,6 +132,12 @@ def _points(model):
     return tuple(model.singular_gaps([model.lam])[0][0])
 
 
+def _edges(model):
+    """The model's distinct panel edges at its bound parameter value."""
+    (row,) = model.panel_edges()
+    return tuple(set(row[~np.isnan(row)].tolist()))
+
+
 def _scalar_ground(model, ref_at):
     """Oracle integrand; ref_at maps one k to the reference BlochVector."""
 
@@ -287,6 +293,26 @@ class TestOwners:
         monkeypatch.setattr(quadrature, "_MAX_OWNERS", 3)  # three chunks
         assert quadrature.bz_averages(self.kernel(kernels), edges) == alone
 
+    def test_an_owner_sums_its_panels_pairwise_in_panel_order(self, monkeypatch):
+        # one level: the starting panels are final, and each estimate is numpy's
+        # pairwise sum of their Kronrod integrals in panel order, as a lone
+        # average's was (a sequential sum differs in the last bits)
+        levels, gk21 = [], quadrature._gk21
+
+        def recorded(f, lo, hi, owner):
+            out = gk21(f, lo, hi, owner)
+            levels.append((owner, out[0]))
+            return out
+
+        monkeypatch.setattr(quadrature, "_gk21", recorded)
+        edges = [tuple(np.linspace(-3.0, 3.0, 12) + 0.01 * i) for i in range(6)]
+        got = quadrature.bz_averages(
+            lambda k, owner: np.cos(np.outer([0.0, 1.0, 2.0], k)) + 0.01 * owner, edges)
+        ((owner, val),) = levels
+        want = [np.array([row[owner == i].sum() for row in val]) / (2.0 * PI)
+                for i in range(len(edges))]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_budget_is_per_owner(self):
         cfg = BZQuadratureConfig(max_subdivisions=50)
         kernels = [(lambda k: 1.0 / np.abs(k), (0.0,))] + self.KERNELS
@@ -388,19 +414,19 @@ class TestGradedPanels:
     ])
     def test_no_edges_without_a_resolvable_scale(self, model):
         # the derived points of these models are 0 and +-pi, the zone ends
-        assert set(model.panel_edges()) <= {0.0, -PI, PI}
+        assert set(_edges(model)) <= {0.0, -PI, PI}
 
     def test_edges_grade_geometrically_from_the_gap_scale(self):
         model = ssh_model(SSHParams(1.0, 1.0 + 1e-6))
         w = ((1.0 + 1e-6) - 1.0) / (1.0 + 1e-6)  # |d(0)| / |d_k d(0)|
         want = [w * 4.0 ** j for j in range(10)]  # w 4^10 > 1
-        edges = model.panel_edges()
+        edges = _edges(model)
         assert 0.0 in edges and len(edges) == 21  # both contour zeros lie at k = 0
         assert sorted(e for e in edges if 0.0 < e < PI) == pytest.approx(want, rel=1e-8)
         assert sorted(-e for e in edges if -PI < e < 0.0) == pytest.approx(want, rel=1e-8)
 
     def test_edges_beside_every_singular_point(self):
-        edges = np.asarray(massive_dirac_model(MassiveDiracParams(mu=1e-3)).panel_edges())
+        edges = np.asarray(_edges(massive_dirac_model(MassiveDiracParams(mu=1e-3))))
         for k_s in (0.0, -PI, PI):
             assert np.min(np.abs(np.abs(edges - k_s) - 1e-3)) < 1e-12
 
@@ -408,9 +434,32 @@ class TestGradedPanels:
         # t2 = -t1 - 1e-6 puts a contour zero at k = pi, a gap scale w beside it
         model = ssh_model(SSHParams(1.0, 2.0)).at(-1.0 - 1e-6)
         w = 1e-6 / (1.0 + 1e-6)
-        edges = np.asarray(model.panel_edges())
+        edges = np.asarray(_edges(model))
         for inside in (-PI + w, PI - w):
             assert np.min(np.abs(edges - inside)) < 1e-15
+
+    @staticmethod
+    def y_only(mu):
+        """d = (0, mu + cos k, 0): the x and z rows vanish, d = 0 at cos k = -mu."""
+        rows = lambda lam: ((0.0, lam, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+        slope = lambda lam: ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        return TwoBandModel(rows, slope, mu, label="y-only")
+
+    def test_rows_without_x_and_z_close_where_d_y_vanishes(self):
+        model = self.y_only(0.0)
+        assert sorted(_points(model)) == [-0.5 * PI, 0.5 * PI]
+        assert model.gap_closed()
+        got = chi_F(model, 0.0)
+        assert got.diverged and got.total == math.inf and got.components == (math.inf,) * 3
+
+    def test_rows_without_x_and_z_put_their_points_at_the_zeros_of_d_y(self):
+        mu = 1e-6
+        model = self.y_only(mu)
+        points = sorted(_points(model))
+        assert points == pytest.approx([-math.acos(-mu), math.acos(-mu)], rel=1e-15, abs=0.0)
+        # a one-component d crosses zero there for every |mu| < 1: the points are
+        # edges, with no gap scale to grade by
+        assert set(points) <= set(_edges(model)) and model.gap_closed()
 
     @pytest.mark.parametrize("k0", [1.0, 0.5 * PI, 3.0])
     def test_a_closing_away_from_zero_is_found_from_the_rows(self, k0, monkeypatch):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from twoband import (DualSSHParams, GlobalReference, NonHermitianSSHParams, SpecError,
-                     SweepSpec, UndefinedRatioError, bound_check, chi_F, complexity_derivative,
-                     detect_cusps, dual_windings, ground_complexity, nh_complexity_derivative,
-                     nh_ground_complexity, param_derivative, plateau_reference, ratio_R,
-                     records_to_csv, records_to_json, run_sweep, winding_cross_product,
-                     winding_log_derivative, write_records)
+                     SweepRecord, SweepSpec, UndefinedRatioError, bound_check, chi_F,
+                     complexity_derivative, detect_cusps, dual_windings, ground_complexity,
+                     nh_complexity_derivative, nh_ground_complexity, param_derivative,
+                     plateau_reference, ratio_R, records_to_csv, records_to_json, run_sweep,
+                     winding_cross_product, winding_log_derivative, write_records)
 from twoband.cli import build_parser, main
 from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
@@ -236,6 +236,54 @@ class TestEmission:
         path = tmp_path / "out.csv"
         write_records(spec, run_sweep(spec), str(path))
         assert path.read_text().startswith("lambda,complexity,flags")
+
+
+def _json_oracle(spec, records):
+    """The writer's oracle: the payload through json.dumps(indent=2, allow_nan=False)."""
+    real = lambda x: x if math.isfinite(x) else None
+    payload = {
+        "model": spec.model,
+        "sweep": {"parameter": spec.sweep[0], "start": real(spec.sweep[1]),
+                  "stop": real(spec.sweep[2]), "points": spec.sweep[3]},
+        "fixed": {k: real(float(v)) for k, v in sorted(spec.fixed.items())},
+        "quantities": list(spec.quantities),
+        "records": [{"lambda": real(rec.lam),
+                     "values": {k: real(rec.values[k]) for k in sorted(rec.values)},
+                     "flags": sorted(rec.flags)} for rec in records],
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+class TestJsonWriter:
+    """records_to_json writes json.dumps's layout directly, byte for byte."""
+
+    REALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+
+    def test_edge_reals_flags_and_an_empty_fixed(self):
+        spec = SweepSpec(model="massive-dirac", sweep=("mu", 0.1 + 0.2, 1e16, 8),
+                         quantities=("complexity", "chi_f"))
+        flags = [frozenset(), frozenset({"diverged"}), frozenset({"undefined_ratio", "diverged"})]
+        records = [SweepRecord(lam, {"complexity": x, "chi_f": -x}, flags[i % 3])
+                   for i, (lam, x) in enumerate(zip(self.REALS, self.REALS[::-1]))]
+        records.append(SweepRecord(1.0, {}, frozenset({"skipped_exceptional"})))
+        assert spec.fixed == {}
+        for recs in (records, records[:1], []):
+            assert records_to_json(spec, recs) == _json_oracle(spec, recs)
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("ssh", ("t2", 0.5, 1.5, 5), {"t1": 1.0}, GlobalReference(0.9, 0.4),
+                  tuple(MODELS["ssh"].quantities)),
+        SweepSpec("massive-dirac", ("mu", -0.5, 0.5, 3), {"t": 1.5}, GlobalReference(0.3, 0.2),
+                  ("chi_f_components", "bound", "ratio", "winding")),
+        SweepSpec("cooper-pair-box", ("ng", 0.2, 0.5, 3), {"Ej": 1.0, "Ecc": 2.0},
+                  quantities=("complexity", "chi_f_components")),
+        SweepSpec("nh-ssh", ("t2", 0.5, 3.0, 6), {"t1": 2.0, "gamma": 1.0},
+                  quantities=("complexity", "dcomplexity")),
+    ])
+    def test_every_column_of_a_sweep(self, spec):
+        # the ssh and massive-dirac windows each hold a closed row: nulls and flags
+        records = run_sweep(spec)
+        assert records_to_json(spec, records) == _json_oracle(spec, records)
 
 
 class TestCLI:
