@@ -95,8 +95,8 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
     v^2 / 4 per axis.  On a closed gap (``closed_rows``) dC is None and chi is
-    inf, flagged diverged; the row averages only C, with v = 0 (and no d_deriv)
-    on its nodes, as the C-only average does.  An exhausted budget flags chi
+    inf, flagged diverged; the row averages only C, with v zeroed so that its C
+    is the C-only average's bit for bit.  An exhausted budget flags chi
     diverged and keeps every group's unconverged estimate (chi's non-finite
     ones as inf); without chi it raises.  A non-finite lambda is a DomainError.
     """
@@ -123,11 +123,8 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
                 raise GapClosedError("ground-state Bloch vector undefined: |d| = 0")
             groups.append(0.5 * (1.0 + (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n))
         if derivative or chi:
-            d_deriv = np.zeros_like(d) if zeroing else point.d_deriv(k)
-            if zeroing:  # d_deriv on the open rows' nodes only: a closed row's v is 0
-                live = ~zeroed[owner]
-                d_deriv[:, live] = m.at(open_lams[owner[live]]).d_deriv(k[live])
-            v = dhat_derivative(d, d_deriv)
+            d_deriv = point.d_deriv(k)
+            v = dhat_derivative(d, np.where(zeroed[owner], 0.0, d_deriv) if zeroing else d_deriv)
             if derivative:
                 dot = nref[0] * v[0] + nref[1] * v[1] + nref[2] * v[2]
                 groups.append(np.vstack((0.5 * dot, v)))

@@ -1,25 +1,24 @@
 """The model zoo: analytic d(k, lambda) vectors and their parameter derivatives.
 
-Every stock Hermitian family has d(k) = a + b cos k + c sin k; its entry in
-``MODELS`` gives the rows (a, b, c) once, and d, d(d)/d(lambda), the winding
-contour, its exact winding number and the gap closings come from them.  The
-SSH chains are stored in the rotated basis (d_y = 0) of the sigma relabeling
-(x, y, z) -> (x, z, -y), recorded on the model so topology diagnostics can
-undo it; massive Dirac and the Cooper-pair box are native to the final basis.
+Every stock family has d(k) = a + b cos k + c sin k; its entry in ``MODELS``
+gives the rows (a, b, c) once, and d, d(d)/d(lambda), the winding contour
+and number and the gap closings (the lossy chain's exceptional points) come
+from them.  The SSH chains are stored in the rotated basis (d_y = 0) of the
+sigma relabeling (x, y, z) -> (x, z, -y), recorded on the model so topology
+diagnostics can undo it; massive Dirac and the Cooper-pair box are native to
+the final basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, SpecError
 from .quadrature import graded_edges
-
-PI = math.pi
 
 # |d| below this is treated as an exact gap closing.
 GAP_EPS = 1e-13
@@ -31,8 +30,8 @@ class TwoBandModel:
 
     ``rows`` maps lambda to the rows (a, b, c) of d(k) = a + b cos k + c sin k,
     each a 3-vector, and ``slope`` maps it to the rows of d(d)/d(lambda); both
-    take a number or an array of one value per k node.  Models are
-    immutable; ``at`` rebinds the swept parameter.
+    take a number or an array of one value per k node (``nonhermitian`` reads only
+    these of the lossy chain).  Models are immutable; ``at`` rebinds the swept parameter.
     """
 
     rows: Callable[..., Rows]
@@ -75,30 +74,20 @@ class TwoBandModel:
         p0, q, p2 = zeros = _contour_zeros(rows)
         k = np.angle([q * np.conj(p2), p0 * np.conj(q)]).reshape(2, -1) * np.ones(lams.size)
         norm = lambda v: np.sqrt(np.sum(v * v, axis=0)).T
-        return rows, zeros, (k.T, norm(_bloch_sum(rows, k)), norm(_bloch_sum(
-            ((0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])), k)))
+        return rows, zeros, (k.T, norm(_bloch_sum(rows, k)), norm(_bloch_sum(k_slope(rows), k)))
 
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the gap can close."""
         return bool(closed_rows(self.singular_gaps([self.lam])[1])[0])
 
     def panel_edges(self, gaps=None) -> np.ndarray:
-        """Per row of ``gaps`` (``singular_gaps``, by default at the bound parameter): its
-        singular points and their images, graded by the gap scale, unordered, NaN-padded.
-
-        Beside a singular point k_s the integrands of the averages peak over
-        the gap scale w = |d(k_s)| / |d_k d(k_s)|; ``graded_edges`` adds
-        k_s +- w 4^j for w 4^j < 1, here and at the image k_s - 2 pi sign(k_s)
-        where those reach the zone, so a point at +-pi grades both zone ends.
-        A closed gap, a zero slope or w >= 1 adds none.
+        """``graded_edges`` per row of ``gaps`` (``singular_gaps``, by default at the bound
+        parameter): its singular points k_s, graded by the gap scale
+        w = |d(k_s)| / |d_k d(k_s)|.  A closed gap, a zero slope or w >= 1 adds none.
         """
         points, gap, slope = self.singular_gaps([self.lam]) if gaps is None else gaps
-        w = np.divide(gap, slope, out=np.zeros(np.shape(gap)),
-                      where=(gap >= GAP_EPS) & (gap < slope))
-        centres = points[..., None] - np.copysign((0.0, 2.0 * PI), points[..., None])
-        centres = np.where(np.abs(centres) < PI + 1.0, centres, np.nan)  # w < 1: none farther in
-        return np.concatenate((centres[..., None], graded_edges(centres, w[..., None])),
-                              axis=-1).reshape(len(points), -1)
+        return graded_edges(points, np.divide(gap, slope, out=np.zeros(np.shape(gap)),
+                                              where=(gap >= GAP_EPS) & (gap < slope)))
 
     def windings(self, lams) -> np.ndarray:
         """The winding at each of ``lams``, counted from the rows; NaN where ``closed_rows``.
@@ -118,6 +107,11 @@ class TwoBandModel:
             return np.where(closed, np.nan, 0.0)
         inside = 1.0 * (np.abs(q) < np.abs(p2)) + ((np.abs(p0) < np.abs(q)) | (p0 == 0.0))
         return np.where(closed, np.nan, inside - 1.0)
+
+
+def k_slope(rows: Rows) -> Rows:
+    """The rows (0, c, -b) of d_k d for the rows (a, b, c) of d."""
+    return (0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])
 
 
 def closed_rows(gaps) -> np.ndarray:
@@ -241,9 +235,20 @@ def _bloch_sum(rows: Rows, k) -> np.ndarray:
     return d
 
 
-def _ssh_rows(t1: float, t2: float) -> Rows:
-    """d(k) = (t1 - t2 cos k, 0, t2 sin k)."""
-    return (t1, 0.0, 0.0), (-t2, 0.0, 0.0), (0.0, 0.0, t2)
+def trig_sum(rows: Rows, cos, sin) -> Iterator:
+    """Yields a + b cos k + c sin k per component of the rows (a, b, c), from a shared
+    cos k and sin k; the cos and sin terms whose coefficient is ``_zero`` are skipped."""
+    for a, b, c in zip(*rows):
+        if not _zero(b):
+            a = a + b * cos
+        if not _zero(c):
+            a = a + c * sin
+        yield a
+
+
+def _ssh_rows(t1: float, t2: float, a_z=0.0) -> Rows:
+    """d(k) = (t1 - t2 cos k, 0, t2 sin k + a_z); the lossy chain (R1, 0, R3) has i gamma/2."""
+    return (t1, 0.0, a_z), (-t2, 0.0, 0.0), (0.0, 0.0, t2)
 
 
 # Every quantity a Hermitian sweep can evaluate -> its CSV columns, in emission order.
@@ -264,25 +269,25 @@ class ModelEntry:
     """Everything sweeps and the command line know about one model family.
 
     ``parameters`` names the sweepable parameters, the family's own one
-    first.  A Hermitian family is defined by ``rows``: its params as keywords
-    -> the rows (a, b, c) of d(k) = a + b cos k + c sin k, each a 3-vector
-    and each affine in every sweepable parameter.  ``rotated`` tells whether
-    d is stored in the rotated basis, where d_x - i d_z is the off-diagonal
-    Bloch element.  The lossy chain has no rows.
+    first.  A family is defined by ``rows``: its params as keywords -> the
+    rows (a, b, c) of d(k) = a + b cos k + c sin k, each a 3-vector and each
+    affine in every sweepable parameter.  ``rotated`` tells whether d is
+    stored in the rotated basis, where d_x - i d_z is the off-diagonal Bloch
+    element.
     """
 
     name: str
     params_type: type
     defaults: Mapping[str, float]
     parameters: Tuple[str, ...]
-    rows: Optional[Callable[..., Rows]] = None
+    rows: Callable[..., Rows]
     rotated: bool = False
     quantities: Tuple[str, ...] = QUANTITIES
 
     @property
     def hermitian(self) -> bool:
-        """Whether the family has Bloch rows, and so a TwoBandModel."""
-        return self.rows is not None
+        """Whether the rows are real, as a Hermitian d is."""
+        return np.isrealobj(self.rows(**self.defaults))
 
     def values(self, fixed: Mapping[str, float]) -> Dict[str, float]:
         """The defaults overridden by ``fixed``; an unknown key is a SpecError."""
@@ -324,7 +329,8 @@ MODELS: Dict[str, ModelEntry] = {entry.name: entry for entry in (
                ("ng",), lambda Ej, Ecc, ng: ((0.0, 0.0, 0.5 * Ecc * (1.0 - 2.0 * ng)),
                                             (-Ej, 0.0, 0.0), (0.0, 0.0, 0.0))),
     ModelEntry("nh-ssh", NonHermitianSSHParams, {"t1": 1.0, "t2": 1.0, "gamma": 0.0},
-               ("t2", "gamma"), quantities=("complexity", "dcomplexity")),
+               ("t2", "gamma"), lambda t1, t2, gamma: _ssh_rows(t1, t2, 0.5j * gamma),
+               quantities=("complexity", "dcomplexity")),
 )}
 
 
@@ -362,9 +368,8 @@ def cooper_pair_box_model(params: CooperPairBoxParams) -> TwoBandModel:
 def nh_ssh_bloch_hamiltonian(params: NonHermitianSSHParams, k: float) -> np.ndarray:
     """Complex-symmetric Bloch matrix [[R3, R1], [R1, -R3]] of the lossy chain.
 
-    R1 = t1 - t2 cos k and R3 = t2 sin k + i*gamma/2; the eigenvalues are
-    +-R with R^2 = R1^2 + R3^2, vanishing at the exceptional points.
+    R1 and R3 come from its rows in ``MODELS``; the eigenvalues are +-R with
+    R^2 = R1^2 + R3^2, vanishing at the exceptional points.
     """
-    r1 = params.t1 - params.t2 * math.cos(k)
-    r3 = params.t2 * math.sin(k) + 0.5j * params.gamma
+    r1, _, r3 = trig_sum(MODELS["nh-ssh"].rows(**vars(params)), math.cos(k), math.sin(k))
     return np.array([[r3, r1], [r1, -r3]], dtype=complex)

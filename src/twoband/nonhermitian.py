@@ -1,14 +1,14 @@
 """Biorthogonal spread complexity for the lossy dimerized chain under PBC.
 
-Left and right eigenvectors of the complex-symmetric Bloch matrix are paired
-by biorthogonal normalization; the two-vector Krylov chains built from a
-reference amplitude pair give per-mode weights w_0, w_1 and the prescription
-C_k = |w_1| / (|w_0| + |w_1|).  The exceptional points (EPs) of the PBC gap
-closings lie at k = 0 and k = +-pi: graded panel edges, which no node meets;
-only a mode where R^2 is exactly 0 raises ExceptionalPointError.  The
-average C is C^1 in the couplings across a closing; beside it,
-dC/d(lambda) departs from its value on the closing like sqrt(delta) on the
-side between the two closings and like delta outside.
+Left and right eigenvectors of the complex-symmetric Bloch matrix (from the
+rows of ``MODELS``) are paired by biorthogonal normalization; the two-vector
+Krylov chains built from a reference amplitude pair give per-mode weights
+w_0, w_1 and the prescription C_k = |w_1| / (|w_0| + |w_1|).  The
+exceptional points (EPs) of the PBC gap closings are graded panel edges,
+which no node meets; only a mode where R^2 is exactly 0 raises
+ExceptionalPointError.  The average C is C^1 in the couplings across a
+closing; beside it, dC/d(lambda) departs from its value on the closing like
+sqrt(delta) on the side between the two closings and like delta outside.
 """
 
 from __future__ import annotations
@@ -16,16 +16,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (ConvergenceError, DomainError, ExceptionalPointError,
                      InsufficientDataError, NormalizationError)
-from .models import NonHermitianSSHParams, nh_ssh_bloch_hamiltonian
+from .models import (MODELS, NonHermitianSSHParams, TwoBandModel, _contour_zeros, k_slope,
+                     nh_ssh_bloch_hamiltonian, trig_sum)
 from .quadrature import BZQuadratureConfig, _lone, bz_averages, graded_edges
-
-PI = math.pi
 
 # The EP scale that grades the panels on a closing, where it is 0.
 _EP_SCALE_FLOOR = 1e-16
@@ -88,7 +87,7 @@ def bikrylov_basis(alpha: complex, beta: complex) -> BiKrylovBasis:
     """
     alpha = complex(alpha)
     beta = complex(beta)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:
         raise NormalizationError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
     return BiKrylovBasis(
         right0=np.array([alpha, beta], dtype=complex),
@@ -107,24 +106,16 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     return alpha / n, beta / n
 
 
-# d(R1, R3)/d(lambda) for each swept parameter, as functions of (cos k, sin k).
-_SLOPES = {
-    "t2": lambda cos, sin: (-cos, sin),
-    "gamma": lambda cos, sin: (0.0, 0.5j),
-}
-
-
-def _nh_weight_kernel(params: Sequence[NonHermitianSSHParams], alpha: complex, beta: complex,
-                      parameter: Optional[str] = None):
-    """Array kernel (k, owner) -> C_k = |w_1| / (|w_0| + |w_1|) of params[owner],
-    for normalized amplitudes.
+def _nh_weight_kernel(model: TwoBandModel, derivative: bool, alpha: complex, beta: complex):
+    """Array kernel (k, owner) -> C_k = |w_1| / (|w_0| + |w_1|) of the lossy ``model`` at
+    its lam (a number, or an array of one value per owner), for normalized amplitudes.
 
     Uses the explicit weight formulas in terms of the ground vector (v0, v1)
     that biorthogonal_ground keeps.  A mode where R^2 = 0, an exceptional
     point and the only place where its pairing v . v vanishes, has C_k NaN
     (0/0), which fails its owner's average alone.
-    With a swept ``parameter`` ("t2" or "gamma") the kernel returns the stack
-    (C_k, dC_k/d(parameter)), by the chain rule through R1, R3, R and (v0, v1).
+    With ``derivative`` the kernel returns the stack (C_k, dC_k/d(lambda)),
+    by the chain rule through R1, R3, R and (v0, v1).
     Each weight is w = a b / (v . v) with a, b linear in (v0, v1), so
     |w|' = |w| Re(w'/w) = |w| Re(a'/a + b'/b - (v . v)'/(v . v)) and
     dC_k = (|w_1|' |w_0| - |w_0|' |w_1|) / (|w_0| + |w_1|)^2
@@ -133,16 +124,12 @@ def _nh_weight_kernel(params: Sequence[NonHermitianSSHParams], alpha: complex, b
     vanishes, dC_k is 0.
     """
     ca, cb = alpha.conjugate(), beta.conjugate()
-    slopes = None if parameter is None else _SLOPES[parameter]
-    t1s, t2s, gammas = (np.array([getattr(p, name) for p in params])
-                        for name in ("t1", "t2", "gamma"))
+    lams = np.atleast_1d(model.lam)
 
     @np.errstate(divide="ignore", invalid="ignore")
     def ck(k, owner):
-        t1, t2, gamma = t1s[owner], t2s[owner], gammas[owner]
         cos, sin = np.cos(k), np.sin(k)
-        r1 = t1 - t2 * cos
-        r3 = t2 * sin + 0.5j * gamma
+        r1, _, r3 = trig_sum(model.rows(lams[owner]), cos, sin)
         # principal root, as in biorthogonal_ground: the ground branch is -R
         root = np.sqrt(r1 * r1 + r3 * r3)
         plus, minus = root + r3, root - r3
@@ -156,9 +143,9 @@ def _nh_weight_kernel(params: Sequence[NonHermitianSSHParams], alpha: complex, b
         m0, m1 = np.abs(w0), np.abs(w1)
         total = m0 + m1
         c = m1 / total
-        if slopes is None:
+        if not derivative:
             return c
-        dr1, dr3 = slopes(cos, sin)
+        dr1, _, dr3 = trig_sum(model.slope(model.lam), cos, sin)
         droot = (r1 * dr1 + r3 * dr3) / root
         dv0 = np.where(first, dr1, droot - dr3)
         dv1 = -np.where(first, droot + dr3, dr1)
@@ -178,7 +165,8 @@ def nh_complexity_per_mode(params: NonHermitianSSHParams, k: float,
     away; raises ExceptionalPointError where the weights are undefined.
     """
     alpha, beta = _normalized_pair(alpha, beta)
-    c = float(_nh_weight_kernel([params], alpha, beta)(np.array([float(k)]), 0)[0])
+    c = float(_nh_weight_kernel(MODELS["nh-ssh"].model(vars(params)), False, alpha, beta)(
+        np.array([float(k)]), 0)[0])
     if math.isnan(c):
         raise ExceptionalPointError(f"exceptional point at k={k}: R^2 = 0")
     return c
@@ -199,30 +187,36 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
     return abs(w1) / (abs(w0) + abs(w1))
 
 
-def _ep_edges(params: Sequence[NonHermitianSSHParams]) -> np.ndarray:
-    """Per chain, padded with NaN: k = 0, graded toward each EP k_s in {0, +-pi}.
+def _ep_edges(model: TwoBandModel) -> np.ndarray:
+    """Per value of the lossy ``model``'s lam, NaN-padded: k = 0 and ``graded_edges``
+    at the EPs, the arguments of the zeros of R1 - i R3 and R1 + i R3 (``_contour_zeros`` of
+    the rows and of the rows with the z row negated; a zero at z = 0 or none has none).
 
-    Beside k_s, R^2 is R^2(k_s) + i gamma t2 cos(k_s) (k - k_s) to first
-    order, so its complex zero lies |R^2(k_s)| / |gamma t2| from k_s; that EP
-    scale w is |(t1 -+ t2)^2 - gamma^2 / 4| / |gamma t2|, and C_k and its
-    derivative peak over it.  On a closing w = 0 and the grading runs down
-    to _EP_SCALE_FLOOR; at gamma = 0 or t2 = 0 there is no grading.
+    The EP scale is w = |R^2| / |d_k R^2|, R^2 = (R1 - i R3)(R1 + i R3), at the zero's
+    direction z / |z| (exactly +-1: the zeros are real).  It is floored at _EP_SCALE_FLOOR
+    on a closing; where d_k R^2 = 0 (gamma t2 = 0) there is no grading.
     """
-    t1, t2, gamma = np.array([(p.t1, p.t2, p.gamma) for p in params]).T[:, :, None]
-    r1, slope, half = t1 + np.array([-1.0, 1.0, 1.0]) * t2, np.abs(gamma * t2), 0.5 * gamma
-    w = np.divide(np.abs((r1 - half) * (r1 + half)), slope, out=np.full(r1.shape, np.nan),
-                  where=slope > 0.0)  # NaN, and so no grading, where slope = 0
-    return np.concatenate((np.zeros((len(w), 1)), graded_edges(
-        np.array([0.0, -PI, PI]), np.maximum(w, _EP_SCALE_FLOOR)).reshape(len(w), -1)), axis=1)
+    rows = model.rows(model.lam)
+    p0, q, p2 = _contour_zeros(tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in rows))
+    zeta = np.array([q * np.conj(p2), p0 * np.conj(q)]).reshape(4, -1)  # (candidate, chain)
+    zeta = zeta[np.any(zeta != 0.0, axis=1)]  # the candidates that are a zero of some chain
+    size = np.abs(zeta)
+    with np.errstate(invalid="ignore"):  # 0/0: a zero at z = 0, or none, has no direction
+        cos, sin = zeta.real / size, zeta.imag / size
+    (r1, _, r3), (dr1, _, dr3) = (trig_sum(r, cos, sin) for r in (rows, k_slope(rows)))
+    rsq, slope = np.abs((r1 - 1j * r3) * (r1 + 1j * r3)), np.abs(2.0 * (r1 * dr1 + r3 * dr3))
+    w = np.divide(rsq, slope, out=np.full(size.shape, np.nan), where=slope > 0.0)
+    return np.hstack((np.zeros((zeta.shape[1], 1)), graded_edges(np.arctan2(sin, cos).T,
+                                                                 np.maximum(w, _EP_SCALE_FLOOR).T)))
 
 
-def _nh_averages(params: Sequence[NonHermitianSSHParams], parameter: Optional[str],
-                 alpha: complex, beta: complex, cfg: BZQuadratureConfig | None) -> list:
-    """Per chain of ``params``, on its EP-graded panels in one ``bz_averages`` run: (C,),
-    with a ``parameter`` (C, dC/d(parameter)), or the error that ended its average."""
+def _nh_averages(model: TwoBandModel, derivative: bool, alpha: complex, beta: complex,
+                 cfg: BZQuadratureConfig | None) -> list:
+    """Per value of the lossy ``model``'s lam (a number or an array), its chain averaged
+    on its EP-graded panels in one ``bz_averages`` run: (C,), with ``derivative``
+    (C, dC/d(lambda)), or the error that ended its average."""
     alpha, beta = _normalized_pair(alpha, beta)
-    runs = bz_averages(_nh_weight_kernel(params, alpha, beta, parameter),
-                       _ep_edges(params), cfg)
+    runs = bz_averages(_nh_weight_kernel(model, derivative, alpha, beta), _ep_edges(model), cfg)
     # the kernel's only non-finite values are the NaN of a mode where R^2 = 0
     return [ExceptionalPointError("exceptional point: R^2 = 0 at a mode")
             if isinstance(run, ConvergenceError) and not math.isfinite(run.error) else
@@ -234,11 +228,10 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
                          cfg: BZQuadratureConfig | None = None) -> float:
     """BZ average of the biorthogonal per-mode complexity.
 
-    The panels are graded toward the exceptional points k = 0 and +-pi
-    (``_ep_edges``), which are panel edges and never evaluated; a mode where
-    R^2 is exactly 0 raises ExceptionalPointError.
+    The panels are graded toward the exceptional points, which are panel edges
+    and never evaluated; a mode where R^2 is exactly 0 raises ExceptionalPointError.
     """
-    return _lone(_nh_averages([params], None, alpha, beta, cfg))[0]
+    return _lone(_nh_averages(MODELS["nh-ssh"].model(vars(params)), False, alpha, beta, cfg))[0]
 
 
 def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
@@ -252,16 +245,17 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
     stays finite on a gap closing, where dC_k/d(parameter) ~ |k - k_s|^(-1/2)
     at the EP k_s.  Any other parameter raises DomainError.
     """
-    if parameter not in _SLOPES:
-        raise DomainError(f"the lossy chain is differentiated in {tuple(_SLOPES)}, "
+    entry = MODELS["nh-ssh"]
+    if parameter not in entry.parameters:
+        raise DomainError(f"the lossy chain is differentiated in {entry.parameters}, "
                           f"not {parameter!r}")
-    return _lone(_nh_averages([params], parameter, alpha, beta, cfg))
+    return _lone(_nh_averages(entry.model(vars(params), parameter), True, alpha, beta, cfg))
 
 
 def detect_cusps(sweep: Sequence) -> List[float]:
     """Locate curvature spikes of a swept scalar, e.g. dC/d(lambda) cusps.
 
-    Takes (lambda, value) pairs sorted by lambda, at least 20 of them.  A
+    Takes finite (lambda, value) pairs sorted by lambda, at least 20 of them.  A
     point is a cusp candidate when its second difference exceeds five times
     the sweep's median absolute second difference (plus a small absolute
     floor so exact lines stay empty); adjacent candidates collapse to the
@@ -270,6 +264,8 @@ def detect_cusps(sweep: Sequence) -> List[float]:
     pairs = np.asarray(sweep, dtype=float)
     if len(pairs) < 20:
         raise InsufficientDataError("cusp detection needs at least 20 sweep points")
+    if not np.all(np.isfinite(pairs)):
+        raise InsufficientDataError("cusp detection needs finite (lambda, value) pairs")
     lams, values = pairs.T
     if np.any(np.diff(lams) <= 0):
         raise InsufficientDataError("sweep must be sorted by the swept parameter")

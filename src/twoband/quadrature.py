@@ -35,20 +35,23 @@ class BZQuadratureConfig:
             raise DomainError("quadrature tolerances must be finite and positive")
 
 
-def graded_edges(k_s, w) -> np.ndarray:
-    """The panel edges k_s -+ w 4^j for every j >= 0 with w 4^j < 1, NaN for the rest.
+def graded_edges(points, w) -> np.ndarray:
+    """Per row of ``points`` (rows, n), unordered and NaN-padded: each point k_s, beside
+    which an integrand peaks over the width w of ``w``, and its image k_s - 2 pi sign(k_s),
+    with the edges k_s -+ w 4^j at both for every j >= 0 with w 4^j < 1, so a point at
+    +-pi grades both zone ends.  A w that is not in (0, 1) adds none.
 
-    This is the hp geometric mesh toward a point where an integrand peaks
-    over the width w (Schwab, p- and hp-FEM, 1998), in the role of QUADPACK's
-    qagp break points: adaptive bisection then resolves the peak in a few
-    levels instead of about log2(1/w).  A w that is not in (0, 1) adds none.
-    k_s and w broadcast, with each point's edges on a new last axis.
+    This is the hp geometric mesh (Schwab, p- and hp-FEM, 1998), in the role of
+    QUADPACK's qagp break points: adaptive bisection then resolves the peak in a
+    few levels instead of about log2(1/w).
     """
+    centres = points[..., None] - np.copysign((0.0, 2.0 * PI), points[..., None])
+    k_s = np.where(np.abs(centres) < PI + 1.0, centres, np.nan)[..., None]  # none farther in
     w = np.where(np.asarray(w) > 0.0, w, 1.0)
     levels = -math.frexp(w.min(initial=1.0))[1] // 2 + 1  # w = m 2^e: w 4^j < 1 for 2j <= -e
-    scale = np.ldexp(w[..., None], np.arange(0, 2 * levels, 2))  # w 4^j, exact
-    scale, k_s = np.where(scale < 1.0, scale, np.nan), np.asarray(k_s)[..., None]
-    return np.concatenate((k_s - scale, k_s + scale), axis=-1)
+    scale = np.ldexp(w[..., None, None], np.arange(0, 2 * levels, 2))  # w 4^j, exact
+    scale = np.where(scale < 1.0, scale, np.nan)
+    return np.concatenate((k_s, k_s - scale, k_s + scale), axis=-1).reshape(len(points), -1)
 
 
 def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = None,

@@ -99,7 +99,7 @@ def incomplete_E(phi: float, m) -> float:
     """
     m = _param(m)
     phi = float(phi)
-    if phi < -_BOUNDARY_CLAMP or phi > 0.5 * math.pi + _BOUNDARY_CLAMP:
+    if not -_BOUNDARY_CLAMP <= phi <= 0.5 * math.pi + _BOUNDARY_CLAMP:
         raise DomainError(f"amplitude phi={phi!r} outside [0, pi/2]")
     return float(_ellipeinc(min(max(phi, 0.0), 0.5 * math.pi), m))
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Sequence, Tuple
 
@@ -135,8 +135,8 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     entry = MODELS[spec.model]
     name, grid, wanted = spec.sweep[0], spec.grid(), set(spec.quantities)
     flags, windings = [frozenset()] * grid.size, [math.nan] * grid.size
+    model = entry.model(spec.fixed, name)
     if entry.hermitian:
-        model = entry.model(spec.fixed, name)
         closings = model._closings(grid)
         avgs = _bloch_averages(model, grid, spec.reference, cfg,
                                complexity="complexity" in wanted,
@@ -147,9 +147,7 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
         if "winding" in wanted:
             windings = model._windings(*closings).tolist()
     else:
-        base = entry.params(spec.fixed)
-        runs = _nh_averages([replace(base, **{name: lam}) for lam in grid],
-                            name if "dcomplexity" in wanted else None,
+        runs = _nh_averages(model.at(grid), "dcomplexity" in wanted,
                             spec.reference.alpha, spec.reference.beta, cfg)
         avgs = []
         for i, run in enumerate(runs):

@@ -14,7 +14,7 @@ from twoband import (BlochVector, DomainError, ExceptionalPointError, GlobalRefe
                      nh_ground_complexity, nh_ssh_bloch_hamiltonian, param_derivative,
                      run_sweep, ssh_complexity_closed, ssh_model)
 from twoband import quadrature
-from twoband.models import MODELS
+from twoband.models import MODELS, trig_sum
 from twoband.nonhermitian import _ep_edges
 
 PI = math.pi
@@ -56,9 +56,60 @@ class TestBiorthogonalGround:
 
 
 def _edges(params):
-    """The lossy chain's panel edges, without their NaN padding."""
-    (row,) = _ep_edges([params])
-    return [e for e in row.tolist() if not math.isnan(e)]
+    """The lossy chain's distinct panel edges inside the zone, in order."""
+    (row,) = _ep_edges(MODELS["nh-ssh"].model(vars(params)))
+    return sorted({e for e in row.tolist() if -PI < e < PI})
+
+
+def _fixed_ep_edges(t1, t2, gamma):
+    """The oracle: k = 0, and the points 0 and +-pi graded by the EP scale
+    |(t1 -+ t2)^2 - gamma^2 / 4| / |gamma t2|, floored at 1e-16, none where gamma t2 = 0."""
+    edges, slope = [0.0], abs(gamma * t2)
+    for k_s, r1 in ((0.0, t1 - t2), (-PI, t1 + t2), (PI, t1 + t2)):
+        if slope > 0.0:
+            w = max(abs((r1 - 0.5 * gamma) * (r1 + 0.5 * gamma)) / slope, 1e-16)
+            while w < 1.0:
+                edges += [k_s - w, k_s + w]
+                w *= 4.0
+    return sorted({e for e in edges if -PI < e < PI})
+
+
+_COUPLINGS = (-3.0, -2.0, -1.25, -0.5, 0.0, 0.3, 1.0, 1.7, 2.5)
+_GRID = [(t1, t2, gamma) for t1 in _COUPLINGS for t2 in _COUPLINGS
+         for gamma in (-1.5, -0.5, 0.0, 0.7, 2.0)]
+_CLOSINGS = [(t1, t2, gamma) for t1, gamma in ((2.0, 1.0), (1.0, 1.5), (-1.0, 0.5), (1.0, -1.0))
+             for t2 in NonHermitianSSHParams(t1, 0.0, gamma).gap_closing_couplings()]
+
+
+class TestDerivedExceptionalPoints:
+    """The EPs come from the zeros of R1 -+ i R3 and the slopes from differenced rows."""
+
+    @pytest.mark.parametrize("parameter", ["t2", "gamma"])
+    def test_edges_equal_the_fixed_point_formula(self, parameter):
+        # the chains of one sweep at once, as a sweep grades them
+        sweeps = {}
+        for t1, t2, gamma in _GRID + _CLOSINGS:
+            fixed = {"t1": t1, "t2": t2, "gamma": gamma}
+            sweeps.setdefault(tuple((k, v) for k, v in fixed.items() if k != parameter),
+                              []).append(fixed[parameter])
+        for fixed, lams in sweeps.items():
+            model = MODELS["nh-ssh"].model(dict(fixed), parameter)
+            for lam, row in zip(lams, _ep_edges(model.at(np.array(lams)))):
+                params = {**dict(fixed), parameter: lam}
+                assert sorted({e for e in row.tolist() if -PI < e < PI}) == _fixed_ep_edges(
+                    **params), params
+
+    @pytest.mark.parametrize("parameter,want", [
+        ("t2", lambda cos, sin: (-cos, sin)), ("gamma", lambda cos, sin: (0.0, 0.5j))])
+    def test_differenced_rows_give_the_slopes(self, parameter, want):
+        k = np.linspace(-PI, PI, 9)
+        for t1, t2, gamma in _GRID[::7]:
+            model = MODELS["nh-ssh"].model({"t1": t1, "t2": t2, "gamma": gamma}, parameter)
+            dr1, dr_y, dr3 = trig_sum(model.slope(model.lam), np.cos(k), np.sin(k))
+            assert dr_y == 0.0
+            for got, expected in zip((dr1, dr3), want(np.cos(k), np.sin(k))):
+                assert np.array_equal(np.broadcast_to(got, k.shape),
+                                      np.broadcast_to(expected, k.shape)), (t1, t2, gamma)
 
 
 class TestExceptionalPointGrading:
@@ -87,8 +138,8 @@ class TestExceptionalPointGrading:
         # t2 = 2.4: |R^2| / |d_k R^2| is 0.0375 at the near EP (k = 0 for
         # t2 > 0, +-pi for t2 < 0) and about 8 at the far one, which adds none
         edges = _edges(NonHermitianSSHParams(2.0, sign * 2.4, 1.0))
-        inside = [e for e in edges[1:] if -PI < e < PI]
-        assert edges[0] == 0.0 and len(inside) == 6
+        inside = [e for e in edges if e != 0.0]
+        assert 0.0 in edges and len(inside) == 6
         offsets = sorted(abs(e) if sign > 0 else PI - abs(e) for e in inside)
         assert offsets == pytest.approx([0.0375, 0.0375, 0.15, 0.15, 0.6, 0.6], rel=1e-12)
 
@@ -135,6 +186,10 @@ class TestBiKrylovBasis:
     def test_rejects_unnormalized_pair(self):
         with pytest.raises(NormalizationError):
             bikrylov_basis(0.5, 0.5)
+
+    def test_rejects_a_nan_amplitude(self):
+        with pytest.raises(NormalizationError):
+            bikrylov_basis(math.nan, 0.0)
 
     def test_rejects_non_finite_amplitudes(self):
         params = NonHermitianSSHParams(2.0, 1.0, 1.0)
@@ -365,6 +420,15 @@ class TestDetectCusps:
         pts = [(float(i), 0.0) for i in range(25)]
         pts[3], pts[4] = pts[4], pts[3]
         with pytest.raises(InsufficientDataError):
+            detect_cusps(pts)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_requires_finite_pairs(self, column):
+        # a skipped_exceptional sweep row carries C = NaN, which would hide the cusp
+        pts = [(float(x), abs(float(x) - 0.5)) for x in np.linspace(0.0, 1.0, 40)]
+        assert detect_cusps(pts) == [pytest.approx(0.513, abs=1e-3)]
+        pts[7] = (math.nan, pts[7][1]) if column == 0 else (pts[7][0], math.nan)
+        with pytest.raises(InsufficientDataError, match="finite"):
             detect_cusps(pts)
 
     def test_hermitian_closed_form_sweep_has_single_cusp(self):

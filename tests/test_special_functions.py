@@ -111,6 +111,10 @@ class TestIncompleteE:
         with pytest.raises(DomainError):
             incomplete_E(0.3, 1.2)
 
+    def test_rejects_a_nan_amplitude(self):
+        with pytest.raises(DomainError, match="amplitude"):
+            incomplete_E(float("nan"), 0.3)
+
 
 class TestModulusType:
     def test_clamps_within_tolerance(self):
