@@ -216,8 +216,11 @@ def _bloch_sum(rows: Rows, k) -> np.ndarray:
     A coefficient is a number or an array of one value per k; zero terms are
     skipped.  Where a and b are both nonzero the first two terms are summed as
     (a + b) - 2 b sin^2(k/2), which does not cancel beside k = 0 when a is
-    close to -b, as at the SSH transition; where a is 0 they are b cos k.
+    close to -b, as at the SSH transition; where a is 0 they are b cos k.  Complex
+    rows, as the lossy chain's, are a DomainError: a Hermitian d is real.
     """
+    if np.result_type(*rows[0], *rows[1], *rows[2]).kind == "c":
+        raise DomainError("complex Bloch rows: a non-Hermitian model has no real d(k)")
     k = np.asarray(k, dtype=float)
     d = np.zeros((3,) + k.shape)
     for i, (a_i, b_i, c_i) in enumerate(zip(*rows)):
@@ -304,12 +307,14 @@ class ModelEntry:
             raise SpecError(str(exc)) from None
 
     def model(self, fixed: Mapping[str, float], parameter: Optional[str] = None) -> TwoBandModel:
-        """The family swept in ``parameter``, by default the first sweepable one.
+        """The family swept in ``parameter``, one of ``parameters`` (by default the first).
 
         d(d)/d(lambda) is the difference of the rows at lambda = 1 and 0,
         exact because the rows are affine in every sweepable parameter.
         """
         parameter = parameter or self.parameters[0]
+        if parameter not in self.parameters:
+            raise DomainError(f"{self.name!r} is swept in {self.parameters}, not {parameter!r}")
         values = vars(self.params(fixed))
         rows = lambda lam: self.rows(**{**values, parameter: lam})
         slope = tuple(tuple(p - q for p, q in zip(one, zero))

@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, ExceptionalPointError,
+from .errors import (ConvergenceError, ExceptionalPointError,
                      InsufficientDataError, NormalizationError)
 from .models import (MODELS, NonHermitianSSHParams, TwoBandModel, _contour_zeros, k_slope,
                      nh_ssh_bloch_hamiltonian, trig_sum)
@@ -166,7 +166,7 @@ def nh_complexity_per_mode(params: NonHermitianSSHParams, k: float,
     """
     alpha, beta = _normalized_pair(alpha, beta)
     c = float(_nh_weight_kernel(MODELS["nh-ssh"].model(vars(params)), False, alpha, beta)(
-        np.array([float(k)]), 0)[0])
+        np.array([float(k)]), np.zeros(1, dtype=int))[0])
     if math.isnan(c):
         raise ExceptionalPointError(f"exceptional point at k={k}: R^2 = 0")
     return c
@@ -192,22 +192,20 @@ def _ep_edges(model: TwoBandModel) -> np.ndarray:
     at the EPs, the arguments of the zeros of R1 - i R3 and R1 + i R3 (``_contour_zeros`` of
     the rows and of the rows with the z row negated; a zero at z = 0 or none has none).
 
-    The EP scale is w = |R^2| / |d_k R^2|, R^2 = (R1 - i R3)(R1 + i R3), at the zero's
-    direction z / |z| (exactly +-1: the zeros are real).  It is floored at _EP_SCALE_FLOOR
-    on a closing; where d_k R^2 = 0 (gamma t2 = 0) there is no grading.
+    The zeros are real, so an EP lies at k_s = 0 or pi, where cos k_s = +-1 and sin k_s = 0
+    exactly.  Its scale is w = |R^2| / |d_k R^2| there, R^2 = (R1 - i R3)(R1 + i R3),
+    floored at _EP_SCALE_FLOOR on a closing; where d_k R^2 = 0 (gamma t2 = 0) there is none.
     """
     rows = model.rows(model.lam)
     p0, q, p2 = _contour_zeros(tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in rows))
-    zeta = np.array([q * np.conj(p2), p0 * np.conj(q)]).reshape(4, -1)  # (candidate, chain)
-    zeta = zeta[np.any(zeta != 0.0, axis=1)]  # the candidates that are a zero of some chain
-    size = np.abs(zeta)
-    with np.errstate(invalid="ignore"):  # 0/0: a zero at z = 0, or none, has no direction
-        cos, sin = zeta.real / size, zeta.imag / size
-    (r1, _, r3), (dr1, _, dr3) = (trig_sum(r, cos, sin) for r in (rows, k_slope(rows)))
+    cos = np.sign(np.array([q * np.conj(p2), p0 * np.conj(q)]).real.reshape(4, -1))
+    cos = cos[np.any(cos != 0.0, axis=1)]  # the candidates that are a zero of some chain
+    (r1, _, r3), (dr1, _, dr3) = (trig_sum(r, cos, 0.0) for r in (rows, k_slope(rows)))
     rsq, slope = np.abs((r1 - 1j * r3) * (r1 + 1j * r3)), np.abs(2.0 * (r1 * dr1 + r3 * dr3))
-    w = np.divide(rsq, slope, out=np.full(size.shape, np.nan), where=slope > 0.0)
-    return np.hstack((np.zeros((zeta.shape[1], 1)), graded_edges(np.arctan2(sin, cos).T,
-                                                                 np.maximum(w, _EP_SCALE_FLOOR).T)))
+    w = np.divide(rsq, slope, out=np.full(cos.shape, np.nan), where=slope > 0.0)
+    points = np.where(cos != 0.0, np.arccos(cos), np.nan)  # no edge where a chain has no zero
+    return np.hstack((np.zeros((cos.shape[1], 1)),
+                      graded_edges(points.T, np.maximum(w, _EP_SCALE_FLOOR).T)))
 
 
 def _nh_averages(model: TwoBandModel, derivative: bool, alpha: complex, beta: complex,
@@ -245,11 +243,8 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
     stays finite on a gap closing, where dC_k/d(parameter) ~ |k - k_s|^(-1/2)
     at the EP k_s.  Any other parameter raises DomainError.
     """
-    entry = MODELS["nh-ssh"]
-    if parameter not in entry.parameters:
-        raise DomainError(f"the lossy chain is differentiated in {entry.parameters}, "
-                          f"not {parameter!r}")
-    return _lone(_nh_averages(entry.model(vars(params), parameter), True, alpha, beta, cfg))
+    model = MODELS["nh-ssh"].model(vars(params), parameter)
+    return _lone(_nh_averages(model, True, alpha, beta, cfg))
 
 
 def detect_cusps(sweep: Sequence) -> List[float]:

@@ -56,7 +56,7 @@ class SweepSpec:
         if (set(self.quantities) & {"bound", "ratio"}
                 and not isinstance(self.reference, GlobalReference)):
             raise SpecError("bound and ratio require a momentum-independent reference state")
-        if not entry.hermitian and not isinstance(self.reference, GlobalReference):
+        if not isinstance(self.reference, GlobalReference) and not entry.hermitian:
             raise SpecError("nh-ssh sweeps need a global reference state")
         object.__setattr__(self, "sweep", (name, float(start), float(stop), int(points)))
 

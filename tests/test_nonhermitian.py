@@ -111,6 +111,12 @@ class TestDerivedExceptionalPoints:
                 assert np.array_equal(np.broadcast_to(got, k.shape),
                                       np.broadcast_to(expected, k.shape)), (t1, t2, gamma)
 
+    @pytest.mark.parametrize("lam,k", [(1.0, 0.3), (np.full(5, 1.0), np.linspace(-PI, PI, 5))])
+    def test_lossy_rows_have_no_hermitian_d(self, lam, k):
+        model = MODELS["nh-ssh"].model({"t1": 2.0, "t2": 1.0, "gamma": 0.5}).at(lam)
+        with pytest.raises(DomainError, match="complex Bloch rows"):
+            model.d(k)
+
 
 class TestExceptionalPointGrading:
     """The lossy averages grade their panels toward the EPs at k = 0 and +-pi."""
@@ -137,7 +143,9 @@ class TestExceptionalPointGrading:
     def test_edges_grade_geometrically_from_the_ep_scale(self, sign):
         # t2 = 2.4: |R^2| / |d_k R^2| is 0.0375 at the near EP (k = 0 for
         # t2 > 0, +-pi for t2 < 0) and about 8 at the far one, which adds none
-        edges = _edges(NonHermitianSSHParams(2.0, sign * 2.4, 1.0))
+        params = NonHermitianSSHParams(2.0, sign * 2.4, 1.0)
+        assert _ep_edges(MODELS["nh-ssh"].model(vars(params)))[0, 0] == 0.0  # the k = 0 split
+        edges = _edges(params)
         inside = [e for e in edges if e != 0.0]
         assert 0.0 in edges and len(inside) == 6
         offsets = sorted(abs(e) if sign > 0 else PI - abs(e) for e in inside)
@@ -218,8 +226,10 @@ class TestPerMode:
         got = nh_complexity_per_mode(params, k, pair.right[0], pair.right[1])
         assert got == pytest.approx(0.0, abs=1e-12)
 
-    def test_explicit_and_overlap_paths_agree(self):
-        params = NonHermitianSSHParams(2.0, 1.0, 1.0)
+    # at t2 = 0 the rows' cos and sin coefficients are 0, so R1 and R3 are constants
+    @pytest.mark.parametrize("t2,gamma", [(1.0, 1.0), (0.0, 0.0), (0.0, 1.0)])
+    def test_explicit_and_overlap_paths_agree(self, t2, gamma):
+        params = NonHermitianSSHParams(2.0, t2, gamma)
         got = nh_complexity_per_mode(params, 0.25 * PI, 0.5, 0.5)
         oracle = nh_complexity_per_mode_overlap(params, 0.25 * PI, 0.5, 0.5)
         assert got == pytest.approx(oracle, abs=1e-10)
