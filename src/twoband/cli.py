@@ -23,9 +23,10 @@ from .bloch import (BlochVector, GlobalReference, PiecewiseBlochReference,
 from .bounds_duality import (bound_check, complexity_duality_check,
                              fs_duality_check, ratio_R, self_dual_constraint)
 from .errors import DomainError, GapClosedError, PartitionError, SpecError, TwoBandError
-from .models import MODELS, QUANTITIES, dual_pair
+from .models import MODELS, dual_pair
 from .quadrature import BZQuadratureConfig
-from .sweeps import SweepSpec, records_to_csv, run_sweep, write_records
+from .sweeps import (LOSSY_QUANTITIES, QUANTITIES, SweepSpec, records_to_csv, run_sweep,
+                     write_records)
 from .verification import SUITES, run_suite
 
 PI = math.pi
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_sweep_command(sub, "sweep", "run a parameter sweep and emit CSV/JSON")
     _add_sweep_command(sub, "nh-sweep", "sweep --model nh-ssh (complexity + derivative)",
-                       model="nh-ssh", quantities="complexity,dcomplexity")
+                       model="nh-ssh", quantities=",".join(LOSSY_QUANTITIES))
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
@@ -254,19 +255,6 @@ def _ssh_rows(t1: float, t2: float, a_z=0.0) -> Rows:
     return (t1, 0.0, a_z), (-t2, 0.0, 0.0), (0.0, 0.0, t2)
 
 
-# Every quantity a Hermitian sweep can evaluate -> its CSV columns, in emission order.
-COLUMNS = {
-    "complexity": ("complexity",),
-    "dcomplexity": ("dcomplexity",),
-    "chi_f": ("chi_f",),
-    "chi_f_components": ("chi_f_x", "chi_f_y", "chi_f_z"),
-    "bound": ("bound_lhs", "bound_rhs", "bound_satisfied"),
-    "ratio": ("ratio",),
-    "winding": ("winding",),
-}
-QUANTITIES = tuple(COLUMNS)
-
-
 @dataclass(frozen=True)
 class ModelEntry:
     """Everything sweeps and the command line know about one model family.
@@ -285,11 +273,10 @@ class ModelEntry:
     parameters: Tuple[str, ...]
     rows: Callable[..., Rows]
     rotated: bool = False
-    quantities: Tuple[str, ...] = QUANTITIES
 
-    @property
+    @cached_property
     def hermitian(self) -> bool:
-        """Whether the rows are real, as a Hermitian d is."""
+        """Whether the rows are real, as a Hermitian d is; evaluated once per entry."""
         return np.isrealobj(self.rows(**self.defaults))
 
     def values(self, fixed: Mapping[str, float]) -> Dict[str, float]:
@@ -334,8 +321,7 @@ MODELS: Dict[str, ModelEntry] = {entry.name: entry for entry in (
                ("ng",), lambda Ej, Ecc, ng: ((0.0, 0.0, 0.5 * Ecc * (1.0 - 2.0 * ng)),
                                             (-Ej, 0.0, 0.0), (0.0, 0.0, 0.0))),
     ModelEntry("nh-ssh", NonHermitianSSHParams, {"t1": 1.0, "t2": 1.0, "gamma": 0.0},
-               ("t2", "gamma"), lambda t1, t2, gamma: _ssh_rows(t1, t2, 0.5j * gamma),
-               quantities=("complexity", "dcomplexity")),
+               ("t2", "gamma"), lambda t1, t2, gamma: _ssh_rows(t1, t2, 0.5j * gamma)),
 )}
 
 

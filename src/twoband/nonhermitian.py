@@ -106,9 +106,9 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     return alpha / n, beta / n
 
 
-def _nh_weight_kernel(model: TwoBandModel, derivative: bool, alpha: complex, beta: complex):
+def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex):
     """Array kernel (k, owner) -> C_k = |w_1| / (|w_0| + |w_1|) of the lossy ``model`` at
-    its lam (a number, or an array of one value per owner), for normalized amplitudes.
+    each of ``lams``, one per owner, for normalized amplitudes.
 
     Uses the explicit weight formulas in terms of the ground vector (v0, v1)
     that biorthogonal_ground keeps.  A mode where R^2 = 0, an exceptional
@@ -124,7 +124,7 @@ def _nh_weight_kernel(model: TwoBandModel, derivative: bool, alpha: complex, bet
     vanishes, dC_k is 0.
     """
     ca, cb = alpha.conjugate(), beta.conjugate()
-    lams = np.atleast_1d(model.lam)
+    lams = np.asarray(lams, dtype=float)
 
     @np.errstate(divide="ignore", invalid="ignore")
     def ck(k, owner):
@@ -145,7 +145,7 @@ def _nh_weight_kernel(model: TwoBandModel, derivative: bool, alpha: complex, bet
         c = m1 / total
         if not derivative:
             return c
-        dr1, _, dr3 = trig_sum(model.slope(model.lam), cos, sin)
+        dr1, _, dr3 = trig_sum(model.slope(lams[owner]), cos, sin)
         droot = (r1 * dr1 + r3 * dr3) / root
         dv0 = np.where(first, dr1, droot - dr3)
         dv1 = -np.where(first, droot + dr3, dr1)
@@ -165,8 +165,8 @@ def nh_complexity_per_mode(params: NonHermitianSSHParams, k: float,
     away; raises ExceptionalPointError where the weights are undefined.
     """
     alpha, beta = _normalized_pair(alpha, beta)
-    c = float(_nh_weight_kernel(MODELS["nh-ssh"].model(vars(params)), False, alpha, beta)(
-        np.array([float(k)]), np.zeros(1, dtype=int))[0])
+    c = float(_nh_weight_kernel(MODELS["nh-ssh"].model(vars(params)), [params.t2], False,
+                                alpha, beta)(np.array([float(k)]), np.zeros(1, dtype=int))[0])
     if math.isnan(c):
         raise ExceptionalPointError(f"exceptional point at k={k}: R^2 = 0")
     return c
@@ -187,8 +187,8 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
     return abs(w1) / (abs(w0) + abs(w1))
 
 
-def _ep_edges(model: TwoBandModel) -> np.ndarray:
-    """Per value of the lossy ``model``'s lam, NaN-padded: k = 0 and ``graded_edges``
+def _ep_edges(model: TwoBandModel, lams) -> np.ndarray:
+    """Per value of ``lams`` of the lossy ``model``, NaN-padded: k = 0 and ``graded_edges``
     at the EPs, the arguments of the zeros of R1 - i R3 and R1 + i R3 (``_contour_zeros`` of
     the rows and of the rows with the z row negated; a zero at z = 0 or none has none).
 
@@ -196,7 +196,7 @@ def _ep_edges(model: TwoBandModel) -> np.ndarray:
     exactly.  Its scale is w = |R^2| / |d_k R^2| there, R^2 = (R1 - i R3)(R1 + i R3),
     floored at _EP_SCALE_FLOOR on a closing; where d_k R^2 = 0 (gamma t2 = 0) there is none.
     """
-    rows = model.rows(model.lam)
+    rows = model.rows(np.asarray(lams, dtype=float))
     p0, q, p2 = _contour_zeros(tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in rows))
     cos = np.sign(np.array([q * np.conj(p2), p0 * np.conj(q)]).real.reshape(4, -1))
     cos = cos[np.any(cos != 0.0, axis=1)]  # the candidates that are a zero of some chain
@@ -208,13 +208,14 @@ def _ep_edges(model: TwoBandModel) -> np.ndarray:
                       graded_edges(points.T, np.maximum(w, _EP_SCALE_FLOOR).T)))
 
 
-def _nh_averages(model: TwoBandModel, derivative: bool, alpha: complex, beta: complex,
+def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex,
                  cfg: BZQuadratureConfig | None) -> list:
-    """Per value of the lossy ``model``'s lam (a number or an array), its chain averaged
-    on its EP-graded panels in one ``bz_averages`` run: (C,), with ``derivative``
-    (C, dC/d(lambda)), or the error that ended its average."""
+    """Per value of ``lams``, the lossy ``model``'s chain averaged on its EP-graded panels
+    in one ``bz_averages`` run: (C,), with ``derivative`` (C, dC/d(lambda)), or the error
+    that ended its average."""
     alpha, beta = _normalized_pair(alpha, beta)
-    runs = bz_averages(_nh_weight_kernel(model, derivative, alpha, beta), _ep_edges(model), cfg)
+    runs = bz_averages(_nh_weight_kernel(model, lams, derivative, alpha, beta),
+                       _ep_edges(model, lams), cfg)
     # the kernel's only non-finite values are the NaN of a mode where R^2 = 0
     return [ExceptionalPointError("exceptional point: R^2 = 0 at a mode")
             if isinstance(run, ConvergenceError) and not math.isfinite(run.error) else
@@ -229,7 +230,8 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
     The panels are graded toward the exceptional points, which are panel edges
     and never evaluated; a mode where R^2 is exactly 0 raises ExceptionalPointError.
     """
-    return _lone(_nh_averages(MODELS["nh-ssh"].model(vars(params)), False, alpha, beta, cfg))[0]
+    return _lone(_nh_averages(MODELS["nh-ssh"].model(vars(params)), [params.t2], False,
+                              alpha, beta, cfg))[0]
 
 
 def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
@@ -244,7 +246,7 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
     at the EP k_s.  Any other parameter raises DomainError.
     """
     model = MODELS["nh-ssh"].model(vars(params), parameter)
-    return _lone(_nh_averages(model, True, alpha, beta, cfg))
+    return _lone(_nh_averages(model, [model.lam], True, alpha, beta, cfg))
 
 
 def detect_cusps(sweep: Sequence) -> List[float]:

@@ -10,14 +10,30 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
-from .bounds_duality import _bound_report, _ratio, reference_coefficients
-from .errors import ExceptionalPointError, SpecError, UndefinedRatioError
+from .bounds_duality import _bound_report
+from .errors import ExceptionalPointError, SpecError
 from .fidelity import _bloch_averages, _BlochAverages
-from .models import COLUMNS, MODELS, TwoBandModel
+from .models import MODELS, TwoBandModel, closed_rows
 from .nonhermitian import _nh_averages
 from .quadrature import _FD_STEP, BZQuadratureConfig, _stencil, param_derivative
 
 PI = math.pi
+
+# Every sweep quantity -> its columns, in emission order, and the averages it
+# needs, named as the keywords of ``_bloch_averages``.
+QUANTITIES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "complexity": (("complexity",), ("complexity",)),
+    "dcomplexity": (("dcomplexity",), ("derivative",)),
+    "chi_f": (("chi_f",), ("chi",)),
+    "chi_f_components": (("chi_f_x", "chi_f_y", "chi_f_z"), ("chi",)),
+    "bound": (("bound_lhs", "bound_rhs", "bound_satisfied"), ("derivative", "chi")),
+    "ratio": (("ratio",), ("derivative", "chi")),
+    "winding": (("winding",), ()),
+}
+# The quantities of the lossy chain, whose sweep averages nothing else.
+LOSSY_QUANTITIES = ("complexity", "dcomplexity")
+# The quantities read from one ``_bound_report``; they need a global reference.
+_REPORTED = {"bound", "ratio"}
 
 
 @dataclass(frozen=True)
@@ -50,11 +66,11 @@ class SweepSpec:
         entry.params(self.fixed)  # rejects unknown keys and values out of the domain
         if not self.quantities or len(set(self.quantities)) < len(self.quantities):
             raise SpecError(f"sweep quantities must be distinct, at least one: {self.quantities}")
-        bad = [q for q in self.quantities if q not in entry.quantities]
+        supported = tuple(QUANTITIES) if entry.hermitian else LOSSY_QUANTITIES
+        bad = [q for q in self.quantities if q not in supported]
         if bad:
-            raise SpecError(f"{self.model!r} sweeps support only {entry.quantities}, not {bad}")
-        if (set(self.quantities) & {"bound", "ratio"}
-                and not isinstance(self.reference, GlobalReference)):
+            raise SpecError(f"{self.model!r} sweeps support only {supported}, not {bad}")
+        if set(self.quantities) & _REPORTED and not isinstance(self.reference, GlobalReference):
             raise SpecError("bound and ratio require a momentum-independent reference state")
         if not isinstance(self.reference, GlobalReference) and not entry.hermitian:
             raise SpecError("nh-ssh sweeps need a global reference state")
@@ -74,34 +90,34 @@ class SweepRecord:
     flags: frozenset = frozenset()
 
 
-def _evaluate(spec: SweepSpec, lam: float, avg: _BlochAverages, winding: float,
-              flags: frozenset) -> SweepRecord:
-    values: Dict[str, float] = {}
-    flags = set(flags)
-    if avg.chi is not None and avg.chi.diverged:
-        flags.add("diverged")
-    for quantity in spec.quantities:
-        try:
-            if quantity in ("complexity", "dcomplexity"):
-                values[quantity] = getattr(avg, quantity)
-            elif quantity == "chi_f":
-                values["chi_f"] = avg.chi.total
-            elif quantity == "chi_f_components":
-                values["chi_f_x"], values["chi_f_y"], values["chi_f_z"] = avg.chi.components
-            elif quantity == "bound":
-                report = _bound_report(lam, spec.reference, avg)
-                values["bound_lhs"], values["bound_rhs"] = report.lhs, report.rhs
-                values["bound_satisfied"] = 1.0 if report.satisfied else 0.0
-            elif quantity == "ratio":
-                values["ratio"] = _ratio(avg, reference_coefficients(spec.reference))
-            elif quantity == "winding":
-                if math.isnan(winding):  # closed gap
-                    flags.add("diverged")
-                values["winding"] = winding
-        except UndefinedRatioError:
+def _evaluate(spec: SweepSpec, lam: float, avg, winding: float, closed: bool) -> SweepRecord:
+    """The row at lam, its columns and flags, from its averages ``avg`` (or the error that
+    ended a lossy average), its winding and whether its gap is closed.
+
+    Flags: ``diverged`` where chi diverged, or where the gap is closed and the row asks for
+    more than C; ``undefined_ratio`` for a NaN ratio where chi did not diverge;
+    ``skipped_exceptional`` where a lossy average met R^2 == 0 (its columns are NaN).
+    """
+    flags, wanted = set(), spec.quantities
+    if isinstance(avg, Exception):
+        if not isinstance(avg, ExceptionalPointError):
+            raise avg
+        flags.add("skipped_exceptional")
+        avg = _BlochAverages(math.nan, math.nan, None, None)
+    columns = {"complexity": avg.complexity, "dcomplexity": avg.dcomplexity, "winding": winding}
+    if avg.chi is not None:
+        columns.update(zip(("chi_f", "chi_f_x", "chi_f_y", "chi_f_z"),
+                           (avg.chi.total, *avg.chi.components)))
+    if not _REPORTED.isdisjoint(wanted):
+        report = _bound_report(lam, spec.reference, avg)
+        columns.update(bound_lhs=report.lhs, bound_rhs=report.rhs, ratio=report.ratio,
+                       bound_satisfied=1.0 if report.satisfied else 0.0)
+        if "ratio" in wanted and math.isnan(report.ratio) and not avg.chi.diverged:
             flags.add("undefined_ratio")
-            values["ratio"] = math.nan
-    return SweepRecord(lam=float(lam), values=values, flags=frozenset(flags))
+    if (avg.chi is not None and avg.chi.diverged) or (closed and set(wanted) != {"complexity"}):
+        flags.add("diverged")
+    values = {c: columns[c] for q in wanted for c in QUANTITIES[q][0]}
+    return SweepRecord(float(lam), values, frozenset(flags))
 
 
 def _closed_gap_rows(model: TwoBandModel, grid: np.ndarray, avgs: List[_BlochAverages],
@@ -127,42 +143,35 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     finite difference of C, averaged at the stencil points in one more run.
     The winding is no average: it is counted from the Bloch rows by
     ``TwoBandModel.windings`` from the rows' zeros that also give the
-    averages' singular points, NaN and flagged diverged on a closed gap.  A
-    lossy-chain row whose kernel meets R^2 == 0 exactly is flagged
-    skipped_exceptional.
+    averages' singular points, NaN on a closed gap.  ``_evaluate`` decides
+    each row's columns and flags.
     """
     cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]
-    name, grid, wanted = spec.sweep[0], spec.grid(), set(spec.quantities)
-    flags, windings = [frozenset()] * grid.size, [math.nan] * grid.size
-    model = entry.model(spec.fixed, name)
+    grid = spec.grid()
+    needs = {need for q in spec.quantities for need in QUANTITIES[q][1]}
+    closed, windings = [False] * grid.size, [math.nan] * grid.size
+    model = entry.model(spec.fixed, spec.sweep[0])
     if entry.hermitian:
         closings = model._closings(grid)
-        avgs = _bloch_averages(model, grid, spec.reference, cfg,
-                               complexity="complexity" in wanted,
-                               derivative=bool(wanted & {"dcomplexity", "bound", "ratio"}),
-                               chi=bool(wanted & {"chi_f", "chi_f_components", "bound", "ratio"}),
-                               gaps=closings[2])
+        avgs = _bloch_averages(model, grid, spec.reference, cfg, gaps=closings[2],
+                               **dict.fromkeys(needs, True))
         _closed_gap_rows(model, grid, avgs, spec, cfg)
-        if "winding" in wanted:
+        closed = closed_rows(closings[2][1]).tolist()
+        if "winding" in spec.quantities:
             windings = model._windings(*closings).tolist()
     else:
-        runs = _nh_averages(model.at(grid), "dcomplexity" in wanted,
-                            spec.reference.alpha, spec.reference.beta, cfg)
-        avgs = []
-        for i, run in enumerate(runs):
-            if isinstance(run, ExceptionalPointError):
-                flags[i], run = frozenset(("skipped_exceptional",)), (math.nan, math.nan)
-            elif isinstance(run, Exception):
-                raise run
-            avgs.append(_BlochAverages(run[0], run[-1], None, None))
-    return [_evaluate(spec, lam, avg, winding, flag)
-            for lam, avg, winding, flag in zip(grid, avgs, windings, flags)]
+        derivative = "derivative" in needs
+        avgs = [run if isinstance(run, Exception) else
+                _BlochAverages(run[0], run[1] if derivative else None, None, None)
+                for run in _nh_averages(model, grid, derivative, spec.reference.alpha,
+                                        spec.reference.beta, cfg)]
+    return [_evaluate(spec, *row) for row in zip(grid, avgs, windings, closed)]
 
 
 def records_to_csv(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
     """Render a sweep as CSV with 17-significant-digit reals and a flags column."""
-    cols = [c for q in spec.quantities for c in COLUMNS[q]]
+    cols = [c for q in spec.quantities for c in QUANTITIES[q][0]]
     lines = ["lambda," + ",".join(cols) + ",flags"]
     for rec in records:
         lines.append(",".join([f"{rec.lam:.17g}", *[f"{rec.values.get(c, math.nan):.17g}"

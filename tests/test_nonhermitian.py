@@ -57,7 +57,7 @@ class TestBiorthogonalGround:
 
 def _edges(params):
     """The lossy chain's distinct panel edges inside the zone, in order."""
-    (row,) = _ep_edges(MODELS["nh-ssh"].model(vars(params)))
+    (row,) = _ep_edges(MODELS["nh-ssh"].model(vars(params)), [params.t2])
     return sorted({e for e in row.tolist() if -PI < e < PI})
 
 
@@ -94,7 +94,7 @@ class TestDerivedExceptionalPoints:
                               []).append(fixed[parameter])
         for fixed, lams in sweeps.items():
             model = MODELS["nh-ssh"].model(dict(fixed), parameter)
-            for lam, row in zip(lams, _ep_edges(model.at(np.array(lams)))):
+            for lam, row in zip(lams, _ep_edges(model, lams)):
                 params = {**dict(fixed), parameter: lam}
                 assert sorted({e for e in row.tolist() if -PI < e < PI}) == _fixed_ep_edges(
                     **params), params
@@ -144,7 +144,7 @@ class TestExceptionalPointGrading:
         # t2 = 2.4: |R^2| / |d_k R^2| is 0.0375 at the near EP (k = 0 for
         # t2 > 0, +-pi for t2 < 0) and about 8 at the far one, which adds none
         params = NonHermitianSSHParams(2.0, sign * 2.4, 1.0)
-        assert _ep_edges(MODELS["nh-ssh"].model(vars(params)))[0, 0] == 0.0  # the k = 0 split
+        assert _ep_edges(MODELS["nh-ssh"].model(vars(params)), [params.t2])[0, 0] == 0.0  # k = 0
         edges = _edges(params)
         inside = [e for e in edges if e != 0.0]
         assert 0.0 in edges and len(inside) == 6

@@ -1,4 +1,5 @@
-"""The commands README's "Command line" block documents parse with the one CLI parser."""
+"""README against the code: its "Command line" block parses with the one CLI parser,
+and its model registry names the registry's entries and the sweep table's quantities."""
 
 import re
 import shlex
@@ -6,6 +7,8 @@ from pathlib import Path
 
 from twoband import SweepSpec
 from twoband.cli import _sweep_spec, build_parser
+from twoband.models import MODELS
+from twoband.sweeps import LOSSY_QUANTITIES, QUANTITIES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +31,22 @@ def test_every_documented_command_parses():
         args = parser.parse_args(argv)
         if args.command in ("sweep", "nh-sweep"):
             assert isinstance(_sweep_spec(args), SweepSpec), argv
+
+
+def _registry_section():
+    return README.read_text(encoding="utf-8").split("## Models\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_registry_table_names_every_model():
+    names = re.findall(r"^\| `([^`]+)` \|", _registry_section(), re.M)
+    assert names == list(MODELS)
+
+
+def test_registry_text_lists_the_sweep_quantities():
+    text = " ".join(_registry_section().split())
+    hermitian = re.search(r"every sweep quantity of the table `sweeps.QUANTITIES`, in its order "
+                          r"\(([^)]*)\)", text)
+    assert re.findall(r"`([^`]+)`", hermitian.group(1)) == list(QUANTITIES)
+    lossy = re.search(r"so it supports (`[^`]+` and `[^`]+`) only", text)
+    assert tuple(re.findall(r"`([^`]+)`", lossy.group(1))) == LOSSY_QUANTITIES
+    assert not MODELS["nh-ssh"].hermitian

@@ -17,6 +17,7 @@ from twoband import (DualSSHParams, GlobalReference, NonHermitianSSHParams, Spec
 from twoband.cli import build_parser, main
 from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
+from twoband.sweeps import QUANTITIES
 
 PI = math.pi
 
@@ -70,8 +71,16 @@ class TestSweepSpecValidation:
         assert captured.out == "" and "configuration error" in captured.err
 
     def test_nh_model_rejects_hermitian_quantities(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError) as err:
             SweepSpec(model="nh-ssh", sweep=("t2", 0.1, 1.0, 5), quantities=("chi_f",))
+        assert str(err.value) == (
+            "'nh-ssh' sweeps support only ('complexity', 'dcomplexity'), not ['chi_f']")
+        with pytest.raises(SpecError) as err:
+            SweepSpec(model="ssh", sweep=("t2", 0.1, 1.0, 5),
+                      quantities=("complexity", "entropy", "bogus"))
+        assert str(err.value) == (
+            "'ssh' sweeps support only ('complexity', 'dcomplexity', 'chi_f', "
+            "'chi_f_components', 'bound', 'ratio', 'winding'), not ['entropy', 'bogus']")
 
     @pytest.mark.parametrize("model,sweep", [("ssh", "t2"), ("massive-dirac", "mu"),
                                              ("dual-ssh", "r"), ("cooper-pair-box", "ng")])
@@ -272,7 +281,7 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("spec", [
         SweepSpec("ssh", ("t2", 0.5, 1.5, 5), {"t1": 1.0}, GlobalReference(0.9, 0.4),
-                  tuple(MODELS["ssh"].quantities)),
+                  tuple(QUANTITIES)),
         SweepSpec("massive-dirac", ("mu", -0.5, 0.5, 3), {"t": 1.5}, GlobalReference(0.3, 0.2),
                   ("chi_f_components", "bound", "ratio", "winding")),
         SweepSpec("cooper-pair-box", ("ng", 0.2, 0.5, 3), {"Ej": 1.0, "Ecc": 2.0},
@@ -628,7 +637,7 @@ class TestBatchedRows:
     ])
     @pytest.mark.parametrize("quantities", [
         ("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio", "winding"),
-        ("complexity",), ("dcomplexity", "chi_f", "winding"),
+        ("complexity",), ("dcomplexity", "chi_f", "winding"), ("complexity", "dcomplexity"),
         ("chi_f_components", "bound", "winding"), ("ratio",), ("complexity", "winding"),
     ])
     def test_hermitian_rows(self, model, parameter, fixed, start, stop, quantities):
@@ -638,6 +647,10 @@ class TestBatchedRows:
         for row in run_sweep(spec):
             want = self.library_values(family, row.lam)
             assert all(self.same(got, want[col]) for col, got in row.values.items()), row
+            # a closed row flags all but its C, whatever else the row asks for
+            closed = family.at(row.lam).gap_closed()
+            assert row.flags == ({"diverged"} if closed and quantities != ("complexity",)
+                                 else set()), row
 
     def test_gapped_winding_sweep_runs_one_average_and_no_grid(self, calls, monkeypatch):
         def grid(*args, **kwargs):
