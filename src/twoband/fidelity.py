@@ -14,11 +14,24 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .bloch import GlobalReference
 from .errors import ConvergenceError, DomainError, GapClosedError
-from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, closed_rows
+from .models import (GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, _coefficients,
+                     closed_rows)
 from .quadrature import BZQuadratureConfig, bz_averages
 
 PI = math.pi
+
+# Landen steps of ``_cel``: its kc stays in (0, 3], and AGM(1, kc) meets double
+# precision in at most 8 steps down to kc = 1e-14, where a gap is still open.
+_CEL_STEPS = 10
+# The exact path takes a row whose reflected zeros leave the line through 0 by at
+# most this much of their distance 1 - |sigma| from the circle, and their
+# lambda-derivatives by this much of their size.
+_ON_LINE = 1e-13
+# ... and whose moving zeros sit at least this far from 0, where its chi-derivative
+# integrals lose about 2e-16 / |sigma| to the difference of two cel values.
+_OFF_ORIGIN = 1e-2
 
 
 def dhat_derivative(d, d_deriv) -> np.ndarray:
@@ -84,13 +97,168 @@ class _BlochAverages(NamedTuple):
     chi: Optional[SusceptibilityBreakdown]
 
 
+def _cel(kc, p, a, b):
+    """Bulirsch's general complete elliptic integral, for kc > 0 and p > 0,
+    int_0^{pi/2} (a cos^2 t + b sin^2 t) / ((cos^2 t + p sin^2 t) sqrt(cos^2 t + kc^2 sin^2 t)) dt
+    (Numer. Math. 13 (1969) 305), in a fixed number of Landen steps, so that a row's
+    value does not depend on the rows evaluated with it."""
+    e, em, p = kc, 1.0, np.sqrt(p)
+    b = b / p
+    for _ in range(_CEL_STEPS):
+        a, b = a + b / p, 2.0 * (b + a * e / p)
+        p, em, kc = e / p + p, em + kc, 2.0 * np.sqrt(e)
+        e = kc * em
+    return 0.5 * PI * (b + a * em) / (em * (em + p))
+
+
+def _planar_averages(rows, slope, zeros, n: int, complexity: bool, derivative: bool, chi: bool):
+    """(ok, <d_hat>, <d(d_hat)/d(lambda)>, chi_F per axis) of ``n`` planar rows with their
+    slope rows and ``_contour_zeros``: the (x, z) parts, or None where not asked for.  ``ok``
+    marks the rows whose zeros lie on one line through 0 (and, for dC or chi, stay on it as
+    lambda moves) and whose values are finite.
+
+    On that line u = e^{i theta} reflect each zero into the disk as sigma_j u, sigma_j real,
+    so that with z = e^{ik} = u w, p = kappa prod (w - sigma_j) (zeros inside) or
+    (1 - sigma_j w) (outside), and |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2.
+    1 - |sigma_j| is |d| beside zero j over |kappa| |sign(sigma_j) - sigma_k|, exact where
+    the gap closes.  With the larger sigma first, <N / |d|> = 2 cel(kc, p, N(theta),
+    p N(theta + pi)) / (pi |kappa| (1 + sigma_1)(1 - sigma_2)), kc = (1 - sigma_1)(1 + sigma_2)
+    / ((1 + sigma_1)(1 - sigma_2)), p = ((1 - sigma_1) / (1 + sigma_1))^2.  The angle psi of
+    d_x + i d_z moves as d(psi)/d(lambda) = -omega + sin(phi) sum_j tau_j / Q_j, omega the
+    rate of arg kappa and tau_j = +-d(sigma_j)/d(lambda) for a zero outside/inside, so
+    <d(d_hat)/d(lambda)> is -omega <d_hat> + d_k d(theta) sum_j tau_j <sin^2 phi / (|d| Q_j)>
+    turned by 90 degrees, each mean a difference of two cel values; chi_F is
+    <(d psi / d lambda)^2> / 4, and its axes take the factor Re e^{2 i psi}: both are
+    Hardy-space inner products of the Blaschke factors (w - sigma) / (1 - sigma w),
+    rational in the sigma_j (residues at the reflected zeros).
+    """
+    p0, q, p2 = zeros
+    p0, q, p2 = np.broadcast_arrays(p0, q, p2, np.empty(n))[:3]
+    r = np.arange(n)
+    with np.errstate(all="ignore"):
+        num, den = np.array([q, p0]), np.array([p2, q])  # the zeros q / p2 and p0 / q
+        inside = abs(num) < abs(den)
+        z, w = num / den, den / num
+        z = np.where(inside, z, w.conj())  # a zero outside as its reflection 1 / conj(z)
+        big = 1 * (abs(z[1]) > abs(z[0]))
+        u = z[big, r]
+        u = np.where(u == 0.0, 1.0, u / abs(u))
+        sig = z * u.conj()
+        sig, off = sig.real, abs(sig.imag)
+        kappa = np.where(inside[0], p2, -q) * np.where(inside[1], 1.0, -p0 / q)
+        amp, (_, p1, _) = abs(kappa), _coefficients(rows)
+        odd = p0 * u.conj() + p2 * u  # d_x - i d_z = p0 / z + p1 + p2 z at z = +-u
+        ends = np.array([p1 + odd, p1 - odd])
+        neg = sig < 0.0
+        g = np.where(abs(sig) <= 0.5, 1.0 - abs(sig), abs(np.where(neg, ends[1], ends[0]))
+                     / (amp * abs(np.where(neg, -1.0, 1.0) - sig[::-1])))
+        ends = np.array([ends.real, -ends.imag]).transpose(1, 0, 2)  # (x, z) at theta, + pi
+        ok = (off <= _ON_LINE * g).all(0)  # off the line by far less than the gap
+        m, P = np.where(neg, 2.0 - g, g), np.where(neg, g, 2.0 - g)  # 1 - sigma, 1 + sigma
+        mb, Pb, ms, Ps = m[big, r], P[big, r], m[1 - big, r], P[1 - big, r]
+        ok &= sig[1 - big, r] <= 0.5  # not both zeros beside one point of the circle
+        kc, pc = mb * Ps / (Pb * ms), (mb / Pb) ** 2
+        if derivative or chi:
+            s0, s1, s2 = (v * np.ones(n) for v in _coefficients(slope))
+            dq = (s1 * q + s0 * p2 + p0 * s2) / -(2.0 * q + p1)  # q^2 + p1 q + p0 p2 = 0
+            dnum, dden = np.array([dq, s0]), np.array([s2, dq])
+            dz = np.where(inside, (dnum - z * dden) / den, ((dden - w * dnum) / num).conj())
+            dsig = dz * u.conj()
+            ok &= (abs(dsig.imag) <= _ON_LINE * abs(dz)).all(0)
+            tau = np.where(inside, -dsig.real, dsig.real)
+            omega = (np.where(inside[0], s2 / p2, dq / q)
+                     + np.where(inside[1], 0.0, s0 / p0 - dq / q)).imag
+        if derivative:  # <sin^2 phi / (|d| Q_j)> along zero j, the other at sign(sigma_j) sigma_k
+            mk, Pk = np.where(neg, P[::-1], m[::-1]), np.where(neg, m[::-1], P[::-1])
+            pj = (g / (2.0 - g)) ** 2
+            kc = np.array([kc, kc, *(g * Pk / ((2.0 - g) * mk)), *(g * Pk / ((2.0 - g) * mk))])
+            pc = np.array([pc, pc, np.ones(n), np.ones(n), *pj])
+        dhat = turn = gains = None
+        if complexity or derivative:
+            out = _cel(kc, pc, *((np.vstack((ends[0], np.zeros((4, n)))),
+                                  np.vstack((pc[:2] * ends[1], pc[2:]))) if derivative else
+                                 (ends[0], pc * ends[1])))
+            dhat = 2.0 / (PI * amp * Pb * ms) * out[:2]
+            ok &= np.isfinite(dhat).all(0)
+        if derivative:
+            mean = np.where(tau == 0.0, 0.0, 2.0 * (out[2:4] - out[4:]) / (
+                PI * amp * (2.0 - g) * mk * abs(sig)))
+            ok &= ((tau == 0.0) | (abs(sig) >= _OFF_ORIGIN)).all(0)
+            slope_k = 1j * (p2 * u - p0 * u.conj())  # d_k of d_x - i d_z at theta
+            turn = np.array([slope_k.real, -slope_k.imag]) * (tau * mean).sum(0) - omega * dhat
+            turn = np.array([-turn[1], turn[0]])
+            ok &= np.isfinite(turn).all(0)
+        if chi:  # <(d psi)^2> and that less <e^{2 i psi} (d psi)^2> / phase, per side
+            a, c, (x, y) = g * (2.0 - g), 1.0 - sig[0] * sig[1], sig
+            total = omega ** 2 + 0.5 * (tau[0] ** 2 / a[0] + 2.0 * tau[0] * tau[1] / c
+                                        + tau[1] ** 2 / a[1])
+            same = total - omega ** 2 * x * y - 1j * omega * (tau[0] * y + tau[1] * x) + 0.25 * (
+                tau[0] ** 2 * (1.0 / a[0] - y * y / c) + 2.0 * tau[0] * tau[1]
+                + tau[1] ** 2 * (1.0 / a[1] - x * x / c))
+            o = 1 * inside[0]  # the zero outside, where one is
+            (X, Y), (tx, ty), (ax, ay) = ((v[o, r], v[1 - o, r]) for v in (sig, tau, a))
+            d = X - Y
+            mixed = d / c * (d * total + 1j * omega * (tx * (c + ay) + ty * (c + ax)) / c + d / (
+                4.0 * c * c) * (tx ** 2 * (X * Y * c + ay) / ax + 2.0 * tx * ty * (1.0 + X * Y)
+                                + ty ** 2 * (X * Y * c + ax) / ay))
+            less = np.where(inside[0] != inside[1], mixed, np.where(inside[0], same.conj(), same))
+            phase = kappa.conj() / kappa * u ** (2 - 2 * inside.sum(0))
+            tilt = (phase * less).real
+            gains = np.array([total * (1.0 - phase.real) + tilt,
+                              total * (1.0 + phase.real) - tilt]) / 8.0
+            ok &= np.isfinite(gains).all(0)
+    return ok, dhat, turn, gains
+
+
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
                     complexity=False, derivative=False, chi=False,
-                    gaps=None) -> List[_BlochAverages]:
-    """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family
-    ``m`` at each of ``lams`` (whose ``singular_gaps`` the caller may pass), from
-    one ``bz_averages`` run in which each lambda owns the panels of its graded
-    ``panel_edges`` and the reference breakpoints.
+                    closings=None) -> List[_BlochAverages]:
+    """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family ``m`` at
+    each of ``lams``, whose ``TwoBandModel._closings`` the caller may pass.
+
+    An open row of planar rows, with a global reference or none, takes them from
+    ``_planar_averages`` where it holds; every other row from ``_engine_averages``.
+    A non-finite lambda is a DomainError.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise DomainError("the parameter value must be finite")
+    rows, zeros, gaps = m._closings(lams) if closings is None else closings
+    slope, exact = m.slope(lams), ~closed_rows(gaps[1])
+    if (not (complexity or derivative or chi) or not exact.any() or any(
+            np.any(row[1]) for row in (*rows, *slope)) or not (
+            ref is None or isinstance(ref, GlobalReference))):
+        exact[:] = False
+    else:
+        ok, dhat, turn, gains = _planar_averages(rows, slope, zeros, lams.size, complexity,
+                                                 derivative, chi)
+        exact &= ok
+        nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
+        if complexity:
+            cs = (0.5 + 0.5 * (nref @ dhat)).tolist()
+        if derivative:
+            dcs, turn = (0.5 * (nref @ turn)).tolist(), 2.0 * PI * np.insert(turn, 1, 0.0, axis=0).T
+        if chi:
+            gains = np.insert(gains, 1, 0.0, axis=0).T.tolist()
+    rest = np.flatnonzero(~exact)
+    engine = iter(_engine_averages(m, lams[rest], ref, cfg, complexity=complexity,
+                                   derivative=derivative, chi=chi,
+                                   gaps=[g[rest] for g in gaps]) if rest.size else ())
+    return [_BlochAverages(cs[i] if complexity else None, dcs[i] if derivative else None,
+                           turn[i] if derivative else None,  # the total as numpy sums three
+                           SusceptibilityBreakdown(0.0 + gains[i][0] + gains[i][1] + gains[i][2],
+                                                   tuple(gains[i])) if chi else None)
+            if is_exact else next(engine) for i, is_exact in enumerate(exact.tolist())]
+
+
+def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
+                     complexity=False, derivative=False, chi=False,
+                     gaps=None) -> List[_BlochAverages]:
+    """``_bloch_averages`` by quadrature alone, the exact path's oracle: C, dC/d(lambda)
+    with the d_hat-derivative integrals and chi_F of the family ``m`` at each of
+    ``lams`` (whose ``singular_gaps`` the caller may pass), from one ``bz_averages`` run
+    in which each lambda owns the panels of its graded ``panel_edges`` and the
+    reference breakpoints.
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);

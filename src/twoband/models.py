@@ -120,17 +120,23 @@ def closed_rows(gaps) -> np.ndarray:
     return np.any(np.asarray(gaps) < GAP_EPS, axis=1)
 
 
+def _coefficients(rows: Rows):
+    """(p0, p1, p2): with z = e^{ik} the rows' z (d_x - i d_z) is p0 + p1 z + p2 z^2."""
+    (ax, _, az), (bx, _, bz), (cx, _, cz) = rows
+    b, c = bx - 1j * bz, cx - 1j * cz
+    return 0.5 * (b + 1j * c), ax - 1j * az, 0.5 * (b - 1j * c)
+
+
 def _contour_zeros(rows: Rows):
-    """(p0, q, p2): with z = e^{ik} the rows' z (d_x - i d_z) is p0 + p1 z + p2 z^2, whose
-    zeros are q / p2 and p0 / q; q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 is signed not to
-    cancel, so the pair also holds p2 = 0 (one zero) and p0 = 0 (a zero at 0).  Where
-    d_x and d_z vanish at every k, d = 0 needs d_y = 0, so d_y takes the place of d_x."""
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rows
-    b, c, p1 = bx - 1j * bz, cx - 1j * cz, ax - 1j * az
-    flat = (b == 0) & (c == 0) & (p1 == 0)
+    """(p0, q, p2) of the rows' ``_coefficients``, whose zeros are q / p2 and p0 / q;
+    q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 is signed not to cancel, so the pair also holds
+    p2 = 0 (one zero) and p0 = 0 (a zero at 0).  Where d_x and d_z vanish at every k,
+    d = 0 needs d_y = 0, so d_y takes the place of d_x."""
+    p0, p1, p2 = _coefficients(rows)
+    flat = (p0 == 0) & (p1 == 0) & (p2 == 0)
     if np.any(flat):
-        b, c, p1 = np.where(flat, by, b), np.where(flat, cy, c), np.where(flat, ay, p1)
-    p0, p2 = 0.5 * (b + 1j * c), 0.5 * (b - 1j * c)
+        p0, p1, p2 = (np.where(flat, y, p) for y, p in
+                      zip(_coefficients([(r[1], 0.0, 0.0) for r in rows]), (p0, p1, p2)))
     root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
     q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)
     return p0, q, p2

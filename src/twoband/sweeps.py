@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ class SweepSpec:
         return np.linspace(start, stop, points)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One row of a sweep: the parameter value, named results, and flags."""
 
     lam: float
@@ -154,7 +153,7 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     model = entry.model(spec.fixed, spec.sweep[0])
     if entry.hermitian:
         closings = model._closings(grid)
-        avgs = _bloch_averages(model, grid, spec.reference, cfg, gaps=closings[2],
+        avgs = _bloch_averages(model, grid, spec.reference, cfg, closings=closings,
                                **dict.fromkeys(needs, True))
         _closed_gap_rows(model, grid, avgs, spec, cfg)
         closed = closed_rows(closings[2][1]).tolist()

@@ -17,6 +17,7 @@ from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GapClosedEr
                      plateau_reference, reference_coefficients, run_sweep,
                      self_dual_constraint, ssh_model)
 from twoband.bounds_duality import ratio_complexity, ratio_complexity_prime
+from twoband.fidelity import _engine_averages
 from twoband.models import MODELS, TwoBandModel
 from twoband.quadrature import param_derivative
 
@@ -134,8 +135,8 @@ class TestBoundCheck:
         assert report.satisfied and math.isfinite(report.rhs)
         assert report.lhs == pytest.approx(abs(ratio_complexity_prime(t2, ref)), rel=1e-8)
 
-    def test_gapped_point_runs_one_average_and_no_finite_difference(self, calls):
-        bound_check(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
+    def test_gapped_point_runs_one_average_and_no_finite_difference(self, calls, skew):
+        bound_check(MODELS[skew].model({}), GlobalReference(0.9, 0.4), 2.0)
         assert calls == {"bz_averages": 1, "averages": 1}
 
     def test_divergent_point_runs_no_average(self, calls):
@@ -143,29 +144,28 @@ class TestBoundCheck:
                     BZQuadratureConfig(max_subdivisions=200))
         assert calls == {}
 
-    @pytest.mark.parametrize("model,quantities,ref", [
-        ("ssh", ("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"),
+    @pytest.mark.parametrize("quantities,ref", [
+        (("complexity", "dcomplexity", "chi_f", "chi_f_components", "bound", "ratio"),
          GlobalReference(0.9, 0.4)),
-        ("ssh", ("chi_f",), GlobalReference(0.9, 0.4)),
-        ("ssh", ("complexity", "dcomplexity"), GlobalReference(0.9, 0.4)),
-        ("ssh", ("complexity", "chi_f"), GlobalReference(0.9, 0.4)),
-        ("ssh", ("complexity", "dcomplexity"), plateau_reference()),
-        ("massive-dirac", ("complexity", "dcomplexity", "bound"), GlobalReference(0.9, 0.4)),
+        (("chi_f",), GlobalReference(0.9, 0.4)),
+        (("complexity", "dcomplexity"), GlobalReference(0.9, 0.4)),
+        (("complexity", "chi_f"), GlobalReference(0.9, 0.4)),
+        (("complexity", "dcomplexity"), plateau_reference()),
+        (("complexity", "dcomplexity", "bound"), GlobalReference(0.3, 1.4)),
     ])
-    def test_sweep_point_shares_its_averages(self, calls, model, quantities, ref):
-        parameter = "t2" if model == "ssh" else "mu"
-        spec = SweepSpec(model=model, sweep=(parameter, 1.5, 2.0, 2), reference=ref,
+    def test_sweep_point_shares_its_averages(self, calls, skew, quantities, ref):
+        spec = SweepSpec(model=skew, sweep=("lam", 1.5, 2.0, 2), reference=ref,
                          quantities=quantities)
         run_sweep(spec)
         # one run of the engine, in which each row owns one average
         assert calls == {"bz_averages": 1, "averages": 2}
 
-    def test_gapped_ratio_runs_one_average(self, calls):
-        ratio_R(ssh_model(SSHParams(1.0, 2.0)), GlobalReference(0.9, 0.4), 2.0)
+    def test_gapped_ratio_runs_one_average(self, calls, skew):
+        ratio_R(MODELS[skew].model({}), GlobalReference(0.9, 0.4), 2.0)
         assert calls == {"bz_averages": 1, "averages": 1}
 
-    def test_closed_gap_row_runs_only_the_complexity_and_its_stencil(self, calls):
-        spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
+    def test_closed_gap_row_runs_only_the_complexity_and_its_stencil(self, calls, skew):
+        spec = SweepSpec(model=skew, sweep=("lam", 0.5, 1.5, 3),
                          reference=GlobalReference(0.9, 0.4),
                          quantities=("complexity", "dcomplexity", "chi_f", "chi_f_components",
                                      "bound", "ratio"))
@@ -176,14 +176,14 @@ class TestBoundCheck:
         assert gap.flags == {"diverged"} and gap.values["chi_f"] == math.inf
         assert math.isfinite(gap.values["dcomplexity"]) and math.isnan(gap.values["bound_lhs"])
 
-    def test_closed_gap_complexity_shares_the_main_run(self, calls):
+    def test_closed_gap_complexity_shares_the_main_run(self, calls, skew):
         ref = GlobalReference(0.9, 0.4)
-        spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
-                         reference=ref, quantities=("complexity", "chi_f"))
+        spec = SweepSpec(model=skew, sweep=("lam", 0.5, 1.5, 3), reference=ref,
+                         quantities=("complexity", "chi_f"))
         gap = run_sweep(spec)[1]
         assert calls == {"bz_averages": 1, "averages": 3}
         # the closed row's zeroed chi group leaves its C that of the C-only average
-        assert gap.values["complexity"] == ground_complexity(ssh_model(SSHParams(1.0, 1.0)), ref)
+        assert gap.values["complexity"] == ground_complexity(MODELS[skew].model({}).at(1.0), ref)
         assert gap.values["chi_f"] == math.inf and gap.flags == {"diverged"}
 
     def test_closed_gap_row_averages_the_c_of_a_c_only_sweep(self):
@@ -195,7 +195,7 @@ class TestBoundCheck:
         assert [through[0], through[2]] == beside
         assert through[1].values["complexity"] == alone[1].values["complexity"]
 
-    def test_closed_gap_row_evaluates_no_singular_gaps_twice(self, calls, monkeypatch):
+    def test_closed_gap_row_evaluates_no_singular_gaps_twice(self, calls, monkeypatch, skew):
         # every lambda's singular gaps come from TwoBandModel._closings
         seen, closings = [], TwoBandModel._closings
 
@@ -204,7 +204,7 @@ class TestBoundCheck:
             return closings(self, lams)
 
         monkeypatch.setattr(TwoBandModel, "_closings", recorded)
-        spec = SweepSpec(model="ssh", sweep=("t2", 0.5, 1.5, 3), fixed={"t1": 1.0},
+        spec = SweepSpec(model=skew, sweep=("lam", 0.5, 1.5, 3),
                          reference=GlobalReference(0.9, 0.4),
                          quantities=("complexity", "dcomplexity"))
         gap = run_sweep(spec)[1]
@@ -225,25 +225,22 @@ class TestBoundCheck:
         assert all(math.isfinite(rec.values["complexity"]) for rec in run_sweep(spec))
 
     def test_exhausted_budget_keeps_one_average_estimates(self, calls):
-        # beside mu = 0 the massive-Dirac average exhausts its budget on panels
+        # beside mu = 0 the massive-Dirac engine average exhausts its budget on panels
         # at k = +-pi; the row keeps the estimates of its one average
         ref = GlobalReference(0.9, 0.4)
-        spec = SweepSpec(model="massive-dirac", sweep=("mu", 1e-10, 1.0, 2), reference=ref,
-                         quantities=("chi_f", "dcomplexity"))
-        row = run_sweep(spec)[0]
+        row = _engine_averages(massive_dirac_model(MassiveDiracParams()), [1e-10, 1.0], ref,
+                               None, chi=True, derivative=True)[0]
         assert calls == {"bz_averages": 1, "averages": 2}
         params = MassiveDiracParams(mu=1e-10)
-        assert row.values["chi_f"] == pytest.approx(chi_F_md_closed(params), rel=1e-8)
-        assert row.values["dcomplexity"] == pytest.approx(
-            md_dC_dmu_analytic(params, ref.theta), abs=1e-9)
+        assert row.chi.total == pytest.approx(chi_F_md_closed(params), rel=1e-8)
+        assert row.dcomplexity == pytest.approx(md_dC_dmu_analytic(params, ref.theta), abs=1e-9)
 
     def test_exhausted_budget_row_keeps_the_complexity_of_its_average(self, calls):
-        # C shares the average whose budget runs out; it still meets the
+        # C shares the engine average whose budget runs out; it still meets the
         # closed form and the C-only average to the quadrature tolerance
         ref = GlobalReference(0.9, 0.4)
-        spec = SweepSpec(model="massive-dirac", sweep=("mu", 1e-10, 1.0, 2), reference=ref,
-                         quantities=("complexity", "chi_f"))
-        c = run_sweep(spec)[0].values["complexity"]
+        c = _engine_averages(massive_dirac_model(MassiveDiracParams()), [1e-10, 1.0], ref,
+                             None, complexity=True, chi=True)[0].complexity
         assert calls == {"bz_averages": 1, "averages": 2}
         params = MassiveDiracParams(mu=1e-10)
         assert c == pytest.approx(md_complexity_closed(params, ref.theta), rel=1e-10)

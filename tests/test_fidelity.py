@@ -11,7 +11,7 @@ from twoband import (BZQuadratureConfig, DomainError, GapClosedError,
                      chi_F_per_mode_projector, chi_F_ssh_closed,
                      massive_dirac_model, ssh_model)
 from twoband.fidelity import dhat_derivative
-from twoband.models import TwoBandModel
+from twoband.models import MODELS, TwoBandModel
 
 PI = math.pi
 
@@ -117,8 +117,8 @@ class TestBZAveraged:
         assert got.diverged
         assert got.total > 1e8
 
-    def test_exhausted_budget_is_flagged_with_a_finite_estimate(self):
-        got = chi_F(ssh_model(SSHParams(1.0, 1.5)), 1.5, BZQuadratureConfig(max_subdivisions=2))
+    def test_exhausted_budget_is_flagged_with_a_finite_estimate(self, skew):
+        got = chi_F(MODELS[skew].model({}), 2.0, BZQuadratureConfig(max_subdivisions=2))
         assert got.diverged
         assert math.isfinite(got.total) and all(math.isfinite(c) for c in got.components)
         assert got.total == pytest.approx(sum(got.components), rel=1e-12)

@@ -130,8 +130,8 @@ class TestRunSweep:
         spacing = recs[1].lam - recs[0].lam
         assert len(cusps) == 1 and abs(cusps[0] - 1.0) <= spacing
 
-    def test_exhausted_budget_row_is_flagged_with_an_infinite_bound(self):
-        spec = SweepSpec(model="ssh", sweep=("t2", 1.5, 1.6, 2), fixed={"t1": 1.0},
+    def test_exhausted_budget_row_is_flagged_with_an_infinite_bound(self, skew):
+        spec = SweepSpec(model=skew, sweep=("lam", 1.5, 1.6, 2),
                          reference=GlobalReference(0.9, 0.4), quantities=("chi_f", "bound"))
         for rec in run_sweep(spec, BZQuadratureConfig(max_subdivisions=2)):
             assert rec.flags == {"diverged"}
@@ -662,7 +662,7 @@ class TestBatchedRows:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, grid)
         spec = SweepSpec(model="ssh", sweep=("t1", 1.5, 2.5, 9), fixed={"t2": 1.25},
-                         reference=self.REF, quantities=("complexity", "winding"))
+                         reference=plateau_reference(), quantities=("complexity", "winding"))
         rows = run_sweep(spec)
         assert calls["bz_averages"] == 1 and calls["averages"] == 9
         assert calls["bz_average_vec"] == calls["param_derivative"] == 0
@@ -765,10 +765,14 @@ class TestWindingGapThreshold:
     @pytest.mark.parametrize("quantities,runs,owners", [
         ("winding", 0, 0), ("complexity,winding", 1, 3)])
     def test_winding_beside_the_pi_closing_averages_nothing(self, quantities, runs, owners,
-                                                            calls, capsys):
-        # the winding is counted, not averaged: only C runs, on every row, closed or not
+                                                            calls, capsys, tmp_path):
+        # the winding is counted, not averaged: only C runs, on every row, closed or not;
+        # a piecewise reference keeps the open rows' C on the engine
+        plateau = tmp_path / "plateau.txt"
+        plateau.write_text(f"{-PI!r} 0.0 0 0 1\n0.0 {PI!r} 0 0 -1\n", encoding="utf-8")
         code, _ = _stdout(capsys, ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep",
-                                   "t2:-1.0000000001:-0.9999999999:3", "--quantities", quantities])
+                                   "t2:-1.0000000001:-0.9999999999:3", "--quantities", quantities,
+                                   "--ref-piecewise", str(plateau)])
         assert code == 0
         assert calls["bz_averages"] == runs and calls["averages"] == owners
         assert calls["bz_average_vec"] == calls["param_derivative"] == 0
