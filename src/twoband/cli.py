@@ -156,9 +156,9 @@ def _add_reference_options(p):
                    help="interpret --theta/--phi in degrees")
 
 
-def _add_sweep_command(sub, name: str, text: str, listed: str, **defaults) -> None:
-    """A sweep subcommand; ``listed`` is its ``--quantities`` help and ``defaults``
-    are its own defaults of the shared flags.
+def _add_sweep_command(sub, name: str, text: str, listed, note="", **defaults) -> None:
+    """A sweep subcommand of the quantities ``listed``; ``defaults`` are its own defaults
+    of the shared flags.
 
     Flags are matched by their full names only, so a config key is either a
     flag's long name or an error.
@@ -169,7 +169,8 @@ def _add_sweep_command(sub, name: str, text: str, listed: str, **defaults) -> No
                    help="fix a model parameter (repeatable)")
     p.add_argument("--sweep", metavar="NAME:START:STOP:POINTS",
                    help="swept parameter and grid")
-    p.add_argument("--quantities", default="complexity", help=listed)
+    p.add_argument("--quantities", default="complexity",
+                   help="comma list from: " + ",".join(listed) + note)
     p.add_argument("--ref-piecewise", metavar="FILE",
                    help="piecewise reference file (k_lo k_hi nx ny nz per line)")
     p.add_argument("--config", metavar="FILE",
@@ -189,12 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "and duality maps for two-band Bloch Hamiltonians.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_sweep_command(sub, "sweep", "run a parameter sweep and emit CSV/JSON",
-                       "comma list from: " + ",".join(QUANTITIES))
+    _add_sweep_command(sub, "sweep", "run a parameter sweep and emit CSV/JSON", QUANTITIES)
     _add_sweep_command(sub, "nh-sweep", "sweep --model nh-ssh (complexity + derivative)",
-                       "comma list from: " + ",".join(LOSSY_QUANTITIES) + "; the lossy chain "
-                       "takes a global reference (--theta/--phi), not --ref-piecewise",
-                       model="nh-ssh", quantities=",".join(LOSSY_QUANTITIES))
+                       LOSSY_QUANTITIES, "; the lossy chain takes a global reference "
+                       "(--theta/--phi), not --ref-piecewise", model="nh-ssh",
+                       quantities=",".join(LOSSY_QUANTITIES))
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])

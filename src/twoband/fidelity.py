@@ -22,16 +22,12 @@ from .quadrature import BZQuadratureConfig, bz_averages
 
 PI = math.pi
 
-# Landen steps of ``_cel``: its kc stays in (0, 3], and AGM(1, kc) meets double
-# precision in at most 8 steps down to kc = 1e-14, where a gap is still open.
-_CEL_STEPS = 10
-# The exact path takes a row whose reflected zeros leave the line through 0 by at
-# most this much of their distance 1 - |sigma| from the circle, and their
-# lambda-derivatives by this much of their size.
-_ON_LINE = 1e-13
-# ... and whose moving zeros sit at least this far from 0, where its chi-derivative
-# integrals lose about 2e-16 / |sigma| to the difference of two cel values.
-_OFF_ORIGIN = 1e-2
+# Landen steps of ``_cel`` (kc in (0, 3]): 8 meet double precision down to kc = 1e-14.
+_CEL_STEPS = 9
+# A row is exact if its reflected zeros leave one line through 0 by at most _ON_LINE of
+# 1 - |sigma| (their lambda-derivatives, of their size) and, for dC, its moving zeros sit
+# _OFF_ORIGIN from 0, where a mean loses 2e-16 / |sigma| to a difference of cel values.
+_ON_LINE, _OFF_ORIGIN = 1e-13, 1e-2
 
 
 def dhat_derivative(d, d_deriv) -> np.ndarray:
@@ -98,10 +94,9 @@ class _BlochAverages(NamedTuple):
 
 
 def _cel(kc, p, a, b):
-    """Bulirsch's general complete elliptic integral, for kc > 0 and p > 0,
-    int_0^{pi/2} (a cos^2 t + b sin^2 t) / ((cos^2 t + p sin^2 t) sqrt(cos^2 t + kc^2 sin^2 t)) dt
-    (Numer. Math. 13 (1969) 305), in a fixed number of Landen steps, so that a row's
-    value does not depend on the rows evaluated with it."""
+    """Bulirsch's int_0^{pi/2} (a cos^2 + b sin^2) / ((cos^2 + p sin^2) sqrt(cos^2 + kc^2 sin^2))
+    for kc, p > 0 (Numer. Math. 13 (1969) 305), in a fixed number of Landen steps, so
+    that a row's value does not depend on the rows evaluated with it."""
     e, em, p = kc, 1.0, np.sqrt(p)
     b = b / p
     for _ in range(_CEL_STEPS):
@@ -112,39 +107,31 @@ def _cel(kc, p, a, b):
 
 
 def _planar_averages(rows, slope, zeros, n: int, complexity: bool, derivative: bool, chi: bool):
-    """(ok, <d_hat>, <d(d_hat)/d(lambda)>, chi_F per axis) of ``n`` planar rows with their
-    slope rows and ``_contour_zeros``: the (x, z) parts, or None where not asked for.  ``ok``
-    marks the rows whose zeros lie on one line through 0 (and, for dC or chi, stay on it as
-    lambda moves) and whose values are finite.
+    """(ok, <d_hat>, <d(d_hat)/d(lambda)>, chi_F per axis), each (x, z) or None where not
+    asked for, of ``n`` planar rows with their slope rows and ``_contour_zeros``; ``ok``
+    marks the rows whose zeros lie on one line u = e^{i theta} through 0 (for dC or chi,
+    also as lambda moves) and whose values are finite.
 
-    On that line u = e^{i theta} reflect each zero into the disk as sigma_j u, sigma_j real,
-    so that with z = e^{ik} = u w, p = kappa prod (w - sigma_j) (zeros inside) or
-    (1 - sigma_j w) (outside), and |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2.
-    1 - |sigma_j| is |d| beside zero j over |kappa| |sign(sigma_j) - sigma_k|, exact where
-    the gap closes.  With the larger sigma first, <N / |d|> = 2 cel(kc, p, N(theta),
-    p N(theta + pi)) / (pi |kappa| (1 + sigma_1)(1 - sigma_2)), kc = (1 - sigma_1)(1 + sigma_2)
-    / ((1 + sigma_1)(1 - sigma_2)), p = ((1 - sigma_1) / (1 + sigma_1))^2.  The angle psi of
-    d_x + i d_z moves as d(psi)/d(lambda) = -omega + sin(phi) sum_j tau_j / Q_j, omega the
-    rate of arg kappa and tau_j = +-d(sigma_j)/d(lambda) for a zero outside/inside, so
-    <d(d_hat)/d(lambda)> is -omega <d_hat> + d_k d(theta) sum_j tau_j <sin^2 phi / (|d| Q_j)>
-    turned by 90 degrees, each mean a difference of two cel values; chi_F is
-    <(d psi / d lambda)^2> / 4, and its axes take the factor Re e^{2 i psi}: both are
-    Hardy-space inner products of the Blaschke factors (w - sigma) / (1 - sigma w),
-    rational in the sigma_j (residues at the reflected zeros).
+    Each zero reflected into the disk is sigma_j u, sigma_j real: with e^{ik} = u w,
+    |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2, and 1 - |sigma_j| is |d| beside
+    zero j over |kappa| |sign(sigma_j) - sigma_k|, exact at a closing.  With sigma_1 the
+    larger, <N / |d|> = 2 cel(kc, p, N(theta), p N(theta + pi)) / (pi |kappa| (1 + sigma_1)
+    (1 - sigma_2)), kc = (1 - sigma_1)(1 + sigma_2) / ((1 + sigma_1)(1 - sigma_2)) and
+    p = ((1 - sigma_1) / (1 + sigma_1))^2.  The angle psi of d_x + i d_z moves as
+    -omega + sin(phi) sum_j tau_j / Q_j (omega the rate of arg kappa, tau_j +- the rate of
+    sigma_j for a zero outside/inside): <d(d_hat)/d(lambda)> turns -omega <d_hat> + d_k
+    d(theta) sum_j tau_j <sin^2 phi / (|d| Q_j)> by 90 degrees, each mean two cel values,
+    and chi_F with its axes (the factor Re e^{2 i psi}) are residue sums in the sigma_j.
     """
-    p0, q, p2 = zeros
-    p0, q, p2 = np.broadcast_arrays(p0, q, p2, np.empty(n))[:3]
+    p0, q, p2 = np.broadcast_arrays(*zeros, np.empty(n))[:3]
     r = np.arange(n)
     with np.errstate(all="ignore"):
         num, den = np.array([q, p0]), np.array([p2, q])  # the zeros q / p2 and p0 / q
         inside = abs(num) < abs(den)
-        z, w = num / den, den / num
-        z = np.where(inside, z, w.conj())  # a zero outside as its reflection 1 / conj(z)
+        z = np.where(inside, num / den, (den / num).conj())  # outside: reflected, 1 / conj(z)
         big = 1 * (abs(z[1]) > abs(z[0]))
-        u = z[big, r]
-        u = np.where(u == 0.0, 1.0, u / abs(u))
-        sig = z * u.conj()
-        sig, off = sig.real, abs(sig.imag)
+        u = np.where(z[big, r] == 0.0, 1.0, z[big, r] / abs(z[big, r]))
+        sig, off = (z * u.conj()).real, abs((z * u.conj()).imag)
         kappa = np.where(inside[0], p2, -q) * np.where(inside[1], 1.0, -p0 / q)
         amp, (_, p1, _) = abs(kappa), _coefficients(rows)
         odd = p0 * u.conj() + p2 * u  # d_x - i d_z = p0 / z + p1 + p2 z at z = +-u
@@ -162,7 +149,7 @@ def _planar_averages(rows, slope, zeros, n: int, complexity: bool, derivative: b
             s0, s1, s2 = (v * np.ones(n) for v in _coefficients(slope))
             dq = (s1 * q + s0 * p2 + p0 * s2) / -(2.0 * q + p1)  # q^2 + p1 q + p0 p2 = 0
             dnum, dden = np.array([dq, s0]), np.array([s2, dq])
-            dz = np.where(inside, (dnum - z * dden) / den, ((dden - w * dnum) / num).conj())
+            dz = np.where(inside, (dnum - z * dden) / den, ((dden - z.conj() * dnum) / num).conj())
             dsig = dz * u.conj()
             ok &= (abs(dsig.imag) <= _ON_LINE * abs(dz)).all(0)
             tau = np.where(inside, -dsig.real, dsig.real)
@@ -170,24 +157,21 @@ def _planar_averages(rows, slope, zeros, n: int, complexity: bool, derivative: b
                      + np.where(inside[1], 0.0, s0 / p0 - dq / q)).imag
         if derivative:  # <sin^2 phi / (|d| Q_j)> along zero j, the other at sign(sigma_j) sigma_k
             mk, Pk = np.where(neg, P[::-1], m[::-1]), np.where(neg, m[::-1], P[::-1])
-            pj = (g / (2.0 - g)) ** 2
-            kc = np.array([kc, kc, *(g * Pk / ((2.0 - g) * mk)), *(g * Pk / ((2.0 - g) * mk))])
-            pc = np.array([pc, pc, np.ones(n), np.ones(n), *pj])
+            kc = np.vstack((kc, kc, np.tile(g * Pk / ((2.0 - g) * mk), (2, 1))))
+            pc = np.vstack((pc, pc, np.ones((2, n)), (g / (2.0 - g)) ** 2))
         dhat = turn = gains = None
         if complexity or derivative:
             out = _cel(kc, pc, *((np.vstack((ends[0], np.zeros((4, n)))),
                                   np.vstack((pc[:2] * ends[1], pc[2:]))) if derivative else
                                  (ends[0], pc * ends[1])))
             dhat = 2.0 / (PI * amp * Pb * ms) * out[:2]
-            ok &= np.isfinite(dhat).all(0)
         if derivative:
-            mean = np.where(tau == 0.0, 0.0, 2.0 * (out[2:4] - out[4:]) / (
-                PI * amp * (2.0 - g) * mk * abs(sig)))
+            spin = (tau * np.where(tau == 0.0, 0.0, 2.0 * (out[2:4] - out[4:]) / (
+                PI * amp * (2.0 - g) * mk * abs(sig)))).sum(0)
             ok &= ((tau == 0.0) | (abs(sig) >= _OFF_ORIGIN)).all(0)
             slope_k = 1j * (p2 * u - p0 * u.conj())  # d_k of d_x - i d_z at theta
-            turn = np.array([slope_k.real, -slope_k.imag]) * (tau * mean).sum(0) - omega * dhat
-            turn = np.array([-turn[1], turn[0]])
-            ok &= np.isfinite(turn).all(0)
+            turn = np.array([slope_k.imag * spin + omega * dhat[1],
+                             slope_k.real * spin - omega * dhat[0]])
         if chi:  # <(d psi)^2> and that less <e^{2 i psi} (d psi)^2> / phase, per side
             a, c, (x, y) = g * (2.0 - g), 1.0 - sig[0] * sig[1], sig
             total = omega ** 2 + 0.5 * (tau[0] ** 2 / a[0] + 2.0 * tau[0] * tau[1] / c
@@ -195,8 +179,8 @@ def _planar_averages(rows, slope, zeros, n: int, complexity: bool, derivative: b
             same = total - omega ** 2 * x * y - 1j * omega * (tau[0] * y + tau[1] * x) + 0.25 * (
                 tau[0] ** 2 * (1.0 / a[0] - y * y / c) + 2.0 * tau[0] * tau[1]
                 + tau[1] ** 2 * (1.0 / a[1] - x * x / c))
-            o = 1 * inside[0]  # the zero outside, where one is
-            (X, Y), (tx, ty), (ax, ay) = ((v[o, r], v[1 - o, r]) for v in (sig, tau, a))
+            (X, Y), (tx, ty), (ax, ay) = ((v[1 * inside[0], r], v[1 - inside[0], r])
+                                          for v in (sig, tau, a))  # outside, inside
             d = X - Y
             mixed = d / c * (d * total + 1j * omega * (tx * (c + ay) + ty * (c + ax)) / c + d / (
                 4.0 * c * c) * (tx ** 2 * (X * Y * c + ay) / ax + 2.0 * tx * ty * (1.0 + X * Y)
@@ -206,7 +190,8 @@ def _planar_averages(rows, slope, zeros, n: int, complexity: bool, derivative: b
             tilt = (phase * less).real
             gains = np.array([total * (1.0 - phase.real) + tilt,
                               total * (1.0 + phase.real) - tilt]) / 8.0
-            ok &= np.isfinite(gains).all(0)
+    for v in (dhat, turn, gains):
+        ok &= True if v is None else np.isfinite(v).all(0)
     return ok, dhat, turn, gains
 
 
@@ -225,17 +210,15 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
         raise DomainError("the parameter value must be finite")
     rows, zeros, gaps = m._closings(lams) if closings is None else closings
     slope, exact = m.slope(lams), ~closed_rows(gaps[1])
-    if (not (complexity or derivative or chi) or not exact.any() or any(
-            np.any(row[1]) for row in (*rows, *slope)) or not (
-            ref is None or isinstance(ref, GlobalReference))):
-        exact[:] = False
-    else:
+    exact &= bool(complexity or derivative or chi) and (ref is None or isinstance(
+        ref, GlobalReference)) and not any(np.any(row[1]) if isinstance(row[1], np.ndarray)
+                                           else row[1] for row in (*rows, *slope))
+    if exact.any():
         ok, dhat, turn, gains = _planar_averages(rows, slope, zeros, lams.size, complexity,
                                                  derivative, chi)
         exact &= ok
         nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
-        if complexity:
-            cs = (0.5 + 0.5 * (nref @ dhat)).tolist()
+        cs = (0.5 + 0.5 * (nref @ dhat)).tolist() if complexity else None
         if derivative:
             dcs, turn = (0.5 * (nref @ turn)).tolist(), 2.0 * PI * np.insert(turn, 1, 0.0, axis=0).T
         if chi:
@@ -254,11 +237,9 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
 def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
                      complexity=False, derivative=False, chi=False,
                      gaps=None) -> List[_BlochAverages]:
-    """``_bloch_averages`` by quadrature alone, the exact path's oracle: C, dC/d(lambda)
-    with the d_hat-derivative integrals and chi_F of the family ``m`` at each of
-    ``lams`` (whose ``singular_gaps`` the caller may pass), from one ``bz_averages`` run
-    in which each lambda owns the panels of its graded ``panel_edges`` and the
-    reference breakpoints.
+    """``_bloch_averages`` by quadrature, the exact path's oracle (``gaps`` are the
+    ``singular_gaps``): one ``bz_averages`` run in which each lambda owns the panels
+    of its graded ``panel_edges`` and the reference breakpoints.
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
@@ -266,11 +247,9 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
     inf, flagged diverged; the row averages only C, with v zeroed so that its C
     is the C-only average's bit for bit.  An exhausted budget flags chi
     diverged and keeps every group's unconverged estimate (chi's non-finite
-    ones as inf); without chi it raises.  A non-finite lambda is a DomainError.
+    ones as inf); without chi it raises.
     """
     lams = np.asarray(lams, dtype=float)
-    if not np.all(np.isfinite(lams)):
-        raise DomainError("the parameter value must be finite")
     gaps = m.singular_gaps(lams) if gaps is None else gaps
     closed = closed_rows(gaps[1])
     # no average: a closed gap where C is not asked for, or nothing asked for

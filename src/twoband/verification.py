@@ -21,8 +21,8 @@ from .complexity import (BandAssignment, excited_piecewise_complexity,
                          excited_split_closed, ground_complexity,
                          md_complexity_closed, plateau_complexity,
                          ssh_complexity_closed)
-from .fidelity import (chi_F, chi_F_md_closed, chi_F_md_z_closed,
-                       chi_F_ssh_closed)
+from .fidelity import (_bloch_averages, _engine_averages, _planar_averages, chi_F,
+                       chi_F_md_closed, chi_F_md_z_closed, chi_F_ssh_closed)
 from .models import (MODELS, DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
                      SSHParams, massive_dirac_model,
                      nh_ssh_bloch_hamiltonian, ssh_model)
@@ -127,6 +127,21 @@ def closed_forms_suite() -> List[CheckResult]:
     got = excited_piecewise_complexity(SSHParams(1.0, 1.7), bands, ref, cfg)
     checks.append(_check("k0 = 0 band split closed form",
                          got - excited_split_closed(SSHParams(1.0, 1.7), 0.7), 1e-8))
+    # the exact path of planar rows against its oracle, the engine: C absolute, dC and
+    # chi relative, at the default point and 1e-6 from the closing of each family
+    for name, closing in (("ssh", 1.0), ("massive-dirac", 0.0), ("dual-ssh", 1.0),
+                          ("cooper-pair-box", 0.5)):
+        model = MODELS[name].model({})
+        for lam in (model.lam, closing + 1e-6):
+            rows, zeros, _ = model._closings([lam])
+            got, want = (f(model, [lam], refs[1], cfg, complexity=True, derivative=True,
+                           chi=True)[0] for f in (_bloch_averages, _engine_averages))
+            worst = max(abs(got.complexity - want.complexity), *(abs(x / y - 1.0) for x, y in (
+                (got.dcomplexity, want.dcomplexity), *zip(got.chi.components,
+                                                          want.chi.components)) if y))
+            routed = _planar_averages(rows, model.slope(lam), zeros, 1, True, True, True)[0][0]
+            checks.append(_check(f"exact path vs engine, {name} at {lam!r}",
+                                 worst if routed else math.inf, 1e-9))
     return checks
 
 

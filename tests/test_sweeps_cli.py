@@ -380,7 +380,7 @@ class TestCLI:
 
     def test_verify_all_passes(self, capsys):
         assert main(["verify", "all"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "65/65 checks passed"
+        assert capsys.readouterr().out.splitlines()[-1] == "73/73 checks passed"
 
     def test_winding_subcommand(self, capsys):
         assert main(["winding", "--model", "ssh", "--set", "t1=1", "--set", "t2=2"]) == 0
