@@ -1,0 +1,188 @@
+"""The exact path of planar rows against 30-digit mpmath averages of the stored rows.
+
+``_bloch_averages`` takes C, dC/d(lambda), the d_hat-derivative integrals and chi_F
+with its axes of a planar row with a global reference from the contour's zeros
+(``fidelity._planar_averages``), running no quadrature.  Each reference here is
+mpmath's tanh-sinh average over the zone of the double rows the model stores, split
+at the row's singular points, so it shares nothing with the exact path.
+"""
+
+import math
+from functools import lru_cache
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from twoband import (DualSSHParams, GlobalReference, MassiveDiracParams, SweepSpec,
+                     chi_F_md_closed, dual_pair, run_sweep)
+from twoband.fidelity import _bloch_averages, _cel, _planar_averages
+from twoband.models import MODELS, TwoBandModel
+
+PI = math.pi
+REF = GlobalReference(0.9, 0.4)
+
+
+def _reference(model, lam):
+    """30-digit <d_hat>, <d(d_hat)/d(lambda)> and chi_F per axis (x, z) at lam."""
+    (rows, slope), k_s = (model.rows(lam), model.slope(lam)), model.singular_gaps([lam])[0][0]
+    with mp.workdps(30):
+        rows, slope = ([[mp.mpf(float(x)) for x in row] for row in r] for r in (rows, slope))
+
+        @lru_cache(maxsize=None)
+        def parts(k):
+            c, s = mp.cos(k), mp.sin(k)
+            d = [rows[0][i] + rows[1][i] * c + rows[2][i] * s for i in (0, 2)]
+            dd = [slope[0][i] + slope[1][i] * c + slope[2][i] * s for i in (0, 2)]
+            n = mp.sqrt(d[0] ** 2 + d[1] ** 2)
+            dot = (d[0] * dd[0] + d[1] * dd[1]) / n
+            v = [(dd[i] - d[i] / n * dot) / n for i in (0, 1)]
+            return d[0] / n, d[1] / n, v[0], v[1], v[0] ** 2 / 4, v[1] ** 2 / 4
+
+        edges = {float(k) for k in k_s} | {float(k) - math.copysign(2 * PI, k) for k in k_s}
+        points = [-mp.pi] + [mp.mpf(k) for k in sorted(edges) if -PI < k < PI] + [mp.pi]
+        return [float(mp.quad(lambda k: parts(k)[j], points) / (2 * mp.pi)) for j in range(6)]
+
+
+def _check(model, lam, rtol, calls):
+    """The exact row at lam against the reference: C absolute to 1e-14; dC, the
+    integrals and chi with its axes relative to rtol (dC against its terms' size)."""
+    avg = _bloch_averages(model, [lam], REF, None, complexity=True, derivative=True,
+                          chi=True)[0]
+    assert calls["bz_averages"] == 0  # the row took the exact path
+    dx, dz, vx, vz, cx, cz = _reference(model, lam)
+    n = REF.bloch.as_array()
+    assert avg.complexity == pytest.approx(0.5 + 0.5 * (n[0] * dx + n[2] * dz), abs=1e-14)
+    terms = 0.5 * (abs(n[0] * vx) + abs(n[2] * vz))
+    assert abs(avg.dcomplexity - 0.5 * (n[0] * vx + n[2] * vz)) <= rtol * terms
+    for got, want in zip(avg.integrals, (2 * PI * vx, 0.0, 2 * PI * vz)):
+        assert got == pytest.approx(want, rel=rtol, abs=rtol * 2 * PI * max(abs(vx), abs(vz)))
+    assert avg.chi.components[1] == 0.0 and not avg.chi.diverged
+    for got, want in zip((avg.chi.components[0], avg.chi.components[2], avg.chi.total),
+                         (cx, cz, cx + cz)):
+        assert got == pytest.approx(want, rel=rtol, abs=1e-300)
+
+
+def _dual_ii():
+    return dual_pair(DualSSHParams(1.3, 2.0))[1]
+
+
+GAPPED = [
+    *((MODELS["ssh"].model({"t1": 1.0}), t2) for t2 in (0.4, 1.7, -0.6, -2.5)),
+    *((MODELS["ssh"].model({"t2": 1.3}, "t1"), t1) for t1 in (0.5, 2.2, -1.7)),
+    *((MODELS["massive-dirac"].model({}), mu) for mu in (0.3, -1.2, 3.0)),
+    *((MODELS["dual-ssh"].model({"t": 1.3}), r) for r in (0.4, 2.5)),
+    *((_dual_ii(), r) for r in (0.6, 1.8)),
+    *((MODELS["cooper-pair-box"].model({"Ej": 1.0, "Ecc": 1.5}), ng) for ng in (0.2, 0.8, -1.3)),
+]
+# 1e-6 to 1e-12 from a closing: ssh at k = 0 and at k = pi (t2 = -t1), massive Dirac at
+# k = 0 and pi at once, the dual chain and the Cooper-pair box at k = pi/2
+NEAR = [
+    *((MODELS["ssh"].model({"t1": 1.0}), 1.0 + d) for d in (1e-6, -1e-9, 1e-12)),
+    (MODELS["ssh"].model({"t1": 1.0}), -1.0 - 1e-10),
+    (MODELS["ssh"].model({"t2": 1.3}, "t1"), 1.3 - 1e-10),
+    *((MODELS["massive-dirac"].model({}), mu) for mu in (1e-6, -1e-9, 1e-12)),
+    (MODELS["dual-ssh"].model({"t": 1.3}), 1.0 + 1e-9),
+    (MODELS["cooper-pair-box"].model({}), 0.5 + 1e-8),
+]
+
+
+@pytest.mark.parametrize("model,lam", GAPPED, ids=lambda v: getattr(v, "label", repr(v)))
+def test_gapped_rows_of_every_family(model, lam, calls):
+    _check(model, lam, 1e-13, calls)
+
+
+@pytest.mark.parametrize("model,lam", NEAR, ids=lambda v: getattr(v, "label", repr(v)))
+def test_rows_beside_a_closing(model, lam, calls):
+    _check(model, lam, 1e-12, calls)
+
+
+def _collinear(rng, kind):
+    """Random rows whose contour zeros lie on one line through 0, as lambda moves too:
+    p(z) = kappa (z - z1 u)(z - z2 u) with real z1, z2 and |u| = 1, at lambda = 0."""
+    u, kappa, rate = np.exp(1j * rng.uniform(-PI, PI)), *(complex(*rng.normal(size=2))
+                                                            for _ in range(2))
+    z, dz = rng.uniform(0.2, 3.0, 2) * np.array([1.0, -1.0]), rng.normal(size=2)
+    if kind == "outside":
+        z = rng.uniform(1.2, 4.0, 2) * np.array([1.0, -1.0])
+    if kind == "one side":  # the second zero, reflected, at most 1/2 from 0
+        z[1] = rng.choice([rng.uniform(0.1, 0.5), rng.uniform(2.0, 5.0)])
+    if kind == "p0 = 0":
+        z[1], dz[1] = 0.0, 0.0
+    if kind == "p2 = 0":  # p = kappa (z - z1 u): one zero, the other at infinity
+        p, dp = (-kappa * z[0] * u, kappa, 0j), (-(rate * z[0] + kappa * dz[0]) * u, rate, 0j)
+    else:
+        p = (kappa * z[0] * z[1] * u * u, -kappa * (z[0] + z[1]) * u, kappa)
+        dp = (rate * p[0] / kappa + kappa * (dz[0] * z[1] + z[0] * dz[1]) * u * u,
+              rate * p[1] / kappa - kappa * (dz[0] + dz[1]) * u, rate)
+    # p0 = (b + i c)/2, p1 = a_x - i a_z, p2 = (b - i c)/2 with b = b_x - i b_z, c = c_x - i c_z
+    rows_of = lambda p0, p1, p2: tuple((x.real, 0.0, -x.imag) for x in
+                                       (complex(p1), p0 + p2, -1j * (p0 - p2)))
+    rows, slope = rows_of(*p), rows_of(*dp)
+    return TwoBandModel(lambda lam: tuple(tuple(r + lam * s for r, s in zip(a, b))
+                                          for a, b in zip(rows, slope)),
+                        lambda lam: slope, 0.0, label=kind)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["both sides", "outside", "one side", "p0 = 0", "p2 = 0"])
+def test_random_collinear_rows(kind, seed, calls):
+    model = _collinear(np.random.default_rng(seed), kind)
+    _check(model, 0.0, 1e-13, calls)
+
+
+def test_two_zeros_beside_one_point_take_the_engine(calls):
+    # p = (z - 1.4)(z - 1.6): reflected, its zeros sit 0.71 and 0.63 from 0 on one side
+    model = TwoBandModel(lambda lam: ((-3.0, 0.0, 0.0), (3.24, 0.0, 0.0), (0.0, 0.0, 1.24)),
+                         lambda lam: ((0.0, 0.0, 0.0),) * 3, 0.0)
+    rows, zeros, _ = model._closings([0.0])
+    assert sorted(abs(z) for z in (zeros[1] / zeros[2], zeros[0] / zeros[1])) == pytest.approx(
+        [1.4, 1.6])
+    _bloch_averages(model, [0.0], REF, None, complexity=True)
+    assert calls["bz_averages"] == 1
+
+
+def test_rows_off_one_line_take_the_engine(skew, calls):
+    # the zeros lam e^{0.3 i} and 3i are on no line through 0
+    model = MODELS[skew].model({})
+    rows, zeros, _ = model._closings([2.0])
+    assert not _planar_averages(rows, model.slope(2.0), zeros, 1, True, True, True)[0][0]
+    _bloch_averages(model, [2.0], REF, None, complexity=True)
+    assert calls["bz_averages"] == 1
+
+
+def test_a_row_does_not_depend_on_its_batch():
+    kc, p = np.array([1e-12, 0.3, 1.0, 2.9]), np.array([1e-24, 0.5, 1.0, 1e-3])
+    a, b = np.array([1.0, -0.3, 2.0, 0.7]), np.array([0.2, 1.1, -1.0, 5.0])
+    batch = _cel(kc, p, a, b)
+    assert [_cel(*(v[i:i + 1] for v in (kc, p, a, b)))[0] for i in range(4)] == batch.tolist()
+    model = MODELS["ssh"].model({"t1": 1.0})
+    lams = np.linspace(0.3, 2.7, 7)
+    alone = [_bloch_averages(model, [lam], REF, None, complexity=True, derivative=True,
+                             chi=True)[0] for lam in lams]
+    together = _bloch_averages(model, lams, REF, None, complexity=True, derivative=True,
+                               chi=True)
+    for x, y in zip(alone, together):
+        assert (x.complexity, x.dcomplexity, x.chi) == (y.complexity, y.dcomplexity, y.chi)
+        assert x.integrals.tolist() == y.integrals.tolist()
+
+
+@pytest.mark.parametrize("mu", [1e-10, -1e-10])
+def test_massive_dirac_beside_its_closing_is_not_flagged(mu):
+    # the engine's budget ran out here and flagged the row diverged
+    spec = SweepSpec(model="massive-dirac", sweep=("mu", mu, 2.0 * mu, 2) if mu > 0 else
+                     ("mu", 2.0 * mu, mu, 2), reference=REF,
+                     quantities=("chi_f", "dcomplexity"))
+    row = [rec for rec in run_sweep(spec) if rec.lam == mu][0]
+    assert row.flags == frozenset()
+    assert row.values["chi_f"] == pytest.approx(chi_F_md_closed(MassiveDiracParams(mu=mu)),
+                                                rel=1e-12)
+
+
+def test_a_planar_sweep_runs_the_engine_only_for_a_closed_row(calls):
+    spec = SweepSpec("ssh", ("t2", 0.5, 1.5, 5), {"t1": 1.0}, REF,
+                     ("complexity", "dcomplexity", "chi_f_components", "bound", "ratio"))
+    rows = run_sweep(spec)
+    # t2 = t1 averages its C alone on the engine; its dC is the stencil's, four exact rows
+    assert calls == {"bz_averages": 1, "averages": 1, "param_derivative": 1}
+    assert [row.flags for row in rows] == [frozenset()] * 2 + [{"diverged"}] + [frozenset()] * 2

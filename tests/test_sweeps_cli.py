@@ -156,9 +156,9 @@ class TestRunSweep:
             assert math.isnan(recs[1].values[column]) and recs[1].flags == {"diverged"}
             assert beside(recs[0].values[column]) and recs[0].flags == frozenset()
 
-    def test_divergence_flag_at_criticality(self):
-        spec = SweepSpec(model="ssh", sweep=("t2", 0.9, 1.1, 3), fixed={"t1": 1.0},
-                         quantities=("chi_f",))
+    def test_divergence_flag_at_criticality(self, skew):
+        # rows off one line, so the neighbours run on the engine beside the closed row
+        spec = SweepSpec(model=skew, sweep=("lam", 0.9, 1.1, 3), quantities=("chi_f",))
         recs = run_sweep(spec, BZQuadratureConfig(max_subdivisions=300))
         flags = {round(r.lam, 6): r.flags for r in recs}
         assert "diverged" in flags[1.0]
@@ -897,3 +897,24 @@ class TestRegistryCLI:
 
     def test_point_command_rejects_unknown_parameter(self, capsys):
         assert main(["bound", "--model", "ssh", "--set", "mu=1", "--lam", "2"]) == 2
+
+
+class TestPlanarRowsOnTheCommandLine:
+    def test_bound_beside_the_massive_dirac_closing_has_finite_sides(self, capsys):
+        # the engine's budget ran out here: lhs=nan, rhs=inf, satisfied=True on an open gap
+        code, out = _stdout(capsys, ["bound", "--model", "massive-dirac", "--lam", "1e-10",
+                                     "--theta", "0.9"])
+        assert code == 0
+        lines = out.splitlines()
+        lhs, rhs = (float(line.rsplit("=", 1)[1]) for line in lines[1:3])
+        ratio = float(lines[3].split("ratio=")[1])
+        assert math.isfinite(lhs) and math.isfinite(rhs) and 0.0 < lhs <= rhs
+        assert "satisfied=True" in out and 0.0 < ratio <= 1.0
+
+    def test_nh_sweep_help_names_only_the_lossy_quantities(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["nh-sweep", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "comma list from: complexity,dcomplexity; the lossy chain takes a global " \
+               "reference" in text
+        assert not any(q in text for q in QUANTITIES if q not in ("complexity", "dcomplexity"))
