@@ -50,10 +50,10 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
                       cfg: BZQuadratureConfig | None = None) -> float:
     """BZ average of the ground-state C_k = 1/2 + (1/2) n_ref(k) . d_hat(k).
 
-    The kernel raises GapClosedError at a mode where |d| < GAP_EPS, which no
-    node meets at the model's singular points: panels start from its graded
-    ``panel_edges`` and the reference breakpoints.  An exhausted subdivision
-    budget raises ConvergenceError.
+    An open planar row on one line is averaged exactly (``_bloch_averages``);
+    any other takes the engine on the graded ``panel_edges`` and reference
+    breakpoints, where no node meets a singular point.  A gap closed at a node
+    raises GapClosedError, an exhausted budget ConvergenceError.
     """
     return _bloch_averages(model, [model.lam], ref, cfg, complexity=True)[0].complexity
 

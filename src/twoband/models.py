@@ -60,22 +60,15 @@ class TwoBandModel:
         return d[0] - 1j * d[2]
 
     def singular_gaps(self, lams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The singular points of each of ``lams`` (rows), and |d| and |d_k d| there.
-
-        d = 0 needs d_x = d_z = 0, so every closing lies at the argument of a
-        zero of ``_contour_zeros``, arg(q conj(p2)) or arg(p0 conj(q)), which is
-        0 for a missing zero.  The k-slope is exact: d_k d has the rows (0, c, -b).
-        """
+        """The singular points of each of ``lams`` (rows), and |d| and |d_k d| there: the
+        ``zero_gaps`` of the rows, since d = 0 needs d_x = d_z = 0, at a contour zero."""
         return self._closings(lams)[2]
 
     def _closings(self, lams):
         """The rows at ``lams``, their ``_contour_zeros`` and their ``singular_gaps``."""
         lams = np.asarray(lams, dtype=float)
-        rows = self.rows(lams)
-        p0, q, p2 = zeros = _contour_zeros(rows)
-        k = np.angle([q * np.conj(p2), p0 * np.conj(q)]).reshape(2, -1) * np.ones(lams.size)
-        norm = lambda v: np.sqrt(np.sum(v * v, axis=0)).T
-        return rows, zeros, (k.T, norm(_bloch_sum(rows, k)), norm(_bloch_sum(k_slope(rows), k)))
+        rows = _real(self.rows(lams))
+        return (rows, *zero_gaps(rows, lams.size))
 
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the gap can close."""
@@ -110,9 +103,20 @@ class TwoBandModel:
         return np.where(closed, np.nan, inside - 1.0)
 
 
-def k_slope(rows: Rows) -> Rows:
-    """The rows (0, c, -b) of d_k d for the rows (a, b, c) of d."""
-    return (0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])
+def zero_gaps(rows: Rows, n: int):
+    """The rows' ``_contour_zeros`` and, per value of their last axis (n of them), at each
+    zero q / p2 and p0 / q: its argument k_s (0 for a missing zero) and |f| and |d_k f| there,
+    f = (d_x - i d_z, d_y), so |f| = |d| for real rows; each (n, zeros).  cos k_s and sin k_s
+    are the zero over its modulus, exactly +-1 and 0 at a real or imaginary zero."""
+    p0, q, p2 = zeros = _contour_zeros(rows)
+    z = np.array([q * np.conj(p2), p0 * np.conj(q)]) * np.ones(n)
+    z[z == 0.0] = 1.0  # a missing zero: k_s = 0
+    cos, sin, gaps = z.real / np.abs(z), z.imag / np.abs(z), [np.angle(z)]
+    slope = (0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])  # d_k d has the rows (0, c, -b)
+    for x, y, f in (trig_sum(v, cos, sin) for v in (rows, slope)):
+        f = x - 1j * f
+        gaps.append(np.sqrt(f.real ** 2 + np.abs(y) ** 2 + f.imag ** 2) * np.ones(z.shape))
+    return zeros, tuple(v.reshape(-1, n).T for v in gaps)
 
 
 def closed_rows(gaps) -> np.ndarray:
@@ -133,8 +137,8 @@ def _contour_zeros(rows: Rows):
     p2 = 0 (one zero) and p0 = 0 (a zero at 0).  Where d_x and d_z vanish at every k,
     d = 0 needs d_y = 0, so d_y takes the place of d_x."""
     p0, p1, p2 = _coefficients(rows)
-    flat = (p0 == 0) & (p1 == 0) & (p2 == 0)
-    if np.any(flat):
+    if np.count_nonzero(p1) < np.size(p1):  # a flat row has p1 = 0
+        flat = (p0 == 0) & (p1 == 0) & (p2 == 0)
         p0, p1, p2 = (np.where(flat, y, p) for y, p in
                       zip(_coefficients([(r[1], 0.0, 0.0) for r in rows]), (p0, p1, p2)))
     root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
@@ -217,6 +221,13 @@ def _zero(x) -> bool:
     return not isinstance(x, np.ndarray) and x == 0
 
 
+def _real(rows: Rows) -> Rows:
+    """The rows, if real; complex rows, as the lossy chain's, are a DomainError."""
+    if np.result_type(*rows[0], *rows[1], *rows[2]).kind == "c":
+        raise DomainError("complex Bloch rows: a non-Hermitian model has no real d(k)")
+    return rows
+
+
 def _bloch_sum(rows: Rows, k) -> np.ndarray:
     """a + b cos k + c sin k for the rows (a, b, c), one component at a time.
 
@@ -226,11 +237,9 @@ def _bloch_sum(rows: Rows, k) -> np.ndarray:
     close to -b, as at the SSH transition; where a is 0 they are b cos k.  Complex
     rows, as the lossy chain's, are a DomainError: a Hermitian d is real.
     """
-    if np.result_type(*rows[0], *rows[1], *rows[2]).kind == "c":
-        raise DomainError("complex Bloch rows: a non-Hermitian model has no real d(k)")
     k = np.asarray(k, dtype=float)
     d = np.zeros((3,) + k.shape)
-    for i, (a_i, b_i, c_i) in enumerate(zip(*rows)):
+    for i, (a_i, b_i, c_i) in enumerate(zip(*_real(rows))):
         if _zero(b_i):
             if not _zero(a_i):
                 d[i] = a_i

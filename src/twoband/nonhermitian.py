@@ -3,12 +3,12 @@
 Left and right eigenvectors of the complex-symmetric Bloch matrix (from the
 rows of ``MODELS``) are paired by biorthogonal normalization; the two-vector
 Krylov chains built from a reference amplitude pair give per-mode weights
-w_0, w_1 and the prescription C_k = |w_1| / (|w_0| + |w_1|).  The
-exceptional points (EPs) of the PBC gap closings are graded panel edges,
-which no node meets; only a mode where R^2 is exactly 0 raises
-ExceptionalPointError.  The average C is C^1 in the couplings across a
-closing; beside it, dC/d(lambda) departs from its value on the closing like
-sqrt(delta) on the side between the two closings and like delta outside.
+w_0, w_1 and C_k = |w_1| / (|w_0| + |w_1|).  The exceptional points (EPs),
+the zeros of R^2's Laurent factors R1 -+ i R3, are panel edges graded by the
+Hermitian rule, which no node meets; a mode where R^2 is exactly 0 raises
+ExceptionalPointError.  C is C^1 in the couplings across a closing; beside
+it, dC/d(lambda) departs from its value on the closing like sqrt(delta)
+between the two closings and like delta outside.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, ExceptionalPointError,
                      InsufficientDataError, NormalizationError)
-from .models import (MODELS, NonHermitianSSHParams, TwoBandModel, _contour_zeros, k_slope,
-                     nh_ssh_bloch_hamiltonian, trig_sum)
+from .models import (MODELS, NonHermitianSSHParams, TwoBandModel, nh_ssh_bloch_hamiltonian,
+                     trig_sum, zero_gaps)
 from .quadrature import BZQuadratureConfig, _lone, bz_averages, graded_edges
 
 # The EP scale that grades the panels on a closing, where it is 0.
@@ -128,6 +128,9 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
 
     @np.errstate(divide="ignore", invalid="ignore")
     def ck(k, owner):
+        if k.size > 2048:  # in blocks of nodes whose temporaries stay in cache
+            return np.concatenate([ck(k[i:i + 2048], owner[i:i + 2048])
+                                   for i in range(0, k.size, 2048)], axis=-1)
         cos, sin = np.cos(k), np.sin(k)
         r1, _, r3 = trig_sum(model.rows(lams[owner]), cos, sin)
         # principal root, as in biorthogonal_ground: the ground branch is -R
@@ -188,24 +191,18 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
 
 
 def _ep_edges(model: TwoBandModel, lams) -> np.ndarray:
-    """Per value of ``lams`` of the lossy ``model``, NaN-padded: k = 0 and ``graded_edges``
-    at the EPs, the arguments of the zeros of R1 - i R3 and R1 + i R3 (``_contour_zeros`` of
-    the rows and of the rows with the z row negated; a zero at z = 0 or none has none).
-
-    The zeros are real, so an EP lies at k_s = 0 or pi, where cos k_s = +-1 and sin k_s = 0
-    exactly.  Its scale is w = |R^2| / |d_k R^2| there, R^2 = (R1 - i R3)(R1 + i R3),
-    floored at _EP_SCALE_FLOOR on a closing; where d_k R^2 = 0 (gamma t2 = 0) there is none.
-    """
-    rows = model.rows(np.asarray(lams, dtype=float))
-    p0, q, p2 = _contour_zeros(tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in rows))
-    cos = np.sign(np.array([q * np.conj(p2), p0 * np.conj(q)]).real.reshape(4, -1))
-    cos = cos[np.any(cos != 0.0, axis=1)]  # the candidates that are a zero of some chain
-    (r1, _, r3), (dr1, _, dr3) = (trig_sum(r, cos, 0.0) for r in (rows, k_slope(rows)))
-    rsq, slope = np.abs((r1 - 1j * r3) * (r1 + 1j * r3)), np.abs(2.0 * (r1 * dr1 + r3 * dr3))
-    w = np.divide(rsq, slope, out=np.full(cos.shape, np.nan), where=slope > 0.0)
-    points = np.where(cos != 0.0, np.arccos(cos), np.nan)  # no edge where a chain has no zero
-    return np.hstack((np.zeros((cos.shape[1], 1)),
-                      graded_edges(points.T, np.maximum(w, _EP_SCALE_FLOOR).T)))
+    """Per value of ``lams`` of the lossy ``model``, NaN-padded: k = 0 and ``graded_edges`` at
+    the EPs, the zeros k_s of R^2's Laurent factors F = R1 -+ i R3 (``zero_gaps`` of the rows
+    with the z row as is and negated; none at z = 0 or infinity), each graded by the rule of
+    ``panel_edges``, w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing."""
+    lams = np.asarray(lams, dtype=float)
+    rows = tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in model.rows(lams))
+    (p0, q, p2), (points, gap, slope) = zero_gaps(rows, lams.size)
+    found = np.reshape([q * p2, p0 * q], (-1, lams.size)).T != 0.0
+    keep = found.any(axis=0)  # the zeros that some chain has
+    w = np.divide(gap, slope, out=np.full(gap.shape, np.nan), where=slope > 0.0)[:, keep]
+    return np.hstack((np.zeros((lams.size, 1)), graded_edges(
+        np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR))))
 
 
 def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex,

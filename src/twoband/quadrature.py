@@ -1,11 +1,11 @@
 """Brillouin-zone averaging and numerical differentiation.
 
-The integrands met here are smooth except for integrable features at gap
-closings (at k in {0, +-pi} or +-pi/2 for the stock models), so the
-integrators pre-split at the points each caller names and subdivide adaptively.
-Library averages go through ``bz_averages``, which evaluates an array kernel
-for many integrands at once on whole refinement levels; ``bz_average_vec`` is
-its one-integrand call, and ``bz_average`` wraps QUADPACK
+The integrands are smooth but for integrable features at gap closings (k in
+{0, +-pi} or +-pi/2 for the stock models), where the integrators pre-split
+before subdividing adaptively.  Averages off ``fidelity``'s exact planar path
+(the lossy chain's among them) go through ``bz_averages``, which runs an array
+kernel for many integrands at once on whole refinement levels;
+``bz_average_vec`` is its one-integrand call, and ``bz_average`` wraps QUADPACK
 (``scipy.integrate``, loaded on first call) as their independent oracle.
 """
 

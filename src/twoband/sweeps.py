@@ -136,14 +136,13 @@ def _closed_gap_rows(model: TwoBandModel, grid: np.ndarray, avgs: List[_BlochAve
 def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
-    Each point owns its panels in one run of the quadrature engine for all
-    its averaged quantities, and equals the library call at its point.  A
-    closed Hermitian gap averages only C in that run; its dcomplexity is the
-    finite difference of C, averaged at the stencil points in one more run.
-    The winding is no average: it is counted from the Bloch rows by
-    ``TwoBandModel.windings`` from the rows' zeros that also give the
-    averages' singular points, NaN on a closed gap.  ``_evaluate`` decides
-    each row's columns and flags.
+    A point's averaged quantities come from one call for the whole grid, with
+    no quadrature on exact planar rows and one engine run for the rest, and
+    equal the library call at its point.  A closed Hermitian gap averages only
+    C; its dcomplexity is the finite difference of C, averaged at the stencil
+    points in one more run.  ``TwoBandModel.windings`` counts the winding from
+    the rows' zeros that also give the singular points, NaN on a closed gap.
+    ``_evaluate`` decides each row's columns and flags.
     """
     cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]

@@ -95,7 +95,7 @@ def closed_forms_suite() -> List[CheckResult]:
             for ref in refs:
                 worst = max(worst, abs(ssh_complexity_closed(SSHParams(t1, t2), ref)
                                        - ground_complexity(model, ref, cfg)))
-    checks.append(_check("SSH closed form vs quadrature (grid)", worst, 1e-8))
+    checks.append(_check("SSH closed form vs exact planar average (grid)", worst, 1e-8))
     worst = 0.0
     for mu in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0):
         for theta in (0.0, PI / 4.0, PI / 3.0):
@@ -103,7 +103,7 @@ def closed_forms_suite() -> List[CheckResult]:
             ref = GlobalReference(theta, 0.0)
             worst = max(worst, abs(md_complexity_closed(MassiveDiracParams(mu=mu), theta)
                                    - ground_complexity(model, ref, cfg)))
-    checks.append(_check("massive-Dirac closed form vs quadrature", worst, 1e-8))
+    checks.append(_check("massive-Dirac closed form vs exact planar average", worst, 1e-8))
     worst = 0.0
     for t1, t2 in ((2.0, 1.0), (1.0, 2.0), (1.3, 2.2), (2.6, 0.7)):
         got = chi_F(ssh_model(SSHParams(t1, t2)), t2, cfg).components[0]

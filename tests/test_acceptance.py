@@ -61,7 +61,7 @@ def test_criterion_01_ssh_closed_form_equivalence():
                            - ground_complexity(model, ref, CFG))
                 worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
-    _report(1, "SSH closed form vs quadrature on 10x10 grid, 5 references",
+    _report(1, "SSH closed form vs exact planar average on 10x10 grid, 5 references",
             worst <= 1e-8 and elapsed < 30.0,
             f"max|diff|={worst:.3e} tol=1e-08, runtime={elapsed:.1f}s < 30s")
 
@@ -77,7 +77,7 @@ def test_criterion_02_massive_dirac_closed_form_equivalence():
                        - ground_complexity(model, GlobalReference(theta, 0.0), CFG))
             worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
-    _report(2, "massive-Dirac closed form vs quadrature",
+    _report(2, "massive-Dirac closed form vs exact planar average",
             worst <= 1e-8 and elapsed < 10.0,
             f"max|diff|={worst:.3e} tol=1e-08, runtime={elapsed:.1f}s < 10s")
 
@@ -103,7 +103,7 @@ def test_criterion_03_fidelity_closed_forms():
                         abs(breakdown.components[2] - chi_F_md_z_closed(params))
                         / breakdown.components[2])
         worst_sum = max(worst_sum, abs(breakdown.total - sum(breakdown.components)))
-    _report(3, "susceptibility closed forms vs quadrature + exact decomposition",
+    _report(3, "susceptibility closed forms vs exact planar average + exact decomposition",
             worst_rel <= 1e-6 and worst_sum <= 1e-10,
             f"max rel={worst_rel:.3e} tol=1e-06, max|sum-total|={worst_sum:.1e} tol=1e-10")
 

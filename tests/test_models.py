@@ -318,6 +318,20 @@ class TestExactSlope:
             want = slope(lam)
             assert np.all(np.abs(row - want) <= np.spacing(want)), (lam, row, want)
 
+    @pytest.mark.parametrize("name,lams,where", [
+        ("massive-dirac", (1e-12, -1e-12), PI),
+        ("cooper-pair-box", (0.5 + 1e-12, 0.5 - 1e-12), 0.5 * PI),
+    ], ids=["massive-dirac", "cooper-pair-box"])
+    def test_singular_gaps_are_exact_at_a_real_or_imaginary_zero(self, name, lams, where):
+        # cos k_s and sin k_s are exactly +-1 and 0 there, so no other row's rounding
+        # enters the gap
+        model = MODELS[name].model({})
+        points, gaps, _ = model.singular_gaps(lams)
+        for lam, row, gap in zip(lams, points, gaps):
+            at = np.abs(row) == where
+            assert at.any(), (lam, row)
+            assert np.all(gap[at] == abs(model.rows(lam)[0][2])), (lam, gap)
+
 
 class TestRootCountWinding:
     """TwoBandModel.windings counts the contour's zeros; the grids are its oracle."""

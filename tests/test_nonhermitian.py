@@ -16,6 +16,7 @@ from twoband import (BlochVector, DomainError, ExceptionalPointError, GlobalRefe
 from twoband import quadrature
 from twoband.models import MODELS, trig_sum
 from twoband.nonhermitian import _ep_edges
+from twoband.quadrature import graded_edges
 
 PI = math.pi
 AMP = 1.0 / math.sqrt(2.0)
@@ -61,17 +62,18 @@ def _edges(params):
     return sorted({e for e in row.tolist() if -PI < e < PI})
 
 
-def _fixed_ep_edges(t1, t2, gamma):
-    """The oracle: k = 0, and the points 0 and +-pi graded by the EP scale
-    |(t1 -+ t2)^2 - gamma^2 / 4| / |gamma t2|, floored at 1e-16, none where gamma t2 = 0."""
-    edges, slope = [0.0], abs(gamma * t2)
-    for k_s, r1 in ((0.0, t1 - t2), (-PI, t1 + t2), (PI, t1 + t2)):
-        if slope > 0.0:
-            w = max(abs((r1 - 0.5 * gamma) * (r1 + 0.5 * gamma)) / slope, 1e-16)
-            while w < 1.0:
-                edges += [k_s - w, k_s + w]
-                w *= 4.0
-    return sorted({e for e in edges if -PI < e < PI})
+def _factor_ep_edges(t1, t2, gamma):
+    """The oracle: k = 0 and ``graded_edges`` at the zero of each Laurent factor
+    F = R1 -+ i R3 = (t1 +- gamma/2) - t2 e^{+-ik}, at s = e^{ik_s} = +-1, graded by
+    w = |t1 +- gamma/2 - s t2| / |t2|, floored at 1e-16; a zero at 0 or infinity has none."""
+    points, scales = [], []
+    for half in (0.5 * gamma, -0.5 * gamma):
+        if t1 + half != 0.0 and t2 != 0.0:
+            s = math.copysign(1.0, (t1 + half) * t2)
+            points.append(0.0 if s > 0.0 else PI)
+            scales.append(max(abs(t1 - s * t2 + half) / abs(t2), 1e-16))
+    edges = graded_edges(np.array([points]), np.array([scales])) if points else np.empty((1, 0))
+    return sorted({e for e in [0.0, *edges[0].tolist()] if -PI < e < PI})
 
 
 _COUPLINGS = (-3.0, -2.0, -1.25, -0.5, 0.0, 0.3, 1.0, 1.7, 2.5)
@@ -85,7 +87,7 @@ class TestDerivedExceptionalPoints:
     """The EPs come from the zeros of R1 -+ i R3 and the slopes from differenced rows."""
 
     @pytest.mark.parametrize("parameter", ["t2", "gamma"])
-    def test_edges_equal_the_fixed_point_formula(self, parameter):
+    def test_edges_grade_each_factor_at_its_zero(self, parameter):
         # the chains of one sweep at once, as a sweep grades them
         sweeps = {}
         for t1, t2, gamma in _GRID + _CLOSINGS:
@@ -96,7 +98,7 @@ class TestDerivedExceptionalPoints:
             model = MODELS["nh-ssh"].model(dict(fixed), parameter)
             for lam, row in zip(lams, _ep_edges(model, lams)):
                 params = {**dict(fixed), parameter: lam}
-                assert sorted({e for e in row.tolist() if -PI < e < PI}) == _fixed_ep_edges(
+                assert sorted({e for e in row.tolist() if -PI < e < PI}) == _factor_ep_edges(
                     **params), params
 
     @pytest.mark.parametrize("parameter,want", [
@@ -140,24 +142,53 @@ class TestExceptionalPointGrading:
         assert len(levels) <= 6
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_edges_grade_geometrically_from_the_ep_scale(self, sign):
-        # t2 = 2.4: |R^2| / |d_k R^2| is 0.0375 at the near EP (k = 0 for
-        # t2 > 0, +-pi for t2 < 0) and about 8 at the far one, which adds none
+    def test_each_factor_grades_geometrically_from_its_own_scale(self, sign):
+        # t2 = 2.4: R1 - i R3 = 2.5 - t2 e^{ik} has its zero beside the circle, w = 0.1 / 2.4,
+        # and R1 + i R3 = 1.5 - t2 e^{-ik} farther, w = 0.9 / 2.4; both at k = 0 for
+        # t2 > 0 and at +-pi for t2 < 0
         params = NonHermitianSSHParams(2.0, sign * 2.4, 1.0)
         assert _ep_edges(MODELS["nh-ssh"].model(vars(params)), [params.t2])[0, 0] == 0.0  # k = 0
         edges = _edges(params)
         inside = [e for e in edges if e != 0.0]
-        assert 0.0 in edges and len(inside) == 6
+        assert 0.0 in edges and len(inside) == 8
         offsets = sorted(abs(e) if sign > 0 else PI - abs(e) for e in inside)
-        assert offsets == pytest.approx([0.0375, 0.0375, 0.15, 0.15, 0.6, 0.6], rel=1e-12)
+        near, far = 0.1 / 2.4, 0.9 / 2.4
+        assert offsets == pytest.approx(sorted(2 * [near, 4.0 * near, 16.0 * near, far]),
+                                        rel=1e-12)
 
     def test_closing_grades_down_to_the_floor(self):
         edges = [e for e in _edges(NonHermitianSSHParams(2.0, 2.5, 1.0)) if e > 0.0]
         assert min(edges) == 1e-16 and max(edges) < 1.0 < 4.0 * max(edges)
 
-    @pytest.mark.parametrize("t2,gamma", [(1.5, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("t2,gamma", [(0.0, 1.0), (0.0, 0.0)])
     def test_no_grading_without_loss_or_hopping(self, t2, gamma):
         assert _edges(NonHermitianSSHParams(2.0, t2, gamma)) == [0.0]
+
+    @pytest.mark.parametrize("t1,t2", [(2.0, 1.5), (2.0, -1.5), (-1.0, 1.25), (1.0, 1.0 + 1e-9)])
+    def test_a_chain_without_loss_is_graded_at_the_ssh_gap_scale(self, t1, t2):
+        # both factors, t1 - t2 e^{+-ik}, vanish beside s = sign(t1 t2) = e^{ik_s}
+        s = math.copysign(1.0, t1 * t2)
+        want = graded_edges(np.array([[0.0 if s > 0.0 else PI]]),
+                            np.array([[abs(t1 - s * t2) / abs(t2)]]))
+        assert _edges(NonHermitianSSHParams(t1, t2, 0.0)) == sorted(
+            {e for e in [0.0, *want[0].tolist()] if -PI < e < PI})
+
+    @pytest.mark.parametrize("t2", [1.0 + s * d for s in (1.0, -1.0)
+                                    for d in (1e-6, 1e-8, 1e-10, 1e-12)])
+    def test_a_chain_without_loss_beside_its_closing_is_the_ssh_chain(self, monkeypatch, t2):
+        # both factors t1 - t2 e^{+-ik} are graded at |t1 - t2| / |t2|: no bisection toward k = 0
+        levels = []
+        original = quadrature._gk21
+
+        def counted(*args):
+            levels.append(args[1].size)
+            return original(*args)
+
+        monkeypatch.setattr(quadrature, "_gk21", counted)
+        ref = GlobalReference(0.9, 0.4)
+        got = nh_ground_complexity(NonHermitianSSHParams(1.0, t2, 0.0), ref.alpha, ref.beta)
+        assert len(levels) <= 2
+        assert got == pytest.approx(ssh_complexity_closed(SSHParams(1.0, t2), ref), abs=1e-13)
 
     @pytest.mark.parametrize("k", [3e-21, -3e-21])
     def test_mode_beside_an_ep_is_regular(self, k):
