@@ -19,9 +19,10 @@ A request's output is its ``--out`` file, else its standard output.  Paths in
 the argv are relative to each tree's directory, so the two trees run the same
 argv and the output path never differs.  The script prints every request
 whose exit code, first error line or output differs, with the largest |delta|
-of each of its numeric columns, and then the largest |delta| per family and
-column over all requests.  Exit status: 0 when every output is identical,
-1 otherwise.
+of each of its columns (inf where a flag or label changed), the number of
+cells that moved by more than 1e-10 + 1e-10 |old|, and the largest |delta|
+per family and column over all requests.  Exit status: 0 when every output
+is identical, 1 when one differs, 2 when a tree fails to run.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def compare(old_src: str, new_src: str) -> int:
                     worst[key] = (d, a, b)
                 outside += not (isinstance(a, (int, float)) and d <= 1e-10 + 1e-10 * abs(a))
         print("  " + (", ".join(f"{name} {d:.2g}" for name, d in sorted(changed.items()))
-                      or "no numeric cell differs"))
+                      or "no parsed cell differs"))
     print(f"{moved} of {len(runs[0])} requests differ; {outside} cells differ by more than "
           "1e-10 + 1e-10 |old|")
     for (family, column), (d, a, b) in sorted(worst.items()):
