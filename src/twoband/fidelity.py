@@ -86,11 +86,12 @@ class SusceptibilityBreakdown:
 
 
 class _BlochAverages(NamedTuple):
-    """BZ averages at one parameter point; a quantity not asked for is None."""
+    """BZ averages at one parameter point; None if not asked for, and dC on a closed gap."""
     complexity: Optional[float]
     dcomplexity: Optional[float]
     integrals: Optional[np.ndarray]  # integral of d(d_hat)/d(lambda) dk, per axis
     chi: Optional[SusceptibilityBreakdown]
+    closed: bool = False
 
 
 def _cel(kc, p, a, b):
@@ -243,8 +244,8 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
-    v^2 / 4 per axis.  On a closed gap (``closed_rows``) dC is None and chi is
-    inf, flagged diverged; the row averages only C, with v zeroed so that its C
+    v^2 / 4 per axis.  A closed gap (``closed_rows``) is a ``closed`` record: dC is None
+    and chi is inf, flagged diverged; the row averages only C, with v zeroed so that its C
     is the C-only average's bit for bit.  An exhausted budget flags chi
     diverged and keeps every group's unconverged estimate (chi's non-finite
     ones as inf); without chi it raises.
@@ -303,7 +304,7 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
                 x if math.isfinite(x) else np.inf for x in next(out).tolist())
             breakdown = SusceptibilityBreakdown(0.0 + comps[0] + comps[1] + comps[2], comps,
                                                 diverged)
-        results.append(_BlochAverages(c, dc, integrals, breakdown))
+        results.append(_BlochAverages(c, dc, integrals, breakdown, is_closed))
     return results
 
 

@@ -1,14 +1,15 @@
 """Biorthogonal spread complexity for the lossy dimerized chain under PBC.
 
-Left and right eigenvectors of the complex-symmetric Bloch matrix (from the
-rows of ``MODELS``) are paired by biorthogonal normalization; the two-vector
-Krylov chains built from a reference amplitude pair give per-mode weights
-w_0, w_1 and C_k = |w_1| / (|w_0| + |w_1|).  The exceptional points (EPs),
-the zeros of R^2's Laurent factors R1 -+ i R3, are panel edges graded by the
-Hermitian rule, which no node meets; a mode where R^2 is exactly 0 raises
-ExceptionalPointError.  C is C^1 in the couplings across a closing; beside
-it, dC/d(lambda) departs from its value on the closing like sqrt(delta)
-between the two closings and like delta outside.
+Left and right eigenvectors of the complex-symmetric Bloch matrix (from the rows of
+``MODELS``) are paired by biorthogonal normalization; the two-vector Krylov chains built
+from a reference amplitude pair give per-mode weights w_0, w_1 and
+C_k = |w_1| / (|w_0| + |w_1|).  The exceptional points (EPs), the zeros of R^2's Laurent
+factors R1 -+ i R3, are panel edges graded by the Hermitian rule, which no node meets; a
+mode where R^2 is exactly 0 raises ExceptionalPointError.  C is C^1 in the couplings across
+an EP; beside it, dC/d(lambda) departs from its value on the closing like sqrt(delta)
+between the two closings and like delta outside.  Where both factors vanish at one k
+(gamma = 0, t2 = +-t1: a double zero of R^2, no EP) the gap is closed the Hermitian way:
+C is averaged, and dC/d(lambda) diverges.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, ExceptionalPointError,
+from .errors import (ConvergenceError, ExceptionalPointError, GapClosedError,
                      InsufficientDataError, NormalizationError)
-from .models import (MODELS, NonHermitianSSHParams, TwoBandModel, nh_ssh_bloch_hamiltonian,
-                     trig_sum, zero_gaps)
+from .fidelity import _BlochAverages
+from .models import (GAP_EPS, MODELS, NonHermitianSSHParams, TwoBandModel,
+                     nh_ssh_bloch_hamiltonian, trig_sum, zero_gaps)
 from .quadrature import BZQuadratureConfig, _lone, bz_averages, graded_edges
 
 # The EP scale that grades the panels on a closing, where it is 0.
@@ -106,7 +108,7 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     return alpha / n, beta / n
 
 
-def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex):
+def _nh_weight_kernel(model: TwoBandModel, lams, closed, alpha: complex, beta: complex):
     """Array kernel (k, owner) -> C_k = |w_1| / (|w_0| + |w_1|) of the lossy ``model`` at
     each of ``lams``, one per owner, for normalized amplitudes.
 
@@ -114,8 +116,8 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
     that biorthogonal_ground keeps.  A mode where R^2 = 0, an exceptional
     point and the only place where its pairing v . v vanishes, has C_k NaN
     (0/0), which fails its owner's average alone.
-    With ``derivative`` the kernel returns the stack (C_k, dC_k/d(lambda)),
-    by the chain rule through R1, R3, R and (v0, v1).
+    With ``closed`` (None for C_k alone) the kernel returns the stack (C_k, dC_k/d(lambda)),
+    by the chain rule through R1, R3, R and (v0, v1), with dC_k zeroed on ``closed`` owners.
     Each weight is w = a b / (v . v) with a, b linear in (v0, v1), so
     |w|' = |w| Re(w'/w) = |w| Re(a'/a + b'/b - (v . v)'/(v . v)) and
     dC_k = (|w_1|' |w_0| - |w_0|' |w_1|) / (|w_0| + |w_1|)^2
@@ -125,6 +127,7 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
     """
     ca, cb = alpha.conjugate(), beta.conjugate()
     lams = np.asarray(lams, dtype=float)
+    zeroing = closed is not None and closed.any()  # no per-node work where no row is closed
 
     @np.errstate(divide="ignore", invalid="ignore")
     def ck(k, owner):
@@ -146,7 +149,7 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
         m0, m1 = np.abs(w0), np.abs(w1)
         total = m0 + m1
         c = m1 / total
-        if not derivative:
+        if closed is None:
             return c
         dr1, _, dr3 = trig_sum(model.slope(lams[owner]), cos, sin)
         droot = (r1 * dr1 + r3 * dr3) / root
@@ -155,6 +158,8 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
         slope = ((beta * dv0 - alpha * dv1) / a1 + (cb * dv0 - ca * dv1) / b1
                  - (alpha * dv0 + beta * dv1) / a0 - (ca * dv0 + cb * dv1) / b0).real
         dc = np.where(m0 * m1 > 0.0, c * (m0 / total) * slope, 0.0)
+        if zeroing:
+            dc[closed[owner]] = 0.0
         return np.stack((c, dc))
 
     return ck
@@ -168,7 +173,7 @@ def nh_complexity_per_mode(params: NonHermitianSSHParams, k: float,
     away; raises ExceptionalPointError where the weights are undefined.
     """
     alpha, beta = _normalized_pair(alpha, beta)
-    c = float(_nh_weight_kernel(MODELS["nh-ssh"].model(vars(params)), [params.t2], False,
+    c = float(_nh_weight_kernel(MODELS["nh-ssh"].model(vars(params)), [params.t2], None,
                                 alpha, beta)(np.array([float(k)]), np.zeros(1, dtype=int))[0])
     if math.isnan(c):
         raise ExceptionalPointError(f"exceptional point at k={k}: R^2 = 0")
@@ -190,34 +195,42 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
     return abs(w1) / (abs(w0) + abs(w1))
 
 
-def _ep_edges(model: TwoBandModel, lams) -> np.ndarray:
+def _ep_edges(model: TwoBandModel, lams) -> Tuple[np.ndarray, np.ndarray]:
     """Per value of ``lams`` of the lossy ``model``, NaN-padded: k = 0 and ``graded_edges`` at
     the EPs, the zeros k_s of R^2's Laurent factors F = R1 -+ i R3 (``zero_gaps`` of the rows
     with the z row as is and negated; none at z = 0 or infinity), each graded by the rule of
-    ``panel_edges``, w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing."""
+    ``panel_edges``, w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing; and
+    whether its gap is closed: both |F| < GAP_EPS at one k_s, a double zero of R^2 and no EP."""
     lams = np.asarray(lams, dtype=float)
     rows = tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in model.rows(lams))
     (p0, q, p2), (points, gap, slope) = zero_gaps(rows, lams.size)
     found = np.reshape([q * p2, p0 * q], (-1, lams.size)).T != 0.0
+    on, closed = found & (gap < GAP_EPS), np.zeros(lams.size, dtype=bool)
+    if on.any():  # per factor e^{ik_s} of its zero on the circle, else 0; k = +-pi is one point
+        s = np.where(on, np.exp(1j * points), 0.0).reshape(-1, 2, 2).sum(axis=1)
+        closed = (s[:, 0] * s[:, 1].conjugate()).real > 0.0
     keep = found.any(axis=0)  # the zeros that some chain has
     w = np.divide(gap, slope, out=np.full(gap.shape, np.nan), where=slope > 0.0)[:, keep]
     return np.hstack((np.zeros((lams.size, 1)), graded_edges(
-        np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR))))
+        np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR)))), closed
 
 
 def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex,
                  cfg: BZQuadratureConfig | None) -> list:
-    """Per value of ``lams``, the lossy ``model``'s chain averaged on its EP-graded panels
-    in one ``bz_averages`` run: (C,), with ``derivative`` (C, dC/d(lambda)), or the error
-    that ended its average."""
+    """Per value of ``lams``, the lossy ``model``'s ``_BlochAverages`` (C, with ``derivative``
+    dC/d(lambda)) on its EP-graded panels in one ``bz_averages`` run, or the error that ended
+    it; on a ``closed`` gap (``_ep_edges``) dC_k is zeroed, so C is the C-only one, and dC None."""
     alpha, beta = _normalized_pair(alpha, beta)
-    runs = bz_averages(_nh_weight_kernel(model, lams, derivative, alpha, beta),
-                       _ep_edges(model, lams), cfg)
+    edges, closed = _ep_edges(model, lams)
+    runs = bz_averages(_nh_weight_kernel(model, lams, closed if derivative else None, alpha,
+                                         beta), edges, cfg)
     # the kernel's only non-finite values are the NaN of a mode where R^2 = 0
     return [ExceptionalPointError("exceptional point: R^2 = 0 at a mode")
             if isinstance(run, ConvergenceError) and not math.isfinite(run.error) else
-            run if isinstance(run, Exception) else tuple(np.atleast_1d(run).tolist())
-            for run in runs]
+            run if isinstance(run, Exception) else _BlochAverages(
+                float(run[0] if derivative else run),
+                None if shut or not derivative else float(run[1]), None, None, shut)
+            for run, shut in zip(runs, closed.tolist())]
 
 
 def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: complex,
@@ -228,7 +241,7 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
     and never evaluated; a mode where R^2 is exactly 0 raises ExceptionalPointError.
     """
     return _lone(_nh_averages(MODELS["nh-ssh"].model(vars(params)), [params.t2], False,
-                              alpha, beta, cfg))[0]
+                              alpha, beta, cfg)).complexity
 
 
 def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
@@ -236,14 +249,17 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
                              cfg: BZQuadratureConfig | None = None) -> Tuple[float, float]:
     """BZ averages (C, dC/d(parameter)) of the lossy chain, for parameter "t2" or "gamma".
 
-    One average of the two-component kernel, on the EP-graded panels of
-    nh_ground_complexity; a mode where R^2 is exactly 0 raises
-    ExceptionalPointError.  C is C^1 in the couplings, so the derivative
-    stays finite on a gap closing, where dC_k/d(parameter) ~ |k - k_s|^(-1/2)
-    at the EP k_s.  Any other parameter raises DomainError.
+    One average of the two-component kernel, on the EP-graded panels of nh_ground_complexity;
+    a mode where R^2 is exactly 0 raises ExceptionalPointError, and a closed gap (a double
+    zero of R^2), where dC diverges, GapClosedError.  C is C^1 in the couplings across an EP,
+    so the derivative stays finite there, where dC_k/d(parameter) ~ |k - k_s|^(-1/2).  Any
+    other parameter raises DomainError.
     """
     model = MODELS["nh-ssh"].model(vars(params), parameter)
-    return _lone(_nh_averages(model, [model.lam], True, alpha, beta, cfg))
+    avg = _lone(_nh_averages(model, [model.lam], True, alpha, beta, cfg))
+    if avg.closed:
+        raise GapClosedError("complexity derivative diverges where the gap is closed")
+    return avg.complexity, avg.dcomplexity
 
 
 def detect_cusps(sweep: Sequence) -> List[float]:

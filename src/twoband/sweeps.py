@@ -13,9 +13,9 @@ from .bloch import GlobalReference, ReferenceState
 from .bounds_duality import _bound_report
 from .errors import ExceptionalPointError, SpecError
 from .fidelity import _bloch_averages, _BlochAverages
-from .models import MODELS, TwoBandModel, closed_rows
+from .models import MODELS
 from .nonhermitian import _nh_averages
-from .quadrature import _FD_STEP, BZQuadratureConfig, _stencil, param_derivative
+from .quadrature import _FD_STEP, BZQuadratureConfig, _lone, _stencil, param_derivative
 
 PI = math.pi
 
@@ -89,9 +89,9 @@ class SweepRecord(NamedTuple):
     flags: frozenset = frozenset()
 
 
-def _evaluate(spec: SweepSpec, lam: float, avg, winding: float, closed: bool) -> SweepRecord:
+def _evaluate(spec: SweepSpec, lam: float, avg, winding: float) -> SweepRecord:
     """The row at lam, its columns and flags, from its averages ``avg`` (or the error that
-    ended a lossy average), its winding and whether its gap is closed.
+    ended a lossy average) and its winding.
 
     Flags: ``diverged`` where chi diverged, or where the gap is closed and the row asks for
     more than C; ``undefined_ratio`` for a NaN ratio where chi did not diverge;
@@ -113,22 +113,20 @@ def _evaluate(spec: SweepSpec, lam: float, avg, winding: float, closed: bool) ->
                        bound_satisfied=1.0 if report.satisfied else 0.0)
         if "ratio" in wanted and math.isnan(report.ratio) and not avg.chi.diverged:
             flags.add("undefined_ratio")
-    if (avg.chi is not None and avg.chi.diverged) or (closed and set(wanted) != {"complexity"}):
+    if (avg.chi is not None and avg.chi.diverged) or (avg.closed and set(wanted) != {"complexity"}):
         flags.add("diverged")
     values = {c: columns[c] for q in wanted for c in QUANTITIES[q][0]}
     return SweepRecord(float(lam), values, frozenset(flags))
 
 
-def _closed_gap_rows(model: TwoBandModel, grid: np.ndarray, avgs: List[_BlochAverages],
-                     spec: SweepSpec, cfg: BZQuadratureConfig) -> None:
-    """Fill in dC/d(lambda) on the rows whose gap is closed as the finite difference
-    of C, from one more run that averages C at their stencil points only."""
-    rows = [i for i, avg in enumerate(avgs) if avg.dcomplexity is None]
+def _closed_gap_rows(grid: np.ndarray, avgs: list, spec: SweepSpec, c_at) -> None:
+    """Fill in dC/d(lambda) on the closed rows of ``avgs`` as the finite difference of C,
+    from one more run of the chain's own averages ``c_at`` of C at their stencil points only."""
+    rows = [i for i, avg in enumerate(avgs) if isinstance(avg, _BlochAverages) and avg.closed]
     if not rows or "dcomplexity" not in spec.quantities:
         return
     points = [x for i in rows for x in _stencil(grid[i], _FD_STEP)]
-    c = dict(zip(points, (avg.complexity for avg in _bloch_averages(
-        model, points, spec.reference, cfg, complexity=True))))
+    c = dict(zip(points, (_lone([avg]).complexity for avg in c_at(points))))
     for i in rows:
         avgs[i] = avgs[i]._replace(dcomplexity=param_derivative(c.__getitem__, grid[i]))
 
@@ -136,35 +134,32 @@ def _closed_gap_rows(model: TwoBandModel, grid: np.ndarray, avgs: List[_BlochAve
 def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
-    A point's averaged quantities come from one call for the whole grid, with
-    no quadrature on exact planar rows and one engine run for the rest, and
-    equal the library call at its point.  A closed Hermitian gap averages only
-    C; its dcomplexity is the finite difference of C, averaged at the stencil
-    points in one more run.  ``TwoBandModel.windings`` counts the winding from
-    the rows' zeros that also give the singular points, NaN on a closed gap.
+    A point's averaged quantities come from one call for the whole grid
+    (``_bloch_averages``: no quadrature on exact planar rows, one engine run for
+    the rest; ``_nh_averages`` for the lossy chain) and equal the library call
+    at its point.  A closed gap of either chain averages only C; its dcomplexity
+    is the finite difference of C, averaged at the stencil points in one more
+    run of its chain.  ``TwoBandModel.windings`` counts the winding from the
+    rows' zeros that also give the singular points, NaN on a closed gap.
     ``_evaluate`` decides each row's columns and flags.
     """
-    cfg = cfg or BZQuadratureConfig()
     entry = MODELS[spec.model]
     grid = spec.grid()
     needs = {need for q in spec.quantities for need in QUANTITIES[q][1]}
-    closed, windings = [False] * grid.size, [math.nan] * grid.size
+    ref, windings = spec.reference, [math.nan] * grid.size
     model = entry.model(spec.fixed, spec.sweep[0])
     if entry.hermitian:
         closings = model._closings(grid)
-        avgs = _bloch_averages(model, grid, spec.reference, cfg, closings=closings,
+        avgs = _bloch_averages(model, grid, ref, cfg, closings=closings,
                                **dict.fromkeys(needs, True))
-        _closed_gap_rows(model, grid, avgs, spec, cfg)
-        closed = closed_rows(closings[2][1]).tolist()
-        if "winding" in spec.quantities:
-            windings = model._windings(*closings).tolist()
+        c_at = lambda lams: _bloch_averages(model, lams, ref, cfg, complexity=True)
     else:
-        derivative = "derivative" in needs
-        avgs = [run if isinstance(run, Exception) else
-                _BlochAverages(run[0], run[1] if derivative else None, None, None)
-                for run in _nh_averages(model, grid, derivative, spec.reference.alpha,
-                                        spec.reference.beta, cfg)]
-    return [_evaluate(spec, *row) for row in zip(grid, avgs, windings, closed)]
+        avgs = _nh_averages(model, grid, "derivative" in needs, ref.alpha, ref.beta, cfg)
+        c_at = lambda lams: _nh_averages(model, lams, False, ref.alpha, ref.beta, cfg)
+    _closed_gap_rows(grid, avgs, spec, c_at)
+    if "winding" in spec.quantities:  # a Hermitian quantity
+        windings = model._windings(*closings).tolist()
+    return [_evaluate(spec, *row) for row in zip(grid, avgs, windings)]
 
 
 def records_to_csv(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:

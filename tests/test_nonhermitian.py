@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from twoband import (BlochVector, DomainError, ExceptionalPointError, GlobalReference,
-                     InsufficientDataError, NonHermitianSSHParams,
+from twoband import (BlochVector, DomainError, ExceptionalPointError, GapClosedError,
+                     GlobalReference, InsufficientDataError, NonHermitianSSHParams,
                      NormalizationError, SSHParams, SweepSpec, bikrylov_basis,
                      biorthogonal_ground, complexity_per_mode, detect_cusps,
                      ground_complexity, ground_state_bloch, nh_complexity_derivative,
@@ -58,7 +58,7 @@ class TestBiorthogonalGround:
 
 def _edges(params):
     """The lossy chain's distinct panel edges inside the zone, in order."""
-    (row,) = _ep_edges(MODELS["nh-ssh"].model(vars(params)), [params.t2])
+    (row,), _ = _ep_edges(MODELS["nh-ssh"].model(vars(params)), [params.t2])
     return sorted({e for e in row.tolist() if -PI < e < PI})
 
 
@@ -96,7 +96,7 @@ class TestDerivedExceptionalPoints:
                               []).append(fixed[parameter])
         for fixed, lams in sweeps.items():
             model = MODELS["nh-ssh"].model(dict(fixed), parameter)
-            for lam, row in zip(lams, _ep_edges(model, lams)):
+            for lam, row in zip(lams, _ep_edges(model, lams)[0]):
                 params = {**dict(fixed), parameter: lam}
                 assert sorted({e for e in row.tolist() if -PI < e < PI}) == _factor_ep_edges(
                     **params), params
@@ -147,7 +147,7 @@ class TestExceptionalPointGrading:
         # and R1 + i R3 = 1.5 - t2 e^{-ik} farther, w = 0.9 / 2.4; both at k = 0 for
         # t2 > 0 and at +-pi for t2 < 0
         params = NonHermitianSSHParams(2.0, sign * 2.4, 1.0)
-        assert _ep_edges(MODELS["nh-ssh"].model(vars(params)), [params.t2])[0, 0] == 0.0  # k = 0
+        assert _ep_edges(MODELS["nh-ssh"].model(vars(params)), [params.t2])[0][0, 0] == 0.0  # k = 0
         edges = _edges(params)
         inside = [e for e in edges if e != 0.0]
         assert 0.0 in edges and len(inside) == 8
@@ -189,6 +189,17 @@ class TestExceptionalPointGrading:
         got = nh_ground_complexity(NonHermitianSSHParams(1.0, t2, 0.0), ref.alpha, ref.beta)
         assert len(levels) <= 2
         assert got == pytest.approx(ssh_complexity_closed(SSHParams(1.0, t2), ref), abs=1e-13)
+
+    @pytest.mark.parametrize("fixed,lams,closed", [
+        # gamma = 0: both factors t1 - t2 e^{+-ik} vanish at k = 0 (t2 = t1) or at k = pi
+        # and -pi, one point (t2 = -t1): a double zero of R^2
+        ({"t1": 2.0, "gamma": 0.0}, [-2.0, -1.5, 1.5, 2.0], [True, False, False, True]),
+        # t1 = 0, t2 = +-gamma/2: the factors vanish at k = 0 and at pi, two EPs
+        ({"t1": 0.0, "gamma": 2.0}, [-1.0, 1.0], [False, False]),
+        ({"t1": 2.0, "gamma": 1.0}, [1.5, 2.5, -1.5, -2.5], [False] * 4),
+    ])
+    def test_only_a_double_zero_of_r2_closes_the_gap(self, fixed, lams, closed):
+        assert _ep_edges(MODELS["nh-ssh"].model(fixed, "t2"), lams)[1].tolist() == closed
 
     @pytest.mark.parametrize("k", [3e-21, -3e-21])
     def test_mode_beside_an_ep_is_regular(self, k):
@@ -442,6 +453,16 @@ class TestComplexityDerivative:
         for row in rows:
             assert row.flags == frozenset()
             assert row.values["dcomplexity"] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("parameter", ["t2", "gamma"])
+    @pytest.mark.parametrize("t2", [2.0, -2.0])
+    def test_a_closed_gap_raises_gap_closed(self, parameter, t2):
+        # gamma = 0, t2 = +-t1: a double zero of R^2, where dC diverges as in the SSH chain
+        params = NonHermitianSSHParams(2.0, t2, 0.0)
+        with pytest.raises(GapClosedError, match="gap is closed"):
+            nh_complexity_derivative(params, parameter, AMP, AMP)
+        assert nh_ground_complexity(params, AMP, AMP) == pytest.approx(
+            ssh_complexity_closed(SSHParams(2.0, 2.0), GlobalReference(0.5 * PI, 0.0)), abs=1e-15)
 
     def test_rejects_a_parameter_it_cannot_differentiate(self):
         with pytest.raises(DomainError):

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from twoband import (DualSSHParams, GlobalReference, NonHermitianSSHParams, SpecError,
-                     SweepRecord, SweepSpec, UndefinedRatioError, bound_check, chi_F,
+                     SSHParams, SweepRecord, SweepSpec, UndefinedRatioError, bound_check, chi_F,
                      complexity_derivative, detect_cusps, dual_windings, ground_complexity,
                      nh_complexity_derivative, nh_ground_complexity, param_derivative,
                      plateau_reference, ratio_R, records_to_csv, records_to_json, run_sweep,
-                     winding_cross_product, winding_log_derivative, write_records)
+                     ssh_complexity_closed, winding_cross_product, winding_log_derivative,
+                     write_records)
 from twoband.cli import build_parser, main
+from twoband.fidelity import _bloch_averages
 from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
 from twoband.sweeps import QUANTITIES
@@ -652,6 +654,18 @@ class TestBatchedRows:
             assert row.flags == ({"diverged"} if closed and quantities != ("complexity",)
                                  else set()), row
 
+    def test_row_where_the_swept_coupling_is_zero(self):
+        # t1 = 0 zeroes one entry of the a row that the sweep's nodes carry, which
+        # _bloch_sum sums as b cos k there and as (a + b) - 2 b sin^2(k/2) elsewhere
+        spec = SweepSpec(model="ssh", sweep=("t1", -1.0, 1.0, 5), fixed={"t2": 1.5},
+                         reference=plateau_reference(), quantities=("complexity", "dcomplexity"))
+        family = MODELS["ssh"].model(spec.fixed, "t1")
+        for row in run_sweep(spec):
+            (want,) = _bloch_averages(family, [row.lam], spec.reference, None,
+                                      complexity=True, derivative=True)
+            assert row.values == {"complexity": want.complexity,
+                                  "dcomplexity": want.dcomplexity}, row
+
     def test_gapped_winding_sweep_runs_one_average_and_no_grid(self, calls, monkeypatch):
         def grid(*args, **kwargs):
             raise AssertionError("a sweep evaluated a winding grid")
@@ -713,6 +727,49 @@ class TestLossyExceptionalPoints:
         for lam, c, dc, flags in rows:
             assert flags == ""
             assert math.isfinite(float(c)) and math.isfinite(float(dc))
+
+
+class TestLosslessDiracPoint:
+    """At gamma = 0, t2 = +-t1 both Laurent factors of R^2 vanish at one k: the lossy row is
+    closed as a Hermitian one, its C averaged and its dC a finite difference flagged diverged."""
+
+    REF = GlobalReference(0.5 * PI, PI)
+
+    @pytest.mark.parametrize("window,quantities", [
+        ("t2:-2.5:2.5:11", "complexity,dcomplexity"), ("t2:1.5:2.5:3", "complexity,dcomplexity"),
+        ("t2:1.5:2.5:3", "complexity")])
+    def test_sweep_through_the_closing_exits_cleanly(self, window, quantities, capsys):
+        code = main(["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", window,
+                     "--quantities", quantities])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        for row in (line.split(",") for line in out.splitlines()[1:]):
+            closed = abs(float(row[0])) == 2.0
+            assert all(math.isfinite(float(x)) for x in row[1:-1]), row
+            assert row[-1] == ("diverged" if closed and "dcomplexity" in quantities else ""), row
+
+    @pytest.mark.parametrize("start,stop", [(1.5, 2.5), (-2.5, -1.5)])
+    def test_closed_row_is_the_ssh_closed_form_with_a_finite_difference(self, start, stop):
+        spec = lambda quantities: SweepSpec(
+            model="nh-ssh", sweep=("t2", start, stop, 3), fixed={"t1": 2.0, "gamma": 0.0},
+            reference=self.REF, quantities=quantities)
+        rows = run_sweep(spec(("complexity", "dcomplexity")))
+        c_only = run_sweep(spec(("complexity",)))
+        c = rows[1].values["complexity"]
+        assert c == c_only[1].values["complexity"] == pytest.approx(
+            ssh_complexity_closed(SSHParams(2.0, 2.0), self.REF), abs=1e-16)
+        assert rows[1].flags == {"diverged"} and c_only[1].flags == frozenset()
+        lone = lambda t2: nh_ground_complexity(NonHermitianSSHParams(2.0, t2, 0.0),
+                                               self.REF.alpha, self.REF.beta)
+        assert rows[1].values["dcomplexity"] == pytest.approx(param_derivative(lone, rows[1].lam),
+                                                              rel=2e-15, abs=0.0)
+
+    def test_two_eps_at_opposite_points_are_not_flagged(self, capsys):
+        # t1 = 0, t2 = +-gamma/2: the factors vanish at k = 0 and at pi, not at one point
+        code, out = _stdout(capsys, ["nh-sweep", "--set", "t1=0", "--set", "gamma=2",
+                                     "--sweep", "t2:-1:1:3"])
+        assert code == 0
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["", "", ""]
 
 
 class TestWindingGapThreshold:

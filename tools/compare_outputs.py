@@ -13,7 +13,8 @@ directory, on the same requests:
   gapped-sweep, critical-sweep and lossy-sweep, 444 requests;
 * the fixed command list ``COMMANDS``: every sweep quantity on every
   Hermitian family, windows beside the closings at k = 0, +-pi and +-pi/2,
-  lossy sweeps, the point commands and ``verify all``.
+  lossy sweeps, sweeps through closed and exceptional rows, the point
+  commands and ``verify all``.
 
 A request's output is its ``--out`` file, else its standard output.  Paths in
 the argv are relative to each tree's directory, so the two trees run the same
@@ -37,6 +38,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +75,13 @@ COMMANDS = (
     ["nh-sweep", "--set", "t1=1", "--set", "gamma=0", "--sweep", "t2:0.99999999:1.00000001:2"],
     ["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", "t2:0.5:1.5:5",
      "--theta", "0.9", "--phi", "0.4"],
+    # closed and exceptional rows: exit codes, stderr and flags
+    ["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", "t2:-2.5:2.5:11",
+     "--quantities", "complexity,dcomplexity"],
+    ["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", "t2:1.5:2.5:3"],
+    ["nh-sweep", "--set", "t1=1", "--set", "gamma=2", "--sweep", "t2:-1:1:3"],
+    ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:0.5:1.5:3",
+     "--quantities", "winding"],
     ["bound", "--model", "ssh", "--lam", "1.5"],
     ["bound", "--model", "massive-dirac", "--lam", "1e-10", "--theta", "0.9"],
     ["ratio", "--model", "dual-ssh", "--lam", "2"],
@@ -89,8 +98,10 @@ def _run(cli, argv):
     if out is not None and out.exists():
         out.unlink()
     sink, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
+    try:  # a fresh warnings registry: a warning prints once per request, as in its own process
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("default")
             code = cli.main(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
