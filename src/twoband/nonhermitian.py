@@ -1,15 +1,16 @@
 """Biorthogonal spread complexity for the lossy dimerized chain under PBC.
 
-Left and right eigenvectors of the complex-symmetric Bloch matrix (from the rows of
-``MODELS``) are paired by biorthogonal normalization; the two-vector Krylov chains built
-from a reference amplitude pair give per-mode weights w_0, w_1 and
-C_k = |w_1| / (|w_0| + |w_1|).  The exceptional points (EPs), the zeros of R^2's Laurent
-factors R1 -+ i R3, are panel edges graded by the Hermitian rule, which no node meets; a
-mode where R^2 is exactly 0 raises ExceptionalPointError.  C is C^1 in the couplings across
-an EP; beside it, dC/d(lambda) departs from its value on the closing like sqrt(delta)
-between the two closings and like delta outside.  Where both factors vanish at one k
-(gamma = 0, t2 = +-t1: a double zero of R^2, no EP) the gap is closed the Hermitian way:
-C is averaged, and dC/d(lambda) diverges.
+The complex-symmetric Bloch matrix H = d . sigma, d = (R1, 0, R3) from the rows of ``MODELS``,
+has the biorthogonal ground projector P = (1 - d . sigma / R) / 2, so the Krylov chains of a
+reference amplitude pair, of real Bloch vector r, give per-mode weights
+w_0, w_1 = (1 -+ d . r / R) / 2 and C_k = |w_1| / (|w_0| + |w_1|); the explicit eigenvectors
+and chains (``biorthogonal_ground``, ``bikrylov_basis``) are its oracle.  The exceptional
+points (EPs), the zeros of R^2's Laurent factors R1 -+ i R3, are panel edges graded by the
+Hermitian rule, which no node meets; a mode where R^2 is exactly 0 raises
+ExceptionalPointError.  C is C^1 in the couplings across an EP; beside it, dC/d(lambda)
+departs from its value on the closing like sqrt(delta) between the two closings and like delta
+outside.  Where both factors vanish at one k (gamma = 0, t2 = +-t1: a double zero of R^2, no
+EP) the gap is closed the Hermitian way: C is averaged, and dC/d(lambda) diverges.
 """
 
 from __future__ import annotations
@@ -109,23 +110,20 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
 
 
 def _nh_weight_kernel(model: TwoBandModel, lams, closed, alpha: complex, beta: complex):
-    """Array kernel (k, owner) -> C_k = |w_1| / (|w_0| + |w_1|) of the lossy ``model`` at
-    each of ``lams``, one per owner, for normalized amplitudes.
-
-    Uses the explicit weight formulas in terms of the ground vector (v0, v1)
-    that biorthogonal_ground keeps.  A mode where R^2 = 0, an exceptional
-    point and the only place where its pairing v . v vanishes, has C_k NaN
-    (0/0), which fails its owner's average alone.
+    """Array kernel (k, owner) -> C_k = |R + d . r| / (|R - d . r| + |R + d . r|) of the lossy
+    ``model`` at each of ``lams``, one per owner, for normalized amplitudes: the projector
+    form, with R the principal root of R^2 (the ground branch is -R) and no ground vector.
+    A mode where R^2 is exactly 0, an EP where P is undefined and the form reads 1/2, has C_k
+    set to NaN (and dC_k to 0), which fails its owner's average alone.
     With ``closed`` (None for C_k alone) the kernel returns the stack (C_k, dC_k/d(lambda)),
-    by the chain rule through R1, R3, R and (v0, v1), with dC_k zeroed on ``closed`` owners.
-    Each weight is w = a b / (v . v) with a, b linear in (v0, v1), so
-    |w|' = |w| Re(w'/w) = |w| Re(a'/a + b'/b - (v . v)'/(v . v)) and
-    dC_k = (|w_1|' |w_0| - |w_0|' |w_1|) / (|w_0| + |w_1|)^2
-         = C_k (1 - C_k) Re(a_1'/a_1 + b_1'/b_1 - a_0'/a_0 - b_0'/b_0),
-    in which (v . v)' and any rescaling of (v0, v1) cancel.  Where a weight
-    vanishes, dC_k is 0.
+    by the chain rule through R and d . r, zeroed on ``closed`` owners:
+    dC_k = C_k (1 - C_k) Re((R + d . r)'/(R + d . r) - (R - d . r)'/(R - d . r))
+         = 2 |q| Re(u W / (R q)) / (|R - d . r| + |R + d . r|)^2,
+    with u = r_z R1 - r_x R3, W = R1 R3' - R3 R1' and q = (R + d . r)(R - d . r) =
+    r_y^2 R^2 + u^2, which does not cancel where a weight vanishes (there dC_k is 0).
     """
-    ca, cb = alpha.conjugate(), beta.conjugate()
+    ab = alpha.conjugate() * beta
+    rx, ry2, rz = 2.0 * ab.real, 4.0 * ab.imag ** 2, abs(alpha) ** 2 - abs(beta) ** 2
     lams = np.asarray(lams, dtype=float)
     zeroing = closed is not None and closed.any()  # no per-node work where no row is closed
 
@@ -136,28 +134,21 @@ def _nh_weight_kernel(model: TwoBandModel, lams, closed, alpha: complex, beta: c
                                    for i in range(0, k.size, 2048)], axis=-1)
         cos, sin = np.cos(k), np.sin(k)
         r1, _, r3 = trig_sum(model.rows(lams[owner]), cos, sin)
-        # principal root, as in biorthogonal_ground: the ground branch is -R
-        root = np.sqrt(r1 * r1 + r3 * r3)
-        plus, minus = root + r3, root - r3
-        first = np.abs(plus) >= np.abs(minus)
-        v0 = np.where(first, r1, minus)
-        v1 = -np.where(first, plus, r1)
-        denom = v0 * v0 + v1 * v1
-        a0, b0 = alpha * v0 + beta * v1, ca * v0 + cb * v1
-        a1, b1 = beta * v0 - alpha * v1, cb * v0 - ca * v1
-        w0, w1 = a0 * b0 / denom, a1 * b1 / denom
-        m0, m1 = np.abs(w0), np.abs(w1)
-        total = m0 + m1
+        rsq = r1 * r1 + r3 * r3
+        root, dr = np.sqrt(rsq), rx * r1 + rz * r3
+        m1 = np.abs(root + dr)
+        total = np.abs(root - dr) + m1
         c = m1 / total
+        if not rsq.all():  # an EP, where the form reads 1/2
+            c[rsq == 0.0] = np.nan
         if closed is None:
             return c
         dr1, _, dr3 = trig_sum(model.slope(lams[owner]), cos, sin)
-        droot = (r1 * dr1 + r3 * dr3) / root
-        dv0 = np.where(first, dr1, droot - dr3)
-        dv1 = -np.where(first, droot + dr3, dr1)
-        slope = ((beta * dv0 - alpha * dv1) / a1 + (cb * dv0 - ca * dv1) / b1
-                 - (alpha * dv0 + beta * dv1) / a0 - (ca * dv0 + cb * dv1) / b0).real
-        dc = np.where(m0 * m1 > 0.0, c * (m0 / total) * slope, 0.0)
+        u = rz * r1 - rx * r3
+        q = ry2 * rsq + u * u
+        rq = root * q  # 0 at an EP too
+        dc = np.where(rq != 0.0, 2.0 * np.abs(q) / (total * total)
+                      * (u * (r1 * dr3 - r3 * dr1) / rq).real, 0.0)
         if zeroing:
             dc[closed[owner]] = 0.0
         return np.stack((c, dc))
@@ -195,12 +186,12 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
     return abs(w1) / (abs(w0) + abs(w1))
 
 
-def _ep_edges(model: TwoBandModel, lams) -> Tuple[np.ndarray, np.ndarray]:
-    """Per value of ``lams`` of the lossy ``model``, NaN-padded: k = 0 and ``graded_edges`` at
-    the EPs, the zeros k_s of R^2's Laurent factors F = R1 -+ i R3 (``zero_gaps`` of the rows
-    with the z row as is and negated; none at z = 0 or infinity), each graded by the rule of
-    ``panel_edges``, w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing; and
-    whether its gap is closed: both |F| < GAP_EPS at one k_s, a double zero of R^2 and no EP."""
+def _ep_zeros(model: TwoBandModel, lams):
+    """Per value of ``lams`` of the lossy ``model``, NaN-padded: the EPs, the zeros k_s of
+    R^2's Laurent factors F = R1 -+ i R3 (``zero_gaps`` of the rows with the z row as is and
+    negated; none at z = 0 or infinity); their widths by the rule of ``panel_edges``,
+    w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing; and whether its gap
+    is closed: both |F| < GAP_EPS at one k_s, a double zero of R^2 and no EP."""
     lams = np.asarray(lams, dtype=float)
     rows = tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in model.rows(lams))
     (p0, q, p2), (points, gap, slope) = zero_gaps(rows, lams.size)
@@ -211,17 +202,23 @@ def _ep_edges(model: TwoBandModel, lams) -> Tuple[np.ndarray, np.ndarray]:
         closed = (s[:, 0] * s[:, 1].conjugate()).real > 0.0
     keep = found.any(axis=0)  # the zeros that some chain has
     w = np.divide(gap, slope, out=np.full(gap.shape, np.nan), where=slope > 0.0)[:, keep]
-    return np.hstack((np.zeros((lams.size, 1)), graded_edges(
-        np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR)))), closed
+    return np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR), closed
+
+
+def _ep_edges(model: TwoBandModel, lams, zeros=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Per value of ``lams`` of the lossy ``model``: k = 0 and ``graded_edges`` at its
+    ``_ep_zeros`` (``zeros``, if the caller has them), NaN-padded; and whether it is closed."""
+    points, w, closed = _ep_zeros(model, lams) if zeros is None else zeros
+    return np.hstack((np.zeros((len(points), 1)), graded_edges(points, w))), closed
 
 
 def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex,
-                 cfg: BZQuadratureConfig | None) -> list:
+                 cfg: BZQuadratureConfig | None, zeros=None) -> list:
     """Per value of ``lams``, the lossy ``model``'s ``_BlochAverages`` (C, with ``derivative``
-    dC/d(lambda)) on its EP-graded panels in one ``bz_averages`` run, or the error that ended
-    it; on a ``closed`` gap (``_ep_edges``) dC_k is zeroed, so C is the C-only one, and dC None."""
+    dC/d(lambda)) on its ``_ep_edges`` in one ``bz_averages`` run, or the error that ended it;
+    on a ``closed`` gap dC_k is zeroed, so C is the C-only one, and dC None."""
     alpha, beta = _normalized_pair(alpha, beta)
-    edges, closed = _ep_edges(model, lams)
+    edges, closed = _ep_edges(model, lams, zeros)
     runs = bz_averages(_nh_weight_kernel(model, lams, closed if derivative else None, alpha,
                                          beta), edges, cfg)
     # the kernel's only non-finite values are the NaN of a mode where R^2 = 0
@@ -250,15 +247,16 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
     """BZ averages (C, dC/d(parameter)) of the lossy chain, for parameter "t2" or "gamma".
 
     One average of the two-component kernel, on the EP-graded panels of nh_ground_complexity;
-    a mode where R^2 is exactly 0 raises ExceptionalPointError, and a closed gap (a double
-    zero of R^2), where dC diverges, GapClosedError.  C is C^1 in the couplings across an EP,
-    so the derivative stays finite there, where dC_k/d(parameter) ~ |k - k_s|^(-1/2).  Any
-    other parameter raises DomainError.
+    a mode where R^2 is exactly 0 raises ExceptionalPointError.  A closed gap (a double zero
+    of R^2), where dC diverges, raises GapClosedError before any average.  C is C^1 in the
+    couplings across an EP, so the derivative stays finite there, where
+    dC_k/d(parameter) ~ |k - k_s|^(-1/2).  Any other parameter raises DomainError.
     """
     model = MODELS["nh-ssh"].model(vars(params), parameter)
-    avg = _lone(_nh_averages(model, [model.lam], True, alpha, beta, cfg))
-    if avg.closed:
+    zeros = _ep_zeros(model, [model.lam])
+    if zeros[2][0]:
         raise GapClosedError("complexity derivative diverges where the gap is closed")
+    avg = _lone(_nh_averages(model, [model.lam], True, alpha, beta, cfg, zeros))
     return avg.complexity, avg.dcomplexity
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,8 +16,9 @@ from twoband import (BlochVector, DomainError, ExceptionalPointError, GapClosedE
                      run_sweep, ssh_complexity_closed, ssh_model)
 from twoband import quadrature
 from twoband.models import MODELS, trig_sum
-from twoband.nonhermitian import _ep_edges
+from twoband.nonhermitian import _ep_edges, _nh_weight_kernel
 from twoband.quadrature import graded_edges
+from test_nonhermitian_mpmath import _mp_ck
 
 PI = math.pi
 AMP = 1.0 / math.sqrt(2.0)
@@ -308,6 +310,99 @@ class TestPerMode:
         assert np.linalg.norm(h @ pair.right - pair.eigenvalue * pair.right) < 1e-14
 
 
+def _kernel(t1, t2, gamma, parameter, alpha, beta, ks):
+    """The stack (C_k, dC_k/d(parameter)) of the averages' kernel at the nodes ``ks``."""
+    fixed = {"t1": t1, "t2": t2, "gamma": gamma}
+    kernel = _nh_weight_kernel(MODELS["nh-ssh"].model(fixed, parameter), [fixed[parameter]],
+                               np.zeros(1, dtype=bool), alpha, beta)
+    ks = np.asarray(ks, dtype=float)
+    return kernel(ks, np.zeros(ks.size, dtype=int))
+
+
+def _node_rows(name):
+    """(t1, t2, gamma, parameter, alpha, beta, nodes) of a family of kernel checks."""
+    if name == "random":
+        rng = np.random.default_rng(34)
+        rows = []
+        for parameter in ("t2", "gamma"):
+            for _ in range(10):
+                t1, t2, gamma = *rng.uniform(-3.0, 3.0, size=2), rng.uniform(-2.0, 2.0)
+                theta, phi = rng.uniform(0.0, PI), rng.uniform(0.0, 2.0 * PI)
+                ref = GlobalReference(float(theta), float(phi))
+                rows.append((t1, t2, gamma, parameter, ref.alpha, ref.beta,
+                             rng.uniform(-PI, PI, size=4)))
+        return rows
+    ref = GlobalReference(0.9, 0.4)
+    beside = [s * h for s in (-1.0, 1.0) for h in (1e-9, 1e-6, 1e-3)]
+    if name == "branch-swap":  # |R + R3| = |R - R3| at k = 0 and pi, or R jumps there
+        return [(t1, t2, 1.0, parameter, ref.alpha, ref.beta, [k + h for h in beside])
+                for t1, t2 in ((2.0, 1.0), (1.0, 1.3)) for k in (0.0, PI)
+                for parameter in ("t2", "gamma")]
+    if name == "vanishing-weight":  # a polar reference: R -+ d . r = R -+ R3 = 0 where R1 = 0
+        return [(t1, t2, gamma, parameter, alpha, beta,
+                 [s * math.acos(t1 / t2) + h for s in (-1.0, 1.0) for h in beside])
+                for t1, t2, gamma in ((1.0, 2.0, 1.0), (0.5, 1.5, 2.0))
+                for parameter in ("t2", "gamma") for alpha, beta in ((1.0, 0.0), (0.0, 1.0))]
+    # beside an EP: the closings at k = 0 and k = pi
+    return [(t1, t2, 1.0, parameter, ref.alpha, ref.beta,
+             [k_s + s * h for s in (-1.0, 1.0) for h in (1e-6, 1e-4, 1e-2)])
+            for t1, t2, k_s in ((2.0, 2.5, 0.0), (2.0, 1.5, 0.0), (2.0, -2.5, PI))
+            for parameter in ("t2", "gamma")]
+
+
+class TestProjectorKernel:
+    """The kernel's projector form C_k = |R + d . r| / (|R - d . r| + |R + d . r|), node by
+    node, against the eigenvector form of ``_mp_ck`` at 30 digits, differentiated by
+    ``mpmath.diff``.  The bounds pin the measured worst errors with a margin of two to five:
+    C 1.1e-16 everywhere but beside an EP; dC (of max(|dC|, 1)) 3.3e-16 on random rows,
+    6.1e-16 beside the branch swap and 4.7e-18 beside a vanishing weight; within 1e-6 to 1e-2
+    of an EP, where R^2 cancels in the rows and dC ~ |k - k_s|^(-1/2), C 3.7e-14 and dC
+    3.2e-10, as the eigenvector form's kernel had."""
+
+    BOUNDS = {"random": (5e-16, 1e-15), "branch-swap": (5e-16, 2e-15),
+              "vanishing-weight": (5e-16, 2e-17), "beside-ep": (1e-13, 1e-9)}
+
+    @pytest.mark.parametrize("name", BOUNDS)
+    def test_matches_the_eigenvector_form(self, name):
+        worst_c = worst_dc = 0.0
+        for t1, t2, gamma, parameter, alpha, beta, ks in _node_rows(name):
+            got = _kernel(t1, t2, gamma, parameter, alpha, beta, ks)
+            with mp.workdps(30):
+                a, b = mp.mpc(complex(alpha)), mp.mpc(complex(beta))
+                row = [mp.mpf(t1), mp.mpf(t2), mp.mpf(gamma)]
+                at = 1 if parameter == "t2" else 2
+                for j, k in enumerate(ks):
+                    cos, sin = mp.cos(mp.mpf(float(k))), mp.sin(mp.mpf(float(k)))
+                    mode = lambda x: _mp_ck(*row[:at], x, *row[at + 1:], cos, sin, a, b)
+                    c, dc = float(mode(row[at])), float(mp.diff(mode, row[at]))
+                    worst_c = max(worst_c, abs(got[0, j] - c))
+                    worst_dc = max(worst_dc, abs(got[1, j] - dc) / max(abs(dc), 1.0))
+        assert worst_c <= self.BOUNDS[name][0]
+        assert worst_dc <= self.BOUNDS[name][1]
+
+    def test_hermitian_limit_is_the_ssh_per_mode_complexity(self):
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            t1, t2 = rng.uniform(0.2, 3.0, size=2)
+            ref = GlobalReference(float(rng.uniform(0.0, PI)), float(rng.uniform(0.0, 2.0 * PI)))
+            ks = rng.uniform(-PI, PI, size=8)
+            got = _kernel(t1, t2, 0.0, "t2", ref.alpha, ref.beta, ks)[0]
+            model = ssh_model(SSHParams(t1, t2))
+            want = [complexity_per_mode(ref.bloch, ground_state_bloch(model.d(k))) for k in ks]
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("t2", [2.5, 1.5])
+    def test_an_exact_ep_node_is_nan_alone(self, t2):
+        # R^2 = (2 - t2)^2 - 1/4 = 0 exactly at k = 0, where the form would read 1/2
+        for parameter in ("t2", "gamma"):
+            got = _kernel(2.0, t2, 1.0, parameter, 0.6, 0.8, [0.0, 1e-9, 0.5])
+            assert math.isnan(got[0, 0])
+            assert np.all(np.isfinite(got[:, 1:])) and math.isfinite(got[1, 0])
+        fixed = {"t1": 2.0, "t2": t2, "gamma": 1.0}
+        alone = _nh_weight_kernel(MODELS["nh-ssh"].model(fixed), [t2], None, 0.6, 0.8)
+        assert math.isnan(alone(np.zeros(1), np.zeros(1, dtype=int))[0])
+
+
 class TestGroundComplexity:
     def test_hermitian_reduction(self):
         got = nh_ground_complexity(NonHermitianSSHParams(2.0, 1.0, 0.0), 0.5, 0.5)
@@ -456,11 +551,12 @@ class TestComplexityDerivative:
 
     @pytest.mark.parametrize("parameter", ["t2", "gamma"])
     @pytest.mark.parametrize("t2", [2.0, -2.0])
-    def test_a_closed_gap_raises_gap_closed(self, parameter, t2):
+    def test_a_closed_gap_raises_gap_closed(self, calls, parameter, t2):
         # gamma = 0, t2 = +-t1: a double zero of R^2, where dC diverges as in the SSH chain
         params = NonHermitianSSHParams(2.0, t2, 0.0)
         with pytest.raises(GapClosedError, match="gap is closed"):
             nh_complexity_derivative(params, parameter, AMP, AMP)
+        assert not calls  # raised before any average, as the Hermitian derivative does
         assert nh_ground_complexity(params, AMP, AMP) == pytest.approx(
             ssh_complexity_closed(SSHParams(2.0, 2.0), GlobalReference(0.5 * PI, 0.0)), abs=1e-15)
 

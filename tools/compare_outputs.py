@@ -18,7 +18,9 @@ directory, on the same requests:
 
 A request's output is its ``--out`` file, else its standard output.  Paths in
 the argv are relative to each tree's directory, so the two trees run the same
-argv and the output path never differs.  The script prints every request
+argv and the output path never differs.  In the first stderr line, the tree's
+resolved ``src`` path is replaced by ``<src>``, so a warning from identical
+code compares equal.  The script prints every request
 whose exit code, first error line or output differs, with the largest |delta|
 of each of its columns (inf where a flag or label changed), the number of
 cells that moved by more than 1e-10 + 1e-10 |old|, and the largest |delta|
@@ -129,7 +131,9 @@ def worker(src: str) -> None:
             for _ in range(ROUNDS):
                 outcomes += [(req.argv, _run(twoband.cli, req.argv)) for req in gen.round()]
     outcomes += [(argv, _run(twoband.cli, argv)) for argv in COMMANDS]
-    json.dump(outcomes, sys.stdout)
+    prefix = str(Path(src).resolve())  # a warning names its file: one token for either tree
+    json.dump([(argv, (code, err.replace(prefix, "<src>"), text))
+               for argv, (code, err, text) in outcomes], sys.stdout)
 
 
 def _cell(text: str):
