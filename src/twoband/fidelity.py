@@ -96,22 +96,23 @@ class _BlochAverages(NamedTuple):
 
 def _cel(kc, p, a, b):
     """Bulirsch's int_0^{pi/2} (a cos^2 + b sin^2) / ((cos^2 + p sin^2) sqrt(cos^2 + kc^2 sin^2))
-    for kc, p > 0 (Numer. Math. 13 (1969) 305), in a fixed number of Landen steps, so
-    that a row's value does not depend on the rows evaluated with it."""
+    for kc, p > 0 (Numer. Math. 13 (1969) 305), in a fixed number of Landen steps, so that a
+    row's value does not depend on the rows evaluated with it (faster: kc, p of a's shape)."""
     e, em, p = kc, 1.0, np.sqrt(p)
     b = b / p
     for _ in range(_CEL_STEPS):
-        a, b = a + b / p, 2.0 * (b + a * e / p)
+        t = b + a * e / p  # doubled as t + t, which numpy does faster than 2.0 * t
+        a, b = a + b / p, t + t
         p, em, kc = e / p + p, em + kc, 2.0 * np.sqrt(e)
         e = kc * em
     return 0.5 * PI * (b + a * em) / (em * (em + p))
 
 
-def _planar_averages(rows, slope, zeros, n: int, complexity: bool, derivative: bool, chi: bool):
+def _planar_averages(rows, slope, zeros, closed, complexity: bool, derivative: bool, chi: bool):
     """(ok, <d_hat>, <d(d_hat)/d(lambda)>, chi_F per axis), each (x, z) or None where not
-    asked for, of ``n`` planar rows with their slope rows and ``_contour_zeros``; ``ok``
-    marks the rows whose zeros lie on one line u = e^{i theta} through 0 (for dC or chi,
-    also as lambda moves) and whose values are finite.
+    asked for, of planar rows with their slope rows, ``_contour_zeros`` and ``closed_rows``
+    mask ``closed``; ``ok`` marks the rows whose zeros lie on one line u = e^{i theta} through
+    0 (for dC or chi on an open row, also as lambda moves) and whose values are finite.
 
     Each zero reflected into the disk is sigma_j u, sigma_j real: with e^{ik} = u w,
     |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2, and 1 - |sigma_j| is |d| beside
@@ -123,76 +124,90 @@ def _planar_averages(rows, slope, zeros, n: int, complexity: bool, derivative: b
     sigma_j for a zero outside/inside): <d(d_hat)/d(lambda)> turns -omega <d_hat> + d_k
     d(theta) sum_j tau_j <sin^2 phi / (|d| Q_j)> by 90 degrees, each mean two cel values,
     and chi_F with its axes (the factor Re e^{2 i psi}) are residue sums in the sigma_j.
+    A closed row has sigma_1 = 1 and only <d_hat>, the limit (2 / pi) (1 + sigma_2) h
+    d_hat(theta + pi) with h = artanh(t) / t, t = sqrt(-sigma_2); 0 with sigma_2 = -1.
     """
-    p0, q, p2 = np.broadcast_arrays(*zeros, np.empty(n))[:3]
-    r = np.arange(n)
+    n, zs = closed.size, np.empty((3, closed.size), complex)
+    zs[0], zs[1], zs[2] = zeros[2], zeros[1], zeros[0]
+    (p2, q, p0), p1, r, fine = zs, zeros[3], np.arange(n), True  # fine: an open row's dC, chi
     with np.errstate(all="ignore"):
-        num, den = np.array([q, p0]), np.array([p2, q])  # the zeros q / p2 and p0 / q
-        inside = abs(num) < abs(den)
+        num, den, size = zs[1:], zs[:2], abs(zs)  # the zeros q / p2 and p0 / q
+        inside = size[1:] < size[:2]
         z = np.where(inside, num / den, (den / num).conj())  # outside: reflected, 1 / conj(z)
-        big = 1 * (abs(z[1]) > abs(z[0]))
-        u = np.where(z[big, r] == 0.0, 1.0, z[big, r] / abs(z[big, r]))
-        sig, off = (z * u.conj()).real, abs((z * u.conj()).imag)
+        size = abs(z)
+        big = 1 * (size[1] > size[0])
+        b, s, zb = (big, r), (1 - big, r), z[big, r]
+        u = np.where(zb == 0.0, 1.0, zb / size[b])
+        uc = u.conj()
+        w = z * uc
+        sig, asig, neg = w.real, abs(w.real), w.real < 0.0
         kappa = np.where(inside[0], p2, -q) * np.where(inside[1], 1.0, -p0 / q)
-        amp, (_, p1, _) = abs(kappa), _coefficients(rows)
-        odd = p0 * u.conj() + p2 * u  # d_x - i d_z = p0 / z + p1 + p2 z at z = +-u
+        amp, odd = abs(kappa), p0 * uc + p2 * u  # d_x - i d_z = p0 / z + p1 + p2 z at z = +-u
         ends = np.array([p1 + odd, p1 - odd])
-        neg = sig < 0.0
-        g = np.where(abs(sig) <= 0.5, 1.0 - abs(sig), abs(np.where(neg, ends[1], ends[0]))
+        g = np.where(asig <= 0.5, 1.0 - asig, abs(np.where(neg, ends[1], ends[0]))
                      / (amp * abs(np.where(neg, -1.0, 1.0) - sig[::-1])))
         ends = np.array([ends.real, -ends.imag]).transpose(1, 0, 2)  # (x, z) at theta, + pi
-        ok = (off <= _ON_LINE * g).all(0)  # off the line by far less than the gap
-        m, P = np.where(neg, 2.0 - g, g), np.where(neg, g, 2.0 - g)  # 1 - sigma, 1 + sigma
-        mb, Pb, ms, Ps = m[big, r], P[big, r], m[1 - big, r], P[1 - big, r]
-        ok &= sig[1 - big, r] <= 0.5  # not both zeros beside one point of the circle
+        line = abs(w.imag) <= _ON_LINE * g  # off the line by far less than the gap
+        ok = (line[b] | closed) & (line & (sig <= 0.5))[s]  # the smaller zero not beside u too
+        gm, pa = 2.0 - g, PI * amp
+        m, P = np.where(neg, gm, g), np.where(neg, g, gm)  # 1 - sigma, 1 + sigma
+        mb, Pb, ms, Ps = m[b], P[b], m[s], P[s]
         kc, pc = mb * Ps / (Pb * ms), (mb / Pb) ** 2
         if derivative or chi:
             s0, s1, s2 = (v * np.ones(n) for v in _coefficients(slope))
             dq = (s1 * q + s0 * p2 + p0 * s2) / -(2.0 * q + p1)  # q^2 + p1 q + p0 p2 = 0
-            dnum, dden = np.array([dq, s0]), np.array([s2, dq])
+            dzs = np.array([s2, dq, s0])  # the rates of p2, q, p0
+            dnum, dden, rate = dzs[1:], dzs[:2], dzs / zs
             dz = np.where(inside, (dnum - z * dden) / den, ((dden - z.conj() * dnum) / num).conj())
-            dsig = dz * u.conj()
-            ok &= (abs(dsig.imag) <= _ON_LINE * abs(dz)).all(0)
+            dsig = dz * uc
+            fine = (abs(dsig.imag) <= _ON_LINE * abs(dz)).all(0)
             tau = np.where(inside, -dsig.real, dsig.real)
-            omega = (np.where(inside[0], s2 / p2, dq / q)
-                     + np.where(inside[1], 0.0, s0 / p0 - dq / q)).imag
+            omega = (np.where(inside[0], rate[0], rate[1])
+                     + np.where(inside[1], 0.0, rate[2] - rate[1])).imag
         if derivative:  # <sin^2 phi / (|d| Q_j)> along zero j, the other at sign(sigma_j) sigma_k
             mk, Pk = np.where(neg, P[::-1], m[::-1]), np.where(neg, m[::-1], P[::-1])
-            kc = np.vstack((kc, kc, np.tile(g * Pk / ((2.0 - g) * mk), (2, 1))))
-            pc = np.vstack((pc, pc, np.ones((2, n)), (g / (2.0 - g)) ** 2))
+            kj = g * Pk / (gm * mk)
+            kc = np.concatenate(([kc, kc], kj, kj))
+            pc = np.concatenate(([pc, pc], np.ones((2, n)), (g / gm) ** 2))
         dhat = turn = gains = None
         if complexity or derivative:
-            out = _cel(kc, pc, *((np.vstack((ends[0], np.zeros((4, n)))),
-                                  np.vstack((pc[:2] * ends[1], pc[2:]))) if derivative else
-                                 (ends[0], pc * ends[1])))
-            dhat = 2.0 / (PI * amp * Pb * ms) * out[:2]
+            out = _cel(*((kc, pc, np.concatenate((ends[0], np.zeros((4, n)))),
+                          np.concatenate((pc[:2] * ends[1], pc[2:]))) if derivative else
+                         (np.array([kc, kc]), np.array([pc, pc]), ends[0], pc * ends[1])))
+            dhat = 2.0 / (pa * Pb * ms) * out[:2]
+            if closed.any():  # the larger zero on the circle, the other at sig[s]
+                t = np.sqrt(0j - sig[s])
+                h = np.where(t == 0.0, 1.0, (np.arctanh(t) / t).real)
+                dhat = np.where(closed, np.where(Ps == 0.0, 0.0, 2.0 / PI * Ps * h * ends[1]
+                                                 / np.hypot(*ends[1])), dhat)
         if derivative:
             spin = (tau * np.where(tau == 0.0, 0.0, 2.0 * (out[2:4] - out[4:]) / (
-                PI * amp * (2.0 - g) * mk * abs(sig)))).sum(0)
-            ok &= ((tau == 0.0) | (abs(sig) >= _OFF_ORIGIN)).all(0)
-            slope_k = 1j * (p2 * u - p0 * u.conj())  # d_k of d_x - i d_z at theta
+                pa * gm * mk * asig))).sum(0)
+            fine &= ((tau == 0.0) | (asig >= _OFF_ORIGIN)).all(0)
+            slope_k = 1j * (p2 * u - p0 * uc)  # d_k of d_x - i d_z at theta
             turn = np.array([slope_k.imag * spin + omega * dhat[1],
                              slope_k.real * spin - omega * dhat[0]])
         if chi:  # <(d psi)^2> and that less <e^{2 i psi} (d psi)^2> / phase, per side
-            a, c, (x, y) = g * (2.0 - g), 1.0 - sig[0] * sig[1], sig
-            total = omega ** 2 + 0.5 * (tau[0] ** 2 / a[0] + 2.0 * tau[0] * tau[1] / c
-                                        + tau[1] ** 2 / a[1])
-            same = total - omega ** 2 * x * y - 1j * omega * (tau[0] * y + tau[1] * x) + 0.25 * (
-                tau[0] ** 2 * (1.0 / a[0] - y * y / c) + 2.0 * tau[0] * tau[1]
-                + tau[1] ** 2 * (1.0 / a[1] - x * x / c))
-            (X, Y), (tx, ty), (ax, ay) = ((v[1 * inside[0], r], v[1 - inside[0], r])
-                                          for v in (sig, tau, a))  # outside, inside
-            d = X - Y
-            mixed = d / c * (d * total + 1j * omega * (tx * (c + ay) + ty * (c + ax)) / c + d / (
-                4.0 * c * c) * (tx ** 2 * (X * Y * c + ay) / ax + 2.0 * tx * ty * (1.0 + X * Y)
-                                + ty ** 2 * (X * Y * c + ax) / ay))
+            a, c, iw = g * gm, 1.0 - sig[0] * sig[1], 1j * omega
+            t2, om2, tt = tau ** 2, omega ** 2, 2.0 * tau[0] * tau[1]
+            ta, ts, lean = t2 / a, tau * sig[::-1], t2 * (1.0 / a - (sig * sig / c)[::-1])
+            total = om2 + 0.5 * (ta[0] + tt / c + ta[1])
+            same = total - om2 * sig[0] * sig[1] - iw * (ts[0] + ts[1]) + 0.25 * (
+                lean[0] + tt + lean[1])
+            io = (np.array([inside[0], ~inside[0]]) * 1, r)  # outside, inside
+            (X, Y), T, A = sig[io], tau[io], a[io]
+            d, XY, mid = X - Y, X * Y, T * (c + A[::-1])
+            far = T ** 2 * (XY * c + A[::-1]) / A
+            mixed = d / c * (d * total + iw * (mid[0] + mid[1]) / c + d / (4.0 * c * c) * (
+                far[0] + 2.0 * T[0] * T[1] * (1.0 + XY) + far[1]))
             less = np.where(inside[0] != inside[1], mixed, np.where(inside[0], same.conj(), same))
             phase = kappa.conj() / kappa * u ** (2 - 2 * inside.sum(0))
             tilt = (phase * less).real
             gains = np.array([total * (1.0 - phase.real) + tilt,
                               total * (1.0 + phase.real) - tilt]) / 8.0
-    for v in (dhat, turn, gains):
-        ok &= True if v is None else np.isfinite(v).all(0)
+    for v in (turn, gains):
+        fine &= True if v is None else np.isfinite(v).all(0)
+    ok &= (closed | fine) & (True if dhat is None else np.isfinite(dhat).all(0))
     return ok, dhat, turn, gains
 
 
@@ -202,66 +217,68 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family ``m`` at
     each of ``lams``, whose ``TwoBandModel._closings`` the caller may pass.
 
-    An open row of planar rows, with a global reference or none, takes them from
-    ``_planar_averages`` where it holds; every other row from ``_engine_averages``.
-    A non-finite lambda is a DomainError.
+    A row of planar rows, with a global reference or none, takes them from
+    ``_planar_averages`` where it holds, a closed one (``closed_rows``) only C in the engine's
+    ``closed`` record; every other row that needs an average from ``_engine_averages``.  A
+    closed gap without C, or a request of none, needs none.  A non-finite lambda is a DomainError.
     """
     lams = np.asarray(lams, dtype=float)
-    if not np.all(np.isfinite(lams)):
+    if not np.isfinite(lams).all():
         raise DomainError("the parameter value must be finite")
     rows, zeros, gaps = m._closings(lams) if closings is None else closings
-    slope, exact = m.slope(lams), ~closed_rows(gaps[1])
-    exact &= bool(complexity or derivative or chi) and (ref is None or isinstance(
-        ref, GlobalReference)) and not any(np.any(row[1]) if isinstance(row[1], np.ndarray)
-                                           else row[1] for row in (*rows, *slope))
+    closed = closed_rows(gaps[1])
+    idle = closed & (not complexity) | (not (complexity or derivative or chi))
+    slope, exact = m.slope(lams), ~idle
+    exact &= (ref is None or isinstance(ref, GlobalReference)) and not any(
+        np.any(row[1]) if isinstance(row[1], np.ndarray) else row[1] for row in (*rows, *slope))
+    cs = dcs = integrals = chis = [None] * lams.size
     if exact.any():
-        ok, dhat, turn, gains = _planar_averages(rows, slope, zeros, lams.size, complexity,
+        ok, dhat, turn, gains = _planar_averages(rows, slope, zeros, closed, complexity,
                                                  derivative, chi)
         exact &= ok
         nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
-        cs = (0.5 + 0.5 * (nref @ dhat)).tolist() if complexity else None
+        cs = (0.5 + 0.5 * (nref @ dhat)).tolist() if complexity else cs
         if derivative:
-            dcs, turn = (0.5 * (nref @ turn)).tolist(), 2.0 * PI * np.insert(turn, 1, 0.0, axis=0).T
-        if chi:
-            gains = np.insert(gains, 1, 0.0, axis=0).T.tolist()
-    rest = np.flatnonzero(~exact)
+            dcs, integrals = (0.5 * (nref @ turn)).tolist(), np.zeros((lams.size, 3))
+            integrals[:, ::2] = 2.0 * PI * turn.T
+        if chi:  # the total as numpy sums three
+            chis = [SusceptibilityBreakdown(0.0 + x + 0.0 + z, (x, 0.0, z))
+                    for x, z in zip(*gains.tolist())]
+    rest = (~(exact | idle)).nonzero()[0]
     engine = iter(_engine_averages(m, lams[rest], ref, cfg, complexity=complexity,
                                    derivative=derivative, chi=chi,
                                    gaps=[g[rest] for g in gaps]) if rest.size else ())
-    return [_BlochAverages(cs[i] if complexity else None, dcs[i] if derivative else None,
-                           turn[i] if derivative else None,  # the total as numpy sums three
-                           SusceptibilityBreakdown(0.0 + gains[i][0] + gains[i][1] + gains[i][2],
-                                                   tuple(gains[i])) if chi else None)
-            if is_exact else next(engine) for i, is_exact in enumerate(exact.tolist())]
+    diverged = SusceptibilityBreakdown(np.inf, (np.inf,) * 3, True) if chi else None
+    return [next(engine) if not (is_exact or is_idle) else
+            _BlochAverages(cs[i], None, None, diverged, True) if is_closed else
+            _BlochAverages(cs[i], dcs[i], integrals[i], chis[i])
+            for i, (is_exact, is_idle, is_closed) in enumerate(zip(
+                exact.tolist(), idle.tolist(), closed.tolist()))]
 
 
 def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
                      complexity=False, derivative=False, chi=False,
                      gaps=None) -> List[_BlochAverages]:
-    """``_bloch_averages`` by quadrature, the exact path's oracle (``gaps`` are the
-    ``singular_gaps``): one ``bz_averages`` run in which each lambda owns the panels
-    of its graded ``panel_edges`` and the reference breakpoints.
+    """``_bloch_averages`` by quadrature, for the rows the exact path does not take and as
+    its oracle (``gaps`` are the ``singular_gaps``): one ``bz_averages`` run in which each
+    lambda owns the panels of its graded ``panel_edges`` and the reference breakpoints.
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
-    v^2 / 4 per axis.  A closed gap (``closed_rows``) is a ``closed`` record: dC is None
-    and chi is inf, flagged diverged; the row averages only C, with v zeroed so that its C
-    is the C-only average's bit for bit.  An exhausted budget flags chi
-    diverged and keeps every group's unconverged estimate (chi's non-finite
-    ones as inf); without chi it raises.
+    v^2 / 4 per axis.  Every row needs an average: a closed gap (``closed_rows``) is asked
+    for C, and is a ``closed`` record: dC is None and chi is inf, flagged diverged; the row
+    averages only C, with v zeroed so that its C is the C-only average's bit for bit.  An
+    exhausted budget flags chi diverged and keeps every group's unconverged estimate (chi's
+    non-finite ones as inf); without chi it raises.
     """
     lams = np.asarray(lams, dtype=float)
     gaps = m.singular_gaps(lams) if gaps is None else gaps
     closed = closed_rows(gaps[1])
-    # no average: a closed gap where C is not asked for, or nothing asked for
-    idle = closed & (not complexity) | (not (complexity or derivative or chi))
-    averaged = np.flatnonzero(~idle)
-    open_lams, zeroed = lams[averaged], closed[averaged]
-    zeroing = zeroed.any()  # no per-node work where no averaged row is closed
+    zeroing = closed.any()  # no per-node work where no row is closed
     uses_ref = complexity or derivative
 
     def kernel(k, owner):
-        point = m.at(open_lams[owner])
+        point = m.at(lams[owner])
         d = point.d(k)
         nref = ref.bloch_at(k) if uses_ref else None
         groups = []
@@ -272,7 +289,7 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
             groups.append(0.5 * (1.0 + (nref[0] * d[0] + nref[1] * d[1] + nref[2] * d[2]) / n))
         if derivative or chi:
             d_deriv = point.d_deriv(k)
-            v = dhat_derivative(d, np.where(zeroed[owner], 0.0, d_deriv) if zeroing else d_deriv)
+            v = dhat_derivative(d, np.where(closed[owner], 0.0, d_deriv) if zeroing else d_deriv)
             if derivative:
                 dot = nref[0] * v[0] + nref[1] * v[1] + nref[2] * v[2]
                 groups.append(np.vstack((0.5 * dot, v)))
@@ -280,21 +297,18 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
                 groups.append(0.25 * v * v)
         return tuple(groups)
 
-    runs = []
-    if averaged.size:
-        edges = np.reshape(m.panel_edges([g[averaged] for g in gaps]), (averaged.size, -1))
-        breaks = ref.breakpoints() if uses_ref else ()
-        edges = np.hstack((edges, np.full((len(edges), len(breaks)), breaks)))
-        runs = bz_averages(kernel, edges, cfg)
-    runs, results = iter(runs), []
-    for is_idle, is_closed in zip(idle.tolist(), closed.tolist()):
-        out, diverged = (() if is_idle else next(runs)), is_closed
+    edges = np.reshape(m.panel_edges(gaps), (lams.size, -1))
+    breaks = ref.breakpoints() if uses_ref else ()
+    edges = np.hstack((edges, np.full((len(edges), len(breaks)), breaks)))
+    results = []
+    for out, is_closed in zip(bz_averages(kernel, edges, cfg), closed.tolist()):
+        diverged = is_closed
         if isinstance(out, ConvergenceError):
             if not chi:
                 raise out
             out, diverged = out.estimate, True
         out = iter(out)
-        c = float(next(out)) if complexity and not is_idle else None
+        c = float(next(out)) if complexity else None
         dc = integrals = breakdown = None
         if derivative and not is_closed:
             row = next(out)

@@ -93,7 +93,7 @@ class TwoBandModel:
 
     def _windings(self, rows, zeros, gaps) -> np.ndarray:
         """``windings`` from the rows' ``_closings``."""
-        p0, q, p2 = zeros
+        p0, q, p2, _ = zeros
         if any(np.any(np.asarray(row[1]) != 0.0) for row in rows):
             raise DomainError(f"model {self.label!r} has nonzero y rows; no winding is counted")
         closed = closed_rows(gaps[1])
@@ -108,31 +108,32 @@ def zero_gaps(rows: Rows, n: int):
     zero q / p2 and p0 / q: its argument k_s (0 for a missing zero) and |f| and |d_k f| there,
     f = (d_x - i d_z, d_y), so |f| = |d| for real rows; each (n, zeros).  cos k_s and sin k_s
     are the zero over its modulus, exactly +-1 and 0 at a real or imaginary zero."""
-    p0, q, p2 = zeros = _contour_zeros(rows)
+    p0, q, p2, _ = zeros = _contour_zeros(rows)
     z = np.array([q * np.conj(p2), p0 * np.conj(q)]) * np.ones(n)
     z[z == 0.0] = 1.0  # a missing zero: k_s = 0
-    cos, sin, gaps = z.real / np.abs(z), z.imag / np.abs(z), [np.angle(z)]
+    size = np.abs(z)
+    cos, sin, gaps = z.real / size, z.imag / size, [np.arctan2(z.imag, z.real)]
     slope = (0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])  # d_k d has the rows (0, c, -b)
     for x, y, f in (trig_sum(v, cos, sin) for v in (rows, slope)):
         f = x - 1j * f
-        gaps.append(np.sqrt(f.real ** 2 + np.abs(y) ** 2 + f.imag ** 2) * np.ones(z.shape))
+        gaps.append(np.sqrt(f.real ** 2 + abs(y) ** 2 + f.imag ** 2) * np.ones(z.shape))
     return zeros, tuple(v.reshape(-1, n).T for v in gaps)
 
 
 def closed_rows(gaps) -> np.ndarray:
     """Per row of the |d| of ``singular_gaps``: is |d| < GAP_EPS at a singular point?"""
-    return np.any(np.asarray(gaps) < GAP_EPS, axis=1)
+    return (np.asarray(gaps) < GAP_EPS).any(axis=1)
 
 
 def _coefficients(rows: Rows):
     """(p0, p1, p2): with z = e^{ik} the rows' z (d_x - i d_z) is p0 + p1 z + p2 z^2."""
     (ax, _, az), (bx, _, bz), (cx, _, cz) = rows
-    b, c = bx - 1j * bz, cx - 1j * cz
-    return 0.5 * (b + 1j * c), ax - 1j * az, 0.5 * (b - 1j * c)
+    b, ic = bx - 1j * bz, 1j * (cx - 1j * cz)
+    return 0.5 * (b + ic), ax - 1j * az, 0.5 * (b - ic)
 
 
 def _contour_zeros(rows: Rows):
-    """(p0, q, p2) of the rows' ``_coefficients``, whose zeros are q / p2 and p0 / q;
+    """(p0, q, p2, p1) of the rows' ``_coefficients``, whose zeros are q / p2 and p0 / q;
     q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 is signed not to cancel, so the pair also holds
     p2 = 0 (one zero) and p0 = 0 (a zero at 0).  Where d_x and d_z vanish at every k,
     d = 0 needs d_y = 0, so d_y takes the place of d_x."""
@@ -143,7 +144,7 @@ def _contour_zeros(rows: Rows):
                       zip(_coefficients([(r[1], 0.0, 0.0) for r in rows]), (p0, p1, p2)))
     root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
     q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)
-    return p0, q, p2
+    return p0, q, p2, p1
 
 
 @dataclass(frozen=True)

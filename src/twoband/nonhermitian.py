@@ -194,7 +194,7 @@ def _ep_zeros(model: TwoBandModel, lams):
     is closed: both |F| < GAP_EPS at one k_s, a double zero of R^2 and no EP."""
     lams = np.asarray(lams, dtype=float)
     rows = tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in model.rows(lams))
-    (p0, q, p2), (points, gap, slope) = zero_gaps(rows, lams.size)
+    (p0, q, p2, _), (points, gap, slope) = zero_gaps(rows, lams.size)
     found = np.reshape([q * p2, p0 * q], (-1, lams.size)).T != 0.0
     on, closed = found & (gap < GAP_EPS), np.zeros(lams.size, dtype=bool)
     if on.any():  # per factor e^{ik_s} of its zero on the circle, else 0; k = +-pi is one point

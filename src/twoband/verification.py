@@ -24,7 +24,7 @@ from .complexity import (BandAssignment, excited_piecewise_complexity,
 from .fidelity import (_bloch_averages, _engine_averages, _planar_averages, chi_F,
                        chi_F_md_closed, chi_F_md_z_closed, chi_F_ssh_closed)
 from .models import (MODELS, DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
-                     SSHParams, massive_dirac_model,
+                     SSHParams, closed_rows, massive_dirac_model,
                      nh_ssh_bloch_hamiltonian, ssh_model)
 from .nonhermitian import (bikrylov_basis, biorthogonal_ground, nh_complexity_derivative,
                            nh_complexity_per_mode, nh_complexity_per_mode_overlap,
@@ -128,20 +128,30 @@ def closed_forms_suite() -> List[CheckResult]:
     checks.append(_check("k0 = 0 band split closed form",
                          got - excited_split_closed(SSHParams(1.0, 1.7), 0.7), 1e-8))
     # the exact path of planar rows against its oracle, the engine: C absolute, dC and
-    # chi relative, at the default point and 1e-6 from the closing of each family
+    # chi relative, at the default point and 1e-6 from the closing of each family, and
+    # on the closing, where a row has only C
     for name, closing in (("ssh", 1.0), ("massive-dirac", 0.0), ("dual-ssh", 1.0),
                           ("cooper-pair-box", 0.5)):
         model = MODELS[name].model({})
-        for lam in (model.lam, closing + 1e-6):
-            rows, zeros, _ = model._closings([lam])
+        for lam in (model.lam, closing + 1e-6, closing):
+            rows, zeros, gaps = model._closings([lam])
             got, want = (f(model, [lam], refs[1], cfg, complexity=True, derivative=True,
                            chi=True)[0] for f in (_bloch_averages, _engine_averages))
-            worst = max(abs(got.complexity - want.complexity), *(abs(x / y - 1.0) for x, y in (
-                (got.dcomplexity, want.dcomplexity), *zip(got.chi.components,
-                                                          want.chi.components)) if y))
-            routed = _planar_averages(rows, model.slope(lam), zeros, 1, True, True, True)[0][0]
+            worst = max([abs(got.complexity - want.complexity), *(abs(x / y - 1.0) for x, y in (
+                (got.dcomplexity, want.dcomplexity), *zip(got.chi.components, want.chi.components))
+                if y and not got.closed)])
+            routed = _planar_averages(rows, model.slope(lam), zeros, closed_rows(gaps[1]), True,
+                                      True, True)[0][0]
             checks.append(_check(f"exact path vs engine, {name} at {lam!r}",
                                  worst if routed else math.inf, 1e-9))
+    worst = max(abs(ground_complexity(ssh_model(SSHParams(t, t)), ref, cfg)
+                    - ssh_complexity_closed(SSHParams(t, t), ref))
+                for t in (0.6, 1.0, 1.7) for ref in refs)
+    checks.append(_check("closed SSH row vs closed form at t1 = t2", worst, 1e-15))
+    worst = max(abs(ground_complexity(massive_dirac_model(MassiveDiracParams(t, 0.0)), ref, cfg)
+                    - md_complexity_closed(MassiveDiracParams(t, 0.0), ref.theta))
+                for t in (0.5, 2.0) for ref in refs)
+    checks.append(_check("closed massive-Dirac row vs closed form at mu = 0", worst, 1e-15))
     return checks
 
 

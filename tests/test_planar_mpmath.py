@@ -2,7 +2,8 @@
 
 ``_bloch_averages`` takes C, dC/d(lambda), the d_hat-derivative integrals and chi_F
 with its axes of a planar row with a global reference from the contour's zeros
-(``fidelity._planar_averages``), running no quadrature.  Each reference here is
+(``fidelity._planar_averages``), and a closed row's C from the limit at its closing,
+running no quadrature.  Each reference here is
 mpmath's tanh-sinh average over the zone of the double rows the model stores, split
 at the row's singular points, so it shares nothing with the exact path.
 """
@@ -15,22 +16,25 @@ import numpy as np
 import pytest
 
 from twoband import (DualSSHParams, GlobalReference, MassiveDiracParams, SweepSpec,
-                     chi_F_md_closed, dual_pair, run_sweep)
-from twoband.fidelity import _bloch_averages, _cel, _planar_averages
-from twoband.models import MODELS, TwoBandModel
+                     chi_F_md_closed, dual_pair, fidelity, run_sweep)
+from twoband.cli import main
+from twoband.fidelity import (SusceptibilityBreakdown, _bloch_averages, _cel,
+                              _planar_averages)
+from twoband.models import MODELS, TwoBandModel, closed_rows
 
 PI = math.pi
 REF = GlobalReference(0.9, 0.4)
 
 
-def _reference(model, lam):
-    """30-digit <d_hat>, <d(d_hat)/d(lambda)> and chi_F per axis (x, z) at lam."""
+def _reference(model, lam, parts=6):
+    """30-digit <d_hat>, <d(d_hat)/d(lambda)> and chi_F per axis (x, z) at lam, the first
+    ``parts`` of them."""
     (rows, slope), k_s = (model.rows(lam), model.slope(lam)), model.singular_gaps([lam])[0][0]
     with mp.workdps(30):
         rows, slope = ([[mp.mpf(float(x)) for x in row] for row in r] for r in (rows, slope))
 
         @lru_cache(maxsize=None)
-        def parts(k):
+        def values(k):
             c, s = mp.cos(k), mp.sin(k)
             d = [rows[0][i] + rows[1][i] * c + rows[2][i] * s for i in (0, 2)]
             dd = [slope[0][i] + slope[1][i] * c + slope[2][i] * s for i in (0, 2)]
@@ -41,7 +45,7 @@ def _reference(model, lam):
 
         edges = {float(k) for k in k_s} | {float(k) - math.copysign(2 * PI, k) for k in k_s}
         points = [-mp.pi] + [mp.mpf(k) for k in sorted(edges) if -PI < k < PI] + [mp.pi]
-        return [float(mp.quad(lambda k: parts(k)[j], points) / (2 * mp.pi)) for j in range(6)]
+        return [float(mp.quad(lambda k: values(k)[j], points) / (2 * mp.pi)) for j in range(parts)]
 
 
 def _check(model, lam, rtol, calls):
@@ -145,8 +149,9 @@ def test_two_zeros_beside_one_point_take_the_engine(calls):
 def test_rows_off_one_line_take_the_engine(skew, calls):
     # the zeros lam e^{0.3 i} and 3i are on no line through 0
     model = MODELS[skew].model({})
-    rows, zeros, _ = model._closings([2.0])
-    assert not _planar_averages(rows, model.slope(2.0), zeros, 1, True, True, True)[0][0]
+    rows, zeros, gaps = model._closings([2.0])
+    assert not _planar_averages(rows, model.slope(2.0), zeros, closed_rows(gaps[1]), True, True,
+                                True)[0][0]
     _bloch_averages(model, [2.0], REF, None, complexity=True)
     assert calls["bz_averages"] == 1
 
@@ -179,10 +184,116 @@ def test_massive_dirac_beside_its_closing_is_not_flagged(mu):
                                                 rel=1e-12)
 
 
-def test_a_planar_sweep_runs_the_engine_only_for_a_closed_row(calls):
+def test_a_planar_sweep_runs_no_engine_through_a_closed_row(calls):
     spec = SweepSpec("ssh", ("t2", 0.5, 1.5, 5), {"t1": 1.0}, REF,
                      ("complexity", "dcomplexity", "chi_f_components", "bound", "ratio"))
     rows = run_sweep(spec)
-    # t2 = t1 averages its C alone on the engine; its dC is the stencil's, four exact rows
-    assert calls == {"bz_averages": 1, "averages": 1, "param_derivative": 1}
+    # t2 = t1 takes its C from its zeros and its dC from the stencil, four exact rows
+    assert calls == {"param_derivative": 1}
     assert [row.flags for row in rows] == [frozenset()] * 2 + [{"diverged"}] + [frozenset()] * 2
+
+
+def _c_reference(model, lam, *refs):
+    """The 30-digit C at lam under each of ``refs``."""
+    dx, dz = _reference(model, lam, 2)
+    return [0.5 + 0.5 * (n[0] * dx + n[2] * dz) for n in (r.bloch.as_array() for r in refs)]
+
+
+def _closed_c(model, lam, ref, calls):
+    """A closed row's C, checked to be the engine's closed record with no quadrature."""
+    avg = _bloch_averages(model, [lam], ref, None, complexity=True, derivative=True,
+                          chi=True)[0]
+    assert avg.closed and avg.dcomplexity is None and avg.integrals is None
+    assert avg.chi == SusceptibilityBreakdown(math.inf, (math.inf,) * 3, True)
+    assert calls["bz_averages"] == 0
+    return avg.complexity
+
+
+# every stock closing: ssh in t2 at k = 0 and +-pi and in t1, both dual families at
+# r = 1, massive Dirac at k = 0 and pi at once, the Cooper-pair box at k = +-pi/2
+CLOSED = [
+    (MODELS["ssh"].model({"t1": 1.0}), 1.0),
+    (MODELS["ssh"].model({"t1": 0.75}), -0.75),
+    (MODELS["ssh"].model({"t2": 1.3}, "t1"), 1.3),
+    (MODELS["dual-ssh"].model({"t": 1.3}), 1.0),
+    (_dual_ii(), 1.0),
+    (MODELS["massive-dirac"].model({"t": 1.7}), 0.0),
+    (MODELS["cooper-pair-box"].model({"Ej": 1.0, "Ecc": 1.5}), 0.5),
+]
+
+
+@pytest.mark.parametrize("model,lam", CLOSED, ids=lambda v: getattr(v, "label", repr(v)))
+def test_a_closed_row_takes_its_c_from_its_zeros(model, lam, calls):
+    refs = REF, GlobalReference(0.3, 2.0), GlobalReference(2.5, 4.0)
+    for ref, want in zip(refs, _c_reference(model, lam, *refs)):
+        assert abs(_closed_c(model, lam, ref, calls) - want) <= 1e-15
+
+
+# closed only by GAP_EPS, a gap of 1e-14 to 7e-14: the limit at the closing is
+# O(gap ln gap) from the row's C; each bound is the measured error times 2.5 to 3
+NEARLY_CLOSED = [
+    (MODELS["ssh"].model({"t1": 1.0}), 1.0 + 2e-14, 2e-13),  # 7.5e-14
+    (MODELS["ssh"].model({"t1": 1.0}), 1.0 - 5e-14, 5e-13),  # 1.8e-13
+    (MODELS["ssh"].model({"t1": 1.0}), -1.0 - 3e-14, 3e-13),  # 1.1e-13
+    (MODELS["ssh"].model({"t2": 1.3}, "t1"), 1.3 + 4e-14, 3e-13),  # 1.1e-13
+    (MODELS["dual-ssh"].model({"t": 1.3}), 1.0 + 5e-14, 5e-13),  # 1.8e-13
+    (MODELS["massive-dirac"].model({}), 3e-14, 3e-13),  # 9.7e-14
+    (MODELS["massive-dirac"].model({}), -1e-14, 1e-13),  # 3.3e-14
+    (MODELS["cooper-pair-box"].model({}), 0.5 + 2e-14, 2e-13),  # 6.5e-14
+]
+
+
+@pytest.mark.parametrize("model,lam,bound", NEARLY_CLOSED,
+                         ids=lambda v: getattr(v, "label", repr(v)))
+def test_a_row_closed_by_gap_eps_is_near_its_limit(model, lam, bound, calls):
+    assert 0.0 < min(model.singular_gaps([lam])[1][0]) < 1e-13
+    assert abs(_closed_c(model, lam, REF, calls) - _c_reference(model, lam, REF)[0]) <= bound
+
+
+def _closing(rng, at, other, outside):
+    """Random rows p(z) = kappa (z - at u)(z - z_o) with |u| = 1: one zero on the circle,
+    the other z_o = other u or, ``outside``, its reflection u / other (p2 = 0 at 0)."""
+    u, kappa = np.exp(1j * rng.uniform(-PI, PI)), complex(*rng.normal(size=2))
+    if outside and other == 0.0:
+        p = (-kappa * at * u, kappa, 0j)
+    else:
+        z_o = u / other if outside else other * u
+        p = (kappa * at * u * z_o, -kappa * (at * u + z_o), kappa)
+    rows = tuple((x.real, 0.0, -x.imag) for x in (p[1], p[0] + p[2], -1j * (p[0] - p[2])))
+    return TwoBandModel(lambda lam: rows, lambda lam: ((0.0,) * 3,) * 3, 0.0)
+
+
+# (closing at +-u, sigma_o, bound): the other zero near -1, 0 and +1 of either closing
+# and beside it at 0.3; the bounds are the measured errors (seeds 0-7) times 2.7
+@pytest.mark.parametrize("at,other,bound", [(1.0, -0.95, 1.5e-15), (-1.0, 0.9, 1.5e-15),
+                                            (1.0, 0.0, 1.5e-15), (-1.0, 0.0, 1.5e-15),
+                                            (1.0, 0.3, 4e-15), (-1.0, -0.3, 4e-15)])
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_random_rows_closed_on_one_line(at, other, bound, outside, seed, calls):
+    model = _closing(np.random.default_rng(seed), at, other, outside)
+    assert abs(_closed_c(model, 0.0, REF, calls) - _c_reference(model, 0.0, REF)[0]) <= bound
+
+
+def test_an_exact_critical_window_runs_no_engine(calls, capsys):
+    assert main(["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:0.9375:1.0625:3",
+                 "--quantities", "complexity,chi_f"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].endswith(",inf,diverged")
+    assert calls["bz_averages"] == 0
+
+
+def test_rows_without_an_average_never_enter_the_engine(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(fidelity, "_engine_averages", engine)
+    for quantities in (("winding",), ("ratio", "chi_f_components")):
+        rows = run_sweep(SweepSpec("ssh", ("t2", 0.5, 1.5, 3), {"t1": 1.0}, REF, quantities))
+        assert [row.flags for row in rows] == [frozenset(), {"diverged"}, frozenset()]
+
+
+def test_a_closed_row_off_one_line_takes_the_engine(skew, calls):
+    model = MODELS[skew].model({})
+    avg = _bloch_averages(model, [1.0], REF, None, complexity=True)[0]
+    assert avg.closed and calls["bz_averages"] == 1
+    assert abs(avg.complexity - _c_reference(model, 1.0, REF)[0]) <= 1e-10

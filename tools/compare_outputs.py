@@ -12,9 +12,10 @@ directory, on the same requests:
   imported and not changed) of seeds 1-4, three rounds each of
   gapped-sweep, critical-sweep and lossy-sweep, 444 requests;
 * the fixed command list ``COMMANDS``: every sweep quantity on every
-  Hermitian family, windows beside the closings at k = 0, +-pi and +-pi/2,
-  lossy sweeps, sweeps through closed and exceptional rows, the point
-  commands and ``verify all``.
+  Hermitian family through its closing (ssh at k = 0 in t2 and in t1, and at
+  k = +-pi under the default and a non-default reference), windows beside the
+  closings at k = 0, +-pi and +-pi/2, lossy sweeps, sweeps through closed and
+  exceptional rows, the point commands and ``verify all``.
 
 A request's output is its ``--out`` file, else its standard output.  Paths in
 the argv are relative to each tree's directory, so the two trees run the same
@@ -56,6 +57,10 @@ COMMANDS = (
     ["sweep", "--model", "ssh", "--sweep", "t2:-1.5:-0.5:5", "--quantities", ALL,
      "--out", "ssh-negative.json"],
     ["sweep", "--model", "ssh", "--sweep", "t1:0.5:1.5:5", "--quantities", ALL],
+    # closed rows of every kind: in t1, and at k = +-pi under a non-default reference
+    ["sweep", "--model", "ssh", "--set", "t2=1", "--sweep", "t1:0.5:1.5:5", "--quantities", ALL],
+    ["sweep", "--model", "ssh", "--sweep", "t2:-1.5:-0.5:5", "--quantities", ALL,
+     "--theta", "0.9", "--phi", "0.4"],
     ["sweep", "--model", "massive-dirac", "--sweep", "mu:-0.5:0.5:5", "--quantities", ALL,
      "--out", "massive-dirac.json"],
     ["sweep", "--model", "dual-ssh", "--sweep", "r:0.5:1.5:5", "--quantities", ALL],
