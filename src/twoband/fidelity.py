@@ -16,8 +16,8 @@ import numpy as np
 
 from .bloch import GlobalReference
 from .errors import ConvergenceError, DomainError, GapClosedError
-from .models import (GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, _coefficients,
-                     closed_rows)
+from .models import (GAP_EPS, ContourZeros, MassiveDiracParams, SSHParams, TwoBandModel,
+                     _coefficients, singular_points)
 from .quadrature import BZQuadratureConfig, bz_averages
 
 PI = math.pi
@@ -25,9 +25,10 @@ PI = math.pi
 # Landen steps of ``_cel`` (kc in (0, 3]): 8 meet double precision down to kc = 1e-14.
 _CEL_STEPS = 9
 # A row is exact if its reflected zeros leave one line through 0 by at most _ON_LINE of
-# 1 - |sigma| (their lambda-derivatives, of their size) and, for dC, its moving zeros sit
+# 1 - |sigma| (their lambda-derivatives, of their size; a closed row's other zero by _ROUNDING
+# sum |p_i| / |p'|, four times the rounding of the zeros) and, for dC, its moving zeros sit
 # _OFF_ORIGIN from 0, where a mean loses 2e-16 / |sigma| to a difference of cel values.
-_ON_LINE, _OFF_ORIGIN = 1e-13, 1e-2
+_ON_LINE, _OFF_ORIGIN, _ROUNDING = 1e-13, 1e-2, 4.0 * np.finfo(float).eps
 
 
 def dhat_derivative(d, d_deriv) -> np.ndarray:
@@ -108,11 +109,11 @@ def _cel(kc, p, a, b):
     return 0.5 * PI * (b + a * em) / (em * (em + p))
 
 
-def _planar_averages(rows, slope, zeros, closed, complexity: bool, derivative: bool, chi: bool):
+def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: bool, chi: bool):
     """(ok, <d_hat>, <d(d_hat)/d(lambda)>, chi_F per axis), each (x, z) or None where not
-    asked for, of planar rows with their slope rows, ``_contour_zeros`` and ``closed_rows``
-    mask ``closed``; ``ok`` marks the rows whose zeros lie on one line u = e^{i theta} through
-    0 (for dC or chi on an open row, also as lambda moves) and whose values are finite.
+    asked for, of planar rows from their ``ContourZeros`` and slope rows; ``ok`` marks the rows
+    whose zeros lie on one line u = e^{i theta} through 0 (for dC or chi on an open row, also
+    as lambda moves) and whose values are finite.
 
     Each zero reflected into the disk is sigma_j u, sigma_j real: with e^{ik} = u w,
     |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2, and 1 - |sigma_j| is |d| beside
@@ -124,15 +125,14 @@ def _planar_averages(rows, slope, zeros, closed, complexity: bool, derivative: b
     sigma_j for a zero outside/inside): <d(d_hat)/d(lambda)> turns -omega <d_hat> + d_k
     d(theta) sum_j tau_j <sin^2 phi / (|d| Q_j)> by 90 degrees, each mean two cel values,
     and chi_F with its axes (the factor Re e^{2 i psi}) are residue sums in the sigma_j.
-    A closed row has sigma_1 = 1 and only <d_hat>, the limit (2 / pi) (1 + sigma_2) h
-    d_hat(theta + pi) with h = artanh(t) / t, t = sqrt(-sigma_2); 0 with sigma_2 = -1.
+    A closed row has sigma_1 = 1, sigma_2 anywhere on the line, and only <d_hat>, the limit
+    (2 / pi) (1 + sigma_2) h d_hat(theta + pi) with h = artanh(t) / t, t = sqrt(-sigma_2), and
+    1 +- sigma_j from sigma_j (g is 0/0 beside the closing); 0 with sigma_2 = -1.
     """
-    n, zs = closed.size, np.empty((3, closed.size), complex)
-    zs[0], zs[1], zs[2] = zeros[2], zeros[1], zeros[0]
-    (p2, q, p0), p1, r, fine = zs, zeros[3], np.arange(n), True  # fine: an open row's dC, chi
+    (p2, q, p0), zs, p1, inside, closed = zeros.p, zeros.p, zeros.p1, zeros.inside, zeros.closed
+    n, r, fine = closed.size, np.arange(closed.size), True  # fine: an open row's dC, chi
     with np.errstate(all="ignore"):
-        num, den, size = zs[1:], zs[:2], abs(zs)  # the zeros q / p2 and p0 / q
-        inside = size[1:] < size[:2]
+        num, den = zs[1:], zs[:2]  # the zeros q / p2 and p0 / q
         z = np.where(inside, num / den, (den / num).conj())  # outside: reflected, 1 / conj(z)
         size = abs(z)
         big = 1 * (size[1] > size[0])
@@ -144,11 +144,12 @@ def _planar_averages(rows, slope, zeros, closed, complexity: bool, derivative: b
         kappa = np.where(inside[0], p2, -q) * np.where(inside[1], 1.0, -p0 / q)
         amp, odd = abs(kappa), p0 * uc + p2 * u  # d_x - i d_z = p0 / z + p1 + p2 z at z = +-u
         ends = np.array([p1 + odd, p1 - odd])
-        g = np.where(asig <= 0.5, 1.0 - asig, abs(np.where(neg, ends[1], ends[0]))
+        g = np.where((asig <= 0.5) | closed, 1.0 - asig, abs(np.where(neg, ends[1], ends[0]))
                      / (amp * abs(np.where(neg, -1.0, 1.0) - sig[::-1])))
         ends = np.array([ends.real, -ends.imag]).transpose(1, 0, 2)  # (x, z) at theta, + pi
         line = abs(w.imag) <= _ON_LINE * g  # off the line by far less than the gap
-        ok = (line[b] | closed) & (line & (sig <= 0.5))[s]  # the smaller zero not beside u too
+        on = abs(w[s].imag) * abs(p1 + 2.0 * q) <= _ROUNDING * (abs(p0) + abs(p1) + abs(p2))
+        ok = np.where(closed, on, line[b] & (line & (sig <= 0.5))[s])  # open: not beside u too
         gm, pa = 2.0 - g, PI * amp
         m, P = np.where(neg, gm, g), np.where(neg, g, gm)  # 1 - sigma, 1 + sigma
         mb, Pb, ms, Ps = m[b], P[b], m[s], P[s]
@@ -213,28 +214,27 @@ def _planar_averages(rows, slope, zeros, closed, complexity: bool, derivative: b
 
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
                     complexity=False, derivative=False, chi=False,
-                    closings=None) -> List[_BlochAverages]:
+                    zeros: ContourZeros | None = None) -> List[_BlochAverages]:
     """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family ``m`` at
-    each of ``lams``, whose ``TwoBandModel._closings`` the caller may pass.
+    each of ``lams``, whose ``TwoBandModel.zeros`` the caller may pass.
 
     A row of planar rows, with a global reference or none, takes them from
-    ``_planar_averages`` where it holds, a closed one (``closed_rows``) only C in the engine's
-    ``closed`` record; every other row that needs an average from ``_engine_averages``.  A
-    closed gap without C, or a request of none, needs none.  A non-finite lambda is a DomainError.
+    ``_planar_averages`` where it holds, a ``closed`` one only C in the engine's ``closed``
+    record; every other row that needs an average from ``_engine_averages``.  A closed gap
+    without C, or a request of none, needs none.  A non-finite lambda is a DomainError.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise DomainError("the parameter value must be finite")
-    rows, zeros, gaps = m._closings(lams) if closings is None else closings
-    closed = closed_rows(gaps[1])
+    zeros = m.zeros(lams) if zeros is None else zeros
+    rows, closed = zeros.rows, zeros.closed
     idle = closed & (not complexity) | (not (complexity or derivative or chi))
     slope, exact = m.slope(lams), ~idle
     exact &= (ref is None or isinstance(ref, GlobalReference)) and not any(
         np.any(row[1]) if isinstance(row[1], np.ndarray) else row[1] for row in (*rows, *slope))
     cs = dcs = integrals = chis = [None] * lams.size
     if exact.any():
-        ok, dhat, turn, gains = _planar_averages(rows, slope, zeros, closed, complexity,
-                                                 derivative, chi)
+        ok, dhat, turn, gains = _planar_averages(zeros, slope, complexity, derivative, chi)
         exact &= ok
         nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
         cs = (0.5 + 0.5 * (nref @ dhat)).tolist() if complexity else cs
@@ -247,7 +247,7 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     rest = (~(exact | idle)).nonzero()[0]
     engine = iter(_engine_averages(m, lams[rest], ref, cfg, complexity=complexity,
                                    derivative=derivative, chi=chi,
-                                   gaps=[g[rest] for g in gaps]) if rest.size else ())
+                                   zeros=zeros.take(rest)) if rest.size else ())
     diverged = SusceptibilityBreakdown(np.inf, (np.inf,) * 3, True) if chi else None
     return [next(engine) if not (is_exact or is_idle) else
             _BlochAverages(cs[i], None, None, diverged, True) if is_closed else
@@ -258,22 +258,23 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
 
 def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
                      complexity=False, derivative=False, chi=False,
-                     gaps=None) -> List[_BlochAverages]:
+                     zeros: ContourZeros | None = None) -> List[_BlochAverages]:
     """``_bloch_averages`` by quadrature, for the rows the exact path does not take and as
-    its oracle (``gaps`` are the ``singular_gaps``): one ``bz_averages`` run in which each
-    lambda owns the panels of its graded ``panel_edges`` and the reference breakpoints.
+    its oracle (``zeros`` are the rows' ``TwoBandModel.zeros``): one ``bz_averages`` run in
+    which each lambda owns its ``panel_edges`` at its ``singular_points`` and the reference
+    breakpoints.
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
-    v^2 / 4 per axis.  Every row needs an average: a closed gap (``closed_rows``) is asked
+    v^2 / 4 per axis.  Every row needs an average: a ``closed`` gap is asked
     for C, and is a ``closed`` record: dC is None and chi is inf, flagged diverged; the row
     averages only C, with v zeroed so that its C is the C-only average's bit for bit.  An
     exhausted budget flags chi diverged and keeps every group's unconverged estimate (chi's
     non-finite ones as inf); without chi it raises.
     """
     lams = np.asarray(lams, dtype=float)
-    gaps = m.singular_gaps(lams) if gaps is None else gaps
-    closed = closed_rows(gaps[1])
+    zeros = m.zeros(lams) if zeros is None else zeros
+    closed = zeros.closed
     zeroing = closed.any()  # no per-node work where no row is closed
     uses_ref = complexity or derivative
 
@@ -297,7 +298,7 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
                 groups.append(0.25 * v * v)
         return tuple(groups)
 
-    edges = np.reshape(m.panel_edges(gaps), (lams.size, -1))
+    edges = np.reshape(m.panel_edges(singular_points(zeros)), (lams.size, -1))
     breaks = ref.breakpoints() if uses_ref else ()
     edges = np.hstack((edges, np.full((len(edges), len(breaks)), breaks)))
     results = []

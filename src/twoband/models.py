@@ -1,12 +1,13 @@
 """The model zoo: analytic d(k, lambda) vectors and their parameter derivatives.
 
 Every stock family has d(k) = a + b cos k + c sin k; its entry in ``MODELS``
-gives the rows (a, b, c) once, and d, d(d)/d(lambda), the winding contour
-and number and the gap closings (the lossy chain's exceptional points) come
-from them.  The SSH chains are stored in the rotated basis (d_y = 0) of the
-sigma relabeling (x, y, z) -> (x, z, -y), recorded on the model so topology
-diagnostics can undo it; massive Dirac and the Cooper-pair box are native to
-the final basis.
+gives the rows (a, b, c) once, and d, d(d)/d(lambda), the winding contour and
+``ContourZeros``, the one record of the rows at their two contour zeros that
+gives the winding number and the gap closings (the lossy chain's exceptional
+points), come from them.  The SSH chains are stored in the rotated basis
+(d_y = 0) of the sigma relabeling (x, y, z) -> (x, z, -y), recorded on the
+model so topology diagnostics can undo it; massive Dirac and the Cooper-pair
+box are native to the final basis.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -59,20 +60,18 @@ class TwoBandModel:
         d = self.d(k)
         return d[0] - 1j * d[2]
 
+    def zeros(self, lams) -> ContourZeros:
+        """The ``contour_zeros`` of the rows at each of ``lams``, which must be real."""
+        return contour_zeros(_real(self.rows(np.asarray(lams, dtype=float))), np.size(lams))
+
     def singular_gaps(self, lams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The singular points of each of ``lams`` (rows), and |d| and |d_k d| there: the
-        ``zero_gaps`` of the rows, since d = 0 needs d_x = d_z = 0, at a contour zero."""
-        return self._closings(lams)[2]
-
-    def _closings(self, lams):
-        """The rows at ``lams``, their ``_contour_zeros`` and their ``singular_gaps``."""
-        lams = np.asarray(lams, dtype=float)
-        rows = _real(self.rows(lams))
-        return (rows, *zero_gaps(rows, lams.size))
+        ``singular_points`` of its ``zeros``, since d = 0 needs d_x = d_z = 0, at a zero."""
+        return singular_points(self.zeros(lams))
 
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the gap can close."""
-        return bool(closed_rows(self.singular_gaps([self.lam])[1])[0])
+        return bool(self.zeros([self.lam]).closed[0])
 
     def panel_edges(self, gaps=None) -> np.ndarray:
         """``graded_edges`` per row of ``gaps`` (``singular_gaps``, by default at the bound
@@ -84,59 +83,44 @@ class TwoBandModel:
                                               where=(gap >= GAP_EPS) & (gap < slope)))
 
     def windings(self, lams) -> np.ndarray:
-        """The winding at each of ``lams``, counted from the rows; NaN where ``closed_rows``.
+        """The winding at each of ``lams``, counted from the rows; NaN where ``closed``.
 
-        Both counts need zero y rows, else a DomainError.  A planar family then
-        winds 0, and a rotated one by its ``_contour_zeros`` in |z| < 1, minus 1.
-        """
-        return self._windings(*self._closings(lams))
+        Both counts need zero y rows, else a DomainError.  A planar family then winds 0,
+        and a rotated one by its contour zeros ``inside`` |z| < 1, minus 1."""
+        return self._windings(self.zeros(lams))
 
-    def _windings(self, rows, zeros, gaps) -> np.ndarray:
-        """``windings`` from the rows' ``_closings``."""
-        p0, q, p2, _ = zeros
-        if any(np.any(np.asarray(row[1]) != 0.0) for row in rows):
+    def _windings(self, zeros: ContourZeros) -> np.ndarray:
+        """``windings`` from the rows' ``zeros``."""
+        if any(np.any(np.asarray(row[1]) != 0.0) for row in zeros.rows):
             raise DomainError(f"model {self.label!r} has nonzero y rows; no winding is counted")
-        closed = closed_rows(gaps[1])
-        if not self.rotated:
-            return np.where(closed, np.nan, 0.0)
-        inside = 1.0 * (np.abs(q) < np.abs(p2)) + ((np.abs(p0) < np.abs(q)) | (p0 == 0.0))
-        return np.where(closed, np.nan, inside - 1.0)
+        return np.where(zeros.closed, np.nan, zeros.inside.sum(0) - 1.0 if self.rotated else 0.0)
 
 
-def zero_gaps(rows: Rows, n: int):
-    """The rows' ``_contour_zeros`` and, per value of their last axis (n of them), at each
-    zero q / p2 and p0 / q: its argument k_s (0 for a missing zero) and |f| and |d_k f| there,
-    f = (d_x - i d_z, d_y), so |f| = |d| for real rows; each (n, zeros).  cos k_s and sin k_s
-    are the zero over its modulus, exactly +-1 and 0 at a real or imaginary zero."""
-    p0, q, p2, _ = zeros = _contour_zeros(rows)
-    z = np.array([q * np.conj(p2), p0 * np.conj(q)]) * np.ones(n)
-    z[z == 0.0] = 1.0  # a missing zero: k_s = 0
-    size = np.abs(z)
-    cos, sin, gaps = z.real / size, z.imag / size, [np.arctan2(z.imag, z.real)]
-    slope = (0.0, 0.0, 0.0), rows[2], tuple(-b for b in rows[1])  # d_k d has the rows (0, c, -b)
-    for x, y, f in (trig_sum(v, cos, sin) for v in (rows, slope)):
-        f = x - 1j * f
-        gaps.append(np.sqrt(f.real ** 2 + abs(y) ** 2 + f.imag ** 2) * np.ones(z.shape))
-    return zeros, tuple(v.reshape(-1, n).T for v in gaps)
+class ContourZeros(NamedTuple):
+    """Rows at their contour zeros q / p2 and p0 / q, z (d_x - i d_z) = p0 + p1 z + p2 z^2 at
+    z = e^{ik}, lambda on the last axis: ``p`` stacks (p2, q, p0); ``inside``, a zero in
+    |z| < 1 (p0 = q = 0 as one at 0); ``cos``, ``sin`` of its argument k_s (0 if missing),
+    exact at a real or imaginary zero; ``gap``, |f| there, f = (d_x - i d_z, d_y); ``closed``,
+    a gap < GAP_EPS."""
+    rows: Rows
+    p: np.ndarray
+    p1: np.ndarray
+    inside: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    gap: np.ndarray
+    closed: np.ndarray
+
+    def take(self, i) -> ContourZeros:
+        """The record at the lambdas ``i``."""
+        at = lambda v: v[..., i] if np.ndim(v) else v
+        return ContourZeros(tuple(tuple(map(at, row)) for row in self.rows), *map(at, self[1:]))
 
 
-def closed_rows(gaps) -> np.ndarray:
-    """Per row of the |d| of ``singular_gaps``: is |d| < GAP_EPS at a singular point?"""
-    return (np.asarray(gaps) < GAP_EPS).any(axis=1)
-
-
-def _coefficients(rows: Rows):
-    """(p0, p1, p2): with z = e^{ik} the rows' z (d_x - i d_z) is p0 + p1 z + p2 z^2."""
-    (ax, _, az), (bx, _, bz), (cx, _, cz) = rows
-    b, ic = bx - 1j * bz, 1j * (cx - 1j * cz)
-    return 0.5 * (b + ic), ax - 1j * az, 0.5 * (b - ic)
-
-
-def _contour_zeros(rows: Rows):
-    """(p0, q, p2, p1) of the rows' ``_coefficients``, whose zeros are q / p2 and p0 / q;
-    q = -(p1 +- sqrt(p1^2 - 4 p0 p2)) / 2 is signed not to cancel, so the pair also holds
-    p2 = 0 (one zero) and p0 = 0 (a zero at 0).  Where d_x and d_z vanish at every k,
-    d = 0 needs d_y = 0, so d_y takes the place of d_x."""
+def contour_zeros(rows: Rows, n: int) -> ContourZeros:
+    """The ``ContourZeros`` of real or complex rows at n lambdas.  q = -(p1 +- sqrt(p1^2 -
+    4 p0 p2)) / 2 is signed not to cancel, so the pair holds p2 = 0 (one zero) and p0 = 0 (a
+    zero at 0).  Where d_x and d_z vanish at every k, d_y takes the place of d_x."""
     p0, p1, p2 = _coefficients(rows)
     if np.count_nonzero(p1) < np.size(p1):  # a flat row has p1 = 0
         flat = (p0 == 0) & (p1 == 0) & (p2 == 0)
@@ -144,7 +128,36 @@ def _contour_zeros(rows: Rows):
                       zip(_coefficients([(r[1], 0.0, 0.0) for r in rows]), (p0, p1, p2)))
     root = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
     q = -0.5 * np.where((p1.conjugate() * root).real >= 0.0, p1 + root, p1 - root)
-    return p0, q, p2, p1
+    p = np.empty((3,) + np.shape(q)[:-1] + (n,), complex)
+    p[0], p[1], p[2] = p2, q, p0
+    inside = abs(p[1:]) < abs(p[:2])
+    inside[1] |= p0 == 0.0
+    z = p[1:] * p[:2].conj()  # each zero times a positive number
+    z[z == 0.0] = 1.0  # a missing zero: k_s = 0
+    size = abs(z)
+    cos, sin = z.real / size, z.imag / size
+    x, y, f = trig_sum(rows, cos, sin)
+    f = x - 1j * f
+    gap = np.sqrt(f.real ** 2 + abs(y) ** 2 + f.imag ** 2) * np.ones(z.shape)
+    return ContourZeros(rows, p, p1, inside, cos, sin, gap, (gap < GAP_EPS).reshape(-1, n).any(0))
+
+
+def singular_points(zeros: ContourZeros):
+    """Per lambda (n rows) and zero of the record: k_s, its ``gap`` and |d_k f| there; each
+    (n, zeros).  Only the engine's grading and the lossy chain's EPs read k_s and |d_k f|."""
+    x, y, f = trig_sum(((0.0, 0.0, 0.0), zeros.rows[2], tuple(-v for v in zeros.rows[1])),
+                       zeros.cos, zeros.sin)  # d_k d has the rows (0, c, -b)
+    f = x - 1j * f
+    slope = np.sqrt(f.real ** 2 + abs(y) ** 2 + f.imag ** 2) * np.ones(zeros.gap.shape)
+    return tuple(v.reshape(-1, zeros.closed.size).T
+                 for v in (np.arctan2(zeros.sin, zeros.cos), zeros.gap, slope))
+
+
+def _coefficients(rows: Rows):
+    """(p0, p1, p2): with z = e^{ik} the rows' z (d_x - i d_z) is p0 + p1 z + p2 z^2."""
+    (ax, _, az), (bx, _, bz), (cx, _, cz) = rows
+    b, ic = bx - 1j * bz, 1j * (cx - 1j * cz)
+    return 0.5 * (b + ic), ax - 1j * az, 0.5 * (b - ic)
 
 
 @dataclass(frozen=True)

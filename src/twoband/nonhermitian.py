@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (ConvergenceError, ExceptionalPointError, GapClosedError,
                      InsufficientDataError, NormalizationError)
 from .fidelity import _BlochAverages
-from .models import (GAP_EPS, MODELS, NonHermitianSSHParams, TwoBandModel,
-                     nh_ssh_bloch_hamiltonian, trig_sum, zero_gaps)
+from .models import (GAP_EPS, MODELS, NonHermitianSSHParams, TwoBandModel, contour_zeros,
+                     nh_ssh_bloch_hamiltonian, singular_points, trig_sum)
 from .quadrature import BZQuadratureConfig, _lone, bz_averages, graded_edges
 
 # The EP scale that grades the panels on a closing, where it is 0.
@@ -188,14 +188,15 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
 
 def _ep_zeros(model: TwoBandModel, lams):
     """Per value of ``lams`` of the lossy ``model``, NaN-padded: the EPs, the zeros k_s of
-    R^2's Laurent factors F = R1 -+ i R3 (``zero_gaps`` of the rows with the z row as is and
-    negated; none at z = 0 or infinity); their widths by the rule of ``panel_edges``,
+    R^2's Laurent factors F = R1 -+ i R3 (``singular_points`` of the rows with the z row as is
+    and negated; none at z = 0 or infinity); their widths by the rule of ``panel_edges``,
     w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing; and whether its gap
     is closed: both |F| < GAP_EPS at one k_s, a double zero of R^2 and no EP."""
     lams = np.asarray(lams, dtype=float)
     rows = tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in model.rows(lams))
-    (p0, q, p2, _), (points, gap, slope) = zero_gaps(rows, lams.size)
-    found = np.reshape([q * p2, p0 * q], (-1, lams.size)).T != 0.0
+    zeros = contour_zeros(rows, lams.size)
+    points, gap, slope = singular_points(zeros)
+    found = (zeros.p[1:] * zeros.p[:2]).reshape(-1, lams.size).T != 0.0
     on, closed = found & (gap < GAP_EPS), np.zeros(lams.size, dtype=bool)
     if on.any():  # per factor e^{ik_s} of its zero on the circle, else 0; k = +-pi is one point
         s = np.where(on, np.exp(1j * points), 0.0).reshape(-1, 2, 2).sum(axis=1)

@@ -149,8 +149,8 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     ref, windings = spec.reference, [math.nan] * grid.size
     model = entry.model(spec.fixed, spec.sweep[0])
     if entry.hermitian:
-        closings = model._closings(grid)
-        avgs = _bloch_averages(model, grid, ref, cfg, closings=closings,
+        zeros = model.zeros(grid)
+        avgs = _bloch_averages(model, grid, ref, cfg, zeros=zeros,
                                **dict.fromkeys(needs, True))
         c_at = lambda lams: _bloch_averages(model, lams, ref, cfg, complexity=True)
     else:
@@ -158,7 +158,7 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
         c_at = lambda lams: _nh_averages(model, lams, False, ref.alpha, ref.beta, cfg)
     _closed_gap_rows(grid, avgs, spec, c_at)
     if "winding" in spec.quantities:  # a Hermitian quantity
-        windings = model._windings(*closings).tolist()
+        windings = model._windings(zeros).tolist()
     return [_evaluate(spec, *row) for row in zip(grid, avgs, windings)]
 
 

@@ -24,8 +24,7 @@ from .complexity import (BandAssignment, excited_piecewise_complexity,
 from .fidelity import (_bloch_averages, _engine_averages, _planar_averages, chi_F,
                        chi_F_md_closed, chi_F_md_z_closed, chi_F_ssh_closed)
 from .models import (MODELS, DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
-                     SSHParams, closed_rows, massive_dirac_model,
-                     nh_ssh_bloch_hamiltonian, ssh_model)
+                     SSHParams, massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
 from .nonhermitian import (bikrylov_basis, biorthogonal_ground, nh_complexity_derivative,
                            nh_complexity_per_mode, nh_complexity_per_mode_overlap,
                            nh_ground_complexity)
@@ -134,14 +133,13 @@ def closed_forms_suite() -> List[CheckResult]:
                           ("cooper-pair-box", 0.5)):
         model = MODELS[name].model({})
         for lam in (model.lam, closing + 1e-6, closing):
-            rows, zeros, gaps = model._closings([lam])
             got, want = (f(model, [lam], refs[1], cfg, complexity=True, derivative=True,
                            chi=True)[0] for f in (_bloch_averages, _engine_averages))
             worst = max([abs(got.complexity - want.complexity), *(abs(x / y - 1.0) for x, y in (
                 (got.dcomplexity, want.dcomplexity), *zip(got.chi.components, want.chi.components))
                 if y and not got.closed)])
-            routed = _planar_averages(rows, model.slope(lam), zeros, closed_rows(gaps[1]), True,
-                                      True, True)[0][0]
+            routed = _planar_averages(model.zeros([lam]), model.slope(lam), True, True,
+                                      True)[0][0]
             checks.append(_check(f"exact path vs engine, {name} at {lam!r}",
                                  worst if routed else math.inf, 1e-9))
     worst = max(abs(ground_complexity(ssh_model(SSHParams(t, t)), ref, cfg)
@@ -171,16 +169,10 @@ def duality_suite() -> List[CheckResult]:
         resid = ratio_R(model, ref, r, cfg) - ratio_R(model, ref, 1.0 / r, cfg)
         checks.append(_check(f"ratio symmetry R(r)=R(1/r) at r={r}", resid, 1e-8))
     c1 = 0.5 + ref.re_alpha_beta * 2.0 / PI
-    resid_prev = None
-    monotone = True
-    for eps in (1e-2, 1e-3):
-        val, _ = self_dual_constraint(DualSSHParams(1.0, 1.0 + eps), ref)
-        resid = abs(val - c1)
-        if resid_prev is not None and resid >= resid_prev:
-            monotone = False
-        resid_prev = resid
+    far, near = (abs(self_dual_constraint(DualSSHParams(1.0, 1.0 + eps), ref)[0] - c1)
+                 for eps in (1e-2, 1e-3))
     checks.append(_check("self-dual constraint residual shrinks with eps",
-                         0.0 if monotone else 1.0, 0.5))
+                         0.0 if near < far else 1.0, 0.5))
     return checks
 
 
@@ -189,22 +181,14 @@ def bound_suite() -> List[CheckResult]:
     checks: List[CheckResult] = []
     ref = GlobalReference(0.5 * PI, PI)
     ssh = ssh_model(SSHParams(1.0, 1.0))
-    violations = 0
-    for lam in np.linspace(0.2, 2.5, 20):
-        if abs(lam - 1.0) < 2e-2:
-            continue
-        if not bound_check(ssh, ref, float(lam), cfg).satisfied:
-            violations += 1
-    checks.append(_check("bound holds across the SSH sweep", violations, 0.5))
     md = massive_dirac_model(MassiveDiracParams())
     ref_z = GlobalReference(0.0, 0.0)
-    violations = 0
-    for lam in np.linspace(-2.0, 2.0, 20):
-        if abs(lam) < 5e-2:
-            continue
-        if not bound_check(md, ref_z, float(lam), cfg).satisfied:
-            violations += 1
-    checks.append(_check("bound holds across the massive-Dirac sweep", violations, 0.5))
+    for name, model, point_ref, lams, closing, margin in (
+            ("SSH", ssh, ref, np.linspace(0.2, 2.5, 20), 1.0, 2e-2),
+            ("massive-Dirac", md, ref_z, np.linspace(-2.0, 2.0, 20), 0.0, 5e-2)):
+        violations = sum(not bound_check(model, point_ref, float(lam), cfg).satisfied
+                         for lam in lams if abs(lam - closing) >= margin)
+        checks.append(_check(f"bound holds across the {name} sweep", violations, 0.5))
     worst = 0.0
     for model, point_ref, lam in ((ssh, ref, 0.5), (ssh, ref, 2.0), (md, ref_z, 0.7)):
         fd = param_derivative(lambda x: ground_complexity(model.at(x), point_ref, cfg), lam)

@@ -18,6 +18,7 @@ from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GapClosedEr
                      self_dual_constraint, ssh_model)
 from twoband.bounds_duality import ratio_complexity, ratio_complexity_prime
 from twoband.fidelity import _engine_averages
+from twoband import models
 from twoband.models import MODELS, TwoBandModel
 from twoband.quadrature import param_derivative
 
@@ -196,14 +197,15 @@ class TestBoundCheck:
         assert through[1].values["complexity"] == alone[1].values["complexity"]
 
     def test_closed_gap_row_evaluates_no_singular_gaps_twice(self, calls, monkeypatch, skew):
-        # every lambda's singular gaps come from TwoBandModel._closings
-        seen, closings = [], TwoBandModel._closings
+        # every lambda's zeros, and so its singular gaps, come from one contour_zeros call;
+        # the skew rows' a_x = -lam cos 0.3 names the lambda
+        seen, contour_zeros = [], models.contour_zeros
 
-        def recorded(self, lams):
-            seen.extend(np.atleast_1d(lams).tolist())
-            return closings(self, lams)
+        def recorded(rows, n):
+            seen.extend((rows[0][0] * np.ones(n)).tolist())
+            return contour_zeros(rows, n)
 
-        monkeypatch.setattr(TwoBandModel, "_closings", recorded)
+        monkeypatch.setattr(models, "contour_zeros", recorded)
         spec = SweepSpec(model=skew, sweep=("lam", 0.5, 1.5, 3),
                          reference=GlobalReference(0.9, 0.4),
                          quantities=("complexity", "dcomplexity"))

@@ -10,7 +10,7 @@ from twoband import (CooperPairBoxParams, DomainError, DualSSHParams, GlobalRefe
                      cooper_pair_box_model, dual_pair, ground_complexity,
                      massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
 from twoband import models
-from twoband.models import MODELS, closed_rows
+from twoband.models import MODELS
 from twoband.sweeps import SweepSpec, run_sweep
 from twoband.topology import dual_windings, winding_cross_product, winding_log_derivative
 
@@ -217,7 +217,7 @@ class TestModelContract:
         for lam, gap in zip(lams, gaps):
             norm = np.sqrt(np.sum(model.at(lam).d(ks) ** 2, axis=0))
             assert np.min(gap) <= np.min(norm) + 1e-12, lam
-        assert list(closed_rows(gaps)) == [False] * window.size + [True] * len(transitions)
+        assert model.zeros(lams).closed.tolist() == [False] * window.size + [True] * len(transitions)
         for lam, k_s in zip(transitions, points[window.size:]):
             edges = np.concatenate((k_s, k_s - 2.0 * PI * np.sign(k_s)))
             distance = np.min(np.abs(ks[:, None] - edges[None, :]), axis=1)
@@ -360,17 +360,17 @@ class TestRootCountWinding:
 
     def test_a_sweep_finds_the_contour_zeros_once(self, monkeypatch):
         # the rows' zeros serve the singular points of the averages and the count
-        calls, contour_zeros = [], models._contour_zeros
+        calls, contour_zeros = [], models.contour_zeros
 
-        def counted(rows):
-            calls.append(rows)
-            return contour_zeros(rows)
+        def counted(rows, n):
+            calls.append(n)
+            return contour_zeros(rows, n)
 
-        monkeypatch.setattr(models, "_contour_zeros", counted)
+        monkeypatch.setattr(models, "contour_zeros", counted)
         spec = SweepSpec("ssh", ("t2", 0.5, 1.5, 5), {"t1": 1.0},
                          quantities=("complexity", "winding"))
         windings = [rec.values["winding"] for rec in run_sweep(spec)]
-        assert len(calls) == 1
+        assert calls == [5]
         assert windings[:2] + windings[3:] == [0.0, 0.0, 1.0, 1.0] and math.isnan(windings[2])
 
     def test_dual_family_two_counts_as_the_grid_oracle(self):
