@@ -156,6 +156,11 @@ class PiecewiseBlochReference(ReferenceState):
     def breakpoints(self) -> Tuple[float, ...]:
         return tuple(hi for _, hi, _ in self.pieces[:-1])
 
+    def jumps(self) -> np.ndarray:
+        """The breakpoints between unequal pieces, and pi if the first and last differ."""
+        ends = np.append(self.breakpoints(), PI)
+        return ends[(self._vectors != np.roll(self._vectors, -1, axis=1)).any(0)]
+
 
 def plateau_reference() -> PiecewiseBlochReference:
     """Antipodal z-axis reference: +z for k <= 0, -z for k > 0.

@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .bloch import GlobalReference
+from .bloch import GlobalReference, PiecewiseBlochReference
 from .errors import ConvergenceError, DomainError, GapClosedError
 from .models import (GAP_EPS, ContourZeros, MassiveDiracParams, SSHParams, TwoBandModel,
                      _coefficients, singular_points)
@@ -29,6 +29,10 @@ _CEL_STEPS = 9
 # sum |p_i| / |p'|, four times the rounding of the zeros) and, for dC, its moving zeros sit
 # _OFF_ORIGIN from 0, where a mean loses 2e-16 / |sigma| to a difference of cel values.
 _ON_LINE, _OFF_ORIGIN, _ROUNDING = 1e-13, 1e-2, 4.0 * np.finfo(float).eps
+# A split's dC declines _BESIDE the circle, where the full-circle turn's 1 - |sigma| loses
+# 1e-17 / (1 - |sigma|) to a rounded u; h'(s), h = artanh(sqrt s) / sqrt s, is the series
+# n s^(n-1) / (2n + 1) for |s| < 0.05, where (1 / (1 - s) - h) / 2s cancels.
+_BESIDE, _H_SLOPE = 1e-3, np.arange(1.0, 15.0) / np.arange(3.0, 31.0, 2.0)
 
 
 def dhat_derivative(d, d_deriv) -> np.ndarray:
@@ -109,11 +113,15 @@ def _cel(kc, p, a, b):
     return 0.5 * PI * (b + a * em) / (em * (em + p))
 
 
-def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: bool, chi: bool):
-    """(ok, <d_hat>, <d(d_hat)/d(lambda)>, chi_F per axis), each (x, z) or None where not
-    asked for, of planar rows from their ``ContourZeros`` and slope rows; ``ok`` marks the rows
-    whose zeros lie on one line u = e^{i theta} through 0 (for dC or chi on an open row, also
-    as lambda moves) and whose values are finite.
+def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: bool, chi: bool,
+                     jumps=None):
+    """(ok, <d_hat>, <d(d_hat)/d(lambda)>, chi_F per axis, halves), each (x, z) or None where
+    not asked for, of planar rows from their ``ContourZeros`` and slope rows; ``ok`` marks the
+    rows whose zeros lie on one line u = e^{i theta} through 0 (for dC or chi on an open row,
+    also as lambda moves) and whose values are finite.  With a piecewise reference's
+    ``jumps``, ``ok`` asks each at k = theta or theta + pi, to the breakpoint's rounding, and
+    the smaller zero at most 1/2 from 0; ``halves`` is (u, the odd parts of the two means over
+    phi = k - theta in (0, pi), the zeros _BESIDE from the circle), else None.
 
     Each zero reflected into the disk is sigma_j u, sigma_j real: with e^{ik} = u w,
     |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2, and 1 - |sigma_j| is |d| beside
@@ -128,9 +136,13 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
     A closed row has sigma_1 = 1, sigma_2 anywhere on the line, and only <d_hat>, the limit
     (2 / pi) (1 + sigma_2) h d_hat(theta + pi) with h = artanh(t) / t, t = sqrt(-sigma_2), and
     1 +- sigma_j from sigma_j (g is 0/0 beside the closing); 0 with sigma_2 = -1.
+    The odd parts are elementary in x = cos phi (Gradshteyn & Ryzhik 2.26): int dx / sqrt(Q_1
+    Q_2) = 2 h(sigma_1 sigma_2), and the spin terms' int e dx / (Q_j sqrt(Q_1 Q_2)), e the even
+    part of d_x - i d_z over K = kappa u^(inside - 1), are sums of h and h', finite at a
+    closing, where they give a closed row's C too.
     """
     (p2, q, p0), zs, p1, inside, closed = zeros.p, zeros.p, zeros.p1, zeros.inside, zeros.closed
-    n, r, fine = closed.size, np.arange(closed.size), True  # fine: an open row's dC, chi
+    n, r, fine, half = closed.size, np.arange(closed.size), True, None  # fine: open dC, chi
     with np.errstate(all="ignore"):
         num, den = zs[1:], zs[:2]  # the zeros q / p2 and p0 / q
         z = np.where(inside, num / den, (den / num).conj())  # outside: reflected, 1 / conj(z)
@@ -150,6 +162,13 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
         line = abs(w.imag) <= _ON_LINE * g  # off the line by far less than the gap
         on = abs(w[s].imag) * abs(p1 + 2.0 * q) <= _ROUNDING * (abs(p0) + abs(p1) + abs(p2))
         ok = np.where(closed, on, line[b] & (line & (sig <= 0.5))[s])  # open: not beside u too
+        slope_k = 1j * (p2 * u - p0 * uc)  # d_k of d_x - i d_z at theta
+        if jumps is not None:  # the jumps of a reference on the line, at phi = 0 and pi
+            ok &= (sig[s] <= 0.5) & (abs((np.exp(1j * jumps)[:, None] * uc).imag) <= _ROUNDING * (
+                1.0 + abs(jumps))[:, None]).all(0)
+            sp = sig[0] * sig[1]  # h(sp) is half int dx / sqrt(Q_1 Q_2) over x = cos phi
+            hp = np.where((t := np.sqrt(0j + sp)) == 0.0, 1.0, (np.arctanh(t) / t).real)
+            half = np.array([slope_k.real, -slope_k.imag]) / amp * (hp / PI)
         gm, pa = 2.0 - g, PI * amp
         m, P = np.where(neg, gm, g), np.where(neg, g, gm)  # 1 - sigma, 1 + sigma
         mb, Pb, ms, Ps = m[b], P[b], m[s], P[s]
@@ -170,7 +189,7 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
             kj = g * Pk / (gm * mk)
             kc = np.concatenate(([kc, kc], kj, kj))
             pc = np.concatenate(([pc, pc], np.ones((2, n)), (g / gm) ** 2))
-        dhat = turn = gains = None
+        dhat = turn = gains = half_turn = None
         if complexity or derivative:
             out = _cel(*((kc, pc, np.concatenate((ends[0], np.zeros((4, n)))),
                           np.concatenate((pc[:2] * ends[1], pc[2:]))) if derivative else
@@ -185,9 +204,17 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
             spin = (tau * np.where(tau == 0.0, 0.0, 2.0 * (out[2:4] - out[4:]) / (
                 pa * gm * mk * asig))).sum(0)
             fine &= ((tau == 0.0) | (asig >= _OFF_ORIGIN)).all(0)
-            slope_k = 1j * (p2 * u - p0 * uc)  # d_k of d_x - i d_z at theta
             turn = np.array([slope_k.imag * spin + omega * dhat[1],
                              slope_k.real * spin - omega * dhat[0]])
+            if jumps is not None:  # f's even part is K e(cos phi), e real and linear
+                hs = np.where(abs(sp) < 0.05, np.polynomial.polynomial.polyval(sp, _H_SLOPE),
+                              (1.0 / (1.0 - sp) - hp) / (sp + sp))  # h', without cancellation
+                other = sig[::-1]
+                e = np.where(inside[0] == inside[1], 2.0 * other * ((1.0 - sp) * hs - hp),
+                             2.0 * ((sig - other) * other * hs + hp))
+                K, spin = kappa * u ** (inside.sum(0) - 1), (tau * e).sum(0) / (2.0 * pa)
+                half_turn = np.array([K.imag * spin + omega * half[1],
+                                      K.real * spin - omega * half[0]])
         if chi:  # <(d psi)^2> and that less <e^{2 i psi} (d psi)^2> / phase, per side
             a, c, iw = g * gm, 1.0 - sig[0] * sig[1], 1j * omega
             t2, om2, tt = tau ** 2, omega ** 2, 2.0 * tau[0] * tau[1]
@@ -206,10 +233,12 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
             tilt = (phase * less).real
             gains = np.array([total * (1.0 - phase.real) + tilt,
                               total * (1.0 + phase.real) - tilt]) / 8.0
-    for v in (turn, gains):
+    for v in (turn, gains, half_turn):
         fine &= True if v is None else np.isfinite(v).all(0)
-    ok &= (closed | fine) & (True if dhat is None else np.isfinite(dhat).all(0))
-    return ok, dhat, turn, gains
+    ok &= (closed | fine) & (True if dhat is None else np.isfinite(
+        dhat if half is None else dhat + half).all(0))
+    far = (g >= _BESIDE).all(0)
+    return ok, dhat, turn, gains, None if half is None else (u, half, half_turn, far)
 
 
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
@@ -218,10 +247,14 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family ``m`` at
     each of ``lams``, whose ``TwoBandModel.zeros`` the caller may pass.
 
-    A row of planar rows, with a global reference or none, takes them from
-    ``_planar_averages`` where it holds, a ``closed`` one only C in the engine's ``closed``
-    record; every other row that needs an average from ``_engine_averages``.  A closed gap
-    without C, or a request of none, needs none.  A non-finite lambda is a DomainError.
+    A row of planar rows, with a global reference, none, or a piecewise one that jumps only on
+    the line of its zeros (the plateau of ssh, dual-ssh and massive Dirac, a split at k0 = 0:
+    n+ on phi = k - theta in (0, pi), n- on the rest, so a mean is (n+ + n-) / 2 of the full
+    one plus (n+ - n-) of its odd part), takes them from ``_planar_averages`` where it holds,
+    a ``closed`` one only C in the engine's ``closed`` record; every other row that needs an
+    average (a split at k0 != 0, the Cooper-pair box's plateau) from ``_engine_averages``.
+    A closed gap without C, or a request of none, needs none.  A non-finite lambda is a
+    DomainError.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
@@ -230,16 +263,26 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     rows, closed = zeros.rows, zeros.closed
     idle = closed & (not complexity) | (not (complexity or derivative or chi))
     slope, exact = m.slope(lams), ~idle
-    exact &= (ref is None or isinstance(ref, GlobalReference)) and not any(
+    split = isinstance(ref, PiecewiseBlochReference)
+    exact &= (ref is None or split or isinstance(ref, GlobalReference)) and not any(
         np.any(row[1]) if isinstance(row[1], np.ndarray) else row[1] for row in (*rows, *slope))
+    jumps = ref.jumps() if split and (complexity or derivative) else None
     cs = dcs = integrals = chis = [None] * lams.size
     if exact.any():
-        ok, dhat, turn, gains = _planar_averages(zeros, slope, complexity, derivative, chi)
+        ok, dhat, turn, gains, odd = _planar_averages(zeros, slope, complexity, derivative, chi,
+                                                      jumps)
         exact &= ok
         nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
-        cs = (0.5 + 0.5 * (nref @ dhat)).tolist() if complexity else cs
+        avg = lambda full, half: nref @ full
+        if odd:  # the reference on phi > 0 and phi < 0, read at theta +- pi / 2
+            ends = [ref.bloch_at(np.angle(turn_by * odd[0]))[::2] for turn_by in (1j, -1j)]
+            mean, diff = 0.5 * (ends[0] + ends[1]), ends[0] - ends[1]
+            avg = lambda full, half: (mean * full).sum(0) + (diff * half).sum(0)
+            if derivative:  # dC takes the full-circle turn where the mean is not 0
+                exact &= odd[3] | closed | ~mean.any(0)
+        cs = (0.5 + 0.5 * avg(dhat, odd and odd[1])).tolist() if complexity else cs
         if derivative:
-            dcs, integrals = (0.5 * (nref @ turn)).tolist(), np.zeros((lams.size, 3))
+            dcs, integrals = (0.5 * avg(turn, odd and odd[2])).tolist(), np.zeros((lams.size, 3))
             integrals[:, ::2] = 2.0 * PI * turn.T
         if chi:  # the total as numpy sums three
             chis = [SusceptibilityBreakdown(0.0 + x + 0.0 + z, (x, 0.0, z))

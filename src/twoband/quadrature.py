@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
-import scipy
 
 from .errors import ConvergenceError, DomainError
 
@@ -61,6 +60,7 @@ def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = Non
     This is the path for user callables of one k and the independent oracle
     of the array engine ``bz_averages``.
     """
+    import scipy.integrate
     cfg = cfg or BZQuadratureConfig()
     pts = sorted({float(p) for p in extra_points if -PI < p < PI})
     val, err, *rest = scipy.integrate.quad(f, -PI, PI, points=pts or None,

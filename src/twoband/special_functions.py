@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-import scipy
-
 from .errors import DomainError
 
 
@@ -21,6 +19,7 @@ def _cephes(name):
     and rebinds the global ``_<name>`` to the ufunc, so later calls pay no lookup
     (a qualified lookup per call slowed closed-form curves by ~3% on CPython 3.11)."""
     def first_call(*args):
+        import scipy.special
         fn = globals()["_" + name] = getattr(scipy.special, name)
         return fn(*args)
     return first_call
@@ -106,6 +105,7 @@ def incomplete_E(phi: float, m) -> float:
 
 def complete_K_quadrature(m) -> float:
     """Slow oracle: K(m) by adaptive quadrature of the defining integral."""
+    import scipy.integrate
     m = _param(m)
     if m >= 1.0:
         raise DomainError("K(m) diverges at m = 1")
@@ -116,6 +116,7 @@ def complete_K_quadrature(m) -> float:
 
 def complete_E_quadrature(m) -> float:
     """Slow oracle: E(m) by adaptive quadrature of the defining integral."""
+    import scipy.integrate
     m = _param(m)
     val, _ = scipy.integrate.quad(lambda u: math.sqrt(1.0 - m * math.sin(u) ** 2),
                                   0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=500)

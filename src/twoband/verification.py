@@ -13,18 +13,18 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from . import special_functions as sf
-from .bloch import GlobalReference
+from .bloch import GlobalReference, plateau_reference
 from .bounds_duality import (bound_check, complexity_derivative, complexity_duality_check,
                              complexity_duality_offset, fs_duality_check,
                              ratio_R, self_dual_constraint)
 from .complexity import (BandAssignment, excited_piecewise_complexity,
-                         excited_split_closed, ground_complexity,
-                         md_complexity_closed, plateau_complexity,
-                         ssh_complexity_closed)
+                         excited_split_closed, ground_complexity, md_complexity_closed,
+                         md_dC_dmu_analytic, plateau_complexity, ssh_complexity_closed)
 from .fidelity import (_bloch_averages, _engine_averages, _planar_averages, chi_F,
                        chi_F_md_closed, chi_F_md_z_closed, chi_F_ssh_closed)
-from .models import (MODELS, DualSSHParams, MassiveDiracParams, NonHermitianSSHParams,
-                     SSHParams, massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
+from .models import (MODELS, CooperPairBoxParams, DualSSHParams, MassiveDiracParams,
+                     NonHermitianSSHParams, SSHParams, cooper_pair_box_model,
+                     massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
 from .nonhermitian import (bikrylov_basis, biorthogonal_ground, nh_complexity_derivative,
                            nh_complexity_per_mode, nh_complexity_per_mode_overlap,
                            nh_ground_complexity)
@@ -117,30 +117,51 @@ def closed_forms_suite() -> List[CheckResult]:
         worst = max(worst, abs(breakdown.components[2] - chi_F_md_z_closed(MassiveDiracParams(mu=mu)))
                     / breakdown.components[2])
     checks.append(_check("massive-Dirac susceptibility closed forms (relative)", worst, 1e-6))
-    checks.append(_check("plateau value in the topological phase",
-                         plateau_complexity(SSHParams(1.0, 2.0)) - (0.5 - 1.0 / PI), 1e-8))
-    checks.append(_check("plateau linear branch in the trivial phase",
-                         plateau_complexity(SSHParams(1.0, 0.4)) - (0.5 - 0.4 / PI), 1e-8))
+    # the plateau and the k0 = 0 split on the exact path, each bound the measured 5.6e-17
+    # and 1.1e-16 times 3.6 and 2.7
+    grid = [SSHParams(t1, t2) for t1 in (0.6, 1.0, 1.7, 2.6) for t2 in (0.5, 1.0, 1.2, 2.1, 2.9)]
+    checks.append(_check("plateau vs 1/2 - min(t1, t2)/(pi t1) (grid)", max(
+        abs(plateau_complexity(p, cfg) - (0.5 - min(p.t1, p.t2) / (PI * p.t1))) for p in grid),
+        2e-16))
     bands = BandAssignment.two_interval(0.0, -1, +1)
-    ref = GlobalReference(0.7, 0.3)
-    got = excited_piecewise_complexity(SSHParams(1.0, 1.7), bands, ref, cfg)
-    checks.append(_check("k0 = 0 band split closed form",
-                         got - excited_split_closed(SSHParams(1.0, 1.7), 0.7), 1e-8))
+    checks.append(_check("k0 = 0 band split closed form (grid)", max(
+        abs(excited_piecewise_complexity(p, bands, GlobalReference(theta, 0.3), cfg)
+            - excited_split_closed(p, theta)) for p in grid for theta in (0.7, 2.0)), 3e-16))
+    # the Cooper-pair box is massive Dirac at t = 1 and mu = Ecc (1 - 2 ng) / (2 Ej), its k
+    # shifted by pi/2, with dmu/dng = -Ecc / Ej: gapped and 1e-6 from ng = 1/2, each bound
+    # the measured error times 3.5 to 4.5
+    errors = []
+    for ej, ecc, ng in [(ej, ecc, ng) for ej, ecc in ((1.0, 1.5), (0.7, 2.2))
+                        for ng in (0.2, -1.3, 0.5 + 1e-6, 0.5 - 1e-6)]:
+        model = cooper_pair_box_model(CooperPairBoxParams(ej, ecc, ng))
+        md = MassiveDiracParams(mu=ecc * (1.0 - 2.0 * ng) / (2.0 * ej))
+        chi = chi_F(model, ng, cfg).total / (chi_F_md_closed(md) * (ecc / ej) ** 2)
+        for ref in refs[1:]:
+            avg = _bloch_averages(model, [ng], ref, cfg, complexity=True, derivative=True)[0]
+            errors.append((abs(avg.complexity - md_complexity_closed(md, ref.theta)), abs(
+                avg.dcomplexity / (-ecc / ej * md_dC_dmu_analytic(md, ref.theta)) - 1.0),
+                abs(chi - 1.0)))
+    for name, tol, worst in zip(("C", "dC/dng (relative)", "susceptibility (relative)"),
+                                (5e-16, 3e-14, 5e-15), map(max, zip(*errors))):
+        checks.append(_check(f"Cooper-pair box {name} vs massive-Dirac closed form", worst, tol))
     # the exact path of planar rows against its oracle, the engine: C absolute, dC and
     # chi relative, at the default point and 1e-6 from the closing of each family, and
-    # on the closing, where a row has only C
-    for name, closing in (("ssh", 1.0), ("massive-dirac", 0.0), ("dual-ssh", 1.0),
-                          ("cooper-pair-box", 0.5)):
-        model = MODELS[name].model({})
+    # on the closing, where a row has only C; and the ssh plateau in its trivial phase, where
+    # its dC is not 0, at t2 = 2 (theta = 0) and beside its closing at t2 = -t1 (theta = pi)
+    for name, closing, fixed, ref in [(name, closing, {}, refs[1]) for name, closing in (
+            ("ssh", 1.0), ("massive-dirac", 0.0), ("dual-ssh", 1.0), ("cooper-pair-box", 0.5))
+            ] + [("ssh", -2.5, {"t1": 2.5}, plateau_reference())]:
+        model = MODELS[name].model(fixed)
+        jumps, label = (None, name) if ref is refs[1] else (ref.jumps(), f"{name} plateau")
         for lam in (model.lam, closing + 1e-6, closing):
-            got, want = (f(model, [lam], refs[1], cfg, complexity=True, derivative=True,
+            got, want = (f(model, [lam], ref, cfg, complexity=True, derivative=True,
                            chi=True)[0] for f in (_bloch_averages, _engine_averages))
             worst = max([abs(got.complexity - want.complexity), *(abs(x / y - 1.0) for x, y in (
                 (got.dcomplexity, want.dcomplexity), *zip(got.chi.components, want.chi.components))
                 if y and not got.closed)])
             routed = _planar_averages(model.zeros([lam]), model.slope(lam), True, True,
-                                      True)[0][0]
-            checks.append(_check(f"exact path vs engine, {name} at {lam!r}",
+                                      True, jumps)[0][0]
+            checks.append(_check(f"exact path vs engine, {label} at {lam!r}",
                                  worst if routed else math.inf, 1e-9))
     worst = max(abs(ground_complexity(ssh_model(SSHParams(t, t)), ref, cfg)
                     - ssh_complexity_closed(SSHParams(t, t), ref))

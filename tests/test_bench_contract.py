@@ -73,3 +73,16 @@ def test_one_round_of_every_workload_passes_the_benchmark_checks(monkeypatch, tm
         failed = [(req.label(), out.code, out.first_err, why)
                   for req, out, why in tally.failures()]
         assert tally.latencies and tally.points > 0 and failed == [], (name, failed)
+
+
+def test_no_gapped_deck_request_runs_the_engine(monkeypatch, tmp_path, calls):
+    # the plateau templates too: their reference jumps on the line of the ssh zeros
+    workloads = _load(monkeypatch, "bench_workloads")
+    plateaus = 0
+    for seed in range(1, 5):
+        gen = workloads.Generator("gapped-sweep", seed, tmp_path / str(seed), twoband)
+        gen.write_inputs()
+        for req in gen.round():
+            plateaus += "--ref-piecewise" in req.argv
+            assert twoband.cli.main(req.argv) == 0, req.argv
+    assert plateaus == 8 and calls["bz_averages"] == 0

@@ -1,7 +1,7 @@
-"""Cold start: sweeps never load scipy.special or scipy.integrate.
+"""Cold start: sweeps never load scipy, nor scipy.special or scipy.integrate.
 
 The sweep path runs on Bloch vectors, numpy and the array engine
-``bz_averages``.  scipy's submodules load on first use: ``scipy.special``
+``bz_averages``.  scipy and its submodules load on first use: ``scipy.special``
 for the elliptic closed forms, ``scipy.integrate`` for the QUADPACK oracles.
 The check runs in a fresh interpreter, because the test session itself has
 long since imported both.
@@ -27,7 +27,7 @@ def loaded():
 
 import twoband.cli
 twoband.cli.build_parser()
-out = {"after_import": loaded()}
+out = {"after_import": loaded(), "scipy_after_import": "scipy" in sys.modules}
 
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -39,6 +39,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         "--theta", "90", "--phi", "0", "--degrees"]))
 out["codes"] = codes
 out["after_sweeps"] = loaded()
+out["scipy_after_sweeps"] = "scipy" in sys.modules
 
 from twoband import bz_average, complete_K, complete_K_quadrature, incomplete_E
 out["K"] = complete_K(0.5)
@@ -68,9 +69,17 @@ def test_import_and_parser_load_neither_submodule(child):
     assert child["after_import"] == []
 
 
+def test_import_and_parser_load_no_scipy(child):
+    assert child["scipy_after_import"] is False
+
+
 def test_sweeps_of_every_quantity_load_neither_submodule(child):
     assert child["codes"] == [0, 0]
     assert child["after_sweeps"] == []
+
+
+def test_sweeps_of_every_quantity_load_no_scipy(child):
+    assert child["scipy_after_sweeps"] is False
 
 
 def test_closed_forms_load_special_only(child):

@@ -1,23 +1,28 @@
 """The exact path of planar rows against 30-digit mpmath averages of the stored rows.
 
 ``_bloch_averages`` takes C, dC/d(lambda), the d_hat-derivative integrals and chi_F
-with its axes of a planar row with a global reference from the contour's zeros
+with its axes of a planar row with a global reference, or with a piecewise one that jumps
+only on the line of the row's zeros, from the contour's zeros
 (``fidelity._planar_averages``), and a closed row's C from the limit at its closing,
 running no quadrature.  Each reference here is
 mpmath's tanh-sinh average over the zone of the double rows the model stores, split
-at the row's singular points, so it shares nothing with the exact path.
+at the row's singular points and at the reference's breakpoints, so it shares nothing
+with the exact path.
 """
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from twoband import (DualSSHParams, GlobalReference, MassiveDiracParams, SSHParams, SweepSpec,
-                     chi_F_md_closed, dual_pair, fidelity, ground_complexity, models, run_sweep,
-                     ssh_model)
+from twoband import (BlochVector, DualSSHParams, GlobalReference, MassiveDiracParams,
+                     PiecewiseBlochReference, SSHParams, SweepSpec, chi_F_md_closed, dual_pair,
+                     fidelity, ground_complexity, models, plateau_complexity, plateau_reference,
+                     run_sweep, ssh_model)
 from twoband.cli import main
 from twoband.fidelity import (SusceptibilityBreakdown, _bloch_averages, _cel,
                               _planar_averages)
@@ -27,26 +32,44 @@ PI = math.pi
 REF = GlobalReference(0.9, 0.4)
 
 
-def _reference(model, lam, parts=6):
+def _reference(model, lam, parts=6, breaks=()):
     """30-digit <d_hat>, <d(d_hat)/d(lambda)> and chi_F per axis (x, z) at lam, the first
-    ``parts`` of them."""
-    (rows, slope), k_s = (model.rows(lam), model.slope(lam)), model.singular_gaps([lam])[0][0]
+    ``parts`` of them: over the zone, or with ``breaks`` per piece between them."""
+    rows, slope = (tuple(tuple(map(float, row)) for row in r)
+                   for r in (model.rows(lam), model.slope(lam)))
+    k_s = tuple(float(k) for k in model.singular_gaps([lam])[0][0])
+    pieces = _pieces(rows, slope, k_s, tuple(map(float, breaks)), parts)
+    return pieces if breaks else pieces[0]
+
+
+@lru_cache(maxsize=None)
+def _pieces(rows, slope, k_s, breaks, parts):
+    """``_reference`` of the stored rows on each piece between ``breaks``, split at the
+    singular points k_s; memoised by rows, slope rows, breaks and parts, so the references
+    with the same breaks share one set of averages."""
     with mp.workdps(30):
-        rows, slope = ([[mp.mpf(float(x)) for x in row] for row in r] for r in (rows, slope))
+        rows, slope = ([[mp.mpf(x) for x in row] for row in r] for r in (rows, slope))
 
         @lru_cache(maxsize=None)
         def values(k):
-            c, s = mp.cos(k), mp.sin(k)
+            c, s = mp.cos_sin(k)
             d = [rows[0][i] + rows[1][i] * c + rows[2][i] * s for i in (0, 2)]
+            inv = 1 / mp.sqrt(d[0] ** 2 + d[1] ** 2)
+            h = [d[0] * inv, d[1] * inv]
+            if parts <= 2:
+                return h
             dd = [slope[0][i] + slope[1][i] * c + slope[2][i] * s for i in (0, 2)]
-            n = mp.sqrt(d[0] ** 2 + d[1] ** 2)
-            dot = (d[0] * dd[0] + d[1] * dd[1]) / n
-            v = [(dd[i] - d[i] / n * dot) / n for i in (0, 1)]
-            return d[0] / n, d[1] / n, v[0], v[1], v[0] ** 2 / 4, v[1] ** 2 / 4
+            dot = h[0] * dd[0] + h[1] * dd[1]
+            v = [(dd[i] - h[i] * dot) * inv for i in (0, 1)]
+            return h[0], h[1], v[0], v[1], v[0] ** 2 / 4, v[1] ** 2 / 4
 
-        edges = {float(k) for k in k_s} | {float(k) - math.copysign(2 * PI, k) for k in k_s}
-        points = [-mp.pi] + [mp.mpf(k) for k in sorted(edges) if -PI < k < PI] + [mp.pi]
-        return [float(mp.quad(lambda k: values(k)[j], points) / (2 * mp.pi)) for j in range(parts)]
+        edges = sorted({*k_s} | {k - math.copysign(2 * PI, k) for k in k_s})
+        cuts = (-PI, *breaks, PI)
+        ends = [-mp.pi, *map(mp.mpf, breaks), mp.pi]
+        return [[float(mp.quad(lambda k: values(k)[j], [ends[i], *(mp.mpf(k) for k in edges if
+                                                                 lo < k < hi), ends[i + 1]])
+                       / (2 * mp.pi)) for j in range(parts)]
+                for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
 
 
 def _check(model, lam, rtol, calls):
@@ -117,16 +140,28 @@ def _collinear(rng, kind):
     if kind == "p2 = 0":  # p = kappa (z - z1 u): one zero, the other at infinity
         p, dp = (-kappa * z[0] * u, kappa, 0j), (-(rate * z[0] + kappa * dz[0]) * u, rate, 0j)
     else:
-        p = (kappa * z[0] * z[1] * u * u, -kappa * (z[0] + z[1]) * u, kappa)
-        dp = (rate * p[0] / kappa + kappa * (dz[0] * z[1] + z[0] * dz[1]) * u * u,
-              rate * p[1] / kappa - kappa * (dz[0] + dz[1]) * u, rate)
+        p, dp = _on_line(u, kappa, rate, z, dz)
+    return _model_of(p, dp, kind)
+
+
+def _on_line(u, kappa, rate, z, dz):
+    """p = kappa (z - z1 u)(z - z2 u) with real z1, z2 and |u| = 1, and its rate as the zeros
+    move along u at dz and kappa at ``rate``."""
+    p = (kappa * z[0] * z[1] * u * u, -kappa * (z[0] + z[1]) * u, kappa)
+    dp = (rate * p[0] / kappa + kappa * (dz[0] * z[1] + z[0] * dz[1]) * u * u,
+          rate * p[1] / kappa - kappa * (dz[0] + dz[1]) * u, rate)
+    return p, dp
+
+
+def _model_of(p, dp, label=""):
+    """The family with d_x - i d_z = (p(z) + lambda dp(z)) / z, at lambda = 0."""
     # p0 = (b + i c)/2, p1 = a_x - i a_z, p2 = (b - i c)/2 with b = b_x - i b_z, c = c_x - i c_z
     rows_of = lambda p0, p1, p2: tuple((x.real, 0.0, -x.imag) for x in
                                        (complex(p1), p0 + p2, -1j * (p0 - p2)))
     rows, slope = rows_of(*p), rows_of(*dp)
     return TwoBandModel(lambda lam: tuple(tuple(r + lam * s for r, s in zip(a, b))
                                           for a, b in zip(rows, slope)),
-                        lambda lam: slope, 0.0, label=kind)
+                        lambda lam: slope, 0.0, label=label)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -337,3 +372,141 @@ def test_a_closed_row_off_one_line_takes_the_engine(skew, calls):
     avg = _bloch_averages(model, [1.0], REF, None, complexity=True)[0]
     assert avg.closed and calls["bz_averages"] == 1
     assert abs(avg.complexity - _c_reference(model, 1.0, REF)[0]) <= 1e-10
+
+
+# -- piecewise references that jump on the line of the zeros -------------------------------
+
+# jumps at k = 0 and pi, on the line of every ssh, dual-ssh and massive-Dirac row
+SPLITS = [plateau_reference(), PiecewiseBlochReference((
+    (-PI, 0.0, BlochVector(0.3, -0.5, 0.8)), (0.0, PI, BlochVector(-0.6, 0.2, 0.1))))]
+
+
+def _split_reference(model, lam, ref, parts=4):
+    """The 30-digit C and, with ``parts`` 4, dC at lam under a piecewise reference."""
+    pieces = _reference(model, lam, parts, ref.breakpoints())
+    ns = [vec.as_array()[::2] for _, _, vec in ref.pieces]
+    c = 0.5 + 0.5 * sum(n @ p[:2] for n, p in zip(ns, pieces))
+    if parts == 2:
+        return c
+    terms = [n * p[2:] for n, p in zip(ns, pieces)]
+    return c, 0.5 * sum(t.sum() for t in terms), 0.5 * sum(abs(t).sum() for t in terms)
+
+
+def _ssh_t1():
+    return MODELS["ssh"].model({"t2": 1.3}, "t1")
+
+
+# gapped rows: ssh in t2 and t1 with its zeros on either side of 0 (theta = 0 and pi), the
+# dual chain and massive Dirac; each bound is the measured maximum times 3.6: 5.6e-17 on C,
+# 5.5e-16 of its terms on dC
+SPLIT_GAPPED = [
+    *((MODELS["ssh"].model({"t1": 1.0}), t2) for t2 in (0.4, 1.7, -0.6, -2.5)),
+    *((_ssh_t1(), t1) for t1 in (2.2, -1.7, 0.5)),
+    *((MODELS["dual-ssh"].model({"t": 1.3}), r) for r in (0.4, 2.5)),
+    *((MODELS["massive-dirac"].model({}), mu) for mu in (0.3, -1.2)),
+]
+
+
+@pytest.mark.parametrize("model,lam", SPLIT_GAPPED, ids=lambda v: getattr(v, "label", repr(v)))
+def test_an_on_line_split_of_a_gapped_row_takes_the_exact_path(model, lam, calls):
+    for ref in SPLITS:
+        avg = _bloch_averages(model, [lam], ref, None, complexity=True, derivative=True)[0]
+        c, dc, terms = _split_reference(model, lam, ref)
+        assert abs(avg.complexity - c) <= 2e-16
+        assert abs(avg.dcomplexity - dc) <= 2e-15 * terms + 1e-30  # 1e-30: the oracle's 0
+    assert calls["bz_averages"] == 0
+
+
+# 1e-4, 1e-8 and 1e-12 from the closings of ssh in t2 (k = 0, theta = 0) and in t1
+# (t1 = -t2, k = pi, theta = pi), of the dual chain and of massive Dirac (k = 0 and pi)
+SPLIT_NEAR = [
+    *((MODELS["ssh"].model({"t1": 1.0}), 1.0 + d) for d in (1e-4, -1e-8, 1e-12)),
+    *((_ssh_t1(), -1.3 + d) for d in (-1e-4, 1e-8, -1e-12)),
+    *((MODELS["dual-ssh"].model({"t": 1.3}), 1.0 + d) for d in (-1e-4, 1e-8, -1e-12)),
+    *((MODELS["massive-dirac"].model({}), d) for d in (1e-4, -1e-8, 1e-12)),
+]
+
+
+@pytest.mark.parametrize("model,lam", SPLIT_NEAR, ids=lambda v: getattr(v, "label", repr(v)))
+def test_an_on_line_split_beside_a_closing(model, lam, calls):
+    # C is exact, within the measured 1.1e-16 times 4.5, and so is the plateau's dC, the
+    # half-circle terms alone (measured: 0, and the oracle's 2.7e-19 where dC is 0); a
+    # split whose mean is not 0 declines dC, since the full-circle turn of a row this near
+    # its closing loses digits (``_BESIDE``)
+    plateau = _bloch_averages(model, [lam], SPLITS[0], None, complexity=True,
+                              derivative=True)[0]
+    c, dc, terms = _split_reference(model, lam, SPLITS[0])
+    assert abs(plateau.complexity - c) <= 5e-16
+    assert abs(plateau.dcomplexity - dc) <= 2e-16 * terms + 1e-18
+    c = _bloch_averages(model, [lam], SPLITS[1], None, complexity=True)[0].complexity
+    assert abs(c - _split_reference(model, lam, SPLITS[1], 4)[0]) <= 5e-16
+    assert calls["bz_averages"] == 0
+    with mock.patch.object(fidelity, "_engine_averages", return_value=[None]) as engine:
+        _bloch_averages(model, [lam], SPLITS[1], None, complexity=True, derivative=True)
+    assert engine.call_count == 1
+
+
+@pytest.mark.parametrize("t1", [0.3, 1.0, 1.3, 2.6, 7.0])
+def test_the_plateau_is_exact(t1):
+    for t2 in (0.1, 0.45, 0.9999, 1.0, 1.2, 2.1, 2.9, 11.0):
+        with mp.workdps(30):
+            want = mp.mpf(1) / 2 - mp.mpf(min(t1, t2)) / (mp.pi * t1)
+        got = plateau_complexity(SSHParams(t1, t2))
+        assert abs(got - want) <= 2 * math.ulp(float(want)), (t1, t2)
+
+
+@pytest.mark.parametrize("model,lam", [(MODELS["ssh"].model({"t1": 1.0}), 1.0),
+                                       (_ssh_t1(), -1.3), (MODELS["dual-ssh"].model({}), 1.0),
+                                       (MODELS["massive-dirac"].model({}), 0.0)],
+                         ids=lambda v: getattr(v, "label", repr(v)))
+def test_an_on_line_split_of_a_closed_row_takes_its_c_from_its_zeros(model, lam, calls):
+    # the half-circle means are finite at the closing; the measured error is 0, the bound
+    # 2 ulp of 1/2
+    for ref in SPLITS:
+        assert abs(_closed_c(model, lam, ref, calls) - _split_reference(model, lam, ref, 2)) \
+            <= 2.2e-16
+
+
+@pytest.mark.parametrize("k0,family", [(1.0, "ssh"), (0.0, "cooper-pair-box")])
+def test_a_split_off_the_line_takes_the_engine(k0, family, calls):
+    # a jump at k = 1 is on no line of the ssh zeros; the box's zeros lie on the imaginary
+    # axis, off its plateau's jumps at 0 and pi
+    ref = PiecewiseBlochReference(((-PI, k0, BlochVector(0.0, 0.0, 1.0)),
+                                   (k0, PI, BlochVector(0.0, 0.0, -1.0))))
+    model = MODELS[family].model({})
+    assert not _planar_averages(model.zeros([model.lam]), model.slope(model.lam), True, False,
+                                False, ref.jumps())[0][0]
+    run_sweep(SweepSpec(family, (MODELS[family].parameters[0], 0.2, 0.4, 3), reference=ref,
+                        quantities=("complexity", "dcomplexity")))
+    assert calls["bz_averages"] == 1 and calls["averages"] == 3
+
+
+_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(theta=st.floats(-PI, PI), kappa=st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0),
+       rate=st.complex_numbers(max_magnitude=2.0), big=st.floats(0.1, 0.9),
+       ratio=st.floats(0.1, 0.55), flips=st.tuples(*[st.booleans()] * 6),
+       rates=st.tuples(*[st.floats(0.1, 2.0)] * 2), a=_UNIT, b=_UNIT)
+def test_a_random_row_split_on_its_line(theta, kappa, rate, big, ratio, flips, rates, a, b):
+    # zeros reflected into the disk 0.01 to 0.9 from 0, the smaller one below 0.55 of the
+    # larger, each inside or outside, on either side of 0 and moving either way.  Each bound
+    # is the measured maximum times 2.7 to 3: on C 2.2e-16 (over 128 random rows), on dC
+    # 6.7e-14 of its terms (rates 1 and -1 that cancel in the full-circle turn, as they do
+    # with a global reference).  A row the exact path declines runs the engine instead
+    zeros = [(1.0 / r if out else r) * (-1.0 if neg else 1.0)
+             for r, out, neg in zip((big, big * ratio), flips[:2], flips[2:4])]
+    rates = [-v if down else v for v, down in zip(rates, flips[4:])]
+    model = _model_of(*_on_line(complex(math.cos(theta), math.sin(theta)), kappa, rate, zeros,
+                                rates))
+    cuts = sorted({math.remainder(t, 2.0 * PI) for t in (theta, theta + PI)} - {PI, -PI})
+    edges, vectors = [-PI, *cuts, PI], [BlochVector(*a), BlochVector(*b)] * 2
+    ref = PiecewiseBlochReference(tuple(zip(edges, edges[1:], vectors)))
+    with mock.patch.object(fidelity, "_engine_averages",
+                           wraps=fidelity._engine_averages) as engine:
+        avg = _bloch_averages(model, [0.0], ref, None, complexity=True, derivative=True)[0]
+    if not engine.called:
+        c, dc, terms = _split_reference(model, 0.0, ref)
+        assert abs(avg.complexity - c) <= 6e-16
+        assert abs(avg.dcomplexity - dc) <= 2e-13 * terms

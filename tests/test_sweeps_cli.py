@@ -8,13 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from twoband import (DualSSHParams, GlobalReference, NonHermitianSSHParams, SpecError,
-                     SSHParams, SweepRecord, SweepSpec, UndefinedRatioError, bound_check, chi_F,
-                     complexity_derivative, detect_cusps, dual_windings, ground_complexity,
-                     nh_complexity_derivative, nh_ground_complexity, param_derivative,
-                     plateau_reference, ratio_R, records_to_csv, records_to_json, run_sweep,
-                     ssh_complexity_closed, winding_cross_product, winding_log_derivative,
-                     write_records)
+from twoband import (BlochVector, DualSSHParams, GlobalReference, NonHermitianSSHParams,
+                     PiecewiseBlochReference, SpecError, SSHParams, SweepRecord, SweepSpec,
+                     UndefinedRatioError, bound_check, chi_F, complexity_derivative,
+                     detect_cusps, dual_windings, ground_complexity, nh_complexity_derivative,
+                     nh_ground_complexity, param_derivative, plateau_reference, ratio_R,
+                     records_to_csv, records_to_json, run_sweep, ssh_complexity_closed,
+                     winding_cross_product, winding_log_derivative, write_records)
 from twoband.cli import build_parser, main
 from twoband.fidelity import _bloch_averages
 from twoband.models import MODELS
@@ -22,6 +22,10 @@ from twoband.quadrature import BZQuadratureConfig
 from twoband.sweeps import QUANTITIES
 
 PI = math.pi
+# +z for k <= 1, -z above: its jump at k = 1 is off the line of the SSH zeros, so the
+# exact path declines its rows and they stay on the engine
+OFF_LINE = PiecewiseBlochReference(((-PI, 1.0, BlochVector(0.0, 0.0, 1.0)),
+                                    (1.0, PI, BlochVector(0.0, 0.0, -1.0))))
 
 
 class TestSweepSpecValidation:
@@ -382,7 +386,7 @@ class TestCLI:
 
     def test_verify_all_passes(self, capsys):
         assert main(["verify", "all"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "79/79 checks passed"
+        assert capsys.readouterr().out.splitlines()[-1] == "84/84 checks passed"
 
     def test_winding_subcommand(self, capsys):
         assert main(["winding", "--model", "ssh", "--set", "t1=1", "--set", "t2=2"]) == 0
@@ -658,7 +662,7 @@ class TestBatchedRows:
         # t1 = 0 zeroes one entry of the a row that the sweep's nodes carry, which
         # _bloch_sum sums as b cos k there and as (a + b) - 2 b sin^2(k/2) elsewhere
         spec = SweepSpec(model="ssh", sweep=("t1", -1.0, 1.0, 5), fixed={"t2": 1.5},
-                         reference=plateau_reference(), quantities=("complexity", "dcomplexity"))
+                         reference=OFF_LINE, quantities=("complexity", "dcomplexity"))
         family = MODELS["ssh"].model(spec.fixed, "t1")
         for row in run_sweep(spec):
             (want,) = _bloch_averages(family, [row.lam], spec.reference, None,
@@ -676,7 +680,7 @@ class TestBatchedRows:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, grid)
         spec = SweepSpec(model="ssh", sweep=("t1", 1.5, 2.5, 9), fixed={"t2": 1.25},
-                         reference=plateau_reference(), quantities=("complexity", "winding"))
+                         reference=OFF_LINE, quantities=("complexity", "winding"))
         rows = run_sweep(spec)
         assert calls["bz_averages"] == 1 and calls["averages"] == 9
         assert calls["bz_average_vec"] == calls["param_derivative"] == 0
@@ -824,9 +828,9 @@ class TestWindingGapThreshold:
     def test_winding_beside_the_pi_closing_averages_nothing(self, quantities, runs, owners,
                                                             calls, capsys, tmp_path):
         # the winding is counted, not averaged: only C runs, on every row, closed or not;
-        # a piecewise reference keeps the open rows' C on the engine
-        plateau = tmp_path / "plateau.txt"
-        plateau.write_text(f"{-PI!r} 0.0 0 0 1\n0.0 {PI!r} 0 0 -1\n", encoding="utf-8")
+        # a piecewise reference that jumps off the zeros' line (k = 1) keeps C on the engine
+        plateau = tmp_path / "split.txt"
+        plateau.write_text(f"{-PI!r} 1.0 0 0 1\n1.0 {PI!r} 0 0 -1\n", encoding="utf-8")
         code, _ = _stdout(capsys, ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep",
                                    "t2:-1.0000000001:-0.9999999999:3", "--quantities", quantities,
                                    "--ref-piecewise", str(plateau)])

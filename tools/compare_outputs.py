@@ -14,7 +14,8 @@ directory, on the same requests:
 * the fixed command list ``COMMANDS``: every sweep quantity on every
   Hermitian family through its closing (ssh at k = 0 in t2 and in t1, and at
   k = +-pi under the default and a non-default reference), windows beside the
-  closings at k = 0, +-pi and +-pi/2, lossy sweeps, sweeps through closed and
+  closings at k = 0, +-pi and +-pi/2, piecewise references that jump on the
+  line of the zeros and off it, lossy sweeps, sweeps through closed and
   exceptional rows, the point commands and ``verify all``.
 
 A request's output is its ``--out`` file, else its standard output.  Paths in
@@ -49,6 +50,12 @@ WORKLOADS = ("gapped-sweep", "critical-sweep", "lossy-sweep")
 SEEDS = (1, 2, 3, 4)
 ROUNDS = 3
 PLATEAU = "plateau.txt"  # the benchmark's plateau reference, written in each tree's directory
+# and two more piecewise references: generic vectors split on the ssh zeros' line (k = 0
+# and pi), and the plateau's vectors split at k = 1, off every line of the ssh zeros
+SPLIT, OFF_LINE = "split.txt", "off-line.txt"
+REFERENCES = {PLATEAU: ((0.0, 0.0, 1.0), 0.0, (0.0, 0.0, -1.0)),
+              SPLIT: ((0.3, -0.5, 0.8), 0.0, (-0.6, 0.2, 0.1)),
+              OFF_LINE: ((0.0, 0.0, 1.0), 1.0, (0.0, 0.0, -1.0))}
 ALL = "complexity,dcomplexity,chi_f,chi_f_components,bound,ratio,winding"
 BESIDE = "complexity,dcomplexity,chi_f"
 
@@ -76,6 +83,18 @@ COMMANDS = (
      "--quantities", BESIDE, "--ref-piecewise", PLATEAU],
     ["sweep", "--model", "ssh", "--sweep", "t2:0.9:1.1:5", "--quantities", BESIDE,
      "--ref-piecewise", PLATEAU, "--out", "ssh-plateau.json"],
+    # piecewise references that jump on the zeros' line, and two that must not move: a
+    # jump off the line, and the Cooper-pair box's zeros on the imaginary axis
+    ["sweep", "--model", "massive-dirac", "--sweep", "mu:-2:2:6", "--quantities", BESIDE,
+     "--ref-piecewise", PLATEAU],
+    ["sweep", "--model", "dual-ssh", "--sweep", "r:0.4:2.5:6", "--quantities", BESIDE,
+     "--ref-piecewise", PLATEAU],
+    ["sweep", "--model", "ssh", "--sweep", "t2:-2:2:6", "--quantities", BESIDE,
+     "--ref-piecewise", SPLIT],
+    ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:5", "--quantities", BESIDE,
+     "--ref-piecewise", OFF_LINE],
+    ["sweep", "--model", "cooper-pair-box", "--sweep", "ng:0.1:0.4:4", "--quantities", BESIDE,
+     "--ref-piecewise", PLATEAU],
     ["nh-sweep", "--set", "t1=2", "--set", "gamma=1", "--sweep", "t2:1:3:9"],
     ["nh-sweep", "--set", "t1=1", "--set", "t2=1.3", "--sweep", "gamma:0:2:9",
      "--out", "lossy-gamma.json"],
@@ -126,8 +145,10 @@ def worker(src: str) -> None:
 
     if Path(twoband.__file__).resolve().parent != (Path(src) / "twoband").resolve():
         raise SystemExit(f"imported twoband from {twoband.__file__}, not from {src}")
-    Path(PLATEAU).write_text(f"{-math.pi!r} 0.0 0 0 1\n0.0 {math.pi!r} 0 0 -1\n",
-                             encoding="utf-8")
+    for name, (left, k, right) in REFERENCES.items():
+        Path(name).write_text(f"{-math.pi!r} {k!r} {' '.join(map(repr, left))}\n"
+                              f"{k!r} {math.pi!r} {' '.join(map(repr, right))}\n",
+                              encoding="utf-8")
     outcomes = []
     for workload in WORKLOADS:
         for seed in SEEDS:
