@@ -10,19 +10,23 @@ directory, on the same requests:
 
 * the benchmark's request decks (``perfbench/bench_workloads.Generator``,
   imported and not changed) of seeds 1-4, three rounds each of
-  gapped-sweep, critical-sweep and lossy-sweep, 444 requests;
+  gapped-sweep, critical-sweep and lossy-sweep, 444 requests, and of
+  closed-forms, 156 library requests, each called as the benchmark calls it;
 * the fixed command list ``COMMANDS``: every sweep quantity on every
   Hermitian family through its closing (ssh at k = 0 in t2 and in t1, and at
   k = +-pi under the default and a non-default reference), windows beside the
   closings at k = 0, +-pi and +-pi/2, piecewise references that jump on the
   line of the zeros and off it, lossy sweeps, sweeps through closed and
-  exceptional rows, the point commands and ``verify all``.
+  exceptional rows, the point commands, ``verify all``, ``--help`` and
+  malformed command lines.
 
-A request's output is its ``--out`` file, else its standard output.  Paths in
-the argv are relative to each tree's directory, so the two trees run the same
-argv and the output path never differs.  In the first stderr line, the tree's
-resolved ``src`` path is replaced by ``<src>``, so a warning from identical
-code compares equal.  The script prints every request
+A command's output is its ``--out`` file, else its standard output; a library
+request's output is one line per call, ``function[j]=<repr>`` for each entry
+of the value returned.  Paths in the argv are relative to each tree's
+directory, so the two trees run the same argv and the output path never
+differs.  In the standard error, the tree's resolved ``src`` path is replaced
+by ``<src>``, so a warning from identical code compares equal.  The script
+prints every request
 whose exit code, first error line or output differs, with the largest |delta|
 of each of its columns (inf where a flag or label changed), the number of
 cells that moved by more than 1e-10 + 1e-10 |old|, and the largest |delta|
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -46,7 +51,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("gapped-sweep", "critical-sweep", "lossy-sweep")
+WORKLOADS = ("gapped-sweep", "critical-sweep", "lossy-sweep", "closed-forms")
 SEEDS = (1, 2, 3, 4)
 ROUNDS = 3
 PLATEAU = "plateau.txt"  # the benchmark's plateau reference, written in each tree's directory
@@ -56,6 +61,7 @@ SPLIT, OFF_LINE = "split.txt", "off-line.txt"
 REFERENCES = {PLATEAU: ((0.0, 0.0, 1.0), 0.0, (0.0, 0.0, -1.0)),
               SPLIT: ((0.3, -0.5, 0.8), 0.0, (-0.6, 0.2, 0.1)),
               OFF_LINE: ((0.0, 0.0, 1.0), 1.0, (0.0, 0.0, -1.0))}
+CONFIG = "bogus.conf"  # a sweep config file with a key that is no flag
 ALL = "complexity,dcomplexity,chi_f,chi_f_components,bound,ratio,winding"
 BESIDE = "complexity,dcomplexity,chi_f"
 
@@ -115,11 +121,28 @@ COMMANDS = (
     ["duality", "--set", "r=2"],
     ["winding", "--model", "dual-ssh", "--set", "r=0.5"],
     ["verify", "all"],
+    # the parser's own output: help, and command lines it rejects with exit 2
+    ["--help"],
+    ["sweep", "--help"],
+    ["nh-sweep", "-h"],
+    [],
+    ["frobnicate", "--model", "ssh"],
+    ["--model", "ssh", "sweep"],
+    ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3", "--bogus", "1", "extra"],
+    ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3", "--quant", "chi_f"],
+    ["sweep", "--model", "nope", "--sweep", "t2:0.5:1.5:3"],
+    ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:3", "--abs-tol", "0"],
+    ["sweep", "--config", CONFIG, "--theta", "0.3"],
+    ["sweep", "--config", "missing.conf"],
+    ["verify", "all", "extra"],
+    ["verify", "nope"],
+    ["ratio", "--model", "ssh"],
+    ["winding", "--model", "ssh", "--", "x"],
 )
 
 
 def _run(cli, argv):
-    """(exit code, first stderr line, output) of one in-process command."""
+    """(exit code, standard error, output) of one in-process command."""
     out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     if out is not None and out.exists():
         out.unlink()
@@ -131,9 +154,22 @@ def _run(cli, argv):
             code = cli.main(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
-    lines = err.getvalue().strip().splitlines()
     text = out.read_text(encoding="utf-8") if out is not None and out.exists() else sink.getvalue()
-    return code, lines[0] if lines else "", text
+    return code, err.getvalue(), text
+
+
+def _call(req):
+    """(exit code, error, output) of one library request, its calls as the benchmark
+    makes them: the first exception ends the request."""
+    fn = getattr(importlib.import_module("twoband." + req.call[0]), req.call[1])
+    try:
+        values = [fn(*args) for args in req.args]
+    except Exception as exc:
+        return "exception", f"{type(exc).__name__}: {exc}", ""
+    return 0, "", "".join(
+        " ".join(f"{req.call[1]}[{j}]={x!r}" for j, x in
+                 enumerate(value if isinstance(value, tuple) else (value,))) + "\n"
+        for value in values)
 
 
 def worker(src: str) -> None:
@@ -149,13 +185,16 @@ def worker(src: str) -> None:
         Path(name).write_text(f"{-math.pi!r} {k!r} {' '.join(map(repr, left))}\n"
                               f"{k!r} {math.pi!r} {' '.join(map(repr, right))}\n",
                               encoding="utf-8")
+    Path(CONFIG).write_text("model = ssh\nsweep = t2:0.5:1.5:3\nbogus = 1\n", encoding="utf-8")
     outcomes = []
     for workload in WORKLOADS:
         for seed in SEEDS:
             gen = Generator(workload, seed, Path("work") / f"{workload}-{seed}", twoband)
             gen.write_inputs()
-            for _ in range(ROUNDS):
-                outcomes += [(req.argv, _run(twoband.cli, req.argv)) for req in gen.round()]
+            for i in range(ROUNDS):
+                outcomes += [(req.argv, _run(twoband.cli, req.argv)) if req.argv is not None
+                             else ([".".join(req.call), f"seed={seed}", f"round={i}"],
+                                   _call(req)) for req in gen.round()]
     outcomes += [(argv, _run(twoband.cli, argv)) for argv in COMMANDS]
     prefix = str(Path(src).resolve())  # a warning names its file: one token for either tree
     json.dump([(argv, (code, err.replace(prefix, "<src>"), text))
