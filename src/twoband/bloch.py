@@ -83,6 +83,8 @@ class GlobalReference(ReferenceState):
     The equivalent amplitude pair is alpha = cos(theta/2),
     beta = exp(i*phi) * sin(theta/2).  Out-of-range angles are reduced
     modulo the sphere parametrization; non-finite ones are a DomainError.
+    The Bloch vector and ``re_alpha_beta``, Re(alpha* beta), are computed
+    once, at construction.
     """
 
     theta: float
@@ -94,6 +96,11 @@ class GlobalReference(ReferenceState):
         object.__setattr__(self, "phi", ph)
         object.__setattr__(self, "_bloch_array",
                            BlochVector.from_angles(th, ph).as_array())
+        # Re(alpha* beta) = sin(theta) cos(phi) / 2.  Magnitudes below 1e-15 are
+        # snapped to zero: they are pure floating point noise from angles like pi/2
+        # and would otherwise break the exact insensitive-reference identities.
+        value = 0.5 * math.sin(th) * math.cos(ph)
+        object.__setattr__(self, "re_alpha_beta", 0.0 if abs(value) < 1e-15 else value)
 
     @property
     def bloch(self) -> BlochVector:
@@ -106,17 +113,6 @@ class GlobalReference(ReferenceState):
     @property
     def beta(self) -> complex:
         return cmath.exp(1j * self.phi) * math.sin(0.5 * self.theta)
-
-    @property
-    def re_alpha_beta(self) -> float:
-        """Re(alpha* beta) = sin(theta) cos(phi) / 2.
-
-        Magnitudes below 1e-15 are snapped to zero: they are pure floating
-        point noise from angles like pi/2 and would otherwise break the exact
-        insensitive-reference identities.
-        """
-        value = 0.5 * math.sin(self.theta) * math.cos(self.phi)
-        return 0.0 if abs(value) < 1e-15 else value
 
     def bloch_at(self, k) -> np.ndarray:
         return self._bloch_array

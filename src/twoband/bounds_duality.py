@@ -31,7 +31,7 @@ _BOUND_RTOL = 1e-9
 
 def reference_coefficients(ref: GlobalReference) -> np.ndarray:
     """Coefficients Q = n_ref / (4*pi) multiplying integral(d(d_hat_i)/d(lambda)) dk."""
-    return ref.bloch.as_array() / (4.0 * PI)
+    return ref._bloch_array / (4.0 * PI)
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,18 @@ def ratio_complexity(r: float, ref: GlobalReference) -> float:
     return 0.5 + ref.re_alpha_beta * _ssh_elliptic_terms(1.0, r)
 
 
+def _ratio_complexity_prime(a: float, r: float, k: float, e: float, dk: float, de: float,
+                            m_prime: float) -> float:
+    """C'(r) from ``_ratio_derivative_terms(r)`` and a = Re(alpha* beta)."""
+    return a * ((-k + e + ((1.0 - r) * dk + (1.0 + r) * de) * m_prime) / PI)
+
+
 def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:
     """Analytic d/dr of ratio_complexity; diverges logarithmically at r = 1."""
     a = ref.re_alpha_beta
     if a == 0.0:
         return 0.0
-    k, e, dk, de, m_prime = _ratio_derivative_terms(r)
-    i1_prime = (-k + e + ((1.0 - r) * dk + (1.0 + r) * de) * m_prime) / PI
-    return a * i1_prime
+    return _ratio_complexity_prime(a, r, *_ratio_derivative_terms(r))
 
 
 def complexity_duality_offset(r: float, ref: GlobalReference) -> float:
@@ -168,13 +172,18 @@ def complexity_duality_offset(r: float, ref: GlobalReference) -> float:
     return (1.0 - r) / 2.0 + 2.0 * ref.re_alpha_beta * (1.0 - r) * complementary_K(mc) / PI
 
 
+def _offset_prime(a: float, r: float, k: float, e: float, dk: float, de: float,
+                  m_prime: float) -> float:
+    """H'(r) from ``_ratio_derivative_terms(r)`` and a = Re(alpha* beta)."""
+    return -0.5 + (2.0 * a / PI) * (-k + (1.0 - r) * dk * m_prime)
+
+
 def complexity_duality_offset_prime(r: float, ref: GlobalReference) -> float:
     """Analytic d/dr of the duality offset H."""
     a = ref.re_alpha_beta
     if a == 0.0:
         return -0.5
-    k, _, dk, _, m_prime = _ratio_derivative_terms(r)
-    return -0.5 + (2.0 * a / PI) * (-k + (1.0 - r) * dk * m_prime)
+    return _offset_prime(a, r, *_ratio_derivative_terms(r))
 
 
 def complexity_duality_check(params: DualSSHParams, ref: GlobalReference,
@@ -197,7 +206,16 @@ def self_dual_constraint(params: DualSSHParams, ref: GlobalReference) -> Tuple[f
 
     As r -> 1 the first entry converges to C(1) even when both C' and H'
     diverge logarithmically: the divergent parts cancel at matching rate.
+    K(m) and E(m) are evaluated once and serve C', H' and C alike; each
+    entry equals that of the three public functions bit for bit.
     """
-    r = params.r
-    constraint = 2.0 * ratio_complexity_prime(r, ref) - complexity_duality_offset_prime(r, ref)
-    return constraint, ratio_complexity(r, ref)
+    r, a = params.r, ref.re_alpha_beta
+    if a == 0.0:  # C' = 0 and H' = -1/2
+        return 0.5, ratio_complexity(r, ref)
+    if not 0.0 < r < math.inf:  # what ratio_complexity's complete_E rejects, and r <= 0
+        raise DomainError(f"coupling ratio r={r!r} must be finite and positive")
+    terms = _ratio_derivative_terms(r)
+    k, e = terms[:2]
+    # ratio_complexity's (delta K + s E) / (pi t1) at t1 = 1, t2 = r, in its operation order
+    return (2.0 * _ratio_complexity_prime(a, r, *terms) - _offset_prime(a, r, *terms),
+            0.5 + a * (((1.0 - r) * k + (1.0 + r) * e) / PI))

@@ -1,6 +1,7 @@
 """Bound, saturation ratio, and duality-identity tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from twoband import (BZQuadratureConfig, DomainError, DualSSHParams, GapClosedEr
                      md_dC_dmu_analytic, ratio_R,
                      plateau_reference, reference_coefficients, run_sweep,
                      self_dual_constraint, ssh_model)
-from twoband.bounds_duality import ratio_complexity, ratio_complexity_prime
+from twoband.bloch import BlochVector, canonical_angles
+from twoband.bounds_duality import (complexity_duality_offset_prime, ratio_complexity,
+                                    ratio_complexity_prime)
 from twoband.fidelity import _engine_averages
 from twoband import models
 from twoband.models import MODELS, TwoBandModel
@@ -47,6 +50,23 @@ class TestReferenceCoefficients:
     def test_y_axis(self):
         q = reference_coefficients(GlobalReference(0.5 * PI, 0.5 * PI))
         assert q == pytest.approx([0.0, 1.0 / (4.0 * PI), 0.0], abs=1e-16)
+
+    def test_cached_values_equal_the_formulas_bit_for_bit(self):
+        # both are computed once per reference; the formulas are those of every call before
+        rng = np.random.default_rng(7)
+        angles = [*zip(rng.uniform(-7.0, 7.0, 500), rng.uniform(-7.0, 7.0, 500)),
+                  (0.5 * PI, 0.5 * PI), (0.5 * PI, 1.5 * PI), (0.0, 0.3), (PI, 0.0)]
+        for theta, phi in angles:
+            ref = GlobalReference(theta, phi)
+            th, ph = canonical_angles(theta, phi)
+            value = 0.5 * math.sin(th) * math.cos(ph)
+            assert ref.re_alpha_beta == (0.0 if abs(value) < 1e-15 else value)
+            q = reference_coefficients(ref)
+            assert q.tobytes() == (BlochVector.from_angles(th, ph).as_array()
+                                   / (4.0 * PI)).tobytes()
+            q[:] = 0.0  # the caller's copy: the reference keeps its own
+            assert reference_coefficients(ref).tobytes() != q.tobytes()
+        assert GlobalReference(0.5 * PI, 0.5 * PI).re_alpha_beta == 0.0
 
 
 def _dcomplexity_row(model, parameter, lam, ref, fixed=None):
@@ -446,6 +466,31 @@ class TestSelfDualConstraint:
                 vals.append(abs(constraint - c1))
             residuals.append(max(vals))
         assert residuals[1] < residuals[0]
+
+    @pytest.mark.parametrize("theta,phi", [(0.9, 0.4), (0.5 * PI, PI), (2.5, 4.0),
+                                           (0.5 * PI, 0.5 * PI)])
+    def test_equals_the_three_closed_forms_bit_for_bit(self, theta, phi):
+        # K and E are evaluated once per point; (pi/2, pi/2) snaps Re(alpha* beta) to 0
+        ref = GlobalReference(theta, phi)
+        eps = np.geomspace(1e-15, 0.9, 120)
+        for r in [*(1.0 + eps), *(1.0 - eps), 1.0 + 2.2e-16, 1.0 - 1.1e-16, 3.7, 17.0]:
+            got = self_dual_constraint(DualSSHParams(1.3, r), ref)
+            want = (2.0 * ratio_complexity_prime(r, ref) - complexity_duality_offset_prime(r, ref),
+                    ratio_complexity(r, ref))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), r
+
+    def test_raises_at_the_self_dual_point_and_for_nan(self):
+        ref = GlobalReference(0.9, 0.4)
+        with pytest.raises(DomainError):
+            self_dual_constraint(DualSSHParams(1.0, 1.0), ref)
+        with pytest.raises(DomainError):
+            self_dual_constraint(DualSSHParams(1.0, math.nan), ref)
+        for r in (math.nan, math.inf, 0.0, -0.5):  # past the params' own check
+            with pytest.raises(DomainError):
+                self_dual_constraint(SimpleNamespace(t=1.0, r=r), ref)
+        with pytest.raises(DomainError):
+            self_dual_constraint(SimpleNamespace(t=1.0, r=math.nan),
+                                 GlobalReference(0.5 * PI, 0.5 * PI))
 
     def test_leading_log_coefficient_of_derivative(self):
         ref = GlobalReference(0.5 * PI, PI)

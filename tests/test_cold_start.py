@@ -2,7 +2,8 @@
 
 The sweep path runs on Bloch vectors, numpy and the array engine
 ``bz_averages``.  scipy and its submodules load on first use: ``scipy.special``
-for the elliptic closed forms, ``scipy.integrate`` for the QUADPACK oracles.
+(through ``scipy.special.cython_special``) for the elliptic closed forms,
+``scipy.integrate`` for the QUADPACK oracles.
 The check runs in a fresh interpreter, because the test session itself has
 long since imported both.
 """
@@ -45,8 +46,9 @@ from twoband import bz_average, complete_K, complete_K_quadrature, incomplete_E
 out["K"] = complete_K(0.5)
 out["E_inc"] = incomplete_E(0.7, 0.4)
 out["after_closed_forms"] = loaded()
-import scipy, twoband.special_functions as sf
-out["rebound"] = [getattr(sf, "_" + name, None) is getattr(scipy.special, name)
+from scipy.special import cython_special
+import twoband.special_functions as sf
+out["rebound"] = [getattr(sf, "_" + name, None) is getattr(cython_special, name)
                   for name in ("ellipkm1", "ellipeinc")]
 out["K_quad"] = complete_K_quadrature(0.5)
 out["bz"] = bz_average(lambda k: 1.0 / (2.0 - math.cos(k)))
@@ -84,7 +86,7 @@ def test_sweeps_of_every_quantity_load_no_scipy(child):
 
 def test_closed_forms_load_special_only(child):
     assert child["after_closed_forms"] == ["scipy.special"]
-    assert child["rebound"] == [True, True]  # later calls go straight to the ufuncs
+    assert child["rebound"] == [True, True]  # later calls go straight to the Cephes kernels
     # K(1/2) = Gamma(1/4)^2 / (4 sqrt(pi)); E(0.7 | 0.4) from mpmath at 30 digits
     assert child["K"] == pytest.approx(1.8540746773013719184, rel=1e-15)
     assert child["E_inc"] == pytest.approx(0.67870535600337452814, rel=1e-15)

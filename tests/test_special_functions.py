@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from twoband import (DomainError, complete_E, complete_E_quadrature, complete_K,
                      complete_K_quadrature, dK_dm, incomplete_E)
+from twoband import special_functions as sf
+from twoband.special_functions import complementary_K
 
 PI = math.pi
 
@@ -173,3 +176,45 @@ class TestInvariants:
             ref, _ = quad(lambda u: 1.0 / math.sqrt(1.0 - m * math.sin(u) ** 2),
                           0.0, 0.5 * PI, epsabs=1e-13, epsrel=1e-13)
             assert complete_K_quadrature(m) == pytest.approx(ref, rel=1e-12)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestScalarEntryPoints:
+    """The closed forms call the Cephes kernels through ``scipy.special.cython_special``;
+    the ufuncs of the same name wrap the same kernels and must agree bit for bit."""
+
+    EDGES = [0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16]
+    M = np.concatenate((np.linspace(0.0, 1.0, 20001), np.geomspace(5e-324, 1.0, 2000),
+                        1.0 - np.geomspace(1e-16, 1.0, 2000), EDGES))
+
+    def test_the_stand_ins_bind_the_scalar_entry_points(self):
+        from scipy.special import cython_special
+
+        complete_E(0.3), complementary_K(0.3), incomplete_E(0.3, 0.3)
+        for name in ("ellipkm1", "ellipe", "ellipeinc"):
+            assert getattr(sf, "_" + name) is getattr(cython_special, name)
+
+    def test_complete_integrals_equal_the_ufuncs(self):
+        k = [complementary_K(mc) for mc in self.M.tolist()]
+        e = [complete_E(m) for m in self.M.tolist()]
+        assert all(type(v) is float for v in k + e)
+        assert _bits(k) == _bits(scipy.special.ellipkm1(self.M))
+        assert _bits(e) == _bits(scipy.special.ellipe(self.M))
+
+    def test_elliptic_derivatives_take_the_same_k_and_e(self):
+        m = self.M[(self.M > 0.0) & (self.M < 1.0)]
+        got = [sf.elliptic_derivatives(x, 1.0 - x)[:2] for x in m.tolist()]
+        assert _bits([k for k, _ in got]) == _bits(scipy.special.ellipkm1(1.0 - m))
+        assert _bits([e for _, e in got]) == _bits(scipy.special.ellipe(m))
+
+    def test_incomplete_integral_equals_the_ufunc(self):
+        phi = np.concatenate((np.linspace(0.0, 0.5 * PI, 101), [5e-324, 1e-300]))
+        m = np.concatenate((np.linspace(0.0, 1.0, 191), np.geomspace(1e-300, 1e-3, 5),
+                            1.0 - np.geomspace(1e-16, 1e-3, 5), self.EDGES))
+        pp, mm = (a.ravel() for a in np.meshgrid(phi, m))
+        got = [incomplete_E(p, x) for p, x in zip(pp.tolist(), mm.tolist())]
+        assert len(got) > 20000
+        assert _bits(got) == _bits(scipy.special.ellipeinc(pp, mm))
