@@ -1,7 +1,10 @@
 """Command-line front end: sweeps, verification suites, and point diagnostics.
 
 One parser decides every flag.  Each subcommand carries its handler as the
-``run`` default; ``nh-sweep`` is ``sweep`` with its own defaults.  A sweep's
+``run`` default; ``nh-sweep`` is ``sweep`` with its own defaults.  A command
+line that starts with a command name goes straight to that command's
+parser, which reads each token once; anything else (``--help``, no command,
+an unknown one) takes the full parse and its messages.  A sweep's
 ``--config`` file is expanded into the flags it stands for, placed before
 the command line's own, and the same parser parses the result, so the last
 value given wins.
@@ -314,20 +317,40 @@ def _cmd_ratio(args) -> int:
 
 
 @functools.cache
-def _default_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and then reused."""
-    return build_parser()
+def _default_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name, built on the first call and then
+    reused."""
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return parser, commands
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one pass over the tokens.
+
+    The full parse classifies every token before the subcommand's parser reads
+    them all again; here a known command name sends the rest straight to its
+    parser, and leftovers go to the top-level error, as in the full parse.
+    """
+    parser, commands = _default_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _default_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         if getattr(args, "config", None):
             # a config file's flags go first, so the command line's own win
             at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_flags(args.config), *argv[at:]])
+            args = _parse([*argv[:at], *_config_flags(args.config), *argv[at:]])
         return args.run(args)
     except (SpecError, OSError) as exc:  # OSError: a named file cannot be read or written
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -519,6 +519,34 @@ class TestCLI:
     def test_missing_model_is_spec_error(self):
         assert main(["sweep", "--sweep", "t2:0.5:1.5:3"]) == 2
 
+    def test_an_unknown_flag_is_reported_by_the_top_level_parser(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--model", "ssh", "--bogus", "1", "--sweep", "t2:0.5:1.5:3", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: twoband [-h] {sweep,nh-sweep,verify,winding,duality,bound,ratio} ...\n"
+            "twoband: error: unrecognized arguments: --bogus 1 x\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "ssh", "--set", "t1=1", "--set", "t2=2", "--sweep", "t2:0.5:1:3"],
+        ["nh-sweep", "--set", "t1=2", "--sweep", "t2:0.5:1:2", "--degrees", "--theta", "30"],
+        ["verify", "all"],
+        ["bound", "--model", "dual-ssh", "--lam", "2.5", "--abs-tol", "1e-9"],
+        ["duality", "--set", "r=2", "--phi=0.3"],
+    ])
+    def test_one_pass_parses_as_the_full_parser_does(self, argv):
+        import twoband.cli as cli
+
+        assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_a_command_line_is_parsed_by_its_command_alone(self, monkeypatch, capsys):
+        import twoband.cli as cli
+
+        parser, _ = cli._default_parser()
+        monkeypatch.setattr(parser, "parse_known_args", None)  # the full parse would raise
+        assert main(["winding", "--model", "ssh"]) == 0
+
 
 def _stdout(capsys, argv):
     code = main(argv)
