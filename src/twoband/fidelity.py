@@ -149,7 +149,9 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
         size = abs(z)
         big = 1 * (size[1] > size[0])
         b, s, zb = (big, r), (1 - big, r), z[big, r]
-        u = np.where(zb == 0.0, 1.0, zb / size[b])
+        # each part divided alone: numpy divides by a real through its reciprocal, and
+        # a u off the unit circle by an ulp loses digits of dC beside a closing
+        u = np.where(zb == 0.0, 1.0, zb.real / size[b] + 1j * (zb.imag / size[b]))
         uc = u.conj()
         w = z * uc
         sig, asig, neg = w.real, abs(w.real), w.real < 0.0
