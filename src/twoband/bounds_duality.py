@@ -212,7 +212,7 @@ def self_dual_constraint(params: DualSSHParams, ref: GlobalReference) -> Tuple[f
     r, a = params.r, ref.re_alpha_beta
     if a == 0.0:  # C' = 0 and H' = -1/2
         return 0.5, ratio_complexity(r, ref)
-    if not 0.0 < r < math.inf:  # what ratio_complexity's complete_E rejects, and r <= 0
+    if not 0.0 < r < math.inf:  # NaN and inf, which ratio_complexity rejects, and r <= 0
         raise DomainError(f"coupling ratio r={r!r} must be finite and positive")
     terms = _ratio_derivative_terms(r)
     k, e = terms[:2]

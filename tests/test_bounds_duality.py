@@ -52,7 +52,7 @@ class TestReferenceCoefficients:
         assert q == pytest.approx([0.0, 1.0 / (4.0 * PI), 0.0], abs=1e-16)
 
     def test_cached_values_equal_the_formulas_bit_for_bit(self):
-        # both are computed once per reference; the formulas are those of every call before
+        # both are computed once per reference; each must equal its formula on the angles
         rng = np.random.default_rng(7)
         angles = [*zip(rng.uniform(-7.0, 7.0, 500), rng.uniform(-7.0, 7.0, 500)),
                   (0.5 * PI, 0.5 * PI), (0.5 * PI, 1.5 * PI), (0.0, 0.3), (PI, 0.0)]

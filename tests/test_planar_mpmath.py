@@ -125,9 +125,9 @@ def test_rows_beside_a_closing(model, lam, calls):
     _check(model, lam, 1e-12, calls)
 
 
-# 1e-8 from a closing, where u = zb / |zb| an ulp off the unit circle cost dC 1.2e-9 and
-# chi 2.2e-8 of their size: each part of zb is divided alone.  The bound is the measured
-# maximum, 5.2e-16 (chi_F along x on the ssh row), times 2.9
+# 1e-8 from a closing, where a u = zb / |zb| an ulp off the unit circle costs dC 1.2e-9 and
+# chi 2.2e-8 of their size.  The bound is the measured maximum, 5.2e-16 (chi_F along x on
+# the ssh row), times 2.9
 @pytest.mark.parametrize("model,lam", [(MODELS["ssh"].model({"t2": 1.3}, "t1"), 1.29999999),
                                        (MODELS["dual-ssh"].model({"t": 1.3}), 1.00000001)],
                          ids=lambda v: getattr(v, "label", repr(v)))
