@@ -16,9 +16,9 @@ directory, on the same requests:
   Hermitian family through its closing (ssh at k = 0 in t2 and in t1, and at
   k = +-pi under the default and a non-default reference), windows beside the
   closings at k = 0, +-pi and +-pi/2, piecewise references that jump on the
-  line of the zeros and off it, lossy sweeps, sweeps through closed and
-  exceptional rows, the point commands, ``verify all``, ``--help`` and
-  malformed command lines.
+  line of the zeros (also 1e-12 from a closing) and off it, lossy sweeps,
+  sweeps through closed and exceptional rows, the point commands,
+  ``verify all``, ``--help`` and malformed command lines.
 
 A command's output is its ``--out`` file, else its standard output; a library
 request's output is one line per call, ``function[j]=<repr>`` for each entry
@@ -97,6 +97,14 @@ COMMANDS = (
      "--ref-piecewise", PLATEAU],
     ["sweep", "--model", "ssh", "--sweep", "t2:-2:2:6", "--quantities", BESIDE,
      "--ref-piecewise", SPLIT],
+    # the split 1e-12 from the closings of ssh in t1 (k = pi), massive Dirac and the dual chain
+    ["sweep", "--model", "ssh", "--set", "t2=1.3", "--sweep",
+     "t1:-1.3000000000010001:-1.2999999999989999:3", "--quantities", "complexity,dcomplexity",
+     "--ref-piecewise", SPLIT],
+    ["sweep", "--model", "massive-dirac", "--sweep", "mu:1e-12:1e-3:3",
+     "--quantities", "complexity,dcomplexity", "--ref-piecewise", SPLIT],
+    ["sweep", "--model", "dual-ssh", "--sweep", "r:0.999999999999:1.000000000001:3",
+     "--quantities", "complexity,dcomplexity", "--ref-piecewise", SPLIT],
     ["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:5", "--quantities", BESIDE,
      "--ref-piecewise", OFF_LINE],
     ["sweep", "--model", "cooper-pair-box", "--sweep", "ng:0.1:0.4:4", "--quantities", BESIDE,
