@@ -29,9 +29,10 @@ _CEL_STEPS = 9
 # sum |p_i| / |p'|, four times the rounding of the zeros) and, for dC, its moving zeros sit
 # _OFF_ORIGIN from 0, where a mean loses 2e-16 / |sigma| to a difference of cel values.
 _ON_LINE, _OFF_ORIGIN, _ROUNDING = 1e-13, 1e-2, 4.0 * np.finfo(float).eps
-# A split's dC declines _BESIDE the circle, where the full-circle turn's 1 - |sigma| loses
-# 1e-17 / (1 - |sigma|) to a rounded u; h'(s), h = artanh(sqrt s) / sqrt s, is the series
-# n s^(n-1) / (2n + 1) for |s| < 0.05, where (1 / (1 - s) - h) / 2s cancels.
+# A split's dC declines _BESIDE the circle where u is off both axes, and so rounded: there
+# the full-circle turn's 1 - |sigma| loses 1e-17 / (1 - |sigma|) to it.  h'(s), h =
+# artanh(sqrt s) / sqrt s, is the series n s^(n-1) / (2n + 1) for |s| < 0.05, where
+# (1 / (1 - s) - h) / 2s cancels.
 _BESIDE, _H_SLOPE = 1e-3, np.arange(1.0, 15.0) / np.arange(3.0, 31.0, 2.0)
 
 
@@ -113,15 +114,18 @@ def _cel(kc, p, a, b):
     return 0.5 * PI * (b + a * em) / (em * (em + p))
 
 
-def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: bool, chi: bool,
-                     jumps=None):
-    """(ok, <d_hat>, <d(d_hat)/d(lambda)>, chi_F per axis, halves), each (x, z) or None where
-    not asked for, of planar rows from their ``ContourZeros`` and slope rows; ``ok`` marks the
-    rows whose zeros lie on one line u = e^{i theta} through 0 (for dC or chi on an open row,
-    also as lambda moves) and whose values are finite.  With a piecewise reference's
-    ``jumps``, ``ok`` asks each at k = theta or theta + pi, to the breakpoint's rounding, and
-    the smaller zero at most 1/2 from 0; ``halves`` is (u, the odd parts of the two means over
-    phi = k - theta in (0, pi), the zeros _BESIDE from the circle), else None.
+def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivative: bool,
+                     chi: bool):
+    """(ok, C, dC, <d(d_hat)/d(lambda)> per axis, chi_F per axis), each axis pair (x, z) and
+    each None where not asked for, of rows from their ``ContourZeros`` and slope rows under
+    ``ref``: the one decision of which rows take the exact path.  ``ok`` marks the planar rows
+    (d_y = 0, and its rate) under no reference, a global one or a piecewise one, whose zeros
+    lie on one line u = e^{i theta} through 0 (for dC or chi on an open row, also as lambda
+    moves) and whose values are finite.  A piecewise reference must jump only at k = theta or
+    theta + pi, to the breakpoint's rounding, with the smaller zero at most 1/2 from 0: it is
+    n+ on phi = k - theta in (0, pi) and n- on the rest, so a mean is (n+ + n-) / 2 of the
+    full one plus (n+ - n-) of its odd part.  Where u is rounded (off both axes) an open row's
+    dC with n+ + n- != 0 declines _BESIDE the circle.
 
     Each zero reflected into the disk is sigma_j u, sigma_j real: with e^{ik} = u w,
     |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2, and 1 - |sigma_j| is |d| beside
@@ -143,6 +147,9 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
     """
     (p2, q, p0), zs, p1, inside, closed = zeros.p, zeros.p, zeros.p1, zeros.inside, zeros.closed
     n, r, fine, half = closed.size, np.arange(closed.size), True, None  # fine: open dC, chi
+    if not (ref is None or isinstance(ref, (GlobalReference, PiecewiseBlochReference))) or any(
+            np.any(y) if isinstance(y, np.ndarray) else y for _, y, _ in (*zeros.rows, *slope)):
+        return np.zeros(n, bool), None, None, None, None  # d_y or its rate is not 0
     with np.errstate(all="ignore"):
         num, den = zs[1:], zs[:2]  # the zeros q / p2 and p0 / q
         z = np.where(inside, num / den, (den / num).conj())  # outside: reflected, 1 / conj(z)
@@ -152,6 +159,7 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
         # each part divided alone: numpy divides by a real through its reciprocal, and
         # a u off the unit circle by an ulp loses digits of dC beside a closing
         u = np.where(zb == 0.0, 1.0, zb.real / size[b] + 1j * (zb.imag / size[b]))
+        rounded = (u.real != 0.0) & (u.imag != 0.0)  # exact on an axis
         uc = u.conj()
         w = z * uc
         sig, asig, neg = w.real, abs(w.real), w.real < 0.0
@@ -165,7 +173,8 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
         on = abs(w[s].imag) * abs(p1 + 2.0 * q) <= _ROUNDING * (abs(p0) + abs(p1) + abs(p2))
         ok = np.where(closed, on, line[b] & (line & (sig <= 0.5))[s])  # open: not beside u too
         slope_k = 1j * (p2 * u - p0 * uc)  # d_k of d_x - i d_z at theta
-        if jumps is not None:  # the jumps of a reference on the line, at phi = 0 and pi
+        if isinstance(ref, PiecewiseBlochReference) and (complexity or derivative):
+            jumps = ref.jumps()  # on the line, at phi = 0 and pi
             ok &= (sig[s] <= 0.5) & (abs((np.exp(1j * jumps)[:, None] * uc).imag) <= _ROUNDING * (
                 1.0 + abs(jumps))[:, None]).all(0)
             sp = sig[0] * sig[1]  # h(sp) is half int dx / sqrt(Q_1 Q_2) over x = cos phi
@@ -208,7 +217,7 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
             fine &= ((tau == 0.0) | (asig >= _OFF_ORIGIN)).all(0)
             turn = np.array([slope_k.imag * spin + omega * dhat[1],
                              slope_k.real * spin - omega * dhat[0]])
-            if jumps is not None:  # f's even part is K e(cos phi), e real and linear
+            if half is not None:  # f's even part is K e(cos phi), e real and linear
                 hs = np.where(abs(sp) < 0.05, np.polynomial.polynomial.polyval(sp, _H_SLOPE),
                               (1.0 / (1.0 - sp) - hp) / (sp + sp))  # h', without cancellation
                 other = sig[::-1]
@@ -239,8 +248,16 @@ def _planar_averages(zeros: ContourZeros, slope, complexity: bool, derivative: b
         fine &= True if v is None else np.isfinite(v).all(0)
     ok &= (closed | fine) & (True if dhat is None else np.isfinite(
         dhat if half is None else dhat + half).all(0))
-    far = (g >= _BESIDE).all(0)
-    return ok, dhat, turn, gains, None if half is None else (u, half, half_turn, far)
+    nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
+    avg = lambda full, part: nref @ full
+    if half is not None:  # the reference on phi > 0 and phi < 0, read at theta +- pi / 2
+        sides = [ref.bloch_at(np.angle(turn_by * u))[::2] for turn_by in (1j, -1j)]
+        mean, diff = 0.5 * (sides[0] + sides[1]), sides[0] - sides[1]
+        avg = lambda full, part: (mean * full).sum(0) + (diff * part).sum(0)
+        # dC takes the full-circle turn where the mean is not 0
+        ok &= closed | ~(derivative & rounded & mean.any(0)) | (g >= _BESIDE).all(0)
+    return (ok, 0.5 + 0.5 * avg(dhat, half) if complexity else None,
+            0.5 * avg(turn, half_turn) if derivative else None, turn, gains)
 
 
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
@@ -249,42 +266,28 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family ``m`` at
     each of ``lams``, whose ``TwoBandModel.zeros`` the caller may pass.
 
-    A row of planar rows, with a global reference, none, or a piecewise one that jumps only on
-    the line of its zeros (the plateau of ssh, dual-ssh and massive Dirac, a split at k0 = 0:
-    n+ on phi = k - theta in (0, pi), n- on the rest, so a mean is (n+ + n-) / 2 of the full
-    one plus (n+ - n-) of its odd part), takes them from ``_planar_averages`` where it holds,
-    a ``closed`` one only C in the engine's ``closed`` record; every other row that needs an
-    average (a split at k0 != 0, the Cooper-pair box's plateau) from ``_engine_averages``.
-    A closed gap without C, or a request of none, needs none.  A non-finite lambda is a
-    DomainError.
+    Rows split three ways: idle ones need no average (a closed gap without C, or a request of
+    none); exact ones take them from ``_planar_averages``, which decides which rows it takes
+    (planar rows whose zeros lie on one line, under no reference, a global one or a
+    piecewise one that jumps on that line), a ``closed`` one only C in the engine's
+    ``closed`` record; the rest (a split at k0 != 0, the Cooper-pair box's plateau, a moving
+    zero beside 0 for dC) from ``_engine_averages``.  A non-finite lambda is a DomainError.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise DomainError("the parameter value must be finite")
     zeros = m.zeros(lams) if zeros is None else zeros
-    rows, closed = zeros.rows, zeros.closed
-    idle = closed & (not complexity) | (not (complexity or derivative or chi))
-    slope, exact = m.slope(lams), ~idle
-    split = isinstance(ref, PiecewiseBlochReference)
-    exact &= (ref is None or split or isinstance(ref, GlobalReference)) and not any(
-        np.any(row[1]) if isinstance(row[1], np.ndarray) else row[1] for row in (*rows, *slope))
-    jumps = ref.jumps() if split and (complexity or derivative) else None
+    idle = zeros.closed & (not complexity) | (not (complexity or derivative or chi))
+    exact = ~idle
     cs = dcs = integrals = chis = [None] * lams.size
     if exact.any():
-        ok, dhat, turn, gains, odd = _planar_averages(zeros, slope, complexity, derivative, chi,
-                                                      jumps)
+        ok, c, dc, turn, gains = _planar_averages(zeros, m.slope(lams), ref, complexity,
+                                                  derivative, chi)
         exact &= ok
-        nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
-        avg = lambda full, half: nref @ full
-        if odd:  # the reference on phi > 0 and phi < 0, read at theta +- pi / 2
-            ends = [ref.bloch_at(np.angle(turn_by * odd[0]))[::2] for turn_by in (1j, -1j)]
-            mean, diff = 0.5 * (ends[0] + ends[1]), ends[0] - ends[1]
-            avg = lambda full, half: (mean * full).sum(0) + (diff * half).sum(0)
-            if derivative:  # dC takes the full-circle turn where the mean is not 0
-                exact &= odd[3] | closed | ~mean.any(0)
-        cs = (0.5 + 0.5 * avg(dhat, odd and odd[1])).tolist() if complexity else cs
+    if exact.any():
+        cs = c.tolist() if complexity else cs
         if derivative:
-            dcs, integrals = (0.5 * avg(turn, odd and odd[2])).tolist(), np.zeros((lams.size, 3))
+            dcs, integrals = dc.tolist(), np.zeros((lams.size, 3))
             integrals[:, ::2] = 2.0 * PI * turn.T
         if chi:  # the total as numpy sums three
             chis = [SusceptibilityBreakdown(0.0 + x + 0.0 + z, (x, 0.0, z))
@@ -298,7 +301,7 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
             _BlochAverages(cs[i], None, None, diverged, True) if is_closed else
             _BlochAverages(cs[i], dcs[i], integrals[i], chis[i])
             for i, (is_exact, is_idle, is_closed) in enumerate(zip(
-                exact.tolist(), idle.tolist(), closed.tolist()))]
+                exact.tolist(), idle.tolist(), zeros.closed.tolist()))]
 
 
 def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,

@@ -194,7 +194,7 @@ def test_two_zeros_beside_one_point_take_the_engine(calls):
 def test_rows_off_one_line_take_the_engine(skew, calls):
     # the zeros lam e^{0.3 i} and 3i are on no line through 0
     model = MODELS[skew].model({})
-    assert not _planar_averages(model.zeros([2.0]), model.slope(2.0), True, True, True)[0][0]
+    assert not _planar_averages(model.zeros([2.0]), model.slope(2.0), REF, True, True, True)[0][0]
     _bloch_averages(model, [2.0], REF, None, complexity=True)
     assert calls["bz_averages"] == 1
 
@@ -441,19 +441,39 @@ SPLIT_NEAR = [
 def test_an_on_line_split_beside_a_closing(model, lam, calls):
     # C is exact, within the measured 1.1e-16 times 4.5, and so is the plateau's dC, the
     # half-circle terms alone (measured: 0, and the oracle's 2.7e-19 where dC is 0); a
-    # split whose mean is not 0 declines dC, since the full-circle turn of a row this near
-    # its closing loses digits (``_BESIDE``)
+    # split whose mean is not 0 takes the full-circle turn, which keeps its digits here,
+    # where u is exact on an axis: within 2e-15 of its terms (measured 5.9e-16)
     plateau = _bloch_averages(model, [lam], SPLITS[0], None, complexity=True,
                               derivative=True)[0]
     c, dc, terms = _split_reference(model, lam, SPLITS[0])
     assert abs(plateau.complexity - c) <= 5e-16
     assert abs(plateau.dcomplexity - dc) <= 2e-16 * terms + 1e-18
-    c = _bloch_averages(model, [lam], SPLITS[1], None, complexity=True)[0].complexity
-    assert abs(c - _split_reference(model, lam, SPLITS[1], 4)[0]) <= 5e-16
+    split = _bloch_averages(model, [lam], SPLITS[1], None, complexity=True,
+                            derivative=True)[0]
+    c, dc, terms = _split_reference(model, lam, SPLITS[1])
+    assert abs(split.complexity - c) <= 5e-16
+    assert abs(split.dcomplexity - dc) <= 2e-15 * terms
     assert calls["bz_averages"] == 0
-    with mock.patch.object(fidelity, "_engine_averages", return_value=[None]) as engine:
-        _bloch_averages(model, [lam], SPLITS[1], None, complexity=True, derivative=True)
-    assert engine.call_count == 1
+
+
+def test_a_split_on_a_generic_line_declines_dc_beside_its_closing(calls):
+    # on the line theta = 1 the u of the zeros 1 - 5e-4 and 0.3 is rounded, and the
+    # full-circle turn loses digits 5e-4 from the circle (``_BESIDE``; measured 8.6e-15 of
+    # the terms without the decline): the exact path takes the row's C alone, and its dC
+    # runs the engine, within 1e-9 of the oracle
+    theta, (a, b) = 1.0, (vec for _, _, vec in SPLITS[1].pieces)
+    model = _model_of(*_on_line(complex(math.cos(theta), math.sin(theta)), 1.0, 0.0,
+                                (1.0 - 5e-4, 0.3), (1.0, 0.5)))
+    ref = PiecewiseBlochReference(((-PI, theta - PI, a), (theta - PI, theta, b),
+                                   (theta, PI, a)))
+    zeros, slope = model.zeros([0.0]), model.slope(0.0)
+    assert _planar_averages(zeros, slope, ref, True, False, False)[0][0]
+    assert not _planar_averages(zeros, slope, ref, True, True, False)[0][0]
+    assert calls["bz_averages"] == 0
+    avg = _bloch_averages(model, [0.0], ref, None, complexity=True, derivative=True)[0]
+    c, dc, terms = _split_reference(model, 0.0, ref)
+    assert calls["bz_averages"] == 1
+    assert abs(avg.complexity - c) <= 1e-10 and abs(avg.dcomplexity - dc) <= 1e-9 * terms
 
 
 @pytest.mark.parametrize("t1", [0.3, 1.0, 1.3, 2.6, 7.0])
@@ -484,8 +504,8 @@ def test_a_split_off_the_line_takes_the_engine(k0, family, calls):
     ref = PiecewiseBlochReference(((-PI, k0, BlochVector(0.0, 0.0, 1.0)),
                                    (k0, PI, BlochVector(0.0, 0.0, -1.0))))
     model = MODELS[family].model({})
-    assert not _planar_averages(model.zeros([model.lam]), model.slope(model.lam), True, False,
-                                False, ref.jumps())[0][0]
+    assert not _planar_averages(model.zeros([model.lam]), model.slope(model.lam), ref, True,
+                                False, False)[0][0]
     run_sweep(SweepSpec(family, (MODELS[family].parameters[0], 0.2, 0.4, 3), reference=ref,
                         quantities=("complexity", "dcomplexity")))
     assert calls["bz_averages"] == 1 and calls["averages"] == 3

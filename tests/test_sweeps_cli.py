@@ -1,6 +1,7 @@
 """Sweep engine and CLI tests: determinism, schemas, exit codes."""
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -999,6 +1000,25 @@ class TestPlanarRowsOnTheCommandLine:
         ratio = float(lines[3].split("ratio=")[1])
         assert math.isfinite(lhs) and math.isfinite(rhs) and 0.0 < lhs <= rhs
         assert "satisfied=True" in out and 0.0 < ratio <= 1.0
+
+    @pytest.mark.parametrize("argv,lam,dc", [
+        (["--model", "ssh", "--set", "t2=1.3", "--sweep",
+          "t1:-1.3000000000010001:-1.2999999999989999:3"], -1.2999999999989999, None),
+        (["--model", "massive-dirac", "--sweep", "mu:1e-12:1e-3:3"], 1e-12, 4.49725203472981)])
+    def test_a_split_sweep_beside_a_closing_exits_0(self, argv, lam, dc, tmp_path, capsys,
+                                                    calls):
+        # the engine ran out of budget on the split's dC 1e-12 from the closing (exit 3); the
+        # exact path takes every row, the closed one flagged, and dC at mu = 1e-12 is the
+        # 30-digit value to 1e-14
+        split = tmp_path / "split.txt"
+        split.write_text(f"{-PI} 0 0.3 -0.5 0.8\n0 {PI} -0.6 0.2 0.1\n")
+        code, out = _stdout(capsys, ["sweep", *argv, "--quantities", "complexity,dcomplexity",
+                                     "--ref-piecewise", str(split)])
+        assert code == 0 and calls["bz_averages"] == 0
+        rows = {float(row[0]): row[1:] for row in csv.reader(out.splitlines()[1:])}
+        assert len(rows) == 3 and all(math.isfinite(float(v)) for c, d, _ in rows.values()
+                                      for v in (c, d))
+        assert dc is None or float(rows[lam][1]) == pytest.approx(dc, rel=1e-14)
 
     def test_nh_sweep_help_names_only_the_lossy_quantities(self, capsys):
         with pytest.raises(SystemExit):
