@@ -137,6 +137,14 @@ def fs_duality_check(params: DualSSHParams,
     return lhs, rhs, residual
 
 
+def _finite_ratio(r: float) -> float:
+    """r, checked once for the functions of the coupling ratio below: a NaN, infinite or
+    non-positive r is a DomainError, whatever the reference."""
+    if not 0.0 < r < math.inf:  # NaN fails both comparisons
+        raise DomainError(f"coupling ratio r={r!r} must be finite and positive")
+    return r
+
+
 def _ratio_derivative_terms(r: float) -> Tuple[float, float, float, float, float]:
     """K, E, dK/dm, dE/dm at m = 4r/(1+r)^2 and dm/dr; the derivatives diverge at r = 1."""
     mc = ((1.0 - r) / (1.0 + r)) ** 2  # exact complement 1 - m
@@ -146,8 +154,9 @@ def _ratio_derivative_terms(r: float) -> Tuple[float, float, float, float, float
 
 
 def ratio_complexity(r: float, ref: GlobalReference) -> float:
-    """Closed-form complexity of the chain with coupling ratio r (t-independent)."""
-    return 0.5 + ref.re_alpha_beta * _ssh_elliptic_terms(1.0, r)
+    """Closed-form complexity of the chain with coupling ratio r (t-independent); r must be
+    finite and positive, as in the three functions below."""
+    return 0.5 + ref.re_alpha_beta * _ssh_elliptic_terms(1.0, _finite_ratio(r))
 
 
 def _ratio_complexity_prime(a: float, r: float, k: float, e: float, dk: float, de: float,
@@ -158,7 +167,7 @@ def _ratio_complexity_prime(a: float, r: float, k: float, e: float, dk: float, d
 
 def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:
     """Analytic d/dr of ratio_complexity; diverges logarithmically at r = 1."""
-    a = ref.re_alpha_beta
+    r, a = _finite_ratio(r), ref.re_alpha_beta
     if a == 0.0:
         return 0.0
     return _ratio_complexity_prime(a, r, *_ratio_derivative_terms(r))
@@ -166,7 +175,7 @@ def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:
 
 def complexity_duality_offset(r: float, ref: GlobalReference) -> float:
     """H(r) = (1-r)/2 + 2 Re(alpha* beta) (1-r) K(m) / pi; H(1) = 0."""
-    mc = ((1.0 - r) / (1.0 + r)) ** 2
+    mc = ((1.0 - _finite_ratio(r)) / (1.0 + r)) ** 2
     if mc == 0.0:
         return 0.0
     return (1.0 - r) / 2.0 + 2.0 * ref.re_alpha_beta * (1.0 - r) * complementary_K(mc) / PI
@@ -180,7 +189,7 @@ def _offset_prime(a: float, r: float, k: float, e: float, dk: float, de: float,
 
 def complexity_duality_offset_prime(r: float, ref: GlobalReference) -> float:
     """Analytic d/dr of the duality offset H."""
-    a = ref.re_alpha_beta
+    r, a = _finite_ratio(r), ref.re_alpha_beta
     if a == 0.0:
         return -0.5
     return _offset_prime(a, r, *_ratio_derivative_terms(r))
@@ -209,11 +218,9 @@ def self_dual_constraint(params: DualSSHParams, ref: GlobalReference) -> Tuple[f
     K(m) and E(m) are evaluated once and serve C', H' and C alike; each
     entry equals that of the three public functions bit for bit.
     """
-    r, a = params.r, ref.re_alpha_beta
+    r, a = _finite_ratio(params.r), ref.re_alpha_beta
     if a == 0.0:  # C' = 0 and H' = -1/2
         return 0.5, ratio_complexity(r, ref)
-    if not 0.0 < r < math.inf:  # NaN and inf, which ratio_complexity rejects, and r <= 0
-        raise DomainError(f"coupling ratio r={r!r} must be finite and positive")
     terms = _ratio_derivative_terms(r)
     k, e = terms[:2]
     # ratio_complexity's (delta K + s E) / (pi t1) at t1 = 1, t2 = r, in its operation order

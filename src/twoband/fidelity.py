@@ -159,7 +159,7 @@ def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivati
         # each part divided alone: numpy divides by a real through its reciprocal, and
         # a u off the unit circle by an ulp loses digits of dC beside a closing
         u = np.where(zb == 0.0, 1.0, zb.real / size[b] + 1j * (zb.imag / size[b]))
-        rounded = (u.real != 0.0) & (u.imag != 0.0)  # exact on an axis
+        rounded = (u.real != 0.0) & (u.imag != 0.0)  # u is exact on an axis only
         uc = u.conj()
         w = z * uc
         sig, asig, neg = w.real, abs(w.real), w.real < 0.0
@@ -254,7 +254,7 @@ def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivati
         sides = [ref.bloch_at(np.angle(turn_by * u))[::2] for turn_by in (1j, -1j)]
         mean, diff = 0.5 * (sides[0] + sides[1]), sides[0] - sides[1]
         avg = lambda full, part: (mean * full).sum(0) + (diff * part).sum(0)
-        # dC takes the full-circle turn where the mean is not 0
+        # dC takes the full-circle turn where the mean is not 0, which a rounded u spoils
         ok &= closed | ~(derivative & rounded & mean.any(0)) | (g >= _BESIDE).all(0)
     return (ok, 0.5 + 0.5 * avg(dhat, half) if complexity else None,
             0.5 * avg(turn, half_turn) if derivative else None, turn, gains)

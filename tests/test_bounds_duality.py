@@ -448,6 +448,28 @@ class TestComplexityDuality:
             assert complexity_duality_offset(r, ref) == pytest.approx((1.0 - r) / 2.0, abs=1e-15)
 
 
+class TestCouplingRatioDomain:
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -0.5, -1.0])
+    @pytest.mark.parametrize("ref", [GlobalReference(0.9, 0.4), GlobalReference(0.5 * PI, PI),
+                                     GlobalReference(0.5 * PI, 0.5 * PI)],
+                             ids=["re(alpha* beta) > 0", "< 0", "= 0"])
+    def test_a_ratio_not_finite_and_positive_raises(self, r, ref):
+        # before the Re(alpha* beta) = 0 shortcuts; these gave NaN, finite values at an
+        # elliptic parameter m < 0, or a ZeroDivisionError
+        for call in (lambda: ratio_complexity(r, ref), lambda: ratio_complexity_prime(r, ref),
+                     lambda: complexity_duality_offset(r, ref),
+                     lambda: complexity_duality_offset_prime(r, ref),
+                     lambda: self_dual_constraint(SimpleNamespace(t=1.0, r=r), ref)):
+            with pytest.raises(DomainError, match="must be finite and positive"):
+                call()
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-300, 0.3, 1.0, 2.0, 1e300])
+    def test_a_finite_positive_ratio_passes(self, r):
+        for ref in (GlobalReference(0.9, 0.4), GlobalReference(0.5 * PI, 0.5 * PI)):
+            assert math.isfinite(ratio_complexity(r, ref))
+            assert math.isfinite(complexity_duality_offset(r, ref))
+
+
 class TestSelfDualConstraint:
     def test_null_reference_exact(self):
         ref = GlobalReference(0.5 * PI, 0.5 * PI)

@@ -251,6 +251,13 @@ class TestExcitedPiecewise:
         with pytest.raises(PartitionError):
             BandAssignment((-PI, math.nan, PI), (1, -1))
 
+    def test_piecewise_reference_rejects_no_pieces_and_an_empty_last_piece(self):
+        up, down = BlochVector(0.0, 0.0, 1.0), BlochVector(0.0, 0.0, -1.0)
+        with pytest.raises(PartitionError, match="empty"):
+            PiecewiseBlochReference(())
+        with pytest.raises(PartitionError, match="positive length"):
+            PiecewiseBlochReference(((-PI, PI, up), (PI, PI, down)))
+
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
     def test_piecewise_reference_rejects_non_finite_bounds(self, bound):
         # a NaN split averaged to 0.5, where the split at 0 gives 0.1817

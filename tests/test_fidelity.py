@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from twoband import (BZQuadratureConfig, DomainError, GapClosedError,
-                     MassiveDiracParams, SSHParams, chi_F, chi_F_md_closed,
+from twoband import (BZQuadratureConfig, ConvergenceError, DomainError, GapClosedError,
+                     GlobalReference, MassiveDiracParams, SSHParams, chi_F, chi_F_md_closed,
                      chi_F_md_z_closed, chi_F_per_mode,
-                     chi_F_per_mode_projector, chi_F_ssh_closed,
+                     chi_F_per_mode_projector, chi_F_ssh_closed, ground_complexity,
                      massive_dirac_model, ssh_model)
 from twoband.fidelity import dhat_derivative
 from twoband.models import MODELS, TwoBandModel
@@ -122,6 +122,12 @@ class TestBZAveraged:
         assert got.diverged
         assert math.isfinite(got.total) and all(math.isfinite(c) for c in got.components)
         assert got.total == pytest.approx(sum(got.components), rel=1e-12)
+
+    def test_exhausted_budget_raises_without_chi(self, skew):
+        # only chi keeps an unconverged estimate, flagged; C alone has no flag to carry it
+        with pytest.raises(ConvergenceError):
+            ground_complexity(MODELS[skew].model({}), GlobalReference(0.9, 0.4),
+                              BZQuadratureConfig(max_subdivisions=2))
 
     @pytest.mark.parametrize("delta", [1e-10, 1e-12])
     def test_finite_beside_the_transition_however_large(self, delta):

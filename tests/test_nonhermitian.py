@@ -243,6 +243,13 @@ class TestBiKrylovBasis:
         with pytest.raises(NormalizationError):
             bikrylov_basis(math.nan, 0.0)
 
+    def test_rejects_vanishing_amplitudes(self):
+        params = NonHermitianSSHParams(2.0, 1.0, 0.5)
+        for call in (lambda: nh_complexity_per_mode(params, 0.3, 1e-13, 0.0),
+                     lambda: nh_ground_complexity(params, 0.0, 1e-13j)):
+            with pytest.raises(NormalizationError, match="cannot both vanish"):
+                call()
+
     def test_rejects_non_finite_amplitudes(self):
         params = NonHermitianSSHParams(2.0, 1.0, 1.0)
         for alpha, beta in ((math.nan, 1.0), (1.0, complex(math.inf, 0.0))):

@@ -46,6 +46,8 @@ class TestCompleteK:
             complete_K(1.5)
         with pytest.raises(DomainError):
             complete_K(-0.2)
+        with pytest.raises(DomainError, match="diverges at m = 1"):
+            complete_K_quadrature(1.0)
 
     def test_boundary_noise_is_clamped(self):
         assert complete_K(-1e-15) == pytest.approx(0.5 * PI, abs=1e-15)

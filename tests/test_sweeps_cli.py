@@ -17,6 +17,7 @@ from twoband import (BlochVector, DualSSHParams, GlobalReference, NonHermitianSS
                      records_to_csv, records_to_json, run_sweep, ssh_complexity_closed,
                      winding_cross_product, winding_log_derivative, write_records)
 from twoband.cli import build_parser, main
+from twoband.errors import ConvergenceError
 from twoband.fidelity import _bloch_averages
 from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
@@ -55,6 +56,10 @@ class TestSweepSpecValidation:
         for start, stop in ((-math.inf, 1.0), (0.5, math.inf)):
             with pytest.raises(SpecError):
                 SweepSpec(model="ssh", sweep=("t2", start, stop, 3))
+
+    def test_unknown_sweep_parameter(self):
+        with pytest.raises(SpecError, match="cannot sweep 'mu'"):
+            SweepSpec(model="ssh", sweep=("mu", 0.0, 1.0, 3))
 
     def test_sweep_parameter_cannot_be_fixed(self):
         with pytest.raises(SpecError):
@@ -105,6 +110,12 @@ class TestSweepSpecValidation:
 
 
 class TestRunSweep:
+    def test_a_lossy_average_out_of_budget_raises(self):
+        # only an exceptional point skips a lossy row; an exhausted budget ends the sweep
+        spec = SweepSpec("nh-ssh", ("t2", 1, 3, 5), {"t1": 2, "gamma": 1})
+        with pytest.raises(ConvergenceError):
+            run_sweep(spec, BZQuadratureConfig(max_subdivisions=2))
+
     def test_deterministic_csv(self):
         spec = SweepSpec(model="ssh", sweep=("t2", 0.2, 2.0, 7), fixed={"t1": 1.0},
                          quantities=("complexity", "chi_f"))
