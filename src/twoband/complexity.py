@@ -50,10 +50,12 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
                       cfg: BZQuadratureConfig | None = None) -> float:
     """BZ average of the ground-state C_k = 1/2 + (1/2) n_ref(k) . d_hat(k).
 
-    An open planar row on one line is averaged exactly (``_bloch_averages``);
-    any other takes the engine on the graded ``panel_edges`` and reference
-    breakpoints, where no node meets a singular point.  A gap closed at a node
-    raises GapClosedError, an exhausted budget ConvergenceError.
+    A planar row whose zeros lie on one line, under a global reference or a
+    piecewise one that jumps on that line, is averaged exactly, a closed one
+    too (``_planar_averages`` decides); any other takes the engine on the
+    graded ``panel_edges`` and reference breakpoints, where no node meets a
+    singular point.  There a gap closed at a node raises GapClosedError, an
+    exhausted budget ConvergenceError.
     """
     return _bloch_averages(model, [model.lam], ref, cfg, complexity=True)[0].complexity
 
@@ -109,12 +111,14 @@ def md_dC_dmu_analytic(params: MassiveDiracParams, theta: float) -> float:
 
 
 def plateau_complexity(params: SSHParams, cfg: BZQuadratureConfig | None = None) -> float:
-    """SSH complexity for the antipodal z-axis reference, by quadrature.
+    """SSH complexity for the antipodal z-axis reference, exact.
 
     The per-mode value 1/2 - t2 sin|k| / (2 |d(k)|) averages to
     1/2 - t2/(pi t1) in the trivial phase and plateaus at 1/2 - 1/pi in the
-    topological phase.  The per-mode formula is authoritative here; see the
-    normalization notes in the README.
+    topological phase.  The reference jumps at k = 0 and pi, on the line of
+    the SSH zeros, so the exact path takes every row, closed ones included.
+    The per-mode formula is authoritative here; see the normalization notes in
+    the README.
     """
     return ground_complexity(ssh_model(params), plateau_reference(), cfg)
 
@@ -169,8 +173,9 @@ def excited_piecewise_complexity(params: SSHParams, bands: BandAssignment,
 
     The target Bloch vector is sign(k) * d_hat(k), so per mode
     C_k = 1/2 - (sign(k)/2) * n_ref . d_hat(k): the ground complexity against
-    the piecewise reference ``bands.reference(n_ref)``, whose breakpoints
-    split the quadrature panels.
+    the piecewise reference ``bands.reference(n_ref)``.  A split at k0 = 0
+    jumps on the line of the SSH zeros and is exact; one at k0 != 0 takes the
+    engine, whose panels its breakpoints split.
     """
     return ground_complexity(ssh_model(params), bands.reference(_require_global(ref).bloch), cfg)
 

@@ -46,6 +46,8 @@ class TestCompleteK:
             complete_K(1.5)
         with pytest.raises(DomainError):
             complete_K(-0.2)
+
+    def test_quadrature_oracle_rejects_one(self):
         with pytest.raises(DomainError, match="diverges at m = 1"):
             complete_K_quadrature(1.0)
 
