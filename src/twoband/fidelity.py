@@ -149,7 +149,7 @@ def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivati
     n, r, fine, half = closed.size, np.arange(closed.size), True, None  # fine: open dC, chi
     if not (ref is None or isinstance(ref, (GlobalReference, PiecewiseBlochReference))) or any(
             np.any(y) if isinstance(y, np.ndarray) else y for _, y, _ in (*zeros.rows, *slope)):
-        return np.zeros(n, bool), None, None, None, None  # d_y or its rate is not 0
+        return np.zeros(n, bool), None, None, None, None  # not planar, or another reference
     with np.errstate(all="ignore"):
         num, den = zs[1:], zs[:2]  # the zeros q / p2 and p0 / q
         z = np.where(inside, num / den, (den / num).conj())  # outside: reflected, 1 / conj(z)
