@@ -17,6 +17,7 @@ directory, on the same requests:
   k = +-pi under the default and a non-default reference), windows beside the
   closings at k = 0, +-pi and +-pi/2, piecewise references that jump on the
   line of the zeros (also 1e-12 from a closing) and off it, lossy sweeps,
+  engine sweeps of 101 rows (more than one chunk of ``_MAX_OWNERS`` owners),
   sweeps through closed and exceptional rows, the point commands,
   ``verify all``, ``--help`` and malformed command lines.
 
@@ -110,6 +111,10 @@ COMMANDS = (
     ["sweep", "--model", "cooper-pair-box", "--sweep", "ng:0.1:0.4:4", "--quantities", BESIDE,
      "--ref-piecewise", PLATEAU],
     ["nh-sweep", "--set", "t1=2", "--set", "gamma=1", "--sweep", "t2:1:3:9"],
+    # engine runs of 101 rows, more than one chunk of owners; ng = 0.5 is a closed row
+    ["sweep", "--model", "cooper-pair-box", "--ref-piecewise", PLATEAU, "--sweep",
+     "ng:0.1:0.9:101", "--quantities", "complexity,dcomplexity,chi_f"],
+    ["nh-sweep", "--set", "t1=2", "--set", "gamma=1", "--sweep", "t2:1:3:101"],
     ["nh-sweep", "--set", "t1=1", "--set", "t2=1.3", "--sweep", "gamma:0:2:9",
      "--out", "lossy-gamma.json"],
     ["nh-sweep", "--set", "t1=1", "--set", "gamma=0", "--sweep", "t2:0.99999999:1.00000001:2"],
