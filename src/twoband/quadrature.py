@@ -109,7 +109,10 @@ _REFINE_MARGIN = 16.0
 _MAX_SPLIT = 64
 
 
-# Owners averaged in one run at most; bounds the size of one kernel call.
+# Owners averaged in one run at most; bounds the node values and panel state of one
+# refinement level.  A 5,000-row sweep peaked at 43 MB (lossy chain) and 63 MB
+# (Cooper-pair box, plateau reference, C, dC and chi_F) with it, and at 81 MB and
+# 396 MB with all rows in one run.
 _MAX_OWNERS = 64
 
 
@@ -139,7 +142,11 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
     ranked stably, at most _MAX_SPLIT, until the rest would meet them over
     _REFINE_MARGIN.  A finished owner's panels stay unsplit.  Returns per owner
     the estimate in the kernel's form or, past ``max_subdivisions`` panels or at
-    a non-finite error, a ConvergenceError carrying it.  No node is on an edge.
+    a non-finite error, a ConvergenceError carrying it and the owner's summed
+    group errors.  The estimate is the ``np.add.reduceat`` sum of the owner's
+    K21 values in panel order, the sum its last convergence test read; no other
+    owner's panels enter it, so it equals the owner's lone average bit for bit.
+    No node is on an edge.
     """
     cfg = cfg or BZQuadratureConfig()
     if not isinstance(edges, np.ndarray):
@@ -170,14 +177,13 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
             tol = np.maximum(cfg.abs_tol * 2.0 * PI,
                              cfg.rel_tol * np.add.reduceat(np.abs(sums[:n_rows - 2]), rows))
             converged = np.logical_and.reduce(owner_err <= tol)
-            weights = None if len(ends) == 1 else tol[0] / tol  # in first-group tolerances
-            err_total = owner_err[0] if weights is None else np.add.reduce(weights * owner_err)
+            weights = tol[0] / tol  # in first-group tolerances
+            err_total = np.add.reduce(weights * owner_err)
             room = cfg.max_subdivisions - npan
             alive &= ~converged & (room > 0) & np.isfinite(err_total)
             if not alive.any():
                 break
-            score = (state[n_rows] if weights is None else
-                     np.add.reduce(weights[:, own] * state[n_rows:]))
+            score = np.add.reduce(weights[:, own] * state[n_rows:])
             order = np.lexsort((np.where(alive[own], -score, 0.0), own))
             rank = np.arange(own.size) - starts[own]  # position in the owner's ranking
             ranked = np.zeros((npan.size, npan.max()))
@@ -199,21 +205,13 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
             state = np.concatenate((state.take(kept, axis=1), np.concatenate(
                 ([lo, hi], val, np.add.reduceat(diff, rows)))), axis=1).take(place, axis=1)
             npan = np.bincount(own, minlength=npan.size)
-        # Owners of one panel count are summed as one C-ordered (rows, owners, panels) block,
-        # or a lone owner's view: numpy's pairwise sum per owner, in panel order (the
-        # strided result of state[:, index] would be summed sequentially).
-        total = np.empty((n_rows - 2, npan.size))
-        for p in set(npan.tolist()):
-            which = (npan == p).nonzero()[0]
-            block = (state[2:n_rows, starts[which[0]]:starts[which[0]] + p][:, None] if which.size
-                     == 1 else state[2:n_rows].take(starts[which][:, None] + np.arange(p), axis=1))
-            total[:, which] = block.sum(axis=-1) / (2.0 * PI)
+        total = sums[:n_rows - 2] / (2.0 * PI)  # the sums the last test read
         groups = [total[a:b].T.reshape((-1, *shape)) for a, b, shape in zip(rows, ends, shapes)]
         found = list(zip(*groups)) if isinstance(out, tuple) else list(groups[0])
         for i in (~converged).nonzero()[0].tolist():
-            error = float(state[n_rows:, starts[i]:starts[i] + npan[i]].sum()) / (2.0 * PI)
             found[i] = ConvergenceError("BZ average did not converge within the subdivision "
-                                        "budget", estimate=found[i], error=error)
+                                        "budget", estimate=found[i],
+                                        error=float(owner_err[:, i].sum()) / (2.0 * PI))
         results += found
     return results
 
