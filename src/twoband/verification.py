@@ -28,7 +28,7 @@ from .models import (MODELS, CooperPairBoxParams, DualSSHParams, MassiveDiracPar
 from .nonhermitian import (bikrylov_basis, biorthogonal_ground, nh_complexity_derivative,
                            nh_complexity_per_mode, nh_complexity_per_mode_overlap,
                            nh_ground_complexity)
-from .quadrature import BZQuadratureConfig, param_derivative
+from .quadrature import param_derivative
 from .topology import dual_windings, winding_cross_product, winding_log_derivative
 
 PI = math.pi
@@ -83,7 +83,6 @@ def special_functions_suite() -> List[CheckResult]:
 
 
 def closed_forms_suite() -> List[CheckResult]:
-    cfg = BZQuadratureConfig()
     checks: List[CheckResult] = []
     refs = [GlobalReference(0.5 * PI, PI), GlobalReference(PI / 3.0, PI / 4.0),
             GlobalReference(0.3, 2.0)]
@@ -93,7 +92,7 @@ def closed_forms_suite() -> List[CheckResult]:
             model = ssh_model(SSHParams(t1, t2))
             for ref in refs:
                 worst = max(worst, abs(ssh_complexity_closed(SSHParams(t1, t2), ref)
-                                       - ground_complexity(model, ref, cfg)))
+                                       - ground_complexity(model, ref)))
     checks.append(_check("SSH closed form vs exact planar average (grid)", worst, 1e-8))
     worst = 0.0
     for mu in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0):
@@ -101,17 +100,17 @@ def closed_forms_suite() -> List[CheckResult]:
             model = massive_dirac_model(MassiveDiracParams(mu=mu))
             ref = GlobalReference(theta, 0.0)
             worst = max(worst, abs(md_complexity_closed(MassiveDiracParams(mu=mu), theta)
-                                   - ground_complexity(model, ref, cfg)))
+                                   - ground_complexity(model, ref)))
     checks.append(_check("massive-Dirac closed form vs exact planar average", worst, 1e-8))
     worst = 0.0
     for t1, t2 in ((2.0, 1.0), (1.0, 2.0), (1.3, 2.2), (2.6, 0.7)):
-        got = chi_F(ssh_model(SSHParams(t1, t2)), t2, cfg).components[0]
+        got = chi_F(ssh_model(SSHParams(t1, t2)), t2).components[0]
         ref_val = chi_F_ssh_closed(SSHParams(t1, t2))
         worst = max(worst, abs(got - ref_val) / ref_val)
     checks.append(_check("SSH susceptibility x-component closed form (relative)", worst, 1e-6))
     worst = 0.0
     for mu in (0.05, 0.5, 1.0, 3.0):
-        breakdown = chi_F(massive_dirac_model(MassiveDiracParams(mu=mu)), mu, cfg)
+        breakdown = chi_F(massive_dirac_model(MassiveDiracParams(mu=mu)), mu)
         worst = max(worst, abs(breakdown.total - chi_F_md_closed(MassiveDiracParams(mu=mu)))
                     / breakdown.total)
         worst = max(worst, abs(breakdown.components[2] - chi_F_md_z_closed(MassiveDiracParams(mu=mu)))
@@ -121,11 +120,11 @@ def closed_forms_suite() -> List[CheckResult]:
     # and 1.1e-16 times 3.6 and 2.7
     grid = [SSHParams(t1, t2) for t1 in (0.6, 1.0, 1.7, 2.6) for t2 in (0.5, 1.0, 1.2, 2.1, 2.9)]
     checks.append(_check("plateau vs 1/2 - min(t1, t2)/(pi t1) (grid)", max(
-        abs(plateau_complexity(p, cfg) - (0.5 - min(p.t1, p.t2) / (PI * p.t1))) for p in grid),
+        abs(plateau_complexity(p) - (0.5 - min(p.t1, p.t2) / (PI * p.t1))) for p in grid),
         2e-16))
     bands = BandAssignment.two_interval(0.0, -1, +1)
     checks.append(_check("k0 = 0 band split closed form (grid)", max(
-        abs(excited_piecewise_complexity(p, bands, GlobalReference(theta, 0.3), cfg)
+        abs(excited_piecewise_complexity(p, bands, GlobalReference(theta, 0.3))
             - excited_split_closed(p, theta)) for p in grid for theta in (0.7, 2.0)), 3e-16))
     # the Cooper-pair box is massive Dirac at t = 1 and mu = Ecc (1 - 2 ng) / (2 Ej), its k
     # shifted by pi/2, with dmu/dng = -Ecc / Ej: gapped and 1e-6 from ng = 1/2, each bound
@@ -135,9 +134,9 @@ def closed_forms_suite() -> List[CheckResult]:
                         for ng in (0.2, -1.3, 0.5 + 1e-6, 0.5 - 1e-6)]:
         model = cooper_pair_box_model(CooperPairBoxParams(ej, ecc, ng))
         md = MassiveDiracParams(mu=ecc * (1.0 - 2.0 * ng) / (2.0 * ej))
-        chi = chi_F(model, ng, cfg).total / (chi_F_md_closed(md) * (ecc / ej) ** 2)
+        chi = chi_F(model, ng).total / (chi_F_md_closed(md) * (ecc / ej) ** 2)
         for ref in refs[1:]:
-            avg = _bloch_averages(model, [ng], ref, cfg, complexity=True, derivative=True)[0]
+            avg = _bloch_averages(model, [ng], ref, None, complexity=True, derivative=True)[0]
             errors.append((abs(avg.complexity - md_complexity_closed(md, ref.theta)), abs(
                 avg.dcomplexity / (-ecc / ej * md_dC_dmu_analytic(md, ref.theta)) - 1.0),
                 abs(chi - 1.0)))
@@ -154,7 +153,7 @@ def closed_forms_suite() -> List[CheckResult]:
         model = MODELS[name].model(fixed)
         label = name if ref is refs[1] else f"{name} plateau"
         for lam in (model.lam, closing + 1e-6, closing):
-            got, want = (f(model, [lam], ref, cfg, complexity=True, derivative=True,
+            got, want = (f(model, [lam], ref, None, complexity=True, derivative=True,
                            chi=True)[0] for f in (_bloch_averages, _engine_averages))
             worst = max([abs(got.complexity - want.complexity), *(abs(x / y - 1.0) for x, y in (
                 (got.dcomplexity, want.dcomplexity), *zip(got.chi.components, want.chi.components))
@@ -163,11 +162,11 @@ def closed_forms_suite() -> List[CheckResult]:
                                       True)[0][0]
             checks.append(_check(f"exact path vs engine, {label} at {lam!r}",
                                  worst if routed else math.inf, 1e-9))
-    worst = max(abs(ground_complexity(ssh_model(SSHParams(t, t)), ref, cfg)
+    worst = max(abs(ground_complexity(ssh_model(SSHParams(t, t)), ref)
                     - ssh_complexity_closed(SSHParams(t, t), ref))
                 for t in (0.6, 1.0, 1.7) for ref in refs)
     checks.append(_check("closed SSH row vs closed form at t1 = t2", worst, 1e-15))
-    worst = max(abs(ground_complexity(massive_dirac_model(MassiveDiracParams(t, 0.0)), ref, cfg)
+    worst = max(abs(ground_complexity(massive_dirac_model(MassiveDiracParams(t, 0.0)), ref)
                     - md_complexity_closed(MassiveDiracParams(t, 0.0), ref.theta))
                 for t in (0.5, 2.0) for ref in refs)
     checks.append(_check("closed massive-Dirac row vs closed form at mu = 0", worst, 1e-15))
@@ -175,19 +174,18 @@ def closed_forms_suite() -> List[CheckResult]:
 
 
 def duality_suite() -> List[CheckResult]:
-    cfg = BZQuadratureConfig()
     ref = GlobalReference(0.5 * PI, PI)
     checks: List[CheckResult] = []
     for r in (0.2, 0.5, 2.0, 5.0):
-        _, _, resid = fs_duality_check(DualSSHParams(1.0, r), cfg)
+        _, _, resid = fs_duality_check(DualSSHParams(1.0, r))
         checks.append(_check(f"susceptibility duality at r={r} (relative)", resid, 1e-6))
-        _, _, resid = complexity_duality_check(DualSSHParams(1.0, r), ref, cfg)
+        _, _, resid = complexity_duality_check(DualSSHParams(1.0, r), ref)
         checks.append(_check(f"complexity duality at r={r}", resid, 1e-7))
     checks.append(_check("duality offset vanishes at r=1",
                          complexity_duality_offset(1.0, ref), 0.0))
     model = ssh_model(SSHParams(1.0, 1.0))
     for r in (1.5, 3.0):
-        resid = ratio_R(model, ref, r, cfg) - ratio_R(model, ref, 1.0 / r, cfg)
+        resid = ratio_R(model, ref, r) - ratio_R(model, ref, 1.0 / r)
         checks.append(_check(f"ratio symmetry R(r)=R(1/r) at r={r}", resid, 1e-8))
     c1 = 0.5 + ref.re_alpha_beta * 2.0 / PI
     far, near = (abs(self_dual_constraint(DualSSHParams(1.0, 1.0 + eps), ref)[0] - c1)
@@ -198,7 +196,6 @@ def duality_suite() -> List[CheckResult]:
 
 
 def bound_suite() -> List[CheckResult]:
-    cfg = BZQuadratureConfig()
     checks: List[CheckResult] = []
     ref = GlobalReference(0.5 * PI, PI)
     ssh = ssh_model(SSHParams(1.0, 1.0))
@@ -207,19 +204,19 @@ def bound_suite() -> List[CheckResult]:
     for name, model, point_ref, lams, closing, margin in (
             ("SSH", ssh, ref, np.linspace(0.2, 2.5, 20), 1.0, 2e-2),
             ("massive-Dirac", md, ref_z, np.linspace(-2.0, 2.0, 20), 0.0, 5e-2)):
-        violations = sum(not bound_check(model, point_ref, float(lam), cfg).satisfied
+        violations = sum(not bound_check(model, point_ref, float(lam)).satisfied
                          for lam in lams if abs(lam - closing) >= margin)
         checks.append(_check(f"bound holds across the {name} sweep", violations, 0.5))
     worst = 0.0
     for model, point_ref, lam in ((ssh, ref, 0.5), (ssh, ref, 2.0), (md, ref_z, 0.7)):
-        fd = param_derivative(lambda x: ground_complexity(model.at(x), point_ref, cfg), lam)
-        worst = max(worst, abs(bound_check(model, point_ref, lam, cfg).lhs - abs(fd)))
+        fd = param_derivative(lambda x: ground_complexity(model.at(x), point_ref), lam)
+        worst = max(worst, abs(bound_check(model, point_ref, lam).lhs - abs(fd)))
     checks.append(_check("bound lhs vs finite difference of the complexity", worst, 1e-9))
     target = math.sqrt(2.0 / 3.0)
     checks.append(_check("ratio saturation, SSH at t2=50",
-                         ratio_R(ssh, ref, 50.0, cfg) - target, 1e-3))
+                         ratio_R(ssh, ref, 50.0) - target, 1e-3))
     checks.append(_check("ratio saturation, massive Dirac at mu=50",
-                         ratio_R(md, ref_z, 50.0, cfg) - target, 1e-3))
+                         ratio_R(md, ref_z, 50.0) - target, 1e-3))
     return checks
 
 
@@ -231,7 +228,6 @@ def log_divergence_suite() -> List[CheckResult]:
     closed-form coefficient of ln|delta|: Re(alpha* beta) / (pi t1) for SSH
     swept in t2 at t1, and -cos(theta) / pi for the massive-Dirac chain.
     """
-    cfg = BZQuadratureConfig()
     ref = GlobalReference(0.9, 0.4)
     span = math.log(1e-8) - math.log(1e-10)
     cases = [(f"SSH at t1={t1}", ssh_model(SSHParams(t1, t1)), t1,
@@ -241,7 +237,7 @@ def log_divergence_suite() -> List[CheckResult]:
     checks: List[CheckResult] = []
     for name, model, transition, coefficient in cases:
         for side, sign in (("above", 1.0), ("below", -1.0)):
-            near, far = (complexity_derivative(model, ref, transition + sign * delta, cfg)
+            near, far = (complexity_derivative(model, ref, transition + sign * delta)
                          for delta in (1e-10, 1e-8))
             checks.append(_check(f"{name}: ln|delta| coefficient of dC/dlambda {side} (relative)",
                                  (far - near) / span / coefficient - 1.0, 1e-6))
@@ -279,7 +275,6 @@ def winding_suite() -> List[CheckResult]:
 
 
 def nonhermitian_suite() -> List[CheckResult]:
-    cfg = BZQuadratureConfig()
     checks: List[CheckResult] = []
     rng = np.random.default_rng(7)
     worst_pairing = 0.0
@@ -307,18 +302,18 @@ def nonhermitian_suite() -> List[CheckResult]:
     checks.append(_check("Krylov biorthonormality (random samples)", worst_basis, 1e-10))
     checks.append(_check("explicit vs overlap per-mode weights", worst_dual, 1e-10))
     amp = 1.0 / math.sqrt(2.0)
-    hermitian = ground_complexity(ssh_model(SSHParams(2.0, 1.0)), GlobalReference(0.5 * PI, 0.0), cfg)
+    hermitian = ground_complexity(ssh_model(SSHParams(2.0, 1.0)), GlobalReference(0.5 * PI, 0.0))
     checks.append(_check("gamma = 0 reduction to the Hermitian value",
-                         nh_ground_complexity(NonHermitianSSHParams(2.0, 1.0, 0.0), amp, amp, cfg)
+                         nh_ground_complexity(NonHermitianSSHParams(2.0, 1.0, 0.0), amp, amp)
                          - hermitian, 1e-8))
     checks.append(_check("gamma -> 0 continuity",
-                         nh_ground_complexity(NonHermitianSSHParams(2.0, 1.0, 1e-6), amp, amp, cfg)
+                         nh_ground_complexity(NonHermitianSSHParams(2.0, 1.0, 1e-6), amp, amp)
                          - hermitian, 1e-5))
     # C is C^1 across each PBC gap closing t2 = c: dC/dt2(c + delta) - dC/dt2(c)
     # scales as |delta|^(1/2) on the side between the two closings and as
     # |delta| outside.  The exponent is read off delta = 1e-5 and 1e-7.
     slope = lambda t2: nh_complexity_derivative(NonHermitianSSHParams(2.0, t2, 1.0), "t2",
-                                                amp, amp, cfg)[1]
+                                                amp, amp)[1]
     lo, hi = NonHermitianSSHParams(2.0, 2.0, 1.0).gap_closing_couplings()[2:]  # at k = 0
     worst = 0.0
     for closing, inward in ((lo, 1.0), (hi, -1.0)):
