@@ -75,6 +75,8 @@ class TestPerMode:
             chi_F_per_mode(np.zeros(3), np.ones(3))
         with pytest.raises(GapClosedError):
             dhat_derivative(np.zeros(3), np.ones(3))
+        with pytest.raises(GapClosedError):  # the projector oracle's own check
+            chi_F_per_mode_projector([0.0, 0.0, 0.0], [0.0, 0.0, 1e-9])
 
 
 class TestBZAveraged:
@@ -128,6 +130,13 @@ class TestBZAveraged:
         with pytest.raises(ConvergenceError):
             ground_complexity(MODELS[skew].model({}), GlobalReference(0.9, 0.4),
                               BZQuadratureConfig(max_subdivisions=2))
+
+    def test_the_engine_kernel_raises_where_d_vanishes(self, calls):
+        # rows that are all 0 have no zeros for the exact path to take
+        zero = lambda lam: ((0.0,) * 3,) * 3
+        with pytest.raises(GapClosedError, match=r"\|d\| = 0"):
+            ground_complexity(TwoBandModel(zero, zero, 0.0), GlobalReference(0.9, 0.4))
+        assert calls["bz_averages"] == 1
 
     @pytest.mark.parametrize("delta", [1e-10, 1e-12])
     def test_finite_beside_the_transition_however_large(self, delta):

@@ -384,6 +384,22 @@ def test_a_closed_row_off_one_line_takes_the_engine(skew, calls):
     assert abs(avg.complexity - _c_reference(model, 1.0, REF)[0]) <= 1e-10
 
 
+# the skew rows gapped, and 1e-4 and 1e-8 from their closing at lam = 1 (k = 0.3); C is
+# within 3e-16 (measured 1.1e-16), and each dC bound is the measured maximum of its terms
+# times 2.5 to 3.4: 5.9e-16 gapped, 1.7e-14 at 1e-4, 4.0e-11 at 1e-8
+@pytest.mark.parametrize("lam,bound", [(2.0, 2e-15), (1.5, 2e-15), (1.0 + 1e-4, 5e-14),
+                                       (1.0 - 1e-4, 5e-14), (1.0 + 1e-8, 1e-10)])
+def test_rows_off_one_line_against_the_oracle(skew, lam, bound, calls):
+    model = MODELS[skew].model({})
+    avg = _bloch_averages(model, [lam], REF, None, complexity=True, derivative=True)[0]
+    assert calls["bz_averages"] == 1
+    dx, dz, vx, vz = _reference(model, lam, 4)
+    n = REF.bloch.as_array()
+    assert abs(avg.complexity - (0.5 + 0.5 * (n[0] * dx + n[2] * dz))) <= 3e-16
+    terms = 0.5 * (abs(n[0] * vx) + abs(n[2] * vz))
+    assert abs(avg.dcomplexity - 0.5 * (n[0] * vx + n[2] * vz)) <= bound * terms
+
+
 # -- piecewise references that jump on the line of the zeros -------------------------------
 
 # jumps at k = 0 and pi, on the line of every ssh, dual-ssh and massive-Dirac row
@@ -509,6 +525,20 @@ def test_a_split_off_the_line_takes_the_engine(k0, family, calls):
     run_sweep(SweepSpec(family, (MODELS[family].parameters[0], 0.2, 0.4, 3), reference=ref,
                         quantities=("complexity", "dcomplexity")))
     assert calls["bz_averages"] == 1 and calls["averages"] == 3
+
+
+@pytest.mark.parametrize("t2", [0.5, 1.7, 1.0 + 1e-4, 1.0 - 1e-6])
+def test_a_split_off_the_line_against_the_oracle(t2, calls):
+    # the split's vectors jump at k = 1, off the line of the ssh zeros; C is within 3e-16
+    # (measured 1.1e-16) and dC within 6e-16 of its terms (measured 1.9e-16)
+    a, b = (vec for _, _, vec in SPLITS[1].pieces)
+    ref = PiecewiseBlochReference(((-PI, 1.0, a), (1.0, PI, b)))
+    model = MODELS["ssh"].model({"t1": 1.0})
+    avg = _bloch_averages(model, [t2], ref, None, complexity=True, derivative=True)[0]
+    assert calls["bz_averages"] == 1
+    c, dc, terms = _split_reference(model, t2, ref)
+    assert abs(avg.complexity - c) <= 3e-16
+    assert abs(avg.dcomplexity - dc) <= 6e-16 * terms
 
 
 _UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)

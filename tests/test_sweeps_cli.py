@@ -531,6 +531,33 @@ class TestCLI:
     def test_missing_model_is_spec_error(self):
         assert main(["sweep", "--sweep", "t2:0.5:1.5:3"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--model", "ssh", "--set", "t1", "--sweep", "t2:1:2:3"],
+         "--set expects key=value, got 't1'"),
+        (["sweep", "--model", "ssh", "--sweep", "t2:a:b:3"],
+         "bad --sweep specification 't2:a:b:3'"),
+        (["sweep", "--model", "ssh"], "a sweep needs --sweep name:start:stop:points"),
+    ])
+    def test_a_malformed_sweep_is_spec_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("argv,code,text", [
+        (["--help"], 0, "positional arguments:"),
+        ([], 2, "twoband: error: the following arguments are required: command"),
+        (["frobnicate"], 2, "twoband: error: argument command: invalid choice: 'frobnicate'"),
+    ])
+    def test_a_line_without_a_command_takes_the_full_parse(self, argv, code, text,
+                                                           monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        shown = captured.out if code == 0 else captured.err
+        assert shown.startswith("usage: twoband [-h] {sweep,nh-sweep,verify,winding,duality,"
+                                "bound,ratio} ...\n") and text in shown
+
     def test_an_unknown_flag_is_reported_by_the_top_level_parser(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
         with pytest.raises(SystemExit) as exc:
@@ -591,6 +618,13 @@ class TestConfigFile:
             main(["sweep", "--config", str(conf)])
         assert exc.value.code == 2
         assert line.split()[0] in capsys.readouterr().err
+
+    def test_a_line_without_equals_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(self.CONF + "theta\n")
+        assert main(["sweep", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: config line must be key = value: 'theta'\n")
 
     def test_config_key_naming_another_config_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "sweep.conf"
