@@ -110,9 +110,9 @@ _MAX_SPLIT = 64
 
 
 # Owners averaged in one run at most; bounds the node values and panel state of one
-# refinement level.  A 5,000-row sweep peaked at 43 MB (lossy chain) and 63 MB
-# (Cooper-pair box, plateau reference, C, dC and chi_F) with it, and at 81 MB and
-# 396 MB with all rows in one run.
+# refinement level.  The peak RSS of a 5,000-row sweep was 43 MB (lossy chain) and
+# 63 MB (Cooper-pair box, plateau reference, C, dC and chi_F) with it, and 81 MB and
+# 396 MB with all rows in one run (30 MB before the sweep).
 _MAX_OWNERS = 64
 
 

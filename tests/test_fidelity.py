@@ -132,7 +132,7 @@ class TestBZAveraged:
                               BZQuadratureConfig(max_subdivisions=2))
 
     def test_the_engine_kernel_raises_where_d_vanishes(self, calls):
-        # rows that are all 0 have no zeros for the exact path to take
+        # a row that is 0 at every k is declined by the exact path and meets |d| = 0 in the engine
         zero = lambda lam: ((0.0,) * 3,) * 3
         with pytest.raises(GapClosedError, match=r"\|d\| = 0"):
             ground_complexity(TwoBandModel(zero, zero, 0.0), GlobalReference(0.9, 0.4))
