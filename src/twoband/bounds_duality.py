@@ -21,7 +21,8 @@ from .errors import DomainError, GapClosedError, UndefinedRatioError
 from .fidelity import _bloch_averages, _BlochAverages, chi_F
 from .models import DualSSHParams, TwoBandModel, dual_pair
 from .quadrature import BZQuadratureConfig
-from .special_functions import complementary_K, elliptic_derivatives
+from . import special_functions as sf
+from .special_functions import elliptic_derivatives
 
 PI = math.pi
 
@@ -146,11 +147,13 @@ def _finite_ratio(r: float) -> float:
 
 
 def _ratio_derivative_terms(r: float) -> Tuple[float, float, float, float, float]:
-    """K, E, dK/dm, dE/dm at m = 4r/(1+r)^2 and dm/dr; the derivatives diverge at r = 1."""
+    """K, E, dK/dm, dE/dm at m = 4r/(1+r)^2 and dm/dr in one tuple; the derivatives
+    diverge at r = 1."""
     mc = ((1.0 - r) / (1.0 + r)) ** 2  # exact complement 1 - m
     if mc == 0.0:
         raise DomainError("derivative diverges logarithmically at the self-dual point")
-    return (*elliptic_derivatives(1.0 - mc, mc), 4.0 * (1.0 - r) / (1.0 + r) ** 3)
+    k, e, dk, de = elliptic_derivatives(1.0 - mc, mc)
+    return k, e, dk, de, 4.0 * (1.0 - r) / (1.0 + r) ** 3
 
 
 def ratio_complexity(r: float, ref: GlobalReference) -> float:
@@ -159,18 +162,16 @@ def ratio_complexity(r: float, ref: GlobalReference) -> float:
     return 0.5 + ref.re_alpha_beta * _ssh_elliptic_terms(1.0, _finite_ratio(r))
 
 
-def _ratio_complexity_prime(a: float, r: float, k: float, e: float, dk: float, de: float,
-                            m_prime: float) -> float:
-    """C'(r) from ``_ratio_derivative_terms(r)`` and a = Re(alpha* beta)."""
+def _ratio_complexity_prime(a: float, r: float, terms: Tuple[float, ...]) -> float:
+    """C'(r) from ``terms = _ratio_derivative_terms(r)`` and a = Re(alpha* beta)."""
+    k, e, dk, de, m_prime = terms
     return a * ((-k + e + ((1.0 - r) * dk + (1.0 + r) * de) * m_prime) / PI)
 
 
 def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:
     """Analytic d/dr of ratio_complexity; diverges logarithmically at r = 1."""
     r, a = _finite_ratio(r), ref.re_alpha_beta
-    if a == 0.0:
-        return 0.0
-    return _ratio_complexity_prime(a, r, *_ratio_derivative_terms(r))
+    return 0.0 if a == 0.0 else _ratio_complexity_prime(a, r, _ratio_derivative_terms(r))
 
 
 def complexity_duality_offset(r: float, ref: GlobalReference) -> float:
@@ -178,21 +179,19 @@ def complexity_duality_offset(r: float, ref: GlobalReference) -> float:
     mc = ((1.0 - _finite_ratio(r)) / (1.0 + r)) ** 2
     if mc == 0.0:
         return 0.0
-    return (1.0 - r) / 2.0 + 2.0 * ref.re_alpha_beta * (1.0 - r) * complementary_K(mc) / PI
+    return (1.0 - r) / 2.0 + 2.0 * ref.re_alpha_beta * (1.0 - r) * sf._ellipkm1(mc) / PI
 
 
-def _offset_prime(a: float, r: float, k: float, e: float, dk: float, de: float,
-                  m_prime: float) -> float:
-    """H'(r) from ``_ratio_derivative_terms(r)`` and a = Re(alpha* beta)."""
+def _offset_prime(a: float, r: float, terms: Tuple[float, ...]) -> float:
+    """H'(r) from ``terms = _ratio_derivative_terms(r)`` and a = Re(alpha* beta)."""
+    k, _, dk, _, m_prime = terms
     return -0.5 + (2.0 * a / PI) * (-k + (1.0 - r) * dk * m_prime)
 
 
 def complexity_duality_offset_prime(r: float, ref: GlobalReference) -> float:
     """Analytic d/dr of the duality offset H."""
     r, a = _finite_ratio(r), ref.re_alpha_beta
-    if a == 0.0:
-        return -0.5
-    return _offset_prime(a, r, *_ratio_derivative_terms(r))
+    return -0.5 if a == 0.0 else _offset_prime(a, r, _ratio_derivative_terms(r))
 
 
 def complexity_duality_check(params: DualSSHParams, ref: GlobalReference,
@@ -222,7 +221,7 @@ def self_dual_constraint(params: DualSSHParams, ref: GlobalReference) -> Tuple[f
     if a == 0.0:  # C' = 0 and H' = -1/2
         return 0.5, ratio_complexity(r, ref)
     terms = _ratio_derivative_terms(r)
-    k, e = terms[:2]
+    k, e = terms[0], terms[1]
     # ratio_complexity's (delta K + s E) / (pi t1) at t1 = 1, t2 = r, in its operation order
-    return (2.0 * _ratio_complexity_prime(a, r, *terms) - _offset_prime(a, r, *terms),
+    return (2.0 * _ratio_complexity_prime(a, r, terms) - _offset_prime(a, r, terms),
             0.5 + a * (((1.0 - r) * k + (1.0 + r) * e) / PI))

@@ -21,7 +21,7 @@ from .errors import DomainError, GapClosedError, PartitionError
 from .models import GAP_EPS, MassiveDiracParams, SSHParams, TwoBandModel, ssh_model
 from .fidelity import _bloch_averages
 from .quadrature import BZQuadratureConfig
-from .special_functions import complementary_K, complete_E
+from . import special_functions as sf
 
 PI = math.pi
 
@@ -34,7 +34,7 @@ def complexity_per_mode(n_ref, n_target) -> float:
     a = n_ref.as_array() if isinstance(n_ref, BlochVector) else np.asarray(n_ref, dtype=float)
     b = n_target.as_array() if isinstance(n_target, BlochVector) else np.asarray(n_target, dtype=float)
     c = 0.5 * (1.0 - float(a @ b))
-    return min(max(c, 0.0), 1.0)
+    return 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
 
 
 def ground_state_bloch(d) -> BlochVector:
@@ -61,12 +61,16 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
 
 
 def _ssh_elliptic_terms(t1: float, t2: float) -> float:
-    """(delta*K(m) + s*E(m)) / (pi*t1) from the exact complement 1 - m = (delta/s)^2."""
+    """(delta*K(m) + s*E(m)) / (pi*t1) from the exact complement 1 - m = (delta/s)^2.
+
+    For t1, t2 > 0, |delta| <= s, so m lies in [0, 1] and the Cephes entry points
+    take it unguarded, as do the massive-Dirac forms below.
+    """
     s = t1 + t2
     delta = t1 - t2
     mc = (delta / s) ** 2
-    k_term = 0.0 if mc == 0.0 else delta * complementary_K(mc)
-    return (k_term + s * complete_E(1.0 - mc)) / (PI * t1)
+    k_term = 0.0 if mc == 0.0 else delta * sf._ellipkm1(mc)
+    return (k_term + s * sf._ellipe(1.0 - mc)) / (PI * t1)
 
 
 def _require_global(ref: ReferenceState) -> GlobalReference:
@@ -93,7 +97,7 @@ def md_complexity_closed(params: MassiveDiracParams, theta: float) -> float:
     mc = (mu / root) ** 2  # exact complement mu^2/(1+mu^2) of the parameter
     if mc == 0.0:  # mu = 0, or mu^2 underflows: mu*K -> 0
         return 0.5
-    return 0.5 + mu * math.cos(theta) / (PI * root) * complementary_K(mc)
+    return 0.5 + mu * math.cos(theta) / (PI * root) * sf._ellipkm1(mc)
 
 
 def md_dC_dmu_analytic(params: MassiveDiracParams, theta: float) -> float:
@@ -107,7 +111,7 @@ def md_dC_dmu_analytic(params: MassiveDiracParams, theta: float) -> float:
     mc = (params.mu / root) ** 2
     if mc == 0.0:
         raise DomainError("derivative diverges at mu = 0")
-    return math.cos(theta) / (PI * root) * (complementary_K(mc) - complete_E(1.0 - mc))
+    return math.cos(theta) / (PI * root) * (sf._ellipkm1(mc) - sf._ellipe(1.0 - mc))
 
 
 def plateau_complexity(params: SSHParams, cfg: BZQuadratureConfig | None = None) -> float:

@@ -8,6 +8,12 @@ their scalar entry points in ``scipy.special.cython_special``, which load
 ``scipy.special.ellipkm1``, ``ellipe`` and ``ellipeinc`` wrap the same
 kernels and serve the tests as the bitwise oracle; the defining quadratures
 are kept as slow oracles to cross-check both.
+
+Closed forms whose parameter lies in [0, 1] by construction call the entry
+points as ``special_functions._ellipkm1`` and ``special_functions._ellipe``:
+a module attribute sees the rebinding below, while a name bound by
+``from .special_functions import _ellipe`` would keep the first-call stub,
+which imports ``cython_special`` again on every call.
 """
 
 from __future__ import annotations
@@ -36,14 +42,20 @@ _ellipkm1, _ellipe, _ellipeinc = _cephes("ellipkm1"), _cephes("ellipe"), _cephes
 # Boundary values within this distance of {0, 1} are clamped instead of
 # rejected; they arise from floating-point noise in m = 4*t1*t2/(t1+t2)^2.
 _BOUNDARY_CLAMP = 1e-14
+_HALF_PI = 0.5 * math.pi
 
 
 def _param(m) -> float:
-    """m clamped to [0, 1]; NaN or m beyond the clamp raises DomainError."""
+    """m clamped to [0, 1]; NaN or m beyond the clamp raises DomainError.
+
+    The clamps here and in ``incomplete_E`` compare: on CPython 3.11
+    ``min(max(m, 0.0), 1.0)`` costs more than the integral it guards.  Both keep
+    m = -0.0 as it is.
+    """
     m = float(m)
     if not -_BOUNDARY_CLAMP <= m <= 1.0 + _BOUNDARY_CLAMP:
         raise DomainError(f"elliptic parameter m={m!r} outside [0, 1]")
-    return min(max(m, 0.0), 1.0)
+    return 0.0 if m < 0.0 else 1.0 if m > 1.0 else m
 
 
 def complete_K(m) -> float:
@@ -54,7 +66,7 @@ def complete_K(m) -> float:
     m = _param(m)
     if m >= 1.0:
         raise DomainError("K(m) diverges at m = 1")
-    return complementary_K(1.0 - m)
+    return _ellipkm1(1.0 - m)
 
 
 def complementary_K(mc: float) -> float:
@@ -104,26 +116,27 @@ def incomplete_E(phi: float, m) -> float:
     """
     m = _param(m)
     phi = float(phi)
-    if not -_BOUNDARY_CLAMP <= phi <= 0.5 * math.pi + _BOUNDARY_CLAMP:
+    if not -_BOUNDARY_CLAMP <= phi <= _HALF_PI + _BOUNDARY_CLAMP:
         raise DomainError(f"amplitude phi={phi!r} outside [0, pi/2]")
-    return _ellipeinc(min(max(phi, 0.0), 0.5 * math.pi), m)
+    return _ellipeinc(0.0 if phi < 0.0 else _HALF_PI if phi > _HALF_PI else phi, m)
+
+
+def _defining_integral(integrand) -> float:
+    """Adaptive quadrature of ``integrand`` over [0, pi/2], the slow oracles' one path."""
+    import scipy.integrate
+    val, _ = scipy.integrate.quad(integrand, 0.0, _HALF_PI, epsabs=1e-13, epsrel=1e-13, limit=500)
+    return val
 
 
 def complete_K_quadrature(m) -> float:
     """Slow oracle: K(m) by adaptive quadrature of the defining integral."""
-    import scipy.integrate
     m = _param(m)
     if m >= 1.0:
         raise DomainError("K(m) diverges at m = 1")
-    val, _ = scipy.integrate.quad(lambda u: 1.0 / math.sqrt(1.0 - m * math.sin(u) ** 2),
-                                  0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=500)
-    return val
+    return _defining_integral(lambda u: 1.0 / math.sqrt(1.0 - m * math.sin(u) ** 2))
 
 
 def complete_E_quadrature(m) -> float:
     """Slow oracle: E(m) by adaptive quadrature of the defining integral."""
-    import scipy.integrate
     m = _param(m)
-    val, _ = scipy.integrate.quad(lambda u: math.sqrt(1.0 - m * math.sin(u) ** 2),
-                                  0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=500)
-    return val
+    return _defining_integral(lambda u: math.sqrt(1.0 - m * math.sin(u) ** 2))

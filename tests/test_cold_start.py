@@ -45,11 +45,13 @@ out["scipy_after_sweeps"] = "scipy" in sys.modules
 from twoband import bz_average, complete_K, complete_K_quadrature, incomplete_E
 out["K"] = complete_K(0.5)
 out["E_inc"] = incomplete_E(0.7, 0.4)
+out["C"] = twoband.ssh_complexity_closed(twoband.SSHParams(1.0, 1.7),
+                                         twoband.GlobalReference(0.9, 0.4))
 out["after_closed_forms"] = loaded()
 from scipy.special import cython_special
 import twoband.special_functions as sf
 out["rebound"] = [getattr(sf, "_" + name, None) is getattr(cython_special, name)
-                  for name in ("ellipkm1", "ellipeinc")]
+                  for name in ("ellipkm1", "ellipe", "ellipeinc")]
 out["K_quad"] = complete_K_quadrature(0.5)
 out["bz"] = bz_average(lambda k: 1.0 / (2.0 - math.cos(k)))
 out["after_oracles"] = loaded()
@@ -86,10 +88,13 @@ def test_sweeps_of_every_quantity_load_no_scipy(child):
 
 def test_closed_forms_load_special_only(child):
     assert child["after_closed_forms"] == ["scipy.special"]
-    assert child["rebound"] == [True, True]  # later calls go straight to the Cephes kernels
+    # after a call that uses each, later calls go straight to the Cephes kernels
+    assert child["rebound"] == [True, True, True]
     # K(1/2) = Gamma(1/4)^2 / (4 sqrt(pi)); E(0.7 | 0.4) from mpmath at 30 digits
     assert child["K"] == pytest.approx(1.8540746773013719184, rel=1e-15)
     assert child["E_inc"] == pytest.approx(0.67870535600337452814, rel=1e-15)
+    # ssh_complexity_closed at (t1, t2) = (1, 1.7), reference (0.9, 0.4), from mpmath
+    assert child["C"] == pytest.approx(0.61142357479750600346, rel=1e-15)
 
 
 def test_oracles_load_integrate_and_agree(child):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from twoband import (DomainError, complete_E, complete_E_quadrature, complete_K,
-                     complete_K_quadrature, dK_dm, incomplete_E)
+                     complete_K_quadrature, dE_dm, dK_dm, incomplete_E)
 from twoband import special_functions as sf
 from twoband.special_functions import complementary_K
 
@@ -122,6 +122,12 @@ class TestIncompleteE:
         with pytest.raises(DomainError, match="amplitude"):
             incomplete_E(float("nan"), 0.3)
 
+    def test_amplitude_noise_is_clamped(self):
+        for m in (0.0, 0.3, 1.0):
+            got = incomplete_E(-5e-15, m)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+            assert _bits([incomplete_E(0.5 * PI + 5e-15, m)]) == _bits([complete_E(m)])
+
 
 class TestModulusType:
     def test_clamps_within_tolerance(self):
@@ -136,6 +142,16 @@ class TestModulusType:
             for m in (-1e-12, 1.001, float("nan")):
                 with pytest.raises(DomainError, match="outside"):
                     fn(m)
+
+    @pytest.mark.parametrize("fn", [dK_dm, dE_dm, lambda m: incomplete_E(0.3, m)],
+                             ids=["dK_dm", "dE_dm", "incomplete_E"])
+    def test_rejects_a_nan_parameter(self, fn):
+        with pytest.raises(DomainError, match="outside"):
+            fn(float("nan"))
+
+    def test_negative_zero_keeps_its_sign(self):
+        assert math.copysign(1.0, sf._param(-0.0)) == -1.0
+        assert math.copysign(1.0, sf._param(-5e-15)) == 1.0
 
 
 class TestInvariants:

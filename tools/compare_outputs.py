@@ -31,7 +31,10 @@ prints every request
 whose exit code, first error line or output differs, with the largest |delta|
 of each of its columns (inf where a flag or label changed), the number of
 cells that moved by more than 1e-10 + 1e-10 |old|, and the largest |delta|
-per family and column over all requests.  Exit status: 0 when every output
+per source, family and column over all requests.  A request's source is its
+workload's deck (``lossy-sweep deck``) or, for one of ``COMMANDS``, its
+command line (``twoband nh-sweep ...``), so a deck, a command and an engine
+sweep of the same family are summed up apart.  Exit status: 0 when every output
 is identical, 1 when one differs, 2 when a tree fails to run.
 """
 
@@ -201,17 +204,20 @@ def worker(src: str) -> None:
     Path(CONFIG).write_text("model = ssh\nsweep = t2:0.5:1.5:3\nbogus = 1\n", encoding="utf-8")
     outcomes = []
     for workload in WORKLOADS:
+        deck = f"{workload} deck"
         for seed in SEEDS:
             gen = Generator(workload, seed, Path("work") / f"{workload}-{seed}", twoband)
             gen.write_inputs()
             for i in range(ROUNDS):
-                outcomes += [(req.argv, _run(twoband.cli, req.argv)) if req.argv is not None
-                             else ([".".join(req.call), f"seed={seed}", f"round={i}"],
+                outcomes += [(deck, req.argv, _run(twoband.cli, req.argv))
+                             if req.argv is not None
+                             else (deck, [".".join(req.call), f"seed={seed}", f"round={i}"],
                                    _call(req)) for req in gen.round()]
-    outcomes += [(argv, _run(twoband.cli, argv)) for argv in COMMANDS]
+    outcomes += [(" ".join(["twoband", *argv]), argv, _run(twoband.cli, argv))
+                 for argv in COMMANDS]
     prefix = str(Path(src).resolve())  # a warning names its file: one token for either tree
-    json.dump([(argv, (code, err.replace(prefix, "<src>"), text))
-               for argv, (code, err, text) in outcomes], sys.stdout)
+    json.dump([(source, argv, (code, err.replace(prefix, "<src>"), text))
+               for source, argv, (code, err, text) in outcomes], sys.stdout)
 
 
 def _cell(text: str):
@@ -271,7 +277,7 @@ def compare(old_src: str, new_src: str) -> int:
             return 2
         runs.append(json.loads(proc.stdout))
     worst, moved, outside = {}, 0, 0
-    for (argv, old), (_, new) in zip(*runs):
+    for (source, argv, old), (_, _, new) in zip(*runs):
         if old == new:
             continue
         moved += 1
@@ -285,7 +291,7 @@ def compare(old_src: str, new_src: str) -> int:
             d = _delta(a, b)
             if d > 0.0:
                 changed[cell[1]] = max(changed.get(cell[1], 0.0), d)
-                key = (_family(argv), cell[1])
+                key = (source, _family(argv), cell[1])
                 if d > worst.get(key, (0.0,))[0]:
                     worst[key] = (d, a, b)
                 outside += not (isinstance(a, (int, float)) and d <= 1e-10 + 1e-10 * abs(a))
@@ -293,8 +299,12 @@ def compare(old_src: str, new_src: str) -> int:
                       or "no parsed cell differs"))
     print(f"{moved} of {len(runs[0])} requests differ; {outside} cells differ by more than "
           "1e-10 + 1e-10 |old|")
-    for (family, column), (d, a, b) in sorted(worst.items()):
-        print(f"  {family:24s} {column:18s} |delta| {d:.3g}  ({a!r} -> {b!r})")
+    last = None
+    for (source, family, column), (d, a, b) in sorted(worst.items()):
+        if source != last:
+            print(f"  {source}")
+            last = source
+        print(f"    {family:24s} {column:18s} |delta| {d:.3g}  ({a!r} -> {b!r})")
     return 1 if moved else 0
 
 
