@@ -15,7 +15,8 @@ directory, on the same requests:
 * the fixed command list ``COMMANDS``: every sweep quantity on every
   Hermitian family through its closing (ssh at k = 0 in t2 and in t1, and at
   k = +-pi under the default and a non-default reference), windows beside the
-  closings at k = 0, +-pi and +-pi/2, piecewise references that jump on the
+  closings at k = 0, +-pi and +-pi/2 (engine rows graded at k = 0 and +-pi
+  under a jump off the zeros' line), piecewise references that jump on the
   line of the zeros (also 1e-12 from a closing) and off it, lossy sweeps,
   engine sweeps of 101 rows (more than one chunk of ``_MAX_OWNERS`` owners),
   sweeps through closed and exceptional rows, the point commands,
@@ -84,7 +85,8 @@ COMMANDS = (
     ["sweep", "--model", "cooper-pair-box", "--sweep", "ng:0.3:0.7:5", "--quantities", ALL],
     ["sweep", "--model", "massive-dirac", "--sweep", "mu:-1e-10:1e-10:3", "--quantities", ALL],
     ["sweep", "--model", "ssh", "--sweep", "t2:0.999999:1.000001:3", "--quantities", ALL],
-    # engine rows graded beside a closing at k = +-pi and +-pi/2
+    # plateau sweeps beside a closing at k = +-pi, 0 and +-pi/2: the exact path takes the
+    # ssh and massive-Dirac rows, the engine the Cooper-pair box's, graded at +-pi/2
     ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:-1.00001:-0.99999:5",
      "--quantities", BESIDE, "--ref-piecewise", PLATEAU],
     ["sweep", "--model", "massive-dirac", "--sweep", "mu:-1e-6:1e-6:5",
@@ -93,6 +95,12 @@ COMMANDS = (
      "--quantities", BESIDE, "--ref-piecewise", PLATEAU],
     ["sweep", "--model", "ssh", "--sweep", "t2:0.9:1.1:5", "--quantities", BESIDE,
      "--ref-piecewise", PLATEAU, "--out", "ssh-plateau.json"],
+    # engine rows graded beside an ssh closing at k = 0 and at k = +-pi, under the jump off
+    # the zeros' line
+    ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:0.99999:1.00001:5",
+     "--quantities", BESIDE, "--ref-piecewise", OFF_LINE],
+    ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:-1.00001:-0.99999:5",
+     "--quantities", BESIDE, "--ref-piecewise", OFF_LINE],
     # piecewise references that jump on the zeros' line, and two that must not move: a
     # jump off the line, and the Cooper-pair box's zeros on the imaginary axis
     ["sweep", "--model", "massive-dirac", "--sweep", "mu:-2:2:6", "--quantities", BESIDE,
