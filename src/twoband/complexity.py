@@ -52,9 +52,9 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
 
     A planar row whose zeros lie on one line, under a global reference or a
     piecewise one that jumps on that line, is averaged exactly, a closed one
-    too (``_planar_averages`` decides); any other takes the engine on the
-    graded ``panel_edges`` and reference breakpoints, where no node meets a
-    singular point.  There a gap closed at a node raises GapClosedError, an
+    too (``_planar_averages`` decides); any other takes the engine on panels
+    graded toward its singular points and split at the reference breakpoints,
+    where no node meets a singular point.  There a gap closed at a node raises GapClosedError, an
     exhausted budget ConvergenceError.
     """
     return _bloch_averages(model, [model.lam], ref, cfg, complexity=True)[0].complexity

@@ -18,7 +18,7 @@ from .bloch import GlobalReference, PiecewiseBlochReference
 from .errors import ConvergenceError, DomainError, GapClosedError
 from .models import (GAP_EPS, ContourZeros, MassiveDiracParams, SSHParams, TwoBandModel,
                      _coefficients, singular_points)
-from .quadrature import BZQuadratureConfig, bz_averages
+from .quadrature import BZQuadratureConfig, bz_averages, graded_edges
 
 PI = math.pi
 
@@ -309,8 +309,10 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
                      zeros: ContourZeros | None = None) -> List[_BlochAverages]:
     """``_bloch_averages`` by quadrature, for the rows the exact path does not take and as
     its oracle (``zeros`` are the rows' ``TwoBandModel.zeros``): one ``bz_averages`` run in
-    which each lambda owns its ``panel_edges`` at its ``singular_points`` and the reference
-    breakpoints.
+    which each lambda owns the reference breakpoints and the ``graded_edges`` at its
+    ``singular_points`` k_s, graded by the gap scale w = |d(k_s)| / |d_k d(k_s)| where
+    GAP_EPS <= |d| < |d_k d|; elsewhere (a closed gap, a zero slope, w >= 1) k_s is an
+    edge ungraded.
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
@@ -346,7 +348,9 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
                 groups.append(0.25 * v * v)
         return tuple(groups)
 
-    edges = np.reshape(m.panel_edges(singular_points(zeros)), (lams.size, -1))
+    points, gap, slope = singular_points(zeros)
+    edges = graded_edges(points, np.divide(gap, slope, out=np.zeros(gap.shape),
+                                           where=(gap >= GAP_EPS) & (gap < slope)))
     breaks = ref.breakpoints() if uses_ref else ()
     edges = np.hstack((edges, np.full((len(edges), len(breaks)), breaks)))
     results = []

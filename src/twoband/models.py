@@ -20,7 +20,6 @@ from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Tupl
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .quadrature import graded_edges
 
 # |d| below this is treated as an exact gap closing.
 GAP_EPS = 1e-13
@@ -64,23 +63,9 @@ class TwoBandModel:
         """The ``contour_zeros`` of the rows at each of ``lams``, which must be real."""
         return contour_zeros(_real(self.rows(np.asarray(lams, dtype=float))), np.size(lams))
 
-    def singular_gaps(self, lams) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The singular points of each of ``lams`` (rows), and |d| and |d_k d| there: the
-        ``singular_points`` of its ``zeros``, since d = 0 needs d_x = d_z = 0, at a zero."""
-        return singular_points(self.zeros(lams))
-
     def gap_closed(self) -> bool:
         """Whether |d| < GAP_EPS at one of the singular points, where the gap can close."""
         return bool(self.zeros([self.lam]).closed[0])
-
-    def panel_edges(self, gaps=None) -> np.ndarray:
-        """``graded_edges`` per row of ``gaps`` (``singular_gaps``, by default at the bound
-        parameter): its singular points k_s, graded by the gap scale
-        w = |d(k_s)| / |d_k d(k_s)|.  A closed gap, a zero slope or w >= 1 adds none.
-        """
-        points, gap, slope = self.singular_gaps([self.lam]) if gaps is None else gaps
-        return graded_edges(points, np.divide(gap, slope, out=np.zeros(np.shape(gap)),
-                                              where=(gap >= GAP_EPS) & (gap < slope)))
 
     def windings(self, lams) -> np.ndarray:
         """The winding at each of ``lams``, counted from the rows; NaN where ``closed``.

@@ -189,9 +189,10 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
 def _ep_zeros(model: TwoBandModel, lams):
     """Per value of ``lams`` of the lossy ``model``, NaN-padded: the EPs, the zeros k_s of
     R^2's Laurent factors F = R1 -+ i R3 (``singular_points`` of the rows with the z row as is
-    and negated; none at z = 0 or infinity); their widths by the rule of ``panel_edges``,
-    w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing; and whether its gap
-    is closed: both |F| < GAP_EPS at one k_s, a double zero of R^2 and no EP."""
+    and negated; none at z = 0 or infinity); their widths by the rule of
+    ``fidelity._engine_averages``, w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on
+    a closing; and whether its gap is closed: both |F| < GAP_EPS at one k_s, a double zero of
+    R^2 and no EP."""
     lams = np.asarray(lams, dtype=float)
     rows = tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in model.rows(lams))
     zeros = contour_zeros(rows, lams.size)

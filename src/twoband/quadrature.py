@@ -133,8 +133,8 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
 
     ``f(k, owner)`` maps nodes k (n,) and each node's index into ``edges`` to
     values (..., n), or to a tuple of such arrays (groups), alike for all
-    owners.  Owner i's panels start from [-pi, pi] split at ``edges[i]`` (a
-    matrix's rows padded with NaN, or iterables); each level calls ``f`` once,
+    owners.  Owner i's panels start from [-pi, pi] split at row i of the matrix
+    ``edges``, padded with NaN; each level calls ``f`` once,
     on the 21 nodes of every panel it bisects.  Per owner, a group's error is
     |K21 - G10| over its components and panels and stops at max(abs_tol * 2 pi,
     rel_tol * sum |I|) (DCUHRE, Berntsen, Espelid & Genz 1991); each level
@@ -149,9 +149,6 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
     No node is on an edge.
     """
     cfg = cfg or BZQuadratureConfig()
-    if not isinstance(edges, np.ndarray):
-        edges = np.array(list(itertools.zip_longest(*edges, fillvalue=PI))
-                         or np.empty((0, len(edges))), dtype=float).T
     inside = np.where((-PI < edges) & (edges < PI), edges, PI)  # pi pads an owner's row
     cuts = np.sort(np.hstack((inside, np.full((len(inside), 2), (-PI, PI)))), axis=1)
     results = []
@@ -224,7 +221,7 @@ def bz_average_vec(f: Callable, cfg: BZQuadratureConfig | None = None,
     node lies on a panel edge, so a kernel undefined only at the caller's
     points is never evaluated there.
     """
-    return _lone(bz_averages(lambda k, owner: f(k), [extra_points], cfg))
+    return _lone(bz_averages(lambda k, owner: f(k), np.array([tuple(extra_points)], float), cfg))
 
 
 def _lone(results: list):

@@ -10,7 +10,7 @@ from twoband import (CooperPairBoxParams, DomainError, DualSSHParams, GlobalRefe
                      cooper_pair_box_model, dual_pair, ground_complexity,
                      massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
 from twoband import models
-from twoband.models import MODELS
+from twoband.models import MODELS, singular_points
 from twoband.sweeps import SweepSpec, run_sweep
 from twoband.topology import dual_windings, winding_cross_product, winding_log_derivative
 
@@ -213,7 +213,7 @@ class TestModelContract:
         window = np.linspace(-3.0, 3.0, 24)  # negative couplings; no transition, no 0
         lams = np.concatenate((window, transitions))
         ks = np.linspace(-PI, PI, 4097)
-        points, gaps, _ = model.singular_gaps(lams)
+        points, gaps, _ = singular_points(model.zeros(lams))
         for lam, gap in zip(lams, gaps):
             norm = np.sqrt(np.sum(model.at(lam).d(ks) ** 2, axis=0))
             assert np.min(gap) <= np.min(norm) + 1e-12, lam
@@ -312,7 +312,7 @@ class TestExactSlope:
 
     @pytest.mark.parametrize("model,lams,slope", _SLOPES, ids=[m.label for m, _, _ in _SLOPES])
     def test_singular_gaps_give_the_analytic_k_slope_to_one_ulp(self, model, lams, slope):
-        points, _, got = model.singular_gaps(lams)
+        points, _, got = singular_points(model.zeros(lams))
         assert points.shape == got.shape == (len(lams), 2)
         for row, lam in zip(got, lams):
             want = slope(lam)
@@ -326,7 +326,7 @@ class TestExactSlope:
         # cos k_s and sin k_s are exactly +-1 and 0 there, so no other row's rounding
         # enters the gap
         model = MODELS[name].model({})
-        points, gaps, _ = model.singular_gaps(lams)
+        points, gaps, _ = singular_points(model.zeros(lams))
         for lam, row, gap in zip(lams, points, gaps):
             at = np.abs(row) == where
             assert at.any(), (lam, row)

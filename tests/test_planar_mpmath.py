@@ -26,7 +26,7 @@ from twoband import (BlochVector, DualSSHParams, GlobalReference, MassiveDiracPa
 from twoband.cli import main
 from twoband.fidelity import (SusceptibilityBreakdown, _bloch_averages, _cel,
                               _planar_averages)
-from twoband.models import MODELS, TwoBandModel
+from twoband.models import MODELS, TwoBandModel, singular_points
 
 PI = math.pi
 REF = GlobalReference(0.9, 0.4)
@@ -37,7 +37,7 @@ def _reference(model, lam, parts=6, breaks=()):
     ``parts`` of them: over the zone, or with ``breaks`` per piece between them."""
     rows, slope = (tuple(tuple(map(float, row)) for row in r)
                    for r in (model.rows(lam), model.slope(lam)))
-    k_s = tuple(float(k) for k in model.singular_gaps([lam])[0][0])
+    k_s = tuple(float(k) for k in singular_points(model.zeros([lam]))[0][0])
     pieces = _pieces(rows, slope, k_s, tuple(map(float, breaks)), parts)
     return pieces if breaks else pieces[0]
 
@@ -289,7 +289,7 @@ NEARLY_CLOSED = [
 @pytest.mark.parametrize("model,lam,bound", NEARLY_CLOSED,
                          ids=lambda v: getattr(v, "label", repr(v)))
 def test_a_row_closed_by_gap_eps_is_near_its_limit(model, lam, bound, calls):
-    assert 0.0 < min(model.singular_gaps([lam])[1][0]) < 1e-13
+    assert 0.0 < min(singular_points(model.zeros([lam]))[1][0]) < 1e-13
     assert abs(_closed_c(model, lam, REF, calls) - _c_reference(model, lam, REF)[0]) <= bound
 
 

@@ -17,9 +17,10 @@ from twoband import (BandAssignment, BlochVector, BZQuadratureConfig,
                      nh_complexity_per_mode_overlap, nh_ground_complexity,
                      param_derivative, plateau_reference,
                      ssh_complexity_closed, ssh_model)
-from twoband import quadrature
+from twoband import fidelity, quadrature
 from twoband.bounds_duality import ratio_complexity_prime
 from twoband.fidelity import dhat_derivative
+from twoband.models import singular_points
 from twoband.quadrature import _GK_NODES, _GK_WEIGHTS
 
 PI = math.pi
@@ -56,12 +57,16 @@ class TestBZAverage:
         assert abs(bz_average(odd)) < 1e-10
 
     def test_splitting_invariance_for_integrable_features(self, monkeypatch):
+        # the engine's C on graded panels and on [-pi, pi] unsplit
         model = massive_dirac_model(MassiveDiracParams(mu=0.01))
         ref = GlobalReference(0.2, 0.0)
-        with_split = ground_complexity(model, ref)
-        monkeypatch.setattr(TwoBandModel, "panel_edges", lambda self, gaps=None: ())
-        no_split = ground_complexity(model, ref)
-        assert with_split == pytest.approx(no_split, abs=1e-9)
+        levels = _count_levels(monkeypatch)
+        (with_split,) = fidelity._engine_averages(model, [model.lam], ref, None, complexity=True)
+        graded = len(levels)
+        monkeypatch.setattr(fidelity, "graded_edges", lambda points, w: np.empty((len(points), 0)))
+        (no_split,) = fidelity._engine_averages(model, [model.lam], ref, None, complexity=True)
+        assert 1 <= graded < len(levels) - graded  # 1 level against 9
+        assert with_split.complexity == pytest.approx(no_split.complexity, abs=1e-9)
 
     def test_convergence_error_when_budget_exhausted(self):
         cfg = BZQuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)
@@ -129,13 +134,41 @@ def test_three_axis_model_has_no_counted_winding():
 
 def _points(model):
     """The model's singular points at its bound parameter value."""
-    return tuple(model.singular_gaps([model.lam])[0][0])
+    return tuple(singular_points(model.zeros([model.lam]))[0][0])
 
 
-def _edges(model):
-    """The model's distinct panel edges at its bound parameter value."""
-    (row,) = model.panel_edges()
+def _edges(model, monkeypatch):
+    """The distinct panel edges that the engine's chi_F run passes ``bz_averages`` for the
+    model at its bound parameter value."""
+    seen = []
+
+    def spy(f, edges, cfg=None):
+        seen.append(edges)
+        return quadrature.bz_averages(f, edges, cfg)
+
+    monkeypatch.setattr(fidelity, "bz_averages", spy)
+    fidelity._engine_averages(model, [model.lam], None, None, chi=True)
+    ((row,),) = seen
     return tuple(set(row[~np.isnan(row)].tolist()))
+
+
+def _count_levels(monkeypatch):
+    """A list that gains an entry per ``_gk21`` call from here on: one per refinement level
+    of each ``bz_averages`` chunk."""
+    levels, original = [], quadrature._gk21
+
+    def counted(*args):
+        levels.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "_gk21", counted)
+    return levels
+
+
+def _padded(rows):
+    """Ragged lists of edges as the matrix ``bz_averages`` takes: rows padded with NaN."""
+    width = max(map(len, rows))
+    return np.array([tuple(row) + (np.nan,) * (width - len(row)) for row in rows])
 
 
 def _scalar_ground(model, ref_at):
@@ -287,7 +320,7 @@ class TestOwners:
 
     def test_each_owner_equals_its_lone_average(self, monkeypatch):
         kernels = self.KERNELS * 2
-        edges = [points for _, points in kernels]
+        edges = _padded([points for _, points in kernels])
         alone = [bz_average_vec(g, extra_points=points) for g, points in kernels]
         assert quadrature.bz_averages(self.kernel(kernels), edges) == alone
         monkeypatch.setattr(quadrature, "_MAX_OWNERS", 3)  # three chunks
@@ -305,7 +338,7 @@ class TestOwners:
             return out
 
         monkeypatch.setattr(quadrature, "_gk21", recorded)
-        edges = [tuple(np.linspace(-3.0, 3.0, 12) + 0.01 * i) for i in range(6)]
+        edges = np.array([np.linspace(-3.0, 3.0, 12) + 0.01 * i for i in range(6)])
         got = quadrature.bz_averages(
             lambda k, owner: np.cos(np.outer([0.0, 1.0, 2.0], k)) + 0.01 * owner, edges)
         ((owner, val),) = levels
@@ -322,7 +355,7 @@ class TestOwners:
             nodes.append(owner)
             return self.kernel(kernels)(k, owner)
 
-        runs = quadrature.bz_averages(f, [points for _, points in kernels], cfg)
+        runs = quadrature.bz_averages(f, _padded([points for _, points in kernels]), cfg)
         assert isinstance(runs[0], ConvergenceError) and np.isfinite(runs[0].estimate)
         # two starting panels, then two new panels per bisection
         assert np.count_nonzero(np.concatenate(nodes) == 0) <= 21 * (2 + 2 * (50 - 2))
@@ -369,7 +402,7 @@ class TestGroupedKernel:
 
 
 class TestGradedPanels:
-    """Averages beside a gap closing start from the model's graded panel edges."""
+    """The engine's averages beside a gap closing start from graded panel edges."""
 
     @pytest.mark.parametrize("model,lam", [
         (ssh_model(SSHParams(1.0, 1.0)), 1.0 + 1e-6),
@@ -381,29 +414,18 @@ class TestGradedPanels:
     def test_chi_F_takes_few_refinement_levels(self, model, lam, monkeypatch):
         # bisection from the singular points alone takes about log2(1/delta)
         # levels: 23 at delta = 1e-6, 32 at 1e-8
-        levels = []
-        original = quadrature._gk21
-
-        def counted(*args):
-            levels.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(quadrature, "_gk21", counted)
-        assert not chi_F(model, lam).diverged
-        assert len(levels) <= 8
+        levels = _count_levels(monkeypatch)
+        (got,) = fidelity._engine_averages(model, [lam], None, None, chi=True)
+        assert not got.chi.diverged
+        assert 1 <= len(levels) <= 8
 
     def test_negative_coupling_closing_is_graded_at_pi(self, monkeypatch):
         # t2 = -t1 closes the gap at k = pi; bisection toward pi took 23 levels
-        levels = []
-        original = quadrature._gk21
-
-        def counted(*args):
-            levels.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(quadrature, "_gk21", counted)
-        assert not chi_F(ssh_model(SSHParams(1.0, 2.0)), -1.0 - 1e-6).diverged
-        assert len(levels) <= 3
+        levels = _count_levels(monkeypatch)
+        (got,) = fidelity._engine_averages(ssh_model(SSHParams(1.0, 2.0)), [-1.0 - 1e-6], None,
+                                           None, chi=True)
+        assert not got.chi.diverged
+        assert 1 <= len(levels) <= 3
 
     @pytest.mark.parametrize("model", [
         ssh_model(SSHParams(1.0, 1.0)),                          # closed gap
@@ -412,29 +434,29 @@ class TestGradedPanels:
         massive_dirac_model(MassiveDiracParams(mu=1.5)),         # w = 1.5
         massive_dirac_model(MassiveDiracParams(t=0.0, mu=1e-3)),  # flat in k
     ])
-    def test_no_edges_without_a_resolvable_scale(self, model):
+    def test_no_edges_without_a_resolvable_scale(self, model, monkeypatch):
         # the derived points of these models are 0 and +-pi, the zone ends
-        assert set(_edges(model)) <= {0.0, -PI, PI}
+        assert set(_edges(model, monkeypatch)) <= {0.0, -PI, PI}
 
-    def test_edges_grade_geometrically_from_the_gap_scale(self):
+    def test_edges_grade_geometrically_from_the_gap_scale(self, monkeypatch):
         model = ssh_model(SSHParams(1.0, 1.0 + 1e-6))
         w = ((1.0 + 1e-6) - 1.0) / (1.0 + 1e-6)  # |d(0)| / |d_k d(0)|
         want = [w * 4.0 ** j for j in range(10)]  # w 4^10 > 1
-        edges = _edges(model)
+        edges = _edges(model, monkeypatch)
         assert 0.0 in edges and len(edges) == 21  # both contour zeros lie at k = 0
         assert sorted(e for e in edges if 0.0 < e < PI) == pytest.approx(want, rel=1e-8)
         assert sorted(-e for e in edges if -PI < e < 0.0) == pytest.approx(want, rel=1e-8)
 
-    def test_edges_beside_every_singular_point(self):
-        edges = np.asarray(_edges(massive_dirac_model(MassiveDiracParams(mu=1e-3))))
+    def test_edges_beside_every_singular_point(self, monkeypatch):
+        edges = np.asarray(_edges(massive_dirac_model(MassiveDiracParams(mu=1e-3)), monkeypatch))
         for k_s in (0.0, -PI, PI):
             assert np.min(np.abs(np.abs(edges - k_s) - 1e-3)) < 1e-12
 
-    def test_a_point_at_pi_grades_both_zone_ends(self):
+    def test_a_point_at_pi_grades_both_zone_ends(self, monkeypatch):
         # t2 = -t1 - 1e-6 puts a contour zero at k = pi, a gap scale w beside it
         model = ssh_model(SSHParams(1.0, 2.0)).at(-1.0 - 1e-6)
         w = 1e-6 / (1.0 + 1e-6)
-        edges = np.asarray(_edges(model))
+        edges = np.asarray(_edges(model, monkeypatch))
         for inside in (-PI + w, PI - w):
             assert np.min(np.abs(edges - inside)) < 1e-15
 
@@ -452,27 +474,20 @@ class TestGradedPanels:
         got = chi_F(model, 0.0)
         assert got.diverged and got.total == math.inf and got.components == (math.inf,) * 3
 
-    def test_rows_without_x_and_z_put_their_points_at_the_zeros_of_d_y(self):
+    def test_rows_without_x_and_z_put_their_points_at_the_zeros_of_d_y(self, monkeypatch):
         mu = 1e-6
         model = self.y_only(mu)
         points = sorted(_points(model))
         assert points == pytest.approx([-math.acos(-mu), math.acos(-mu)], rel=1e-15, abs=0.0)
         # a one-component d crosses zero there for every |mu| < 1: the points are
         # edges, with no gap scale to grade by
-        assert set(points) <= set(_edges(model)) and model.gap_closed()
+        assert set(points) <= set(_edges(model, monkeypatch)) and model.gap_closed()
 
     @pytest.mark.parametrize("k0", [1.0, 0.5 * PI, 3.0])
     def test_a_closing_away_from_zero_is_found_from_the_rows(self, k0, monkeypatch):
         # d = (mu + 2 sin^2((k - k0)/2), 0, sin(k - k0)) closes at k0: graded
-        # there it takes as few levels as at k0 = 0, and bisection toward k0
-        # from k = 0 took 22-23
-        levels = []
-        original = quadrature._gk21
-
-        def counted(*args):
-            levels.append(1)
-            return original(*args)
-
+        # there the engine takes as few levels as at k0 = 0, and bisection toward
+        # k0 from k = 0 took 22-23
         def shifted_dirac(k0):
             rows = lambda mu: ((1.0 + mu, 0.0, 0.0), (-math.cos(k0), 0.0, -math.sin(k0)),
                                (-math.sin(k0), 0.0, math.cos(k0)))
@@ -480,10 +495,10 @@ class TestGradedPanels:
             return TwoBandModel(rows, slope, 1e-6, label="shifted-dirac")
 
         at_zero = chi_F(shifted_dirac(0.0), 1e-6).total
-        monkeypatch.setattr(quadrature, "_gk21", counted)
-        got = chi_F(shifted_dirac(k0), 1e-6)
-        assert not got.diverged and len(levels) <= 3
-        assert got.total == pytest.approx(at_zero, rel=2e-10)
+        levels = _count_levels(monkeypatch)
+        (got,) = fidelity._engine_averages(shifted_dirac(k0), [1e-6], None, None, chi=True)
+        assert not got.chi.diverged and 1 <= len(levels) <= 3
+        assert got.chi.total == pytest.approx(at_zero, rel=2e-10)
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, -1e-2, -1e-4, -1e-6, -1e-8])
     def test_closed_forms_hold_beside_the_transition(self, delta):
