@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Tuple
 
@@ -32,6 +33,8 @@ class BZQuadratureConfig:
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise DomainError("quadrature tolerances must be finite and positive")
+        if not (isinstance(self.max_subdivisions, numbers.Integral) and self.max_subdivisions > 0):
+            raise DomainError("max_subdivisions must be an integer of at least 1")
 
 
 def graded_edges(points, w) -> np.ndarray:

@@ -76,6 +76,10 @@ class TestBZAverage:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             BZQuadratureConfig(abs_tol=0.0)
+        for budget in (0, -1, 2.5, math.nan):
+            with pytest.raises(DomainError, match="max_subdivisions"):
+                BZQuadratureConfig(max_subdivisions=budget)
+        assert BZQuadratureConfig(max_subdivisions=1).max_subdivisions == 1
 
     @pytest.mark.parametrize("tols", [{"abs_tol": math.inf, "rel_tol": math.inf},
                                       {"abs_tol": math.nan}, {"rel_tol": math.inf}])
