@@ -69,14 +69,6 @@ def complete_K(m) -> float:
     return _ellipkm1(1.0 - m)
 
 
-def complementary_K(mc: float) -> float:
-    """K(m) from the complement mc = 1 - m in (0, 1], accurate as m -> 1.
-
-    Forming m first would round away the digits of mc that K depends on.
-    """
-    return _ellipkm1(mc)
-
-
 def complete_E(m) -> float:
     """Complete elliptic integral of the second kind, E(m), on 0 <= m <= 1."""
     return _ellipe(_param(m))
