@@ -54,8 +54,8 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
     piecewise one that jumps on that line, is averaged exactly, a closed one
     too (``_planar_averages`` decides); any other takes the engine on panels
     graded toward its singular points and split at the reference breakpoints,
-    where no node meets a singular point.  There a gap closed at a node raises GapClosedError, an
-    exhausted budget ConvergenceError.
+    where no node meets a singular point.  There a gap closed at a node raises
+    GapClosedError, an exhausted budget ConvergenceError.
     """
     return _bloch_averages(model, [model.lam], ref, cfg, complexity=True)[0].complexity
 
