@@ -135,6 +135,11 @@ COMMANDS = (
     ["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", "t2:-2.5:2.5:11",
      "--quantities", "complexity,dcomplexity"],
     ["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", "t2:1.5:2.5:3"],
+    # the closed row t2 = 2 asked only for C, and only for dC (its C averaged, not printed)
+    ["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", "t2:1.5:2.5:3",
+     "--quantities", "complexity"],
+    ["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", "t2:1.5:2.5:3",
+     "--quantities", "dcomplexity"],
     ["nh-sweep", "--set", "t1=1", "--set", "gamma=2", "--sweep", "t2:-1:1:3"],
     ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:0.5:1.5:3",
      "--quantities", "winding"],
