@@ -92,7 +92,8 @@ class SusceptibilityBreakdown:
 
 
 class _BlochAverages(NamedTuple):
-    """BZ averages at one parameter point; None if not asked for, and dC on a closed gap."""
+    """BZ averages at one parameter point; None if not asked for, dC on a closed gap, and C
+    of a closed lossy row asked for dC, which runs no average."""
     complexity: Optional[float]
     dcomplexity: Optional[float]
     integrals: Optional[np.ndarray]  # integral of d(d_hat)/d(lambda) dk, per axis

@@ -10,7 +10,8 @@ Hermitian rule, which no node meets; a mode where R^2 is exactly 0 raises
 ExceptionalPointError.  C is C^1 in the couplings across an EP; beside it, dC/d(lambda)
 departs from its value on the closing like sqrt(delta) between the two closings and like delta
 outside.  Where both factors vanish at one k (gamma = 0, t2 = +-t1: a double zero of R^2, no
-EP) the gap is closed the Hermitian way: C is averaged, and dC/d(lambda) diverges.
+EP) the gap is closed the Hermitian way: C is averaged, and dC/d(lambda) diverges, so a row
+asked for it runs no average.
 """
 
 from __future__ import annotations
@@ -109,14 +110,14 @@ def _normalized_pair(alpha: complex, beta: complex) -> Tuple[complex, complex]:
     return alpha / n, beta / n
 
 
-def _nh_weight_kernel(model: TwoBandModel, lams, closed, alpha: complex, beta: complex):
+def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex):
     """Array kernel (k, owner) -> C_k = |R + d . r| / (|R - d . r| + |R + d . r|) of the lossy
     ``model`` at each of ``lams``, one per owner, for normalized amplitudes: the projector
     form, with R the principal root of R^2 (the ground branch is -R) and no ground vector.
     A mode where R^2 is exactly 0, an EP where P is undefined and the form reads 1/2, has C_k
     set to NaN (and dC_k to 0), which fails its owner's average alone.
-    With ``closed`` (None for C_k alone) the kernel returns the stack (C_k, dC_k/d(lambda)),
-    by the chain rule through R and d . r, zeroed on ``closed`` owners:
+    With ``derivative`` the kernel returns the stack (C_k, dC_k/d(lambda)), by the chain rule
+    through R and d . r:
     dC_k = C_k (1 - C_k) Re((R + d . r)'/(R + d . r) - (R - d . r)'/(R - d . r))
          = 2 |q| Re(u W / (R q)) / (|R - d . r| + |R + d . r|)^2,
     with u = r_z R1 - r_x R3, W = R1 R3' - R3 R1' and q = (R + d . r)(R - d . r) =
@@ -125,7 +126,6 @@ def _nh_weight_kernel(model: TwoBandModel, lams, closed, alpha: complex, beta: c
     ab = alpha.conjugate() * beta
     rx, ry2, rz = 2.0 * ab.real, 4.0 * ab.imag ** 2, abs(alpha) ** 2 - abs(beta) ** 2
     lams = np.asarray(lams, dtype=float)
-    zeroing = closed is not None and closed.any()  # no per-node work where no row is closed
 
     @np.errstate(divide="ignore", invalid="ignore")
     def ck(k, owner):
@@ -141,7 +141,7 @@ def _nh_weight_kernel(model: TwoBandModel, lams, closed, alpha: complex, beta: c
         c = m1 / total
         if not rsq.all():  # an EP, where the form reads 1/2
             c[rsq == 0.0] = np.nan
-        if closed is None:
+        if not derivative:
             return c
         dr1, _, dr3 = trig_sum(model.slope(lams[owner]), cos, sin)
         u = rz * r1 - rx * r3
@@ -149,8 +149,6 @@ def _nh_weight_kernel(model: TwoBandModel, lams, closed, alpha: complex, beta: c
         rq = root * q  # 0 at an EP too
         dc = np.where(rq != 0.0, 2.0 * np.abs(q) / (total * total)
                       * (u * (r1 * dr3 - r3 * dr1) / rq).real, 0.0)
-        if zeroing:
-            dc[closed[owner]] = 0.0
         return np.stack((c, dc))
 
     return ck
@@ -164,7 +162,7 @@ def nh_complexity_per_mode(params: NonHermitianSSHParams, k: float,
     away; raises ExceptionalPointError where the weights are undefined.
     """
     alpha, beta = _normalized_pair(alpha, beta)
-    c = float(_nh_weight_kernel(MODELS["nh-ssh"].model(vars(params)), [params.t2], None,
+    c = float(_nh_weight_kernel(MODELS["nh-ssh"].model(vars(params)), [params.t2], False,
                                 alpha, beta)(np.array([float(k)]), np.zeros(1, dtype=int))[0])
     if math.isnan(c):
         raise ExceptionalPointError(f"exceptional point at k={k}: R^2 = 0")
@@ -186,13 +184,19 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
     return abs(w1) / (abs(w0) + abs(w1))
 
 
-def _ep_zeros(model: TwoBandModel, lams):
-    """Per value of ``lams`` of the lossy ``model``, NaN-padded: the EPs, the zeros k_s of
-    R^2's Laurent factors F = R1 -+ i R3 (``singular_points`` of the rows with the z row as is
-    and negated; none at z = 0 or infinity); their widths by the rule of
-    ``fidelity._engine_averages``, w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on
-    a closing; and whether its gap is closed: both |F| < GAP_EPS at one k_s, a double zero of
-    R^2 and no EP."""
+def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex,
+                 cfg: BZQuadratureConfig | None) -> list:
+    """Per value of ``lams``, the lossy ``model``'s ``_BlochAverages`` (C, with ``derivative``
+    dC/d(lambda)) in one ``bz_averages`` run, or the error that ended it.
+
+    Each row owns k = 0 and the ``graded_edges`` at its EPs, the zeros k_s of R^2's Laurent
+    factors F = R1 -+ i R3 (``singular_points`` of the rows with the z row as is and negated;
+    none at z = 0 or infinity), graded by the rule of ``fidelity._engine_averages``,
+    w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing.  A row whose gap is
+    closed (both |F| < GAP_EPS at one k_s, a double zero of R^2 and no EP) is a ``closed``
+    record with dC None; asked for dC it runs no average, and its C is None too.
+    """
+    alpha, beta = _normalized_pair(alpha, beta)
     lams = np.asarray(lams, dtype=float)
     rows = tuple((x, y, np.array([[1.0], [-1.0]]) * z) for x, y, z in model.rows(lams))
     zeros = contour_zeros(rows, lams.size)
@@ -204,32 +208,19 @@ def _ep_zeros(model: TwoBandModel, lams):
         closed = (s[:, 0] * s[:, 1].conjugate()).real > 0.0
     keep = found.any(axis=0)  # the zeros that some chain has
     w = np.divide(gap, slope, out=np.full(gap.shape, np.nan), where=slope > 0.0)[:, keep]
-    return np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR), closed
-
-
-def _ep_edges(model: TwoBandModel, lams, zeros=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Per value of ``lams`` of the lossy ``model``: k = 0 and ``graded_edges`` at its
-    ``_ep_zeros`` (``zeros``, if the caller has them), NaN-padded; and whether it is closed."""
-    points, w, closed = _ep_zeros(model, lams) if zeros is None else zeros
-    return np.hstack((np.zeros((len(points), 1)), graded_edges(points, w))), closed
-
-
-def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex,
-                 cfg: BZQuadratureConfig | None, zeros=None) -> list:
-    """Per value of ``lams``, the lossy ``model``'s ``_BlochAverages`` (C, with ``derivative``
-    dC/d(lambda)) on its ``_ep_edges`` in one ``bz_averages`` run, or the error that ended it;
-    on a ``closed`` gap dC_k is zeroed, so C is the C-only one, and dC None."""
-    alpha, beta = _normalized_pair(alpha, beta)
-    edges, closed = _ep_edges(model, lams, zeros)
-    runs = bz_averages(_nh_weight_kernel(model, lams, closed if derivative else None, alpha,
-                                         beta), edges, cfg)
+    edges = np.hstack((np.zeros((lams.size, 1)), graded_edges(
+        np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR))))
+    run = ~(closed & derivative)
+    runs = iter(bz_averages(_nh_weight_kernel(model, lams[run], derivative, alpha, beta),
+                            edges[run], cfg) if run.any() else ())
     # the kernel's only non-finite values are the NaN of a mode where R^2 = 0
     return [ExceptionalPointError("exceptional point: R^2 = 0 at a mode")
-            if isinstance(run, ConvergenceError) and not math.isfinite(run.error) else
-            run if isinstance(run, Exception) else _BlochAverages(
-                float(run[0] if derivative else run),
-                None if shut or not derivative else float(run[1]), None, None, shut)
-            for run, shut in zip(runs, closed.tolist())]
+            if isinstance(out, ConvergenceError) and not math.isfinite(out.error) else
+            out if isinstance(out, Exception) else _BlochAverages(
+                None if out is None else float(out[0] if derivative else out),
+                None if shut or not derivative else float(out[1]), None, None, shut)
+            for out, shut in zip((next(runs) if ran else None for ran in run.tolist()),
+                                 closed.tolist())]
 
 
 def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: complex,
@@ -255,10 +246,9 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
     dC_k/d(parameter) ~ |k - k_s|^(-1/2).  Any other parameter raises DomainError.
     """
     model = MODELS["nh-ssh"].model(vars(params), parameter)
-    zeros = _ep_zeros(model, [model.lam])
-    if zeros[2][0]:
+    avg = _lone(_nh_averages(model, [model.lam], True, alpha, beta, cfg))
+    if avg.closed:
         raise GapClosedError("complexity derivative diverges where the gap is closed")
-    avg = _lone(_nh_averages(model, [model.lam], True, alpha, beta, cfg, zeros))
     return avg.complexity, avg.dcomplexity
 
 

@@ -121,14 +121,17 @@ def _evaluate(spec: SweepSpec, lam: float, avg, winding: float) -> SweepRecord:
 
 def _closed_gap_rows(grid: np.ndarray, avgs: list, spec: SweepSpec, c_at) -> None:
     """Fill in dC/d(lambda) on the closed rows of ``avgs`` as the finite difference of C,
-    from one more run of the chain's own averages ``c_at`` of C at their stencil points only."""
+    from one more run of the chain's own averages ``c_at`` of C at their stencil points, and
+    at lambda where the row's C is asked for and None (a lossy row asked for dC)."""
     rows = [i for i, avg in enumerate(avgs) if isinstance(avg, _BlochAverages) and avg.closed]
     if not rows or "dcomplexity" not in spec.quantities:
         return
-    points = [x for i in rows for x in _stencil(grid[i], _FD_STEP)]
+    lone = [i for i in rows if avgs[i].complexity is None and "complexity" in spec.quantities]
+    points = [x for i in rows for x in _stencil(grid[i], _FD_STEP)] + [grid[i] for i in lone]
     c = dict(zip(points, (_lone([avg]).complexity for avg in c_at(points))))
     for i in rows:
-        avgs[i] = avgs[i]._replace(dcomplexity=param_derivative(c.__getitem__, grid[i]))
+        avgs[i] = avgs[i]._replace(complexity=c[grid[i]] if i in lone else avgs[i].complexity,
+                                   dcomplexity=param_derivative(c.__getitem__, grid[i]))
 
 
 def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
@@ -139,8 +142,10 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     the rest; ``_nh_averages`` for the lossy chain) and equal the library call
     at its point.  A closed gap of either chain averages only C; its dcomplexity
     is the finite difference of C, averaged at the stencil points in one more
-    run of its chain.  ``TwoBandModel.windings`` counts the winding from the
-    rows' zeros that also give the singular points, NaN on a closed gap.
+    run of its chain, which also averages the C of a closed lossy row asked for
+    both (its main run averages none).  ``TwoBandModel.windings`` counts the
+    winding from the rows' zeros that also give the singular points, NaN on a
+    closed gap.
     ``_evaluate`` decides each row's columns and flags.
     """
     entry = MODELS[spec.model]

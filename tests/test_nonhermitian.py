@@ -14,9 +14,9 @@ from twoband import (BlochVector, DomainError, ExceptionalPointError, GapClosedE
                      nh_complexity_per_mode, nh_complexity_per_mode_overlap,
                      nh_ground_complexity, nh_ssh_bloch_hamiltonian, param_derivative,
                      run_sweep, ssh_complexity_closed, ssh_model)
-from twoband import quadrature
+from twoband import nonhermitian, quadrature
 from twoband.models import MODELS, trig_sum
-from twoband.nonhermitian import _ep_edges, _nh_weight_kernel
+from twoband.nonhermitian import _nh_averages, _nh_weight_kernel
 from twoband.quadrature import graded_edges
 from test_nonhermitian_mpmath import _mp_ck
 
@@ -56,6 +56,22 @@ class TestBiorthogonalGround:
         h = nh_ssh_bloch_hamiltonian(NonHermitianSSHParams(2.0, 2.5, 1.0), 0.0)
         with pytest.raises(ExceptionalPointError):
             biorthogonal_ground(h)
+
+
+def _ep_edges(model, lams):
+    """The edge matrix that ``_nh_averages`` hands ``bz_averages`` in a C-only run of the
+    lossy ``model`` at ``lams``, and whether each row is closed, from its records."""
+    seen = []
+
+    def stand_in(f, edges, cfg):
+        seen.append(edges)
+        return [0.0] * len(edges)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nonhermitian, "bz_averages", stand_in)
+        avgs = _nh_averages(model, lams, False, 1.0, 0.0, None)
+    (edges,) = seen
+    return edges, np.array([avg.closed for avg in avgs])
 
 
 def _edges(params):
@@ -321,7 +337,7 @@ def _kernel(t1, t2, gamma, parameter, alpha, beta, ks):
     """The stack (C_k, dC_k/d(parameter)) of the averages' kernel at the nodes ``ks``."""
     fixed = {"t1": t1, "t2": t2, "gamma": gamma}
     kernel = _nh_weight_kernel(MODELS["nh-ssh"].model(fixed, parameter), [fixed[parameter]],
-                               np.zeros(1, dtype=bool), alpha, beta)
+                               True, alpha, beta)
     ks = np.asarray(ks, dtype=float)
     return kernel(ks, np.zeros(ks.size, dtype=int))
 
@@ -406,7 +422,7 @@ class TestProjectorKernel:
             assert math.isnan(got[0, 0])
             assert np.all(np.isfinite(got[:, 1:])) and math.isfinite(got[1, 0])
         fixed = {"t1": 2.0, "t2": t2, "gamma": 1.0}
-        alone = _nh_weight_kernel(MODELS["nh-ssh"].model(fixed), [t2], None, 0.6, 0.8)
+        alone = _nh_weight_kernel(MODELS["nh-ssh"].model(fixed), [t2], False, 0.6, 0.8)
         assert math.isnan(alone(np.zeros(1), np.zeros(1, dtype=int))[0])
 
 
@@ -566,6 +582,26 @@ class TestComplexityDerivative:
         assert not calls  # raised before any average, as the Hermitian derivative does
         assert nh_ground_complexity(params, AMP, AMP) == pytest.approx(
             ssh_complexity_closed(SSHParams(2.0, 2.0), GlobalReference(0.5 * PI, 0.0)), abs=1e-15)
+
+    @pytest.mark.parametrize("quantities,owners", [
+        (("complexity", "dcomplexity"), [2, 5]), (("dcomplexity",), [2, 4]),
+        (("complexity",), [3])])
+    def test_a_closed_row_takes_its_c_from_the_stencil_run(self, monkeypatch, quantities,
+                                                           owners):
+        # t2 = 2 is closed: asked for dC it runs no average in the sweep's run, and the
+        # finite difference's run of C averages it at t2 too where C is asked for
+        runs = []
+        engine = nonhermitian.bz_averages
+
+        def recording(f, edges, cfg):
+            runs.append(len(edges))
+            return engine(f, edges, cfg)
+
+        monkeypatch.setattr(nonhermitian, "bz_averages", recording)
+        rows = run_sweep(SweepSpec(model="nh-ssh", sweep=("t2", 1.5, 2.5, 3),
+                                   fixed={"t1": 2.0, "gamma": 0.0}, quantities=quantities))
+        assert runs == owners
+        assert all(math.isfinite(v) for row in rows for v in row.values.values())
 
     def test_rejects_a_parameter_it_cannot_differentiate(self):
         with pytest.raises(DomainError):
