@@ -61,11 +61,15 @@ def bz_average(f: Callable[[float], float], cfg: BZQuadratureConfig | None = Non
     """(1/2*pi) * integral of a scalar f over [-pi, pi] by QUADPACK.
 
     This is the path for user callables of one k and the independent oracle
-    of the array engine ``bz_averages``.
+    of the array engine ``bz_averages``.  Points that split the zone into more
+    panels than ``max_subdivisions`` raise DomainError.
     """
     import scipy.integrate
     cfg = cfg or BZQuadratureConfig()
     pts = sorted({float(p) for p in extra_points if -PI < p < PI})
+    if len(pts) >= cfg.max_subdivisions:
+        raise DomainError(f"{len(pts) + 1} panels exceed the subdivision budget of "
+                          f"{cfg.max_subdivisions}")
     val, err, *rest = scipy.integrate.quad(f, -PI, PI, points=pts or None,
                                            limit=cfg.max_subdivisions,
                                            epsabs=cfg.abs_tol * 2.0 * PI,
@@ -144,9 +148,9 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
     bisects the owner's panels of largest error in units of those tolerances,
     ranked stably, at most _MAX_SPLIT, until the rest would meet them over
     _REFINE_MARGIN.  A finished owner's panels stay unsplit.  Returns per owner
-    the estimate in the kernel's form or, past ``max_subdivisions`` panels or at
-    a non-finite error, a ConvergenceError carrying it and the owner's summed
-    group errors.  The estimate is the ``np.add.reduceat`` sum of the owner's
+    the estimate in the kernel's form or, past ``max_subdivisions`` panels (its
+    starting panels count too) or at a non-finite error, a ConvergenceError
+    carrying it and the owner's summed group errors.  The estimate is the ``np.add.reduceat`` sum of the owner's
     K21 values in panel order, the sum its last convergence test read; no other
     owner's panels enter it, so it equals the owner's lone average bit for bit.
     No node is on an edge.
@@ -176,7 +180,7 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
             owner_err = sums[n_rows - 2:]
             tol = np.maximum(cfg.abs_tol * 2.0 * PI,
                              cfg.rel_tol * np.add.reduceat(np.abs(sums[:n_rows - 2]), rows))
-            converged = np.logical_and.reduce(owner_err <= tol)
+            converged = np.logical_and.reduce(owner_err <= tol) & (npan <= cfg.max_subdivisions)
             weights = tol[0] / tol  # in first-group tolerances
             err_total = np.add.reduce(weights * owner_err)
             room = cfg.max_subdivisions - npan

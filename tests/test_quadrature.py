@@ -81,6 +81,15 @@ class TestBZAverage:
                 BZQuadratureConfig(max_subdivisions=budget)
         assert BZQuadratureConfig(max_subdivisions=1).max_subdivisions == 1
 
+    def test_points_beyond_the_budget_are_a_domain_error(self):
+        # three points split the zone into four panels, past a budget of three
+        for budget in (1, 3):
+            with pytest.raises(DomainError, match="budget"):
+                bz_average(lambda k: 1.0, BZQuadratureConfig(max_subdivisions=budget),
+                           extra_points=(0.0, 1.0, 2.0))
+        assert bz_average(lambda k: 1.0, BZQuadratureConfig(max_subdivisions=4),
+                          extra_points=(0.0, 1.0, 2.0)) == pytest.approx(1.0, abs=1e-15)
+
     @pytest.mark.parametrize("tols", [{"abs_tol": math.inf, "rel_tol": math.inf},
                                       {"abs_tol": math.nan}, {"rel_tol": math.inf}])
     def test_non_finite_tolerances_are_a_domain_error(self, tols):
@@ -304,6 +313,15 @@ class TestArrayEngine:
             bz_average_vec(f, cfg, extra_points=(0.0,))
         # two starting panels, then two new panels per bisection
         assert sum(points) <= 21 * (2 + 2 * (50 - 2))
+
+    def test_starting_panels_count_against_the_budget(self):
+        # four starting panels: past a budget of one the owner is not converged
+        f = lambda k: np.ones_like(k)
+        with pytest.raises(ConvergenceError) as info:
+            bz_average_vec(f, BZQuadratureConfig(max_subdivisions=1), extra_points=(0.0, 1.0, 2.0))
+        assert info.value.estimate == 1.0000000000000002
+        assert bz_average_vec(f, BZQuadratureConfig(max_subdivisions=4),
+                              extra_points=(0.0, 1.0, 2.0)) == 1.0000000000000002
 
 
 class TestOwners:
