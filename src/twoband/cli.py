@@ -62,7 +62,7 @@ def _parse_sweep(text: str):
         raise SpecError("--sweep expects name:start:stop:points")
     name, start, stop, points = parts
     try:
-        return name, float(start), float(stop), int(points)
+        return name, float(start), float(stop), float(points)
     except ValueError as exc:
         raise SpecError(f"bad --sweep specification {text!r}") from exc
 

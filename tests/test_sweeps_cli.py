@@ -537,10 +537,17 @@ class TestCLI:
         (["sweep", "--model", "ssh", "--sweep", "t2:a:b:3"],
          "bad --sweep specification 't2:a:b:3'"),
         (["sweep", "--model", "ssh"], "a sweep needs --sweep name:start:stop:points"),
+        (["sweep", "--model", "ssh", "--sweep", "t2:0.5:1.5:2.5"],
+         "a sweep needs a whole number of points, not 2.5"),
     ])
     def test_a_malformed_sweep_is_spec_error(self, argv, message, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_a_whole_float_point_count_is_that_count(self, capsys):
+        # the library's rule: SweepSpec takes 3.0 as 3
+        argv = ["nh-sweep", "--set", "t1=2", "--set", "gamma=1", "--sweep", "t2:0.5:1.5:3"]
+        assert _stdout(capsys, argv[:-1] + ["t2:0.5:1.5:3.0"]) == _stdout(capsys, argv)
 
     @pytest.mark.parametrize("argv,code,text", [
         (["--help"], 0, "positional arguments:"),
