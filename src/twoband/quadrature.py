@@ -150,8 +150,9 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
     _REFINE_MARGIN.  A finished owner's panels stay unsplit.  Returns per owner
     the estimate in the kernel's form or, past ``max_subdivisions`` panels (its
     starting panels count too) or at a non-finite error, a ConvergenceError
-    carrying it and the owner's summed group errors.  The estimate is the ``np.add.reduceat`` sum of the owner's
-    K21 values in panel order, the sum its last convergence test read; no other
+    carrying it and the owner's summed group errors.  The estimate is the
+    ``np.add.reduceat`` sum of the owner's K21 values in panel order, the sum
+    its last convergence test read; no other
     owner's panels enter it, so it equals the owner's lone average bit for bit.
     No node is on an edge.
     """
