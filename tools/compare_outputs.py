@@ -17,7 +17,8 @@ directory, on the same requests:
   k = +-pi under the default and a non-default reference), windows beside the
   closings at k = 0, +-pi and +-pi/2 (engine rows graded at k = 0 and +-pi
   under a jump off the zeros' line), piecewise references that jump on the
-  line of the zeros (also 1e-12 from a closing) and off it, lossy sweeps,
+  line of the zeros (also 1e-12 from a closing) and off it, closed engine
+  rows asked for C and chi_F without dC, lossy sweeps,
   engine sweeps of 101 rows (more than one chunk of ``_MAX_OWNERS`` owners),
   sweeps through closed and exceptional rows, the point commands,
   ``verify all``, ``--help`` and malformed command lines.
@@ -35,8 +36,14 @@ cells that moved by more than 1e-10 + 1e-10 |old|, and the largest |delta|
 per source, family and column over all requests.  A request's source is its
 workload's deck (``lossy-sweep deck``) or, for one of ``COMMANDS``, its
 command line (``twoband nh-sweep ...``), so a deck, a command and an engine
-sweep of the same family are summed up apart.  Exit status: 0 when every output
-is identical, 1 when one differs, 2 when a tree fails to run.
+sweep of the same family are summed up apart.
+
+Each tree also counts, per request, the runs of ``quadrature.bz_averages`` and
+their owners (the rows of its ``edges``), wherever the package calls it.  A
+request whose counts differ is printed as a ``WORK:`` line with both counts,
+and the summary says how many there are.  The counts do not enter the exit
+status: 0 when every output is identical, 1 when one differs, 2 when a tree
+fails to run.
 """
 
 from __future__ import annotations
@@ -121,6 +128,11 @@ COMMANDS = (
      "--ref-piecewise", OFF_LINE],
     ["sweep", "--model", "cooper-pair-box", "--sweep", "ng:0.1:0.4:4", "--quantities", BESIDE,
      "--ref-piecewise", PLATEAU],
+    # closed engine rows asked for C and chi without dC: their C comes from the main run
+    ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:0.5:1.5:3",
+     "--quantities", "complexity,chi_f_components", "--ref-piecewise", OFF_LINE],
+    ["sweep", "--model", "cooper-pair-box", "--sweep", "ng:0.4:0.6:3",
+     "--quantities", "complexity,chi_f", "--ref-piecewise", PLATEAU],
     ["nh-sweep", "--set", "t1=2", "--set", "gamma=1", "--sweep", "t2:1:3:9"],
     # engine runs of 101 rows, more than one chunk of owners; ng = 0.5 is a closed row
     ["sweep", "--model", "cooper-pair-box", "--ref-piecewise", PLATEAU, "--sweep",
@@ -170,6 +182,24 @@ COMMANDS = (
 )
 
 
+WORK = [0, 0]  # the bz_averages runs and owners of the request being run
+
+
+def _counting(run):
+    """``bz_averages`` that adds each run, and its owners (the rows of ``edges``), to WORK."""
+    def counted(f, edges, cfg=None):
+        WORK[0] += 1
+        WORK[1] += len(edges)
+        return run(f, edges, cfg)
+    return counted
+
+
+def _measured(run, *args):
+    """(outcome, [bz_averages runs, owners]) of one request."""
+    WORK[:] = 0, 0
+    return run(*args), list(WORK)
+
+
 def _run(cli, argv):
     """(exit code, standard error, output) of one in-process command."""
     out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
@@ -206,10 +236,16 @@ def worker(src: str) -> None:
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import twoband
     import twoband.cli
+    import twoband.fidelity
+    import twoband.nonhermitian
+    import twoband.quadrature
     from bench_workloads import Generator
 
     if Path(twoband.__file__).resolve().parent != (Path(src) / "twoband").resolve():
         raise SystemExit(f"imported twoband from {twoband.__file__}, not from {src}")
+    counted = _counting(twoband.quadrature.bz_averages)
+    for module in (twoband.quadrature, twoband.fidelity, twoband.nonhermitian):
+        module.bz_averages = counted
     for name, (left, k, right) in REFERENCES.items():
         Path(name).write_text(f"{-math.pi!r} {k!r} {' '.join(map(repr, left))}\n"
                               f"{k!r} {math.pi!r} {' '.join(map(repr, right))}\n",
@@ -222,15 +258,15 @@ def worker(src: str) -> None:
             gen = Generator(workload, seed, Path("work") / f"{workload}-{seed}", twoband)
             gen.write_inputs()
             for i in range(ROUNDS):
-                outcomes += [(deck, req.argv, _run(twoband.cli, req.argv))
+                outcomes += [(deck, req.argv, *_measured(_run, twoband.cli, req.argv))
                              if req.argv is not None
                              else (deck, [".".join(req.call), f"seed={seed}", f"round={i}"],
-                                   _call(req)) for req in gen.round()]
-    outcomes += [(" ".join(["twoband", *argv]), argv, _run(twoband.cli, argv))
+                                   *_measured(_call, req)) for req in gen.round()]
+    outcomes += [(" ".join(["twoband", *argv]), argv, *_measured(_run, twoband.cli, argv))
                  for argv in COMMANDS]
     prefix = str(Path(src).resolve())  # a warning names its file: one token for either tree
-    json.dump([(source, argv, (code, err.replace(prefix, "<src>"), text))
-               for source, argv, (code, err, text) in outcomes], sys.stdout)
+    json.dump([(source, argv, (code, err.replace(prefix, "<src>"), text), work)
+               for source, argv, (code, err, text), work in outcomes], sys.stdout)
 
 
 def _cell(text: str):
@@ -289,8 +325,12 @@ def compare(old_src: str, new_src: str) -> int:
             sys.stderr.write(proc.stderr)
             return 2
         runs.append(json.loads(proc.stdout))
-    worst, moved, outside = {}, 0, 0
-    for (source, argv, old), (_, _, new) in zip(*runs):
+    worst, moved, outside, reworked = {}, 0, 0, 0
+    for (source, argv, old, old_work), (_, _, new, new_work) in zip(*runs):
+        if old_work != new_work:
+            reworked += 1
+            print(f"WORK: {' '.join(argv)}: bz_averages runs {old_work[0]} -> {new_work[0]}, "
+                  f"owners {old_work[1]} -> {new_work[1]}")
         if old == new:
             continue
         moved += 1
@@ -310,8 +350,8 @@ def compare(old_src: str, new_src: str) -> int:
                 outside += not (isinstance(a, (int, float)) and d <= 1e-10 + 1e-10 * abs(a))
         print("  " + (", ".join(f"{name} {d:.2g}" for name, d in sorted(changed.items()))
                       or "no parsed cell differs"))
-    print(f"{moved} of {len(runs[0])} requests differ; {outside} cells differ by more than "
-          "1e-10 + 1e-10 |old|")
+    print(f"{moved} of {len(runs[0])} requests differ; {reworked} change their bz_averages "
+          f"runs or owners; {outside} cells differ by more than 1e-10 + 1e-10 |old|")
     last = None
     for (source, family, column), (d, a, b) in sorted(worst.items()):
         if source != last:
