@@ -270,9 +270,10 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     Rows split three ways: idle ones need no average (a closed gap without C, or a request of
     none); exact ones take them from ``_planar_averages``, which decides which rows it takes
     (planar rows whose zeros lie on one line, under no reference, a global one or a
-    piecewise one that jumps on that line), a ``closed`` one only C in the engine's
-    ``closed`` record; the rest (a split at k0 != 0, the Cooper-pair box's plateau, a moving
-    zero beside 0 for dC) from ``_engine_averages``.  A non-finite lambda is a DomainError.
+    piecewise one that jumps on that line); the rest (a split at k0 != 0, the Cooper-pair
+    box's plateau, a moving zero beside 0 for dC) from ``_engine_averages``.  Whichever path
+    gave its C, every ``closed`` row's record is made here: C alone, dC None and chi inf,
+    flagged diverged.  A non-finite lambda is a DomainError.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
@@ -280,7 +281,7 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     zeros = m.zeros(lams) if zeros is None else zeros
     idle = zeros.closed & (not complexity) | (not (complexity or derivative or chi))
     exact = ~idle
-    cs = dcs = integrals = chis = [None] * lams.size
+    cs, dcs, integrals, chis = ([None] * lams.size for _ in range(4))
     if exact.any():
         ok, c, dc, turn, gains = _planar_averages(zeros, m.slope(lams), ref, complexity,
                                                   derivative, chi)
@@ -294,15 +295,14 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
             chis = [SusceptibilityBreakdown(0.0 + x + 0.0 + z, (x, 0.0, z))
                     for x, z in zip(*gains.tolist())]
     rest = (~(exact | idle)).nonzero()[0]
-    engine = iter(_engine_averages(m, lams[rest], ref, cfg, complexity=complexity,
-                                   derivative=derivative, chi=chi,
-                                   zeros=zeros.take(rest)) if rest.size else ())
+    for i, avg in zip(rest.tolist(), _engine_averages(
+            m, lams[rest], ref, cfg, complexity=complexity, derivative=derivative, chi=chi,
+            zeros=zeros.take(rest)) if rest.size else ()):
+        cs[i], dcs[i], integrals[i], chis[i] = avg[:4]
     diverged = SusceptibilityBreakdown(np.inf, (np.inf,) * 3, True) if chi else None
-    return [next(engine) if not (is_exact or is_idle) else
-            _BlochAverages(cs[i], None, None, diverged, True) if is_closed else
+    return [_BlochAverages(cs[i], None, None, diverged, True) if is_closed else
             _BlochAverages(cs[i], dcs[i], integrals[i], chis[i])
-            for i, (is_exact, is_idle, is_closed) in enumerate(zip(
-                exact.tolist(), idle.tolist(), zeros.closed.tolist()))]
+            for i, is_closed in enumerate(zeros.closed.tolist())]
 
 
 def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
@@ -317,11 +317,11 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
-    v^2 / 4 per axis.  Every row needs an average: a ``closed`` gap is asked
-    for C, and is a ``closed`` record: dC is None and chi is inf, flagged diverged; the row
-    averages only C, with v zeroed so that its C is the C-only average's bit for bit.  An
-    exhausted budget flags chi diverged and keeps every group's unconverged estimate (chi's
-    non-finite ones as inf); without chi it raises.
+    v^2 / 4 per axis.  Every row needs an average, and each record is the plain average: a
+    ``closed`` gap, asked for C, shares the run with v zeroed, so that its C is the C-only
+    average's bit for bit and its dC and chi read 0 (``_bloch_averages`` makes its closed
+    record).  An exhausted budget flags chi diverged and keeps every group's unconverged
+    estimate (chi's non-finite ones as inf); without chi it raises.
     """
     lams = np.asarray(lams, dtype=float)
     zeros = m.zeros(lams) if zeros is None else zeros
@@ -355,24 +355,21 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
     breaks = ref.breakpoints() if uses_ref else ()
     edges = np.hstack((edges, np.full((len(edges), len(breaks)), breaks)))
     results = []
-    for out, is_closed in zip(bz_averages(kernel, edges, cfg), closed.tolist()):
-        diverged = is_closed
-        if isinstance(out, ConvergenceError):
-            if not chi:
-                raise out
-            out, diverged = out.estimate, True
-        out = iter(out)
+    for out in bz_averages(kernel, edges, cfg):
+        diverged = isinstance(out, ConvergenceError)
+        if diverged and not chi:
+            raise out
+        out = iter(out.estimate if diverged else out)
         c = float(next(out)) if complexity else None
         dc = integrals = breakdown = None
-        if derivative and not is_closed:
+        if derivative:
             row = next(out)
             dc, integrals = float(row[0]), 2.0 * PI * row[1:]
         if chi:  # the total in the order of numpy's sum of three: ((0 + x) + y) + z
-            comps = (np.inf,) * 3 if is_closed else tuple(
-                x if math.isfinite(x) else np.inf for x in next(out).tolist())
+            comps = tuple(x if math.isfinite(x) else np.inf for x in next(out).tolist())
             breakdown = SusceptibilityBreakdown(0.0 + comps[0] + comps[1] + comps[2], comps,
                                                 diverged)
-        results.append(_BlochAverages(c, dc, integrals, breakdown, is_closed))
+        results.append(_BlochAverages(c, dc, integrals, breakdown))
     return results
 
 

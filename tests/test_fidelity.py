@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from twoband import (BZQuadratureConfig, ConvergenceError, DomainError, GapClosedError,
-                     GlobalReference, MassiveDiracParams, SSHParams, chi_F, chi_F_md_closed,
-                     chi_F_md_z_closed, chi_F_per_mode,
+from twoband import (BlochVector, BZQuadratureConfig, ConvergenceError, DomainError,
+                     GapClosedError, GlobalReference, MassiveDiracParams,
+                     PiecewiseBlochReference, SSHParams, SusceptibilityBreakdown, chi_F,
+                     chi_F_md_closed, chi_F_md_z_closed, chi_F_per_mode,
                      chi_F_per_mode_projector, chi_F_ssh_closed, ground_complexity,
                      massive_dirac_model, ssh_model)
-from twoband.fidelity import dhat_derivative
+from twoband.fidelity import _bloch_averages, _engine_averages, dhat_derivative
 from twoband.models import MODELS, TwoBandModel
 
 PI = math.pi
@@ -161,6 +162,25 @@ class TestBZAveraged:
         got = chi_F(ssh_model(SSHParams(1.0, 2.0)), 1.0)
         assert got.diverged
         assert got.total == math.inf and got.components == (math.inf,) * 3
+
+    def test_a_closed_engine_row_is_closed_by_bloch_averages(self, calls):
+        # ssh at t1 = t2 under a jump at k = 1, off the zeros' line, takes the engine: its
+        # record is the plain average, the zeroed v giving dC and chi 0, and _bloch_averages
+        # makes the closed record, the same as for the row the exact path takes
+        model = ssh_model(SSHParams(1.0, 1.0))
+        split = PiecewiseBlochReference(((-PI, 1.0, BlochVector(0.0, 0.0, 1.0)),
+                                         (1.0, PI, BlochVector(0.0, 0.0, -1.0))))
+        asked = dict(complexity=True, derivative=True, chi=True)
+        (engine,) = _engine_averages(model, [1.0], split, None, **asked)
+        (c_only,) = _engine_averages(model, [1.0], split, None, complexity=True)
+        assert not engine.closed and engine.complexity == c_only.complexity
+        assert engine.dcomplexity == 0.0 and engine.chi.components == (0.0, 0.0, 0.0)
+        (closed,) = _bloch_averages(model, [1.0], split, None, **asked)
+        assert closed == (engine.complexity, None, None,
+                          SusceptibilityBreakdown(math.inf, (math.inf,) * 3, True), True)
+        assert calls["bz_averages"] == 3
+        (exact,) = _bloch_averages(model, [1.0], GlobalReference(0.9, 0.4), None, **asked)
+        assert exact[1:] == closed[1:] and calls["bz_averages"] == 3
 
 
 class TestSSHClosedForm:
