@@ -33,7 +33,8 @@ class BZQuadratureConfig:
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise DomainError("quadrature tolerances must be finite and positive")
-        if not (isinstance(self.max_subdivisions, numbers.Integral) and self.max_subdivisions > 0):
+        budget = self.max_subdivisions  # a bool is an Integral, but no budget
+        if isinstance(budget, bool) or not (isinstance(budget, numbers.Integral) and budget > 0):
             raise DomainError("max_subdivisions must be an integer of at least 1")
 
 
@@ -150,7 +151,8 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
     _REFINE_MARGIN.  A finished owner's panels stay unsplit.  Returns per owner
     the estimate in the kernel's form or, past ``max_subdivisions`` panels (its
     starting panels count too) or at a non-finite error, a ConvergenceError
-    carrying it and the owner's summed group errors.  The estimate is the
+    carrying it and its error in the same form, one float per group in that
+    group's own units.  The estimate is the
     ``np.add.reduceat`` sum of the owner's K21 values in panel order, the sum
     its last convergence test read; no other
     owner's panels enter it, so it equals the owner's lone average bit for bit.
@@ -214,9 +216,10 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
         groups = [total[a:b].T.reshape((-1, *shape)) for a, b, shape in zip(rows, ends, shapes)]
         found = list(zip(*groups)) if isinstance(out, tuple) else list(groups[0])
         for i in (~converged).nonzero()[0].tolist():
+            error = (owner_err[:, i] / (2.0 * PI)).tolist()
             found[i] = ConvergenceError("BZ average did not converge within the subdivision "
-                                        "budget", estimate=found[i],
-                                        error=float(owner_err[:, i].sum()) / (2.0 * PI))
+                                        "budget", estimate=found[i], error=tuple(error)
+                                        if isinstance(out, tuple) else error[0])
         results += found
     return results
 

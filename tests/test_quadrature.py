@@ -76,7 +76,7 @@ class TestBZAverage:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             BZQuadratureConfig(abs_tol=0.0)
-        for budget in (0, -1, 2.5, math.nan):
+        for budget in (0, -1, 2.5, math.nan, True):
             with pytest.raises(DomainError, match="max_subdivisions"):
                 BZQuadratureConfig(max_subdivisions=budget)
         assert BZQuadratureConfig(max_subdivisions=1).max_subdivisions == 1
@@ -300,6 +300,19 @@ class TestArrayEngine:
             bz_average_vec(lambda k: np.sin(1000.0 * k * k), cfg)
         assert np.isfinite(info.value.estimate)
         assert info.value.error > 0.0
+
+    def test_an_exhausted_run_reports_each_group_error_in_its_own_units(self):
+        # the first group is exact and the second, a chirp of size 1e9, is not: each group
+        # keeps its own error, which for the chirp is its error as a lone kernel
+        cfg = BZQuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)
+        chirp = lambda k: 1e9 * np.sin(1000.0 * k * k)
+        with pytest.raises(ConvergenceError) as both:
+            bz_average_vec(lambda k: (np.cos(k) ** 2, chirp(k)), cfg)
+        with pytest.raises(ConvergenceError) as alone:
+            bz_average_vec(chirp, cfg)
+        (c, _), (c_err, chirp_err) = both.value.estimate, both.value.error
+        assert c == pytest.approx(0.5, abs=1e-15) and 0.0 <= c_err < 1e-14
+        assert chirp_err == alone.value.error and isinstance(alone.value.error, float)
 
     def test_budget_caps_the_number_of_panels(self):
         cfg = BZQuadratureConfig(max_subdivisions=50)
