@@ -25,9 +25,9 @@ from .fidelity import (_bloch_averages, _engine_averages, _planar_averages, chi_
 from .models import (MODELS, CooperPairBoxParams, DualSSHParams, MassiveDiracParams,
                      NonHermitianSSHParams, SSHParams, cooper_pair_box_model,
                      massive_dirac_model, nh_ssh_bloch_hamiltonian, ssh_model)
-from .nonhermitian import (bikrylov_basis, biorthogonal_ground, nh_complexity_derivative,
-                           nh_complexity_per_mode, nh_complexity_per_mode_overlap,
-                           nh_ground_complexity)
+from .nonhermitian import (_normalized_pair, bikrylov_basis, biorthogonal_ground,
+                           nh_complexity_derivative, nh_complexity_per_mode,
+                           nh_complexity_per_mode_overlap, nh_ground_complexity)
 from .quadrature import param_derivative
 from .topology import dual_windings, winding_cross_product, winding_log_derivative
 
@@ -288,10 +288,7 @@ def nonhermitian_suite() -> List[CheckResult]:
         pair = biorthogonal_ground(nh_ssh_bloch_hamiltonian(params, k))
         worst_pairing = max(worst_pairing, abs(pair.pairing() - 1.0))
         z = rng.normal(size=4)
-        alpha = complex(z[0], z[1])
-        beta = complex(z[2], z[3])
-        n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        alpha, beta = alpha / n, beta / n
+        alpha, beta = _normalized_pair(complex(z[0], z[1]), complex(z[2], z[3]))
         basis = bikrylov_basis(alpha, beta)
         gram = np.array([[basis.left0 @ basis.right0, basis.left0 @ basis.right1],
                          [basis.left1 @ basis.right0, basis.left1 @ basis.right1]])
