@@ -185,15 +185,6 @@ COMMANDS = (
 WORK = [0, 0]  # the bz_averages runs and owners of the request being run
 
 
-def _counting(run):
-    """``bz_averages`` that adds each run, and its owners (the rows of ``edges``), to WORK."""
-    def counted(f, edges, cfg=None):
-        WORK[0] += 1
-        WORK[1] += len(edges)
-        return run(f, edges, cfg)
-    return counted
-
-
 def _measured(run, *args):
     """(outcome, [bz_averages runs, owners]) of one request."""
     WORK[:] = 0, 0
@@ -243,7 +234,13 @@ def worker(src: str) -> None:
 
     if Path(twoband.__file__).resolve().parent != (Path(src) / "twoband").resolve():
         raise SystemExit(f"imported twoband from {twoband.__file__}, not from {src}")
-    counted = _counting(twoband.quadrature.bz_averages)
+    run = twoband.quadrature.bz_averages
+
+    def counted(f, edges, cfg=None):  # adds each run, and its owners (rows of edges), to WORK
+        WORK[0] += 1
+        WORK[1] += len(edges)
+        return run(f, edges, cfg)
+
     for module in (twoband.quadrature, twoband.fidelity, twoband.nonhermitian):
         module.bz_averages = counted
     for name, (left, k, right) in REFERENCES.items():
