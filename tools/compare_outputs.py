@@ -20,14 +20,17 @@ directory, on the same requests:
   line of the zeros (also 1e-12 from a closing) and off it, closed engine
   rows asked for C and chi_F without dC, lossy sweeps,
   engine sweeps of 101 rows (more than one chunk of ``_MAX_OWNERS`` owners),
-  sweeps through closed and exceptional rows, the point commands,
-  ``verify all``, ``--help`` and malformed command lines.
+  sweeps through closed and exceptional rows, rows whose moving zero sits
+  beside 0 (the exact path declines their dC/dlambda alone), the point
+  commands, ``duality`` at coupling ratios beyond the elliptic derivatives'
+  domain, ``verify all``, ``--help`` and malformed command lines.
 
 A command's output is its ``--out`` file, else its standard output; a library
 request's output is one line per call, ``function[j]=<repr>`` for each entry
 of the value returned.  Paths in the argv are relative to each tree's
 directory, so the two trees run the same argv and the output path never
-differs.  In the standard error, the tree's resolved ``src`` path is replaced
+differs.  An exception that escapes a command counts as exit code 1, with the
+traceback's last line as its standard error.  In the standard error, the tree's resolved ``src`` path is replaced
 by ``<src>``, so a warning from identical code compares equal.  The script
 prints every request
 whose exit code, first error line or output differs, with the largest |delta|
@@ -155,11 +158,20 @@ COMMANDS = (
     ["nh-sweep", "--set", "t1=1", "--set", "gamma=2", "--sweep", "t2:-1:1:3"],
     ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:0.5:1.5:3",
      "--quantities", "winding"],
+    # a moving zero within 1e-2 of 0: the exact path declines dC/dlambda and keeps C and chi_F
+    ["sweep", "--model", "massive-dirac", "--sweep", "mu:40:60:3", "--quantities", ALL],
+    ["sweep", "--model", "ssh", "--set", "t1=0.01", "--sweep", "t2:1.5:2.5:3",
+     "--quantities", ALL],
     ["bound", "--model", "ssh", "--lam", "1.5"],
     ["bound", "--model", "massive-dirac", "--lam", "1e-10", "--theta", "0.9"],
     ["ratio", "--model", "dual-ssh", "--lam", "2"],
     ["ratio", "--model", "cooper-pair-box", "--lam", "0.2"],
     ["duality", "--set", "r=2"],
+    # m = 4r / (1 + r)^2 rounds to 0, r^4 overflows, and both sides of chi_F's duality are 0
+    ["duality", "--set", "r=1e20"],
+    ["duality", "--set", "r=1e-20"],
+    ["duality", "--set", "r=1e78"],
+    ["duality", "--set", "r=1e-300"],
     ["winding", "--model", "dual-ssh", "--set", "r=0.5"],
     ["verify", "all"],
     # the parser's own output: help, and command lines it rejects with exit 2
@@ -204,6 +216,9 @@ def _run(cli, argv):
             code = cli.main(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:  # uncaught: the process would print a traceback and exit 1
+        code = 1
+        err.write(f"{type(exc).__name__}: {exc}\n")
     text = out.read_text(encoding="utf-8") if out is not None and out.exists() else sink.getvalue()
     return code, err.getvalue(), text
 
