@@ -115,150 +115,224 @@ def _cel(kc, p, a, b):
     return 0.5 * PI * (b + a * em) / (em * (em + p))
 
 
-def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivative: bool,
-                     chi: bool):
-    """(ok, C, dC, <d(d_hat)/d(lambda)> per axis, chi_F per axis), each axis pair (x, z) and
-    each None where not asked for, of rows from their ``ContourZeros`` and slope rows under
-    ``ref``: the one decision of which rows take the exact path.  ``ok`` marks the planar rows
-    (d_y = 0, and its rate) under no reference, a global one or a piecewise one, whose zeros
-    lie on one line u = e^{i theta} through 0 (for dC or chi on an open row, also as lambda
-    moves) and whose values are finite.  A piecewise reference must jump only at k = theta or
-    theta + pi, to the breakpoint's rounding, with the smaller zero at most 1/2 from 0: it is
-    n+ on phi = k - theta in (0, pi) and n- on the rest, so a mean is (n+ + n-) / 2 of the
-    full one plus (n+ - n-) of its odd part.  Where u is rounded (off both axes) an open row's
-    dC with n+ + n- != 0 declines _BESIDE the circle.
+def _h(x):
+    """h(x) = artanh(sqrt x) / sqrt x, analytic through h(0) = 1 (arctan(sqrt -x) / sqrt -x
+    for x < 0)."""
+    t = np.sqrt(0j + x)
+    return np.where(t == 0.0, 1.0, (np.arctanh(t) / t).real)
 
-    Each zero reflected into the disk is sigma_j u, sigma_j real: with e^{ik} = u w,
-    |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2, and 1 - |sigma_j| is |d| beside
-    zero j over |kappa| |sign(sigma_j) - sigma_k|, exact at a closing.  With sigma_1 the
-    larger, <N / |d|> = 2 cel(kc, p, N(theta), p N(theta + pi)) / (pi |kappa| (1 + sigma_1)
-    (1 - sigma_2)), kc = (1 - sigma_1)(1 + sigma_2) / ((1 + sigma_1)(1 - sigma_2)) and
-    p = ((1 - sigma_1) / (1 + sigma_1))^2.  The angle psi of d_x + i d_z moves as
-    -omega + sin(phi) sum_j tau_j / Q_j (omega the rate of arg kappa, tau_j +- the rate of
-    sigma_j for a zero outside/inside): <d(d_hat)/d(lambda)> turns -omega <d_hat> + d_k
-    d(theta) sum_j tau_j <sin^2 phi / (|d| Q_j)> by 90 degrees, each mean two cel values,
-    and chi_F with its axes (the factor Re e^{2 i psi}) are residue sums in the sigma_j.
-    A closed row has sigma_1 = 1, sigma_2 anywhere on the line, and only <d_hat>, the limit
-    (2 / pi) (1 + sigma_2) h d_hat(theta + pi) with h = artanh(t) / t, t = sqrt(-sigma_2), and
-    1 +- sigma_j from sigma_j (g is 0/0 beside the closing); 0 with sigma_2 = -1.
+
+class _Line(NamedTuple):
+    """The rows' zeros on their line u = e^{i theta} through 0, from ``_zeros_on_line``: with
+    e^{ik} = u w, each zero reflected into the disk is sigma_j u, sigma_j real, and
+    |d| = |kappa| sqrt(Q_1 Q_2), Q_j = |w - sigma_j|^2.  Arrays are per row, (2, n) per zero."""
+    z: np.ndarray  # the zeros reflected into the disk
+    u: np.ndarray
+    sig: np.ndarray
+    neg: np.ndarray  # sigma_j < 0
+    g: np.ndarray  # 1 - |sigma_j|
+    kappa: np.ndarray
+    amp: np.ndarray  # |kappa|
+    ends: np.ndarray  # (x, z) of d at theta and at theta + pi, (2, 2, n)
+    slope: np.ndarray  # d_k of d_x - i d_z at theta
+    order: tuple  # the (zero, row) indices of the larger zero and of the smaller
+    line: np.ndarray  # the line and on-circle tests
+
+
+def _zeros_on_line(zeros: ContourZeros, slope, ref) -> Optional[_Line]:
+    """The ``_Line`` of rows from their ``ContourZeros``, or None, no row exact, unless they
+    and their ``slope`` rows are planar (d_y = 0, and its rate) and ``ref`` is None, global
+    or piecewise.  1 - |sigma_j| is |d| beside zero j over |kappa| |sign(sigma_j) - sigma_k|,
+    exact at a closing.  ``line`` passes an open row whose zeros leave the line by at most
+    _ON_LINE of 1 - |sigma|, the smaller not beside u, and a closed row (sigma_1 = 1) whose
+    other zero is on it to _ROUNDING sum |p_i| / |p'|."""
+    (p2, q, p0), zs, p1, inside, closed = zeros.p, zeros.p, zeros.p1, zeros.inside, zeros.closed
+    if not (ref is None or isinstance(ref, (GlobalReference, PiecewiseBlochReference))) or any(
+            np.any(y) if isinstance(y, np.ndarray) else y for _, y, _ in (*zeros.rows, *slope)):
+        return None
+    r, num, den = np.arange(closed.size), zs[1:], zs[:2]  # the zeros q / p2 and p0 / q
+    z = np.where(inside, num / den, (den / num).conj())  # outside: reflected, 1 / conj(z)
+    size = abs(z)
+    big = 1 * (size[1] > size[0])
+    b, s, zb = (big, r), (1 - big, r), z[big, r]
+    # each part divided alone: numpy divides by a real through its reciprocal, and
+    # a u off the unit circle by an ulp loses digits of dC beside a closing
+    u = np.where(zb == 0.0, 1.0, zb.real / size[b] + 1j * (zb.imag / size[b]))
+    uc = u.conj()
+    w = z * uc
+    sig, asig, neg = w.real, abs(w.real), w.real < 0.0
+    kappa = np.where(inside[0], p2, -q) * np.where(inside[1], 1.0, -p0 / q)
+    amp, odd = abs(kappa), p0 * uc + p2 * u  # d_x - i d_z = p0 / z + p1 + p2 z at z = +-u
+    ends = np.array([p1 + odd, p1 - odd])
+    g = np.where((asig <= 0.5) | closed, 1.0 - asig, abs(np.where(neg, ends[1], ends[0]))
+                 / (amp * abs(np.where(neg, -1.0, 1.0) - sig[::-1])))
+    line = abs(w.imag) <= _ON_LINE * g  # off the line by far less than the gap
+    on = abs(w[s].imag) * abs(p1 + 2.0 * q) <= _ROUNDING * (abs(p0) + abs(p1) + abs(p2))
+    ends = np.array([ends.real, -ends.imag]).transpose(1, 0, 2)  # (x, z) at theta, + pi
+    return _Line(z, u, sig, neg, g, kappa, amp, ends, 1j * (p2 * u - p0 * uc), (b, s),
+                 np.where(closed, on, line[b] & (line & (sig <= 0.5))[s]))  # open: not beside u
+
+
+def _rates(zeros: ContourZeros, line: _Line, slope):
+    """(tau, omega, fine) of rows as lambda moves: tau_j is +- the rate of sigma_j for a zero
+    outside/inside and omega the rate of arg kappa, so that the angle psi of d_x + i d_z
+    moves as -omega + sin(phi) sum_j tau_j / Q_j; ``fine`` where the zeros also stay on the
+    line, to _ON_LINE of their rates."""
+    (p2, q, p0), zs, p1, inside = zeros.p, zeros.p, zeros.p1, zeros.inside
+    s0, s1, s2 = (v * np.ones(zeros.closed.size) for v in _coefficients(slope))
+    dq = (s1 * q + s0 * p2 + p0 * s2) / -(2.0 * q + p1)  # q^2 + p1 q + p0 p2 = 0
+    dzs = np.array([s2, dq, s0])  # the rates of p2, q, p0
+    dnum, dden, rate, z = dzs[1:], dzs[:2], dzs / zs, line.z
+    dz = np.where(inside, (dnum - z * dden) / zs[:2], ((dden - z.conj() * dnum) / zs[1:]).conj())
+    dsig = dz * line.u.conj()
+    omega = (np.where(inside[0], rate[0], rate[1])
+             + np.where(inside[1], 0.0, rate[2] - rate[1])).imag
+    return (np.where(inside, -dsig.real, dsig.real), omega,
+            (abs(dsig.imag) <= _ON_LINE * abs(dz)).all(0))
+
+
+def _c_stage(zeros: ContourZeros, line: _Line, ref, complexity: bool, derivative: bool):
+    """(C or None, ok, means) of rows.  ``means`` are <d_hat> per axis (x, z), its odd part
+    under a piecewise ``ref`` (else None), for ``derivative`` the means <sin^2 phi / (|d|
+    Q_j)> from the same cel call and their odd parts, the reference's average of a full and
+    an odd mean, and the mean of its two sides.  ``ok`` passes the ``line`` test, finite
+    values and a piecewise ``ref`` that jumps only at k = theta or theta + pi, to the
+    breakpoint's rounding, with the smaller zero at most 1/2 from 0: it is n+ on
+    phi = k - theta in (0, pi) and n- on the rest, so a mean is (n+ + n-) / 2 of the full one
+    plus (n+ - n-) of its odd part.
+
+    With sigma_1 the larger, <N / |d|> = 2 cel(kc, p, N(theta), p N(theta + pi)) / (pi |kappa|
+    (1 + sigma_1)(1 - sigma_2)), kc = (1 - sigma_1)(1 + sigma_2) / ((1 + sigma_1)(1 - sigma_2))
+    and p = ((1 - sigma_1) / (1 + sigma_1))^2.  A closed row has sigma_1 = 1, sigma_2 anywhere
+    on the line, and only <d_hat>, the limit (2 / pi) (1 + sigma_2) h(-sigma_2) d_hat(theta
+    + pi), and 1 +- sigma_j from sigma_j (g is 0/0 beside the closing); 0 with sigma_2 = -1.
     The odd parts are elementary in x = cos phi (Gradshteyn & Ryzhik 2.26): int dx / sqrt(Q_1
     Q_2) = 2 h(sigma_1 sigma_2), and the spin terms' int e dx / (Q_j sqrt(Q_1 Q_2)), e the even
     part of d_x - i d_z over K = kappa u^(inside - 1), are sums of h and h', finite at a
     closing, where they give a closed row's C too.
     """
-    (p2, q, p0), zs, p1, inside, closed = zeros.p, zeros.p, zeros.p1, zeros.inside, zeros.closed
-    n, r, fine, half = closed.size, np.arange(closed.size), True, None  # fine: open dC, chi
-    if not (ref is None or isinstance(ref, (GlobalReference, PiecewiseBlochReference))) or any(
-            np.any(y) if isinstance(y, np.ndarray) else y for _, y, _ in (*zeros.rows, *slope)):
-        return np.zeros(n, bool), None, None, None, None  # not planar, or another reference
-    with np.errstate(all="ignore"):
-        num, den = zs[1:], zs[:2]  # the zeros q / p2 and p0 / q
-        z = np.where(inside, num / den, (den / num).conj())  # outside: reflected, 1 / conj(z)
-        size = abs(z)
-        big = 1 * (size[1] > size[0])
-        b, s, zb = (big, r), (1 - big, r), z[big, r]
-        # each part divided alone: numpy divides by a real through its reciprocal, and
-        # a u off the unit circle by an ulp loses digits of dC beside a closing
-        u = np.where(zb == 0.0, 1.0, zb.real / size[b] + 1j * (zb.imag / size[b]))
-        rounded = (u.real != 0.0) & (u.imag != 0.0)  # u is exact on an axis only
-        uc = u.conj()
-        w = z * uc
-        sig, asig, neg = w.real, abs(w.real), w.real < 0.0
-        kappa = np.where(inside[0], p2, -q) * np.where(inside[1], 1.0, -p0 / q)
-        amp, odd = abs(kappa), p0 * uc + p2 * u  # d_x - i d_z = p0 / z + p1 + p2 z at z = +-u
-        ends = np.array([p1 + odd, p1 - odd])
-        g = np.where((asig <= 0.5) | closed, 1.0 - asig, abs(np.where(neg, ends[1], ends[0]))
-                     / (amp * abs(np.where(neg, -1.0, 1.0) - sig[::-1])))
-        ends = np.array([ends.real, -ends.imag]).transpose(1, 0, 2)  # (x, z) at theta, + pi
-        line = abs(w.imag) <= _ON_LINE * g  # off the line by far less than the gap
-        on = abs(w[s].imag) * abs(p1 + 2.0 * q) <= _ROUNDING * (abs(p0) + abs(p1) + abs(p2))
-        ok = np.where(closed, on, line[b] & (line & (sig <= 0.5))[s])  # open: not beside u too
-        slope_k = 1j * (p2 * u - p0 * uc)  # d_k of d_x - i d_z at theta
-        if isinstance(ref, PiecewiseBlochReference) and (complexity or derivative):
-            jumps = ref.jumps()  # on the line, at phi = 0 and pi
-            ok &= (sig[s] <= 0.5) & (abs((np.exp(1j * jumps)[:, None] * uc).imag) <= _ROUNDING * (
-                1.0 + abs(jumps))[:, None]).all(0)
-            sp = sig[0] * sig[1]  # h(sp) is half int dx / sqrt(Q_1 Q_2) over x = cos phi
-            hp = np.where((t := np.sqrt(0j + sp)) == 0.0, 1.0, (np.arctanh(t) / t).real)
-            half = np.array([slope_k.real, -slope_k.imag]) / amp * (hp / PI)
-        gm, pa = 2.0 - g, PI * amp
-        m, P = np.where(neg, gm, g), np.where(neg, g, gm)  # 1 - sigma, 1 + sigma
-        mb, Pb, ms, Ps = m[b], P[b], m[s], P[s]
-        kc, pc = mb * Ps / (Pb * ms), (mb / Pb) ** 2
-        if derivative or chi:
-            s0, s1, s2 = (v * np.ones(n) for v in _coefficients(slope))
-            dq = (s1 * q + s0 * p2 + p0 * s2) / -(2.0 * q + p1)  # q^2 + p1 q + p0 p2 = 0
-            dzs = np.array([s2, dq, s0])  # the rates of p2, q, p0
-            dnum, dden, rate = dzs[1:], dzs[:2], dzs / zs
-            dz = np.where(inside, (dnum - z * dden) / den, ((dden - z.conj() * dnum) / num).conj())
-            dsig = dz * uc
-            fine = (abs(dsig.imag) <= _ON_LINE * abs(dz)).all(0)
-            tau = np.where(inside, -dsig.real, dsig.real)
-            omega = (np.where(inside[0], rate[0], rate[1])
-                     + np.where(inside[1], 0.0, rate[2] - rate[1])).imag
-        if derivative:  # <sin^2 phi / (|d| Q_j)> along zero j, the other at sign(sigma_j) sigma_k
-            mk, Pk = np.where(neg, P[::-1], m[::-1]), np.where(neg, m[::-1], P[::-1])
-            kj = g * Pk / (gm * mk)
-            kc = np.concatenate(([kc, kc], kj, kj))
-            pc = np.concatenate(([pc, pc], np.ones((2, n)), (g / gm) ** 2))
-        dhat = turn = gains = half_turn = None
-        if complexity or derivative:
-            out = _cel(*((kc, pc, np.concatenate((ends[0], np.zeros((4, n)))),
-                          np.concatenate((pc[:2] * ends[1], pc[2:]))) if derivative else
-                         (np.array([kc, kc]), np.array([pc, pc]), ends[0], pc * ends[1])))
-            dhat = 2.0 / (pa * Pb * ms) * out[:2]
-            if closed.any():  # the larger zero on the circle, the other at sig[s]
-                t = np.sqrt(0j - sig[s])
-                h = np.where(t == 0.0, 1.0, (np.arctanh(t) / t).real)
-                dhat = np.where(closed, np.where(Ps == 0.0, 0.0, 2.0 / PI * Ps * h * ends[1]
-                                                 / np.hypot(*ends[1])), dhat)
-        if derivative:
-            spin = (tau * np.where(tau == 0.0, 0.0, 2.0 * (out[2:4] - out[4:]) / (
-                pa * gm * mk * asig))).sum(0)
-            fine &= ((tau == 0.0) | (asig >= _OFF_ORIGIN)).all(0)
-            turn = np.array([slope_k.imag * spin + omega * dhat[1],
-                             slope_k.real * spin - omega * dhat[0]])
-            if half is not None:  # f's even part is K e(cos phi), e real and linear
-                hs = np.where(abs(sp) < 0.05, np.polynomial.polynomial.polyval(sp, _H_SLOPE),
-                              (1.0 / (1.0 - sp) - hp) / (sp + sp))  # h', without cancellation
-                other = sig[::-1]
-                e = np.where(inside[0] == inside[1], 2.0 * other * ((1.0 - sp) * hs - hp),
-                             2.0 * ((sig - other) * other * hs + hp))
-                K, spin = kappa * u ** (inside.sum(0) - 1), (tau * e).sum(0) / (2.0 * pa)
-                half_turn = np.array([K.imag * spin + omega * half[1],
-                                      K.real * spin - omega * half[0]])
-        if chi:  # <(d psi)^2> and that less <e^{2 i psi} (d psi)^2> / phase, per side
-            a, c, iw = g * gm, 1.0 - sig[0] * sig[1], 1j * omega
-            t2, om2, tt = tau ** 2, omega ** 2, 2.0 * tau[0] * tau[1]
-            ta, ts, lean = t2 / a, tau * sig[::-1], t2 * (1.0 / a - (sig * sig / c)[::-1])
-            total = om2 + 0.5 * (ta[0] + tt / c + ta[1])
-            same = total - om2 * sig[0] * sig[1] - iw * (ts[0] + ts[1]) + 0.25 * (
-                lean[0] + tt + lean[1])
-            io = (np.array([inside[0], ~inside[0]]) * 1, r)  # outside, inside
-            (X, Y), T, A = sig[io], tau[io], a[io]
-            d, XY, mid = X - Y, X * Y, T * (c + A[::-1])
-            far = T ** 2 * (XY * c + A[::-1]) / A
-            mixed = d / c * (d * total + iw * (mid[0] + mid[1]) / c + d / (4.0 * c * c) * (
-                far[0] + 2.0 * T[0] * T[1] * (1.0 + XY) + far[1]))
-            less = np.where(inside[0] != inside[1], mixed, np.where(inside[0], same.conj(), same))
-            phase = kappa.conj() / kappa * u ** (2 - 2 * inside.sum(0))
-            tilt = (phase * less).real
-            gains = np.array([total * (1.0 - phase.real) + tilt,
-                              total * (1.0 + phase.real) - tilt]) / 8.0
-    for v in (turn, gains, half_turn):
-        fine &= True if v is None else np.isfinite(v).all(0)
-    ok &= (closed | fine) & (True if dhat is None else np.isfinite(
-        dhat if half is None else dhat + half).all(0))
-    nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
-    avg = lambda full, part: nref @ full
-    if half is not None:  # the reference on phi > 0 and phi < 0, read at theta +- pi / 2
-        sides = [ref.bloch_at(np.angle(turn_by * u))[::2] for turn_by in (1j, -1j)]
+    (b, s), sig, g, neg, ends = line.order, line.sig, line.g, line.neg, line.ends
+    n, gm, pa = zeros.closed.size, 2.0 - g, PI * line.amp
+    m, P = np.where(neg, gm, g), np.where(neg, g, gm)  # 1 - sigma, 1 + sigma
+    mb, Pb, ms, Ps = m[b], P[b], m[s], P[s]
+    kc, pc = mb * Ps / (Pb * ms), (mb / Pb) ** 2
+    if derivative:  # <sin^2 phi / (|d| Q_j)> along zero j, the other at sign(sigma_j) sigma_k
+        mk, Pk = np.where(neg, P[::-1], m[::-1]), np.where(neg, m[::-1], P[::-1])
+        kj = g * Pk / (gm * mk)
+        kc = np.concatenate(([kc, kc], kj, kj))
+        pc = np.concatenate(([pc, pc], np.ones((2, n)), (g / gm) ** 2))
+    out = _cel(*((kc, pc, np.concatenate((ends[0], np.zeros((4, n)))),
+                  np.concatenate((pc[:2] * ends[1], pc[2:]))) if derivative else
+                 (np.array([kc, kc]), np.array([pc, pc]), ends[0], pc * ends[1])))
+    sines = 2.0 * (out[2:4] - out[4:]) / (pa * gm * mk * abs(sig)) if derivative else None
+    dhat = 2.0 / (pa * Pb * ms) * out[:2]
+    if zeros.closed.any():  # the larger zero on the circle, the other at sig[s]
+        dhat = np.where(zeros.closed, np.where(Ps == 0.0, 0.0, 2.0 / PI * Ps * _h(-sig[s])
+                                               * ends[1] / np.hypot(*ends[1])), dhat)
+    half = odd_sines = mean = None
+    ok = line.line
+    if isinstance(ref, PiecewiseBlochReference):
+        jumps, sp = ref.jumps(), sig[0] * sig[1]  # h(sp) is half int dx / sqrt(Q_1 Q_2)
+        ok = ok & (sig[s] <= 0.5) & (abs((np.exp(1j * jumps)[:, None] * line.u.conj()).imag)
+                                      <= _ROUNDING * (1.0 + abs(jumps))[:, None]).all(0)
+        hp = _h(sp)
+        half = np.array([line.slope.real, -line.slope.imag]) / line.amp * (hp / PI)
+        # the reference on phi > 0 and phi < 0, read at theta +- pi / 2
+        sides = [ref.bloch_at(np.angle(turn_by * line.u))[::2] for turn_by in (1j, -1j)]
         mean, diff = 0.5 * (sides[0] + sides[1]), sides[0] - sides[1]
         avg = lambda full, part: (mean * full).sum(0) + (diff * part).sum(0)
-        # dC takes the full-circle turn where the mean is not 0, which a rounded u spoils
-        ok &= closed | ~(derivative & rounded & mean.any(0)) | (g >= _BESIDE).all(0)
-    return (ok, 0.5 + 0.5 * avg(dhat, half) if complexity else None,
-            0.5 * avg(turn, half_turn) if derivative else None, turn, gains)
+        if derivative:  # f's even part is K e(cos phi), e real and linear
+            hs = np.where(abs(sp) < 0.05, np.polynomial.polynomial.polyval(sp, _H_SLOPE),
+                          (1.0 / (1.0 - sp) - hp) / (sp + sp))  # h', without cancellation
+            other, inside = sig[::-1], zeros.inside
+            odd_sines = np.where(inside[0] == inside[1], 2.0 * other * ((1.0 - sp) * hs - hp),
+                                 2.0 * ((sig - other) * other * hs + hp))
+    else:
+        nref = (np.zeros(3) if ref is None else ref.bloch_at(0.0))[::2]
+        avg = lambda full, part: nref @ full
+    ok = ok & np.isfinite(dhat if half is None else dhat + half).all(0)
+    return (0.5 + 0.5 * avg(dhat, half) if complexity else None, ok,
+            (dhat, half, sines, odd_sines, avg, mean))
+
+
+def _dc_stage(zeros: ContourZeros, line: _Line, rates, ok, means):
+    """(dC, <d(d_hat)/d(lambda)> per axis, ok) of rows from their ``_rates`` and the C
+    stage's ``ok`` and ``means``: <d(d_hat)/d(lambda)> turns -omega <d_hat> + d_k d(theta)
+    sum_j tau_j <sin^2 phi / (|d| Q_j)> by 90 degrees, and its odd part likewise.  ``ok``
+    adds that an open row's rates are ``fine`` and its values finite, with its moving zeros
+    _OFF_ORIGIN from 0, where a mean loses 2e-16 / |sigma| to a difference of cel values,
+    and, under a piecewise reference with n+ + n- != 0 and u off both axes, so rounded, with
+    its zeros _BESIDE the circle or farther: there the full-circle turn loses
+    1e-17 / (1 - |sigma|) to it."""
+    (tau, omega, fine), (dhat, half, sines, odd_sines, avg, mean) = rates, means
+    k, u = line.slope, line.u
+    spin = (tau * np.where(tau == 0.0, 0.0, sines)).sum(0)
+    turn = np.array([k.imag * spin + omega * dhat[1], k.real * spin - omega * dhat[0]])
+    fine = fine & ((tau == 0.0) | (abs(line.sig) >= _OFF_ORIGIN)).all(0) & np.isfinite(
+        turn).all(0)
+    half_turn = None
+    if half is not None:  # the full-circle turn where the mean is not 0, which a rounded u spoils
+        ok = ok & (zeros.closed | ~((u.real != 0.0) & (u.imag != 0.0) & mean.any(0))
+                   | (line.g >= _BESIDE).all(0))
+        K = line.kappa * u ** (zeros.inside.sum(0) - 1)
+        spin = (tau * odd_sines).sum(0) / (2.0 * (PI * line.amp))
+        half_turn = np.array([K.imag * spin + omega * half[1], K.real * spin - omega * half[0]])
+        fine &= np.isfinite(half_turn).all(0)
+    return 0.5 * avg(turn, half_turn), turn, ok & (zeros.closed | fine)
+
+
+def _chi_stage(zeros: ContourZeros, line: _Line, rates):
+    """(chi_F per axis (x, z), ok) of rows from their ``_rates``: <(d psi)^2> / 4 and its axes,
+    the factor Re e^{2 i psi}, as residue sums in the sigma_j.  ``ok`` passes the ``line``
+    test and an open row whose rates are ``fine`` and whose values are finite."""
+    (tau, omega, fine), inside, sig, g = rates, zeros.inside, line.sig, line.g
+    # <(d psi)^2> and that less <e^{2 i psi} (d psi)^2> / phase, per side
+    a, c, iw = g * (2.0 - g), 1.0 - sig[0] * sig[1], 1j * omega
+    t2, om2, tt = tau ** 2, omega ** 2, 2.0 * tau[0] * tau[1]
+    ta, ts, lean = t2 / a, tau * sig[::-1], t2 * (1.0 / a - (sig * sig / c)[::-1])
+    total = om2 + 0.5 * (ta[0] + tt / c + ta[1])
+    same = total - om2 * sig[0] * sig[1] - iw * (ts[0] + ts[1]) + 0.25 * (
+        lean[0] + tt + lean[1])
+    io = (np.array([inside[0], ~inside[0]]) * 1, line.order[0][1])  # outside, inside
+    (X, Y), T, A = sig[io], tau[io], a[io]
+    d, XY, mid = X - Y, X * Y, T * (c + A[::-1])
+    far = T ** 2 * (XY * c + A[::-1]) / A
+    mixed = d / c * (d * total + iw * (mid[0] + mid[1]) / c + d / (4.0 * c * c) * (
+        far[0] + 2.0 * T[0] * T[1] * (1.0 + XY) + far[1]))
+    less = np.where(inside[0] != inside[1], mixed, np.where(inside[0], same.conj(), same))
+    phase = line.kappa.conj() / line.kappa * line.u ** (2 - 2 * inside.sum(0))
+    tilt = (phase * less).real
+    gains = np.array([total * (1.0 - phase.real) + tilt, total * (1.0 + phase.real) - tilt]) / 8.0
+    return gains, line.line & (zeros.closed | fine & np.isfinite(gains).all(0))
+
+
+class _Exact(NamedTuple):
+    """``_planar_averages``: values, each axis pair (x, z), and per quantity the mask of the
+    rows that take the exact path; None where not asked for."""
+    complexity: Optional[np.ndarray]
+    dcomplexity: Optional[np.ndarray]
+    turn: Optional[np.ndarray]  # <d(d_hat)/d(lambda)> per axis
+    gains: Optional[np.ndarray]  # chi_F per axis
+    complexity_ok: Optional[np.ndarray]
+    dcomplexity_ok: Optional[np.ndarray]
+    chi_ok: Optional[np.ndarray]
+
+
+def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivative: bool,
+                     chi: bool) -> _Exact:
+    """C, dC, <d(d_hat)/d(lambda)> and chi_F of rows from their ``ContourZeros`` and slope
+    rows under ``ref``, in stages: the zeros' line, their rates (for dC or chi), the C stage
+    (for C or dC), the dC stage and the chi stage, each with the mask of the rows it takes."""
+    with np.errstate(all="ignore"):
+        line = _zeros_on_line(zeros, slope, ref)
+        if line is None:
+            return _Exact(None, None, None, None, *[np.zeros(zeros.closed.size, bool)] * 3)
+        rates = _rates(zeros, line, slope) if derivative or chi else None
+        c, c_ok, means = _c_stage(zeros, line, ref, complexity, derivative) if (
+            complexity or derivative) else (None,) * 3
+        dc, turn, dc_ok = _dc_stage(zeros, line, rates, c_ok, means) if derivative else (None,) * 3
+        gains, chi_ok = _chi_stage(zeros, line, rates) if chi else (None, None)
+    return _Exact(c, dc, turn, gains, c_ok if complexity else None, dc_ok, chi_ok)
 
 
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
@@ -283,17 +357,17 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     exact = ~idle
     cs, dcs, integrals, chis = ([None] * lams.size for _ in range(4))
     if exact.any():
-        ok, c, dc, turn, gains = _planar_averages(zeros, m.slope(lams), ref, complexity,
-                                                  derivative, chi)
-        exact &= ok
+        got = _planar_averages(zeros, m.slope(lams), ref, complexity, derivative, chi)
+        for ok in (got.complexity_ok, got.dcomplexity_ok, got.chi_ok):  # until each is routed
+            exact &= True if ok is None else ok
     if exact.any():
-        cs = c.tolist() if complexity else cs
+        cs = got.complexity.tolist() if complexity else cs
         if derivative:
-            dcs, integrals = dc.tolist(), np.zeros((lams.size, 3))
-            integrals[:, ::2] = 2.0 * PI * turn.T
+            dcs, integrals = got.dcomplexity.tolist(), np.zeros((lams.size, 3))
+            integrals[:, ::2] = 2.0 * PI * got.turn.T
         if chi:  # the total as numpy sums three
             chis = [SusceptibilityBreakdown(0.0 + x + 0.0 + z, (x, 0.0, z))
-                    for x, z in zip(*gains.tolist())]
+                    for x, z in zip(*got.gains.tolist())]
     rest = (~(exact | idle)).nonzero()[0]
     for i, avg in zip(rest.tolist(), _engine_averages(
             m, lams[rest], ref, cfg, complexity=complexity, derivative=derivative, chi=chi,

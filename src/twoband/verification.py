@@ -158,8 +158,8 @@ def closed_forms_suite() -> List[CheckResult]:
             worst = max([abs(got.complexity - want.complexity), *(abs(x / y - 1.0) for x, y in (
                 (got.dcomplexity, want.dcomplexity), *zip(got.chi.components, want.chi.components))
                 if y and not got.closed)])
-            routed = _planar_averages(model.zeros([lam]), model.slope(lam), ref, True, True,
-                                      True)[0][0]
+            exact = _planar_averages(model.zeros([lam]), model.slope(lam), ref, True, True, True)
+            routed = exact.dcomplexity_ok[0] and exact.chi_ok[0]  # the C mask is in dC's
             checks.append(_check(f"exact path vs engine, {label} at {lam!r}",
                                  worst if routed else math.inf, 1e-9))
     worst = max(abs(ground_complexity(ssh_model(SSHParams(t, t)), ref)
