@@ -126,9 +126,13 @@ def fs_duality_check(params: DualSSHParams,
 
     Each family is differentiated with respect to its own parameter; the
     left side is family II evaluated at parameter value 1/r.  Returns
-    (lhs, rhs, relative residual).
+    (lhs, rhs, relative residual).  Both sides fall as r^-4 / 8 away from
+    r = 1, so r beyond 1e-76 <= r <= 1e76, where r^4 or a side leaves the
+    normal doubles, is a DomainError.
     """
     r = params.r
+    if not 1e-76 <= r <= 1e76:
+        raise DomainError(f"susceptibility duality needs 1e-76 <= r <= 1e76, not r={r!r}")
     model_i, model_ii = dual_pair(params)
     if model_i.gap_closed():
         raise GapClosedError("susceptibility duality check diverges at r = 1")
@@ -148,10 +152,13 @@ def _finite_ratio(r: float) -> float:
 
 def _ratio_derivative_terms(r: float) -> Tuple[float, float, float, float, float]:
     """K, E, dK/dm, dE/dm at m = 4r/(1+r)^2 and dm/dr in one tuple; the derivatives
-    diverge at r = 1."""
+    diverge at r = 1, and are a DomainError where m rounds to 0 (r above about 1e16 or
+    below about 6e-17)."""
     mc = ((1.0 - r) / (1.0 + r)) ** 2  # exact complement 1 - m
     if mc == 0.0:
         raise DomainError("derivative diverges logarithmically at the self-dual point")
+    if mc == 1.0:
+        raise DomainError(f"coupling ratio r={r!r} is too far from 1: m = 4r/(1+r)^2 rounds to 0")
     k, e, dk, de = elliptic_derivatives(1.0 - mc, mc)
     return k, e, dk, de, 4.0 * (1.0 - r) / (1.0 + r) ** 3
 
@@ -169,7 +176,10 @@ def _ratio_complexity_prime(a: float, r: float, terms: Tuple[float, ...]) -> flo
 
 
 def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:
-    """Analytic d/dr of ratio_complexity; diverges logarithmically at r = 1."""
+    """Analytic d/dr of ratio_complexity; diverges logarithmically at r = 1.  Where
+    m = 4r/(1+r)^2 rounds to 0 (r above about 1e16 or below about 6e-17) it is a
+    DomainError, as are the offset's derivative and ``self_dual_constraint``, unless
+    Re(alpha* beta) = 0."""
     r, a = _finite_ratio(r), ref.re_alpha_beta
     return 0.0 if a == 0.0 else _ratio_complexity_prime(a, r, _ratio_derivative_terms(r))
 

@@ -463,6 +463,27 @@ class TestCouplingRatioDomain:
             with pytest.raises(DomainError, match="must be finite and positive"):
                 call()
 
+    @pytest.mark.parametrize("r", [1e16, 1e20, 1e300, 5e-17, 1e-20, 5e-324])
+    def test_a_ratio_whose_m_rounds_to_0_raises(self, r):
+        # m = 4r / (1 + r)^2 is 0 in double precision: these raised ZeroDivisionError
+        ref = GlobalReference(0.9, 0.4)
+        for call in (lambda: ratio_complexity_prime(r, ref),
+                     lambda: complexity_duality_offset_prime(r, ref),
+                     lambda: self_dual_constraint(DualSSHParams(1.0, r), ref)):
+            with pytest.raises(DomainError, match="rounds to 0"):
+                call()
+
+    @pytest.mark.parametrize("r", [1.16e77, 1e78, 1e300, 1e-77, 1e-100, 1e-300])
+    def test_the_susceptibility_duality_beyond_its_range_raises(self, r):
+        # r^4 overflowed (OverflowError), both sides were 0 (ZeroDivisionError), or they
+        # were subnormal
+        with pytest.raises(DomainError, match="1e-76 <= r <= 1e76"):
+            fs_duality_check(DualSSHParams(1.0, r))
+
+    @pytest.mark.parametrize("r", [1e-76, 1e76])
+    def test_the_susceptibility_duality_holds_at_the_ends_of_its_range(self, r):
+        assert fs_duality_check(DualSSHParams(1.0, r))[2] <= 1e-15
+
     @pytest.mark.parametrize("r", [5e-324, 1e-300, 0.3, 1.0, 2.0, 1e300])
     def test_a_finite_positive_ratio_passes(self, r):
         for ref in (GlobalReference(0.9, 0.4), GlobalReference(0.5 * PI, 0.5 * PI)):

@@ -25,7 +25,7 @@ from twoband import (BlochVector, DualSSHParams, GlobalReference, MassiveDiracPa
                      run_sweep, ssh_model)
 from twoband.cli import main
 from twoband.fidelity import (SusceptibilityBreakdown, _bloch_averages, _cel,
-                              _planar_averages)
+                              _engine_averages, _planar_averages)
 from twoband.models import MODELS, TwoBandModel, singular_points
 
 PI = math.pi
@@ -526,6 +526,32 @@ def test_a_split_off_the_line_takes_the_engine(k0, family, calls):
     run_sweep(SweepSpec(family, (MODELS[family].parameters[0], 0.2, 0.4, 3), reference=ref,
                         quantities=("complexity", "dcomplexity")))
     assert calls["bz_averages"] == 1 and calls["averages"] == 3
+
+
+@pytest.mark.parametrize("family,fixed,lam,split,masks", [
+    ("massive-dirac", {}, 50.0, False, (True, False, True)),
+    ("massive-dirac", {}, -50.0, False, (True, False, True)),
+    ("ssh", {"t1": 0.01}, 2.0, False, (True, False, True)),
+    ("ssh", {}, 1.7, True, (False, False, True)),
+    ("ssh", {}, 1.7, False, (True, True, True))])
+def test_each_quantity_has_its_own_mask(family, fixed, lam, split, masks, calls):
+    # a moving zero within 1e-2 of 0 (``_OFF_ORIGIN``) declines dC alone; a split at k = 1,
+    # off the zeros' line, declines C and dC, and chi, which reads no reference, stays exact
+    ref = PiecewiseBlochReference(((-PI, 1.0, BlochVector(0.0, 0.0, 1.0)),
+                                   (1.0, PI, BlochVector(0.0, 0.0, -1.0)))) if split else REF
+    model = MODELS[family].model(fixed)
+    got = _planar_averages(model.zeros([lam]), model.slope(lam), ref, True, True, True)
+    assert (got.complexity_ok[0], got.dcomplexity_ok[0], got.chi_ok[0]) == masks
+    _bloch_averages(model, [lam], ref, None, complexity=masks[0], chi=True)
+    assert calls["bz_averages"] == 0  # what the row passes stays exact
+    # a row that declines one quantity takes every quantity it asks for to the engine
+    avg, engine = (f(model, [lam], ref, None, complexity=True, derivative=True, chi=True)[0]
+                   for f in (_bloch_averages, _engine_averages))
+    assert calls["bz_averages"] == 1 + (not all(masks))
+    if not all(masks):
+        assert (avg.complexity, avg.dcomplexity, avg.chi) == (
+            engine.complexity, engine.dcomplexity, engine.chi)
+        assert avg.integrals.tolist() == engine.integrals.tolist()
 
 
 @pytest.mark.parametrize("t2", [0.5, 1.7, 1.0 + 1e-4, 1.0 - 1e-6])

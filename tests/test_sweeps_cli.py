@@ -974,6 +974,13 @@ class TestDualityGapThreshold:
     def test_on_the_self_dual_point_exits_3(self):
         assert main(["duality", "--set", "r=1"]) == 3
 
+    @pytest.mark.parametrize("r", ["1e20", "1e-20", "1e78", "1e-300"])
+    def test_beyond_the_ratio_domain_exits_3(self, r, capsys):
+        # these printed a traceback and exited 1, the code of a failed verify
+        assert main(["duality", "--set", f"r={r}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
 
 def _model_choices(command):
     parser = build_parser()
