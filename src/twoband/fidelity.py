@@ -268,10 +268,11 @@ def _dc_stage(zeros: ContourZeros, line: _Line, rates, ok, means):
     k, u = line.slope, line.u
     spin = (tau * np.where(tau == 0.0, 0.0, sines)).sum(0)
     turn = np.array([k.imag * spin + omega * dhat[1], k.real * spin - omega * dhat[0]])
-    fine = fine & ((tau == 0.0) | (abs(line.sig) >= _OFF_ORIGIN)).all(0) & np.isfinite(
-        turn).all(0)
+    fine = (fine & ((tau == 0.0) | (abs(line.sig) >= _OFF_ORIGIN)).all(0)
+            & np.isfinite(turn).all(0))
     half_turn = None
-    if half is not None:  # the full-circle turn where the mean is not 0, which a rounded u spoils
+    if half is not None:
+        # dC takes the full-circle turn where the mean is not 0, which a rounded u spoils
         ok = ok & (zeros.closed | ~((u.real != 0.0) & (u.imag != 0.0) & mean.any(0))
                    | (line.g >= _BESIDE).all(0))
         K = line.kappa * u ** (zeros.inside.sum(0) - 1)
@@ -342,10 +343,10 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     each of ``lams``, whose ``TwoBandModel.zeros`` the caller may pass.
 
     Rows split three ways: idle ones need no average (a closed gap without C, or a request of
-    none); exact ones take them from ``_planar_averages``, which decides which rows it takes
-    (planar rows whose zeros lie on one line, under no reference, a global one or a
-    piecewise one that jumps on that line); the rest (a split at k0 != 0, the Cooper-pair
-    box's plateau, a moving zero beside 0 for dC) from ``_engine_averages``.  Whichever path
+    none); exact ones take them from ``_planar_averages`` (planar rows whose zeros lie on one
+    line, under no reference, a global one or a piecewise one that jumps on that line),
+    where the masks of every quantity asked for pass; the rest (a split at k0 != 0, the
+    Cooper-pair box's plateau, a moving zero beside 0 for dC) from ``_engine_averages``.  Whichever path
     gave its C, every ``closed`` row's record is made here: C alone, dC None and chi inf,
     flagged diverged.  A non-finite lambda is a DomainError.
     """
