@@ -484,6 +484,7 @@ def test_a_split_on_a_generic_line_declines_dc_beside_its_closing(calls):
     ref = PiecewiseBlochReference(((-PI, theta - PI, a), (theta - PI, theta, b),
                                    (theta, PI, a)))
     zeros, slope = model.zeros([0.0]), model.slope(0.0)
+    assert _planar_averages(zeros, slope, ref, True, False, False).complexity_ok[0]
     got = _planar_averages(zeros, slope, ref, True, True, False)
     assert got.complexity_ok[0] and not got.dcomplexity_ok[0]
     assert calls["bz_averages"] == 0
