@@ -129,10 +129,8 @@ class _Line(NamedTuple):
     z: np.ndarray  # the zeros reflected into the disk
     u: np.ndarray
     sig: np.ndarray
-    neg: np.ndarray  # sigma_j < 0
     g: np.ndarray  # 1 - |sigma_j|
     kappa: np.ndarray
-    amp: np.ndarray  # |kappa|
     ends: np.ndarray  # (x, z) of d at theta and at theta + pi, (2, 2, n)
     slope: np.ndarray  # d_k of d_x - i d_z at theta
     order: tuple  # the (zero, row) indices of the larger zero and of the smaller
@@ -169,7 +167,7 @@ def _zeros_on_line(zeros: ContourZeros, slope, ref) -> Optional[_Line]:
     line = abs(w.imag) <= _ON_LINE * g  # off the line by far less than the gap
     on = abs(w[s].imag) * abs(p1 + 2.0 * q) <= _ROUNDING * (abs(p0) + abs(p1) + abs(p2))
     ends = np.array([ends.real, -ends.imag]).transpose(1, 0, 2)  # (x, z) at theta, + pi
-    return _Line(z, u, sig, neg, g, kappa, amp, ends, 1j * (p2 * u - p0 * uc), (b, s),
+    return _Line(z, u, sig, g, kappa, ends, 1j * (p2 * u - p0 * uc), (b, s),
                  np.where(closed, on, line[b] & (line & (sig <= 0.5))[s]))  # open: not beside u
 
 
@@ -193,9 +191,10 @@ def _rates(zeros: ContourZeros, line: _Line, slope):
 
 def _c_stage(zeros: ContourZeros, line: _Line, ref, complexity: bool, derivative: bool):
     """(C or None, ok, means) of rows.  ``means`` are <d_hat> per axis (x, z), its odd part
-    under a piecewise ``ref`` (else None), for ``derivative`` the means <sin^2 phi / (|d|
-    Q_j)> from the same cel call and their odd parts, the reference's average of a full and
-    an odd mean, and the mean of its two sides.  ``ok`` passes the ``line`` test, finite
+    under a piecewise ``ref`` (else None), for ``derivative`` the dC stage's means <sin^2 phi
+    / (|d| Q_j)> and their odd parts, made here as they share the one cel call and
+    h(sigma_1 sigma_2), the reference's average of a full and an odd mean, and the mean of
+    its two sides.  ``ok`` passes the ``line`` test, finite
     values and a piecewise ``ref`` that jumps only at k = theta or theta + pi, to the
     breakpoint's rounding, with the smaller zero at most 1/2 from 0: it is n+ on
     phi = k - theta in (0, pi) and n- on the rest, so a mean is (n+ + n-) / 2 of the full one
@@ -211,8 +210,8 @@ def _c_stage(zeros: ContourZeros, line: _Line, ref, complexity: bool, derivative
     part of d_x - i d_z over K = kappa u^(inside - 1), are sums of h and h', finite at a
     closing, where they give a closed row's C too.
     """
-    (b, s), sig, g, neg, ends = line.order, line.sig, line.g, line.neg, line.ends
-    n, gm, pa = zeros.closed.size, 2.0 - g, PI * line.amp
+    (b, s), sig, g, ends, amp = line.order, line.sig, line.g, line.ends, abs(line.kappa)
+    n, gm, pa, neg = zeros.closed.size, 2.0 - g, PI * amp, sig < 0.0
     m, P = np.where(neg, gm, g), np.where(neg, g, gm)  # 1 - sigma, 1 + sigma
     mb, Pb, ms, Ps = m[b], P[b], m[s], P[s]
     kc, pc = mb * Ps / (Pb * ms), (mb / Pb) ** 2
@@ -236,7 +235,7 @@ def _c_stage(zeros: ContourZeros, line: _Line, ref, complexity: bool, derivative
         ok = ok & (sig[s] <= 0.5) & (abs((np.exp(1j * jumps)[:, None] * line.u.conj()).imag)
                                       <= _ROUNDING * (1.0 + abs(jumps))[:, None]).all(0)
         hp = _h(sp)
-        half = np.array([line.slope.real, -line.slope.imag]) / line.amp * (hp / PI)
+        half = np.array([line.slope.real, -line.slope.imag]) / amp * (hp / PI)
         # the reference on phi > 0 and phi < 0, read at theta +- pi / 2
         sides = [ref.bloch_at(np.angle(turn_by * line.u))[::2] for turn_by in (1j, -1j)]
         mean, diff = 0.5 * (sides[0] + sides[1]), sides[0] - sides[1]
@@ -276,7 +275,7 @@ def _dc_stage(zeros: ContourZeros, line: _Line, rates, ok, means):
         ok = ok & (zeros.closed | ~((u.real != 0.0) & (u.imag != 0.0) & mean.any(0))
                    | (line.g >= _BESIDE).all(0))
         K = line.kappa * u ** (zeros.inside.sum(0) - 1)
-        spin = (tau * odd_sines).sum(0) / (2.0 * (PI * line.amp))
+        spin = (tau * odd_sines).sum(0) / (2.0 * (PI * abs(line.kappa)))
         half_turn = np.array([K.imag * spin + omega * half[1], K.real * spin - omega * half[0]])
         fine &= np.isfinite(half_turn).all(0)
     return 0.5 * avg(turn, half_turn), turn, ok & (zeros.closed | fine)
@@ -327,7 +326,8 @@ def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivati
     with np.errstate(all="ignore"):
         line = _zeros_on_line(zeros, slope, ref)
         if line is None:
-            return _Exact(None, None, None, None, *[np.zeros(zeros.closed.size, bool)] * 3)
+            no = np.zeros(zeros.closed.size, bool)
+            return _Exact(*[None] * 4, *(no if q else None for q in (complexity, derivative, chi)))
         rates = _rates(zeros, line, slope) if derivative or chi else None
         c, c_ok, means = _c_stage(zeros, line, ref, complexity, derivative) if (
             complexity or derivative) else (None,) * 3
