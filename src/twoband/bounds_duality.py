@@ -153,7 +153,9 @@ def _finite_ratio(r: float) -> float:
 def _ratio_derivative_terms(r: float) -> Tuple[float, float, float, float, float]:
     """K, E, dK/dm, dE/dm at m = 4r/(1+r)^2 and dm/dr in one tuple; the derivatives
     diverge at r = 1, and are a DomainError where m rounds to 0 (r above about 1e16 or
-    below about 6e-17)."""
+    below about 6e-17).  That edge is not where they stay accurate: dK/dm and dE/dm cancel
+    as m -> 0 and lose about eps/m, so C'(r) of r = 1e-8 is 41% off and that of r = 1e-12
+    has the wrong sign."""
     mc = ((1.0 - r) / (1.0 + r)) ** 2  # exact complement 1 - m
     if mc == 0.0:
         raise DomainError("derivative diverges logarithmically at the self-dual point")
@@ -179,7 +181,9 @@ def ratio_complexity_prime(r: float, ref: GlobalReference) -> float:
     """Analytic d/dr of ratio_complexity; diverges logarithmically at r = 1.  Where
     m = 4r/(1+r)^2 rounds to 0 (r above about 1e16 or below about 6e-17) it is a
     DomainError, as are the offset's derivative and ``self_dual_constraint``, unless
-    Re(alpha* beta) = 0."""
+    Re(alpha* beta) = 0.  Inside that edge all three lose about eps/m to the elliptic
+    derivatives (``_ratio_derivative_terms``), against values of order m: r = 1e-4 keeps
+    about 7 digits, r = 1e8 one and r = 1e-8 none."""
     r, a = _finite_ratio(r), ref.re_alpha_beta
     return 0.0 if a == 0.0 else _ratio_complexity_prime(a, r, _ratio_derivative_terms(r))
 

@@ -30,13 +30,13 @@ request's output is one line per call, ``function[j]=<repr>`` for each entry
 of the value returned.  Paths in the argv are relative to each tree's
 directory, so the two trees run the same argv and the output path never
 differs.  An exception that escapes a command counts as exit code 1, with the
-traceback's last line as its standard error.  In the standard error, the tree's resolved ``src`` path is replaced
-by ``<src>``, so a warning from identical code compares equal.  The script
-prints every request
-whose exit code, first error line or output differs, with the largest |delta|
-of each of its columns (inf where a flag or label changed), the number of
-cells that moved by more than 1e-10 + 1e-10 |old|, and the largest |delta|
-per source, family and column over all requests.  A request's source is its
+traceback's last line as its standard error.  In the standard error, the
+tree's resolved ``src`` path is replaced by ``<src>``, so a warning from
+identical code compares equal.  The script prints every request whose exit
+code, first error line or output differs, with the largest |delta| of each of
+its columns (inf where a flag or label changed), the number of cells that
+moved by more than 1e-10 + 1e-10 |old|, and the largest |delta| per source,
+family and column over all requests.  A request's source is its
 workload's deck (``lossy-sweep deck``) or, for one of ``COMMANDS``, its
 command line (``twoband nh-sweep ...``), so a deck, a command and an engine
 sweep of the same family are summed up apart.
