@@ -10,6 +10,7 @@ at the row's singular points and at the reference's breakpoints, so it shares no
 with the exact path.
 """
 
+import itertools
 import math
 from functools import lru_cache
 from unittest import mock
@@ -20,9 +21,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twoband import (BlochVector, DualSSHParams, GlobalReference, MassiveDiracParams,
-                     PiecewiseBlochReference, SSHParams, SweepSpec, chi_F_md_closed, dual_pair,
-                     fidelity, ground_complexity, models, plateau_complexity, plateau_reference,
-                     run_sweep, ssh_model)
+                     PiecewiseBlochReference, ReferenceState, SSHParams, SweepSpec,
+                     chi_F_md_closed, dual_pair, fidelity, ground_complexity, models,
+                     plateau_complexity, plateau_reference, run_sweep, ssh_model)
 from twoband.cli import main
 from twoband.fidelity import (SusceptibilityBreakdown, _bloch_averages, _cel,
                               _engine_averages, _planar_averages)
@@ -198,6 +199,24 @@ def test_rows_off_one_line_take_the_engine(skew, calls):
     assert not (got.complexity_ok[0] or got.dcomplexity_ok[0] or got.chi_ok[0])
     _bloch_averages(model, [2.0], REF, None, complexity=True)
     assert calls["bz_averages"] == 1
+
+
+class _Tilted(ReferenceState):
+    """A reference neither global nor piecewise, which the exact path does not read."""
+
+    def bloch_at(self, k):
+        return np.array([0.6, 0.0, 0.8])
+
+
+@pytest.mark.parametrize("ref,exact", [(REF, True), (_Tilted(), False)])
+def test_a_mask_is_none_for_a_quantity_not_asked_for(ref, exact):
+    # on the stages' path and on the early decline of every row alike
+    model = ssh_model(SSHParams(1.0, 1.7))
+    for asked in itertools.product((False, True), repeat=3):
+        got = _planar_averages(model.zeros([1.7]), model.slope(1.7), ref, *asked)
+        masks = (got.complexity_ok, got.dcomplexity_ok, got.chi_ok)
+        assert [None if mask is None else mask.tolist() for mask in masks] == [
+            [exact] if q else None for q in asked]
 
 
 def test_a_row_does_not_depend_on_its_batch():
