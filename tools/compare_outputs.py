@@ -22,8 +22,10 @@ directory, on the same requests:
   engine sweeps of 101 rows (more than one chunk of ``_MAX_OWNERS`` owners),
   sweeps through closed and exceptional rows, rows whose moving zero sits
   beside 0 (the exact path declines their dC/dlambda alone), the point
-  commands, ``duality`` at coupling ratios beyond the elliptic derivatives'
-  domain, ``verify all``, ``--help`` and malformed command lines.
+  commands, among them ``bound``, ``ratio`` and ``nh-sweep`` with couplings
+  whose products overflow, ``duality`` at coupling ratios beyond the
+  elliptic derivatives' domain and where the complexity duality loses its
+  digits, ``verify all``, ``--help`` and malformed command lines.
 
 A command's output is its ``--out`` file, else its standard output; a library
 request's output is one line per call, ``function[j]=<repr>`` for each entry
@@ -166,12 +168,18 @@ COMMANDS = (
     ["bound", "--model", "massive-dirac", "--lam", "1e-10", "--theta", "0.9"],
     ["ratio", "--model", "dual-ssh", "--lam", "2"],
     ["ratio", "--model", "cooper-pair-box", "--lam", "0.2"],
+    # couplings whose products overflow: the engine's averages are not finite
+    ["bound", "--model", "ssh", "--set", "t1=2", "--set", "t2=0.99999999", "--lam", "1e308"],
+    ["ratio", "--model", "ssh", "--lam", "1e308"],
+    ["nh-sweep", "--set", "t1=1e300", "--set", "gamma=1", "--sweep", "t2:1e300:3e300:3"],
     ["duality", "--set", "r=2"],
     # m = 4r / (1 + r)^2 rounds to 0, r^4 overflows, and both sides of chi_F's duality are 0
     ["duality", "--set", "r=1e20"],
     ["duality", "--set", "r=1e-20"],
     ["duality", "--set", "r=1e78"],
     ["duality", "--set", "r=1e-300"],
+    # (C(r) - H(r)) / r loses its digits to the division by r
+    ["duality", "--set", "r=1e-12"],
     ["winding", "--model", "dual-ssh", "--set", "r=0.5"],
     ["verify", "all"],
     # the parser's own output: help, and command lines it rejects with exit 2
