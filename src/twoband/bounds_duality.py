@@ -128,16 +128,18 @@ def fs_duality_check(params: DualSSHParams,
     left side is family II evaluated at parameter value 1/r.  Returns
     (lhs, rhs, relative residual).  Both sides fall as r^-4 / 8 away from
     r = 1, so r beyond 1e-76 <= r <= 1e76, where r^4 or a side leaves the
-    normal doubles, is a DomainError.
+    normal doubles, is a DomainError.  Where family I's own chi_F record is
+    closed (r = 1) it is a GapClosedError.
     """
     r = params.r
     if not 1e-76 <= r <= 1e76:
         raise DomainError(f"susceptibility duality needs 1e-76 <= r <= 1e76, not r={r!r}")
     model_i, model_ii = dual_pair(params)
-    if model_i.gap_closed():
+    avg_i = _bloch_averages(model_i, [r], None, cfg, chi=True)[0]
+    if avg_i.closed:
         raise GapClosedError("susceptibility duality check diverges at r = 1")
     lhs = chi_F(model_ii, 1.0 / r, cfg).total
-    rhs = r ** 4 * chi_F(model_i, r, cfg).total
+    rhs = r ** 4 * avg_i.chi.total
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return lhs, rhs, residual
 

@@ -92,13 +92,14 @@ class SusceptibilityBreakdown:
 
 
 class _BlochAverages(NamedTuple):
-    """BZ averages at one parameter point; None if not asked for, dC on a closed gap, and C
-    of a closed lossy row asked for dC, which runs no average."""
+    """BZ averages at one parameter point, and its winding; None if not asked for, dC on a
+    closed gap, and C of a closed lossy row asked for dC, which runs no average."""
     complexity: Optional[float]
     dcomplexity: Optional[float]
     integrals: Optional[np.ndarray]  # integral of d(d_hat)/d(lambda) dk, per axis
     chi: Optional[SusceptibilityBreakdown]
     closed: bool = False
+    winding: Optional[float] = None  # NaN on a closed gap
 
 
 def _cel(kc, p, a, b):
@@ -338,9 +339,10 @@ def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivati
 
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
                     complexity=False, derivative=False, chi=False,
-                    zeros: ContourZeros | None = None) -> List[_BlochAverages]:
-    """C, dC/d(lambda) with the d_hat-derivative integrals and chi_F of the family ``m`` at
-    each of ``lams``, whose ``TwoBandModel.zeros`` the caller may pass.
+                    winding=False) -> List[_BlochAverages]:
+    """C, dC/d(lambda) with the d_hat-derivative integrals, chi_F and the winding of the
+    family ``m`` at each of ``lams``, all from one ``TwoBandModel.zeros`` record of its rows:
+    the winding is ``TwoBandModel.windings``' count of its zeros, NaN on a closed gap.
 
     Rows split three ways: idle ones need no average (a closed gap without C, or a request of
     none); exact ones take them from ``_planar_averages`` (planar rows whose zeros lie on one
@@ -353,7 +355,7 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise DomainError("the parameter value must be finite")
-    zeros = m.zeros(lams) if zeros is None else zeros
+    zeros = m.zeros(lams)
     idle = zeros.closed & (not complexity) | (not (complexity or derivative or chi))
     exact = ~idle
     cs, dcs, integrals, chis = ([None] * lams.size for _ in range(4))
@@ -375,8 +377,9 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
             zeros=zeros.take(rest)) if rest.size else ()):
         cs[i], dcs[i], integrals[i], chis[i] = avg[:4]
     diverged = SusceptibilityBreakdown(np.inf, (np.inf,) * 3, True) if chi else None
-    return [_BlochAverages(cs[i], None, None, diverged, True) if is_closed else
-            _BlochAverages(cs[i], dcs[i], integrals[i], chis[i])
+    nus = m._windings(zeros).tolist() if winding else [None] * lams.size
+    return [_BlochAverages(cs[i], None, None, diverged, True, nus[i]) if is_closed else
+            _BlochAverages(cs[i], dcs[i], integrals[i], chis[i], False, nus[i])
             for i, is_closed in enumerate(zeros.closed.tolist())]
 
 

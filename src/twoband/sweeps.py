@@ -28,7 +28,7 @@ QUANTITIES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "chi_f_components": (("chi_f_x", "chi_f_y", "chi_f_z"), ("chi",)),
     "bound": (("bound_lhs", "bound_rhs", "bound_satisfied"), ("derivative", "chi")),
     "ratio": (("ratio",), ("derivative", "chi")),
-    "winding": (("winding",), ()),
+    "winding": (("winding",), ("winding",)),
 }
 # The quantities of the lossy chain, whose sweep averages nothing else.
 LOSSY_QUANTITIES = ("complexity", "dcomplexity")
@@ -89,9 +89,9 @@ class SweepRecord(NamedTuple):
     flags: frozenset = frozenset()
 
 
-def _evaluate(spec: SweepSpec, lam: float, avg, winding: float) -> SweepRecord:
-    """The row at lam, its columns and flags, from its averages ``avg`` (or the error that
-    ended a lossy average) and its winding.
+def _evaluate(spec: SweepSpec, lam: float, avg) -> SweepRecord:
+    """The row at lam, its columns and flags, from its averages and winding ``avg`` (or the
+    error that ended a lossy average).
 
     Flags: ``diverged`` where chi diverged, or where the gap is closed and the row asks for
     more than C; ``undefined_ratio`` for a NaN ratio where chi did not diverge;
@@ -103,7 +103,8 @@ def _evaluate(spec: SweepSpec, lam: float, avg, winding: float) -> SweepRecord:
             raise avg
         flags.add("skipped_exceptional")
         avg = _BlochAverages(math.nan, math.nan, None, None)
-    columns = {"complexity": avg.complexity, "dcomplexity": avg.dcomplexity, "winding": winding}
+    columns = {"complexity": avg.complexity, "dcomplexity": avg.dcomplexity,
+               "winding": avg.winding}
     if avg.chi is not None:
         columns.update(zip(("chi_f", "chi_f_x", "chi_f_y", "chi_f_z"),
                            (avg.chi.total, *avg.chi.components)))
@@ -137,34 +138,28 @@ def _closed_gap_rows(grid: np.ndarray, avgs: list, spec: SweepSpec, c_at) -> Non
 def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
     """Evaluate every requested quantity on the sweep grid, in sweep order.
 
-    A point's averaged quantities come from one call for the whole grid
-    (``_bloch_averages``: no quadrature on exact planar rows, one engine run for
-    the rest; ``_nh_averages`` for the lossy chain) and equal the library call
-    at its point.  A closed gap of either chain averages only C; its dcomplexity
-    is the finite difference of C, averaged at the stencil points in one more
-    run of its chain, which also averages the C of a closed lossy row asked for
-    both (its main run averages none).  ``TwoBandModel.windings`` counts the
-    winding from the rows' zeros that also give the singular points, NaN on a
-    closed gap.
-    ``_evaluate`` decides each row's columns and flags.
+    A point's averaged quantities and winding come from one call for the
+    whole grid (``_bloch_averages``: no quadrature on exact planar rows, one
+    engine run for the rest, the winding from the same rows' zeros, NaN on a
+    closed gap; ``_nh_averages`` for the lossy chain) and equal the library
+    call at its point.  A closed gap of either chain averages only C; its
+    dcomplexity is the finite difference of C, averaged at the stencil points
+    in one more run of its chain, which also averages the C of a closed lossy
+    row asked for both (its main run averages none).  ``_evaluate`` decides
+    each row's columns and flags.
     """
     entry = MODELS[spec.model]
     grid = spec.grid()
     needs = {need for q in spec.quantities for need in QUANTITIES[q][1]}
-    ref, windings = spec.reference, [math.nan] * grid.size
-    model = entry.model(spec.fixed, spec.sweep[0])
+    ref, model = spec.reference, entry.model(spec.fixed, spec.sweep[0])
     if entry.hermitian:
-        zeros = model.zeros(grid)
-        avgs = _bloch_averages(model, grid, ref, cfg, zeros=zeros,
-                               **dict.fromkeys(needs, True))
+        avgs = _bloch_averages(model, grid, ref, cfg, **dict.fromkeys(needs, True))
         c_at = lambda lams: _bloch_averages(model, lams, ref, cfg, complexity=True)
     else:
         avgs = _nh_averages(model, grid, "derivative" in needs, ref.alpha, ref.beta, cfg)
         c_at = lambda lams: _nh_averages(model, lams, False, ref.alpha, ref.beta, cfg)
     _closed_gap_rows(grid, avgs, spec, c_at)
-    if "winding" in spec.quantities:  # a Hermitian quantity
-        windings = model._windings(zeros).tolist()
-    return [_evaluate(spec, *row) for row in zip(grid, avgs, windings)]
+    return [_evaluate(spec, *row) for row in zip(grid, avgs)]
 
 
 def records_to_csv(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:

@@ -416,6 +416,14 @@ class TestSusceptibilityDuality:
         assert lhs > 10.0  # both sides blow up approaching r = 1
         assert resid <= 1e-4
 
+    @pytest.mark.parametrize("r", [1.0, 1.0 + 1e-14, 1.0 - 1e-14])
+    def test_the_self_dual_point_is_read_from_family_i_record(self, r, calls, monkeypatch):
+        # |d(0)| = |1 - r| < GAP_EPS: family I's chi_F record is closed, and no average runs
+        monkeypatch.setattr(TwoBandModel, "gap_closed", None)
+        with pytest.raises(GapClosedError, match="diverges at r = 1"):
+            fs_duality_check(DualSSHParams(1.0, r))
+        assert calls["bz_averages"] == 0
+
 
 class TestComplexityDuality:
     @pytest.mark.parametrize("r", [0.2, 0.5, 2.0, 3.0, 5.0])

@@ -177,10 +177,29 @@ class TestBZAveraged:
         assert engine.dcomplexity == 0.0 and engine.chi.components == (0.0, 0.0, 0.0)
         (closed,) = _bloch_averages(model, [1.0], split, None, **asked)
         assert closed == (engine.complexity, None, None,
-                          SusceptibilityBreakdown(math.inf, (math.inf,) * 3, True), True)
+                          SusceptibilityBreakdown(math.inf, (math.inf,) * 3, True), True, None)
         assert calls["bz_averages"] == 3
         (exact,) = _bloch_averages(model, [1.0], GlobalReference(0.9, 0.4), None, **asked)
         assert exact[1:] == closed[1:] and calls["bz_averages"] == 3
+
+    def test_the_winding_comes_from_the_averages_own_zeros(self, calls, monkeypatch):
+        # one zeros record per call gives the winding, NaN on the closed row t2 = t1; asked
+        # alone it runs no average, and beside chi it leaves the other fields as they were
+        model, lams = ssh_model(SSHParams(1.0, 2.0)), [0.5, 1.0, 2.0]
+        records, zeros = [], TwoBandModel.zeros
+        monkeypatch.setattr(TwoBandModel, "zeros",
+                            lambda self, at: records.append(at) or zeros(self, at))
+        alone = _bloch_averages(model, lams, None, None, winding=True)
+        both = _bloch_averages(model, lams, None, None, chi=True, winding=True)
+        chi = _bloch_averages(model, lams, None, None, chi=True)
+        assert len(records) == 3 and calls["bz_averages"] == 0
+        want = [0.0, math.nan, 1.0]
+        for got in (alone, both):
+            np.testing.assert_array_equal([avg.winding for avg in got], want)
+        assert [avg.closed for avg in alone] == [False, True, False]
+        assert all(avg[:4] == (None,) * 4 for avg in alone)
+        assert [avg[:5] for avg in both] == [avg[:5] for avg in chi]
+        assert [avg.winding for avg in chi] == [None] * 3
 
 
 class TestSSHClosedForm:

@@ -9,6 +9,7 @@ from twoband import (DomainError, DualSSHParams, GapClosedError, MassiveDiracPar
                      NonQuantizedError, SSHParams, dual_windings,
                      massive_dirac_model, ssh_model, winding_cross_product,
                      winding_log_derivative)
+from twoband.models import GAP_EPS, TwoBandModel, dual_pair
 from twoband.topology import _nearest_winding, winding_phase_accumulation
 
 PI = math.pi
@@ -119,3 +120,17 @@ class TestDualWindings:
     def test_self_dual_point_rejected(self):
         with pytest.raises(GapClosedError):
             dual_windings(DualSSHParams(1.0, 1.0))
+
+    @pytest.mark.parametrize("delta", [1e-14, -1e-14, 1e-12, -1e-12])
+    def test_the_grid_decides_the_closing_as_the_zeros_do(self, delta, monkeypatch):
+        # the grid's k = 0 node reads |d(0)| = |1 - r| against GAP_EPS, as the zeros record
+        # does at the pair's singular point; a gapped pair still winds 1 in all
+        r = 1.0 + delta
+        closed = math.isnan(dual_pair(DualSSHParams(1.0, r))[0].windings([r])[0])
+        assert closed == (abs(delta) < GAP_EPS)
+        monkeypatch.setattr(TwoBandModel, "gap_closed", None)
+        if closed:
+            with pytest.raises(GapClosedError, match="vanishes on the grid"):
+                dual_windings(DualSSHParams(1.0, r))
+        else:
+            assert sum(dual_windings(DualSSHParams(1.0, r))) == 1
