@@ -216,12 +216,17 @@ def complexity_duality_check(params: DualSSHParams, ref: GlobalReference,
 
     The left side is the quadrature complexity of dual family II (whose
     coupling ratio at parameter r is 1/r); the right side maps family I
-    through the duality offset.  Returns (lhs, rhs, absolute residual).
+    through the duality offset.  Returns (lhs, rhs, absolute residual).  The
+    map divides the rounding of C(r) - H(r), up to about 3e-16, by r, so r
+    below 1e-6, where the residual could pass 3e-10 (1e-9 at r = 1e-7, 0.6
+    at 1e-16), is a DomainError; for r >= 1e2 it stays within 4e-16.
     """
+    r = params.r
+    if not r >= 1e-6:
+        raise DomainError(f"complexity duality needs r >= 1e-6, not r={r!r}")
     model_i, model_ii = dual_pair(params)
     lhs = ground_complexity(model_ii, ref, cfg)
-    rhs = (ground_complexity(model_i, ref, cfg)
-           - complexity_duality_offset(params.r, ref)) / params.r
+    rhs = (ground_complexity(model_i, ref, cfg) - complexity_duality_offset(r, ref)) / r
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -492,6 +492,22 @@ class TestCouplingRatioDomain:
     def test_the_susceptibility_duality_holds_at_the_ends_of_its_range(self, r):
         assert fs_duality_check(DualSSHParams(1.0, r))[2] <= 1e-15
 
+    @pytest.mark.parametrize("r", [9.9e-7, 1e-7, 1e-8, 1e-12, 1e-16, 5e-324])
+    def test_the_complexity_duality_below_its_range_raises(self, r):
+        # (C(r) - H(r)) / r divides their rounding by r: the residual read up to 2e-9 at
+        # r = 1e-7 and 0.61 at 1e-16 at the references below
+        with pytest.raises(DomainError, match="r >= 1e-6"):
+            complexity_duality_check(DualSSHParams(1.0, r), GlobalReference(0.9, 0.4))
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-5, 1e2, 1e8, 1e15])
+    @pytest.mark.parametrize("t", [1.0, 0.37, 2.9, 1e3])
+    @pytest.mark.parametrize("ref", [GlobalReference(0.9, 0.4), GlobalReference(0.5 * PI, PI),
+                                     GlobalReference(2.5, 4.0)], ids=["a", "b", "c"])
+    def test_the_complexity_duality_holds_at_the_edge_of_its_range(self, r, t, ref):
+        # the residual is the rounding of C(r) - H(r), up to 3e-16, over r: 1.1e-10 at most
+        # here at r = 1e-6 (2.5e-10 over 3,000 random t, r >= 1e-6 and references)
+        assert complexity_duality_check(DualSSHParams(t, r), ref)[2] <= 4e-16 / min(r, 1.0)
+
     @pytest.mark.parametrize("r", [5e-324, 1e-300, 0.3, 1.0, 2.0, 1e300])
     def test_a_finite_positive_ratio_passes(self, r):
         for ref in (GlobalReference(0.9, 0.4), GlobalReference(0.5 * PI, 0.5 * PI)):

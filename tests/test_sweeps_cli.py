@@ -981,6 +981,13 @@ class TestDualityGapThreshold:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    def test_below_the_complexity_duality_domain_exits_3(self, capsys):
+        # the mapped side (C(r) - H(r)) / r read a residual of 1.1e-5 here and exited 0
+        assert main(["duality", "--set", "r=1e-12"]) == 3
+        out, err = capsys.readouterr()
+        assert "susceptibility:" in out and "complexity:" not in out
+        assert err == "numerical failure: complexity duality needs r >= 1e-6, not r=1e-12\n"
+
 
 def _model_choices(command):
     parser = build_parser()
