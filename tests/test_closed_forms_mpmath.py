@@ -84,6 +84,19 @@ def test_derivatives_match_mpmath_to_1e12_relative(q):
     assert _rel(constraint, 2 * c_prime - h_prime) <= 1e-12
 
 
+@pytest.mark.parametrize("r,bound", [(1e-4, 2e-12), (1e4, 2e-16)])
+def test_the_differentiated_duality_matches_mpmath_far_from_1(r, bound):
+    # 2C'(r) - H'(r) = C(1/r) at 60 digits, and both sides in doubles against it: the
+    # elliptic derivatives lose about eps / m at r = 1e-4 (measured 5.7e-13 and 2.4e-13
+    # relative), and 5.7e-17 at 1e4
+    with mp.workdps(60):
+        lhs = 2 * _a() * mp.diff(_i1, mp.mpf(r)) - mp.diff(_offset, mp.mpf(r))
+        rhs = mp.mpf(1) / 2 + _a() * _i1(1 / mp.mpf(r))
+        assert abs(lhs - rhs) <= mp.mpf(10) ** -50
+    assert _rel(self_dual_constraint(DualSSHParams(1.0, r), REF)[0], lhs) <= bound
+    assert _rel(ratio_complexity(1.0 / r, REF), rhs) <= bound
+
+
 @pytest.mark.parametrize("delta", [side * eps for eps in (1e-6, 1e-8, 1e-10)
                                    for side in (1.0, -1.0)])
 def test_ssh_susceptibility_matches_mpmath_to_1e14_relative(delta):
