@@ -14,7 +14,8 @@ class GapClosedError(TwoBandError):
 
 
 class ConvergenceError(TwoBandError):
-    """Adaptive quadrature exhausted its subdivision budget before reaching tolerance."""
+    """Adaptive quadrature exhausted its subdivision budget before reaching tolerance, or
+    met an error that is not finite."""
 
     def __init__(self, message, estimate=None, error=None):
         super().__init__(message)

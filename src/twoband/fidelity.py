@@ -399,7 +399,7 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
     ``closed`` gap, asked for C, shares the run with v zeroed, so that its C is the C-only
     average's bit for bit and its dC and chi read 0 (``_bloch_averages`` makes its closed
     record).  An exhausted budget flags chi diverged and keeps every group's unconverged
-    estimate (chi's non-finite ones as inf); without chi it raises.
+    estimate, then finite; without chi, or where an error is not finite, it raises.
     """
     lams = np.asarray(lams, dtype=float)
     zeros = m.zeros(lams) if zeros is None else zeros
@@ -435,7 +435,7 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
     results = []
     for out in bz_averages(kernel, edges, cfg):
         diverged = isinstance(out, ConvergenceError)
-        if diverged and not chi:
+        if diverged and not (chi and np.isfinite(out.error).all()):
             raise out
         out = iter(out.estimate if diverged else out)
         c = float(next(out)) if complexity else None
@@ -444,7 +444,7 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
             row = next(out)
             dc, integrals = float(row[0]), 2.0 * PI * row[1:]
         if chi:  # the total in the order of numpy's sum of three: ((0 + x) + y) + z
-            comps = tuple(x if math.isfinite(x) else np.inf for x in next(out).tolist())
+            comps = tuple(next(out).tolist())
             breakdown = SusceptibilityBreakdown(0.0 + comps[0] + comps[1] + comps[2], comps,
                                                 diverged)
         results.append(_BlochAverages(c, dc, integrals, breakdown))
@@ -459,7 +459,8 @@ def chi_F(model: TwoBandModel, lam: float,
     integrated together, so their sum equals the total identically.  On a
     closed gap no average runs and every component is inf, flagged diverged.
     Elsewhere the integral is finite, however large; only an exhausted
-    budget flags it, keeping the estimate with non-finite components as inf.
+    budget flags it, keeping its finite estimate.  An average whose error is
+    not finite raises ConvergenceError.
     """
     return _bloch_averages(model, [lam], None, cfg, chi=True)[0].chi
 

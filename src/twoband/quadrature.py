@@ -217,9 +217,10 @@ def bz_averages(f: Callable, edges, cfg: BZQuadratureConfig | None = None) -> li
         found = list(zip(*groups)) if isinstance(out, tuple) else list(groups[0])
         for i in (~converged).nonzero()[0].tolist():
             error = (owner_err[:, i] / (2.0 * PI)).tolist()
-            found[i] = ConvergenceError("BZ average did not converge within the subdivision "
-                                        "budget", estimate=found[i], error=tuple(error)
-                                        if isinstance(out, tuple) else error[0])
+            found[i] = ConvergenceError(
+                "BZ average did not converge " + ("within the subdivision budget" if np.isfinite(
+                    error).all() else f"to a finite error: {error}"),
+                estimate=found[i], error=tuple(error) if isinstance(out, tuple) else error[0])
         results += found
     return results
 

@@ -132,6 +132,19 @@ class TestBZAveraged:
             ground_complexity(MODELS[skew].model({}), GlobalReference(0.9, 0.4),
                               BZQuadratureConfig(max_subdivisions=2))
 
+    def test_a_non_finite_error_raises_though_chi_is_asked(self, calls):
+        # a NaN slope row makes v NaN at every node: the exact path declines the row, and the
+        # engine's error is NaN, a numerical failure, not a diverged chi (it was flagged
+        # diverged, its NaN components read as inf)
+        base = ssh_model(SSHParams(1.0, 2.0))
+        model = TwoBandModel(base.rows, lambda lam: ((math.nan, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3),
+                             2.0, rotated=True)
+        for asked in (dict(chi=True), dict(derivative=True, chi=True)):
+            with pytest.raises(ConvergenceError, match="to a finite error") as info:
+                _bloch_averages(model, [2.0], GlobalReference(0.9, 0.4), None, **asked)
+            assert not np.isfinite(info.value.error).any()
+        assert calls["bz_averages"] == 2
+
     def test_the_engine_kernel_raises_where_d_vanishes(self, calls):
         # a row that is 0 at every k is declined by the exact path and meets |d| = 0 in the engine
         zero = lambda lam: ((0.0,) * 3,) * 3

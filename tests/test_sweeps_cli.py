@@ -424,6 +424,19 @@ class TestCLI:
                      "--theta", str(0.5 * PI), "--phi", str(PI)]) == 0
         assert "R(50)" in capsys.readouterr().out
 
+    # the rows' products overflow, and numpy warns of it until they are scaled (ROADMAP
+    # item 18); the warnings are not what is tested here
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--model", "ssh", "--set", "t1=2", "--set", "t2=0.99999999", "--lam", "1e308"],
+        ["ratio", "--model", "ssh", "--lam", "1e308"]])
+    def test_a_non_finite_engine_average_exits_3(self, argv, capsys):
+        # these exited 0 with lhs NaN, rhs inf and satisfied=True, or R = nan
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: BZ average did not converge to a finite error: [nan, nan]\n"
+
     def test_nh_sweep_subcommand(self, tmp_path):
         out = tmp_path / "nh.json"
         code = main(["nh-sweep", "--set", "t1=2", "--set", "gamma=1",
