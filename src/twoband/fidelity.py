@@ -398,8 +398,8 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
     v^2 / 4 per axis.  Every row needs an average, and each record is the plain average: a
     ``closed`` gap, asked for C, shares the run with v zeroed, so that its C is the C-only
     average's bit for bit and its dC and chi read 0 (``_bloch_averages`` makes its closed
-    record).  An exhausted budget flags chi diverged and keeps every group's unconverged
-    estimate, then finite; without chi, or where an error is not finite, it raises.
+    record).  An exhausted budget flags chi diverged and keeps every group's unconverged,
+    finite estimate; without chi, or where an error is not finite, it raises.
     """
     lams = np.asarray(lams, dtype=float)
     zeros = m.zeros(lams) if zeros is None else zeros
