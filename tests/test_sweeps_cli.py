@@ -424,8 +424,8 @@ class TestCLI:
                      "--theta", str(0.5 * PI), "--phi", str(PI)]) == 0
         assert "R(50)" in capsys.readouterr().out
 
-    # the rows' products overflow, and numpy warns of it until they are scaled (ROADMAP
-    # item 18); the warnings are not what is tested here
+    # the rows' products overflow, and numpy warns of it while the rows are not scaled;
+    # the warnings are not what is tested here
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ["bound", "--model", "ssh", "--set", "t1=2", "--set", "t2=0.99999999", "--lam", "1e308"],
