@@ -23,9 +23,10 @@ directory, on the same requests:
   sweeps through closed and exceptional rows, rows whose moving zero sits
   beside 0 (the exact path declines their dC/dlambda alone), the point
   commands, among them ``bound``, ``ratio`` and ``nh-sweep`` with couplings
-  whose products overflow, ``duality`` at coupling ratios beyond the
-  elliptic derivatives' domain and where the complexity duality loses its
-  digits, ``verify all``, ``--help`` and malformed command lines.
+  whose products overflow, lossy sweeps at coupling scales of 1e102 and
+  1e-19, ``duality`` at coupling ratios beyond the elliptic derivatives'
+  domain and where the complexity duality loses its digits, ``verify all``,
+  ``--help`` and malformed command lines.
 
 A command's output is its ``--out`` file, else its standard output; a library
 request's output is one line per call, ``function[j]=<repr>`` for each entry
@@ -172,6 +173,14 @@ COMMANDS = (
     ["bound", "--model", "ssh", "--set", "t1=2", "--set", "t2=0.99999999", "--lam", "1e308"],
     ["ratio", "--model", "ssh", "--lam", "1e308"],
     ["nh-sweep", "--set", "t1=1e300", "--set", "gamma=1", "--sweep", "t2:1e300:3e300:3"],
+    # the lossy chain at scales where its derivative kernel's products overflow (dC off by
+    # 30%, then rows skipped as exceptional) or underflow (every row diverged): C stays right
+    ["nh-sweep", "--set", "t1=2e102", "--set", "gamma=2e102", "--sweep", "t2:2e102:6e102:3",
+     "--theta", "0.9", "--phi", "0.4"],
+    ["nh-sweep", "--set", "t1=3e102", "--set", "gamma=3e102", "--sweep", "t2:3e102:9e102:3",
+     "--theta", "0.9", "--phi", "0.4"],
+    ["nh-sweep", "--set", "t1=1e-19", "--set", "gamma=1e-19", "--sweep", "t2:1e-19:3e-19:3",
+     "--theta", "0.9", "--phi", "0.4"],
     ["duality", "--set", "r=2"],
     # m = 4r / (1 + r)^2 rounds to 0, r^4 overflows, and both sides of chi_F's duality are 0
     ["duality", "--set", "r=1e20"],
