@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -19,16 +19,19 @@ from .quadrature import _FD_STEP, BZQuadratureConfig, _lone, _stencil, param_der
 
 PI = math.pi
 
-# Every sweep quantity -> its columns, in emission order, and the averages it
-# needs, named as the keywords of ``_bloch_averages``.
-QUANTITIES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "complexity": (("complexity",), ("complexity",)),
-    "dcomplexity": (("dcomplexity",), ("derivative",)),
-    "chi_f": (("chi_f",), ("chi",)),
-    "chi_f_components": (("chi_f_x", "chi_f_y", "chi_f_z"), ("chi",)),
-    "bound": (("bound_lhs", "bound_rhs", "bound_satisfied"), ("derivative", "chi")),
-    "ratio": (("ratio",), ("derivative", "chi")),
-    "winding": (("winding",), ("winding",)),
+# Every sweep quantity -> its columns, in emission order, the averages it needs, named as
+# the keywords of ``_bloch_averages``, and its reader: the row's ``_BlochAverages`` and bound
+# report (None unless the row asks for a quantity of ``_REPORTED``) -> its column values.
+QUANTITIES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Callable]] = {
+    "complexity": (("complexity",), ("complexity",), lambda avg, rep: (avg.complexity,)),
+    "dcomplexity": (("dcomplexity",), ("derivative",), lambda avg, rep: (avg.dcomplexity,)),
+    "chi_f": (("chi_f",), ("chi",), lambda avg, rep: (avg.chi.total,)),
+    "chi_f_components": (("chi_f_x", "chi_f_y", "chi_f_z"), ("chi",),
+                         lambda avg, rep: avg.chi.components),
+    "bound": (("bound_lhs", "bound_rhs", "bound_satisfied"), ("derivative", "chi"),
+              lambda avg, rep: (rep.lhs, rep.rhs, 1.0 if rep.satisfied else 0.0)),
+    "ratio": (("ratio",), ("derivative", "chi"), lambda avg, rep: (rep.ratio,)),
+    "winding": (("winding",), ("winding",), lambda avg, rep: (avg.winding,)),
 }
 # The quantities of the lossy chain, whose sweep averages nothing else.
 LOSSY_QUANTITIES = ("complexity", "dcomplexity")
@@ -90,8 +93,8 @@ class SweepRecord(NamedTuple):
 
 
 def _evaluate(spec: SweepSpec, lam: float, avg) -> SweepRecord:
-    """The row at lam, its columns and flags, from its averages and winding ``avg`` (or the
-    error that ended a lossy average).
+    """The row at lam from its averages ``avg`` (or the error that ended a lossy average): each
+    quantity asked for reads its columns from them and from the row's one bound report.
 
     Flags: ``diverged`` where chi diverged, or where the gap is closed and the row asks for
     more than C; ``undefined_ratio`` for a NaN ratio where chi did not diverge;
@@ -103,20 +106,12 @@ def _evaluate(spec: SweepSpec, lam: float, avg) -> SweepRecord:
             raise avg
         flags.add("skipped_exceptional")
         avg = _BlochAverages(math.nan, math.nan, None, None)
-    columns = {"complexity": avg.complexity, "dcomplexity": avg.dcomplexity,
-               "winding": avg.winding}
-    if avg.chi is not None:
-        columns.update(zip(("chi_f", "chi_f_x", "chi_f_y", "chi_f_z"),
-                           (avg.chi.total, *avg.chi.components)))
-    if not _REPORTED.isdisjoint(wanted):
-        report = _bound_report(lam, spec.reference, avg)
-        columns.update(bound_lhs=report.lhs, bound_rhs=report.rhs, ratio=report.ratio,
-                       bound_satisfied=1.0 if report.satisfied else 0.0)
-        if "ratio" in wanted and math.isnan(report.ratio) and not avg.chi.diverged:
-            flags.add("undefined_ratio")
+    report = None if _REPORTED.isdisjoint(wanted) else _bound_report(lam, spec.reference, avg)
+    if "ratio" in wanted and math.isnan(report.ratio) and not avg.chi.diverged:
+        flags.add("undefined_ratio")
     if (avg.chi is not None and avg.chi.diverged) or (avg.closed and set(wanted) != {"complexity"}):
         flags.add("diverged")
-    values = {c: columns[c] for q in wanted for c in QUANTITIES[q][0]}
+    values = {c: v for q in wanted for c, v in zip(QUANTITIES[q][0], QUANTITIES[q][2](avg, report))}
     return SweepRecord(float(lam), values, frozenset(flags))
 
 
