@@ -287,12 +287,13 @@ def _cmd_duality(args) -> int:
     params = MODELS["dual-ssh"].params(_parse_set(args.set))
     ref = _reference(args)
     cfg = _quad_config(args)
-    lhs, rhs, resid = fs_duality_check(params, cfg)
-    print(f"susceptibility: chiF_II(1/r)={lhs:.12e} r^4*chiF_I(r)={rhs:.12e} "
-          f"relative residual={resid:.3e}")
+    # every check runs before the first line is printed, so one that fails prints nothing
+    chi_lhs, chi_rhs, chi_resid = fs_duality_check(params, cfg)
     lhs, rhs, resid = complexity_duality_check(params, ref, cfg)
-    print(f"complexity: C(1/r)={lhs:.12f} mapped={rhs:.12f} residual={resid:.3e}")
     constraint, c_at_r = self_dual_constraint(params, ref)
+    print(f"susceptibility: chiF_II(1/r)={chi_lhs:.12e} r^4*chiF_I(r)={chi_rhs:.12e} "
+          f"relative residual={chi_resid:.3e}")
+    print(f"complexity: C(1/r)={lhs:.12f} mapped={rhs:.12f} residual={resid:.3e}")
     print(f"self-dual constraint: 2C'(r)-H'(r)={constraint:.12f} C(r)={c_at_r:.12f}")
     return EXIT_OK
 

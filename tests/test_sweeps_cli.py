@@ -990,10 +990,12 @@ class TestDualityGapThreshold:
     @pytest.mark.parametrize("r", ["1e20", "1e-20", "1e78", "1e-300", "1e-12"])
     def test_beyond_the_ratio_domain_exits_3(self, r, capsys):
         # these printed a traceback and exited 1, the code of a failed verify; r = 1e-12,
-        # below the complexity duality's range, printed a residual of 1.1e-5 and exited 0
+        # below the complexity duality's range, printed a residual of 1.1e-5 and exited 0;
+        # a check that fails after another passed left that one's line on stdout
         assert main(["duality", "--set", f"r={r}"]) == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert out == ""
 
 
 def _model_choices(command):
