@@ -126,10 +126,11 @@ def fs_duality_check(params: DualSSHParams,
 
     Each family is differentiated with respect to its own parameter; the
     left side is family II evaluated at parameter value 1/r.  Returns
-    (lhs, rhs, relative residual).  Both sides fall as r^-4 / 8 away from
-    r = 1, so r beyond 1e-76 <= r <= 1e76, where r^4 or a side leaves the
-    normal doubles, is a DomainError.  Where family I's own chi_F record is
-    closed (r = 1) it is a GapClosedError.
+    (lhs, rhs, relative residual).  Both sides fall as r^4 / 8 below r = 1
+    and tend to 1/8 above it, so r beyond 1e-76 <= r <= 1e76 is a
+    DomainError: above it r^4 overflows, and below it both sides leave the
+    normal doubles.  Where family I's own chi_F record is closed (r = 1) it
+    is a GapClosedError.
     """
     r = params.r
     if not 1e-76 <= r <= 1e76:
