@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twoband import (BlochVector, DualSSHParams, GlobalReference, MassiveDiracParams,
-                     PiecewiseBlochReference, ReferenceState, SSHParams, SweepSpec,
+                     PiecewiseBlochReference, ReferenceState, SSHParams, SweepSpec, bound_check,
                      chi_F_md_closed, dual_pair, fidelity, ground_complexity, models,
                      plateau_complexity, plateau_reference, run_sweep, ssh_model)
 from twoband.cli import main
@@ -617,3 +617,34 @@ def test_a_random_row_split_on_its_line(theta, kappa, rate, big, ratio, flips, r
         c, dc, terms = _split_reference(model, 0.0, ref)
         assert abs(avg.complexity - c) <= 6e-16
         assert abs(avg.dcomplexity - dc) <= 2e-13 * terms
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(theta=st.floats(-PI, PI), kappa=st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0),
+       rate=st.complex_numbers(max_magnitude=2.0), big=st.floats(0.1, 0.9),
+       ratio=st.floats(0.1, 0.55), flips=st.tuples(*[st.booleans()] * 6),
+       rates=st.tuples(*[st.floats(0.1, 2.0)] * 2), polar=st.floats(0.0, PI),
+       azimuth=st.floats(-PI, PI))
+def test_the_bound_on_a_random_row(theta, kappa, rate, big, ratio, flips, rates, polar, azimuth):
+    # the rows of test_a_random_row_split_on_its_line under a random global reference: both
+    # sides of |dC/dlambda| <= sum_i |n_i| sqrt(chi_i) against the oracle, each error on the
+    # scale of the right side, which bounds the size of the left side's terms.  Each bound is
+    # about 3.5 times the maximum over 400 random rows: exact lhs 2.8e-13 (an absolute 6e-16
+    # on deep zeros moving at opposite rates) and rhs 1.25e-14; engine 6.8e-15 and 5.9e-15
+    zeros = [(1.0 / r if out else r) * (-1.0 if neg else 1.0)
+             for r, out, neg in zip((big, big * ratio), flips[:2], flips[2:4])]
+    rates = [-v if down else v for v, down in zip(rates, flips[4:])]
+    model = _model_of(*_on_line(complex(math.cos(theta), math.sin(theta)), kappa, rate, zeros,
+                                rates))
+    ref = GlobalReference(polar, azimuth)
+    with mock.patch.object(fidelity, "_engine_averages",
+                           wraps=fidelity._engine_averages) as engine:
+        report = bound_check(model, ref, 0.0)
+    _, _, vx, vz, cx, cz = _reference(model, 0.0)
+    n = ref.bloch.as_array()
+    lhs = abs(0.5 * (n[0] * vx + n[2] * vz))
+    rhs = abs(n[0]) * math.sqrt(cx) + abs(n[2]) * math.sqrt(cz)
+    lhs_bound, rhs_bound = (2e-14, 2e-14) if engine.called else (1e-12, 4e-14)
+    assert abs(report.lhs - lhs) <= lhs_bound * rhs
+    assert abs(report.rhs - rhs) <= rhs_bound * rhs
+    assert lhs <= rhs and report.satisfied
