@@ -20,7 +20,8 @@ directory, on the same requests:
   line of the zeros (also 1e-12 from a closing) and off it, closed engine
   rows asked for C and chi_F without dC, lossy sweeps,
   engine sweeps of 101 rows (more than one chunk of ``_MAX_OWNERS`` owners),
-  sweeps through closed and exceptional rows, rows whose moving zero sits
+  sweeps through closed and exceptional rows (the exceptional row and an
+  undefined ratio also to a ``.csv`` and a ``.json`` file), rows whose moving zero sits
   beside 0 (the exact path declines their dC/dlambda alone), the point
   commands, among them ``bound``, ``ratio`` and ``nh-sweep`` with couplings
   whose products overflow, lossy sweeps at coupling scales of 1e102 and
@@ -159,6 +160,14 @@ COMMANDS = (
     ["nh-sweep", "--set", "t1=2", "--set", "gamma=0", "--sweep", "t2:1.5:2.5:3",
      "--quantities", "dcomplexity"],
     ["nh-sweep", "--set", "t1=1", "--set", "gamma=2", "--sweep", "t2:-1:1:3"],
+    # the same exceptional row, and a reference with no coefficient on the dominant axis
+    # (undefined_ratio), through each file writer
+    ["nh-sweep", "--set", "t1=1", "--set", "gamma=2", "--sweep", "t2:-1:1:3",
+     "--out", "lossy-exceptional.json"],
+    ["nh-sweep", "--set", "t1=1", "--set", "gamma=2", "--sweep", "t2:-1:1:3",
+     "--out", "lossy-exceptional.csv"],
+    ["sweep", "--model", "massive-dirac", "--sweep", "mu:0.5:1.5:3", "--quantities",
+     "bound,ratio", "--out", "undefined-ratio.csv"],
     ["sweep", "--model", "ssh", "--set", "t1=1", "--sweep", "t2:0.5:1.5:3",
      "--quantities", "winding"],
     # a moving zero within 1e-2 of 0: the exact path declines dC/dlambda and keeps C and chi_F
