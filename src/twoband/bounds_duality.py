@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
 from .complexity import _require_global, _ssh_elliptic_terms, ground_complexity
 from .errors import DomainError, GapClosedError, UndefinedRatioError
-from .fidelity import _bloch_averages, _BlochAverages, chi_F
+from .fidelity import _Averages, _bloch_averages, _totals, chi_F
 from .models import DualSSHParams, TwoBandModel, dual_pair
 from .quadrature import BZQuadratureConfig
 from . import special_functions as sf
@@ -56,40 +56,38 @@ def complexity_derivative(model: TwoBandModel, ref: ReferenceState, lam: float,
     derivative diverges and GapClosedError is raised before any average; an
     exhausted subdivision budget raises ConvergenceError.
     """
-    dc = _bloch_averages(model, [lam], ref, cfg, derivative=True)[0].dcomplexity
+    dc = _bloch_averages(model, [lam], ref, cfg, derivative=True).dcomplexity[0]
     if dc is None:
         raise GapClosedError("complexity derivative diverges where the gap is closed")
     return dc
 
 
-def _ratio(avg: _BlochAverages, q: np.ndarray) -> float:
-    """Saturation ratio of the axis with the largest |integral|; NaN where chi diverged."""
-    if avg.chi.diverged:
-        return math.nan
-    axis = int(np.argmax(np.abs(avg.integrals)))
-    if abs(q[axis]) < 1e-15:
-        raise UndefinedRatioError(
-            f"reference coefficient Q[{axis}] vanishes for the dominant component")
-    comp = avg.chi.components[axis]
-    if not comp > 0.0:
-        raise UndefinedRatioError("dominant susceptibility component vanishes")
-    return abs(avg.integrals[axis]) / (4.0 * PI * math.sqrt(comp))
+# ``_bound_report``'s columns, reals: per row both sides of the bound, whether it holds (1 or
+# 0), the saturation ratio, the dominant axis and why the ratio is undefined, as an index of
+# _UNDEFINED (0 where it is not)
+_Bounds = NamedTuple("_Bounds", [(f, list) for f in "lhs rhs holds ratio axis undefined".split()])
+_UNDEFINED = (None, "reference coefficient Q[{}] vanishes for the dominant component",
+              "dominant susceptibility component vanishes")
 
 
-def _bound_report(lam: float, ref: GlobalReference, avg: _BlochAverages) -> BoundReport:
-    """Both sides of the bound from the derivative and chi averages of one point."""
-    q = reference_coefficients(ref)
-    if avg.chi.diverged:
-        return BoundReport(lam=float(lam), lhs=math.nan, rhs=math.inf, q=tuple(q),
-                           satisfied=True, ratio=math.nan)
-    lhs = abs(avg.dcomplexity)
-    rhs = 4.0 * PI * float(np.sum(np.abs(q) * np.sqrt(np.maximum(avg.chi.components, 0.0))))
-    try:
-        ratio = _ratio(avg, q)
-    except UndefinedRatioError:
-        ratio = math.nan
-    return BoundReport(lam=float(lam), lhs=lhs, rhs=rhs, q=tuple(q),
-                       satisfied=bool(lhs <= rhs * (1.0 + _BOUND_RTOL)), ratio=ratio)
+def _bound_report(ref: GlobalReference, avg: _Averages) -> _Bounds:
+    """Both sides of the bound and the ratio of the dominant axis, the largest |integral|,
+    at every row of the derivative and chi averages ``avg``; where chi diverged, lhs and the
+    ratio are NaN, rhs is inf and the bound holds."""
+    q = abs(reference_coefficients(ref))[:, None]
+    # dC, the integrals and chi_F per axis, and whether chi diverged, by row (None is NaN)
+    a = np.array([*avg[1:8], avg.diverged], dtype=float)
+    dc, ints, comps, diverged = a[0], abs(a[1:4]), a[4:7], a[7] > 0.0
+    with np.errstate(all="ignore"):
+        lhs, rhs = abs(dc), 4.0 * PI * (q * np.sqrt(np.maximum(comps, 0.0))).sum(0)
+        axis = ints.argmax(0)
+        comp = comps[axis, range(axis.size)]
+        undefined = np.where(q[axis, 0] < 1e-15, 1, 2 * ~(comp > 0.0)) * ~diverged
+        out = np.array([lhs, rhs, lhs <= rhs * (1.0 + _BOUND_RTOL),
+                        ints.max(0) / (4.0 * PI * np.sqrt(comp)), axis, undefined])
+    out[:4, diverged] = [[np.nan], [np.inf], [1.0], [np.nan]]
+    out[3, undefined > 0] = np.nan
+    return _Bounds(*out.tolist())
 
 
 def bound_check(model: TwoBandModel, ref: GlobalReference, lam: float,
@@ -102,8 +100,10 @@ def bound_check(model: TwoBandModel, ref: GlobalReference, lam: float,
     or an exhausted budget) lhs and the ratio are NaN, rhs is inf, and the
     bound counts as satisfied.  A piecewise reference raises DomainError.
     """
-    avg = _bloch_averages(model, [lam], _require_global(ref), cfg, derivative=True, chi=True)[0]
-    return _bound_report(lam, ref, avg)
+    rep = _bound_report(ref, _bloch_averages(model, [lam], _require_global(ref), cfg,
+                                             derivative=True, chi=True))
+    return BoundReport(float(lam), rep.lhs[0], rep.rhs[0], tuple(reference_coefficients(ref)),
+                       rep.holds[0] > 0.0, rep.ratio[0])
 
 
 def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
@@ -116,8 +116,11 @@ def ratio_R(model: TwoBandModel, ref: GlobalReference, lam: float,
     tends to sqrt(2/3) deep in either phase.  NaN where the susceptibility
     diverges.  A piecewise reference raises DomainError.
     """
-    avg = _bloch_averages(model, [lam], _require_global(ref), cfg, derivative=True, chi=True)[0]
-    return _ratio(avg, reference_coefficients(ref))
+    rep = _bound_report(ref, _bloch_averages(model, [lam], _require_global(ref), cfg,
+                                             derivative=True, chi=True))
+    if rep.undefined[0]:
+        raise UndefinedRatioError(_UNDEFINED[int(rep.undefined[0])].format(int(rep.axis[0])))
+    return rep.ratio[0]
 
 
 def fs_duality_check(params: DualSSHParams,
@@ -136,11 +139,11 @@ def fs_duality_check(params: DualSSHParams,
     if not 1e-76 <= r <= 1e76:
         raise DomainError(f"susceptibility duality needs 1e-76 <= r <= 1e76, not r={r!r}")
     model_i, model_ii = dual_pair(params)
-    avg_i = _bloch_averages(model_i, [r], None, cfg, chi=True)[0]
-    if avg_i.closed:
+    avg_i = _bloch_averages(model_i, [r], None, cfg, chi=True)
+    if avg_i.closed[0]:
         raise GapClosedError("susceptibility duality check diverges at r = 1")
     lhs = chi_F(model_ii, 1.0 / r, cfg).total
-    rhs = r ** 4 * avg_i.chi.total
+    rhs = r ** 4 * _totals(avg_i)[0]
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return lhs, rhs, residual
 

@@ -28,8 +28,7 @@ from .bounds_duality import (bound_check, complexity_duality_check,
 from .errors import DomainError, GapClosedError, PartitionError, SpecError, TwoBandError
 from .models import MODELS, dual_pair
 from .quadrature import BZQuadratureConfig
-from .sweeps import (LOSSY_QUANTITIES, QUANTITIES, SweepSpec, records_to_csv, run_sweep,
-                     write_records)
+from .sweeps import LOSSY_QUANTITIES, QUANTITIES, SweepSpec, _csv, _json, _sweep_columns, _write
 from .verification import SUITES, run_suite
 
 PI = math.pi
@@ -244,12 +243,14 @@ def _sweep_spec(args) -> SweepSpec:
 
 
 def _cmd_sweep(args) -> int:
+    """A sweep written by column: to ``--out``, JSON for a .json file, else CSV to standard
+    output."""
     spec = _sweep_spec(args)
-    records = run_sweep(spec, _quad_config(args))
+    columns = _sweep_columns(spec, _quad_config(args))
     if args.out:
-        write_records(spec, records, args.out)
+        _write(_json(spec, [columns]) if args.out.endswith(".json") else _csv(*columns), args.out)
     else:
-        sys.stdout.write(records_to_csv(spec, records))
+        sys.stdout.write(_csv(*columns))
     return EXIT_OK
 
 

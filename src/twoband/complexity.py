@@ -57,7 +57,7 @@ def ground_complexity(model: TwoBandModel, ref: ReferenceState,
     where no node meets a singular point.  There a gap closed at a node raises
     GapClosedError, an exhausted budget ConvergenceError.
     """
-    return _bloch_averages(model, [model.lam], ref, cfg, complexity=True)[0].complexity
+    return _bloch_averages(model, [model.lam], ref, cfg, complexity=True).complexity[0]
 
 
 def _ssh_elliptic_terms(t1: float, t2: float) -> float:

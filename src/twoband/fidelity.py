@@ -1,16 +1,16 @@
 """Fidelity susceptibility of two-band ground states.
 
-Per mode chi_F(k) = |d(d_hat)/d(lambda)|^2 / 4, with the unit-vector
-derivative obtained from the transverse projection of d(d)/d(lambda); the BZ
-average and its exact component decomposition are provided together with the
-closed forms of the dimerized-chain and massive-Dirac families.
+Per mode chi_F(k) = |d(d_hat)/d(lambda)|^2 / 4, with the unit-vector derivative obtained
+from the transverse projection of d(d)/d(lambda); the BZ average and its exact component
+decomposition come with the closed forms of the dimerized-chain and massive-Dirac families.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -91,15 +91,20 @@ class SusceptibilityBreakdown:
     diverged: bool = False
 
 
-class _BlochAverages(NamedTuple):
-    """BZ averages at one parameter point, and its winding; None if not asked for, dC on a
-    closed gap, and C of a closed lossy row asked for dC, which runs no average."""
-    complexity: Optional[float]
-    dcomplexity: Optional[float]
-    integrals: Optional[np.ndarray]  # integral of d(d_hat)/d(lambda) dk, per axis
-    chi: Optional[SusceptibilityBreakdown]
-    closed: bool = False
-    winding: Optional[float] = None  # NaN on a closed gap
+# BZ averages of rows and their winding, a list per field with one entry per row, None where
+# not asked for: C (None in a closed lossy row asked for dC, which runs no average), dC (None
+# on a closed gap), per axis the integral of d(d_hat)/d(lambda) dk (None on a closed gap) and
+# chi_F (inf there, its total ``_totals``), whether chi diverged (a closed gap or an
+# exhausted budget), whether the gap is closed, the winding (NaN on a closed gap), and the
+# lossy chain's rows skipped at a mode where R^2 = 0.
+_Averages = namedtuple("_Averages", "complexity dcomplexity integral_x integral_y integral_z "
+                       "chi_x chi_y chi_z diverged closed winding exceptional",
+                       defaults=(None,) * 10)
+
+
+def _totals(avg: _Averages) -> list:
+    """chi_F per row of ``avg``, summed in the order of numpy's sum of three: ((0 + x) + y) + z."""
+    return [0.0 + x + y + z for x, y, z in zip(avg.chi_x, avg.chi_y, avg.chi_z)]
 
 
 def _cel(kc, p, a, b):
@@ -338,8 +343,7 @@ def _planar_averages(zeros: ContourZeros, slope, ref, complexity: bool, derivati
 
 
 def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
-                    complexity=False, derivative=False, chi=False,
-                    winding=False) -> List[_BlochAverages]:
+                    complexity=False, derivative=False, chi=False, winding=False) -> _Averages:
     """C, dC/d(lambda) with the d_hat-derivative integrals, chi_F and the winding of the
     family ``m`` at each of ``lams``, all from one ``TwoBandModel.zeros`` record of its rows:
     the winding is ``TwoBandModel.windings``' count of its zeros, NaN on a closed gap.
@@ -349,43 +353,47 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
     line, under no reference, a global one or a piecewise one that jumps on that line),
     where the masks of every quantity asked for pass; the rest (a split at k0 != 0, the
     Cooper-pair box's plateau, a moving zero beside 0 for dC) from ``_engine_averages``.  Whichever path
-    gave its C, every ``closed`` row's record is made here: C alone, dC None and chi inf,
-    flagged diverged.  A non-finite lambda is a DomainError.
+    gave its C, every ``closed`` row is made here: C alone, dC None and chi inf, flagged
+    diverged.  A non-finite lambda is a DomainError.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise DomainError("the parameter value must be finite")
-    zeros = m.zeros(lams)
+    zeros, n = m.zeros(lams), lams.size
     idle = zeros.closed & (not complexity) | (not (complexity or derivative or chi))
-    exact = ~idle
-    cs, dcs, integrals, chis = ([None] * lams.size for _ in range(4))
+    exact, closed = ~idle, zeros.closed.tolist()
+    # C, dC, the integrals and chi_F per axis, and whether chi diverged
+    asked = (complexity, *(derivative,) * 4, *(chi,) * 3)
+    cols = [[None] * n if a else None for a in asked] + [closed.copy() if chi else None]
     if exact.any():
         got = _planar_averages(zeros, m.slope(lams), ref, complexity, derivative, chi)
         for ok in (got.complexity_ok, got.dcomplexity_ok, got.chi_ok):  # until each is routed
             exact &= True if ok is None else ok
     if exact.any():
-        cs = got.complexity.tolist() if complexity else cs
+        cols[0] = got.complexity.tolist() if complexity else None
         if derivative:
-            dcs, integrals = got.dcomplexity.tolist(), np.zeros((lams.size, 3))
-            integrals[:, ::2] = 2.0 * PI * got.turn.T
-        if chi:  # the total as numpy sums three
-            chis = [SusceptibilityBreakdown(0.0 + x + 0.0 + z, (x, 0.0, z))
-                    for x, z in zip(*got.gains.tolist())]
+            x, z = (2.0 * PI * got.turn).tolist()
+            cols[1:5] = got.dcomplexity.tolist(), x, [0.0] * n, z
+        if chi:
+            x, z = got.gains.tolist()
+            cols[5:8] = x, [0.0] * n, z
     rest = (~(exact | idle)).nonzero()[0]
-    for i, avg in zip(rest.tolist(), _engine_averages(
-            m, lams[rest], ref, cfg, complexity=complexity, derivative=derivative, chi=chi,
-            zeros=zeros.take(rest)) if rest.size else ()):
-        cs[i], dcs[i], integrals[i], chis[i] = avg[:4]
-    diverged = SusceptibilityBreakdown(np.inf, (np.inf,) * 3, True) if chi else None
-    nus = m._windings(zeros).tolist() if winding else [None] * lams.size
-    return [_BlochAverages(cs[i], None, None, diverged, True, nus[i]) if is_closed else
-            _BlochAverages(cs[i], dcs[i], integrals[i], chis[i], False, nus[i])
-            for i, is_closed in enumerate(zeros.closed.tolist())]
+    if rest.size:
+        eng = _engine_averages(m, lams[rest], ref, cfg, complexity=complexity,
+                               derivative=derivative, chi=chi, zeros=zeros.take(rest))
+        for into, col in zip(cols, eng):
+            for i, value in zip(rest, col if into else ()):
+                into[i] = value
+    for i in (i for i, shut in enumerate(closed) if shut):
+        for col, value in zip(cols[1:], (None,) * 4 + (np.inf,) * 3 + (True,)):
+            if col:
+                col[i] = value
+    return _Averages(*cols, closed, m._windings(zeros).tolist() if winding else None)
 
 
 def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, *,
                      complexity=False, derivative=False, chi=False,
-                     zeros: ContourZeros | None = None) -> List[_BlochAverages]:
+                     zeros: ContourZeros | None = None) -> _Averages:
     """``_bloch_averages`` by quadrature, for the rows the exact path does not take and as
     its oracle (``zeros`` are the rows' ``TwoBandModel.zeros``): one ``bz_averages`` run in
     which each lambda owns the reference breakpoints and the ``graded_edges`` at its
@@ -395,11 +403,12 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
 
     The kernel evaluates d_deriv only for dC or chi, and returns a group per
     quantity asked for: C_k; (n_ref . v / 2, v) with v = d(d_hat)/d(lambda);
-    v^2 / 4 per axis.  Every row needs an average, and each record is the plain average: a
-    ``closed`` gap, asked for C, shares the run with v zeroed, so that its C is the C-only
-    average's bit for bit and its dC and chi read 0 (``_bloch_averages`` makes its closed
-    record).  An exhausted budget flags chi diverged and keeps every group's unconverged,
-    finite estimate; without chi, or where an error is not finite, it raises.
+    v^2 / 4 per axis; a row's entry of one not asked for is None.  Every row needs an
+    average, and each is the plain average: a ``closed`` gap, asked for C, shares the run
+    with v zeroed, so that its C is the C-only average's bit for bit and its dC and chi read
+    0 (no row is ``closed`` here; ``_bloch_averages`` closes it).  An exhausted budget flags
+    chi diverged and keeps every group's unconverged, finite estimate; without chi, or where
+    an error is not finite, it raises.
     """
     lams = np.asarray(lams, dtype=float)
     zeros = m.zeros(lams) if zeros is None else zeros
@@ -432,23 +441,17 @@ def _engine_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None,
                                            where=(gap >= GAP_EPS) & (gap < slope)))
     breaks = ref.breakpoints() if uses_ref else ()
     edges = np.hstack((edges, np.full((len(edges), len(breaks)), breaks)))
-    results = []
+    rows = []
     for out in bz_averages(kernel, edges, cfg):
         diverged = isinstance(out, ConvergenceError)
         if diverged and not (chi and np.isfinite(out.error).all()):
             raise out
         out = iter(out.estimate if diverged else out)
         c = float(next(out)) if complexity else None
-        dc = integrals = breakdown = None
-        if derivative:
-            row = next(out)
-            dc, integrals = float(row[0]), 2.0 * PI * row[1:]
-        if chi:  # the total in the order of numpy's sum of three: ((0 + x) + y) + z
-            comps = tuple(next(out).tolist())
-            breakdown = SusceptibilityBreakdown(0.0 + comps[0] + comps[1] + comps[2], comps,
-                                                diverged)
-        results.append(_BlochAverages(c, dc, integrals, breakdown))
-    return results
+        dc, *ints = next(out).tolist() if derivative else [None] * 4
+        rows.append([c, dc, *((2.0 * PI * v for v in ints) if derivative else ints),
+                     *(next(out).tolist() if chi else [None] * 3), diverged if chi else None])
+    return _Averages(*map(list, zip(*rows)), [False] * lams.size)
 
 
 def chi_F(model: TwoBandModel, lam: float,
@@ -462,7 +465,8 @@ def chi_F(model: TwoBandModel, lam: float,
     budget flags it, keeping its finite estimate.  An average whose error is
     not finite raises ConvergenceError.
     """
-    return _bloch_averages(model, [lam], None, cfg, chi=True)[0].chi
+    avg = _bloch_averages(model, [lam], None, cfg, chi=True)
+    return SusceptibilityBreakdown(_totals(avg)[0], tuple(a[0] for a in avg[5:8]), avg.diverged[0])
 
 
 def chi_F_ssh_closed(params: SSHParams) -> float:

@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, ExceptionalPointError, GapClosedError,
                      InsufficientDataError, NormalizationError)
-from .fidelity import _BlochAverages
+from .fidelity import _Averages
 from .models import (GAP_EPS, MODELS, NonHermitianSSHParams, TwoBandModel, contour_zeros,
                      nh_ssh_bloch_hamiltonian, singular_points, trig_sum)
-from .quadrature import BZQuadratureConfig, _lone, bz_averages, graded_edges
+from .quadrature import BZQuadratureConfig, bz_averages, graded_edges
 
 # The EP scale that grades the panels on a closing, where it is 0.
 _EP_SCALE_FLOOR = 1e-16
@@ -185,16 +185,16 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
 
 
 def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex,
-                 cfg: BZQuadratureConfig | None) -> list:
-    """Per value of ``lams``, the lossy ``model``'s ``_BlochAverages`` (C, with ``derivative``
-    dC/d(lambda)) in one ``bz_averages`` run, or the error that ended it.
+                 cfg: BZQuadratureConfig | None, skip: bool = False) -> _Averages:
+    """The lossy ``model``'s ``_Averages`` (C, and dC/d(lambda) with ``derivative``) at ``lams``
+    in one run; an error that ends one is raised, a non-finite one as an EP unless ``skip``.
 
     Each row owns k = 0 and the ``graded_edges`` at its EPs, the zeros k_s of R^2's Laurent
     factors F = R1 -+ i R3 (``singular_points`` of the rows with the z row as is and negated;
     none at z = 0 or infinity), graded by the rule of ``fidelity._engine_averages``,
-    w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing.  A row whose gap is
-    closed (both |F| < GAP_EPS at one k_s, a double zero of R^2 and no EP) is a ``closed``
-    record with dC None; asked for dC it runs no average, and its C is None too.
+    w = |F(k_s)| / |d_k F(k_s)|, floored at _EP_SCALE_FLOOR on a closing.  A ``closed`` row
+    (both |F| < GAP_EPS at one k_s, a double zero of R^2, no EP) has dC None, and no C either
+    if asked for dC: it runs no average.
     """
     alpha, beta = _normalized_pair(alpha, beta)
     lams = np.asarray(lams, dtype=float)
@@ -211,16 +211,17 @@ def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, be
     edges = np.hstack((np.zeros((lams.size, 1)), graded_edges(
         np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR))))
     run = ~(closed & derivative)
-    runs = iter(bz_averages(_nh_weight_kernel(model, lams[run], derivative, alpha, beta),
-                            edges[run], cfg) if run.any() else ())
-    # the kernel's only non-finite values are the NaN of a mode where R^2 = 0
-    return [ExceptionalPointError("exceptional point: R^2 = 0 at a mode")
-            if isinstance(out, ConvergenceError) and not math.isfinite(out.error) else
-            out if isinstance(out, Exception) else _BlochAverages(
-                None if out is None else float(out[0] if derivative else out),
-                None if shut or not derivative else float(out[1]), None, None, shut)
-            for out, shut in zip((next(runs) if ran else None for ran in run.tolist()),
-                                 closed.tolist())]
+    outs = bz_averages(_nh_weight_kernel(model, lams[run], derivative, alpha, beta),
+                       edges[run], cfg) if run.any() else []
+    shut, n = closed.tolist(), lams.size
+    cs, dcs, skipped = [None] * n, [None] * n, [False] * n
+    for i, out in zip(run.nonzero()[0].tolist(), outs):  # a row run for dC is not closed
+        ep = isinstance(out, ConvergenceError) and not math.isfinite(out.error)
+        if isinstance(out, Exception) and not (ep and skip):
+            raise ExceptionalPointError("exceptional point: R^2 = 0 at a mode") if ep else out
+        c, dc = (math.nan, math.nan) if ep else out if derivative else (out, math.nan)
+        cs[i], dcs[i], skipped[i], shut[i] = float(c), float(dc), ep, shut[i] and not ep
+    return _Averages(cs, dcs if derivative else None, closed=shut, exceptional=skipped)
 
 
 def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: complex,
@@ -230,8 +231,8 @@ def nh_ground_complexity(params: NonHermitianSSHParams, alpha: complex, beta: co
     The panels are graded toward the exceptional points, which are panel edges
     and never evaluated; a mode where R^2 is exactly 0 raises ExceptionalPointError.
     """
-    return _lone(_nh_averages(MODELS["nh-ssh"].model(vars(params)), [params.t2], False,
-                              alpha, beta, cfg)).complexity
+    return _nh_averages(MODELS["nh-ssh"].model(vars(params)), [params.t2], False,
+                        alpha, beta, cfg).complexity[0]
 
 
 def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
@@ -246,10 +247,10 @@ def nh_complexity_derivative(params: NonHermitianSSHParams, parameter: str,
     dC_k/d(parameter) ~ |k - k_s|^(-1/2).  Any other parameter raises DomainError.
     """
     model = MODELS["nh-ssh"].model(vars(params), parameter)
-    avg = _lone(_nh_averages(model, [model.lam], True, alpha, beta, cfg))
-    if avg.closed:
+    avg = _nh_averages(model, [model.lam], True, alpha, beta, cfg)
+    if avg.closed[0]:
         raise GapClosedError("complexity derivative diverges where the gap is closed")
-    return avg.complexity, avg.dcomplexity
+    return avg.complexity[0], avg.dcomplexity[0]
 
 
 def detect_cusps(sweep: Sequence) -> List[float]:

@@ -233,12 +233,7 @@ def bz_average_vec(f: Callable, cfg: BZQuadratureConfig | None = None,
     node lies on a panel edge, so a kernel undefined only at the caller's
     points is never evaluated there.
     """
-    return _lone(bz_averages(lambda k, owner: f(k), np.array([tuple(extra_points)], float), cfg))
-
-
-def _lone(results: list):
-    """The result of a one-owner run; an error in its place is raised."""
-    (result,) = results
+    (result,) = bz_averages(lambda k, owner: f(k), np.array([tuple(extra_points)], float), cfg)
     if isinstance(result, Exception):
         raise result
     return result

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, groupby
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
@@ -11,25 +12,25 @@ import numpy as np
 
 from .bloch import GlobalReference, ReferenceState
 from .bounds_duality import _bound_report
-from .errors import ExceptionalPointError, SpecError
-from .fidelity import _bloch_averages, _BlochAverages
+from .errors import SpecError
+from .fidelity import _bloch_averages, _totals
 from .models import MODELS
 from .nonhermitian import _nh_averages
-from .quadrature import _FD_STEP, BZQuadratureConfig, _lone, _stencil, param_derivative
+from .quadrature import _FD_STEP, BZQuadratureConfig, _stencil, param_derivative
 
 PI = math.pi
 
 # Every sweep quantity -> its columns, in emission order, the averages it needs, named as
-# the keywords of ``_bloch_averages``, and its reader: the row's ``_BlochAverages`` and bound
-# report (None unless the row asks for a quantity of ``_REPORTED``) -> its column values.
+# the keywords of ``_bloch_averages``, and its reader: the sweep's ``_Averages`` and bound
+# report (None unless it asks for a quantity of ``_REPORTED``) -> its columns' lists.
 QUANTITIES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Callable]] = {
     "complexity": (("complexity",), ("complexity",), lambda avg, rep: (avg.complexity,)),
     "dcomplexity": (("dcomplexity",), ("derivative",), lambda avg, rep: (avg.dcomplexity,)),
-    "chi_f": (("chi_f",), ("chi",), lambda avg, rep: (avg.chi.total,)),
+    "chi_f": (("chi_f",), ("chi",), lambda avg, rep: (_totals(avg),)),
     "chi_f_components": (("chi_f_x", "chi_f_y", "chi_f_z"), ("chi",),
-                         lambda avg, rep: avg.chi.components),
+                         lambda avg, rep: (avg.chi_x, avg.chi_y, avg.chi_z)),
     "bound": (("bound_lhs", "bound_rhs", "bound_satisfied"), ("derivative", "chi"),
-              lambda avg, rep: (rep.lhs, rep.rhs, 1.0 if rep.satisfied else 0.0)),
+              lambda avg, rep: (rep.lhs, rep.rhs, rep.holds)),
     "ratio": (("ratio",), ("derivative", "chi"), lambda avg, rep: (rep.ratio,)),
     "winding": (("winding",), ("winding",), lambda avg, rep: (avg.winding,)),
 }
@@ -92,46 +93,9 @@ class SweepRecord(NamedTuple):
     flags: frozenset = frozenset()
 
 
-def _evaluate(spec: SweepSpec, lam: float, avg) -> SweepRecord:
-    """The row at lam from its averages ``avg`` (or the error that ended a lossy average): each
-    quantity asked for reads its columns from them and from the row's one bound report.
-
-    Flags: ``diverged`` where chi diverged, or where the gap is closed and the row asks for
-    more than C; ``undefined_ratio`` for a NaN ratio where chi did not diverge;
-    ``skipped_exceptional`` where a lossy average met R^2 == 0 (its columns are NaN).
-    """
-    flags, wanted = set(), spec.quantities
-    if isinstance(avg, Exception):
-        if not isinstance(avg, ExceptionalPointError):
-            raise avg
-        flags.add("skipped_exceptional")
-        avg = _BlochAverages(math.nan, math.nan, None, None)
-    report = None if _REPORTED.isdisjoint(wanted) else _bound_report(lam, spec.reference, avg)
-    if "ratio" in wanted and math.isnan(report.ratio) and not avg.chi.diverged:
-        flags.add("undefined_ratio")
-    if (avg.chi is not None and avg.chi.diverged) or (avg.closed and set(wanted) != {"complexity"}):
-        flags.add("diverged")
-    values = {c: v for q in wanted for c, v in zip(QUANTITIES[q][0], QUANTITIES[q][2](avg, report))}
-    return SweepRecord(float(lam), values, frozenset(flags))
-
-
-def _closed_gap_rows(grid: np.ndarray, avgs: list, spec: SweepSpec, c_at) -> None:
-    """Fill in dC/d(lambda) on the closed rows of ``avgs`` as the finite difference of C,
-    from one more run of the chain's own averages ``c_at`` of C at their stencil points, and
-    at lambda where the row's C is asked for and None (a lossy row asked for dC)."""
-    rows = [i for i, avg in enumerate(avgs) if isinstance(avg, _BlochAverages) and avg.closed]
-    if not rows or "dcomplexity" not in spec.quantities:
-        return
-    lone = [i for i in rows if avgs[i].complexity is None and "complexity" in spec.quantities]
-    points = [x for i in rows for x in _stencil(grid[i], _FD_STEP)] + [grid[i] for i in lone]
-    c = dict(zip(points, (_lone([avg]).complexity for avg in c_at(points))))
-    for i in rows:
-        avgs[i] = avgs[i]._replace(complexity=c[grid[i]] if i in lone else avgs[i].complexity,
-                                   dcomplexity=param_derivative(c.__getitem__, grid[i]))
-
-
-def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
-    """Evaluate every requested quantity on the sweep grid, in sweep order.
+def _sweep_columns(spec: SweepSpec, cfg: BZQuadratureConfig | None = None):
+    """Every requested quantity on the sweep grid by column: (lambdas, {column: values} in
+    emission order, each row's flags, sorted).
 
     A point's averaged quantities and winding come from one call for the
     whole grid (``_bloch_averages``: no quadrature on exact planar rows, one
@@ -140,35 +104,74 @@ def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[Sw
     call at its point.  A closed gap of either chain averages only C; its
     dcomplexity is the finite difference of C, averaged at the stencil points
     in one more run of its chain, which also averages the C of a closed lossy
-    row asked for both (its main run averages none).  ``_evaluate`` decides
-    each row's columns and flags.
+    row asked for both (its main run averages none), at lambda where it is asked
+    for.  The bound and the ratio come from one ``_bound_report`` of every row.
+
+    Flags: ``diverged`` where chi diverged, or where the gap is closed and the row asks for
+    more than C; ``undefined_ratio`` for a NaN ratio where chi did not diverge;
+    ``skipped_exceptional`` where a lossy average met R^2 == 0 (its columns are NaN); any
+    other error that ended a lossy average is raised.
     """
-    entry = MODELS[spec.model]
-    grid = spec.grid()
-    needs = {need for q in spec.quantities for need in QUANTITIES[q][1]}
+    entry, wanted, grid = MODELS[spec.model], spec.quantities, spec.grid().tolist()
+    needs = {need for q in wanted for need in QUANTITIES[q][1]}
     ref, model = spec.reference, entry.model(spec.fixed, spec.sweep[0])
     if entry.hermitian:
         avgs = _bloch_averages(model, grid, ref, cfg, **dict.fromkeys(needs, True))
-        c_at = lambda lams: _bloch_averages(model, lams, ref, cfg, complexity=True)
+        c_at = lambda lams: _bloch_averages(model, lams, ref, cfg, complexity=True).complexity
     else:
-        avgs = _nh_averages(model, grid, "derivative" in needs, ref.alpha, ref.beta, cfg)
-        c_at = lambda lams: _nh_averages(model, lams, False, ref.alpha, ref.beta, cfg)
-    _closed_gap_rows(grid, avgs, spec, c_at)
-    return [_evaluate(spec, *row) for row in zip(grid, avgs)]
+        avgs = _nh_averages(model, grid, "derivative" in needs, ref.alpha, ref.beta, cfg, True)
+        c_at = lambda lams: _nh_averages(model, lams, False, ref.alpha, ref.beta, cfg).complexity
+    if "dcomplexity" in wanted and True in avgs.closed:  # a closed row's dC: C's difference
+        rows = [i for i, shut in enumerate(avgs.closed) if shut]
+        lone = [i for i in rows if "complexity" in wanted and avgs.complexity[i] is None]
+        points = [x for i in rows for x in _stencil(grid[i], _FD_STEP)] + [grid[i] for i in lone]
+        c = dict(zip(points, c_at(points)))
+        for i in lone:
+            avgs.complexity[i] = c[grid[i]]
+        for i in rows:
+            avgs.dcomplexity[i] = param_derivative(c.__getitem__, grid[i])
+    report = None if _REPORTED.isdisjoint(wanted) else _bound_report(ref, avgs)
+    marks = {name: on for name, on in (
+        ("diverged", avgs.diverged or set(wanted) != {"complexity"} and avgs.closed),
+        ("skipped_exceptional", avgs.exceptional),
+        ("undefined_ratio", "ratio" in wanted and report.undefined)) if on and any(on)}
+    flags = [tuple(compress(marks, on)) for on in zip(*marks.values())] or [()] * len(grid)
+    return grid, {c: v for q in wanted
+                  for c, v in zip(QUANTITIES[q][0], QUANTITIES[q][2](avgs, report))}, flags
+
+
+def run_sweep(spec: SweepSpec, cfg: BZQuadratureConfig | None = None) -> List[SweepRecord]:
+    """Evaluate every requested quantity on the sweep grid, in sweep order: the rows of
+    ``_sweep_columns``, which says how each is obtained and flagged."""
+    lams, values, flags = _sweep_columns(spec, cfg)
+    return [SweepRecord(lam, dict(zip(values, row)), frozenset(on))
+            for lam, on, *row in zip(lams, flags, *values.values())]
+
+
+def _by_column(records: Sequence[SweepRecord], names):
+    """``records`` as ``_sweep_columns`` gives a sweep, with the value columns ``names``
+    (NaN where a record lacks one)."""
+    return ([float(rec.lam) for rec in records], {c: [float(rec.values.get(c, math.nan))
+            for rec in records] for c in names}, [tuple(sorted(rec.flags)) for rec in records])
+
+
+def _csv(lams: list, values: Dict[str, list], flags: list) -> str:
+    """A sweep by column as CSV: lambda and the values as 17-significant-digit reals, and
+    each row's flags joined by ';'."""
+    lines = zip(*(map("{:.17g}".format, col) for col in (lams, *values.values())),
+                map(";".join, flags))
+    return "\n".join([",".join(["lambda", *values, "flags"]), *map(",".join, lines)]) + "\n"
 
 
 def records_to_csv(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
     """Render a sweep as CSV with 17-significant-digit reals and a flags column."""
-    cols = [c for q in spec.quantities for c in QUANTITIES[q][0]]
-    lines = ["lambda," + ",".join(cols) + ",flags"]
-    for rec in records:
-        lines.append(",".join([f"{rec.lam:.17g}", *[f"{rec.values.get(c, math.nan):.17g}"
-                                                     for c in cols], ";".join(sorted(rec.flags))]))
-    return "\n".join(lines) + "\n"
+    return _csv(*_by_column(records, [c for q in spec.quantities for c in QUANTITIES[q][0]]))
 
 
-def _json_real(x: float) -> str:
-    return float.__repr__(x) if math.isfinite(x) else "null"
+def _json_reals(col: list) -> list:
+    """Each float of ``col`` by its repr, and a NaN or infinite one as null."""
+    text = list(map(float.__repr__, col))
+    return text if math.isfinite(sum(col)) else ["null" if t[-1] in "nf" else t for t in text]
 
 
 def _json_block(brackets: str, items, indent: str) -> str:
@@ -179,28 +182,41 @@ def _json_block(brackets: str, items, indent: str) -> str:
     return brackets[0] + inner[1:] + inner.join(items) + "\n" + indent + brackets[1]
 
 
-def records_to_json(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
-    """Render a sweep as strict JSON: a NaN or infinite value is written as null.
-
-    The text is that of ``json.dumps(payload, indent=2, allow_nan=False)`` of
-    the payload's nested dicts and lists, written directly: reals by their
-    repr, value keys sorted, two-space indent.
+def _json(spec: SweepSpec, runs) -> str:
+    """A sweep as strict JSON from ``runs`` of its rows by column, each as ``_sweep_columns``
+    gives them, with the same value keys: the text of ``json.dumps(payload, indent=2,
+    allow_nan=False)`` of the payload's nested dicts and lists, written directly: reals by
+    their repr, a NaN or infinite one as null, value keys sorted, two-space indent.  Each
+    run's records are one template, its value keys sorted and quoted once, filled by column.
     """
-    reals = lambda pairs, indent: _json_block(
-        "{}", [f"{_quote(k)}: {_json_real(float(v))}" for k, v in sorted(pairs)], indent)
-    records = [f'{{\n      "lambda": {_json_real(rec.lam)},\n      "values": '
-               f'{reals(rec.values.items(), "      ")},\n      "flags": '
-               f'{_json_block("[]", [_quote(f) for f in sorted(rec.flags)], "      ")}\n    }}'
-               for rec in records]
-    name, start, stop, points = spec.sweep
+    records, (name, start, stop, points), keys = [], spec.sweep, sorted(spec.fixed)
+    for lams, values, flags in runs:
+        form = _json_block("{}", [_quote(k).replace("%", "%%") + ": %s" for k in sorted(values)],
+                           "      ")
+        form = '{\n      "lambda": %s,\n      "values": ' + form + ',\n      "flags": %s\n    }'
+        marks = {f: _json_block("[]", list(map(_quote, f)), "      ") for f in set(flags)}
+        records += map(form.__mod__, zip(_json_reals(lams), *map(_json_reals, map(
+            values.get, sorted(values))), map(marks.get, flags)))
+    start, stop, *fixed = _json_reals([start, stop, *(float(spec.fixed[k]) for k in keys)])
     return (f'{{\n  "model": {_quote(spec.model)},\n  "sweep": {{\n    "parameter": '
-            f'{_quote(name)},\n    "start": {_json_real(start)},\n    "stop": {_json_real(stop)},'
-            f'\n    "points": {points}\n  }},\n  "fixed": {reals(spec.fixed.items(), "  ")},\n'
+            f'{_quote(name)},\n    "start": {start},\n    "stop": {stop},'
+            f'\n    "points": {points}\n  }},\n  "fixed": '
+            f'{_json_block("{}", [f"{_quote(k)}: {v}" for k, v in zip(keys, fixed)], "  ")},\n'
             f'  "quantities": {_json_block("[]", [_quote(q) for q in spec.quantities], "  ")},\n'
             f'  "records": {_json_block("[]", records, "  ")}\n}}\n')
 
 
-def write_records(spec: SweepSpec, records: Sequence[SweepRecord], path: str) -> None:
-    text = (records_to_json if path.endswith(".json") else records_to_csv)(spec, records)
+def records_to_json(spec: SweepSpec, records: Sequence[SweepRecord]) -> str:
+    """Render a sweep as strict JSON (``_json``), each run of records with the same value
+    keys by column."""
+    runs = (list(run) for _, run in groupby(records, lambda rec: sorted(rec.values)))
+    return _json(spec, [_by_column(run, run[0].values) for run in runs])
+
+
+def _write(text: str, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_records(spec: SweepSpec, records: Sequence[SweepRecord], path: str) -> None:
+    _write((records_to_json if path.endswith(".json") else records_to_csv)(spec, records), path)

@@ -136,9 +136,9 @@ def closed_forms_suite() -> List[CheckResult]:
         md = MassiveDiracParams(mu=ecc * (1.0 - 2.0 * ng) / (2.0 * ej))
         chi = chi_F(model, ng).total / (chi_F_md_closed(md) * (ecc / ej) ** 2)
         for ref in refs[1:]:
-            avg = _bloch_averages(model, [ng], ref, None, complexity=True, derivative=True)[0]
-            errors.append((abs(avg.complexity - md_complexity_closed(md, ref.theta)), abs(
-                avg.dcomplexity / (-ecc / ej * md_dC_dmu_analytic(md, ref.theta)) - 1.0),
+            avg = _bloch_averages(model, [ng], ref, None, complexity=True, derivative=True)
+            errors.append((abs(avg.complexity[0] - md_complexity_closed(md, ref.theta)), abs(
+                avg.dcomplexity[0] / (-ecc / ej * md_dC_dmu_analytic(md, ref.theta)) - 1.0),
                 abs(chi - 1.0)))
     for name, tol, worst in zip(("C", "dC/dng (relative)", "susceptibility (relative)"),
                                 (5e-16, 3e-14, 5e-15), map(max, zip(*errors))):
@@ -154,10 +154,11 @@ def closed_forms_suite() -> List[CheckResult]:
         label = name if ref is refs[1] else f"{name} plateau"
         for lam in (model.lam, closing + 1e-6, closing):
             got, want = (f(model, [lam], ref, None, complexity=True, derivative=True,
-                           chi=True)[0] for f in (_bloch_averages, _engine_averages))
-            worst = max([abs(got.complexity - want.complexity), *(abs(x / y - 1.0) for x, y in (
-                (got.dcomplexity, want.dcomplexity), *zip(got.chi.components, want.chi.components))
-                if y and not got.closed)])
+                           chi=True) for f in (_bloch_averages, _engine_averages))
+            worst = max([abs(got.complexity[0] - want.complexity[0]), *(
+                abs(x[0] / y[0] - 1.0) for x, y in ((got.dcomplexity, want.dcomplexity),
+                                                    *zip(got[5:8], want[5:8]))
+                if y[0] and not got.closed[0])])
             exact = _planar_averages(model.zeros([lam]), model.slope(lam), ref, True, True, True)
             routed = exact.dcomplexity_ok[0] and exact.chi_ok[0]  # the C mask is in dC's
             checks.append(_check(f"exact path vs engine, {label} at {lam!r}",

@@ -3,10 +3,35 @@
 import math
 import sys
 from collections import Counter
+from typing import NamedTuple, Optional
 
+import numpy as np
 import pytest
 
 from twoband import quadrature
+from twoband.fidelity import SusceptibilityBreakdown, _totals
+
+
+class Row(NamedTuple):
+    """One row of a ``fidelity._Averages`` record; a field not asked for is None."""
+    complexity: Optional[float]
+    dcomplexity: Optional[float]
+    integrals: Optional[np.ndarray]  # per axis; None on a closed gap
+    chi: Optional[SusceptibilityBreakdown]
+    closed: bool = False
+    winding: Optional[float] = None
+
+
+def rows_of(avg) -> list:
+    """The rows of a Hermitian ``fidelity._Averages`` record, in order."""
+    column = lambda values: [None] * len(avg.closed) if values is None else values
+    ints = [None if x is None else np.array([x, y, z]) for x, y, z in zip(*map(column, avg[2:5]))]
+    chi = avg.diverged and avg.diverged[0] is not None
+    chis = [SusceptibilityBreakdown(total, axes, diverged) if chi else None for total, axes,
+            diverged in zip(column(_totals(avg) if chi else None), zip(*map(column, avg[5:8])),
+                            column(avg.diverged))]
+    return [Row(*row) for row in zip(column(avg.complexity), column(avg.dcomplexity), ints,
+                                     chis, avg.closed, column(avg.winding))]
 
 
 @pytest.fixture

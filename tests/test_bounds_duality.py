@@ -25,6 +25,8 @@ from twoband import models
 from twoband.models import MODELS, TwoBandModel
 from twoband.quadrature import param_derivative
 
+from conftest import rows_of
+
 PI = math.pi
 TIGHT = BZQuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 
@@ -250,8 +252,8 @@ class TestBoundCheck:
         # beside mu = 0 the massive-Dirac engine average exhausts its budget on panels
         # at k = +-pi; the row keeps the estimates of its one average
         ref = GlobalReference(0.9, 0.4)
-        row = _engine_averages(massive_dirac_model(MassiveDiracParams()), [1e-10, 1.0], ref,
-                               None, chi=True, derivative=True)[0]
+        row = rows_of(_engine_averages(massive_dirac_model(MassiveDiracParams()), [1e-10, 1.0],
+                                       ref, None, chi=True, derivative=True))[0]
         assert calls == {"bz_averages": 1, "averages": 2}
         params = MassiveDiracParams(mu=1e-10)
         assert row.chi.total == pytest.approx(chi_F_md_closed(params), rel=1e-8)
@@ -261,8 +263,8 @@ class TestBoundCheck:
         # C shares the engine average whose budget runs out; it still meets the
         # closed form and the C-only average to the quadrature tolerance
         ref = GlobalReference(0.9, 0.4)
-        c = _engine_averages(massive_dirac_model(MassiveDiracParams()), [1e-10, 1.0], ref,
-                             None, complexity=True, chi=True)[0].complexity
+        c = rows_of(_engine_averages(massive_dirac_model(MassiveDiracParams()), [1e-10, 1.0],
+                                     ref, None, complexity=True, chi=True))[0].complexity
         assert calls == {"bz_averages": 1, "averages": 2}
         params = MassiveDiracParams(mu=1e-10)
         assert c == pytest.approx(md_complexity_closed(params, ref.theta), rel=1e-10)

@@ -14,6 +14,8 @@ from twoband import (BlochVector, BZQuadratureConfig, ConvergenceError, DomainEr
 from twoband.fidelity import _bloch_averages, _engine_averages, dhat_derivative
 from twoband.models import MODELS, TwoBandModel
 
+from conftest import rows_of
+
 PI = math.pi
 
 
@@ -184,15 +186,16 @@ class TestBZAveraged:
         split = PiecewiseBlochReference(((-PI, 1.0, BlochVector(0.0, 0.0, 1.0)),
                                          (1.0, PI, BlochVector(0.0, 0.0, -1.0))))
         asked = dict(complexity=True, derivative=True, chi=True)
-        (engine,) = _engine_averages(model, [1.0], split, None, **asked)
-        (c_only,) = _engine_averages(model, [1.0], split, None, complexity=True)
+        (engine,) = rows_of(_engine_averages(model, [1.0], split, None, **asked))
+        (c_only,) = rows_of(_engine_averages(model, [1.0], split, None, complexity=True))
         assert not engine.closed and engine.complexity == c_only.complexity
         assert engine.dcomplexity == 0.0 and engine.chi.components == (0.0, 0.0, 0.0)
-        (closed,) = _bloch_averages(model, [1.0], split, None, **asked)
+        (closed,) = rows_of(_bloch_averages(model, [1.0], split, None, **asked))
         assert closed == (engine.complexity, None, None,
                           SusceptibilityBreakdown(math.inf, (math.inf,) * 3, True), True, None)
         assert calls["bz_averages"] == 3
-        (exact,) = _bloch_averages(model, [1.0], GlobalReference(0.9, 0.4), None, **asked)
+        (exact,) = rows_of(_bloch_averages(model, [1.0], GlobalReference(0.9, 0.4), None,
+                                           **asked))
         assert exact[1:] == closed[1:] and calls["bz_averages"] == 3
 
     def test_the_winding_comes_from_the_averages_own_zeros(self, calls, monkeypatch):
@@ -202,9 +205,9 @@ class TestBZAveraged:
         records, zeros = [], TwoBandModel.zeros
         monkeypatch.setattr(TwoBandModel, "zeros",
                             lambda self, at: records.append(at) or zeros(self, at))
-        alone = _bloch_averages(model, lams, None, None, winding=True)
-        both = _bloch_averages(model, lams, None, None, chi=True, winding=True)
-        chi = _bloch_averages(model, lams, None, None, chi=True)
+        alone = rows_of(_bloch_averages(model, lams, None, None, winding=True))
+        both = rows_of(_bloch_averages(model, lams, None, None, chi=True, winding=True))
+        chi = rows_of(_bloch_averages(model, lams, None, None, chi=True))
         assert len(records) == 3 and calls["bz_averages"] == 0
         want = [0.0, math.nan, 1.0]
         for got in (alone, both):

@@ -71,7 +71,7 @@ def _ep_edges(model, lams):
         patch.setattr(nonhermitian, "bz_averages", stand_in)
         avgs = _nh_averages(model, lams, False, 1.0, 0.0, None)
     (edges,) = seen
-    return edges, np.array([avg.closed for avg in avgs])
+    return edges, np.array(avgs.closed)
 
 
 def _edges(params):

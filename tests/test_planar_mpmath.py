@@ -29,6 +29,8 @@ from twoband.fidelity import (SusceptibilityBreakdown, _bloch_averages, _cel,
                               _engine_averages, _planar_averages)
 from twoband.models import MODELS, TwoBandModel, singular_points
 
+from conftest import rows_of
+
 PI = math.pi
 REF = GlobalReference(0.9, 0.4)
 
@@ -76,8 +78,8 @@ def _pieces(rows, slope, k_s, breaks, parts):
 def _check(model, lam, rtol, calls):
     """The exact row at lam against the reference: C absolute to 1e-14; dC, the
     integrals and chi with its axes relative to rtol (dC against its terms' size)."""
-    avg = _bloch_averages(model, [lam], REF, None, complexity=True, derivative=True,
-                          chi=True)[0]
+    avg = rows_of(_bloch_averages(model, [lam], REF, None, complexity=True, derivative=True,
+                                  chi=True))[0]
     assert calls["bz_averages"] == 0  # the row took the exact path
     dx, dz, vx, vz, cx, cz = _reference(model, lam)
     n = REF.bloch.as_array()
@@ -226,10 +228,10 @@ def test_a_row_does_not_depend_on_its_batch():
     assert [_cel(*(v[i:i + 1] for v in (kc, p, a, b)))[0] for i in range(4)] == batch.tolist()
     model = MODELS["ssh"].model({"t1": 1.0})
     lams = np.linspace(0.3, 2.7, 7)
-    alone = [_bloch_averages(model, [lam], REF, None, complexity=True, derivative=True,
-                             chi=True)[0] for lam in lams]
-    together = _bloch_averages(model, lams, REF, None, complexity=True, derivative=True,
-                               chi=True)
+    alone = [rows_of(_bloch_averages(model, [lam], REF, None, complexity=True, derivative=True,
+                                     chi=True))[0] for lam in lams]
+    together = rows_of(_bloch_averages(model, lams, REF, None, complexity=True, derivative=True,
+                                       chi=True))
     for x, y in zip(alone, together):
         assert (x.complexity, x.dcomplexity, x.chi) == (y.complexity, y.dcomplexity, y.chi)
         assert x.integrals.tolist() == y.integrals.tolist()
@@ -264,8 +266,8 @@ def _c_reference(model, lam, *refs):
 
 def _closed_c(model, lam, ref, calls):
     """A closed row's C, checked to be the engine's closed record with no quadrature."""
-    avg = _bloch_averages(model, [lam], ref, None, complexity=True, derivative=True,
-                          chi=True)[0]
+    avg = rows_of(_bloch_averages(model, [lam], ref, None, complexity=True, derivative=True,
+                                  chi=True))[0]
     assert avg.closed and avg.dcomplexity is None and avg.integrals is None
     assert avg.chi == SusceptibilityBreakdown(math.inf, (math.inf,) * 3, True)
     assert calls["bz_averages"] == 0
@@ -399,7 +401,7 @@ def test_exact_rows_take_no_singular_points(monkeypatch, calls, capsys):
 
 def test_a_closed_row_off_one_line_takes_the_engine(skew, calls):
     model = MODELS[skew].model({})
-    avg = _bloch_averages(model, [1.0], REF, None, complexity=True)[0]
+    avg = rows_of(_bloch_averages(model, [1.0], REF, None, complexity=True))[0]
     assert avg.closed and calls["bz_averages"] == 1
     assert abs(avg.complexity - _c_reference(model, 1.0, REF)[0]) <= 1e-10
 
@@ -411,7 +413,7 @@ def test_a_closed_row_off_one_line_takes_the_engine(skew, calls):
                                        (1.0 - 1e-4, 5e-14), (1.0 + 1e-8, 1e-10)])
 def test_rows_off_one_line_against_the_oracle(skew, lam, bound, calls):
     model = MODELS[skew].model({})
-    avg = _bloch_averages(model, [lam], REF, None, complexity=True, derivative=True)[0]
+    avg = rows_of(_bloch_averages(model, [lam], REF, None, complexity=True, derivative=True))[0]
     assert calls["bz_averages"] == 1
     dx, dz, vx, vz = _reference(model, lam, 4)
     n = REF.bloch.as_array()
@@ -456,7 +458,8 @@ SPLIT_GAPPED = [
 @pytest.mark.parametrize("model,lam", SPLIT_GAPPED, ids=lambda v: getattr(v, "label", repr(v)))
 def test_an_on_line_split_of_a_gapped_row_takes_the_exact_path(model, lam, calls):
     for ref in SPLITS:
-        avg = _bloch_averages(model, [lam], ref, None, complexity=True, derivative=True)[0]
+        avg = rows_of(_bloch_averages(model, [lam], ref, None, complexity=True,
+                                      derivative=True))[0]
         c, dc, terms = _split_reference(model, lam, ref)
         assert abs(avg.complexity - c) <= 2e-16
         assert abs(avg.dcomplexity - dc) <= 2e-15 * terms + 1e-30  # 1e-30: the oracle's 0
@@ -479,13 +482,13 @@ def test_an_on_line_split_beside_a_closing(model, lam, calls):
     # half-circle terms alone (measured: 0, and the oracle's 2.7e-19 where dC is 0); a
     # split whose mean is not 0 takes the full-circle turn, which keeps its digits here,
     # where u is exact on an axis: within 2e-15 of its terms (measured 5.9e-16)
-    plateau = _bloch_averages(model, [lam], SPLITS[0], None, complexity=True,
-                              derivative=True)[0]
+    plateau = rows_of(_bloch_averages(model, [lam], SPLITS[0], None, complexity=True,
+                                      derivative=True))[0]
     c, dc, terms = _split_reference(model, lam, SPLITS[0])
     assert abs(plateau.complexity - c) <= 5e-16
     assert abs(plateau.dcomplexity - dc) <= 2e-16 * terms + 1e-18
-    split = _bloch_averages(model, [lam], SPLITS[1], None, complexity=True,
-                            derivative=True)[0]
+    split = rows_of(_bloch_averages(model, [lam], SPLITS[1], None, complexity=True,
+                                    derivative=True))[0]
     c, dc, terms = _split_reference(model, lam, SPLITS[1])
     assert abs(split.complexity - c) <= 5e-16
     assert abs(split.dcomplexity - dc) <= 2e-15 * terms
@@ -507,7 +510,7 @@ def test_a_split_on_a_generic_line_declines_dc_beside_its_closing(calls):
     got = _planar_averages(zeros, slope, ref, True, True, False)
     assert got.complexity_ok[0] and not got.dcomplexity_ok[0]
     assert calls["bz_averages"] == 0
-    avg = _bloch_averages(model, [0.0], ref, None, complexity=True, derivative=True)[0]
+    avg = rows_of(_bloch_averages(model, [0.0], ref, None, complexity=True, derivative=True))[0]
     c, dc, terms = _split_reference(model, 0.0, ref)
     assert calls["bz_averages"] == 1
     assert abs(avg.complexity - c) <= 1e-10 and abs(avg.dcomplexity - dc) <= 1e-9 * terms
@@ -565,8 +568,8 @@ def test_each_quantity_has_its_own_mask(family, fixed, lam, split, masks, calls)
     _bloch_averages(model, [lam], ref, None, complexity=masks[0], chi=True)
     assert calls["bz_averages"] == 0  # what the row passes stays exact
     # a row that declines one quantity takes every quantity it asks for to the engine
-    avg, engine = (f(model, [lam], ref, None, complexity=True, derivative=True, chi=True)[0]
-                   for f in (_bloch_averages, _engine_averages))
+    avg, engine = (rows_of(f(model, [lam], ref, None, complexity=True, derivative=True,
+                             chi=True))[0] for f in (_bloch_averages, _engine_averages))
     assert calls["bz_averages"] == 1 + (not all(masks))
     if not all(masks):
         assert (avg.complexity, avg.dcomplexity, avg.chi) == (
@@ -581,7 +584,7 @@ def test_a_split_off_the_line_against_the_oracle(t2, calls):
     a, b = (vec for _, _, vec in SPLITS[1].pieces)
     ref = PiecewiseBlochReference(((-PI, 1.0, a), (1.0, PI, b)))
     model = MODELS["ssh"].model({"t1": 1.0})
-    avg = _bloch_averages(model, [t2], ref, None, complexity=True, derivative=True)[0]
+    avg = rows_of(_bloch_averages(model, [t2], ref, None, complexity=True, derivative=True))[0]
     assert calls["bz_averages"] == 1
     c, dc, terms = _split_reference(model, t2, ref)
     assert abs(avg.complexity - c) <= 3e-16
@@ -612,7 +615,8 @@ def test_a_random_row_split_on_its_line(theta, kappa, rate, big, ratio, flips, r
     ref = PiecewiseBlochReference(tuple(zip(edges, edges[1:], vectors)))
     with mock.patch.object(fidelity, "_engine_averages",
                            wraps=fidelity._engine_averages) as engine:
-        avg = _bloch_averages(model, [0.0], ref, None, complexity=True, derivative=True)[0]
+        avg = rows_of(_bloch_averages(model, [0.0], ref, None, complexity=True,
+                                      derivative=True))[0]
     if not engine.called:
         c, dc, terms = _split_reference(model, 0.0, ref)
         assert abs(avg.complexity - c) <= 6e-16

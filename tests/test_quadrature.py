@@ -23,6 +23,8 @@ from twoband.fidelity import dhat_derivative
 from twoband.models import singular_points
 from twoband.quadrature import _GK_NODES, _GK_WEIGHTS
 
+from conftest import rows_of
+
 PI = math.pi
 
 
@@ -61,10 +63,12 @@ class TestBZAverage:
         model = massive_dirac_model(MassiveDiracParams(mu=0.01))
         ref = GlobalReference(0.2, 0.0)
         levels = _count_levels(monkeypatch)
-        (with_split,) = fidelity._engine_averages(model, [model.lam], ref, None, complexity=True)
+        (with_split,) = rows_of(fidelity._engine_averages(model, [model.lam], ref, None,
+                                                          complexity=True))
         graded = len(levels)
         monkeypatch.setattr(fidelity, "graded_edges", lambda points, w: np.empty((len(points), 0)))
-        (no_split,) = fidelity._engine_averages(model, [model.lam], ref, None, complexity=True)
+        (no_split,) = rows_of(fidelity._engine_averages(model, [model.lam], ref, None,
+                                                        complexity=True))
         assert 1 <= graded < len(levels) - graded  # 1 level against 9
         assert with_split.complexity == pytest.approx(no_split.complexity, abs=1e-9)
 
@@ -450,15 +454,15 @@ class TestGradedPanels:
         # bisection from the singular points alone takes about log2(1/delta)
         # levels: 23 at delta = 1e-6, 32 at 1e-8
         levels = _count_levels(monkeypatch)
-        (got,) = fidelity._engine_averages(model, [lam], None, None, chi=True)
+        (got,) = rows_of(fidelity._engine_averages(model, [lam], None, None, chi=True))
         assert not got.chi.diverged
         assert 1 <= len(levels) <= 8
 
     def test_negative_coupling_closing_is_graded_at_pi(self, monkeypatch):
         # t2 = -t1 closes the gap at k = pi; bisection toward pi took 23 levels
         levels = _count_levels(monkeypatch)
-        (got,) = fidelity._engine_averages(ssh_model(SSHParams(1.0, 2.0)), [-1.0 - 1e-6], None,
-                                           None, chi=True)
+        (got,) = rows_of(fidelity._engine_averages(ssh_model(SSHParams(1.0, 2.0)), [-1.0 - 1e-6],
+                                                   None, None, chi=True))
         assert not got.chi.diverged
         assert 1 <= len(levels) <= 3
 
@@ -531,7 +535,8 @@ class TestGradedPanels:
 
         at_zero = chi_F(shifted_dirac(0.0), 1e-6).total
         levels = _count_levels(monkeypatch)
-        (got,) = fidelity._engine_averages(shifted_dirac(k0), [1e-6], None, None, chi=True)
+        (got,) = rows_of(fidelity._engine_averages(shifted_dirac(k0), [1e-6], None, None,
+                                                   chi=True))
         assert not got.chi.diverged and 1 <= len(levels) <= 3
         assert got.chi.total == pytest.approx(at_zero, rel=2e-10)
 

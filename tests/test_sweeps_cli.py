@@ -23,6 +23,8 @@ from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
 from twoband.sweeps import QUANTITIES
 
+from conftest import rows_of
+
 PI = math.pi
 # +z for k <= 1, -z above: its jump at k = 1 is off the line of the SSH zeros, so the
 # exact path declines its rows and they stay on the engine
@@ -759,8 +761,8 @@ class TestBatchedRows:
                          reference=OFF_LINE, quantities=("complexity", "dcomplexity"))
         family = MODELS["ssh"].model(spec.fixed, "t1")
         for row in run_sweep(spec):
-            (want,) = _bloch_averages(family, [row.lam], spec.reference, None,
-                                      complexity=True, derivative=True)
+            (want,) = rows_of(_bloch_averages(family, [row.lam], spec.reference, None,
+                                              complexity=True, derivative=True))
             assert row.values == {"complexity": want.complexity,
                                   "dcomplexity": want.dcomplexity}, row
 
