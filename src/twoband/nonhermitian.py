@@ -23,8 +23,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, ExceptionalPointError, GapClosedError,
-                     InsufficientDataError, NormalizationError)
+from .errors import (ExceptionalPointError, GapClosedError, InsufficientDataError,
+                     NormalizationError)
 from .fidelity import _Averages
 from .models import (GAP_EPS, MODELS, NonHermitianSSHParams, TwoBandModel, contour_zeros,
                      nh_ssh_bloch_hamiltonian, singular_points, trig_sum)
@@ -115,7 +115,7 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
     ``model`` at each of ``lams``, one per owner, for normalized amplitudes: the projector
     form, with R the principal root of R^2 (the ground branch is -R) and no ground vector.
     A mode where R^2 is exactly 0, an EP where P is undefined and the form reads 1/2, has C_k
-    set to NaN (and dC_k to 0), which fails its owner's average alone.
+    set to NaN (and dC_k to 0), which fails its owner's average alone, and ``kernel.eps`` notes it.
     With ``derivative`` the kernel returns the stack (C_k, dC_k/d(lambda)), by the chain rule
     through R and d . r:
     dC_k = C_k (1 - C_k) Re((R + d . r)'/(R + d . r) - (R - d . r)'/(R - d . r))
@@ -123,9 +123,8 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
     with u = r_z R1 - r_x R3, W = R1 R3' - R3 R1' and q = (R + d . r)(R - d . r) =
     r_y^2 R^2 + u^2, which does not cancel where a weight vanishes (there dC_k is 0).
     """
-    ab = alpha.conjugate() * beta
+    ab, lams = alpha.conjugate() * beta, np.asarray(lams, dtype=float)
     rx, ry2, rz = 2.0 * ab.real, 4.0 * ab.imag ** 2, abs(alpha) ** 2 - abs(beta) ** 2
-    lams = np.asarray(lams, dtype=float)
 
     @np.errstate(divide="ignore", invalid="ignore")
     def ck(k, owner):
@@ -141,6 +140,7 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
         c = m1 / total
         if not rsq.all():  # an EP, where the form reads 1/2
             c[rsq == 0.0] = np.nan
+            ck.eps.update(owner[rsq == 0.0].tolist())
         if not derivative:
             return c
         dr1, _, dr3 = trig_sum(model.slope(lams[owner]), cos, sin)
@@ -151,6 +151,7 @@ def _nh_weight_kernel(model: TwoBandModel, lams, derivative: bool, alpha: comple
                       * (u * (r1 * dr3 - r3 * dr1) / rq).real, 0.0)
         return np.stack((c, dc))
 
+    ck.eps = set()  # the owners with a node where R^2 = 0
     return ck
 
 
@@ -187,7 +188,8 @@ def nh_complexity_per_mode_overlap(params: NonHermitianSSHParams, k: float,
 def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, beta: complex,
                  cfg: BZQuadratureConfig | None, skip: bool = False) -> _Averages:
     """The lossy ``model``'s ``_Averages`` (C, and dC/d(lambda) with ``derivative``) at ``lams``
-    in one run; an error that ends one is raised, a non-finite one as an EP unless ``skip``.
+    in one run; an error that ends one is raised, as an EP where its kernel met R^2 = 0, and
+    such a row is skipped (NaN) with ``skip``.
 
     Each row owns k = 0 and the ``graded_edges`` at its EPs, the zeros k_s of R^2's Laurent
     factors F = R1 -+ i R3 (``singular_points`` of the rows with the z row as is and negated;
@@ -211,12 +213,12 @@ def _nh_averages(model: TwoBandModel, lams, derivative: bool, alpha: complex, be
     edges = np.hstack((np.zeros((lams.size, 1)), graded_edges(
         np.where(found, points, np.nan)[:, keep], np.maximum(w, _EP_SCALE_FLOOR))))
     run = ~(closed & derivative)
-    outs = bz_averages(_nh_weight_kernel(model, lams[run], derivative, alpha, beta),
-                       edges[run], cfg) if run.any() else []
+    kernel = _nh_weight_kernel(model, lams[run], derivative, alpha, beta)
+    outs = bz_averages(kernel, edges[run], cfg) if run.any() else []
     shut, n = closed.tolist(), lams.size
     cs, dcs, skipped = [None] * n, [None] * n, [False] * n
-    for i, out in zip(run.nonzero()[0].tolist(), outs):  # a row run for dC is not closed
-        ep = isinstance(out, ConvergenceError) and not math.isfinite(out.error)
+    for j, (i, out) in enumerate(zip(run.nonzero()[0].tolist(), outs)):
+        ep = j in kernel.eps  # a row run for dC is not closed
         if isinstance(out, Exception) and not (ep and skip):
             raise ExceptionalPointError("exceptional point: R^2 = 0 at a mode") if ep else out
         c, dc = (math.nan, math.nan) if ep else out if derivative else (out, math.nan)

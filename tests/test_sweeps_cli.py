@@ -439,6 +439,21 @@ class TestCLI:
         assert out == ""
         assert err == "numerical failure: BZ average did not converge to a finite error: [nan, nan]\n"
 
+    # the lossy chain's products overflow too (the warnings are not what is tested here): a
+    # non-finite average that met no mode where R^2 = 0 is a numerical failure, not an
+    # exceptional point
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["nh-sweep", "--set", "t1=1e300", "--set", "gamma=1", "--sweep", "t2:1e300:3e300:3"],
+        ["nh-sweep", "--set", "t1=3e102", "--set", "gamma=3e102", "--sweep", "t2:3e102:9e102:3",
+         "--theta", "0.9", "--phi", "0.4"]])
+    def test_a_non_finite_lossy_average_exits_3(self, argv, capsys):
+        # these exited 0 with their NaN rows flagged skipped_exceptional
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: BZ average did not converge to a finite error: [nan]\n"
+
     def test_nh_sweep_subcommand(self, tmp_path):
         out = tmp_path / "nh.json"
         code = main(["nh-sweep", "--set", "t1=2", "--set", "gamma=1",
