@@ -1,27 +1,34 @@
 """Sweep engine and CLI tests: determinism, schemas, exit codes."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoband import (BlochVector, DualSSHParams, GlobalReference, NonHermitianSSHParams,
                      PiecewiseBlochReference, SpecError, SSHParams, SweepRecord, SweepSpec,
                      UndefinedRatioError, bound_check, chi_F, complexity_derivative,
                      detect_cusps, dual_windings, ground_complexity, nh_complexity_derivative,
                      nh_ground_complexity, param_derivative, plateau_reference, ratio_R,
-                     records_to_csv, records_to_json, run_sweep, ssh_complexity_closed,
+                     records_to_csv, reference_coefficients, records_to_json, run_sweep, ssh_complexity_closed,
                      winding_cross_product, winding_log_derivative, write_records)
 from twoband.cli import build_parser, main
 from twoband.errors import ConvergenceError
 from twoband.fidelity import _bloch_averages
 from twoband.models import MODELS
 from twoband.quadrature import BZQuadratureConfig
-from twoband.sweeps import QUANTITIES
+from twoband import sweeps
+from twoband.sweeps import LOSSY_QUANTITIES, QUANTITIES
 
 from conftest import rows_of
 
@@ -313,6 +320,89 @@ class TestJsonWriter:
         # the ssh and massive-dirac windows each hold a closed row: nulls and flags
         records = run_sweep(spec)
         assert records_to_json(spec, records) == _json_oracle(spec, records)
+
+
+# Windows of each family, (model, swept parameter, fixed, anchors): a window starts or ends on
+# an anchor, or sits beside it.  The anchors are gap closings (and so exact transitions), the
+# lossy t2 = 0 of t1 = 1, gamma = 2, where R^2 = 0 at every mode, and massive Dirac at mu = 50,
+# whose dC the exact path declines to the engine.
+_WINDOWS = (("ssh", "t2", {"t1": 1.0}, (1.0, -1.0)), ("ssh", "t1", {"t2": 1.3}, (1.3, -1.3)),
+            ("massive-dirac", "mu", {}, (0.0, 50.0)), ("dual-ssh", "r", {}, (1.0,)),
+            ("cooper-pair-box", "ng", {"Ej": 1.0, "Ecc": 2.0}, (0.5,)),
+            ("nh-ssh", "t2", {"t1": 1.0, "gamma": 2.0}, (0.0,)),
+            ("nh-ssh", "t2", {"t1": 2.0, "gamma": 0.0}, (2.0,)),
+            ("nh-ssh", "t2", {"t1": 2.0, "gamma": 1.0}, (1.5, 2.5)))
+
+
+@st.composite
+def _sweep_specs(draw):
+    """A random sweep: family, window, reference (one in three along y, with no coefficient on
+    the planar axes, so that its ratios are undefined) and quantities."""
+    model, name, fixed, anchors = draw(st.sampled_from(_WINDOWS))
+    anchor, width = draw(st.sampled_from(anchors)), draw(st.sampled_from([1e-6, 1e-3, 0.1, 0.5]))
+    anchor += draw(st.sampled_from([0.0, 0.0, 0.137]))
+    start, stop = (anchor, anchor + width) if draw(st.booleans()) else (anchor - width, anchor)
+    theta, phi = draw(st.sampled_from([(0.5 * PI, 0.5 * PI), (0.0, 0.0), None])) or (
+        draw(st.floats(0.05, PI - 0.05)), draw(st.floats(-PI, PI)))
+    listed = LOSSY_QUANTITIES if model == "nh-ssh" else tuple(QUANTITIES)
+    quantities = draw(st.lists(st.sampled_from(listed), min_size=1, unique=True))
+    return SweepSpec(model, (name, start, stop, draw(st.integers(2, 6))), fixed,
+                     GlobalReference(theta, phi), tuple(quantities))
+
+
+def _scalar_bound(spec, lam):
+    """Both sides of the bound, whether it holds and the ratio at one row, by the scalar
+    rule: the ratio of the axis of the largest |integral|, NaN where chi diverged or where
+    that axis has no coefficient or no susceptibility."""
+    avg, = rows_of(_bloch_averages(MODELS[spec.model].model(spec.fixed, spec.sweep[0]), [lam],
+                                   spec.reference, None, derivative=True, chi=True))
+    if avg.chi.diverged:
+        return math.nan, math.inf, 1.0, math.nan
+    q = [abs(float(x)) for x in reference_coefficients(spec.reference)]
+    rhs = 4.0 * PI * sum(qi * math.sqrt(max(c, 0.0)) for qi, c in zip(q, avg.chi.components))
+    ints = [abs(float(x)) for x in avg.integrals]
+    axis = max(range(3), key=ints.__getitem__)
+    comp = avg.chi.components[axis]
+    ratio = (ints[axis] / (4.0 * PI * math.sqrt(comp))
+             if q[axis] >= 1e-15 and comp > 0.0 else math.nan)
+    lhs = abs(avg.dcomplexity)
+    return lhs, rhs, float(lhs <= rhs * (1.0 + 1e-9)), ratio
+
+
+class TestEveryWriterPath:
+    """The command line writes a sweep from its columns; ``run_sweep``'s records through
+    ``records_to_csv`` and ``records_to_json`` give the same bytes."""
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_sweep_specs())
+    def test_the_cli_writes_the_bytes_of_the_records(self, spec):
+        name, start, stop, points = spec.sweep
+        argv = [("nh-sweep" if spec.model == "nh-ssh" else "sweep"), "--model", spec.model,
+                "--sweep", f"{name}:{start!r}:{stop!r}:{points}",
+                "--quantities", ",".join(spec.quantities), "--theta", repr(spec.reference.theta),
+                "--phi", repr(spec.reference.phi),
+                *(arg for k, v in spec.fixed.items() for arg in ("--set", f"{k}={v!r}"))]
+
+        def no_record(*args, **kwargs):
+            raise AssertionError("a command-line sweep built a SweepRecord")
+
+        texts = {}
+        with tempfile.TemporaryDirectory() as work, mock.patch.object(
+                sweeps, "SweepRecord", no_record):
+            for out in ("out.csv", "out.json", None):
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink):
+                    assert main(argv + (["--out", f"{work}/{out}"] if out else [])) == 0
+                texts[out] = Path(work, out).read_text(encoding="utf-8") if out else sink.getvalue()
+        records = run_sweep(spec)
+        assert texts["out.csv"] == texts[None] == records_to_csv(spec, records)
+        assert texts["out.json"] == records_to_json(spec, records) == _json_oracle(spec, records)
+        # the bound and the ratio of every row equal the scalar rule's at that row alone
+        columns = ("bound_lhs", "bound_rhs", "bound_satisfied", "ratio")
+        asked = [i for i, c in enumerate(columns) if c in records[0].values]
+        for rec in records if asked else ():
+            want = _scalar_bound(spec, rec.lam)
+            assert [repr(rec.values[columns[i]]) for i in asked] == [repr(want[i]) for i in asked]
 
 
 class TestCLI:
