@@ -384,7 +384,7 @@ def _bloch_averages(m: TwoBandModel, lams, ref, cfg: BZQuadratureConfig | None, 
         for into, col in zip(cols, eng):
             for i, value in zip(rest, col if into else ()):
                 into[i] = value
-    for i in (i for i, shut in enumerate(closed) if shut):
+    for i in (i for i, shut in enumerate(closed) if shut) if True in closed else ():
         for col, value in zip(cols[1:], (None,) * 4 + (np.inf,) * 3 + (True,)):
             if col:
                 col[i] = value
