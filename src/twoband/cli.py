@@ -243,8 +243,8 @@ def _sweep_spec(args) -> SweepSpec:
 
 
 def _cmd_sweep(args) -> int:
-    """A sweep written by column: to ``--out``, JSON for a .json file, else CSV to standard
-    output."""
+    """A sweep written by column to ``--out`` (JSON for a .json file, else CSV), or as CSV to
+    standard output."""
     spec = _sweep_spec(args)
     columns = _sweep_columns(spec, _quad_config(args))
     if args.out:
